@@ -17,9 +17,7 @@ Random sampling uses numpy's default PCG64 generator seeded with the
     uniform in [-2, 2] (zero-sum for the six-variable form);
   * theta difference: t as above with span 1.6*eta, z uniform in the
     period strip.
-Workers for sweeps come from the LENSTRI_WORKERS environment variable
-(default: all available cores); results are aggregated in sample order,
-so worker count never changes the output.
+Sweeps verify their samples one after another, in sample order.
 """
 
 from __future__ import annotations
@@ -29,11 +27,10 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -86,6 +83,7 @@ def report_to_dict(rep: verify.VerificationReport, include_runtime=True) -> dict
         "rel_residual": rep.rel_residual,
         "tolerance": rep.tolerance,
         "passed": rep.passed,
+        "checks": rep.checks,
         "numerics_meta": meta,
         "seed": rep.seed,
     })
@@ -122,6 +120,12 @@ def parse_spin(text: str) -> Spin:
         return Spin(float(text[0]), int(text[1]))
     x, _, m = text.partition(":")
     return Spin(float(x), int(m or 0))
+
+
+def parse_t(values) -> tuple:
+    """Complex t values given as strings or [re, im] pairs."""
+    return tuple(parse_complex(v) if isinstance(v, str) else complex(*v)
+                 for v in values)
 
 
 def build_params(cfg: dict) -> NomeParameters:
@@ -198,92 +202,127 @@ def sample_inversion_case(rng, params: NomeParameters):
             "alpha": float(rng.uniform(0.1, 0.9) * eta), "spins": spins}
 
 
-IDENTITY_SAMPLERS = {
-    "str": sample_str_case,
-    "rinfstr": sample_rinfstr_case,
-    "strmsg": sample_strmsg_case,
-    "master": sample_master_case,
-    "iconst": sample_iconst_case,
-    "thtfunct": sample_thtfunct_case,
-    "inversion": sample_inversion_case,
-    "cov": sample_str_case,
-}
-
-DEFAULT_TOLS = {"str": 1e-6, "rinfstr": 1e-6, "strmsg": 1e-4, "master": 1e-6,
-                "iconst": 1e-6, "thtfunct": 1e-8, "inversion": 1e-10,
-                "cov": 1e-8, "brackets": 0.5, "bridge": 1e-10,
-                "limit_r": 1.0, "limit_hbar": 1.0}
+# ---------------------------------------------------------------------------
+# explicit cases from the config; None when the config holds none
 
 
-def run_case(identity: str, case: dict, params: NomeParameters,
-             tol: float, seed: int) -> verify.VerificationReport:
-    if identity == "str":
-        return verify.verify_str(case["spins"], case["alphas"], params,
-                                 tol, seed=seed)
-    if identity == "rinfstr":
-        return verify.verify_rinfstr(case["spins"], case["alphas"], params,
-                                     tol, seed=seed)
-    if identity == "strmsg":
-        return verify.verify_strmsg(case["spins"], case["alphas"], tol,
-                                    seed=seed)
-    if identity == "master":
-        return verify.verify_master(case["mp"], tol, seed=seed)
-    if identity == "iconst":
-        return verify.verify_I_constant(case["t"], case["u"], params, tol,
-                                        seed=seed)
-    if identity == "thtfunct":
-        return verify.verify_theta_difference(case["z"], case["y"], case["t"],
-                                              case["u"], params, tol, seed=seed)
-    if identity == "inversion":
-        return verify.verify_inversion_first(case["family"], case["alpha"],
-                                             case["spins"], params, tol,
-                                             seed=seed)
-    if identity == "cov":
-        return verify.verify_cov_consistency(case["spins"], case["alphas"],
-                                             params, tol, seed=seed)
-    if identity == "brackets":
-        return verify.verify_bracket_identities(int(case.get("r_max", 64)),
-                                                seed=seed)
-    if identity == "bridge":
-        return verify.verify_gamma_phi_bridge(case.get("z", 0.37 + 0.21j),
-                                              int(case.get("m", 1)), params,
-                                              tol, seed=seed)
-    if identity == "limit_r":
-        return verify.verify_limit_r_to_inf(case.get("z", 0.3),
-                                            int(case.get("m", 1)), params,
-                                            seed=seed)
-    if identity == "limit_hbar":
-        return verify.verify_limit_hbar(case.get("alpha", 0.4),
-                                        case.get("x", 1.0),
-                                        int(case.get("m", 0)), seed=seed)
-    raise InvalidParameterError(f"unknown identity {identity!r}")
-
-
-def case_from_config(identity: str, cfg: dict, params: NomeParameters,
-                     seed: int) -> dict:
-    """An explicit case from the config if present, else one seeded draw."""
-    if identity in ("str", "rinfstr", "strmsg", "cov") and "spins" in cfg:
+def parse_spins_case(cfg: dict, params: NomeParameters):
+    if "spins" in cfg:
         return {"spins": tuple(parse_spin(s) for s in cfg["spins"]),
                 "alphas": tuple(float(a) for a in cfg["alphas"])}
-    if identity == "master" and "t" in cfg:
-        t = tuple(parse_complex(v) if isinstance(v, str) else complex(*v)
-                  for v in cfg["t"])
-        return {"mp": verify.MasterParameters(t, tuple(int(v) for v in cfg["u"]),
-                                              params)}
-    if identity in ("iconst", "thtfunct") and "t" in cfg:
-        case = {"t": tuple(parse_complex(v) if isinstance(v, str) else complex(*v)
-                           for v in cfg["t"]),
-                "u": tuple(int(v) for v in cfg["u"])}
-        if identity == "thtfunct":
-            case["z"] = parse_complex(cfg.get("z", "0.8+0.02j"))
-            case["y"] = int(cfg.get("y", 0))
+
+
+def parse_master_case(cfg: dict, params: NomeParameters):
+    if "t" in cfg:
+        return {"mp": verify.MasterParameters(
+            parse_t(cfg["t"]), tuple(int(v) for v in cfg["u"]), params)}
+
+
+def parse_tu_case(cfg: dict, params: NomeParameters):
+    if "t" in cfg:
+        return {"t": parse_t(cfg["t"]), "u": tuple(int(v) for v in cfg["u"])}
+
+
+def parse_thtfunct_case(cfg: dict, params: NomeParameters):
+    case = parse_tu_case(cfg, params)
+    if case is not None:
+        case["z"] = parse_complex(cfg.get("z", "0.8+0.02j"))
+        case["y"] = int(cfg.get("y", 0))
+    return case
+
+
+def config_case(cfg: dict, params: NomeParameters) -> dict:
+    """The whole config is the case (verify-only identities)."""
+    return dict(cfg)
+
+
+# ---------------------------------------------------------------------------
+# identity table
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One checkable identity.  ``run(case, params, tol, seed)`` verifies a
+    case, ``parse(cfg, params)`` reads an explicit case from the config
+    (None: the config holds none) and ``sample(rng, params)`` draws one
+    (None: the identity cannot be swept).  Runners look verifiers up on the
+    ``verify`` module at call time, never at import."""
+    name: str
+    tol: float
+    run: Callable[[dict, NomeParameters, float, int], verify.VerificationReport]
+    parse: Optional[Callable[[dict, NomeParameters], Optional[dict]]]
+    sample: Optional[Callable[..., dict]]
+
+    def case(self, cfg: dict, params: NomeParameters, seed: int) -> dict:
+        """An explicit case from the config if present, else one seeded draw."""
+        case = self.parse(cfg, params) if self.parse else None
+        if case is None:
+            case = self.sample(np.random.default_rng(seed), params)
         return case
-    if identity in ("brackets", "bridge", "limit_r", "limit_hbar"):
-        return dict(cfg)
-    sampler = IDENTITY_SAMPLERS.get(identity)
-    if sampler is None:
-        raise InvalidParameterError(f"unknown identity {identity!r}")
-    return sampler(np.random.default_rng(seed), params)
+
+
+IDENTITIES = {ident.name: ident for ident in (
+    Identity("str", 1e-6,
+             lambda c, pr, tol, seed: verify.verify_str(
+                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             parse_spins_case, sample_str_case),
+    Identity("rinfstr", 1e-6,
+             lambda c, pr, tol, seed: verify.verify_rinfstr(
+                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             parse_spins_case, sample_rinfstr_case),
+    Identity("strmsg", 1e-4,
+             lambda c, pr, tol, seed: verify.verify_strmsg(
+                 c["spins"], c["alphas"], tol, seed=seed),
+             parse_spins_case, sample_strmsg_case),
+    Identity("master", 1e-6,
+             lambda c, pr, tol, seed: verify.verify_master(
+                 c["mp"], tol, seed=seed),
+             parse_master_case, sample_master_case),
+    Identity("iconst", 1e-6,
+             lambda c, pr, tol, seed: verify.verify_I_constant(
+                 c["t"], c["u"], pr, tol, seed=seed),
+             parse_tu_case, sample_iconst_case),
+    Identity("thtfunct", 1e-8,
+             lambda c, pr, tol, seed: verify.verify_theta_difference(
+                 c["z"], c["y"], c["t"], c["u"], pr, tol, seed=seed),
+             parse_thtfunct_case, sample_thtfunct_case),
+    Identity("inversion", 1e-10,
+             lambda c, pr, tol, seed: verify.verify_inversion_first(
+                 c["family"], c["alpha"], c["spins"], pr, tol, seed=seed),
+             None, sample_inversion_case),
+    Identity("cov", 1e-8,
+             lambda c, pr, tol, seed: verify.verify_cov_consistency(
+                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             parse_spins_case, sample_str_case),
+    Identity("brackets", 0.5,
+             lambda c, pr, tol, seed: verify.verify_bracket_identities(
+                 int(c.get("r_max", 64)), seed=seed),
+             config_case, None),
+    Identity("bridge", 1e-10,
+             lambda c, pr, tol, seed: verify.verify_gamma_phi_bridge(
+                 c.get("z", 0.37 + 0.21j), int(c.get("m", 1)), pr, tol,
+                 seed=seed),
+             config_case, None),
+    Identity("limit_r", 1.0,
+             lambda c, pr, tol, seed: verify.verify_limit_r_to_inf(
+                 c.get("z", 0.3), int(c.get("m", 1)), pr, seed=seed),
+             config_case, None),
+    Identity("limit_hbar", 1.0,
+             lambda c, pr, tol, seed: verify.verify_limit_hbar(
+                 c.get("alpha", 0.4), c.get("x", 1.0), int(c.get("m", 0)),
+                 seed=seed),
+             config_case, None),
+)}
+
+
+def _tolerance(cfg: dict, ident: Identity) -> float:
+    """--tol if given, else the identity's default; it must be a positive
+    finite number."""
+    tol = ident.tol if cfg.get("tol") is None else float(cfg["tol"])
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(
+            f"tol must be a positive finite number, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +399,15 @@ def run_eval(cfg: dict) -> int:
 
 def run_verify(cfg: dict) -> int:
     identity = cfg.get("identity")
-    if identity not in DEFAULT_TOLS:
+    ident = IDENTITIES.get(identity)
+    if ident is None:
         print(f"unknown identity {identity!r}; choose from "
-              f"{sorted(DEFAULT_TOLS)}", file=sys.stderr)
+              f"{sorted(IDENTITIES)}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
     seed = int(cfg.get("seed", 0))
-    tol = float(cfg.get("tol") or DEFAULT_TOLS[identity])
-    case = case_from_config(identity, cfg, params, seed)
-    rep = run_case(identity, case, params, tol, seed)
+    tol = _tolerance(cfg, ident)
+    rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
     out = _open_out(cfg.get("out"))
     if cfg.get("format", "json") == "csv":
         buf = io.StringIO()
@@ -383,24 +422,26 @@ def run_verify(cfg: dict) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _sweep_one(identity, params, tol, seed, index):
+def _sweep_one(ident: Identity, params, tol, seed, index):
+    """(report, status) of sample ``index``; the report is None unless the
+    status is ok."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    case = IDENTITY_SAMPLERS[identity](rng, params)
+    case = ident.sample(rng, params)
     try:
-        rep = run_case(identity, case, params, tol, seed)
-        status = "ok"
+        return ident.run(case, params, tol, seed), "ok"
     except ContourViolationError:
-        return index, None, "contour-violation"
+        return None, "contour-violation"
     except (NonConvergenceError, PoleHitError):
-        return index, None, "non-converged"
-    return index, rep, status
+        return None, "non-converged"
 
 
 def run_sweep(cfg: dict) -> int:
     identity = cfg.get("identity")
-    if identity not in IDENTITY_SAMPLERS:
+    ident = IDENTITIES.get(identity)
+    if ident is None or ident.sample is None:
+        sweepable = sorted(name for name, i in IDENTITIES.items() if i.sample)
         print(f"identity {identity!r} does not support sweeps; choose from "
-              f"{sorted(IDENTITY_SAMPLERS)}", file=sys.stderr)
+              f"{sweepable}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
     seed = int(cfg.get("seed", 0))
@@ -408,18 +449,10 @@ def run_sweep(cfg: dict) -> int:
     if samples < 1:
         print("samples must be >= 1", file=sys.stderr)
         return EXIT_INVALID
-    tol = float(cfg.get("tol") or DEFAULT_TOLS[identity])
-    workers = int(os.environ.get("LENSTRI_WORKERS", os.cpu_count() or 1))
+    tol = _tolerance(cfg, ident)
     t0 = time.perf_counter()
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda i: _sweep_one(identity, params, tol, seed, i),
-                range(samples)))
-    else:
-        results = [_sweep_one(identity, params, tol, seed, i)
-                   for i in range(samples)]
+    results = [(i, *_sweep_one(ident, params, tol, seed, i))
+               for i in range(samples)]
     elapsed = time.perf_counter() - t0
 
     fails = sum(1 for _, rep, st in results if st == "ok" and not rep.passed)
@@ -458,8 +491,7 @@ def run_poles(cfg: dict) -> int:
     if "t" not in cfg or "u" not in cfg:
         print("poles requires t and u tuples (via --config)", file=sys.stderr)
         return EXIT_INVALID
-    t = tuple(parse_complex(v) if isinstance(v, str) else complex(*v)
-              for v in cfg["t"])
+    t = parse_t(cfg["t"])
     u = tuple(int(v) for v in cfg["u"])
     if len(t) not in (5, 6) or len(u) != len(t):
         print("t and u must both have five (or six) entries", file=sys.stderr)

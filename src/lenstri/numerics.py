@@ -56,6 +56,7 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     vals = [f(k * h) for k in range(n)]
     total = sum(vals)
     prev = period * total / n
+    cur, err = prev, math.inf
     streak = 0
     while n < max_nodes:
         h = period / (2 * n)
@@ -70,7 +71,8 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
         if streak >= 2:
             return QuadratureResult(cur, err, n, True)
         prev = cur
-    return QuadratureResult(prev, _scaled(abs(cur - prev), prev), n, False)
+    # out of nodes: the last refinement and the last change it made
+    return QuadratureResult(cur, err, n, False)
 
 
 def _gauss_panels(f, lo: float, hi: float, panel_width: float) -> complex:

@@ -230,14 +230,3 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     bound = abs(pre) * (abs(c2) * b1 + abs(c1) * b2)
     return _result(value, bound, with_bound)
 
-
-def theta_std(z: complex, params: NomeParameters,
-              policy: TruncationPolicy = DEFAULT_POLICY,
-              with_bound: bool = False):
-    """Index-free theta function (e^{iz}; q^r)_inf (e^{-iz} q^r; q^r)_inf."""
-    qr = params.q ** params.r
-    c1, b1 = _pochhammer_raw(cmath.exp(1j * z), qr, policy)
-    c2, b2 = _pochhammer_raw(cmath.exp(-1j * z) * qr, qr, policy)
-    value = c1 * c2
-    bound = abs(c2) * b1 + abs(c1) * b2
-    return _result(value, bound, with_bound)

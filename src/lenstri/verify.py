@@ -20,6 +20,7 @@ from .params import (
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
+    NonConvergenceError,
     TruncationPolicy,
 )
 
@@ -37,21 +38,42 @@ class VerificationReport:
     abs_residual: float
     rel_residual: float
     tolerance: float
-    passed: bool
+    #: named pass conditions, in the order they were declared
+    checks: dict = field(default_factory=dict)
     numerics_meta: dict = field(default_factory=dict)
     seed: int = 0
 
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
 
 def make_report(name: str, record: dict, lhs: complex, rhs: complex,
-                tol: float, meta: Optional[dict] = None,
-                seed: int = 0) -> VerificationReport:
+                tol: float, meta: Optional[dict] = None, seed: int = 0,
+                checks: Optional[dict] = None,
+                residual: bool = True) -> VerificationReport:
+    """Report comparing lhs with rhs.  Its checks are ``residual`` (the
+    relative residual within tol, or the absolute one when |rhs| < 1e-10),
+    left out when ``residual`` is false, followed by the verifier's own
+    ``checks``."""
     lhs, rhs = complex(lhs), complex(rhs)
     abs_res = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
     rel_res = abs_res / denom if denom > 0 else abs_res
-    passed = (abs_res <= tol) if abs(rhs) < 1e-10 else (rel_res <= tol)
+    if residual:
+        ok = (abs_res <= tol) if abs(rhs) < 1e-10 else (rel_res <= tol)
+        checks = {"residual": ok, **(checks or {})}
     return VerificationReport(name, record, lhs, rhs, abs_res, rel_res,
-                              tol, passed, meta or {}, seed)
+                              tol, checks or {}, meta or {}, seed)
+
+
+def _converged(res):
+    """A quadrature result, which must have converged."""
+    if not res.converged:
+        raise NonConvergenceError(
+            f"quadrature not converged after {res.nodes_used} nodes "
+            f"(error estimate {res.error_estimate:.2e})")
+    return res
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,7 @@ def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_elliptic(eta - ai, si, s0, params, policy)
                     * models.weight_elliptic(eta - aj, sj, s0, params, policy)
                     * models.weight_elliptic(eta - ak, sk, s0, params, policy))
-        res = numerics.periodic_integrate(f, math.pi, qtol)
+        res = _converged(numerics.periodic_integrate(f, math.pi, qtol))
         lhs += res.value
         nodes += res.nodes_used
     meta = {"nodes": nodes, "quad_tol": qtol,
@@ -161,7 +183,7 @@ def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_qlimit(eta - ai, si, s0, params, policy)
                     * models.weight_qlimit(eta - aj, sj, s0, params, policy)
                     * models.weight_qlimit(eta - ak, sk, s0, params, policy))
-        res = numerics.periodic_integrate(f, math.pi, qtol)
+        res = _converged(numerics.periodic_integrate(f, math.pi, qtol))
         nodes[0] += res.nodes_used
         return res.value
 
@@ -202,8 +224,8 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_gamma(1 - ai, si, s0)
                     * models.weight_gamma(1 - aj, sj, s0)
                     * models.weight_gamma(1 - ak, sk, s0))
-        res = numerics.line_integrate(f, qtol, tail_exponent_hint=-2.0,
-                                      initial_cutoff=initial_cutoff)
+        res = _converged(numerics.line_integrate(
+            f, qtol, tail_exponent_hint=-2.0, initial_cutoff=initial_cutoff))
         nodes[0] += res.nodes_used
         return res.value
 
@@ -223,50 +245,28 @@ def _G(z, m, params, policy, allow_zero=False):
     return sf.lens_gamma_appendix(z, m, params, policy, allow_zero=allow_zero)
 
 
-def pole_diagnostics(t, u=None, params: Optional[NomeParameters] = None,
-                     depth: int = 3) -> float:
+def pole_diagnostics(t, u=None,
+                     params: Optional[NomeParameters] = None) -> float:
     """Minimum distance of the integrand's pole lattice from the real axis.
 
-    Enumerates the finite near-contour subset of the upper and lower pole
-    families of the constant-form integrand (five t variables plus the
-    derived A = sum t).  A positive return means the real contour safely
-    separates the two families; non-positive means contour violation.
-    Accepts either a MasterParameters record (the sixth variable is the
-    derived one) or explicit five-element t, u plus params.
+    The upper and lower pole families of the constant-form integrand (five
+    t variables plus the derived A = sum t) sit at heights
+    Im t_i + pi Im sigma (r j + b) + Im(2i eta) k,
+    Im t_i + pi Im tau (r (j+1) - b) + Im(2i eta) k and
+    -Im A + pi Im sigma (r (j+1) - b) + Im(2i eta) (k+1),
+    -Im A + pi Im tau (r j + b) + Im(2i eta) (k+1),
+    with b = [[u_i -+ y]] or [[U +- y]].  With Im sigma > 0 and Im tau > 0
+    every height grows in j, k >= 0, and as y runs over 0..r-1 the bracket b
+    takes every residue, so the lowest heights are min_i Im t_i and
+    Im(2i eta) - Im A; u does not enter.  A positive return means the real
+    contour safely separates the two families; non-positive means contour
+    violation.  Accepts either a MasterParameters record (the sixth
+    variable is the derived one) or explicit five-element t, u plus params.
     """
     if isinstance(t, MasterParameters):
-        t, u, params = t.t[:5], t.u[:5], t.params
-    r = params.r
-    ims, imt = math.pi * params.sigma.imag, math.pi * params.tau.imag
+        t, params = t.t[:5], t.params
     im2eta = math.pi * (params.sigma.imag + params.tau.imag)
-    A = sum(t)
-    U = sum(u)
-    margin = math.inf
-    for y in range(r):
-        for j in range(depth):
-            for k in range(depth):
-                for ti, ui in zip(t, u):
-                    bm = sf.mod_bracket(ui - y, r)
-                    bp = sf.mod_bracket(ui + y, r)
-                    # upper families from the t_i
-                    margin = min(margin,
-                                 ti.imag + ims * (r * j + bm) + im2eta * k,
-                                 ti.imag + imt * (r * (1 + j) - bm) + im2eta * k)
-                    # lower families from the t_i (distance is -Im)
-                    margin = min(margin,
-                                 ti.imag + ims * (r * j + bp) + im2eta * k,
-                                 ti.imag + imt * (r * (1 + j) - bp) + im2eta * k)
-                bU = sf.mod_bracket(U + y, r)
-                bUm = sf.mod_bracket(U - y, r)
-                # upper families from -A
-                margin = min(margin,
-                             -A.imag + ims * (r * (j + 1) - bU) + im2eta * (k + 1),
-                             -A.imag + imt * (r * j + bU) + im2eta * (k + 1))
-                # lower families from A (distance is -Im)
-                margin = min(margin,
-                             -A.imag + ims * (r * (j + 1) - bUm) + im2eta * (k + 1),
-                             -A.imag + imt * (r * j + bUm) + im2eta * (k + 1))
-    return margin
+    return min(min(ti.imag for ti in t), im2eta - sum(t).imag)
 
 
 def _require_safe_contour(t, u, params):
@@ -314,7 +314,7 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
                 acc *= (_G(ti + z, ui + y, params, policy)
                         * _G(ti - z, ui - y, params, policy))
             return acc
-        res = numerics.periodic_integrate(f, 2 * math.pi, qtol)
+        res = _converged(numerics.periodic_integrate(f, 2 * math.pi, qtol))
         lhs += res.value
         nodes += res.nodes_used
     lhs *= pref / (4 * math.pi)
@@ -365,33 +365,14 @@ def rho_constant(t, u, params, policy=DEFAULT_POLICY) -> complex:
     return acc
 
 
-def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
-               params: NomeParameters,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The telescoping companion G of the difference equation for rho."""
-    r = params.r
-    A, U = sum(t), sum(u)
-    th = lambda zz, mm: sf.lens_theta(zz, mm, params, policy)
-    acc = rho_integrand(z, y, t, u, params, policy)
-    acc *= cmath.exp(2j * math.pi * sf.mod_bracket(y - u[0], r) / r)
-    acc *= cmath.exp(1j * (t[0] - z) / r)
-    num = 1.0 + 0.0j
-    for ti, ui in zip(t, u):
-        num *= th(ti + z, ui + y)
-    den = 1.0 + 0.0j
-    for ti, ui in zip(t[1:], u[1:]):
-        den *= th(t[0] + ti, u[0] + ui)
-    return acc * num / den * th(t[0] + A, u[0] + U) / (th(2 * z, 2 * y) * th(A + z, U + y))
-
-
 def _master_I(t, u, params, policy, qtol):
     nodes = 0
     const = rho_constant(t, u, params, policy)
     total = 0.0 + 0.0j
     for y in range(params.r):
-        res = numerics.periodic_integrate(
+        res = _converged(numerics.periodic_integrate(
             lambda z, y=y: rho_integrand(z, y, t, u, params, policy, const),
-            2 * math.pi, qtol)
+            2 * math.pi, qtol))
         total += res.value
         nodes += res.nodes_used
     return total, nodes
@@ -428,13 +409,11 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
     shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
     meta = {"nodes": nodes0 + nodes1, "pole_margin": margin,
             "shift_residual": shift_res, "shift_tolerance": shift_tol,
-            "shift_pass": shift_res <= shift_tol, "quad_tol": qtol,
-            "runtime": time.perf_counter() - t0}
+            "quad_tol": qtol, "runtime": time.perf_counter() - t0}
     record = {"t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    rep = make_report("iconst", record, I0, rhs, tol, meta, seed)
-    rep.passed = rep.passed and meta["shift_pass"]
-    return rep
+    return make_report("iconst", record, I0, rhs, tol, meta, seed,
+                       checks={"shift_invariance": shift_res <= shift_tol})
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +476,9 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
             "runtime": time.perf_counter() - t0}
     record = {"z": z, "y": y, "t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    rep = make_report("thtfunct", record, lhs, rhs, tol, meta, seed)
-    rep.passed = rep.passed and inv_l <= tol and inv_r <= tol
-    return rep
+    return make_report("thtfunct", record, lhs, rhs, tol, meta, seed,
+                       checks={"period_shift_lhs": inv_l <= tol,
+                               "period_shift_rhs": inv_r <= tol})
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +541,10 @@ def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationRep
                     failures.append((idx, r, m))
     meta = {"cases_checked": checked, "failures": failures,
             "runtime": time.perf_counter() - t0}
+    # lhs and rhs record the failure count against zero
     return make_report("brackets", {"r_max": r_max}, len(failures), 0.0,
-                       0.5, meta, seed)
+                       0.0, meta, seed, checks={"no_failures": not failures},
+                       residual=False)
 
 
 def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
@@ -583,10 +564,11 @@ def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
     decreasing = all(b <= a + 1e-14 for a, b in zip(errs, errs[1:]))
     meta = {"errors": errs, "runtime": time.perf_counter() - t0}
     record = {"z": z, "n": n, "sigma": sigma, "tau": tau, "r_list": list(r_list)}
-    rep = make_report("limit_r_to_inf", record, errs[-1], 0.0,
-                      max(errs[0], 1e-12), meta, seed)
-    rep.passed = decreasing and errs[-1] <= errs[0] + 1e-14
-    return rep
+    return make_report("limit_r_to_inf", record, errs[-1], 0.0,
+                       max(errs[0], 1e-12), meta, seed,
+                       checks={"monotone_decrease":
+                               decreasing and errs[-1] <= errs[0] + 1e-14},
+                       residual=False)
 
 
 def verify_limit_hbar(alpha: float, x: float, m: int,
@@ -620,10 +602,10 @@ def verify_limit_hbar(alpha: float, x: float, m: int,
     meta = {"dev_q": dev_q, "dev_kappa": dev_k, "dev_single_spin": dev_s,
             "runtime": time.perf_counter() - t0}
     record = {"alpha": alpha, "x": x, "m": m, "hbar_list": list(hbar_list)}
-    rep = make_report("limit_hbar", record, dev_q[-1], 0.0,
-                      max(dev_q[0], 1e-12), meta, seed)
-    rep.passed = shrinking
-    return rep
+    return make_report("limit_hbar", record, dev_q[-1], 0.0,
+                       max(dev_q[0], 1e-12), meta, seed,
+                       checks={"monotone_decrease": shrinking},
+                       residual=False)
 
 
 def verify_inversion_first(family: ModelFamily, alpha: float,
@@ -720,7 +702,8 @@ def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],
             "runtime": time.perf_counter() - t0}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    rep = make_report("cov", record, rep_str.lhs, factor * rep_master.lhs,
-                      tol, meta, seed)
-    rep.passed = lhs_res <= tol and rhs_res <= tol
-    return rep
+    return make_report("cov", record, rep_str.lhs, factor * rep_master.lhs,
+                       tol, meta, seed,
+                       checks={"lhs_residual": lhs_res <= tol,
+                               "rhs_residual": rhs_res <= tol},
+                       residual=False)

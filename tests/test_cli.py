@@ -7,7 +7,12 @@ import json
 
 import pytest
 
-from lenstri import cli
+from lenstri import cli, numerics
+
+
+def unconverged(f, period, tol, **kwargs):
+    """Stand-in integrator that never converges."""
+    return numerics.QuadratureResult(0j, 1.0, 16, False)
 
 
 def run(capsys, argv):
@@ -66,6 +71,29 @@ class TestVerify:
         assert rec["passed"] is True
         assert rec["identity_name"] == "thtfunct"
         assert rec["rel_residual"] <= rec["tolerance"]
+        assert rec["checks"] == {"residual": True, "period_shift_lhs": True,
+                                 "period_shift_rhs": True}
+
+    def test_default_tolerance_from_table(self, capsys):
+        rc, out, _ = run(capsys, ["verify", "thtfunct", "--r", "2",
+                                  "--seed", "3"])
+        assert json.loads(out)["tolerance"] == cli.IDENTITIES["thtfunct"].tol
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "inf", "nan"])
+    def test_nonpositive_or_nonfinite_tolerance_exit_two(self, capsys, tol):
+        rc, out, err = run(capsys, ["verify", "thtfunct", "--r", "2",
+                                    "--seed", "3", f"--tol={tol}"])
+        assert rc == 2
+        assert out == ""
+        assert "tol must be a positive finite number" in err
+
+    def test_unconverged_quadrature_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "periodic_integrate", unconverged)
+        rc, out, err = run(capsys, ["verify", "str", "--r", "1",
+                                    "--seed", "2"])
+        assert rc == 3
+        assert out == ""
+        assert "non-convergence" in err
 
     def test_failing_tolerance_exit_one(self, capsys):
         rc, out, _ = run(capsys, ["verify", "thtfunct", "--r", "2",
@@ -151,13 +179,28 @@ class TestSweep:
         _, d2 = self._sweep(capsys, tmp_path, "b.jsonl")
         assert d1 == d2
 
-    def test_reproducible_across_worker_counts(self, capsys, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("LENSTRI_WORKERS", "1")
-        _, serial = self._sweep(capsys, tmp_path, "serial.jsonl")
-        monkeypatch.setenv("LENSTRI_WORKERS", "4")
-        _, parallel = self._sweep(capsys, tmp_path, "parallel.jsonl")
-        assert serial == parallel
+    def test_rows_carry_checks(self, capsys, tmp_path):
+        _, data = self._sweep(capsys, tmp_path, "a.jsonl")
+        rows = [json.loads(line) for line in data.decode().splitlines()]
+        assert all(row["checks"]["period_shift_lhs"] for row in rows[:-1])
+
+    def test_zero_tolerance_exit_two(self, capsys, tmp_path):
+        rc, _, err = run(capsys, ["sweep", "thtfunct", "--r", "2",
+                                  "--samples", "2", "--tol", "0",
+                                  "--out", str(tmp_path / "a.jsonl")])
+        assert rc == 2
+        assert "tol must be a positive finite number" in err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "periodic_integrate", unconverged)
+        target = tmp_path / "a.jsonl"
+        rc, _, _ = run(capsys, ["sweep", "str", "--r", "1", "--seed", "2",
+                                "--samples", "2", "--out", str(target)])
+        assert rc == 0
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert [row["status"] for row in rows[:-1]] == ["non-converged"] * 2
+        assert rows[-1]["skipped"] == 2 and rows[-1]["passes"] == 0
 
     def test_csv_format(self, capsys, tmp_path):
         rc, data = self._sweep(capsys, tmp_path, "a.csv",
@@ -178,6 +221,28 @@ class TestSweep:
     def test_unsupported_identity(self, capsys):
         rc, _, err = run(capsys, ["sweep", "limit_r"])
         assert rc == 2
+        assert "does not support sweeps" in err
+
+
+class TestIdentityTable:
+    def test_names(self):
+        assert sorted(cli.IDENTITIES) == sorted([
+            "str", "rinfstr", "strmsg", "master", "iconst", "thtfunct",
+            "inversion", "cov", "brackets", "bridge", "limit_r",
+            "limit_hbar"])
+        assert all(name == ident.name
+                   for name, ident in cli.IDENTITIES.items())
+        assert sorted(name for name, ident in cli.IDENTITIES.items()
+                      if ident.sample) == sorted([
+            "str", "rinfstr", "strmsg", "master", "iconst", "thtfunct",
+            "inversion", "cov"])
+
+    def test_default_tolerances(self):
+        assert {name: ident.tol for name, ident in cli.IDENTITIES.items()} == {
+            "str": 1e-6, "rinfstr": 1e-6, "strmsg": 1e-4, "master": 1e-6,
+            "iconst": 1e-6, "thtfunct": 1e-8, "inversion": 1e-10,
+            "cov": 1e-8, "brackets": 0.5, "bridge": 1e-10,
+            "limit_r": 1.0, "limit_hbar": 1.0}
 
 
 class TestPoles:

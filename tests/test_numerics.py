@@ -41,6 +41,17 @@ class TestPeriodicIntegrate:
             lambda t: abs(math.sin(t)), 2 * math.pi, 1e-14, max_nodes=64)
         assert not res.converged
 
+    def test_node_budget_reports_last_change(self):
+        # a near-singular integrand: 1024 nodes are far from enough, and the
+        # result must say so through a large error estimate
+        exact = 2 * math.pi / math.sqrt(1.000001 ** 2 - 1)
+        res = numerics.periodic_integrate(
+            lambda x: 1 / (1.000001 - math.cos(x)), 2 * math.pi, 1e-10,
+            max_nodes=2 ** 10)
+        assert not res.converged
+        assert res.nodes_used == 2 ** 10
+        assert res.error_estimate >= abs(res.value - exact) / abs(res.value)
+
 
 class TestLineIntegrate:
     def test_lorentzian(self):

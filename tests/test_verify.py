@@ -5,16 +5,22 @@ Quadrature-backed verifiers are checked against an independent oracle
 identity is exercised on at least one hand-picked configuration.
 """
 
+import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from lenstri import verify
+from lenstri import special_functions as sf
 from lenstri.models import ModelFamily, Spin
 from lenstri.params import (
+    DEFAULT_POLICY,
     ContourViolationError,
     InvalidParameterError,
+    NomeParameters,
+    TruncationPolicy,
     physical_parameters,
 )
 
@@ -24,6 +30,47 @@ def sample_t(rng, n, span):
     re = rng.uniform(-0.8, 0.8, n)
     re -= re.mean()
     return [complex(a, b) for a, b in zip(re, im)]
+
+
+def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
+               params: NomeParameters,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """The telescoping companion G of the difference equation for rho."""
+    r = params.r
+    A, U = sum(t), sum(u)
+    th = lambda zz, mm: sf.lens_theta(zz, mm, params, policy)
+    acc = verify.rho_integrand(z, y, t, u, params, policy)
+    acc *= cmath.exp(2j * math.pi * sf.mod_bracket(y - u[0], r) / r)
+    acc *= cmath.exp(1j * (t[0] - z) / r)
+    num = 1.0 + 0.0j
+    for ti, ui in zip(t, u):
+        num *= th(ti + z, ui + y)
+    den = 1.0 + 0.0j
+    for ti, ui in zip(t[1:], u[1:]):
+        den *= th(t[0] + ti, u[0] + ui)
+    return acc * num / den * th(t[0] + A, u[0] + U) / (th(2 * z, 2 * y) * th(A + z, U + y))
+
+
+def pole_margin_enumerated(t, u, params, depth=3):
+    """Pole-lattice margin over lattice indices j, k < depth."""
+    r = params.r
+    ims, imt = math.pi * params.sigma.imag, math.pi * params.tau.imag
+    im2eta = math.pi * (params.sigma.imag + params.tau.imag)
+    A, U = sum(t), sum(u)
+    margin = math.inf
+    for y in range(r):
+        for j in range(depth):
+            for k in range(depth):
+                for ti, ui in zip(t, u):
+                    for b in (sf.mod_bracket(ui - y, r), sf.mod_bracket(ui + y, r)):
+                        margin = min(margin,
+                                     ti.imag + ims * (r * j + b) + im2eta * k,
+                                     ti.imag + imt * (r * (1 + j) - b) + im2eta * k)
+                for b in (sf.mod_bracket(U + y, r), sf.mod_bracket(U - y, r)):
+                    margin = min(margin,
+                                 -A.imag + ims * (r * (j + 1) - b) + im2eta * (k + 1),
+                                 -A.imag + imt * (r * j + b) + im2eta * (k + 1))
+    return margin
 
 
 class TestReportPlumbing:
@@ -37,6 +84,21 @@ class TestReportPlumbing:
         assert rep.passed
         rep = verify.make_report("x", {}, 1e-8, 0.0, 1e-10)
         assert not rep.passed
+
+    def test_passes_when_all_named_checks_pass(self):
+        rep = verify.make_report("x", {}, 1.0, 1.0, 1e-6,
+                                 checks={"extra": True})
+        assert list(rep.checks) == ["residual", "extra"]
+        assert rep.passed
+        rep = verify.make_report("x", {}, 1.0, 1.0, 1e-6,
+                                 checks={"extra": False})
+        assert rep.checks["residual"] and not rep.passed
+
+    def test_checks_can_replace_residual(self):
+        rep = verify.make_report("x", {}, 1.0, 2.0, 1e-6,
+                                 checks={"own": True}, residual=False)
+        assert rep.checks == {"own": True}
+        assert rep.passed
 
     def test_master_parameter_invariants(self):
         pr = physical_parameters(0.05, 0.5, 1)
@@ -153,6 +215,7 @@ class TestConstantForm:
         rep = verify.verify_I_constant(t, (0,) * 5, pr)
         assert rep.passed, (rep.rel_residual, rep.numerics_meta)
         assert rep.numerics_meta["shift_residual"] <= 1e-7
+        assert list(rep.checks) == ["residual", "shift_invariance"]
 
     def test_r2_with_u(self):
         pr = physical_parameters(0.05, 0.5, 2)
@@ -210,8 +273,8 @@ class TestThetaDifference:
             shifted = verify.rho_integrand(
                 z, y, (t[0] + math.pi * pr.sigma,) + t[1:], (u[0] - 1,) + u[1:], pr)
             lhs = shifted - verify.rho_integrand(z, y, t, u, pr)
-            rhs = (verify.g_function(z - math.pi * pr.sigma, y + 1, t, u, pr)
-                   - verify.g_function(z, y, t, u, pr))
+            rhs = (g_function(z - math.pi * pr.sigma, y + 1, t, u, pr)
+                   - g_function(z, y, t, u, pr))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -239,6 +302,22 @@ class TestPoleDiagnostics:
         t = tuple(2j * pr.eta / 6 + dx for dx in (0.1, -0.1, 0.2, -0.2, 0.3, -0.3))
         mp = verify.MasterParameters(t, (0,) * 6, pr)
         assert verify.pole_diagnostics(mp) > 0
+
+    def test_matches_deeper_enumeration(self):
+        # random nomes in the upper half plane and random (t, u), including
+        # configurations whose margin is negative
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            r = int(rng.integers(1, 6))
+            sigma = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.8))
+            tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.8))
+            pr = NomeParameters(sigma, tau, r)
+            span = (2j * pr.eta).imag
+            t = tuple(complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.6) * span)
+                      for _ in range(5))
+            u = tuple(int(v) for v in rng.integers(-3 * r, 3 * r + 1, 5))
+            assert verify.pole_diagnostics(t, u, pr) == pole_margin_enumerated(
+                t, u, pr)
 
 
 class TestBrackets:
