@@ -58,11 +58,11 @@ CSV_COLUMNS = ["sample_index", "identity_name", "status", "lhs_re", "lhs_im",
 
 def _jsonable(obj):
     """Recursively convert report contents to JSON-safe values; complex
-    numbers become [re, im] pairs."""
+    numbers become [re, im] pairs and numpy scalars Python ones."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,10 +107,14 @@ def _csv_row(index, rep: Optional[verify.VerificationReport], status, seed):
             "passed": rep.passed, "seed": seed}
 
 
-def parse_complex(text: str) -> complex:
+def parse_complex(text) -> complex:
+    """A complex number written as a string ('a+bj' or 'a+bi') or given as
+    a number (as JSON config files give it)."""
+    if isinstance(text, (int, float, complex)) and not isinstance(text, bool):
+        return complex(text)
     try:
         return complex(text.replace(" ", "").replace("i", "j"))
-    except ValueError:
+    except (AttributeError, ValueError):
         raise InvalidParameterError(f"cannot parse complex number {text!r}")
 
 
@@ -231,9 +235,23 @@ def parse_thtfunct_case(cfg: dict, params: NomeParameters):
     return case
 
 
-def config_case(cfg: dict, params: NomeParameters) -> dict:
-    """The whole config is the case (verify-only identities)."""
-    return dict(cfg)
+def parse_brackets_case(cfg: dict, params: NomeParameters):
+    return {"r_max": int(cfg.get("r_max", 64))}
+
+
+def parse_bridge_case(cfg: dict, params: NomeParameters):
+    return {"z": parse_complex(cfg.get("z", 0.37 + 0.21j)),
+            "m": int(cfg.get("m", 1))}
+
+
+def parse_limit_r_case(cfg: dict, params: NomeParameters):
+    return {"z": parse_complex(cfg["z"]) if "z" in cfg else 0.3,
+            "m": int(cfg.get("m", 1))}
+
+
+def parse_limit_hbar_case(cfg: dict, params: NomeParameters):
+    return {"alpha": float(cfg.get("alpha", 0.4)),
+            "x": float(cfg.get("x", 1.0)), "m": int(cfg.get("m", 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +314,20 @@ IDENTITIES = {ident.name: ident for ident in (
              parse_spins_case, sample_str_case),
     Identity("brackets", 0.5,
              lambda c, pr, tol, seed: verify.verify_bracket_identities(
-                 int(c.get("r_max", 64)), seed=seed),
-             config_case, None),
+                 c["r_max"], seed=seed),
+             parse_brackets_case, None),
     Identity("bridge", 1e-10,
              lambda c, pr, tol, seed: verify.verify_gamma_phi_bridge(
-                 c.get("z", 0.37 + 0.21j), int(c.get("m", 1)), pr, tol,
-                 seed=seed),
-             config_case, None),
+                 c["z"], c["m"], pr, tol, seed=seed),
+             parse_bridge_case, None),
     Identity("limit_r", 1.0,
              lambda c, pr, tol, seed: verify.verify_limit_r_to_inf(
-                 c.get("z", 0.3), int(c.get("m", 1)), pr, seed=seed),
-             config_case, None),
+                 c["z"], c["m"], pr, seed=seed),
+             parse_limit_r_case, None),
     Identity("limit_hbar", 1.0,
              lambda c, pr, tol, seed: verify.verify_limit_hbar(
-                 c.get("alpha", 0.4), c.get("x", 1.0), int(c.get("m", 0)),
-                 seed=seed),
-             config_case, None),
+                 c["alpha"], c["x"], c["m"], seed=seed),
+             parse_limit_hbar_case, None),
 )}
 
 

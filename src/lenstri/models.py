@@ -29,6 +29,7 @@ from .params import (
 from .special_functions import (
     bracket_pm,
     lens_elliptic_gamma,
+    math_for,
     mod_bracket,
     qpochhammer_inf,
     theta4,
@@ -44,7 +45,10 @@ class ModelFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class Spin:
-    """A two-component spin (x, m): continuous angle plus integer part."""
+    """A two-component spin (x, m): continuous angle plus integer part.
+
+    x may be an ndarray of angles sharing one m; the weights then return
+    one value per angle."""
     x: float
     m: int
 
@@ -177,14 +181,14 @@ def q_function(z: complex, n: int, params: NomeParameters,
     """
     p, q = params.p, params.q
     pq = p * q
-    e2 = cmath.exp(2j * z)
+    e2 = math_for(z).exp(2j * z)
     if n >= 0:
         cn, cd = e2 * q ** (2 * n) * pq, p ** (2 * n) * pq / e2
     else:
         cn, cd = e2 * p ** (-2 * n) * pq, q ** (-2 * n) * pq / e2
     num = qpochhammer_inf(cn, pq * pq, policy)
     den = qpochhammer_inf(cd, pq * pq, policy)
-    if abs(den) < 1e-13:
+    if np.any(abs(den) < 1e-13):
         raise PoleHitError("Q(z, n) evaluated at a pole")
     return num / den
 
@@ -234,7 +238,8 @@ def weight_gamma(alpha: float, si: Spin, sj: Spin) -> float:
     for base, off in (((1 - alpha - sm) / 2, sx), ((1 - alpha - dm) / 2, dx),
                       ((1 + alpha - sm) / 2, sx), ((1 + alpha - dm) / 2, dx)):
         # Gamma poles sit at non-positive integers on the real axis
-        if abs(off) < 1e-13 and abs(base - round(base)) < 1e-13 and round(base) <= 0:
+        if (abs(base - round(base)) < 1e-13 and round(base) <= 0
+                and np.any(abs(off) < 1e-13)):
             raise PoleHitError(
                 f"gamma-limit weight hits a gamma pole at argument {base}")
     ln = (loggamma((1 + alpha) / 2) - loggamma((1 - alpha) / 2)
@@ -242,7 +247,7 @@ def weight_gamma(alpha: float, si: Spin, sj: Spin) -> float:
           + _gamma_pair((1 - alpha - dm) / 2, 1j * dx / 2)
           - _gamma_pair((1 + alpha - sm) / 2, 1j * sx / 2)
           - _gamma_pair((1 + alpha - dm) / 2, 1j * dx / 2))
-    return cmath.exp(ln).real
+    return math_for(ln).exp(ln).real
 
 
 def single_spin_gamma(sj: Spin) -> float:

@@ -4,8 +4,16 @@ Periodic integrals use the trapezoid rule with node doubling (spectrally
 accurate for periodic analytic integrands, and nested nodes are reused).
 Real-line integrals and bilateral sums support a fitted power-law tail
 correction for slowly decaying integrands/terms.  Accumulation order is
-fixed (left-to-right for quadrature, center-out for sums) so results are
-deterministic regardless of thread count.
+fixed (numpy sums over each set of nodes, center-out for sums), so a
+result depends only on its inputs, never on the run.
+
+The integrators call ``f`` one node at a time by default.  With
+``vectorized=True`` (the convention of ``scipy.integrate.solve_ivp``),
+``f`` takes a 1-d float array of nodes and returns the array of its values
+at those nodes; it is called once per refinement level of
+``periodic_integrate`` and once per Gauss-Legendre panel set or cutoff pair
+of ``line_integrate``.  Both modes visit the same nodes and take the same
+refinement decisions from the same values.
 """
 
 from __future__ import annotations
@@ -42,26 +50,34 @@ def _scaled(err: float, value: complex) -> float:
     return err / max(1.0, abs(value))
 
 
+def _values(f, nodes: np.ndarray, vectorized: bool) -> np.ndarray:
+    """f at each node: one call on the whole node array, or one per node."""
+    if vectorized:
+        return np.asarray(f(nodes))
+    return np.array([f(x) for x in nodes.tolist()])
+
+
 def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
-                       min_nodes: int = 16, max_nodes: int = 2 ** 15) -> QuadratureResult:
+                       min_nodes: int = 16, max_nodes: int = 2 ** 15,
+                       vectorized: bool = False) -> QuadratureResult:
     """Integrate a smooth periodic function over one period.
 
     Equally spaced trapezoid sums with node-count doubling until two
     successive refinements agree within tol (relative to max(1, |value|)).
+    With vectorized=True, f is called once per level on its node array.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     n = min_nodes
     h = period / n
-    vals = [f(k * h) for k in range(n)]
-    total = sum(vals)
+    total = _values(f, np.arange(n) * h, vectorized).sum().item()
     prev = period * total / n
     cur, err = prev, math.inf
     streak = 0
     while n < max_nodes:
         h = period / (2 * n)
-        new = [f((2 * k + 1) * h) for k in range(n)]
-        total = total + sum(new)
+        new = _values(f, np.arange(1, 2 * n, 2) * h, vectorized)
+        total = total + new.sum().item()
         n *= 2
         cur = period * total / n
         err = _scaled(abs(cur - prev), cur)
@@ -75,40 +91,43 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     return QuadratureResult(cur, err, n, False)
 
 
-def _gauss_panels(f, lo: float, hi: float, panel_width: float) -> complex:
+def _gauss_panels(f, lo: float, hi: float, panel_width: float,
+                  vectorized: bool = False) -> complex:
     """Fixed-order Gauss-Legendre panels over [lo, hi], deterministic order."""
     n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
     edges = np.linspace(lo, hi, n_panels + 1)
-    acc = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2, (b - a) / 2
-        acc += half * sum(w * f(mid + half * x)
-                          for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-    return acc
+    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    vals = _values(f, nodes.ravel(), vectorized).reshape(nodes.shape)
+    return complex((half * (vals * _GL_WEIGHTS).sum(axis=1)).sum())
 
 
 def line_integrate(f: Callable[[float], complex], tol: float,
                    tail_exponent_hint: Optional[float] = None,
                    initial_cutoff: float = 8.0,
                    max_cutoff: float = 4096.0,
-                   panel_width: float = 2.0) -> QuadratureResult:
+                   panel_width: float = 2.0,
+                   vectorized: bool = False) -> QuadratureResult:
     """Integrate f over the real line.
 
     Integrates on [-X, X] with Gauss-Legendre panels and doubles X until
     stable; a power-law tail correction int_X^inf c x^{-s} dx ~ f(X) X/(s-1)
     is added on each side, with s taken from the hint or fitted from |f| at
-    the last two cutoffs.
+    the last two cutoffs.  With vectorized=True, f is called once per panel
+    set and once per pair of cutoff points +-X, on their node array.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
+    panels = lambda lo, hi, width: _gauss_panels(f, lo, hi, width, vectorized)
+    edge_values = lambda x: _values(f, np.array([x, -x]), vectorized).tolist()
     X = initial_cutoff
     # refine the panel width on the core interval first: sharp structure
     # lives there, and extending the cutoff alone would never resolve it
     pw = panel_width
-    core = _gauss_panels(f, -X, X, pw)
+    core = panels(-X, X, pw)
     nodes = int(2 * X / pw) * _GAUSS_ORDER
     while True:
-        finer = _gauss_panels(f, -X, X, pw / 2)
+        finer = panels(-X, X, pw / 2)
         nodes += int(4 * X / pw) * _GAUSS_ORDER
         if _scaled(abs(finer - core), finer) <= tol / 2:
             core = finer
@@ -119,13 +138,13 @@ def line_integrate(f: Callable[[float], complex], tol: float,
                 "core integral not resolved even at the finest panel width")
     panel_width = pw / 2
     prev_est = None
-    prev_edge = abs(f(X)) + abs(f(-X))
+    fp, fm = edge_values(X)
+    prev_edge = abs(fp) + abs(fm)
     while X <= max_cutoff:
         X2 = 2 * X
-        core = core + _gauss_panels(f, X, X2, panel_width) \
-                    + _gauss_panels(f, -X2, -X, panel_width)
+        core = core + panels(X, X2, panel_width) + panels(-X2, -X, panel_width)
         nodes += int(2 * X / panel_width) * _GAUSS_ORDER
-        fp, fm = f(X2), f(-X2)
+        fp, fm = edge_values(X2)
         edge = abs(fp) + abs(fm)
         if tail_exponent_hint is not None:
             # hint is the signed power of the decay, |f| ~ x^hint

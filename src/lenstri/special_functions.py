@@ -3,15 +3,30 @@ elliptic gamma function in both of its product conventions.
 
 All infinite products are truncated by term magnitude (see
 :class:`~lenstri.params.TruncationPolicy`) and carry a geometric tail bound.
-Double products are accumulated in log space so that large exponents at
-higher lens order r cannot overflow; the exponential is taken once at the
-end, which is branch-safe because exp(sum log f) == prod f.
+
+Every function takes its argument z either as a scalar or as an ndarray
+(the lens functions also take an array m); an array is evaluated as one
+batch and gives arrays of values and bounds, a scalar stays on Python
+scalars and cmath.  A batch shares its truncation depth, taken from its
+largest |c|, so each element gets at least the terms it would get alone,
+and the pole guard covers the whole batch.
+
+Double products are multiplied out first, per element, in blocks of at
+most ``_BLOCK`` factors, and the log is taken once of each finished
+product.  That log is off from sum(log f) by a multiple of 2 pi i, which
+is harmless because callers only ever use exp of a combination of such
+logs: the logs exist so that exponential prefactors and several products
+combine without an intermediate overflow.  A product is at most
+exp(sum |c a^j b^k|) in magnitude, so it can overflow only at arguments
+far off the real axis; a non-finite product raises NonConvergenceError
+rather than passing an inf on.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +44,17 @@ from .params import (
 # hit of a gamma-type function: verification must fail loudly near the
 # pole lattice rather than return a huge value.
 POLE_FACTOR_EPS = 1e-13
+
+#: most product factors held in memory at once by a batched evaluation
+_BLOCK = 2 ** 14
+
+_SCALAR_MATH = SimpleNamespace(exp=cmath.exp, expm1=math.expm1, minimum=min)
+
+
+def math_for(x):
+    """numpy for an array argument, else the cmath/math functions, so that
+    scalar evaluations stay on Python scalars."""
+    return np if isinstance(x, np.ndarray) else _SCALAR_MATH
 
 
 def mod_bracket(m: int, r: int) -> int:
@@ -58,51 +84,95 @@ def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
     return n
 
 
-def _log_product_2d(c: complex, a: complex, b: complex,
+def _largest(ac) -> float:
+    """Largest |c| of a batch (the value itself for a scalar)."""
+    return ac.max(initial=0.0) if isinstance(ac, np.ndarray) else ac
+
+
+def _product(c, grid: np.ndarray, pole_guard: bool):
+    """prod_g (1 - c g) over the flat grid, for a scalar c or per element of
+    an array c, in blocks of at most _BLOCK factors.
+
+    With pole_guard, a factor closer to zero than POLE_FACTOR_EPS anywhere
+    in the batch raises PoleHitError.  A product that is not finite in
+    double precision, or a guarded one that underflows to zero, raises
+    NonConvergenceError.
+    """
+    flat = np.reshape(c, -1)
+    size = max(grid.size, 1)
+    rows, cols = max(1, _BLOCK // size), min(size, _BLOCK)
+    out = np.empty(flat.shape, complex)
+    # overflow is checked once below, on the finished products
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, rows):
+            cb = flat[lo:lo + rows, None]
+            acc = 1.0
+            for g in range(0, grid.size, cols):
+                f = 1.0 - cb * grid[g:g + cols]
+                if pole_guard and np.abs(f).min() < POLE_FACTOR_EPS:
+                    raise PoleHitError(
+                        "a product factor vanished: evaluation point is on "
+                        "(or too close to) the pole/zero lattice")
+                acc = acc * f.prod(axis=1)
+            out[lo:lo + rows] = acc
+    if not np.isfinite(out).all() or (pole_guard and not out.all()):
+        raise NonConvergenceError(
+            "product overflows or underflows double precision")
+    return out.reshape(np.shape(c)) if isinstance(c, np.ndarray) else complex(out[0])
+
+
+def _log_product_2d(c, a: complex, b: complex,
                     policy: TruncationPolicy, pole_guard: bool = True):
     """log of prod_{j,k>=0} (1 - c a^j b^k), with a tail bound on the log.
 
-    Requires |a|, |b| < 1.  Returns (log_sum, log_tail_bound).
+    Requires |a|, |b| < 1.  c may be an array; the term counts then come
+    from its largest |c|.  Returns (log_value, log_tail_bound), per element
+    for an array c.  Only exp(log_value) is meaningful: the log is taken
+    of the finished product, on the principal branch.
     """
-    aa, ab, ac = abs(a), abs(b), abs(c)
+    aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
         raise DivergentParameterError(
             f"product ratios must have magnitude < 1 (got {aa}, {ab})"
         )
-    if ac == 0.0:
-        return 0.0 + 0.0j, 0.0
     eps = policy.term_epsilon
     cap = policy.max_product_index
-    nj = _term_count(ac, aa, eps, cap)
-    nk = _term_count(ac, ab, eps, cap)
-    tail = 2.0 * ac * (aa ** nj + ab ** nk) / ((1.0 - aa) * (1.0 - ab))
-    if nj == 0 or nk == 0:
-        return 0.0 + 0.0j, tail
-    w = c * (a ** np.arange(nj))[:, None] * (b ** np.arange(nk))[None, :]
-    f = 1.0 - w
-    if pole_guard and np.abs(f).min() < POLE_FACTOR_EPS:
-        raise PoleHitError("a product factor vanished: evaluation point is "
-                           "on (or too close to) the pole/zero lattice")
-    return complex(np.sum(np.log(f))), tail
+    ac = abs(c)
+    top = _largest(ac)
+    nj, nk = _term_count(top, aa, eps, cap), _term_count(top, ab, eps, cap)
+    # every omitted factor has |c a^j b^k| below min(|c|, eps) times a
+    # geometric weight, so this holds for every element and any term count
+    # at least its own
+    tail = 4.0 * math_for(ac).minimum(ac, eps) / ((1.0 - aa) * (1.0 - ab))
+    grid = ((a ** np.arange(nj))[:, None] * (b ** np.arange(nk))).ravel()
+    prod = _product(c, grid, pole_guard)
+    if pole_guard:
+        # _product has checked that guarded products are nonzero
+        return (np.log(prod) if isinstance(c, np.ndarray)
+                else cmath.log(prod)), tail
+    # the unguarded products have genuine zeros (1/Gamma at its zeros):
+    # log 0 = -inf, which the caller's exp turns back into 0
+    with np.errstate(divide="ignore"):
+        log = np.log(prod)
+    return (log if isinstance(c, np.ndarray) else complex(log)), tail
 
 
-def _pochhammer_raw(c: complex, a: complex, policy: TruncationPolicy):
+def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
     """prod_{j>=0} (1 - c a^j) as a direct product; zeros are allowed.
 
-    Returns (value, absolute_tail_bound).
+    c may be an array; the term count then comes from its largest |c|.
+    Returns (value, absolute_tail_bound), per element for an array c.
     """
-    aa, ac = abs(a), abs(c)
+    aa = abs(a)
     if aa >= 1.0:
         raise DivergentParameterError(f"|ratio| must be < 1, got {aa}")
-    if ac == 0.0:
-        return 1.0 + 0.0j, 0.0
-    nj = _term_count(ac, aa, policy.term_epsilon, policy.max_product_index)
-    if nj == 0:
-        return 1.0 + 0.0j, ac / (1.0 - aa)
-    w = c * a ** np.arange(nj)
-    value = complex(np.prod(1.0 - w))
-    rel_tail = 2.0 * ac * aa ** nj / (1.0 - aa)
-    return value, abs(value) * math.expm1(rel_tail)
+    eps = policy.term_epsilon
+    ac = abs(c)
+    nj = _term_count(_largest(ac), aa, eps, policy.max_product_index)
+    value = _product(c, a ** np.arange(nj), pole_guard=False)
+    xp = math_for(ac)
+    rel_tail = 2.0 * xp.minimum(ac, eps) / (1.0 - aa)
+    return value, abs(value) * xp.expm1(rel_tail)
 
 
 def _result(value, bound, with_bound):
@@ -122,9 +192,10 @@ def theta4(z: complex, p: complex,
            with_bound: bool = False):
     """Jacobi theta: (p^2;p^2)_inf prod_{n>=1}(1-e^{2iz}p^{2n-1})(1-e^{-2iz}p^{2n-1})."""
     p2 = p * p
+    exp = math_for(z).exp
     c0, b0 = _pochhammer_raw(p2, p2, policy)
-    cp, bp = _pochhammer_raw(cmath.exp(2j * z) * p, p2, policy)
-    cm, bm = _pochhammer_raw(cmath.exp(-2j * z) * p, p2, policy)
+    cp, bp = _pochhammer_raw(exp(2j * z) * p, p2, policy)
+    cm, bm = _pochhammer_raw(exp(-2j * z) * p, p2, policy)
     value = c0 * cp * cm
     bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
     return _result(value, bound, with_bound)
@@ -139,11 +210,12 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     """
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise DivergentParameterError("|p| and |q| must be < 1")
-    e2 = cmath.exp(2j * z)
+    xp = math_for(z)
+    e2 = xp.exp(2j * z)
     ln, tn = _log_product_2d(e2 * p * q, p * p, q * q, policy)
     ld, td = _log_product_2d(p * q / e2, p * p, q * q, policy)
-    value = cmath.exp(ln - ld)
-    bound = abs(value) * math.expm1(tn + td)
+    value = xp.exp(ln - ld)
+    bound = abs(value) * xp.expm1(tn + td)
     return _result(value, bound, with_bound)
 
 
@@ -191,7 +263,9 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
     p, q = params.p, params.q
     pq = p * q
     br = mod_bracket(m, r)
-    ei = cmath.exp(1j * z)
+    phi = varphi(z, m, params)
+    xp = math_for(phi)
+    ei = xp.exp(1j * z)
     # allow_zero lifts the pole guard on the numerator products only; their
     # vanishing is a genuine zero of the function, not a pole
     l1, t1 = _log_product_2d(pq * p ** (r - br) / ei, pq, p ** r, policy,
@@ -200,8 +274,8 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
     l3, t3 = _log_product_2d(pq * q ** br / ei, pq, q ** r, policy,
                              pole_guard=not allow_zero)
     l4, t4 = _log_product_2d(ei * q ** (r - br), pq, q ** r, policy)
-    value = cmath.exp(varphi(z, m, params) + l1 - l2 + l3 - l4)
-    bound = abs(value) * math.expm1(t1 + t2 + t3 + t4)
+    value = xp.exp(phi + l1 - l2 + l3 - l4)
+    bound = abs(value) * xp.expm1(t1 + t2 + t3 + t4)
     return _result(value, bound, with_bound)
 
 
@@ -223,9 +297,11 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     r = params.r
     q = params.q
     brm = mod_bracket(-m, r)
-    pre = cmath.exp(lens_theta_exponent(z, m, params))
-    c1, b1 = _pochhammer_raw(cmath.exp(1j * z) * q ** brm, q ** r, policy)
-    c2, b2 = _pochhammer_raw(cmath.exp(-1j * z) * q ** (r - brm), q ** r, policy)
+    phi = lens_theta_exponent(z, m, params)
+    exp = math_for(phi).exp
+    pre = exp(phi)
+    c1, b1 = _pochhammer_raw(exp(1j * z) * q ** brm, q ** r, policy)
+    c2, b2 = _pochhammer_raw(exp(-1j * z) * q ** (r - brm), q ** r, policy)
     value = pre * c1 * c2
     bound = abs(pre) * (abs(c2) * b1 + abs(c1) * b2)
     return _result(value, bound, with_bound)

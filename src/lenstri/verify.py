@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import models, numerics
 from . import special_functions as sf
 from .models import ModelFamily, Spin
@@ -145,7 +147,8 @@ def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_elliptic(eta - ai, si, s0, params, policy)
                     * models.weight_elliptic(eta - aj, sj, s0, params, policy)
                     * models.weight_elliptic(eta - ak, sk, s0, params, policy))
-        res = _converged(numerics.periodic_integrate(f, math.pi, qtol))
+        res = _converged(numerics.periodic_integrate(f, math.pi, qtol,
+                                                     vectorized=True))
         lhs += res.value
         nodes += res.nodes_used
     meta = {"nodes": nodes, "quad_tol": qtol,
@@ -183,7 +186,8 @@ def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_qlimit(eta - ai, si, s0, params, policy)
                     * models.weight_qlimit(eta - aj, sj, s0, params, policy)
                     * models.weight_qlimit(eta - ak, sk, s0, params, policy))
-        res = _converged(numerics.periodic_integrate(f, math.pi, qtol))
+        res = _converged(numerics.periodic_integrate(f, math.pi, qtol,
+                                                     vectorized=True))
         nodes[0] += res.nodes_used
         return res.value
 
@@ -225,7 +229,8 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
                     * models.weight_gamma(1 - aj, sj, s0)
                     * models.weight_gamma(1 - ak, sk, s0))
         res = _converged(numerics.line_integrate(
-            f, qtol, tail_exponent_hint=-2.0, initial_cutoff=initial_cutoff))
+            f, qtol, tail_exponent_hint=-2.0, initial_cutoff=initial_cutoff,
+            vectorized=True))
         nodes[0] += res.nodes_used
         return res.value
 
@@ -314,7 +319,8 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
                 acc *= (_G(ti + z, ui + y, params, policy)
                         * _G(ti - z, ui - y, params, policy))
             return acc
-        res = _converged(numerics.periodic_integrate(f, 2 * math.pi, qtol))
+        res = _converged(numerics.periodic_integrate(f, 2 * math.pi, qtol,
+                                                     vectorized=True))
         lhs += res.value
         nodes += res.nodes_used
     lhs *= pref / (4 * math.pi)
@@ -334,7 +340,8 @@ def rho_integrand(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
                   params: NomeParameters,
                   policy: TruncationPolicy = DEFAULT_POLICY,
                   const: Optional[complex] = None) -> complex:
-    """Constant-form integrand rho(z, y; t_1..t_5, u_1..u_5).
+    """Constant-form integrand rho(z, y; t_1..t_5, u_1..u_5), at a scalar
+    or at each element of an array z.
 
     const, if given, is the precomputed z-independent factor
     prod_i Gamma(A - t_i, U - u_i) / prod_{i<j} Gamma(t_i + t_j, u_i + u_j).
@@ -372,7 +379,7 @@ def _master_I(t, u, params, policy, qtol):
     for y in range(params.r):
         res = _converged(numerics.periodic_integrate(
             lambda z, y=y: rho_integrand(z, y, t, u, params, policy, const),
-            2 * math.pi, qtol))
+            2 * math.pi, qtol, vectorized=True))
         total += res.value
         nodes += res.nodes_used
     return total, nodes
@@ -424,33 +431,35 @@ def theta_difference_sides(z: complex, y: int, t: Sequence[complex],
                            u: Sequence[int], params: NomeParameters,
                            policy: TruncationPolicy = DEFAULT_POLICY):
     """Both sides of the theta-function difference identity behind the
-    telescoping step of the master-identity proof."""
+    telescoping step of the master-identity proof.  Each side evaluates all
+    of its lens theta functions in one batched call."""
     r = params.r
     A, U = sum(t), sum(u)
-    th = lambda zz, mm: sf.lens_theta(zz, mm, params, policy)
-    pair_den = 1.0 + 0.0j
-    for ti, ui in zip(t[1:], u[1:]):
-        pair_den *= th(t[0] + ti, u[0] + ui)
-    lhs = (th(t[0] + z, u[0] + y) * th(t[0] - z, u[0] - y)
-           / (th(A + z, U + y) * th(A - z, U - y)))
-    for ti, ui in zip(t[1:], u[1:]):
-        lhs *= th(A - ti, U - ui)
-    lhs = lhs / pair_den - 1.0
+    tv, uv = np.array(t, complex), np.array(u)
 
-    pref = -cmath.exp(1j * t[0] / r) * th(t[0] + A, u[0] + U) / pair_den
-    num_p = 1.0 + 0.0j
-    num_m = 1.0 + 0.0j
-    for ti, ui in zip(t, u):
-        num_p *= th(ti + z, ui + y)
-        num_m *= th(ti - z, ui - y)
+    def th(*pairs):
+        zs, ms = zip(*pairs)
+        return sf.lens_theta(np.concatenate(zs), np.concatenate(ms),
+                             params, policy)
+
+    # theta(t_0 + t_i), i >= 1, divides both sides
+    pair = (tv[0] + tv[1:], uv[0] + uv[1:])
+    v = th(pair, ([tv[0] + z, tv[0] - z, A + z, A - z],
+                  [uv[0] + y, uv[0] - y, U + y, U - y]),
+           (A - tv[1:], U - uv[1:]))
+    lhs = v[4] * v[5] / (v[6] * v[7]) * v[8:].prod() / v[:4].prod() - 1.0
+
+    v = th(pair, ([tv[0] + A], [uv[0] + U]), (tv + z, uv + y), (tv - z, uv - y),
+           ([2 * z, A + z, -2 * z, A - z], [2 * y, U + y, -2 * y, U - y]))
+    pref = -cmath.exp(1j * t[0] / r) * v[4] / v[:4].prod()
     term_p = (cmath.exp(-1j * z / r + 2j * math.pi * sf.mod_bracket(y - u[0], r) / r)
-              * num_p / (th(2 * z, 2 * y) * th(A + z, U + y)))
+              * v[5:10].prod() / (v[15] * v[16]))
     term_m = (cmath.exp(1j * z / r)
               * cmath.exp(2j * math.pi * (sf.mod_bracket(y - u[0] + 1, r)
                                           + sf.mod_bracket(-2 * y - 1, r)) / r)
-              * num_m / (th(-2 * z, -2 * y) * th(A - z, U - y)))
+              * v[10:15].prod() / (v[17] * v[18]))
     rhs = pref * (term_p + term_m)
-    return lhs, rhs
+    return complex(lhs), complex(rhs)
 
 
 def verify_theta_difference(z: complex, y: int, t: Sequence[complex],

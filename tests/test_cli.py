@@ -5,9 +5,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from lenstri import cli, numerics
+from lenstri import cli, numerics, verify
 
 
 def unconverged(f, period, tol, **kwargs):
@@ -126,6 +127,93 @@ class TestVerify:
         assert set(rows[0]) == set(cli.CSV_COLUMNS)
         assert rows[0]["passed"] == "True"
         assert float(rows[0]["rel_residual"]) <= float(rows[0]["tolerance"])
+
+
+class TestVerifyOnlyIdentities:
+    @pytest.mark.parametrize("identity,name", [("bridge", "gamma_phi_bridge"),
+                                               ("limit_r", "limit_r_to_inf")])
+    def test_z_flag(self, capsys, identity, name):
+        rc, out, err = run(capsys, ["verify", identity, "--z", "0.3"])
+        assert rc == 0, err
+        rec = json.loads(out)
+        assert rec["identity_name"] == name
+        assert rec["parameter_record"]["z"] == [0.3, 0.0]
+
+    @pytest.mark.parametrize("identity", ["bridge", "limit_r"])
+    def test_numeric_z_in_config_matches_flag(self, tmp_path, capsys,
+                                              identity):
+        cfgfile = tmp_path / "case.json"
+        cfgfile.write_text(json.dumps({"z": 0.3, "m": 2, "r": 3}))
+        rc, from_config, _ = run(capsys, ["verify", identity, "--config",
+                                          str(cfgfile)])
+        assert rc == 0
+        _, from_flags, _ = run(capsys, ["verify", identity, "--z", "0.3",
+                                        "--m", "2", "--r", "3"])
+        strip = lambda text: {k: v for k, v in json.loads(text).items()
+                              if k != "numerics_meta"}
+        assert strip(from_config) == strip(from_flags)
+
+    def test_limit_hbar_flags(self, capsys):
+        rc, out, _ = run(capsys, ["verify", "limit_hbar", "--alpha", "0.3",
+                                  "--m", "1"])
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["parameter_record"]["alpha"] == 0.3
+        assert rec["parameter_record"]["m"] == 1
+        assert rec["checks"] == {"monotone_decrease": True}
+
+    def test_brackets_r_max_from_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "case.json"
+        cfgfile.write_text(json.dumps({"r_max": 5}))
+        rc, out, _ = run(capsys, ["verify", "brackets", "--config",
+                                  str(cfgfile)])
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["parameter_record"] == {"r_max": 5}
+        assert rec["numerics_meta"]["cases_checked"] == sum(
+            6 * r + 1 for r in range(1, 6))
+
+    def test_numeric_z_for_theta_difference(self, tmp_path, capsys):
+        cfgfile = tmp_path / "case.json"
+        cfgfile.write_text(json.dumps({
+            "r": 2, "z": 0.5,
+            "t": [[-0.2, 0.4], [0.1, 0.3], [0.0, 0.2], [0.05, 0.25],
+                  [0.05, 0.35]],
+            "u": [1, -1, 0, 0, 0]}))
+        rc, out, _ = run(capsys, ["verify", "thtfunct", "--config",
+                                  str(cfgfile)])
+        assert rc == 0
+        assert json.loads(out)["parameter_record"]["z"] == [0.5, 0.0]
+
+    @pytest.mark.parametrize("z", ["abc", {"re": 1}, [0.3, 0.1], True])
+    def test_unparseable_z_exit_two(self, tmp_path, capsys, z):
+        cfgfile = tmp_path / "case.json"
+        cfgfile.write_text(json.dumps({"z": z}))
+        rc, out, err = run(capsys, ["verify", "bridge", "--config",
+                                    str(cfgfile)])
+        assert rc == 2
+        assert out == ""
+        assert "cannot parse complex number" in err
+
+    def test_unparseable_z_flag_exit_two(self, capsys):
+        rc, _, err = run(capsys, ["verify", "limit_r", "--z", "0.3+"])
+        assert rc == 2
+        assert "cannot parse complex number" in err
+
+
+class TestJson:
+    def test_numpy_scalars_serialize_like_python_ones(self):
+        # batched evaluation hands numpy scalars into checks and meta
+        def report(b, i, f, c):
+            return verify.make_report(
+                "x", {"t": [c]}, c, c + f, 1e-6,
+                meta={"nodes": i, "error": f, "value": c, "levels": [i, i]},
+                checks={"shift_invariance": b})
+        numpy_rep = report(np.bool_(True), np.int64(3), np.float64(0.1),
+                           np.complex128(1 + 2j))
+        python_rep = report(True, 3, 0.1, 1 + 2j)
+        assert (json.dumps(cli.report_to_dict(numpy_rep))
+                == json.dumps(cli.report_to_dict(python_rep)))
 
 
 class TestConfig:
