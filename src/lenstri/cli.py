@@ -107,6 +107,17 @@ def _csv_row(index, rep: Optional[verify.VerificationReport], status, seed):
             "passed": rep.passed, "seed": seed}
 
 
+def config_number(kind, value, name: str):
+    """kind(value), kind being int or float, for a number read from the
+    config or the command line; a value that is not such a number is an
+    invalid parameter."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
 def parse_complex(text) -> complex:
     """A complex number written as a string ('a+bj' or 'a+bi') or given as
     a number (as JSON config files give it)."""
@@ -121,9 +132,12 @@ def parse_complex(text) -> complex:
 def parse_spin(text: str) -> Spin:
     """Spin given as 'x:m' on the command line or [x, m] in config files."""
     if isinstance(text, (list, tuple)):
-        return Spin(float(text[0]), int(text[1]))
-    x, _, m = text.partition(":")
-    return Spin(float(x), int(m or 0))
+        x, m = text[0], text[1]
+    else:
+        x, _, m = text.partition(":")
+        m = m or 0
+    return Spin(config_number(float, x, "spin angle"),
+                config_number(int, m, "spin integer part"))
 
 
 def parse_t(values) -> tuple:
@@ -132,10 +146,15 @@ def parse_t(values) -> tuple:
                  for v in values)
 
 
+def parse_u(values) -> tuple:
+    """Integer u values."""
+    return tuple(config_number(int, v, "u") for v in values)
+
+
 def build_params(cfg: dict) -> NomeParameters:
     sigma = parse_complex(cfg.get("sigma", "0.05+0.5j"))
     tau = parse_complex(cfg.get("tau")) if cfg.get("tau") else -sigma.conjugate()
-    return NomeParameters(sigma, tau, int(cfg.get("r", 1)))
+    return NomeParameters(sigma, tau, config_number(int, cfg.get("r", 1), "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,45 +232,47 @@ def sample_inversion_case(rng, params: NomeParameters):
 def parse_spins_case(cfg: dict, params: NomeParameters):
     if "spins" in cfg:
         return {"spins": tuple(parse_spin(s) for s in cfg["spins"]),
-                "alphas": tuple(float(a) for a in cfg["alphas"])}
+                "alphas": tuple(config_number(float, a, "alphas")
+                                 for a in cfg["alphas"])}
 
 
 def parse_master_case(cfg: dict, params: NomeParameters):
     if "t" in cfg:
         return {"mp": verify.MasterParameters(
-            parse_t(cfg["t"]), tuple(int(v) for v in cfg["u"]), params)}
+            parse_t(cfg["t"]), parse_u(cfg["u"]), params)}
 
 
 def parse_tu_case(cfg: dict, params: NomeParameters):
     if "t" in cfg:
-        return {"t": parse_t(cfg["t"]), "u": tuple(int(v) for v in cfg["u"])}
+        return {"t": parse_t(cfg["t"]), "u": parse_u(cfg["u"])}
 
 
 def parse_thtfunct_case(cfg: dict, params: NomeParameters):
     case = parse_tu_case(cfg, params)
     if case is not None:
         case["z"] = parse_complex(cfg.get("z", "0.8+0.02j"))
-        case["y"] = int(cfg.get("y", 0))
+        case["y"] = config_number(int, cfg.get("y", 0), "y")
     return case
 
 
 def parse_brackets_case(cfg: dict, params: NomeParameters):
-    return {"r_max": int(cfg.get("r_max", 64))}
+    return {"r_max": config_number(int, cfg.get("r_max", 64), "r_max")}
 
 
 def parse_bridge_case(cfg: dict, params: NomeParameters):
     return {"z": parse_complex(cfg.get("z", 0.37 + 0.21j)),
-            "m": int(cfg.get("m", 1))}
+            "m": config_number(int, cfg.get("m", 1), "m")}
 
 
 def parse_limit_r_case(cfg: dict, params: NomeParameters):
     return {"z": parse_complex(cfg["z"]) if "z" in cfg else 0.3,
-            "m": int(cfg.get("m", 1))}
+            "m": config_number(int, cfg.get("m", 1), "m")}
 
 
 def parse_limit_hbar_case(cfg: dict, params: NomeParameters):
-    return {"alpha": float(cfg.get("alpha", 0.4)),
-            "x": float(cfg.get("x", 1.0)), "m": int(cfg.get("m", 0))}
+    return {"alpha": config_number(float, cfg.get("alpha", 0.4), "alpha"),
+            "x": config_number(float, cfg.get("x", 1.0), "x"),
+            "m": config_number(int, cfg.get("m", 0), "m")}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +355,8 @@ IDENTITIES = {ident.name: ident for ident in (
 def _tolerance(cfg: dict, ident: Identity) -> float:
     """--tol if given, else the identity's default; it must be a positive
     finite number."""
-    tol = ident.tol if cfg.get("tol") is None else float(cfg["tol"])
+    tol = (ident.tol if cfg.get("tol") is None
+           else config_number(float, cfg["tol"], "tol"))
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParameterError(
             f"tol must be a positive finite number, got {tol}")
@@ -347,8 +369,8 @@ def _tolerance(cfg: dict, ident: Identity) -> float:
 
 def _eval_registry(cfg, params):
     z = parse_complex(cfg["z"]) if "z" in cfg else 0.0
-    m = int(cfg.get("m", 0))
-    alpha = float(cfg.get("alpha", 0.3))
+    m = config_number(int, cfg.get("m", 0), "m")
+    alpha = config_number(float, cfg.get("alpha", 0.3), "alpha")
     spins = [parse_spin(s) for s in cfg.get("spins", [])]
     return {
         "mod_bracket": lambda: sf.mod_bracket(m, params.r),
@@ -421,7 +443,7 @@ def run_verify(cfg: dict) -> int:
               f"{sorted(IDENTITIES)}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = config_number(int, cfg.get("seed", 0), "seed")
     tol = _tolerance(cfg, ident)
     rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
     out = _open_out(cfg.get("out"))
@@ -460,8 +482,8 @@ def run_sweep(cfg: dict) -> int:
               f"{sweepable}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("samples", 10))
+    seed = config_number(int, cfg.get("seed", 0), "seed")
+    samples = config_number(int, cfg.get("samples", 10), "samples")
     if samples < 1:
         print("samples must be >= 1", file=sys.stderr)
         return EXIT_INVALID
@@ -508,11 +530,11 @@ def run_poles(cfg: dict) -> int:
         print("poles requires t and u tuples (via --config)", file=sys.stderr)
         return EXIT_INVALID
     t = parse_t(cfg["t"])
-    u = tuple(int(v) for v in cfg["u"])
+    u = parse_u(cfg["u"])
     if len(t) not in (5, 6) or len(u) != len(t):
         print("t and u must both have five (or six) entries", file=sys.stderr)
         return EXIT_INVALID
-    margin = verify.pole_diagnostics(t[:5], u[:5], params)
+    margin = verify.pole_diagnostics(t[:5], params)
     record = {"t": list(t), "u": list(u), "margin": margin,
               "safe": margin >= verify.CONTOUR_MARGIN_FRACTION * abs(params.eta)}
     out = _open_out(cfg.get("out"))

@@ -29,9 +29,10 @@ from .params import (
 from .special_functions import (
     bracket_pm,
     lens_elliptic_gamma,
-    math_for,
     mod_bracket,
+    python_scalar,
     qpochhammer_inf,
+    stack_rows,
     theta4,
 )
 from . import numerics
@@ -141,11 +142,11 @@ def weight_elliptic(alpha: float, si: Spin, sj: Spin, params: NomeParameters,
     dm, sm = si.m - sj.m, si.m + sj.m
     dx, sx = si.x - sj.x, si.x + sj.x
     pref = cmath.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
-    num = (lens_elliptic_gamma(dx + 1j * alpha, dm, params, policy)
-           * lens_elliptic_gamma(sx + 1j * alpha, sm, params, policy))
-    den = (lens_elliptic_gamma(dx - 1j * alpha, dm, params, policy)
-           * lens_elliptic_gamma(sx - 1j * alpha, sm, params, policy))
-    return pref / kappa_elliptic(alpha, params, policy) * num / den
+    z, m = stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
+                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
+    v = lens_elliptic_gamma(z, m, params, policy)
+    return python_scalar(pref / kappa_elliptic(alpha, params, policy)
+                         * (v[0] * v[1]) / (v[2] * v[3]))
 
 
 def single_spin_elliptic(si: Spin, params: NomeParameters,
@@ -165,11 +166,13 @@ def single_spin_elliptic(si: Spin, params: NomeParameters,
         return (pre
                 * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r, policy)
                 * theta4(2 * si.x - shift * math.pi * params.tau, q ** r, policy))
-    return (pre
-            * qpochhammer_inf(p ** (2 * r), p ** (2 * r), policy)
-            * qpochhammer_inf(q ** (2 * r), q ** (2 * r), policy)
-            * lens_elliptic_gamma(-2 * si.x - 1j * params.eta, -2 * si.m, params, policy)
-            * lens_elliptic_gamma(2 * si.x - 1j * params.eta, 2 * si.m, params, policy))
+    z, m = stack_rows((-2 * si.x - 1j * params.eta, -2 * si.m),
+                      (2 * si.x - 1j * params.eta, 2 * si.m))
+    v = lens_elliptic_gamma(z, m, params, policy)
+    return python_scalar(pre
+                         * qpochhammer_inf(p ** (2 * r), p ** (2 * r), policy)
+                         * qpochhammer_inf(q ** (2 * r), q ** (2 * r), policy)
+                         * v[0] * v[1])
 
 
 def q_function(z: complex, n: int, params: NomeParameters,
@@ -178,19 +181,19 @@ def q_function(z: complex, n: int, params: NomeParameters,
 
     Q(z, n) = prod_j (1 - e^{2iz} q^{2n} (pq)^{2j+1}) / (1 - e^{-2iz} p^{2n} (pq)^{2j+1})
     for n >= 0, and with (p^{-2n}, q^{-2n}) in place of (q^{2n}, p^{2n}) for n < 0.
+    n may be an array that broadcasts against z.
     """
     p, q = params.p, params.q
     pq = p * q
-    e2 = math_for(z).exp(2j * z)
-    if n >= 0:
-        cn, cd = e2 * q ** (2 * n) * pq, p ** (2 * n) * pq / e2
-    else:
-        cn, cd = e2 * p ** (-2 * n) * pq, q ** (-2 * n) * pq / e2
-    num = qpochhammer_inf(cn, pq * pq, policy)
-    den = qpochhammer_inf(cd, pq * pq, policy)
+    e2 = np.exp(2j * z)
+    nonneg = np.greater_equal(n, 0)
+    pk, qk = p ** (2 * np.abs(n)), q ** (2 * np.abs(n))
+    c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
+                    (np.where(nonneg, pk, qk) * pq / e2,))
+    num, den = qpochhammer_inf(c, pq * pq, policy)
     if np.any(abs(den) < 1e-13):
         raise PoleHitError("Q(z, n) evaluated at a pole")
-    return num / den
+    return python_scalar(num / den)
 
 
 def weight_qlimit(alpha: float, si: Spin, sj: Spin, params: NomeParameters,
@@ -201,11 +204,11 @@ def weight_qlimit(alpha: float, si: Spin, sj: Spin, params: NomeParameters,
     dm, sm = si.m - sj.m, si.m + sj.m
     dx, sx = si.x - sj.x, si.x + sj.x
     pref = cmath.exp(-2 * alpha * (abs(dm) + abs(sm)))
-    num = (q_function(dx + 1j * alpha, dm, params, policy)
-           * q_function(sx + 1j * alpha, sm, params, policy))
-    den = (q_function(dx - 1j * alpha, dm, params, policy)
-           * q_function(sx - 1j * alpha, sm, params, policy))
-    return pref / kappa_qlimit(alpha, params, policy) * num / den
+    z, n = stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
+                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
+    v = q_function(z, n, params, policy)
+    return python_scalar(pref / kappa_qlimit(alpha, params, policy)
+                         * (v[0] * v[1]) / (v[2] * v[3]))
 
 
 def single_spin_qlimit(sj: Spin, params: NomeParameters,
@@ -214,9 +217,11 @@ def single_spin_qlimit(sj: Spin, params: NomeParameters,
     (1/2pi) e^{4 eta |m|} Q(2x - i eta, 2m) Q(-2x - i eta, -2m).
     """
     eta = params.eta
-    return (cmath.exp(4 * eta * abs(sj.m)) / (2 * math.pi)
-            * q_function(2 * sj.x - 1j * eta, 2 * sj.m, params, policy)
-            * q_function(-2 * sj.x - 1j * eta, -2 * sj.m, params, policy))
+    z, n = stack_rows((2 * sj.x - 1j * eta, 2 * sj.m),
+                      (-2 * sj.x - 1j * eta, -2 * sj.m))
+    v = q_function(z, n, params, policy)
+    return python_scalar(cmath.exp(4 * eta * abs(sj.m)) / (2 * math.pi)
+                         * v[0] * v[1])
 
 
 def _gamma_pair(a: complex, b: complex) -> complex:
@@ -247,7 +252,7 @@ def weight_gamma(alpha: float, si: Spin, sj: Spin) -> float:
           + _gamma_pair((1 - alpha - dm) / 2, 1j * dx / 2)
           - _gamma_pair((1 + alpha - sm) / 2, 1j * sx / 2)
           - _gamma_pair((1 + alpha - dm) / 2, 1j * dx / 2))
-    return math_for(ln).exp(ln).real
+    return python_scalar(np.exp(ln).real)
 
 
 def single_spin_gamma(sj: Spin) -> float:

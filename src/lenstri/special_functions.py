@@ -5,28 +5,39 @@ All infinite products are truncated by term magnitude (see
 :class:`~lenstri.params.TruncationPolicy`) and carry a geometric tail bound.
 
 Every function takes its argument z either as a scalar or as an ndarray
-(the lens functions also take an array m); an array is evaluated as one
-batch and gives arrays of values and bounds, a scalar stays on Python
-scalars and cmath.  A batch shares its truncation depth, taken from its
-largest |c|, so each element gets at least the terms it would get alone,
-and the pole guard covers the whole batch.
+(the lens functions also take an array m, ``lens_gamma_appendix`` an array
+``allow_zero``, all broadcast against z); an array is evaluated as one
+batch and gives arrays of values and bounds, and a scalar call returns a
+Python complex (and float bound).  A batch shares its truncation depth,
+taken from its largest |c|, so each element gets at least the terms it
+would get alone.
 
-Double products are multiplied out first, per element, in blocks of at
-most ``_BLOCK`` factors, and the log is taken once of each finished
-product.  That log is off from sum(log f) by a multiple of 2 pi i, which
-is harmless because callers only ever use exp of a combination of such
-logs: the logs exist so that exponential prefactors and several products
-combine without an intermediate overflow.  A product is at most
-exp(sum |c a^j b^k|) in magnitude, so it can overflow only at arguments
-far off the real axis; a non-finite product raises NonConvergenceError
-rather than passing an inf on.
+A function makes one kernel call per nome grid: the products that share a
+grid (numerator and denominator of ``elliptic_gamma``, the e^{+-2iz}
+products of ``theta4``, the two products per grid of
+``lens_gamma_appendix``) are stacked on a new axis 0 of one batch, and
+callers stack their own rows the same way (:func:`stack_rows`), so a
+weight or a whole integrand is one batch.  The pole guard is per element:
+a bool, or a bool array that broadcasts against the batch, so guarded
+denominators and unguarded 1/Gamma numerators share one call.
+
+Double products are multiplied out first, per element, and the log is
+taken once of each finished product.  The kernel lays a block out with the
+grid on axis 0 and the batch elements on axis 1 and reduces over axis 0,
+one whole row of elements per multiplication; a block holds at most
+``_BLOCK`` factors, on both axes, and a longer grid is multiplied out over
+several blocks into a running product.  That log is off from sum(log f)
+by a multiple of 2 pi i, which is harmless because callers only ever use
+exp of a combination of such logs: the logs exist so that exponential
+prefactors and several products combine without an intermediate
+overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
+can overflow only at arguments far off the real axis; a non-finite
+product raises NonConvergenceError rather than passing an inf on.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,14 +58,6 @@ POLE_FACTOR_EPS = 1e-13
 
 #: most product factors held in memory at once by a batched evaluation
 _BLOCK = 2 ** 14
-
-_SCALAR_MATH = SimpleNamespace(exp=cmath.exp, expm1=math.expm1, minimum=min)
-
-
-def math_for(x):
-    """numpy for an array argument, else the cmath/math functions, so that
-    scalar evaluations stay on Python scalars."""
-    return np if isinstance(x, np.ndarray) else _SCALAR_MATH
 
 
 def mod_bracket(m: int, r: int) -> int:
@@ -84,51 +87,60 @@ def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
     return n
 
 
-def _largest(ac) -> float:
-    """Largest |c| of a batch (the value itself for a scalar)."""
-    return ac.max(initial=0.0) if isinstance(ac, np.ndarray) else ac
+def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
+    """prod_g (1 - c g) over the flat grid, per element of the array c.
 
-
-def _product(c, grid: np.ndarray, pole_guard: bool):
-    """prod_g (1 - c g) over the flat grid, for a scalar c or per element of
-    an array c, in blocks of at most _BLOCK factors.
-
-    With pole_guard, a factor closer to zero than POLE_FACTOR_EPS anywhere
-    in the batch raises PoleHitError.  A product that is not finite in
-    double precision, or a guarded one that underflows to zero, raises
-    NonConvergenceError.
+    Each block holds at most _BLOCK factors: the grid on axis 0, elements
+    of c on axis 1.  pole_guard is a bool or a bool array that broadcasts
+    against c.  Where it holds, a factor closer to zero than
+    POLE_FACTOR_EPS raises PoleHitError, and a product that underflows to
+    zero raises NonConvergenceError; elsewhere a product may vanish (a
+    genuine zero).  A product that is not finite in double precision
+    raises NonConvergenceError.
     """
-    flat = np.reshape(c, -1)
+    flat = c.reshape(-1)
+    guard = np.full(c.shape, pole_guard, bool).reshape(-1)
     size = max(grid.size, 1)
-    rows, cols = max(1, _BLOCK // size), min(size, _BLOCK)
-    out = np.empty(flat.shape, complex)
+    rows, cols = min(size, _BLOCK), max(1, _BLOCK // size)
+    out = np.ones(flat.shape, complex)
+    # one block buffer for the whole call: numpy is several times slower
+    # multiplying a broadcast pair into a fresh array than into this one
+    buf = np.empty((rows, min(cols, flat.size)), complex)
     # overflow is checked once below, on the finished products
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, rows):
-            cb = flat[lo:lo + rows, None]
-            acc = 1.0
-            for g in range(0, grid.size, cols):
-                f = 1.0 - cb * grid[g:g + cols]
-                if pole_guard and np.abs(f).min() < POLE_FACTOR_EPS:
-                    raise PoleHitError(
-                        "a product factor vanished: evaluation point is on "
-                        "(or too close to) the pole/zero lattice")
-                acc = acc * f.prod(axis=1)
-            out[lo:lo + rows] = acc
-    if not np.isfinite(out).all() or (pole_guard and not out.all()):
+        for lo in range(0, flat.size, cols):
+            cb, gb = flat[lo:lo + cols], guard[lo:lo + cols]
+            guarded = gb.any()
+            for g in range(0, grid.size, rows):
+                gg = grid[g:g + rows, None]
+                f = buf[:len(gg), :len(cb)]
+                np.multiply(gg, cb, out=f)
+                np.subtract(1.0, f, out=f)
+                if guarded:
+                    # |f| >= |Re f|: only a column with a small real part
+                    # can hold a small factor
+                    near = gb & (np.abs(f.real).min(axis=0) < POLE_FACTOR_EPS)
+                    if near.any() and np.abs(f[:, near]).min() < POLE_FACTOR_EPS:
+                        raise PoleHitError(
+                            "a product factor vanished: evaluation point is "
+                            "on (or too close to) the pole/zero lattice")
+                out[lo:lo + cols] *= f.prod(axis=0)
+    if not np.isfinite(out).all() or (guard & (out == 0)).any():
         raise NonConvergenceError(
             "product overflows or underflows double precision")
-    return out.reshape(np.shape(c)) if isinstance(c, np.ndarray) else complex(out[0])
+    return out.reshape(c.shape)
 
 
 def _log_product_2d(c, a: complex, b: complex,
-                    policy: TruncationPolicy, pole_guard: bool = True):
+                    policy: TruncationPolicy, pole_guard=True):
     """log of prod_{j,k>=0} (1 - c a^j b^k), with a tail bound on the log.
 
-    Requires |a|, |b| < 1.  c may be an array; the term counts then come
-    from its largest |c|.  Returns (log_value, log_tail_bound), per element
-    for an array c.  Only exp(log_value) is meaningful: the log is taken
-    of the finished product, on the principal branch.
+    Requires |a|, |b| < 1.  c is a scalar or an array; the term counts come
+    from its largest |c|.  pole_guard is a bool or a bool array that
+    broadcasts against c (see _product).  Returns (log_value,
+    log_tail_bound) as arrays of the shape of c (0-d for a scalar).  Only
+    exp(log_value) is meaningful: the log is taken of the finished
+    product, on the principal branch.
     """
     aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
@@ -137,45 +149,71 @@ def _log_product_2d(c, a: complex, b: complex,
         )
     eps = policy.term_epsilon
     cap = policy.max_product_index
-    ac = abs(c)
-    top = _largest(ac)
+    c = np.asarray(c)
+    ac = np.abs(c)
+    top = ac.max(initial=0.0)
     nj, nk = _term_count(top, aa, eps, cap), _term_count(top, ab, eps, cap)
     # every omitted factor has |c a^j b^k| below min(|c|, eps) times a
     # geometric weight, so this holds for every element and any term count
     # at least its own
-    tail = 4.0 * math_for(ac).minimum(ac, eps) / ((1.0 - aa) * (1.0 - ab))
+    tail = 4.0 * np.minimum(ac, eps) / ((1.0 - aa) * (1.0 - ab))
     grid = ((a ** np.arange(nj))[:, None] * (b ** np.arange(nk))).ravel()
     prod = _product(c, grid, pole_guard)
-    if pole_guard:
-        # _product has checked that guarded products are nonzero
-        return (np.log(prod) if isinstance(c, np.ndarray)
-                else cmath.log(prod)), tail
-    # the unguarded products have genuine zeros (1/Gamma at its zeros):
-    # log 0 = -inf, which the caller's exp turns back into 0
+    # unguarded products have genuine zeros (1/Gamma at its zeros): log 0
+    # = -inf, which the caller's exp turns back into 0
     with np.errstate(divide="ignore"):
-        log = np.log(prod)
-    return (log if isinstance(c, np.ndarray) else complex(log)), tail
+        return np.log(prod), tail
 
 
 def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
     """prod_{j>=0} (1 - c a^j) as a direct product; zeros are allowed.
 
-    c may be an array; the term count then comes from its largest |c|.
-    Returns (value, absolute_tail_bound), per element for an array c.
+    c is a scalar or an array; the term count comes from its largest |c|.
+    Returns (value, absolute_tail_bound) as arrays of the shape of c (0-d
+    for a scalar).
     """
     aa = abs(a)
     if aa >= 1.0:
         raise DivergentParameterError(f"|ratio| must be < 1, got {aa}")
     eps = policy.term_epsilon
-    ac = abs(c)
-    nj = _term_count(_largest(ac), aa, eps, policy.max_product_index)
+    c = np.asarray(c)
+    ac = np.abs(c)
+    nj = _term_count(ac.max(initial=0.0), aa, eps, policy.max_product_index)
     value = _product(c, a ** np.arange(nj), pole_guard=False)
-    xp = math_for(ac)
-    rel_tail = 2.0 * xp.minimum(ac, eps) / (1.0 - aa)
-    return value, abs(value) * xp.expm1(rel_tail)
+    rel_tail = 2.0 * np.minimum(ac, eps) / (1.0 - aa)
+    return value, np.abs(value) * np.expm1(rel_tail)
+
+
+def python_scalar(x):
+    """A 0-d numpy result as the Python scalar it holds, so that a scalar
+    call returns a Python complex or float; anything else passes through."""
+    if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0:
+        return x.item()
+    return x
+
+
+def stack_rows(*rows):
+    """Arguments of one batched call, one row per product.
+
+    Each row is a tuple of arguments (say z, m, allow_zero); all of them
+    broadcast to one shape.  Returns one array per argument, holding the
+    rows on a new axis 0, so that a function called on them once gives one
+    value per row (and per element of the common shape).
+    """
+    # a Python scalar has no shape; assigning a row broadcasts it
+    shape = np.broadcast_shapes(*{getattr(x, "shape", ()) for row in rows
+                                  for x in row})
+    out = []
+    for column in zip(*rows):
+        stacked = np.empty((len(column),) + shape, np.result_type(*column))
+        for i, x in enumerate(column):
+            stacked[i] = x
+        out.append(stacked)
+    return tuple(out)
 
 
 def _result(value, bound, with_bound):
+    value, bound = python_scalar(value), python_scalar(bound)
     return (value, bound) if with_bound else value
 
 
@@ -192,10 +230,9 @@ def theta4(z: complex, p: complex,
            with_bound: bool = False):
     """Jacobi theta: (p^2;p^2)_inf prod_{n>=1}(1-e^{2iz}p^{2n-1})(1-e^{-2iz}p^{2n-1})."""
     p2 = p * p
-    exp = math_for(z).exp
     c0, b0 = _pochhammer_raw(p2, p2, policy)
-    cp, bp = _pochhammer_raw(exp(2j * z) * p, p2, policy)
-    cm, bm = _pochhammer_raw(exp(-2j * z) * p, p2, policy)
+    c, = stack_rows((np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
+    (cp, cm), (bp, bm) = _pochhammer_raw(c, p2, policy)
     value = c0 * cp * cm
     bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
     return _result(value, bound, with_bound)
@@ -210,12 +247,11 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     """
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise DivergentParameterError("|p| and |q| must be < 1")
-    xp = math_for(z)
-    e2 = xp.exp(2j * z)
-    ln, tn = _log_product_2d(e2 * p * q, p * p, q * q, policy)
-    ld, td = _log_product_2d(p * q / e2, p * p, q * q, policy)
-    value = xp.exp(ln - ld)
-    bound = abs(value) * xp.expm1(tn + td)
+    e2 = np.exp(2j * z)
+    c, = stack_rows((e2 * p * q,), (p * q / e2,))
+    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q, policy)
+    value = np.exp(ln - ld)
+    bound = np.abs(value) * np.expm1(tn + td)
     return _result(value, bound, with_bound)
 
 
@@ -250,7 +286,7 @@ def varphi(z: complex, m: int, params: NomeParameters) -> complex:
 
 def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
                         policy: TruncationPolicy = DEFAULT_POLICY,
-                        with_bound: bool = False, allow_zero: bool = False):
+                        with_bound: bool = False, allow_zero=False):
     """Lens elliptic gamma function in the exponential-prefactor convention:
 
     Gamma(z, m) = e^{varphi(z,m)}
@@ -258,24 +294,27 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
                      / (1 - e^{ iz} p^{ [[m]]} (pq)^j     p^{rk})
                    * (1 - e^{-iz} q^{[[m]]-r} (pq)^{j+1} q^{r(k+1)})
                      / (1 - e^{ iz} q^{r-[[m]]} (pq)^j    q^{rk})
+
+    allow_zero (a bool, or a bool array that broadcasts against z and m)
+    lifts the pole guard on the numerator products of its elements: their
+    vanishing is a genuine zero of the function, not a pole.
     """
     r = params.r
     p, q = params.p, params.q
     pq = p * q
     br = mod_bracket(m, r)
     phi = varphi(z, m, params)
-    xp = math_for(phi)
-    ei = xp.exp(1j * z)
-    # allow_zero lifts the pole guard on the numerator products only; their
-    # vanishing is a genuine zero of the function, not a pole
-    l1, t1 = _log_product_2d(pq * p ** (r - br) / ei, pq, p ** r, policy,
-                             pole_guard=not allow_zero)
-    l2, t2 = _log_product_2d(ei * p ** br, pq, p ** r, policy)
-    l3, t3 = _log_product_2d(pq * q ** br / ei, pq, q ** r, policy,
-                             pole_guard=not allow_zero)
-    l4, t4 = _log_product_2d(ei * q ** (r - br), pq, q ** r, policy)
-    value = xp.exp(phi + l1 - l2 + l3 - l4)
-    bound = abs(value) * xp.expm1(t1 + t2 + t3 + t4)
+    ei = np.exp(1j * z)
+    guard_num = np.logical_not(allow_zero)
+    # one stack, cut into the (pq, p^r) and the (pq, q^r) products
+    c, guard = stack_rows((pq * p ** (r - br) / ei, guard_num),
+                          (ei * p ** br, True),
+                          (pq * q ** br / ei, guard_num),
+                          (ei * q ** (r - br), True))
+    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, policy, guard[:2])
+    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, policy, guard[2:])
+    value = np.exp(phi + l1 - l2 + l3 - l4)
+    bound = np.abs(value) * np.expm1(t1 + t2 + t3 + t4)
     return _result(value, bound, with_bound)
 
 
@@ -297,12 +336,10 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     r = params.r
     q = params.q
     brm = mod_bracket(-m, r)
-    phi = lens_theta_exponent(z, m, params)
-    exp = math_for(phi).exp
-    pre = exp(phi)
-    c1, b1 = _pochhammer_raw(exp(1j * z) * q ** brm, q ** r, policy)
-    c2, b2 = _pochhammer_raw(exp(-1j * z) * q ** (r - brm), q ** r, policy)
+    pre = np.exp(lens_theta_exponent(z, m, params))
+    c, = stack_rows((np.exp(1j * z) * q ** brm,),
+                    (np.exp(-1j * z) * q ** (r - brm),))
+    (c1, c2), (b1, b2) = _pochhammer_raw(c, q ** r, policy)
     value = pre * c1 * c2
-    bound = abs(pre) * (abs(c2) * b1 + abs(c1) * b2)
+    bound = np.abs(pre) * (np.abs(c2) * b1 + np.abs(c1) * b2)
     return _result(value, bound, with_bound)
-

@@ -246,12 +246,14 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
 # master identity and its constant form
 
 
-def _G(z, m, params, policy, allow_zero=False):
+def _G(rows, params, policy):
+    """Gamma(z, m) of every row (z, m, allow_zero), rows on axis 0, in one
+    batched lens_gamma_appendix call; z may be an array of nodes."""
+    z, m, allow_zero = sf.stack_rows(*rows)
     return sf.lens_gamma_appendix(z, m, params, policy, allow_zero=allow_zero)
 
 
-def pole_diagnostics(t, u=None,
-                     params: Optional[NomeParameters] = None) -> float:
+def pole_diagnostics(t, params: Optional[NomeParameters] = None) -> float:
     """Minimum distance of the integrand's pole lattice from the real axis.
 
     The upper and lower pole families of the constant-form integrand (five
@@ -263,10 +265,10 @@ def pole_diagnostics(t, u=None,
     with b = [[u_i -+ y]] or [[U +- y]].  With Im sigma > 0 and Im tau > 0
     every height grows in j, k >= 0, and as y runs over 0..r-1 the bracket b
     takes every residue, so the lowest heights are min_i Im t_i and
-    Im(2i eta) - Im A; u does not enter.  A positive return means the real
+    Im(2i eta) - Im A, whatever the u_i.  A positive return means the real
     contour safely separates the two families; non-positive means contour
     violation.  Accepts either a MasterParameters record (the sixth
-    variable is the derived one) or explicit five-element t, u plus params.
+    variable is the derived one) or five t values plus params.
     """
     if isinstance(t, MasterParameters):
         t, params = t.t[:5], t.params
@@ -274,8 +276,8 @@ def pole_diagnostics(t, u=None,
     return min(min(ti.imag for ti in t), im2eta - sum(t).imag)
 
 
-def _require_safe_contour(t, u, params):
-    margin = pole_diagnostics(t, u, params)
+def _require_safe_contour(t, params):
+    margin = pole_diagnostics(t, params)
     limit = CONTOUR_MARGIN_FRACTION * abs(params.eta)
     if margin < limit:
         raise ContourViolationError(
@@ -299,7 +301,7 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
     t0 = time.perf_counter()
     params = mp.params
     t, u = mp.t, mp.u
-    margin = _require_safe_contour(t[:5], u[:5], params)
+    margin = _require_safe_contour(t[:5], params)
     r = params.r
     p, q = params.p, params.q
     i2eta = 2j * params.eta
@@ -313,22 +315,18 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
         def f(z, y=y):
             # 1/Gamma(+-2z, +-2y) through the inversion relation; the
             # inverted factors vanish where the original ones blow up
-            acc = (_G(i2eta - 2 * z, -2 * y, params, policy, allow_zero=True)
-                   * _G(i2eta + 2 * z, 2 * y, params, policy, allow_zero=True))
+            rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
             for ti, ui in zip(t, u):
-                acc *= (_G(ti + z, ui + y, params, policy)
-                        * _G(ti - z, ui - y, params, policy))
-            return acc
+                rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
+            return _G(rows, params, policy).prod(axis=0)
         res = _converged(numerics.periodic_integrate(f, 2 * math.pi, qtol,
                                                      vectorized=True))
         lhs += res.value
         nodes += res.nodes_used
     lhs *= pref / (4 * math.pi)
 
-    rhs = 1.0 + 0.0j
-    for i in range(6):
-        for j in range(i + 1, 6):
-            rhs *= _G(t[i] + t[j], u[i] + u[j], params, policy)
+    rhs = _G([(t[i] + t[j], u[i] + u[j], False)
+              for i in range(6) for j in range(i + 1, 6)], params, policy).prod()
     meta = {"nodes": nodes, "pole_margin": margin, "quad_tol": qtol,
             "runtime": time.perf_counter() - t0}
     record = {"t": list(t), "u": list(u),
@@ -350,26 +348,20 @@ def rho_integrand(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
     i2eta = 2j * params.eta
     if const is None:
         const = rho_constant(t, u, params, policy)
-    acc = const
-    acc *= (_G(i2eta - 2 * z, -2 * y, params, policy, allow_zero=True)
-            * _G(i2eta + 2 * z, 2 * y, params, policy, allow_zero=True))
-    acc *= (_G(i2eta - A - z, -U - y, params, policy, allow_zero=True)
-            * _G(i2eta - A + z, -U + y, params, policy, allow_zero=True))
+    rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True),
+            (i2eta - A - z, -U - y, True), (i2eta - A + z, -U + y, True)]
     for ti, ui in zip(t, u):
-        acc *= (_G(ti + z, ui + y, params, policy)
-                * _G(ti - z, ui - y, params, policy))
-    return acc
+        rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
+    return sf.python_scalar(const * _G(rows, params, policy).prod(axis=0))
 
 
 def rho_constant(t, u, params, policy=DEFAULT_POLICY) -> complex:
     A, U = sum(t), sum(u)
-    acc = 1.0 + 0.0j
-    for ti, ui in zip(t, u):
-        acc *= _G(A - ti, U - ui, params, policy)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            acc /= _G(t[i] + t[j], u[i] + u[j], params, policy)
-    return acc
+    # prod_i Gamma(A - t_i, U - u_i) over prod_{i<j} Gamma(t_i + t_j, u_i + u_j)
+    v = _G([(A - ti, U - ui, False) for ti, ui in zip(t, u)]
+           + [(t[i] + t[j], u[i] + u[j], False)
+              for i in range(5) for j in range(i + 1, 5)], params, policy)
+    return sf.python_scalar(v[:5].prod() / v[5:].prod())
 
 
 def _master_I(t, u, params, policy, qtol):
@@ -404,8 +396,8 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
         if abs(sum(tt).imag) >= abs((2j * params.eta).imag):
             raise InvalidParameterError(
                 "|Im(A)| must stay below |Im(2i eta)|, also after the shift")
-    margin = min(_require_safe_contour(t, u, params),
-                 _require_safe_contour(ts, us, params))
+    margin = min(_require_safe_contour(t, params),
+                 _require_safe_contour(ts, params))
     r = params.r
     p, q = params.p, params.q
     qtol = quad_tol if quad_tol is not None else tol / 10
@@ -431,8 +423,11 @@ def theta_difference_sides(z: complex, y: int, t: Sequence[complex],
                            u: Sequence[int], params: NomeParameters,
                            policy: TruncationPolicy = DEFAULT_POLICY):
     """Both sides of the theta-function difference identity behind the
-    telescoping step of the master-identity proof.  Each side evaluates all
-    of its lens theta functions in one batched call."""
+    telescoping step of the master-identity proof, and the cancellation of
+    the right side's two terms, (|term_p| + |term_m|) / |term_p + term_m|:
+    the factor by which their rounding errors grow in the sum.  Each side
+    evaluates all of its lens theta functions in one batched call.
+    Returns (lhs, rhs, rhs_cancellation)."""
     r = params.r
     A, U = sum(t), sum(u)
     tv, uv = np.array(t, complex), np.array(u)
@@ -458,8 +453,10 @@ def theta_difference_sides(z: complex, y: int, t: Sequence[complex],
               * cmath.exp(2j * math.pi * (sf.mod_bracket(y - u[0] + 1, r)
                                           + sf.mod_bracket(-2 * y - 1, r)) / r)
               * v[10:15].prod() / (v[17] * v[18]))
-    rhs = pref * (term_p + term_m)
-    return complex(lhs), complex(rhs)
+    total = complex(term_p + term_m)
+    cancellation = ((abs(term_p) + abs(term_m)) / abs(total) if total
+                    else math.inf)
+    return complex(lhs), complex(pref * total), float(cancellation)
 
 
 def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
@@ -470,17 +467,22 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
     """Difference identity for the lens theta functions, plus invariance of
     each side under z -> z + pi tau r."""
     t0 = time.perf_counter()
-    lhs, rhs = theta_difference_sides(z, y, t, u, params, policy)
+    lhs, rhs, cancel = theta_difference_sides(z, y, t, u, params, policy)
     shift = math.pi * params.tau * params.r
-    lhs_s, rhs_s = theta_difference_sides(z + shift, y, t, u, params, policy)
+    lhs_s, rhs_s, cancel_s = theta_difference_sides(z + shift, y, t, u,
+                                                     params, policy)
     inv_l = abs(lhs_s - lhs) / max(1.0, abs(lhs))
     inv_r = abs(rhs_s - rhs) / max(1.0, abs(rhs))
     # at this point the first term of each side carries an exact theta zero
     # and both sides collapse to -1
     z_star = -t[0] - math.pi * params.tau * sf.mod_bracket(-u[0] - y, params.r)
-    lhs_p, rhs_p = theta_difference_sides(z_star, y, t, u, params, policy)
+    lhs_p, rhs_p, _ = theta_difference_sides(z_star, y, t, u, params, policy)
+    # the larger cancellation of the two right sides that
+    # period_shift_residual_rhs compares: a large value explains a large
+    # residual as rounding, not as a wrong special function
     meta = {"period_shift_residual_lhs": inv_l,
             "period_shift_residual_rhs": inv_r,
+            "rhs_cancellation": max(cancel, cancel_s),
             "near_pole_lhs": lhs_p, "near_pole_rhs": rhs_p,
             "runtime": time.perf_counter() - t0}
     record = {"z": z, "y": y, "t": list(t), "u": list(u),

