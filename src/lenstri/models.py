@@ -13,7 +13,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -67,14 +66,16 @@ def check_spin_domain(s: Spin, family: ModelFamily, r: int = 1) -> None:
     # gamma limit: unrestricted
 
 
-def epsilon_factor(m: int, r: int) -> Fraction:
-    """Single-spin multiplicity: 1/2 when 2m == 0 (mod r), else 1."""
+def epsilon_factor(m, r: int):
+    """Single-spin multiplicity: 1/2 when 2m == 0 (mod r), else 1, of an
+    integer m or of each element of an integer array."""
     if r < 1:
         raise InvalidParameterError(f"r must be >= 1, got {r}")
-    if not (0 <= m <= r // 2):
+    m = np.asarray(m)
+    if ((m < 0) | (m > r // 2)).any():
         raise InvalidParameterError(
             f"m must satisfy 0 <= m <= floor(r/2), got m={m}, r={r}")
-    return Fraction(1, 2) if (2 * m) % r == 0 else Fraction(1)
+    return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
 @lru_cache(maxsize=4096)
@@ -133,39 +134,73 @@ def kappa_qlimit(alpha: float, params: NomeParameters,
     return cmath.exp(res.value)
 
 
-def weight_elliptic(alpha: float, si: Spin, sj: Spin, params: NomeParameters,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Elliptic edge Boltzmann weight W_alpha(si, sj)."""
-    if alpha == 0.0:
-        return 1.0 + 0.0j
-    r = params.r
+def _per_alpha(kappa, alpha, params, policy):
+    """kappa(alpha) of a scalar alpha, or of each element of an array."""
+    if np.ndim(alpha) == 0:
+        return kappa(alpha, params, policy)
+    values = [kappa(float(a), params, policy) for a in np.ravel(alpha)]
+    return np.reshape(values, np.shape(alpha))
+
+
+def _edge_rows(alpha, si: Spin, sj: Spin) -> list:
+    """(z, m) of the four gamma factors of the edge weight W_alpha(si, sj):
+    G(dx + i alpha, dm) G(sx + i alpha, sm) / (G(dx - i alpha, dm)
+    G(sx - i alpha, sm)), with G the lens elliptic gamma function or its
+    q-limit Q, dx, dm the differences and sx, sm the sums of the spins."""
     dm, sm = si.m - sj.m, si.m + sj.m
     dx, sx = si.x - sj.x, si.x + sj.x
-    pref = cmath.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
-    z, m = stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
-                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
+    return [(dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
+            (dx - 1j * alpha, dm), (sx - 1j * alpha, sm)]
+
+
+def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
+                 params: NomeParameters, policy: TruncationPolicy):
+    """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family,
+    from the values v of its four _edge_rows."""
+    dm, sm = si.m - sj.m, si.m + sj.m
+    if family is ModelFamily.ELLIPTIC:
+        r = params.r
+        pref = np.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
+        kappa = kappa_elliptic
+    else:
+        pref = np.exp(-2 * alpha * (np.abs(dm) + np.abs(sm)))
+        kappa = kappa_qlimit
+    return (pref / _per_alpha(kappa, alpha, params, policy)
+            * (v[0] * v[1]) / (v[2] * v[3]))
+
+
+def weight_elliptic(alpha, si: Spin, sj: Spin, params: NomeParameters,
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Elliptic edge Boltzmann weight W_alpha(si, sj).  alpha and the
+    spins' angles and integer parts may be arrays that broadcast against
+    each other."""
+    if np.ndim(alpha) == 0 and alpha == 0.0:
+        return 1.0 + 0.0j
+    z, m = stack_rows(*_edge_rows(alpha, si, sj))
     v = lens_elliptic_gamma(z, m, params, policy)
-    return python_scalar(pref / kappa_elliptic(alpha, params, policy)
-                         * (v[0] * v[1]) / (v[2] * v[3]))
+    return python_scalar(_edge_weight(ModelFamily.ELLIPTIC, alpha, si, sj, v,
+                                      params, policy))
 
 
 def single_spin_elliptic(si: Spin, params: NomeParameters,
                          policy: TruncationPolicy = DEFAULT_POLICY,
                          via_theta4: bool = False) -> complex:
-    """Elliptic single-spin weight S(si).
+    """Elliptic single-spin weight S(si); the spin's angle and integer part
+    may be arrays that broadcast against each other.
 
     Two equivalent product forms exist: the default uses the pair of lens
     elliptic gamma factors, via_theta4=True uses the Jacobi theta form.
     """
     r = params.r
     p, q = params.p, params.q
-    eps = float(epsilon_factor(si.m, r))
-    pre = eps / math.pi * cmath.exp(2 * params.eta * bracket_pm(2 * si.m, r) / r)
+    eps = epsilon_factor(si.m, r)
+    pre = eps / math.pi * np.exp(2 * params.eta * bracket_pm(2 * si.m, r) / r)
     if via_theta4:
         shift = (r / 2 - mod_bracket(2 * si.m, r))
-        return (pre
-                * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r, policy)
-                * theta4(2 * si.x - shift * math.pi * params.tau, q ** r, policy))
+        return python_scalar(
+            pre
+            * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r, policy)
+            * theta4(2 * si.x - shift * math.pi * params.tau, q ** r, policy))
     z, m = stack_rows((-2 * si.x - 1j * params.eta, -2 * si.m),
                       (2 * si.x - 1j * params.eta, 2 * si.m))
     v = lens_elliptic_gamma(z, m, params, policy)
@@ -196,32 +231,72 @@ def q_function(z: complex, n: int, params: NomeParameters,
     return python_scalar(num / den)
 
 
-def weight_qlimit(alpha: float, si: Spin, sj: Spin, params: NomeParameters,
+def weight_qlimit(alpha, si: Spin, sj: Spin, params: NomeParameters,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """q-limit edge Boltzmann weight W_alpha(si, sj)."""
-    if alpha == 0.0:
+    """q-limit edge Boltzmann weight W_alpha(si, sj).  alpha and the
+    spins' angles and integer parts may be arrays that broadcast against
+    each other."""
+    if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    dm, sm = si.m - sj.m, si.m + sj.m
-    dx, sx = si.x - sj.x, si.x + sj.x
-    pref = cmath.exp(-2 * alpha * (abs(dm) + abs(sm)))
-    z, n = stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
-                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
+    z, n = stack_rows(*_edge_rows(alpha, si, sj))
     v = q_function(z, n, params, policy)
-    return python_scalar(pref / kappa_qlimit(alpha, params, policy)
-                         * (v[0] * v[1]) / (v[2] * v[3]))
+    return python_scalar(_edge_weight(ModelFamily.Q_LIMIT, alpha, si, sj, v,
+                                      params, policy))
+
+
+def _single_spin_qlimit_rows(sj: Spin, params: NomeParameters) -> list:
+    """(z, n) of the two Q factors of the q-limit single-spin weight."""
+    eta = params.eta
+    return [(2 * sj.x - 1j * eta, 2 * sj.m), (-2 * sj.x - 1j * eta, -2 * sj.m)]
+
+
+def _single_spin_qlimit(sj: Spin, v, params: NomeParameters):
+    """q-limit single-spin weight from the values v of its two rows."""
+    return (np.exp(4 * params.eta * np.abs(sj.m)) / (2 * math.pi)
+            * v[0] * v[1])
 
 
 def single_spin_qlimit(sj: Spin, params: NomeParameters,
                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """q-limit single-spin weight:
     (1/2pi) e^{4 eta |m|} Q(2x - i eta, 2m) Q(-2x - i eta, -2m).
+    The spin's angle and integer part may be arrays that broadcast against
+    each other.
     """
-    eta = params.eta
-    z, n = stack_rows((2 * sj.x - 1j * eta, 2 * sj.m),
-                      (-2 * sj.x - 1j * eta, -2 * sj.m))
+    z, n = stack_rows(*_single_spin_qlimit_rows(sj, params))
     v = q_function(z, n, params, policy)
-    return python_scalar(cmath.exp(4 * eta * abs(sj.m)) / (2 * math.pi)
-                         * v[0] * v[1])
+    return python_scalar(_single_spin_qlimit(sj, v, params))
+
+
+def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
+                   params: NomeParameters,
+                   policy: TruncationPolicy = DEFAULT_POLICY):
+    """Integrand S(s0) prod_i W_{alpha_i}(s_i, s0) of the star-triangle
+    relation of the elliptic or the q-limit family, at a centre spin s0
+    whose angle and integer part may be arrays that broadcast against each
+    other.
+
+    The twelve gamma factors of the three edge weights are stacked into one
+    lens_elliptic_gamma or q_function call.  The q-limit single-spin weight
+    joins that call; the elliptic one is its theta product form (two theta4
+    calls), which tolerates the genuine zeros of S on the contour where the
+    gamma form's pole guard would reject them.
+    """
+    rows = [row for a, s in zip(alphas, spins) for row in _edge_rows(a, s, s0)]
+    if family is ModelFamily.ELLIPTIC:
+        z, m = stack_rows(*rows)
+        v = lens_elliptic_gamma(z, m, params, policy)
+        value = single_spin_elliptic(s0, params, policy, via_theta4=True)
+    elif family is ModelFamily.Q_LIMIT:
+        z, n = stack_rows(*_single_spin_qlimit_rows(s0, params), *rows)
+        v = q_function(z, n, params, policy)
+        value, v = _single_spin_qlimit(s0, v[:2], params), v[2:]
+    else:
+        raise InvalidParameterError(f"no stacked integrand for {family}")
+    for i, (a, s) in enumerate(zip(alphas, spins)):
+        value = value * _edge_weight(family, a, s, s0, v[4 * i:4 * i + 4],
+                                     params, policy)
+    return python_scalar(value)
 
 
 def _gamma_pair(a: complex, b: complex) -> complex:

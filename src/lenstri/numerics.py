@@ -2,6 +2,14 @@
 
 Periodic integrals use the trapezoid rule with node doubling (spectrally
 accurate for periodic analytic integrands, and nested nodes are reused).
+For such integrands the error squares with each doubling (Trefethen &
+Weideman, SIAM Rev. 56, 2014), so the doubling stops at the first change
+within tol that either follows another change within tol or predicts,
+as change^2 / previous change, a next change below rounding (2^-52); the
+first condition alone never stops later than that.  An even integrand
+(``even=True``: f(z) = f(period - z), or f(-n) = f(n) for a bilateral
+sum) is evaluated at one point of each mirror pair of the same nested
+nodes, and the node and term counts count the points evaluated.
 Real-line integrals and bilateral sums support a fitted power-law tail
 correction for slowly decaying integrands/terms.  Accumulation order is
 fixed (numpy sums over each set of nodes, center-out for sums), so a
@@ -28,6 +36,8 @@ from .params import InvalidParameterError, NonConvergenceError
 
 _GAUSS_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+#: a predicted next change below this is lost in the rounding of the sum
+_ROUNDING = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -57,38 +67,62 @@ def _values(f, nodes: np.ndarray, vectorized: bool) -> np.ndarray:
     return np.array([f(x) for x in nodes.tolist()])
 
 
+def _mirror_half(index: np.ndarray, total: int):
+    """The indices k of ``index`` with k <= total - k, one of each mirror
+    pair k <-> total - k (mod total) of a circle of ``total`` nodes, and the
+    weight of each: 2 for a pair, 1 for a node that is its own mirror."""
+    half = index[2 * index <= total]
+    own = (half == 0) | (2 * half == total)
+    return half, np.where(own, 1.0, 2.0)
+
+
 def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
                        min_nodes: int = 16, max_nodes: int = 2 ** 15,
-                       vectorized: bool = False) -> QuadratureResult:
+                       vectorized: bool = False,
+                       even: bool = False) -> QuadratureResult:
     """Integrate a smooth periodic function over one period.
 
-    Equally spaced trapezoid sums with node-count doubling until two
-    successive refinements agree within tol (relative to max(1, |value|)).
+    Equally spaced trapezoid sums with node-count doubling.  The sum stops
+    at the first refinement whose change is within tol (relative to
+    max(1, |value|)) and whose next change will be too: either the
+    previous change was already within tol, or the change squared over
+    the previous change, the next change predicted by the squaring of the
+    error at each doubling, is below rounding (_ROUNDING).
     With vectorized=True, f is called once per level on its node array.
+    With even=True, f(z) = f(period - z) is taken on trust and f is
+    evaluated at one node of each mirror pair, the other counted twice;
+    nodes_used counts the nodes evaluated.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
+
+    def level_sum(index, total):
+        """Sum of f over the nodes index * period / total."""
+        weights = 1.0
+        if even:
+            index, weights = _mirror_half(index, total)
+        values = _values(f, index * (period / total), vectorized)
+        return (values * weights).sum().item(), index.size
+
     n = min_nodes
-    h = period / n
-    total = _values(f, np.arange(n) * h, vectorized).sum().item()
+    total, used = level_sum(np.arange(n), n)
     prev = period * total / n
-    cur, err = prev, math.inf
-    streak = 0
+    cur, err, last = prev, math.inf, None
     while n < max_nodes:
-        h = period / (2 * n)
-        new = _values(f, np.arange(1, 2 * n, 2) * h, vectorized)
-        total = total + new.sum().item()
+        new, count = level_sum(np.arange(1, 2 * n, 2), 2 * n)
+        total, used = total + new, used + count
         n *= 2
         cur = period * total / n
         err = _scaled(abs(cur - prev), cur)
-        # demand two successive refinements under tol: a single small
-        # change can be a fluke before the geometric regime sets in
-        streak = streak + 1 if err <= tol else 0
-        if streak >= 2:
-            return QuadratureResult(cur, err, n, True)
-        prev = cur
+        # one small change alone can be a fluke before the geometric regime
+        # sets in; a second one, or a predicted next change below
+        # rounding, shows that regime
+        if err <= tol and last is not None and (
+                last <= tol or err * err <= _ROUNDING * last):
+            return QuadratureResult(cur, err, used, True)
+        prev, last = cur, err
     # out of nodes: the last refinement and the last change it made
-    return QuadratureResult(cur, err, n, False)
+    return QuadratureResult(cur, err, used, False)
 
 
 def _gauss_panels(f, lo: float, hi: float, panel_width: float,
@@ -170,29 +204,33 @@ def line_integrate(f: Callable[[float], complex], tol: float,
 def bilateral_sum(f: Callable[[int], complex], tol: float,
                   tail_exponent_hint: Optional[float] = None,
                   max_terms: int = 100_000,
-                  min_terms: int = 4) -> SumResult:
+                  min_terms: int = 4, even: bool = False) -> SumResult:
     """Sum f(n) over all integers n, center-out with symmetric truncation.
 
     The tail bound comes from the geometric ratio of successive term
     magnitudes when they decay geometrically; for power-law decay
     (exponent from the hint, or fitted) an explicit tail correction
-    c N^{1-s}/(s-1) + c N^{-s}/2 is added on each side.
+    c N^{1-s}/(s-1) + c N^{-s}/2 is added on each side.  With even=True,
+    f(-n) = f(n) is taken on trust and f is evaluated at n >= 0 only;
+    terms_used counts the terms evaluated.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     value = f(0)
     mags = []
     n = 0
+    sides = 1 if even else 2
     while n < max_terms:
         n += 1
-        tp, tm = f(n), f(-n)
+        tp = f(n)
+        tm = tp if even else f(-n)
         value = value + tp + tm
         mag = abs(tp) + abs(tm)
         mags.append(mag)
         if n < min_terms:
             continue
         if mag == 0.0 and mags[-2] == 0.0:
-            return SumResult(value, 0.0, 2 * n + 1, True)
+            return SumResult(value, 0.0, sides * n + 1, True)
         if mag == 0.0:
             continue
         ratio = mag / mags[-2] if mags[-2] > 0 else 1.0
@@ -200,7 +238,7 @@ def bilateral_sum(f: Callable[[int], complex], tol: float,
             # geometric regime
             bound = _scaled(mag * ratio / (1.0 - ratio), value)
             if bound <= tol:
-                return SumResult(value, bound, 2 * n + 1, True)
+                return SumResult(value, bound, sides * n + 1, True)
         else:
             # power-law regime: local log-slope of the term magnitudes
             if mags[-2] > 0 and mag < mags[-2]:
@@ -217,5 +255,5 @@ def bilateral_sum(f: Callable[[int], complex], tol: float,
             # residual after the correction shrinks one power faster
             bound = _scaled(s * mag / n, value + correction)
             if bound <= tol:
-                return SumResult(value + correction, bound, 2 * n + 1, True)
+                return SumResult(value + correction, bound, sides * n + 1, True)
     raise NonConvergenceError(f"bilateral sum did not converge in {max_terms} terms")

@@ -135,28 +135,21 @@ def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
     # the scale of the identity so the relative residual is meaningful
     qtol *= min(1.0, max(abs(rhs), 1e-12))
 
-    lhs = 0.0 + 0.0j
-    nodes = 0
-    for m0 in range(params.r // 2 + 1):
-        def f(x0, m0=m0):
-            s0 = Spin(x0, m0)
-            # the theta-product form of S tolerates its genuine zeros on
-            # the contour (the gamma form's pole guard would reject them)
-            return (models.single_spin_elliptic(s0, params, policy,
-                                                via_theta4=True)
-                    * models.weight_elliptic(eta - ai, si, s0, params, policy)
-                    * models.weight_elliptic(eta - aj, sj, s0, params, policy)
-                    * models.weight_elliptic(eta - ak, sk, s0, params, policy))
-        res = _converged(numerics.periodic_integrate(f, math.pi, qtol,
-                                                     vectorized=True))
-        lhs += res.value
-        nodes += res.nodes_used
-    meta = {"nodes": nodes, "quad_tol": qtol,
+    crossed = [eta - a for a in alphas]
+    # every sector m0 of the centre spin's integer part on axis 0
+    m0 = np.arange(params.r // 2 + 1)[:, None]
+    res = _converged(numerics.periodic_integrate(
+        lambda x0: models.star_integrand(ModelFamily.ELLIPTIC, Spin(x0, m0),
+                                         spins, crossed, params,
+                                         policy).sum(axis=0),
+        math.pi, qtol, vectorized=True))
+    meta = {"nodes": res.nodes_used, "quad_tol": qtol,
+            "quad_error": res.error_estimate,
             "term_epsilon": policy.term_epsilon,
             "runtime": time.perf_counter() - t0}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("str", record, lhs, rhs, tol, meta, seed)
+    return make_report("str", record, res.value, rhs, tol, meta, seed)
 
 
 def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
@@ -177,23 +170,24 @@ def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
            * models.weight_qlimit(ak, sj, si, params, policy))
     qtol = quad_tol if quad_tol is not None else tol / 10
     qtol *= min(1.0, max(abs(rhs), 1e-12))
-    nodes = [0]
+    crossed = [eta - a for a in alphas]
+    integrals = []
 
     def term(m0: int) -> complex:
-        def f(x0):
-            s0 = Spin(x0, m0)
-            return (models.single_spin_qlimit(s0, params, policy)
-                    * models.weight_qlimit(eta - ai, si, s0, params, policy)
-                    * models.weight_qlimit(eta - aj, sj, s0, params, policy)
-                    * models.weight_qlimit(eta - ak, sk, s0, params, policy))
-        res = _converged(numerics.periodic_integrate(f, math.pi, qtol,
-                                                     vectorized=True))
-        nodes[0] += res.nodes_used
+        res = _converged(numerics.periodic_integrate(
+            lambda x0: models.star_integrand(ModelFamily.Q_LIMIT, Spin(x0, m0),
+                                             spins, crossed, params, policy),
+            math.pi, qtol, vectorized=True))
+        integrals.append(res)
         return res.value
 
-    sres = numerics.bilateral_sum(term, qtol)
-    meta = {"nodes": nodes[0], "m_terms": sres.terms_used,
-            "tail_bound": sres.tail_bound, "quad_tol": qtol,
+    # term(-m) = term(m): W(s, (x, m)) = W(s, (-x, -m)) for every edge and
+    # for S, and the integrand is pi-periodic in x
+    sres = numerics.bilateral_sum(term, qtol, even=True)
+    meta = {"nodes": sum(res.nodes_used for res in integrals),
+            "m_terms": sres.terms_used, "tail_bound": sres.tail_bound,
+            "quad_tol": qtol,
+            "quad_error": max(res.error_estimate for res in integrals),
             "runtime": time.perf_counter() - t0}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
@@ -285,6 +279,20 @@ def _require_safe_contour(t, params):
     return margin
 
 
+def master_integrand(z: complex, y, mp: MasterParameters,
+                     policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+    """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
+    Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
+    that broadcast against each other."""
+    i2eta = 2j * mp.params.eta
+    # 1/Gamma(+-2z, +-2y) through the inversion relation; the inverted
+    # factors vanish where the original ones blow up
+    rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
+    for ti, ui in zip(mp.t, mp.u):
+        rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
+    return sf.python_scalar(_G(rows, mp.params, policy).prod(axis=0))
+
+
 def verify_master(mp: MasterParameters, tol: float = 1e-6,
                   policy: TruncationPolicy = DEFAULT_POLICY,
                   quad_tol: Optional[float] = None,
@@ -304,42 +312,34 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
     margin = _require_safe_contour(t[:5], params)
     r = params.r
     p, q = params.p, params.q
-    i2eta = 2j * params.eta
     pref = (sf.qpochhammer_inf(q ** r, q ** r, policy)
             * sf.qpochhammer_inf(p ** r, p ** r, policy))
     qtol = quad_tol if quad_tol is not None else tol / 10
 
-    lhs = 0.0 + 0.0j
-    nodes = 0
-    for y in range(r):
-        def f(z, y=y):
-            # 1/Gamma(+-2z, +-2y) through the inversion relation; the
-            # inverted factors vanish where the original ones blow up
-            rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
-            for ti, ui in zip(t, u):
-                rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
-            return _G(rows, params, policy).prod(axis=0)
-        res = _converged(numerics.periodic_integrate(f, 2 * math.pi, qtol,
-                                                     vectorized=True))
-        lhs += res.value
-        nodes += res.nodes_used
-    lhs *= pref / (4 * math.pi)
+    # every sector y on axis 0; the sum over y is even in z, because the
+    # integrand is invariant under (z, y) -> (-z, -y) and y runs over Z_r
+    y = np.arange(r)[:, None]
+    res = _converged(numerics.periodic_integrate(
+        lambda z: master_integrand(z, y, mp, policy).sum(axis=0),
+        2 * math.pi, qtol, vectorized=True, even=True))
+    lhs = res.value * (pref / (4 * math.pi))
 
     rhs = _G([(t[i] + t[j], u[i] + u[j], False)
               for i in range(6) for j in range(i + 1, 6)], params, policy).prod()
-    meta = {"nodes": nodes, "pole_margin": margin, "quad_tol": qtol,
+    meta = {"nodes": res.nodes_used, "pole_margin": margin, "quad_tol": qtol,
+            "quad_error": res.error_estimate,
             "runtime": time.perf_counter() - t0}
     record = {"t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("master", record, lhs, rhs, tol, meta, seed)
 
 
-def rho_integrand(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
+def rho_integrand(z: complex, y, t: Sequence[complex], u: Sequence[int],
                   params: NomeParameters,
                   policy: TruncationPolicy = DEFAULT_POLICY,
                   const: Optional[complex] = None) -> complex:
     """Constant-form integrand rho(z, y; t_1..t_5, u_1..u_5), at a scalar
-    or at each element of an array z.
+    or at each element of arrays z and y that broadcast against each other.
 
     const, if given, is the precomputed z-independent factor
     prod_i Gamma(A - t_i, U - u_i) / prod_{i<j} Gamma(t_i + t_j, u_i + u_j).
@@ -365,16 +365,13 @@ def rho_constant(t, u, params, policy=DEFAULT_POLICY) -> complex:
 
 
 def _master_I(t, u, params, policy, qtol):
-    nodes = 0
+    """I(t, u): the integral over one period of sum_y rho(z, y), which is
+    even in z, with every sector y on axis 0 of one batch."""
     const = rho_constant(t, u, params, policy)
-    total = 0.0 + 0.0j
-    for y in range(params.r):
-        res = _converged(numerics.periodic_integrate(
-            lambda z, y=y: rho_integrand(z, y, t, u, params, policy, const),
-            2 * math.pi, qtol, vectorized=True))
-        total += res.value
-        nodes += res.nodes_used
-    return total, nodes
+    y = np.arange(params.r)[:, None]
+    return _converged(numerics.periodic_integrate(
+        lambda z: rho_integrand(z, y, t, u, params, policy, const).sum(axis=0),
+        2 * math.pi, qtol, vectorized=True, even=True))
 
 
 def verify_I_constant(t: Sequence[complex], u: Sequence[int],
@@ -401,14 +398,17 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
     r = params.r
     p, q = params.p, params.q
     qtol = quad_tol if quad_tol is not None else tol / 10
-    I0, nodes0 = _master_I(tuple(t), tuple(u), params, policy, qtol)
+    res0 = _master_I(tuple(t), tuple(u), params, policy, qtol)
     rhs = 4 * math.pi / (sf.qpochhammer_inf(q ** r, q ** r, policy)
                          * sf.qpochhammer_inf(p ** r, p ** r, policy))
-    I1, nodes1 = _master_I(ts, us, params, policy, min(qtol, shift_tol / 10))
+    res1 = _master_I(ts, us, params, policy, min(qtol, shift_tol / 10))
+    I0, I1 = res0.value, res1.value
     shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
-    meta = {"nodes": nodes0 + nodes1, "pole_margin": margin,
+    meta = {"nodes": res0.nodes_used + res1.nodes_used, "pole_margin": margin,
             "shift_residual": shift_res, "shift_tolerance": shift_tol,
-            "quad_tol": qtol, "runtime": time.perf_counter() - t0}
+            "quad_tol": qtol,
+            "quad_error": max(res0.error_estimate, res1.error_estimate),
+            "runtime": time.perf_counter() - t0}
     record = {"t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("iconst", record, I0, rhs, tol, meta, seed,

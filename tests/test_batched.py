@@ -280,6 +280,40 @@ class TestWeights:
             0.4 * eta, Spin(0.6, -2), Spin(x, n), self.pr))
         self.check(lambda x: models.single_spin_qlimit(Spin(x, n), self.pr))
 
+    def test_arrays_in_alpha_and_integer_parts(self):
+        # three weights on axis 0, sectors m on axis 1, angles on axis 2
+        eta = self.pr.eta.real
+        alphas = np.array([0.2, 0.3, 0.5])[:, None, None] * eta
+        si = Spin(np.array([0.4, 1.3, 2.2])[:, None, None],
+                  np.array([0, 1, 1])[:, None, None])
+        ms = np.array([0, 1])[:, None]
+        s0 = Spin(self.xs, ms)
+        for weight in (models.weight_elliptic, models.weight_qlimit):
+            batch = weight(alphas, si, s0, self.pr)
+            assert batch.shape == (3, 2, len(self.xs))
+            for i, j, k in np.ndindex(batch.shape):
+                want = weight(float(alphas[i, 0, 0]),
+                              Spin(float(si.x[i, 0, 0]), int(si.m[i, 0, 0])),
+                              Spin(float(self.xs[k]), int(ms[j, 0])), self.pr)
+                assert abs(batch[i, j, k] - want) <= REL * abs(want)
+        for single in (lambda s: models.single_spin_elliptic(
+                           s, self.pr, via_theta4=True),
+                       lambda s: models.single_spin_elliptic(s, self.pr),
+                       lambda s: models.single_spin_qlimit(s, self.pr)):
+            # off x = 0, where S has a genuine zero that the gamma form's
+            # pole guard rejects
+            xs = self.xs + 0.1
+            batch = single(Spin(xs, ms))
+            assert batch.shape == (2, len(xs))
+            for j, k in np.ndindex(batch.shape):
+                want = single(Spin(float(xs[k]), int(ms[j, 0])))
+                assert type(want) is complex
+                assert abs(batch[j, k] - want) <= REL * abs(want)
+
+    def test_epsilon_factor_array(self):
+        assert list(models.epsilon_factor(np.arange(3), 4)) == [0.5, 1.0, 0.5]
+        assert type(models.epsilon_factor(1, 4)) is float
+
     @pytest.mark.parametrize("m", [-2, 0, 1])
     def test_gamma_limit(self, m):
         xs = np.linspace(-6.0, 6.0, 13)
@@ -309,15 +343,16 @@ class TestKernelCalls:
     grid: the factors that share a grid are stacked into one batch."""
 
     @staticmethod
-    def calls_per_level(monkeypatch, verify_case):
-        """_log_product_2d calls made by each integrand call (one
-        refinement level) of verify_case()."""
-        kernel, integrate = sf._log_product_2d, numerics.periodic_integrate
+    def calls_per_level(monkeypatch, verify_case, kernel="_log_product_2d"):
+        """Calls of the kernel made by each integrand call (one refinement
+        level) of verify_case()."""
+        integrate = numerics.periodic_integrate
         count, per_level = [0], []
+        kernel_fn = getattr(sf, kernel)
 
         def counted_kernel(*args, **kwargs):
             count[0] += 1
-            return kernel(*args, **kwargs)
+            return kernel_fn(*args, **kwargs)
 
         def counted_integrate(f, *args, **kwargs):
             def level(x):
@@ -326,7 +361,7 @@ class TestKernelCalls:
                 per_level.append(count[0])
                 return value
             return integrate(level, *args, **kwargs)
-        monkeypatch.setattr(sf, "_log_product_2d", counted_kernel)
+        monkeypatch.setattr(sf, kernel, counted_kernel)
         monkeypatch.setattr(numerics, "periodic_integrate", counted_integrate)
         verify_case()
         assert per_level
@@ -338,8 +373,19 @@ class TestKernelCalls:
         case = cli.sample_str_case(np.random.default_rng(4), pr)
         levels = self.calls_per_level(monkeypatch, lambda: verify.verify_str(
             case["spins"], case["alphas"], pr))
-        # three edge weights; the single-spin weight is a theta product
-        assert max(levels) <= 3 * 2
+        # all sectors and three edge weights in one lens_elliptic_gamma
+        # call; the single-spin weight is a theta product
+        assert max(levels) <= 2
+
+    def test_rinfstr_one_product_in_total(self, monkeypatch):
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = cli.sample_rinfstr_case(np.random.default_rng(4), pr)
+        levels = self.calls_per_level(
+            monkeypatch, lambda: verify.verify_rinfstr(case["spins"],
+                                                       case["alphas"], pr),
+            kernel="_product")
+        # the single-spin weight and three edge weights in one q_function
+        assert max(levels) == 1
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rho_integrand_two_in_total(self, monkeypatch, r):

@@ -4,9 +4,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lenstri import numerics
-from lenstri.params import InvalidParameterError, NonConvergenceError
+from lenstri import cli, numerics, verify
+from lenstri.params import (
+    InvalidParameterError,
+    NonConvergenceError,
+    physical_parameters,
+)
+
+
+def two_in_a_row_nodes(f, period, tol, min_nodes=16, max_nodes=2 ** 15):
+    """Node count of the reference stopping rule: nested trapezoid sums
+    that stop after two successive changes within tol (relative to
+    max(1, |value|))."""
+    n = min_nodes
+    total = f(np.arange(n) * (period / n)).sum()
+    prev, streak = period * total / n, 0
+    while n < max_nodes:
+        total += f(np.arange(1, 2 * n, 2) * (period / (2 * n))).sum()
+        n *= 2
+        cur = period * total / n
+        streak = streak + 1 if abs(cur - prev) / max(1.0, abs(cur)) <= tol else 0
+        if streak == 2:
+            break
+        prev = cur
+    return n
+
+
+# analytic periodic integrands with known integrals over [0, 2 pi]
+ANALYTIC = [
+    (lambda a: (lambda t: 1.0 / (a - np.cos(t))),
+     lambda a: 2 * math.pi / math.sqrt(a * a - 1), (1.05, 5.0)),
+    (lambda b: (lambda t: np.exp(b * np.cos(t)) * np.cos(b * np.sin(t))),
+     lambda b: 2 * math.pi, (0.1, 3.0)),
+]
 
 
 class TestPeriodicIntegrate:
@@ -51,6 +84,75 @@ class TestPeriodicIntegrate:
         assert not res.converged
         assert res.nodes_used == 2 ** 10
         assert res.error_estimate >= abs(res.value - exact) / abs(res.value)
+
+
+class TestStopRule:
+    @given(st.sampled_from(range(len(ANALYTIC))), st.floats(0.0, 1.0),
+           st.floats(-14.0, -6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_never_more_nodes_and_within_tol(self, which, where, log_tol):
+        make, exact_of, (lo, hi) = ANALYTIC[which]
+        a, tol = lo + where * (hi - lo), 10.0 ** log_tol
+        f, exact = make(a), exact_of(a)
+        res = numerics.periodic_integrate(f, 2 * math.pi, tol, vectorized=True)
+        assert res.converged
+        assert res.nodes_used <= two_in_a_row_nodes(f, 2 * math.pi, tol)
+        assert abs(res.value - exact) <= tol * max(1.0, abs(exact))
+
+    def test_predicted_change_far_above_rounding_does_not_stop(self):
+        # draw 7 of criterion 5 at r = 1: the changes at 32, 64 and 128
+        # nodes are 2.2e-3, 9.8e-9 and 1.1e-12, so the change predicted at
+        # 64 nodes, 4.3e-14, is 25 times too small; a stop there leaves a
+        # residual of 1.2e-12
+        rng = np.random.default_rng(105)
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = [cli.sample_str_case(rng, pr) for _ in range(7)][-1]
+        rep = verify.verify_str(case["spins"], case["alphas"], pr, tol=1e-6)
+        assert rep.rel_residual <= 2e-14
+        assert rep.numerics_meta["nodes"] == 128
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("which", range(len(ANALYTIC)))
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("min_nodes", [16, 15])
+    def test_even_matches_full_period(self, which, vectorized, min_nodes):
+        make, exact_of, (lo, hi) = ANALYTIC[which]
+        f = make((lo + hi) / 2)
+        levels = []
+
+        def counted(x):
+            levels.append(np.size(x))
+            return f(x) if vectorized else f(np.array(x)).item()
+        kw = dict(min_nodes=min_nodes, vectorized=vectorized)
+        full = numerics.periodic_integrate(f, 2 * math.pi, 1e-14, **kw)
+        even = numerics.periodic_integrate(counted, 2 * math.pi, 1e-14,
+                                           even=True, **kw)
+        assert abs(even.value - full.value) <= 1e-15 * abs(full.value)
+        if vectorized:
+            # the level of n new nodes evaluates at most n/2 + 1 of them
+            new = [min_nodes] + [min_nodes * 2 ** k
+                                 for k in range(len(levels) - 1)]
+            assert all(k <= n // 2 + 1 for k, n in zip(levels, new))
+            assert sum(levels) == even.nodes_used
+        assert even.nodes_used <= full.nodes_used // 2 + len(levels)
+
+    def test_even_bilateral_sum(self):
+        f = lambda n: (0.4 + 0.1j) ** abs(n) / (1 + n * n)
+        full = numerics.bilateral_sum(f, 1e-13)
+        even = numerics.bilateral_sum(f, 1e-13, even=True)
+        assert abs(even.value - full.value) <= 1e-15 * abs(full.value)
+        assert even.terms_used == (full.terms_used + 1) // 2
+
+    def test_even_bilateral_sum_power_law(self):
+        a = 0.7
+        exact = math.pi / math.tanh(math.pi * a) / a
+        f = lambda n: 1.0 / (n * n + a * a)
+        full = numerics.bilateral_sum(f, 1e-6, tail_exponent_hint=-2.0)
+        even = numerics.bilateral_sum(f, 1e-6, tail_exponent_hint=-2.0,
+                                      even=True)
+        assert abs(even.value - full.value) <= 1e-14 * exact
+        assert even.terms_used == (full.terms_used + 1) // 2
 
 
 class TestLineIntegrate:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from lenstri import cli, verify
+from lenstri import cli, models, numerics, verify
 from lenstri import special_functions as sf
 from lenstri.models import ModelFamily, Spin
 from lenstri.params import (
@@ -289,6 +289,95 @@ class TestThetaDifference:
             rhs = (g_function(z - math.pi * pr.sigma, y + 1, t, u, pr)
                    - g_function(z, y, t, u, pr))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+class TestIntegrandSymmetries:
+    """The symmetries that let the quadrature verifiers evaluate half of
+    their integrands, and the stacked integrands against the scalar
+    per-weight path."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_master_and_rho_sums_are_even(self, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        rng = np.random.default_rng(60 + r)
+        mp = cli.sample_master_case(rng, pr)["mp"]
+        ic = cli.sample_iconst_case(rng, pr)
+        y = np.arange(r)[:, None]
+        z = rng.uniform(0.0, 2 * math.pi, 6)
+        for f in (lambda z: verify.master_integrand(z, y, mp).sum(axis=0),
+                  lambda z: verify.rho_integrand(z, y, ic["t"], ic["u"],
+                                                 pr).sum(axis=0)):
+            for mirror in (-z, 2 * math.pi - z):
+                assert np.all(np.abs(f(mirror) - f(z)) <= 1e-14 * np.abs(f(z)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rinfstr_term_is_even_in_m(self, m):
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = cli.sample_rinfstr_case(np.random.default_rng(70 + m), pr)
+        crossed = [pr.eta.real - a for a in case["alphas"]]
+
+        def term(m0):
+            res = numerics.periodic_integrate(
+                lambda x: models.star_integrand(
+                    ModelFamily.Q_LIMIT, Spin(x, m0), case["spins"], crossed,
+                    pr), math.pi, 1e-14, vectorized=True)
+            assert res.converged
+            return res.value
+        assert abs(term(-m) - term(m)) <= 1e-14 * abs(term(m))
+
+    @staticmethod
+    def scalar_integrand(family, x, sectors, spins, crossed, pr):
+        """Sum over the sectors of S(s0) times three separate weight calls."""
+        if family is ModelFamily.ELLIPTIC:
+            single = lambda s: models.single_spin_elliptic(s, pr,
+                                                           via_theta4=True)
+            weight = models.weight_elliptic
+        else:
+            single = lambda s: models.single_spin_qlimit(s, pr)
+            weight = models.weight_qlimit
+        total = 0.0
+        for m0 in sectors:
+            s0 = Spin(x, m0)
+            total += (single(s0) * weight(crossed[0], spins[0], s0, pr)
+                      * weight(crossed[1], spins[1], s0, pr)
+                      * weight(crossed[2], spins[2], s0, pr))
+        return total
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_stacked_integrands_match_scalar_path(self, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        rng = np.random.default_rng(80 + r)
+        xs = np.linspace(0.0, math.pi, 7, endpoint=False) + 0.05
+        for family, case, sectors in (
+                (ModelFamily.ELLIPTIC, cli.sample_str_case(rng, pr),
+                 np.arange(r // 2 + 1)),
+                (ModelFamily.Q_LIMIT, cli.sample_rinfstr_case(rng, pr),
+                 np.array([int(rng.integers(-3, 4))]))):
+            crossed = [pr.eta.real - a for a in case["alphas"]]
+            stacked = models.star_integrand(
+                family, Spin(xs, sectors[:, None]), case["spins"], crossed,
+                pr).sum(axis=0)
+            scalars = [self.scalar_integrand(family, float(x), sectors,
+                                             case["spins"], crossed, pr)
+                       for x in xs]
+            for got, want in zip(stacked, scalars):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_quad_error_reported(self):
+        pr = physical_parameters(0.05, 0.5, 2)
+        rng = np.random.default_rng(90)
+        s = cli.sample_str_case(rng, pr)
+        ri = cli.sample_rinfstr_case(rng, physical_parameters(0.05, 0.5, 1))
+        ic = cli.sample_iconst_case(rng, pr)
+        reports = [
+            verify.verify_str(s["spins"], s["alphas"], pr),
+            verify.verify_rinfstr(ri["spins"], ri["alphas"],
+                                  physical_parameters(0.05, 0.5, 1)),
+            verify.verify_master(cli.sample_master_case(rng, pr)["mp"]),
+            verify.verify_I_constant(ic["t"], ic["u"], pr)]
+        for rep in reports:
+            meta = rep.numerics_meta
+            assert 0.0 <= meta["quad_error"] <= meta["quad_tol"]
 
 
 class TestPoleDiagnostics:
