@@ -335,17 +335,6 @@ def single_spin_gamma(sj: Spin) -> float:
     return (sj.x ** 2 + sj.m ** 2) / (4 * math.pi)
 
 
-def crossing_weight(family: ModelFamily, alpha: float, si: Spin, sj: Spin,
-                    params: NomeParameters | None = None,
-                    policy: TruncationPolicy = DEFAULT_POLICY):
-    """Crossed weight W_{eta - alpha}(si, sj) for the given family."""
-    if family is ModelFamily.ELLIPTIC:
-        return weight_elliptic(params.eta.real - alpha, si, sj, params, policy)
-    if family is ModelFamily.Q_LIMIT:
-        return weight_qlimit(params.eta.real - alpha, si, sj, params, policy)
-    return weight_gamma(1.0 - alpha, si, sj)
-
-
 def edge_weight(family: ModelFamily, alpha: float, si: Spin, sj: Spin,
                 params: NomeParameters | None = None,
                 policy: TruncationPolicy = DEFAULT_POLICY):

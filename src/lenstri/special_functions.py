@@ -13,31 +13,41 @@ taken from its largest |c|, so each element gets at least the terms it
 would get alone.
 
 A function makes one kernel call per nome grid: the products that share a
-grid (numerator and denominator of ``elliptic_gamma``, the e^{+-2iz}
-products of ``theta4``, the two products per grid of
+grid (numerator and denominator of ``elliptic_gamma``, the constant and
+the e^{+-2iz} products of ``theta4``, the two products per grid of
 ``lens_gamma_appendix``) are stacked on a new axis 0 of one batch, and
 callers stack their own rows the same way (:func:`stack_rows`), so a
 weight or a whole integrand is one batch.  The pole guard is per element:
 a bool, or a bool array that broadcasts against the batch, so guarded
 denominators and unguarded 1/Gamma numerators share one call.
 
-Double products are multiplied out first, per element, and the log is
-taken once of each finished product.  The kernel lays a block out with the
-grid on axis 0 and the batch elements on axis 1 and reduces over axis 0,
-one whole row of elements per multiplication; a block holds at most
-``_BLOCK`` factors, on both axes, and a longer grid is multiplied out over
-several blocks into a running product.  That log is off from sum(log f)
-by a multiple of 2 pi i, which is harmless because callers only ever use
-exp of a combination of such logs: the logs exist so that exponential
+A double product prod_{j,k} (1 - c a^j b^k) is split at |c a^j b^k| =
+``_PEEL`` (0.05).  The factors at or above it, a staircase of rows j < J
+with row j holding k < K_j (usually one to a few factors), are multiplied
+out per element, and the log of that product is taken once.  Every other
+factor is off the unit circle by a margin, so the sum of their logs is one
+power series in c, -sum_n v_n c^n, whose coefficients depend only on a, b
+and the staircase (the exponential series of the elliptic gamma function;
+Felder & Varchenko, Adv. Math. 156, 2000); 4-12 terms reach the term
+epsilon, and the coefficients are cached.  A single product (q-Pochhammer)
+is multiplied out whole.  The kernel lays a block out with the grid on
+axis 0 and the batch elements on axis 1 and reduces over axis 0, one whole
+row of elements per multiplication; a block holds at most ``_BLOCK``
+factors, on both axes, and a longer grid is multiplied out over several
+blocks into a running product.  A log is off from sum(log f) by a
+multiple of 2 pi i, which is harmless because callers only ever use exp
+of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
 overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
-can overflow only at arguments far off the real axis; a non-finite
-product raises NonConvergenceError rather than passing an inf on.
+can overflow only at arguments far off the real axis; a product that is
+not finite in double precision raises NonConvergenceError rather than
+passing an inf on.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +68,15 @@ POLE_FACTOR_EPS = 1e-13
 
 #: most product factors held in memory at once by a batched evaluation
 _BLOCK = 2 ** 14
+
+#: double-product factors with |c a^j b^k| at least this are multiplied out
+#: (and pole-guarded); the rest are summed as one log series in c
+_PEEL = 0.05
+
+# the log of a product that exp can still represent: above _LOG_MAX it
+# overflows, below _LOG_MIN it underflows to zero
+_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_MIN = math.log(np.finfo(float).smallest_subnormal)
 
 
 def mod_bracket(m: int, r: int) -> int:
@@ -131,16 +150,57 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     return out.reshape(c.shape)
 
 
+def _peel_count(ac: float, ratio: float, cap: int) -> int:
+    """Number of leading terms of ac * ratio**j that are >= _PEEL."""
+    n = 0
+    while ac * ratio ** n >= _PEEL:
+        n += 1
+        if n > cap:
+            raise NonConvergenceError(
+                f"product needs more than {cap} terms, the cap")
+    return n
+
+
+@lru_cache(maxsize=256)
+def _staircase(a: complex, b: complex, rows: tuple, n_terms: int):
+    """The peeled grid and the log series of the factors left out.
+
+    rows[j] = K_j is the length of row j of the peeled staircase, whose
+    factors are a^j b^k for j < J = len(rows), k < K_j.  Returns the flat
+    grid of those factors and the coefficients -v_1..-v_N (N = n_terms) of
+    the log of all the other factors,
+
+        sum over the other factors of log(1 - c a^j b^k) = -sum_n v_n c^n,
+        v_n = (sum_{j<J} (a^j b^{K_j})^n / (1 - b^n)
+               + a^{Jn} / ((1 - a^n)(1 - b^n))) / n.
+    """
+    ks = np.array(rows, int)
+    js = np.arange(len(ks))
+    j = np.repeat(js, ks)
+    k = np.arange(j.size) - np.repeat(np.cumsum(ks) - ks, ks)
+    grid = a ** j * b ** k
+    n = np.arange(1, n_terms + 1)
+    an, bn = a ** n, b ** n
+    ends = (a ** js * b ** ks)[:, None] ** n
+    coef = -(ends.sum(axis=0) / (1 - bn)
+             + (a ** len(ks)) ** n / ((1 - an) * (1 - bn))) / n
+    grid.flags.writeable = coef.flags.writeable = False
+    return grid, coef
+
+
 def _log_product_2d(c, a: complex, b: complex,
                     policy: TruncationPolicy, pole_guard=True):
     """log of prod_{j,k>=0} (1 - c a^j b^k), with a tail bound on the log.
 
-    Requires |a|, |b| < 1.  c is a scalar or an array; the term counts come
-    from its largest |c|.  pole_guard is a bool or a bool array that
-    broadcasts against c (see _product).  Returns (log_value,
-    log_tail_bound) as arrays of the shape of c (0-d for a scalar).  Only
-    exp(log_value) is meaningful: the log is taken of the finished
-    product, on the principal branch.
+    Requires |a|, |b| < 1.  c is a scalar or an array; the staircase and
+    the series length come from its largest |c|.  The factors with
+    |c a^j b^k| >= _PEEL (rows j < J, row j holding k < K_j) are multiplied
+    out by _product, under its per-element pole guard (a bool or a bool
+    array that broadcasts against c); every other factor has |c a^j b^k| <
+    _PEEL and goes into one log series in c, summed by Horner.  Returns
+    (log_value, log_tail_bound) as arrays of the shape of c (0-d for a
+    scalar).  Only exp(log_value) is meaningful: the log of the peeled
+    product is taken on the principal branch.
     """
     aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
@@ -152,17 +212,44 @@ def _log_product_2d(c, a: complex, b: complex,
     c = np.asarray(c)
     ac = np.abs(c)
     top = ac.max(initial=0.0)
-    nj, nk = _term_count(top, aa, eps, cap), _term_count(top, ab, eps, cap)
-    # every omitted factor has |c a^j b^k| below min(|c|, eps) times a
-    # geometric weight, so this holds for every element and any term count
-    # at least its own
-    tail = 4.0 * np.minimum(ac, eps) / ((1.0 - aa) * (1.0 - ab))
-    grid = ((a ** np.arange(nj))[:, None] * (b ** np.arange(nk))).ravel()
-    prod = _product(c, grid, pole_guard)
-    # unguarded products have genuine zeros (1/Gamma at its zeros): log 0
-    # = -inf, which the caller's exp turns back into 0
-    with np.errstate(divide="ignore"):
-        return np.log(prod), tail
+    nj = _peel_count(top, aa, cap)
+    rows = tuple(_peel_count(top * aa ** j, ab, cap) for j in range(nj))
+    # largest |c a^j b^k| left to the series: the end of a row or row J
+    largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
+                        + [aa ** nj])
+    n_terms = 0
+    while largest ** (n_terms + 1) > eps:
+        n_terms += 1
+        if n_terms > cap:
+            raise NonConvergenceError(
+                f"log series needs more than {cap} terms, the cap")
+    grid, coef = _staircase(complex(a), complex(b), rows, n_terms)
+    # cut at N, the series of a left-out factor x = c a^j b^k errs by at
+    # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, eps) a^j b^k /
+    # g_max with g_max the largest left-out a^j b^k; summed over rows j < J
+    # and rows j >= J this is the bound below.  It grows with J, so each
+    # element gets at least the bound of its own staircase.
+    tail = np.minimum(ac, eps) * (
+        (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab)))
+    log = np.zeros(c.shape, complex)
+    for w in coef[::-1]:
+        log += w
+        log *= c
+    if grid.size:
+        prod = _product(c, grid, pole_guard)
+        # unguarded products have genuine zeros (1/Gamma at its zeros): log
+        # 0 = -inf, which the caller's exp turns back into 0.  log|p| +
+        # i arg p is several times faster than numpy's complex log.
+        with np.errstate(divide="ignore", over="ignore"):
+            log.real += np.log(np.abs(prod))
+        log.imag += np.arctan2(prod.imag, prod.real)
+    re = log.real
+    if re.max(initial=0.0) > _LOG_MAX or (
+            re.min(initial=0.0) < _LOG_MIN
+            and (np.broadcast_to(pole_guard, c.shape) & (re < _LOG_MIN)).any()):
+        raise NonConvergenceError(
+            "product overflows or underflows double precision")
+    return log, tail
 
 
 def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
@@ -230,9 +317,9 @@ def theta4(z: complex, p: complex,
            with_bound: bool = False):
     """Jacobi theta: (p^2;p^2)_inf prod_{n>=1}(1-e^{2iz}p^{2n-1})(1-e^{-2iz}p^{2n-1})."""
     p2 = p * p
-    c0, b0 = _pochhammer_raw(p2, p2, policy)
-    c, = stack_rows((np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
-    (cp, cm), (bp, bm) = _pochhammer_raw(c, p2, policy)
+    # the constant (p^2; p^2) shares the ratio p^2, so it rides in the batch
+    c, = stack_rows((p2,), (np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
+    (c0, cp, cm), (b0, bp, bm) = _pochhammer_raw(c, p2, policy)
     value = c0 * cp * cm
     bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
     return _result(value, bound, with_bound)

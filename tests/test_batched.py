@@ -20,6 +20,7 @@ from lenstri.params import (
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
+    TruncationPolicy,
     physical_parameters,
 )
 
@@ -175,18 +176,64 @@ class TestSpecialFunctions:
         assert (values == 1).all() and (bounds == 0).all()
 
     def test_blocks_split_a_large_grid(self):
-        # |ratio| = 0.95 needs more than _BLOCK factors per element, so each
+        # |ratio| = 0.999 needs more than _BLOCK factors per element, so each
         # element's grid is multiplied out over several blocks
+        a, policy = 0.999, TruncationPolicy(max_product_index=50_000)
+        c = np.array([0.2 + 0.1j, -0.3j])
+        nj = sf._term_count(0.3, a, policy.term_epsilon,
+                            policy.max_product_index)
+        assert nj > sf._BLOCK
+        values, _ = sf._pochhammer_raw(c, a, policy)
+        for value, ci in zip(values, c):
+            direct = cmath.exp(np.sum(np.log(1 - ci * a ** np.arange(nj))))
+            assert abs(value - direct) <= 1e-12 * abs(direct)
+
+    def test_large_ratios_match_the_direct_product(self):
+        # |ratio| = 0.95: hundreds of factors are multiplied out and the
+        # series coefficients carry 1/((1 - a^n)(1 - b^n)) near 400
         a = b = 0.95
         c = np.array([0.2 + 0.1j, -0.3j])
         nj = sf._term_count(0.3, 0.95, DEFAULT_POLICY.term_epsilon,
                             DEFAULT_POLICY.max_product_index)
-        assert nj * nj > sf._BLOCK
         logs, _ = sf._log_product_2d(c, a, b, DEFAULT_POLICY)
         for lg, ci in zip(logs, c):
             j = np.arange(nj)
             direct = np.sum(np.log(1 - ci * np.outer(a ** j, b ** j)))
             assert abs(cmath.exp(lg) - cmath.exp(direct)) <= 1e-12 * abs(cmath.exp(direct))
+
+    @given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1,
+                    max_size=8),
+           st.complex_numbers(max_magnitude=0.9),
+           st.complex_numbers(max_magnitude=0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_staircase_holds_the_factors_at_or_above_peel(self, cs, a, b):
+        # every factor with |c a^j b^k| >= _PEEL is multiplied out under the
+        # pole guard, every other one goes to the series with |x| < _PEEL,
+        # and the tail bound is the count-free one of the staircase
+        seen = []
+        staircase = sf._staircase
+
+        def recorded(*args):
+            seen.append(args)
+            return staircase(*args)
+        cs = np.array(cs, complex)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sf, "_staircase", recorded)
+            try:
+                _, tails = sf._log_product_2d(cs, a, b, DEFAULT_POLICY)
+            except PoleHitError:
+                return
+        (_, _, rows, _), = seen
+        top, aa, ab = np.abs(cs).max(), abs(a), abs(b)
+        assert rows == tuple(sorted(rows, reverse=True))
+        for j in range(len(rows) + 2):
+            row_top = top * aa ** j
+            k_j = rows[j] if j < len(rows) else 0
+            assert k_j == 0 or row_top * ab ** (k_j - 1) >= sf._PEEL
+            assert row_top * ab ** k_j < sf._PEEL
+        want = (np.minimum(np.abs(cs), DEFAULT_POLICY.term_epsilon)
+                * ((len(rows) + 1) / ((1 - sf._PEEL) * (1 - aa) * (1 - ab))))
+        assert np.array_equal(tails, want)
 
     def test_scalar_calls_stay_python_scalars(self):
         pr = physical_parameters(0.05, 0.5, 2)
@@ -386,6 +433,18 @@ class TestKernelCalls:
             kernel="_product")
         # the single-spin weight and three edge weights in one q_function
         assert max(levels) == 1
+
+    def test_theta4_one_call(self, monkeypatch):
+        calls = []
+        kernel = sf._pochhammer_raw
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(sf, "_pochhammer_raw", counted)
+        sf.theta4(np.linspace(-1.0, 1.0, 5), 0.3 + 0.1j)
+        # the constant (p^2; p^2) rides in the e^{+-2iz} batch
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_rho_integrand_two_in_total(self, monkeypatch, r):

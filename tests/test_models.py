@@ -219,10 +219,3 @@ class TestDispatchers:
             models.weight_elliptic(a, si, sj, pr)
         assert models.edge_weight(ModelFamily.Q_LIMIT, a, si, sj, pr) == \
             models.weight_qlimit(a, si, sj, pr)
-
-    def test_crossing_weight(self):
-        pr = physical_parameters(0.05, 0.5, 2)
-        si, sj = Spin(0.7, 1), Spin(1.9, 0)
-        a = 0.3 * pr.eta.real
-        assert models.crossing_weight(ModelFamily.ELLIPTIC, a, si, sj, pr) == \
-            models.weight_elliptic(pr.eta.real - a, si, sj, pr)

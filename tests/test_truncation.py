@@ -1,0 +1,286 @@
+"""Tail bounds against an independent 30-digit oracle, and the truncation
+caps.
+
+The oracle multiplies each defining product out with mpmath at 30 digits,
+factor by factor, until its factors drop below ORACLE_CUTOFF; what it
+leaves out is far below double precision.  A computed value passes when
+it lies within its returned tail bound plus SLACK times the oracle's
+magnitude.  SLACK covers the rounding of double precision and nothing
+else: the tail bounds themselves are near 1e-16.
+
+Rounding is amplified near a zero of a factor, which no truncation bound
+covers, so a draw with a factor within MARGIN of zero is not compared.
+The pole guard is checked there instead, both ways: a PoleHitError must
+come with a factor within 2 * POLE_FACTOR_EPS of zero, and a guarded
+function must raise it when a factor is within POLE_FACTOR_EPS / 2.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lenstri import models, numerics
+from lenstri import special_functions as sf
+from lenstri.params import (
+    DEFAULT_POLICY,
+    NomeParameters,
+    NonConvergenceError,
+    PoleHitError,
+    TruncationPolicy,
+    physical_parameters,
+)
+
+DPS = 30
+ORACLE_CUTOFF = mp.mpf("1e-25")
+#: relative rounding allowed on top of the returned tail bound
+SLACK = 1e-12
+#: smallest |1 - x| over the factors of a draw that is compared
+MARGIN = 1e-2
+
+
+class Product:
+    """A 30-digit product of factors (1 - x), with the smallest |1 - x|."""
+
+    def __init__(self):
+        self.value = mp.mpc(1)
+        self.margin = mp.inf
+
+    def pochhammer(self, x, q):
+        """Multiply in (x; q)_inf = prod_{j>=0} (1 - x q^j)."""
+        x, q = mp.mpc(x), mp.mpc(q)
+        while abs(x) >= ORACLE_CUTOFF:
+            self.value *= 1 - x
+            self.margin = min(self.margin, abs(1 - x))
+            x *= q
+        return self
+
+    def double(self, c, a, b):
+        """Multiply in prod_{j,k>=0} (1 - c a^j b^k), row by row."""
+        row, a = mp.mpc(c), mp.mpc(a)
+        while abs(row) >= ORACLE_CUTOFF:
+            self.pochhammer(row, b)
+            row *= a
+        return self
+
+    def __truediv__(self, other):
+        out = Product()
+        out.value = self.value / other.value if other.value else mp.inf
+        out.margin = min(self.margin, other.margin)
+        return out
+
+    def __mul__(self, other):
+        out = Product()
+        out.value = self.value * other.value
+        out.margin = min(self.margin, other.margin)
+        return out
+
+
+def pole_checked(evaluate, margin, guarded):
+    """evaluate(), or None after a PoleHitError that the margin explains;
+    a guarded evaluation must raise it at a margin below the guard's."""
+    try:
+        out = evaluate()
+    except PoleHitError:
+        assert guarded and margin < 2 * sf.POLE_FACTOR_EPS
+        return None
+    assert not (guarded and margin < sf.POLE_FACTOR_EPS / 2)
+    assume(margin >= MARGIN)
+    return out
+
+
+def compare(evaluate, oracle, guarded):
+    """evaluate() -> (value, bound) against the oracle Product."""
+    with mp.workdps(DPS):
+        want = oracle()
+        out = pole_checked(evaluate, want.margin, guarded)
+        if out is not None:
+            value, bound = out
+            assert (abs(mp.mpc(value) - want.value)
+                    <= bound + SLACK * abs(want.value))
+
+
+def nome(max_abs):
+    """A complex nome with 0 < |q| <= max_abs."""
+    return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     st.floats(1e-3, max_abs), st.floats(-math.pi, math.pi))
+
+
+def arg_z(max_im):
+    return st.builds(complex, st.floats(-math.pi, math.pi),
+                     st.floats(-max_im, max_im))
+
+
+def modular(min_im):
+    return st.builds(complex, st.floats(-0.5, 0.5), st.floats(min_im, 0.7))
+
+
+def lens_params(min_im):
+    return st.builds(NomeParameters, modular(min_im), modular(min_im),
+                     st.integers(1, 32))
+
+
+def elliptic_gamma(z, p, q):
+    """prod_{j,k>=0} (1 - e^{2iz} p^{2j+1} q^{2k+1})
+                   / (1 - e^{-2iz} p^{2j+1} q^{2k+1})"""
+    e2 = mp.exp(2j * mp.mpc(z))
+    return (Product().double(e2 * p * q, p * p, q * q)
+            / Product().double(p * q / e2, p * p, q * q))
+
+
+def pi_times(x):
+    return mp.pi * mp.mpc(x)
+
+
+def mp_exp_i(x):
+    return mp.exp(1j * mp.mpc(x))
+
+
+class TestAgainstOracle:
+    @given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1,
+                    max_size=3), nome(0.5), nome(0.5))
+    @settings(max_examples=30, deadline=None)
+    def test_log_product_2d(self, cs, a, b):
+        # |c| up to 10 gives staircases of several rows, each of several
+        # factors; the batch takes them from its largest |c|
+        cs = np.array(cs, complex)
+        with mp.workdps(DPS):
+            wants = [Product().double(c, a, b) for c in cs]
+            out = pole_checked(
+                lambda: sf._log_product_2d(cs, a, b, DEFAULT_POLICY),
+                min(w.margin for w in wants), guarded=True)
+            if out is None:
+                return
+            for lg, tail, want in zip(*out, wants):
+                diff = mp.mpc(lg) - mp.log(want.value)
+                # the two logs may sit on different branches
+                diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
+                assert abs(diff) <= tail + SLACK
+
+    @given(arg_z(1.0), nome(0.7071), nome(0.7071))
+    @settings(max_examples=25, deadline=None)
+    def test_elliptic_gamma(self, z, p, q):
+        compare(lambda: sf.elliptic_gamma(z, p, q, with_bound=True),
+                lambda: elliptic_gamma(z, mp.mpc(p), mp.mpc(q)), guarded=True)
+
+    # Im sigma, Im tau >= 0.112 keep the ratios (pq)^2 and p^{2r} below 0.25
+    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.112))
+    @settings(max_examples=20, deadline=None)
+    def test_lens_elliptic_gamma(self, z, m, params):
+        def oracle():
+            r = params.r
+            p, q = mp_exp_i(pi_times(params.sigma)), mp_exp_i(pi_times(params.tau))
+            shift = mp.mpf(r) / 2 - m % r
+            return (elliptic_gamma(z + shift * pi_times(params.sigma), p * q,
+                                   p ** r)
+                    * elliptic_gamma(z - shift * pi_times(params.tau), p * q,
+                                     q ** r))
+        compare(lambda: sf.lens_elliptic_gamma(z, m, params, with_bound=True),
+                oracle, guarded=True)
+
+    # Im sigma, Im tau >= 0.221 keep the ratios pq and p^r at most 0.5
+    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.221))
+    @settings(max_examples=20, deadline=None)
+    def test_lens_gamma_appendix(self, z, m, params):
+        def oracle():
+            r = params.r
+            sigma, tau = mp.mpc(params.sigma), mp.mpc(params.tau)
+            p, q = mp_exp_i(pi_times(sigma)), mp_exp_i(pi_times(tau))
+            pq, ei = p * q, mp_exp_i(z)
+            br, brm = m % r, -m % r
+            eta = -1j * mp.pi * (sigma + tau) / 2
+            zeta = 1j * mp.pi * (1 + tau / 2 - sigma / 2)
+            phi = ((-2 * eta - 2j * mp.mpc(z) + 2 * zeta * (br - brm) / 3)
+                   * br * brm / (4 * r))
+            out = (Product().double(pq * p ** (r - br) / ei, pq, p ** r)
+                   / Product().double(ei * p ** br, pq, p ** r)
+                   * Product().double(pq * q ** br / ei, pq, q ** r)
+                   / Product().double(ei * q ** (r - br), pq, q ** r))
+            out.value *= mp.exp(phi)
+            return out
+        compare(lambda: sf.lens_gamma_appendix(z, m, params, with_bound=True),
+                oracle, guarded=True)
+
+    @given(arg_z(0.5), nome(0.9487))
+    @settings(max_examples=30, deadline=None)
+    def test_theta4(self, z, p):
+        # ratio p^2 up to 0.9
+        def oracle():
+            e2, mp_p = mp.exp(2j * mp.mpc(z)), mp.mpc(p)
+            p2 = mp_p * mp_p
+            return (Product().pochhammer(p2, p2)
+                    * Product().pochhammer(e2 * mp_p, p2)
+                    * Product().pochhammer(mp_p / e2, p2))
+        compare(lambda: sf.theta4(z, p, with_bound=True), oracle,
+                guarded=False)
+
+    @given(st.complex_numbers(max_magnitude=10.0), nome(0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_qpochhammer_inf(self, x, q):
+        compare(lambda: sf.qpochhammer_inf(x, q, with_bound=True),
+                lambda: Product().pochhammer(x, q), guarded=False)
+
+    @given(arg_z(0.3), st.integers(-64, 64),
+           st.builds(NomeParameters, modular(0.112),
+                     # Im tau >= 0.0336 keeps |q| <= 0.9
+                     st.builds(complex, st.floats(-0.5, 0.5),
+                               st.floats(0.0336, 0.7)),
+                     st.integers(1, 32)))
+    @settings(max_examples=30, deadline=None)
+    def test_lens_theta(self, z, m, params):
+        def oracle():
+            r = params.r
+            tau = mp.mpc(params.tau)
+            q = mp_exp_i(pi_times(tau))
+            brm = -m % r
+            zeta = 1j * mp.pi * (1 + tau / 2 - mp.mpc(params.sigma) / 2)
+            phi = (zeta * (r - 1) * (r + 1) / 3
+                   - 1j * mp.pi * (tau + 2) * (m % r) * brm
+                   - 1j * (mp.mpc(z) + mp.pi) * (r - 1 - 2 * brm)) / (2 * r)
+            out = (Product().pochhammer(mp_exp_i(z) * q ** brm, q ** r)
+                   * Product().pochhammer(mp_exp_i(-z) * q ** (r - brm),
+                                          q ** r))
+            out.value *= mp.exp(phi)
+            return out
+        compare(lambda: sf.lens_theta(z, m, params, with_bound=True), oracle,
+                guarded=False)
+
+
+class TestCaps:
+    """A truncation cap that is hit raises NonConvergenceError rather than
+    truncating silently."""
+
+    small = TruncationPolicy(max_product_index=5, max_sum_terms=5)
+
+    def test_peel_count(self):
+        # 10 * 0.5^j >= 0.05 for j < 8: eight rows to multiply out
+        with pytest.raises(NonConvergenceError, match="product needs"):
+            sf._log_product_2d(10.0, 0.5, 0.5, self.small)
+        sf._log_product_2d(10.0, 0.5, 0.5, DEFAULT_POLICY)
+
+    def test_series_length(self):
+        # nothing to multiply out, but 0.01^{N+1} <= 1e-16 takes N = 7
+        with pytest.raises(NonConvergenceError, match="log series needs"):
+            sf._log_product_2d(0.01, 0.5, 0.5, self.small)
+        sf._log_product_2d(0.01, 0.5, 0.5, DEFAULT_POLICY)
+
+    def test_single_product(self):
+        with pytest.raises(NonConvergenceError, match="product needs"):
+            sf.qpochhammer_inf(0.5, 0.9, self.small)
+
+    def test_bilateral_sum(self):
+        def f(n):
+            return 2.0 ** -abs(n)
+        with pytest.raises(NonConvergenceError):
+            numerics.bilateral_sum(f, 1e-14, max_terms=self.small.max_sum_terms)
+        assert numerics.bilateral_sum(f, 1e-14).value == pytest.approx(3.0)
+
+    def test_kappa_elliptic(self):
+        pr = physical_parameters(0.05, 0.5, 2)
+        alpha = 0.3 * pr.eta.real
+        with pytest.raises(NonConvergenceError):
+            models.kappa_elliptic(alpha, pr, self.small)
+        models.kappa_elliptic(alpha, pr, DEFAULT_POLICY)
