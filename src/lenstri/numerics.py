@@ -18,9 +18,11 @@ result depends only on its inputs, never on the run.
 The integrators call ``f`` one node at a time by default.  With
 ``vectorized=True`` (the convention of ``scipy.integrate.solve_ivp``),
 ``f`` takes a 1-d float array of nodes and returns the array of its values
-at those nodes; it is called once per refinement level of
-``periodic_integrate`` and once per Gauss-Legendre panel set or cutoff pair
-of ``line_integrate``.  Both modes visit the same nodes and take the same
+at those nodes.  ``periodic_integrate`` calls it once on the nodes of its
+first level and the two refinements after it, which the stop rule always
+needs, concatenated in level order, then once per later level;
+``line_integrate`` calls it once per Gauss-Legendre panel set or cutoff
+pair.  Both modes visit the same nodes in the same order and take the same
 refinement decisions from the same values.
 """
 
@@ -88,7 +90,11 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     previous change was already within tol, or the change squared over
     the previous change, the next change predicted by the squaring of the
     error at each doubling, is below rounding (_ROUNDING).
-    With vectorized=True, f is called once per level on its node array.
+    The rule cannot stop before the second refinement, so f gets the nodes
+    of the first level and of the two refinements after it (fewer if
+    max_nodes ends the doubling sooner) in one call, in level order, and
+    each later level's nodes in a call of its own; each level is summed
+    over its own slice of the values, as if it had been a call alone.
     With even=True, f(z) = f(period - z) is taken on trust and f is
     evaluated at one node of each mirror pair, the other counted twice;
     nodes_used counts the nodes evaluated.
@@ -96,20 +102,40 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def level_sum(index, total):
-        """Sum of f over the nodes index * period / total."""
-        weights = 1.0
-        if even:
-            index, weights = _mirror_half(index, total)
-        values = _values(f, index * (period / total), vectorized)
-        return (values * weights).sum().item(), index.size
+    def level_sums(levels):
+        """Sum of f and node count of each level (index, total), over its
+        nodes index * period / total, all levels in one call to f."""
+        nodes, weights = [], []
+        for index, total in levels:
+            w = 1.0
+            if even:
+                index, w = _mirror_half(index, total)
+            nodes.append(index * (period / total))
+            weights.append(w)
+        values = _values(f, np.concatenate(nodes), vectorized)
+        cuts = np.cumsum([x.size for x in nodes])[:-1]
+        return [((v * w).sum().item(), x.size)
+                for v, w, x in zip(np.split(values, cuts), weights, nodes)]
 
+    def levels():
+        """Sum and node count of each level in turn.  The rule cannot stop
+        before the second refinement, so the first level and the two
+        refinements after it go to f as one call."""
+        first, n = [(np.arange(min_nodes), min_nodes)], min_nodes
+        while len(first) < 3 and n < max_nodes:
+            n *= 2
+            first.append((np.arange(1, n, 2), n))
+        yield from level_sums(first)
+        while n < max_nodes:
+            n *= 2
+            yield from level_sums([(np.arange(1, n, 2), n)])
+
+    sums = levels()
     n = min_nodes
-    total, used = level_sum(np.arange(n), n)
+    total, used = next(sums)
     prev = period * total / n
     cur, err, last = prev, math.inf, None
-    while n < max_nodes:
-        new, count = level_sum(np.arange(1, 2 * n, 2), 2 * n)
+    for new, count in sums:
         total, used = total + new, used + count
         n *= 2
         cur = period * total / n

@@ -500,8 +500,9 @@ class TestVectorizedIntegrators:
         batch = numerics.periodic_integrate(counted, 2 * math.pi, tol,
                                             vectorized=True, **kw)
         same_result(scalar, batch)
-        # one call per refinement level: 16, 16, 32, 64, ...
-        assert calls == [16] + [16 * 2 ** k for k in range(len(calls) - 1)]
+        # one call for the first level and the two refinements after it
+        # (16 + 16 + 32 nodes), then one per later level: 64, 128, ...
+        assert calls == [64] + [16 * 2 ** k for k in range(2, len(calls) + 1)]
         assert sum(calls) == batch.nodes_used
 
     @pytest.mark.parametrize("f,tol,kw", LINE)

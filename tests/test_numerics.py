@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenstri import cli, numerics, verify
+from lenstri import cli, models, numerics, verify
 from lenstri.params import (
     InvalidParameterError,
     NonConvergenceError,
@@ -31,6 +31,37 @@ def two_in_a_row_nodes(f, period, tol, min_nodes=16, max_nodes=2 ** 15):
             break
         prev = cur
     return n
+
+
+def level_by_level(f, period, tol, min_nodes, max_nodes, vectorized, even):
+    """The trapezoid rule of periodic_integrate with one call to f per
+    refinement level, summing each level's values the same way."""
+    def level_sum(index, total):
+        weights = 1.0
+        if even:
+            index = index[2 * index <= total]
+            own = (index == 0) | (2 * index == total)
+            weights = np.where(own, 1.0, 2.0)
+        x = index * (period / total)
+        values = (np.asarray(f(x)) if vectorized
+                  else np.array([f(t) for t in x.tolist()]))
+        return (values * weights).sum().item(), index.size
+
+    n = min_nodes
+    total, used = level_sum(np.arange(n), n)
+    prev = period * total / n
+    cur, err, last = prev, math.inf, None
+    while n < max_nodes:
+        new, count = level_sum(np.arange(1, 2 * n, 2), 2 * n)
+        total, used = total + new, used + count
+        n *= 2
+        cur = period * total / n
+        err = abs(cur - prev) / max(1.0, abs(cur))
+        if err <= tol and last is not None and (
+                last <= tol or err * err <= 2.0 ** -52 * last):
+            return numerics.QuadratureResult(cur, err, used, True)
+        prev, last = cur, err
+    return numerics.QuadratureResult(cur, err, used, False)
 
 
 # analytic periodic integrands with known integrals over [0, 2 pi]
@@ -112,6 +143,40 @@ class TestStopRule:
         assert rep.numerics_meta["nodes"] == 128
 
 
+class TestFirstLevelsInOneCall:
+    @given(st.data(), st.integers(2, 32), st.floats(1.01, 5.0),
+           st.floats(-14.0, -4.0), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_call_per_level(self, data, min_nodes, a, log_tol,
+                                        vectorized, even):
+        # max_nodes on either side of the 4 * min_nodes of the first call
+        max_nodes = data.draw(st.one_of(
+            st.integers(1, 4 * min_nodes - 1),
+            st.integers(4 * min_nodes, 2 ** 12)))
+        f = lambda t: (1.0 + 0.5j * np.cos(2 * t)) / (a - np.cos(t))
+        args = (f, 2 * math.pi, 10.0 ** log_tol, min_nodes, max_nodes,
+                vectorized, even)
+        assert numerics.periodic_integrate(*args) == level_by_level(*args)
+
+    def test_str_calls_two_fewer_than_levels(self, monkeypatch):
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        calls = []
+        integrand = models.star_integrand
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1].x))
+            return integrand(*args, **kwargs)
+        monkeypatch.setattr(models, "star_integrand", counted)
+        rep = verify.verify_str(case["spins"], case["alphas"], pr)
+        nodes = rep.numerics_meta["nodes"]
+        levels = round(math.log2(nodes // 16)) + 1
+        assert nodes == 16 * 2 ** (levels - 1) and levels >= 3
+        # the first three levels (16 + 16 + 32 nodes) share one call
+        assert len(calls) == levels - 2
+        assert calls[0] == 64 and sum(calls) == nodes
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("which", range(len(ANALYTIC)))
     @pytest.mark.parametrize("vectorized", [False, True])
@@ -130,10 +195,14 @@ class TestSymmetry:
                                            even=True, **kw)
         assert abs(even.value - full.value) <= 1e-15 * abs(full.value)
         if vectorized:
-            # the level of n new nodes evaluates at most n/2 + 1 of them
-            new = [min_nodes] + [min_nodes * 2 ** k
-                                 for k in range(len(levels) - 1)]
-            assert all(k <= n // 2 + 1 for k, n in zip(levels, new))
+            # the level of n new nodes evaluates at most n/2 + 1 of them;
+            # the first call holds the first level and the two refinements
+            # after it, each later call one level
+            new = [min_nodes, min_nodes] + [min_nodes * 2 ** k
+                                            for k in range(1, len(levels) + 1)]
+            most = ([sum(n // 2 + 1 for n in new[:3])]
+                    + [n // 2 + 1 for n in new[3:]])
+            assert all(k <= b for k, b in zip(levels, most))
             assert sum(levels) == even.nodes_used
         assert even.nodes_used <= full.nodes_used // 2 + len(levels)
 
