@@ -118,6 +118,14 @@ def config_number(kind, value, name: str):
             f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
+def _seed(cfg: dict) -> int:
+    """The sampling seed; numpy's generators take non-negative seeds only."""
+    seed = config_number(int, cfg.get("seed", 0), "seed")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def parse_complex(text) -> complex:
     """A complex number written as a string ('a+bj' or 'a+bi') or given as
     a number (as JSON config files give it)."""
@@ -443,7 +451,7 @@ def run_verify(cfg: dict) -> int:
               f"{sorted(IDENTITIES)}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
-    seed = config_number(int, cfg.get("seed", 0), "seed")
+    seed = _seed(cfg)
     tol = _tolerance(cfg, ident)
     rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
     out = _open_out(cfg.get("out"))
@@ -482,7 +490,7 @@ def run_sweep(cfg: dict) -> int:
               f"{sweepable}", file=sys.stderr)
         return EXIT_INVALID
     params = build_params(cfg)
-    seed = config_number(int, cfg.get("seed", 0), "seed")
+    seed = _seed(cfg)
     samples = config_number(int, cfg.get("samples", 10), "samples")
     if samples < 1:
         print("samples must be >= 1", file=sys.stderr)

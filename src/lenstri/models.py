@@ -2,9 +2,11 @@
 elliptic (lens elliptic gamma), the r->infinity q-product limit, and the
 Euler-gamma scaling limit.
 
-Normalisation factors kappa(alpha) are bilateral sums whose summands are
-rewritten with the dominant nome powers factored out, so no intermediate
-overflows for large |n|; kappa values are cached per (alpha, params).
+Normalisation factors kappa(alpha) are exponentials of bilateral sums
+whose summands are rewritten with the dominant nome powers factored out,
+so no intermediate overflows for large |n|.  The terms fall geometrically,
+by a ratio known in closed form, so the sum is one array cut by a
+geometric tail bound; kappa values are cached per (alpha, params).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .params import (
     DEFAULT_POLICY,
     InvalidParameterError,
     NomeParameters,
+    NonConvergenceError,
     PoleHitError,
     TruncationPolicy,
 )
@@ -29,12 +32,12 @@ from .special_functions import (
     bracket_pm,
     lens_elliptic_gamma,
     mod_bracket,
+    product_arguments,
     python_scalar,
     qpochhammer_inf,
     stack_rows,
     theta4,
 )
-from . import numerics
 
 
 class ModelFamily(enum.Enum):
@@ -78,6 +81,37 @@ def epsilon_factor(m, r: int):
     return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
+def _kappa_log(alpha: float, w: complex, factor, bound: float,
+               policy: TruncationPolicy) -> complex:
+    """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n, with |factor(k)| <=
+    bound for every k >= 1.
+
+    The +-n terms for n = 1..N are one array.  Each is at most bound
+    rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms past N add
+    at most 2 bound rho^{N+1} / (1 - rho); N is the least count that
+    brings this within the sum's tolerance, 100 term_epsilon (absolute:
+    kappa is exp of the sum).
+    """
+    rho = abs(w) ** 2 * math.exp(4 * abs(alpha))
+    if rho >= 1.0:
+        raise NonConvergenceError(
+            f"kappa series diverges: term ratio {rho:.3f} >= 1")
+    tol = policy.term_epsilon * 1e2
+    n_terms = max(1, math.ceil(
+        math.log(tol * (1.0 - rho) / (2.0 * bound)) / math.log(rho)) - 1)
+    if n_terms > policy.max_sum_terms:
+        raise NonConvergenceError(
+            f"kappa series needs {n_terms} terms, exceeding the cap of "
+            f"{policy.max_sum_terms}")
+    k = np.arange(1, n_terms + 1)
+    logw = cmath.log(w)
+    # exponents combined before exponentiating: e^{4 a n} alone can
+    # overflow for alpha near eta even though the term is tiny
+    terms = (np.exp(4 * alpha * k + 2 * k * logw)
+             - np.exp(-4 * alpha * k + 2 * k * logw)) * factor(k) / k
+    return terms.sum().item()
+
+
 @lru_cache(maxsize=4096)
 def kappa_elliptic(alpha: float, params: NomeParameters,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -95,43 +129,31 @@ def kappa_elliptic(alpha: float, params: NomeParameters,
     r = params.r
     p, q = params.p, params.q
     w = p * q
-    logw = cmath.log(w)
+    bound = ((1 + abs(w) ** (2 * r))
+             / ((1 - abs(w) ** 4) * (1 - abs(p) ** (2 * r))
+                * (1 - abs(q) ** (2 * r))))
 
-    def term(n: int) -> complex:
-        if n == 0:
-            return 0.0
-        k = abs(n)
-        # exponent combined before exponentiating: e^{4 a n} alone can
-        # overflow for alpha near eta even though the term is tiny
-        return (cmath.exp(4 * alpha * n + 2 * k * logw) * (1 - w ** (2 * r * k))
-                / (n * (1 - w ** (4 * k)) * (1 - p ** (2 * r * k))
+    def factor(k):
+        return ((1 - w ** (2 * r * k))
+                / ((1 - w ** (4 * k)) * (1 - p ** (2 * r * k))
                    * (1 - q ** (2 * r * k))))
 
-    res = numerics.bilateral_sum(term, policy.term_epsilon * 1e2,
-                                 max_terms=policy.max_sum_terms)
-    return cmath.exp(res.value)
+    return cmath.exp(_kappa_log(alpha, w, factor, bound, policy))
 
 
 @lru_cache(maxsize=4096)
 def kappa_qlimit(alpha: float, params: NomeParameters,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Normalisation of the q-limit edge weight:
-    exp{-sum_{n!=0} e^{4 a n} / (n ((pq)^{2n} - (pq)^{-2n}))}.
+    exp{-sum_{n!=0} e^{4 a n} / (n ((pq)^{2|n|} - (pq)^{-2|n|}))},
+    the r -> infinity limit of the elliptic one:
+    e^{4 a n} w^{2|n|} / (n (1-w^{4|n|})) summed, w = pq.
     """
     if alpha == 0.0:
         return 1.0 + 0.0j
     w = params.p * params.q
-    logw = cmath.log(w)
-
-    def term(n: int) -> complex:
-        if n == 0:
-            return 0.0
-        k = abs(n)
-        return cmath.exp(4 * alpha * n + 2 * k * logw) / (n * (1 - w ** (4 * k)))
-
-    res = numerics.bilateral_sum(term, policy.term_epsilon * 1e2,
-                                 max_terms=policy.max_sum_terms)
-    return cmath.exp(res.value)
+    return cmath.exp(_kappa_log(alpha, w, lambda k: 1 / (1 - w ** (4 * k)),
+                                1 / (1 - abs(w) ** 4), policy))
 
 
 def _per_alpha(kappa, alpha, params, policy):
@@ -220,11 +242,12 @@ def q_function(z: complex, n: int, params: NomeParameters,
     """
     p, q = params.p, params.q
     pq = p * q
-    e2 = np.exp(2j * z)
     nonneg = np.greater_equal(n, 0)
     pk, qk = p ** (2 * np.abs(n)), q ** (2 * np.abs(n))
-    c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
-                    (np.where(nonneg, pk, qk) * pq / e2,))
+    with product_arguments():
+        e2 = np.exp(2j * z)
+        c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
+                        (np.where(nonneg, pk, qk) * pq / e2,))
     num, den = qpochhammer_inf(c, pq * pq, policy)
     if np.any(abs(den) < 1e-13):
         raise PoleHitError("Q(z, n) evaluated at a pole")

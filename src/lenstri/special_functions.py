@@ -41,7 +41,8 @@ prefactors and several products combine without an intermediate
 overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
 can overflow only at arguments far off the real axis; a product that is
 not finite in double precision raises NonConvergenceError rather than
-passing an inf on.
+passing an inf on, and so does a product argument c that is not finite
+(e^{iz} overflowing still further off the axis).
 """
 
 from __future__ import annotations
@@ -104,6 +105,24 @@ def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
             f"product needs {n} terms, exceeding the cap of {cap}"
         )
     return n
+
+
+def _finite_top(ac: np.ndarray) -> float:
+    """The largest of the magnitudes ac; a product argument that is not
+    finite (e^{iz} overflowing far off the real axis) raises
+    NonConvergenceError rather than giving a quiet value."""
+    top = ac.max(initial=0.0)   # nan if any element is nan
+    if not math.isfinite(top):
+        raise NonConvergenceError(
+            "product argument is not finite in double precision")
+    return top
+
+
+def product_arguments():
+    """The context in which callers form product arguments: e^{iz} far off
+    the real axis overflows to inf or nan without a warning, and the
+    kernels reject it."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
@@ -211,7 +230,7 @@ def _log_product_2d(c, a: complex, b: complex,
     cap = policy.max_product_index
     c = np.asarray(c)
     ac = np.abs(c)
-    top = ac.max(initial=0.0)
+    top = _finite_top(ac)
     nj = _peel_count(top, aa, cap)
     rows = tuple(_peel_count(top * aa ** j, ab, cap) for j in range(nj))
     # largest |c a^j b^k| left to the series: the end of a row or row J
@@ -265,7 +284,7 @@ def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
     eps = policy.term_epsilon
     c = np.asarray(c)
     ac = np.abs(c)
-    nj = _term_count(ac.max(initial=0.0), aa, eps, policy.max_product_index)
+    nj = _term_count(_finite_top(ac), aa, eps, policy.max_product_index)
     value = _product(c, a ** np.arange(nj), pole_guard=False)
     rel_tail = 2.0 * np.minimum(ac, eps) / (1.0 - aa)
     return value, np.abs(value) * np.expm1(rel_tail)
@@ -318,7 +337,8 @@ def theta4(z: complex, p: complex,
     """Jacobi theta: (p^2;p^2)_inf prod_{n>=1}(1-e^{2iz}p^{2n-1})(1-e^{-2iz}p^{2n-1})."""
     p2 = p * p
     # the constant (p^2; p^2) shares the ratio p^2, so it rides in the batch
-    c, = stack_rows((p2,), (np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
+    with product_arguments():
+        c, = stack_rows((p2,), (np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
     (c0, cp, cm), (b0, bp, bm) = _pochhammer_raw(c, p2, policy)
     value = c0 * cp * cm
     bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
@@ -334,8 +354,9 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     """
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise DivergentParameterError("|p| and |q| must be < 1")
-    e2 = np.exp(2j * z)
-    c, = stack_rows((e2 * p * q,), (p * q / e2,))
+    with product_arguments():
+        e2 = np.exp(2j * z)
+        c, = stack_rows((e2 * p * q,), (p * q / e2,))
     (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q, policy)
     value = np.exp(ln - ld)
     bound = np.abs(value) * np.expm1(tn + td)
@@ -391,13 +412,14 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
     pq = p * q
     br = mod_bracket(m, r)
     phi = varphi(z, m, params)
-    ei = np.exp(1j * z)
     guard_num = np.logical_not(allow_zero)
     # one stack, cut into the (pq, p^r) and the (pq, q^r) products
-    c, guard = stack_rows((pq * p ** (r - br) / ei, guard_num),
-                          (ei * p ** br, True),
-                          (pq * q ** br / ei, guard_num),
-                          (ei * q ** (r - br), True))
+    with product_arguments():
+        ei = np.exp(1j * z)
+        c, guard = stack_rows((pq * p ** (r - br) / ei, guard_num),
+                              (ei * p ** br, True),
+                              (pq * q ** br / ei, guard_num),
+                              (ei * q ** (r - br), True))
     (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, policy, guard[:2])
     (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, policy, guard[2:])
     value = np.exp(phi + l1 - l2 + l3 - l4)
@@ -423,10 +445,11 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     r = params.r
     q = params.q
     brm = mod_bracket(-m, r)
-    pre = np.exp(lens_theta_exponent(z, m, params))
-    c, = stack_rows((np.exp(1j * z) * q ** brm,),
-                    (np.exp(-1j * z) * q ** (r - brm),))
+    with product_arguments():
+        c, = stack_rows((np.exp(1j * z) * q ** brm,),
+                        (np.exp(-1j * z) * q ** (r - brm),))
     (c1, c2), (b1, b2) = _pochhammer_raw(c, q ** r, policy)
+    pre = np.exp(lens_theta_exponent(z, m, params))
     value = pre * c1 * c2
     bound = np.abs(pre) * (np.abs(c2) * b1 + np.abs(c1) * b2)
     return _result(value, bound, with_bound)

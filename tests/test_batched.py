@@ -300,6 +300,29 @@ class TestPoleGuardAndOverflow:
         with pytest.raises(NonConvergenceError):
             sf.elliptic_gamma(z, 0.3, 0.2)
 
+    # e^{iz} overflows, so a product argument is inf or nan; a numpy
+    # RuntimeWarning on the way fails the test too (pyproject.toml)
+    @pytest.mark.parametrize("z", [400j, -400j, 800j, -800j,
+                                   np.array([0.3, -800j])])
+    @pytest.mark.parametrize("evaluate", [
+        lambda z, pr: sf.elliptic_gamma(z, 0.3, 0.2),
+        lambda z, pr: sf.lens_elliptic_gamma(z, 1, pr),
+        lambda z, pr: sf.lens_gamma_appendix(z, 1, pr),
+        lambda z, pr: sf.theta4(z, 0.3),
+        lambda z, pr: sf.lens_theta(z, 1, pr),
+        lambda z, pr: models.q_function(z, 1, pr),
+    ], ids=["elliptic_gamma", "lens_elliptic_gamma", "lens_gamma_appendix",
+            "theta4", "lens_theta", "q_function"])
+    def test_argument_far_off_the_real_axis(self, evaluate, z):
+        with pytest.raises(NonConvergenceError):
+            evaluate(z, physical_parameters(0.05, 0.5, 3))
+
+    @pytest.mark.parametrize("x", [math.inf, complex(math.nan, 0.0),
+                                   np.array([0.5, complex(math.inf, 1.0)])])
+    def test_nonfinite_pochhammer_argument(self, x):
+        with pytest.raises(NonConvergenceError):
+            sf.qpochhammer_inf(x, 0.5)
+
 
 class TestWeights:
     pr = physical_parameters(0.05, 0.5, 3)

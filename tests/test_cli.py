@@ -251,6 +251,16 @@ class TestConfig:
         assert out == ""
         assert "invalid configuration" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "str", "--seed", "-3"],
+        ["sweep", "thtfunct", "--seed", "-1", "--samples", "1"],
+    ])
+    def test_negative_seed_exit_two(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     def test_missing_config_exit_two(self, capsys):
         rc, _, err = run(capsys, ["eval", "mod_bracket", "--config",
                                   "/nonexistent.json"])

@@ -8,6 +8,11 @@ it lies within its returned tail bound plus SLACK times the oracle's
 magnitude.  SLACK covers the rounding of double precision and nothing
 else: the tail bounds themselves are near 1e-16.
 
+The normalisations kappa are exponentials of bilateral series; the oracle
+sums each defining series term by term at 30 digits, with no rewriting,
+until its terms drop below ORACLE_CUTOFF, and kappa must match it to
+KAPPA_REL relative.
+
 Rounding is amplified near a zero of a factor, which no truncation bound
 covers, so a draw with a factor within MARGIN of zero is not compared.
 The pole guard is checked there instead, both ways: a PoleHitError must
@@ -40,6 +45,8 @@ ORACLE_CUTOFF = mp.mpf("1e-25")
 SLACK = 1e-12
 #: smallest |1 - x| over the factors of a draw that is compared
 MARGIN = 1e-2
+#: relative error allowed of kappa against its 30-digit series
+KAPPA_REL = 1e-13
 
 
 class Product:
@@ -247,6 +254,57 @@ class TestAgainstOracle:
             return out
         compare(lambda: sf.lens_theta(z, m, params, with_bound=True), oracle,
                 guarded=False)
+
+
+def kappa_oracle(alpha, pr, limit):
+    """kappa_elliptic (limit=False) or kappa_qlimit (limit=True) from the
+    defining series, summed at 30 digits."""
+    with mp.workdps(DPS):
+        p, q, r = mp.mpc(pr.p), mp.mpc(pr.q), pr.r
+        # (e^{4 alpha}, pq, (pq)^2, p^r, q^r) to the power n = 1, 2, ...
+        step = (mp.exp(4 * mp.mpf(alpha)), (p * q) ** r, (p * q) ** 2,
+                p ** r, q ** r)
+        power, total, n = step, mp.mpc(0), 1
+        while True:
+            size = 0
+            for m, (e, wr, w2, pr_, qr) in ((n, power),
+                                            (-n, [1 / x for x in power])):
+                if limit:
+                    term = -e / (m * (power[2] - 1 / power[2]))
+                else:
+                    term = (e * (wr - 1 / wr) / (m * (w2 - 1 / w2)
+                                                 * (pr_ - 1 / pr_)
+                                                 * (qr - 1 / qr)))
+                total += term
+                size += abs(term)
+            if size < ORACLE_CUTOFF:
+                return mp.exp(total)
+            power, n = [x * y for x, y in zip(power, step)], n + 1
+
+
+def assert_kappa(alpha, pr):
+    for kappa, limit in ((models.kappa_elliptic, False),
+                         (models.kappa_qlimit, True)):
+        want = kappa_oracle(alpha, pr, limit)
+        with mp.workdps(DPS):
+            assert (abs(mp.mpc(kappa(alpha, pr)) - want)
+                    <= KAPPA_REL * abs(want))
+
+
+class TestKappaAgainstOracle:
+    @given(st.builds(NomeParameters, modular(0.3), modular(0.3),
+                     st.integers(1, 4)),
+           st.floats(-0.995, 0.995))
+    @settings(max_examples=20, deadline=None)
+    def test_kappa(self, pr, fraction):
+        # the terms fall by e^{-4(Re eta - |alpha|)}: slowest near the end
+        assert_kappa(fraction * pr.eta.real, pr)
+
+    @pytest.mark.parametrize("r,fraction", [(1, 0.995), (2, -0.995),
+                                            (3, 0.995), (4, -0.995)])
+    def test_kappa_near_eta(self, r, fraction):
+        pr = physical_parameters(0.05, 0.5, r)
+        assert_kappa(fraction * pr.eta.real, pr)
 
 
 class TestCaps:
