@@ -30,6 +30,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -555,7 +556,10 @@ def run_poles(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and building it costs about 2 ms."""
     parser = argparse.ArgumentParser(
         prog="lenstri",
         description="evaluate and verify lattice-model weight identities")

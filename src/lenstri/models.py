@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .params import (
     DEFAULT_POLICY,
@@ -322,7 +321,7 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     return python_scalar(value)
 
 
-def _gamma_pair(a: complex, b: complex) -> complex:
+def _gamma_pair(loggamma, a: complex, b: complex) -> complex:
     """log Gamma(a+b) + log Gamma(a-b)."""
     return loggamma(a + b) + loggamma(a - b)
 
@@ -345,11 +344,13 @@ def weight_gamma(alpha: float, si: Spin, sj: Spin) -> float:
                 and np.any(abs(off) < 1e-13)):
             raise PoleHitError(
                 f"gamma-limit weight hits a gamma pole at argument {base}")
+    # scipy serves only this limit, so only its callers pay for the import
+    from scipy.special import loggamma
     ln = (loggamma((1 + alpha) / 2) - loggamma((1 - alpha) / 2)
-          + _gamma_pair((1 - alpha - sm) / 2, 1j * sx / 2)
-          + _gamma_pair((1 - alpha - dm) / 2, 1j * dx / 2)
-          - _gamma_pair((1 + alpha - sm) / 2, 1j * sx / 2)
-          - _gamma_pair((1 + alpha - dm) / 2, 1j * dx / 2))
+          + _gamma_pair(loggamma, (1 - alpha - sm) / 2, 1j * sx / 2)
+          + _gamma_pair(loggamma, (1 - alpha - dm) / 2, 1j * dx / 2)
+          - _gamma_pair(loggamma, (1 + alpha - sm) / 2, 1j * sx / 2)
+          - _gamma_pair(loggamma, (1 + alpha - dm) / 2, 1j * dx / 2))
     return python_scalar(np.exp(ln).real)
 
 

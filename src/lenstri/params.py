@@ -95,7 +95,9 @@ class TruncationPolicy:
     term_epsilon: a multiplicative term is treated as 1 (an additive term
     as 0) once its magnitude drops below this threshold.  The caps are hard
     limits; hitting one before the epsilon criterion raises
-    NonConvergenceError instead of silently truncating.
+    NonConvergenceError instead of silently truncating.  max_product_index
+    bounds the factors one product multiplies out, for a double product
+    the total over its staircase's rows.
     """
 
     term_epsilon: float = 1e-16

@@ -169,12 +169,13 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     return out.reshape(c.shape)
 
 
-def _peel_count(ac: float, ratio: float, cap: int) -> int:
-    """Number of leading terms of ac * ratio**j that are >= _PEEL."""
+def _peel_count(ac: float, ratio: float, cap: int, used: int = 0) -> int:
+    """Number of leading terms of ac * ratio**j that are >= _PEEL; more
+    than the cap less the used terms raises NonConvergenceError."""
     n = 0
     while ac * ratio ** n >= _PEEL:
         n += 1
-        if n > cap:
+        if used + n > cap:
             raise NonConvergenceError(
                 f"product needs more than {cap} terms, the cap")
     return n
@@ -232,7 +233,12 @@ def _log_product_2d(c, a: complex, b: complex,
     ac = np.abs(c)
     top = _finite_top(ac)
     nj = _peel_count(top, aa, cap)
-    rows = tuple(_peel_count(top * aa ** j, ab, cap) for j in range(nj))
+    # the cap bounds the staircase's total factor count, not each row's
+    rows, used = [], 0
+    for j in range(nj):
+        rows.append(_peel_count(top * aa ** j, ab, cap, used))
+        used += rows[-1]
+    rows = tuple(rows)
     # largest |c a^j b^k| left to the series: the end of a row or row J
     largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
                         + [aa ** nj])

@@ -4,6 +4,11 @@ exit codes, config handling, and sweep reproducibility."""
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,19 @@ from lenstri import cli, numerics, verify
 def unconverged(f, period, tol, **kwargs):
     """Stand-in integrator that never converges."""
     return numerics.QuadratureResult(0j, 1.0, 16, False)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_python(code: str) -> bytes:
+    """stdout of code run in a new interpreter that imports lenstri from
+    the sources under test."""
+    path = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, check=True).stdout
 
 
 def run(capsys, argv):
@@ -380,3 +398,41 @@ class TestPoles:
     def test_missing_t_rejected(self, capsys):
         rc, _, err = run(capsys, ["poles", "--r", "1"])
         assert rc == 2
+
+
+class TestProcess:
+    """State a process keeps between cli.main calls, and what it imports."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_reused_after_error(self, capsys):
+        argv = ["verify", "thtfunct", "--r", "2", "--seed", "3"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["no_such_command"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        here = capsys.readouterr().out.encode()
+        fresh = fresh_python(
+            f"import sys; from lenstri import cli; sys.exit(cli.main({argv!r}))")
+
+        # the wall-clock runtime is the one field that differs between runs
+        def timeless(out):
+            return re.sub(rb'"runtime": [^,}]+', b'"runtime": 0', out)
+        assert timeless(here) == timeless(fresh)
+
+    def test_scipy_only_in_gamma_limit(self):
+        out = fresh_python(
+            "import sys, contextlib, io\n"
+            "from lenstri import cli, models\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'str', '--r', '1', '--seed', '3']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print(repr(models.weight_gamma(0.4, models.Spin(0.5, 0),\n"
+            "                               models.Spin(1.0, 1))))\n")
+        loaded, value = out.decode().splitlines()
+        assert loaded == "[]"
+        # the value scipy's loggamma gave when scipy was imported at start-up
+        assert value == "0.7185028900651217"

@@ -319,6 +319,15 @@ class TestCaps:
             sf._log_product_2d(10.0, 0.5, 0.5, self.small)
         sf._log_product_2d(10.0, 0.5, 0.5, DEFAULT_POLICY)
 
+    def test_staircase_total(self):
+        # 0.9 * 0.8^(j+k) >= 0.05 for j + k < 13: 13 rows of at most 13
+        # factors and a 12-term series each fit a cap of 20, their 91
+        # factors in all do not
+        policy = TruncationPolicy(max_product_index=20)
+        with pytest.raises(NonConvergenceError, match="product needs"):
+            sf._log_product_2d(0.9, 0.8, 0.8, policy)
+        sf._log_product_2d(0.9, 0.8, 0.8, DEFAULT_POLICY)
+
     def test_series_length(self):
         # nothing to multiply out, but 0.01^{N+1} <= 1e-16 takes N = 7
         with pytest.raises(NonConvergenceError, match="log series needs"):
