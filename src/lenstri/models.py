@@ -326,22 +326,26 @@ def _gamma_pair(loggamma, a: complex, b: complex) -> complex:
     return loggamma(a + b) + loggamma(a - b)
 
 
-def weight_gamma(alpha: float, si: Spin, sj: Spin) -> float:
+def weight_gamma(alpha, si: Spin, sj: Spin) -> float:
     """Gamma-limit edge Boltzmann weight (eta = 1), via log-gamma:
 
     W_a = G((1+a)/2)/G((1-a)/2)
           * G((1-a-(mi+mj) +- i(xi+xj))/2) G((1-a-(mi-mj) +- i(xi-xj))/2)
           / (G((1+a-(mi+mj) +- i(xi+xj))/2) G((1+a-(mi-mj) +- i(xi-xj))/2)).
+
+    alpha and the spins' angles and integer parts may be arrays that
+    broadcast against each other.
     """
-    if alpha == 0.0:
+    if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0
     sm, dm = si.m + sj.m, si.m - sj.m
     sx, dx = si.x + sj.x, si.x - sj.x
     for base, off in (((1 - alpha - sm) / 2, sx), ((1 - alpha - dm) / 2, dx),
                       ((1 + alpha - sm) / 2, sx), ((1 + alpha - dm) / 2, dx)):
         # Gamma poles sit at non-positive integers on the real axis
-        if (abs(base - round(base)) < 1e-13 and round(base) <= 0
-                and np.any(abs(off) < 1e-13)):
+        near = np.round(base)
+        if np.any((np.abs(base - near) < 1e-13) & (near <= 0)
+                  & (np.abs(off) < 1e-13)):
             raise PoleHitError(
                 f"gamma-limit weight hits a gamma pole at argument {base}")
     # scipy serves only this limit, so only its callers pay for the import
@@ -359,10 +363,11 @@ def single_spin_gamma(sj: Spin) -> float:
     return (sj.x ** 2 + sj.m ** 2) / (4 * math.pi)
 
 
-def edge_weight(family: ModelFamily, alpha: float, si: Spin, sj: Spin,
+def edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
                 params: NomeParameters | None = None,
                 policy: TruncationPolicy = DEFAULT_POLICY):
-    """Uncrossed weight W_alpha(si, sj) for the given family."""
+    """Uncrossed weight W_alpha(si, sj) for the given family; alpha and the
+    spins may be arrays that broadcast against each other."""
     if family is ModelFamily.ELLIPTIC:
         return weight_elliptic(alpha, si, sj, params, policy)
     if family is ModelFamily.Q_LIMIT:

@@ -171,13 +171,40 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
 
 def _peel_count(ac: float, ratio: float, cap: int, used: int = 0) -> int:
     """Number of leading terms of ac * ratio**j that are >= _PEEL; more
-    than the cap less the used terms raises NonConvergenceError."""
-    n = 0
-    while ac * ratio ** n >= _PEEL:
-        n += 1
-        if used + n > cap:
-            raise NonConvergenceError(
-                f"product needs more than {cap} terms, the cap")
+    than the cap less the used terms raises NonConvergenceError.
+
+    The count comes from logs, as in _term_count; where a term lands on
+    _PEEL the logs can be off by one, and the count is corrected with the
+    terms themselves."""
+    if ac < _PEEL:
+        return 0
+    n = 1 if ratio == 0.0 else int(math.log(_PEEL / ac) / math.log(ratio)) + 1
+    if n - 1 <= cap - used:
+        while n > 1 and ac * ratio ** (n - 1) < _PEEL:
+            n -= 1
+        while ac * ratio ** n >= _PEEL:
+            n += 1
+    if n > cap - used:
+        raise NonConvergenceError(
+            f"product needs more than {cap} terms, the cap")
+    return n
+
+
+def _series_length(largest: float, eps: float, cap: int) -> int:
+    """Least N with largest**(N+1) <= eps, for 0 <= largest < 1: the terms
+    of the log series that reach the term epsilon; more than the cap raises
+    NonConvergenceError.  From logs, corrected as in _peel_count."""
+    if largest <= eps:
+        return 0
+    n = max(0, math.ceil(math.log(eps) / math.log(largest)) - 1)
+    if n - 1 <= cap:
+        while n > 0 and largest ** n <= eps:
+            n -= 1
+        while largest ** (n + 1) > eps:
+            n += 1
+    if n > cap:
+        raise NonConvergenceError(
+            f"log series needs more than {cap} terms, the cap")
     return n
 
 
@@ -242,12 +269,7 @@ def _log_product_2d(c, a: complex, b: complex,
     # largest |c a^j b^k| left to the series: the end of a row or row J
     largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
                         + [aa ** nj])
-    n_terms = 0
-    while largest ** (n_terms + 1) > eps:
-        n_terms += 1
-        if n_terms > cap:
-            raise NonConvergenceError(
-                f"log series needs more than {cap} terms, the cap")
+    n_terms = _series_length(largest, eps, cap)
     grid, coef = _staircase(complex(a), complex(b), rows, n_terms)
     # cut at N, the series of a left-out factor x = c a^j b^k errs by at
     # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, eps) a^j b^k /

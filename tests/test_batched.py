@@ -391,6 +391,27 @@ class TestWeights:
                   lambda x: models.single_spin_gamma(Spin(x, m))):
             assert_batch_matches(f(xs), [f(float(x)) for x in xs])
 
+    def test_weight_gamma_alpha_array_is_bit_identical(self):
+        for a in (0.2, 0.55, 0.8):
+            for si, sj in ((Spin(0.3, 0), Spin(-1.2, 1)),
+                           (Spin(1.7, -2), Spin(0.4, 3))):
+                both = models.weight_gamma(np.array([a, -a]), si, sj)
+                assert both.tolist() == [models.weight_gamma(a, si, sj),
+                                         models.weight_gamma(-a, si, sj)]
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_star_triangle_right_side(self, r):
+        # the three weights of a right side as one call
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_str_case(np.random.default_rng(7), pr)
+        (si, sj, sk), (ai, aj, ak) = case["spins"], case["alphas"]
+        for weight in (models.weight_elliptic, models.weight_qlimit):
+            batch = weight(*verify._rhs_edges(case["spins"], case["alphas"]),
+                           pr)
+            want = [weight(ai, sj, sk, pr), weight(aj, si, sk, pr),
+                    weight(ak, sj, si, pr)]
+            assert_batch_matches(batch, want)
+
     def test_weight_gamma_pole_in_batch(self):
         with pytest.raises(PoleHitError):
             models.weight_gamma(1.0, Spin(0.0, 0), Spin(np.array([0.5, 0.0]), 0))
@@ -456,6 +477,56 @@ class TestKernelCalls:
             kernel="_product")
         # the single-spin weight and three edge weights in one q_function
         assert max(levels) == 1
+
+    @staticmethod
+    def calls(monkeypatch, kernel, run, module=sf):
+        """Calls of the module's function kernel made by run()."""
+        count = [0]
+        kernel_fn = getattr(module, kernel)
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return kernel_fn(*args, **kwargs)
+        monkeypatch.setattr(module, kernel, counted)
+        run()
+        return count[0]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_thtfunct_one_call_per_instance(self, monkeypatch, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_thtfunct_case(np.random.default_rng(4), pr)
+        # three points, both sides, in one lens_theta call
+        assert self.calls(monkeypatch, "_pochhammer_raw",
+                          lambda: verify.verify_theta_difference(
+                              case["z"], case["y"], case["t"], case["u"],
+                              pr)) == 1
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_inversion_one_weight_call(self, monkeypatch, r):
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_inversion_case(np.random.default_rng(4), pr)
+        # W_alpha and W_{-alpha} in one lens_elliptic_gamma call, one
+        # kernel call per nome grid
+        assert self.calls(monkeypatch, "_log_product_2d",
+                          lambda: verify.verify_inversion_first(
+                              case["family"], case["alpha"], case["spins"],
+                              pr)) == 2
+        assert self.calls(monkeypatch, "_pochhammer_raw",
+                          lambda: verify.verify_inversion_first(
+                              models.ModelFamily.Q_LIMIT, case["alpha"],
+                              case["spins"], pr)) == 1
+
+    @pytest.mark.parametrize("verify_case,weight", [
+        (verify.verify_str, "weight_elliptic"),
+        (verify.verify_rinfstr, "weight_qlimit")])
+    def test_star_triangle_right_side_one_weight_call(self, monkeypatch,
+                                                      verify_case, weight):
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        assert self.calls(monkeypatch, weight,
+                          lambda: verify_case(case["spins"], case["alphas"],
+                                              pr),
+                          module=models) == 1
 
     def test_theta4_one_call(self, monkeypatch):
         calls = []

@@ -436,3 +436,13 @@ class TestProcess:
         assert loaded == "[]"
         # the value scipy's loggamma gave when scipy was imported at start-up
         assert value == "0.7185028900651217"
+
+    def test_mpmath_only_when_a_verdict_is_taken_again(self):
+        out = fresh_python(
+            "import sys, contextlib, io\n"
+            "from lenstri import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'thtfunct', '--r', '2', '--seed', '3']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'mpmath' or m.startswith('mpmath.')))\n")
+        assert out.decode().strip() == "[]"

@@ -351,3 +351,78 @@ class TestCaps:
         with pytest.raises(NonConvergenceError):
             models.kappa_elliptic(alpha, pr, self.small)
         models.kappa_elliptic(alpha, pr, DEFAULT_POLICY)
+
+
+def peel_count_loop(ac, ratio, cap, used=0):
+    """The staircase row count by counting, term by term: the reference
+    for the count from logs."""
+    n = 0
+    while ac * ratio ** n >= sf._PEEL:
+        n += 1
+        if used + n > cap:
+            raise NonConvergenceError("cap")
+    return n
+
+
+def series_length_loop(largest, eps, cap):
+    """The log-series length by counting, term by term."""
+    n = 0
+    while largest ** (n + 1) > eps:
+        n += 1
+        if n > cap:
+            raise NonConvergenceError("cap")
+    return n
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NonConvergenceError:
+        return "cap"
+
+
+class TestStaircaseCounts:
+    """The staircase counts come from logs; they must be what counting term
+    by term gives, at exact boundaries ac ratio^k = _PEEL too."""
+
+    caps = st.integers(1, 12_000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ac=st.floats(1e-3, 1e3),
+           ratio=st.one_of(st.just(0.0), st.floats(0.0, 0.999),
+                           st.sampled_from([0.5, 0.25, 0.125, 0.999])),
+           cap=caps, used=st.integers(0, 12_000))
+    def test_peel_count(self, ac, ratio, cap, used):
+        used = min(used, cap)
+        assert (outcome(sf._peel_count, ac, ratio, cap, used)
+                == outcome(peel_count_loop, ac, ratio, cap, used))
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(0, 60),
+           ratio=st.one_of(st.floats(0.05, 0.999),
+                           st.sampled_from([0.5, 0.25, 0.125])),
+           cap=caps, used=st.integers(0, 100))
+    def test_peel_count_at_a_boundary(self, k, ratio, cap, used):
+        # a power-of-two ratio puts ac ratio^k on _PEEL exactly
+        ac = sf._PEEL / ratio ** k
+        used = min(used, cap)
+        for x in (ac, math.nextafter(ac, 0.0), math.nextafter(ac, math.inf)):
+            assert (outcome(sf._peel_count, x, ratio, cap, used)
+                    == outcome(peel_count_loop, x, ratio, cap, used))
+
+    @settings(max_examples=200, deadline=None)
+    @given(largest=st.floats(0.0, sf._PEEL, exclude_max=True),
+           eps=st.floats(1e-300, 1e-1), cap=st.integers(1, 300))
+    def test_series_length(self, largest, eps, cap):
+        assert (outcome(sf._series_length, largest, eps, cap)
+                == outcome(series_length_loop, largest, eps, cap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 40), largest=st.floats(1e-3, sf._PEEL,
+                                                   exclude_max=True))
+    def test_series_length_at_a_boundary(self, n, largest):
+        eps = largest ** (n + 1)
+        for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)):
+            if e > 0.0:
+                assert (outcome(sf._series_length, largest, e, 10_000)
+                        == outcome(series_length_loop, largest, e, 10_000))

@@ -258,15 +258,52 @@ class TestThetaDifference:
     def test_rhs_cancellation_explains_a_shift_failure(self):
         # sample 7 of `sweep thtfunct --r 1 --seed 1572004784`: z lies near a
         # zero of theta(+-2z, +-2y), the right side's two terms cancel by
-        # about six digits and period_shift_rhs fails; sample 9 does not
+        # about six digits and period_shift_rhs fails in double precision;
+        # the verdict is taken again at 30 digits, where it passes.  Sample
+        # 9 does not cancel and keeps its double-precision verdict
         ident = cli.IDENTITIES["thtfunct"]
         pr = physical_parameters(0.05, 0.5, 1)
         bad, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 7)
         good, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 9)
-        assert not bad.checks["period_shift_rhs"]
+        assert bad.passed
+        assert bad.numerics_meta["rhs_precision"] == 30
         assert bad.numerics_meta["rhs_cancellation"] > 1e5
         assert good.passed
+        assert good.numerics_meta["rhs_precision"] == 16
         assert 1.0 <= good.numerics_meta["rhs_cancellation"] < 10.0
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_points_in_one_batch_match_one_point_calls(self, r):
+        pr, t, u, y, z = self._case(r, 50 + r)
+        points = [z, z + math.pi * pr.tau * r, z - 0.3 + 0.02j]
+        batch = verify.theta_difference_sides(np.array(points), y, t, u, pr)
+        for k, zk in enumerate(points):
+            one = verify.theta_difference_sides(zk, y, t, u, pr)
+            assert type(one[0]) is complex and type(one[2]) is float
+            # the batch shares its truncation depth, so the last bits move
+            # by the rounding that the cancellation amplifies
+            rel = 1e-13 * max(one[2], batch[2][k])
+            for side in range(2):
+                assert abs(batch[side][k] - one[side]) <= rel * abs(one[side])
+            assert abs(batch[2][k] - one[2]) <= rel * one[2]
+
+    def test_double_precision_verdict_without_cancellation(self):
+        pr, t, u, y, z = self._case(2, 32)
+        rep = verify.verify_theta_difference(z, y, t, u, pr)
+        assert rep.passed
+        assert rep.numerics_meta["rhs_precision"] == 16
+
+    def test_recompute_gives_the_double_sides(self):
+        # away from cancellation the 30-digit sides agree with the double
+        # ones to rounding
+        pr, t, u, y, z = self._case(3, 33)
+        lhs, rhs, cancel = verify.theta_difference_sides(z, y, t, u, pr)
+        lhs_mp, rhs_mp, shift_rhs = verify._theta_difference_mp(z, y, t, u, pr)
+        assert abs(lhs_mp - lhs) <= 1e-13 * cancel * max(1.0, abs(lhs))
+        assert abs(rhs_mp - rhs) <= 1e-13 * cancel * abs(rhs)
+        # both sides are rounded to double only at the end
+        assert abs(lhs_mp - rhs_mp) <= 2 ** -52 * abs(rhs_mp)
+        assert shift_rhs <= 1e-25
 
     def test_near_pole_value(self):
         pr, t, u, y, z = self._case(2, 41)
