@@ -1,18 +1,21 @@
 """Error-controlled integration and summation primitives.
 
-Periodic integrals use the trapezoid rule with node doubling (spectrally
-accurate for periodic analytic integrands, and nested nodes are reused).
-For such integrands the error squares with each doubling (Trefethen &
-Weideman, SIAM Rev. 56, 2014), so the doubling stops at the first change
-within tol that either follows another change within tol or predicts,
-as change^2 / previous change, a next change below rounding (2^-52); the
-first condition alone never stops later than that.  An even integrand
-(``even=True``: f(z) = f(period - z), or f(-n) = f(n) for a bilateral
-sum) is evaluated at one point of each mirror pair of the same nested
-nodes, and the node and term counts count the points evaluated.
-Real-line integrals and bilateral sums support a fitted power-law tail
-correction for slowly decaying integrands/terms.  Accumulation order is
-fixed (numpy sums over each set of nodes, center-out for sums), so a
+One integration engine: the trapezoid rule with node doubling, which is
+spectrally accurate for periodic analytic integrands and reuses its nested
+nodes.  For such integrands the error squares with each doubling
+(Trefethen & Weideman, SIAM Rev. 56, 2014), so the doubling stops at the
+first change within tol that either follows another change within tol or
+predicts, as change^2 / previous change, a next change below rounding
+(2^-52); the first condition alone never stops later than that.  An even
+integrand (``even=True``: f(z) = f(period - z), or f(-n) = f(n) for a
+bilateral sum) is evaluated at one point of each mirror pair of the same
+nested nodes, and the node and term counts count the points evaluated.
+Real-line integrals run on the same engine after the substitution
+x = sinh t (the exponential-map family of Takahasi & Mori, Publ. RIMS 9,
+1974), which turns a power-law tail |x|^-s into e^{-(s-1)|t|}, cut off
+where the mapped integrand is within tol.  Bilateral sums support a fitted
+power-law tail correction for slowly decaying terms.  Accumulation order
+is fixed (numpy sums over each set of nodes, center-out for sums), so a
 result depends only on its inputs, never on the run.
 
 The integrators call ``f`` one node at a time by default.  With
@@ -21,9 +24,9 @@ The integrators call ``f`` one node at a time by default.  With
 at those nodes.  ``periodic_integrate`` calls it once on the nodes of its
 first level and the two refinements after it, which the stop rule always
 needs, concatenated in level order, then once per later level;
-``line_integrate`` calls it once per Gauss-Legendre panel set or cutoff
-pair.  Both modes visit the same nodes in the same order and take the same
-refinement decisions from the same values.
+``line_integrate`` calls it once per pair of end points +-sinh T and then
+as ``periodic_integrate`` does.  Both modes visit the same nodes in the
+same order and take the same refinement decisions from the same values.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ import numpy as np
 
 from .params import InvalidParameterError, NonConvergenceError
 
-_GAUSS_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 #: a predicted next change below this is lost in the rounding of the sum
 _ROUNDING = 2.0 ** -52
+#: line_integrate's first half-width T in t = asinh x, and the largest T
+_HALF_WIDTH = 8.0
+_MAX_HALF_WIDTH = 64.0
 
 
 @dataclass(frozen=True)
@@ -151,80 +155,30 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     return QuadratureResult(cur, err, used, False)
 
 
-def _gauss_panels(f, lo: float, hi: float, panel_width: float,
-                  vectorized: bool = False) -> complex:
-    """Fixed-order Gauss-Legendre panels over [lo, hi], deterministic order."""
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
-    vals = _values(f, nodes.ravel(), vectorized).reshape(nodes.shape)
-    return complex((half * (vals * _GL_WEIGHTS).sum(axis=1)).sum())
-
-
 def line_integrate(f: Callable[[float], complex], tol: float,
-                   tail_exponent_hint: Optional[float] = None,
-                   initial_cutoff: float = 8.0,
-                   max_cutoff: float = 4096.0,
-                   panel_width: float = 2.0,
                    vectorized: bool = False) -> QuadratureResult:
     """Integrate f over the real line.
 
-    Integrates on [-X, X] with Gauss-Legendre panels and doubles X until
-    stable; a power-law tail correction int_X^inf c x^{-s} dx ~ f(X) X/(s-1)
-    is added on each side, with s taken from the hint or fitted from |f| at
-    the last two cutoffs.  With vectorized=True, f is called once per panel
-    set and once per pair of cutoff points +-X, on their node array.
+    Substitutes x = sinh t, which turns a tail |x|^-s into e^{-(s-1)|t|},
+    and integrates g(t) = f(sinh t) cosh t over [-T, T] with
+    ``periodic_integrate`` (period 2T, nodes -T + k 2T/n), whose nested
+    doubling and stop rule set the step.  T starts at _HALF_WIDTH and
+    doubles until |g(+-T)| <= tol; each cut tail is then within tol when f
+    decays at least like |x|^-2.  If |g(+-T)| is still above tol at
+    _MAX_HALF_WIDTH, NonConvergenceError is raised.  nodes_used counts the
+    trapezoid nodes, not the end points.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    panels = lambda lo, hi, width: _gauss_panels(f, lo, hi, width, vectorized)
-    edge_values = lambda x: _values(f, np.array([x, -x]), vectorized).tolist()
-    X = initial_cutoff
-    # refine the panel width on the core interval first: sharp structure
-    # lives there, and extending the cutoff alone would never resolve it
-    pw = panel_width
-    core = panels(-X, X, pw)
-    nodes = int(2 * X / pw) * _GAUSS_ORDER
-    while True:
-        finer = panels(-X, X, pw / 2)
-        nodes += int(4 * X / pw) * _GAUSS_ORDER
-        if _scaled(abs(finer - core), finer) <= tol / 2:
-            core = finer
-            break
-        core, pw = finer, pw / 2
-        if pw < panel_width / 512:
+    g = lambda t: f(np.sinh(t)) * np.cosh(t)
+    T = _HALF_WIDTH
+    while np.abs(_values(g, np.array([-T, T]), vectorized)).max() > tol:
+        if T >= _MAX_HALF_WIDTH:
             raise NonConvergenceError(
-                "core integral not resolved even at the finest panel width")
-    panel_width = pw / 2
-    prev_est = None
-    fp, fm = edge_values(X)
-    prev_edge = abs(fp) + abs(fm)
-    while X <= max_cutoff:
-        X2 = 2 * X
-        core = core + panels(X, X2, panel_width) + panels(-X2, -X, panel_width)
-        nodes += int(2 * X / panel_width) * _GAUSS_ORDER
-        fp, fm = edge_values(X2)
-        edge = abs(fp) + abs(fm)
-        if tail_exponent_hint is not None:
-            # hint is the signed power of the decay, |f| ~ x^hint
-            s = abs(tail_exponent_hint)
-        elif edge > 0 and prev_edge > 0:
-            s = math.log(prev_edge / edge) / math.log(2.0)
-        else:
-            s = math.inf
-        if s <= 1.0:
-            raise NonConvergenceError(
-                f"no detectable decay: fitted tail exponent {s:.3f} <= 1")
-        correction = (fp + fm) * X2 / (s - 1.0) if math.isfinite(s) else 0.0
-        est = core + correction
-        if prev_est is not None:
-            err = _scaled(abs(est - prev_est), est)
-            if err <= tol:
-                return QuadratureResult(est, err, nodes, True)
-        prev_est, prev_edge, X = est, edge, X2
-    err = _scaled(abs(est - prev_est), est) if prev_est is not None else math.inf
-    return QuadratureResult(est, err, nodes, False)
+                f"integrand not within {tol:.1e} at x = +-sinh({T:g})")
+        T *= 2
+    return periodic_integrate(lambda t: g(t - T), 2 * T, tol,
+                              vectorized=vectorized)
 
 
 def bilateral_sum(f: Callable[[int], complex], tol: float,

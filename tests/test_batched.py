@@ -568,11 +568,11 @@ PERIODIC = [
     (lambda x: 1 / (1.000001 - np.cos(x)), 1e-10, {"max_nodes": 2 ** 10}),
 ]
 LINE = [
-    (lambda x: 1.0 / (1.0 + x * x), 1e-8, {"tail_exponent_hint": -2.0}),
+    (lambda x: 1.0 / (1.0 + x * x), 1e-8, {}),
     (lambda x: np.exp(-x * x), 1e-10, {}),
-    (lambda x: 100.0 / (np.pi * (1.0 + (100.0 * x) ** 2)), 1e-8,
-     {"tail_exponent_hint": -2.0}),
+    (lambda x: 100.0 / (np.pi * (1.0 + (100.0 * x) ** 2)), 1e-8, {}),
     (lambda x: 1.0 / (1.0 + x * x) ** 2, 1e-8, {}),
+    (lambda x: 1.0 / (1.0 + x * x) ** 3, 1e-12, {}),
 ]
 
 

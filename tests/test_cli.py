@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lenstri import cli, numerics, verify
+from lenstri.params import TruncationPolicy
 
 
 def unconverged(f, period, tol, **kwargs):
@@ -335,6 +336,20 @@ class TestSweep:
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert [row["status"] for row in rows[:-1]] == ["non-converged"] * 2
         assert rows[-1]["skipped"] == 2 and rows[-1]["passes"] == 0
+
+    def test_capped_strmsg_sum_row(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "DEFAULT_POLICY",
+                            TruncationPolicy(max_sum_terms=20))
+        target = tmp_path / "a.jsonl"
+        rc, _, _ = run(capsys, ["sweep", "strmsg", "--seed", "5",
+                                "--samples", "1", "--out", str(target)])
+        assert rc == 0
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert rows[0]["status"] == "non-converged"
+        rc, out, err = run(capsys, ["verify", "strmsg", "--seed", "5"])
+        assert rc == 3
+        assert out == ""
+        assert "20 terms" in err
 
     def test_csv_format(self, capsys, tmp_path):
         rc, data = self._sweep(capsys, tmp_path, "a.csv",

@@ -227,8 +227,7 @@ class TestSymmetry:
 class TestLineIntegrate:
     def test_lorentzian(self):
         # int dx / (1+x^2) = pi, tail ~ x^{-2}
-        res = numerics.line_integrate(lambda x: 1.0 / (1.0 + x * x), 1e-8,
-                                      tail_exponent_hint=-2.0)
+        res = numerics.line_integrate(lambda x: 1.0 / (1.0 + x * x), 1e-8)
         assert res.converged
         assert abs(res.value - math.pi) <= 1e-7 * math.pi
 
@@ -237,15 +236,23 @@ class TestLineIntegrate:
         assert abs(res.value - math.sqrt(math.pi)) <= 1e-9
 
     def test_sharp_core_peak(self):
-        # width-0.01 Lorentzian: needs core panel refinement, not cutoffs
+        # width-0.01 Lorentzian: its x^-2 tail needs T = 16, and on [-16, 16]
+        # the step that resolves the peak takes exactly periodic_integrate's
+        # default cap of 2^15 nodes, so a larger first T would not converge
         res = numerics.line_integrate(
-            lambda x: 100.0 / (math.pi * (1.0 + (100.0 * x) ** 2)), 1e-8,
-            tail_exponent_hint=-2.0)
+            lambda x: 100.0 / (math.pi * (1.0 + (100.0 * x) ** 2)), 1e-8)
         assert abs(res.value - 1.0) <= 1e-6
+        assert res.converged
 
     def test_fitted_tail_exponent(self):
         res = numerics.line_integrate(lambda x: 1.0 / (1.0 + x * x) ** 2, 1e-8)
         assert abs(res.value - math.pi / 2) <= 1e-7
+
+    def test_sixth_power_decay(self):
+        # the |x|^-6 decay of the Euler-gamma star-triangle integrand
+        res = numerics.line_integrate(lambda x: 1.0 / (1.0 + x * x) ** 3, 1e-12)
+        assert res.converged
+        assert abs(res.value - 3 * math.pi / 8) <= 1e-12
 
     def test_no_decay_raises(self):
         with pytest.raises(NonConvergenceError):

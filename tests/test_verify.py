@@ -177,6 +177,33 @@ class TestGammaStarTriangle:
         fine = verify.verify_strmsg(spins, alphas, quad_tol=1e-6)
         assert fine.rel_residual <= coarse.rel_residual + 1e-14
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_fixed_seed_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            case = cli.sample_strmsg_case(rng)
+            rep = verify.verify_strmsg(case["spins"], case["alphas"])
+            assert rep.passed
+            assert rep.rel_residual <= 1e-8, rep.rel_residual
+
+    def test_terms_even_in_m(self):
+        # the m-sum adds term(m) twice for m >= 1 on the strength of this
+        case = cli.sample_strmsg_case(np.random.default_rng(5))
+        (si, sj, sk), (ai, aj, ak) = case["spins"], case["alphas"]
+
+        def term(m):
+            def f(x):
+                s0 = Spin(x, m)
+                return (models.single_spin_gamma(s0)
+                        * models.weight_gamma(1 - ai, si, s0)
+                        * models.weight_gamma(1 - aj, sj, s0)
+                        * models.weight_gamma(1 - ak, sk, s0))
+            res = numerics.line_integrate(f, 1e-14, vectorized=True)
+            assert res.converged
+            return res.value
+        for m in range(1, 7):
+            assert abs(term(-m) - term(m)) <= 1e-14 * abs(term(m)), m
+
 
 class TestMasterIdentity:
     def test_elliptic_beta_reduction(self):
