@@ -13,8 +13,11 @@ nested nodes, and the node and term counts count the points evaluated.
 Real-line integrals run on the same engine after the substitution
 x = sinh t (the exponential-map family of Takahasi & Mori, Publ. RIMS 9,
 1974), which turns a power-law tail |x|^-s into e^{-(s-1)|t|}, cut off
-where the mapped integrand is within tol.  Bilateral sums support a fitted
-power-law tail correction for slowly decaying terms.  Accumulation order
+where the mapped integrand is within tol.  ``bilateral_sum`` has no
+caller in lenstri: every sum over an integer spin is a batch axis of an
+integrand or an explicit loop with a closed-form tail.  It is kept only
+because the benchmark harness (``perfbench/spans.py``) wraps it by name;
+it goes with the benchmark change of ROADMAP item 6.  Accumulation order
 is fixed (numpy sums over each set of nodes, center-out for sums), so a
 result depends only on its inputs, never on the run.
 
@@ -186,6 +189,8 @@ def bilateral_sum(f: Callable[[int], complex], tol: float,
                   max_terms: int = 100_000,
                   min_terms: int = 4, even: bool = False) -> SumResult:
     """Sum f(n) over all integers n, center-out with symmetric truncation.
+    No lenstri code calls this; ``perfbench/spans.py`` wraps it by name,
+    so it stays until the benchmark change of ROADMAP item 6.
 
     The tail bound comes from the geometric ratio of successive term
     magnitudes when they decay geometrically; for power-law decay

@@ -98,7 +98,8 @@ def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
         return 0
     if ratio == 0.0:
         return 1
-    n = int(math.ceil(math.log(eps / ac) / math.log(ratio)))
+    # eps / ac would underflow to 0 for ac above about 2e307
+    n = int(math.ceil((math.log(eps) - math.log(ac)) / math.log(ratio)))
     n = max(n, 1)
     if n > cap:
         raise NonConvergenceError(

@@ -29,9 +29,9 @@ from .params import (
 #: minimum pole-to-contour margin, as a fraction of eta, below which
 #: master-identity integrals are rejected instead of attempted
 CONTOUR_MARGIN_FRACTION = 0.05
-#: ``verify_strmsg`` aims its integrals and its m-sum this far below its
-#: quadrature target
-STRMSG_MARGIN = 1e-4
+#: the m-sums of ``verify_rinfstr`` and ``verify_strmsg`` (and the
+#: integrals of the latter) aim this far below their quadrature target
+SUM_MARGIN = 1e-4
 
 
 @dataclass
@@ -116,12 +116,84 @@ def _rhs_edges(spins: Sequence[Spin], alphas: Sequence[float]):
     """(alpha, si, sj) of the three edge weights of a star-triangle right
     side, W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si), as arrays with one
     element per weight, so that one weight call gives all three."""
+    def stack(ss):
+        return Spin(np.array([s.x for s in ss]), np.array([s.m for s in ss]))
     si, sj, sk = spins
-    left, right = (sj, si, sj), (sk, sk, si)
-    return (np.array(alphas, float),
-            Spin(np.array([s.x for s in left]), np.array([s.m for s in left])),
-            Spin(np.array([s.x for s in right]),
-                 np.array([s.m for s in right])))
+    return np.array(alphas, float), stack((sj, si, sj)), stack((sk, sk, si))
+
+
+def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
+                   quad_tol, seed) -> VerificationReport:
+    """Star-triangle relation of the elliptic or the q-limit family.
+
+    LHS: sum over the center spin's integer part m0 and integral of its
+    angle over [0, pi) of S(s0) W_{eta-ai}(si,s0) W_{eta-aj}(sj,s0)
+    W_{eta-ak}(sk,s0), every m0 on axis 0 of one integrand batch.
+    RHS: W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si).
+
+    Elliptic: m0 = 0..r//2.  q-limit: m0 runs over Z, and term(-m) =
+    term(m), because W(s, (x, m)) = W(s, (-x, -m)) for every edge and for
+    S and the integrand is pi-periodic in x; so m0 = 0..M, each m0 > 0
+    weighted 2.  Past m* = max |m_i| the terms fall by rho = e^{-4 eta}
+    per step (the edge prefactors give e^{-8 eta |m0|}, S gives
+    e^{4 eta |m0|}), so M = m* + k, with k >= 1 the least count for which
+    rho^{k+1} / (1 - rho) is within ``SUM_MARGIN`` times the relative
+    quadrature target.  The tail past +-M is bounded by pi times the
+    largest |row M| at the evaluated nodes, geometric in the ratio of rows
+    M and M - 1 there; a ratio >= 1, a bound above the sum's target
+    (``SUM_MARGIN`` times the quadrature target) or more than
+    policy.max_sum_terms rows raise NonConvergenceError.
+    """
+    t0 = time.perf_counter()
+    eta = params.eta.real
+    _check_alphas(alphas, eta)
+    for s in spins:
+        models.check_spin_domain(s, family, params.r)
+    rel = quad_tol if quad_tol is not None else tol / 10
+    if not rel > 0:
+        raise InvalidParameterError("tol must be positive")
+    elliptic = family is ModelFamily.ELLIPTIC
+    m0 = np.arange(params.r // 2 + 1)   # the sectors of the elliptic model
+    if not elliptic:
+        rho = math.exp(-4 * eta)
+        k = max(1, math.ceil(math.log(SUM_MARGIN * rel * (1 - rho))
+                             / math.log(rho)) - 1)
+        m0 = np.arange(max(abs(s.m) for s in spins) + k + 1)
+        if m0.size > policy.max_sum_terms:
+            raise NonConvergenceError(f"rinfstr m-sum needs {m0.size} terms, "
+                                      f"more than {policy.max_sum_terms}")
+    rhs = models.edge_weight(family, *_rhs_edges(spins, alphas), params,
+                             policy).prod()
+    # the integrator's tolerance is absolute for small values; tie it to
+    # the scale of the identity so the relative residual is meaningful
+    qtol = rel * min(1.0, max(abs(rhs), 1e-12))
+    weight = np.where(elliptic | (m0 == 0), 1.0, 2.0)[:, None]
+    crossed = [eta - a for a in alphas]
+    last = np.zeros(2)   # the largest |row M - 1| and |row M| so far
+
+    def integrand(x0):
+        v = models.star_integrand(family, Spin(x0, m0[:, None]), spins,
+                                  crossed, params, policy)
+        np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
+        return (weight * v).sum(axis=0)
+    res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
+                                                 vectorized=True))
+    meta = {"nodes": res.nodes_used}
+    if not elliptic:
+        # 2 pi |row M| r / (1 - r), with r = |row M| / |row M - 1|
+        prev, top = last.tolist()
+        tail = 2 * math.pi * top**2 / (prev - top) if top < prev else math.inf
+        if tail > SUM_MARGIN * qtol:
+            raise NonConvergenceError(f"rinfstr m-sum tail {tail:.2e} not "
+                                      f"within {SUM_MARGIN * qtol:.2e}")
+        meta.update(m_terms=m0.size, tail_bound=tail)
+    meta.update(quad_tol=qtol, quad_error=res.error_estimate,
+                term_epsilon=policy.term_epsilon,
+                runtime=time.perf_counter() - t0)
+    record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
+              "sigma": params.sigma, "tau": params.tau, "r": params.r}
+    return make_report("str" if elliptic else "rinfstr", record, res.value,
+                       rhs, tol, meta, seed)
 
 
 def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
@@ -129,39 +201,9 @@ def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                policy: TruncationPolicy = DEFAULT_POLICY,
                quad_tol: Optional[float] = None,
                seed: int = 0) -> VerificationReport:
-    """Star-triangle relation of the elliptic model.
-
-    LHS: sum over the center spin's integer part and integral of its angle
-    over [0, pi) of S(s0) W_{eta-ai}(si,s0) W_{eta-aj}(sj,s0) W_{eta-ak}(sk,s0).
-    RHS: W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si).
-    """
-    t0 = time.perf_counter()
-    eta = params.eta.real
-    _check_alphas(alphas, eta)
-    for s in spins:
-        models.check_spin_domain(s, ModelFamily.ELLIPTIC, params.r)
-    rhs = models.weight_elliptic(*_rhs_edges(spins, alphas), params,
-                                 policy).prod()
-    qtol = quad_tol if quad_tol is not None else tol / 10
-    # the integrator's tolerance is absolute for small values; tie it to
-    # the scale of the identity so the relative residual is meaningful
-    qtol *= min(1.0, max(abs(rhs), 1e-12))
-
-    crossed = [eta - a for a in alphas]
-    # every sector m0 of the centre spin's integer part on axis 0
-    m0 = np.arange(params.r // 2 + 1)[:, None]
-    res = _converged(numerics.periodic_integrate(
-        lambda x0: models.star_integrand(ModelFamily.ELLIPTIC, Spin(x0, m0),
-                                         spins, crossed, params,
-                                         policy).sum(axis=0),
-        math.pi, qtol, vectorized=True))
-    meta = {"nodes": res.nodes_used, "quad_tol": qtol,
-            "quad_error": res.error_estimate,
-            "term_epsilon": policy.term_epsilon,
-            "runtime": time.perf_counter() - t0}
-    record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
-              "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("str", record, res.value, rhs, tol, meta, seed)
+    """Star-triangle relation of the elliptic model (see _star_triangle)."""
+    return _star_triangle(ModelFamily.ELLIPTIC, spins, alphas, params, tol,
+                          policy, quad_tol, seed)
 
 
 def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
@@ -169,38 +211,10 @@ def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                    policy: TruncationPolicy = DEFAULT_POLICY,
                    quad_tol: Optional[float] = None,
                    seed: int = 0) -> VerificationReport:
-    """Star-triangle relation of the q-product (r->infinity) model; the
-    center integer spin runs over all of Z with exponentially decaying terms.
-    """
-    t0 = time.perf_counter()
-    eta = params.eta.real
-    _check_alphas(alphas, eta)
-    rhs = models.weight_qlimit(*_rhs_edges(spins, alphas), params,
-                               policy).prod()
-    qtol = quad_tol if quad_tol is not None else tol / 10
-    qtol *= min(1.0, max(abs(rhs), 1e-12))
-    crossed = [eta - a for a in alphas]
-    integrals = []
-
-    def term(m0: int) -> complex:
-        res = _converged(numerics.periodic_integrate(
-            lambda x0: models.star_integrand(ModelFamily.Q_LIMIT, Spin(x0, m0),
-                                             spins, crossed, params, policy),
-            math.pi, qtol, vectorized=True))
-        integrals.append(res)
-        return res.value
-
-    # term(-m) = term(m): W(s, (x, m)) = W(s, (-x, -m)) for every edge and
-    # for S, and the integrand is pi-periodic in x
-    sres = numerics.bilateral_sum(term, qtol, even=True)
-    meta = {"nodes": sum(res.nodes_used for res in integrals),
-            "m_terms": sres.terms_used, "tail_bound": sres.tail_bound,
-            "quad_tol": qtol,
-            "quad_error": max(res.error_estimate for res in integrals),
-            "runtime": time.perf_counter() - t0}
-    record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
-              "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("rinfstr", record, sres.value, rhs, tol, meta, seed)
+    """Star-triangle relation of the q-product (r->infinity) model, whose
+    center integer spin runs over all of Z (see _star_triangle)."""
+    return _star_triangle(ModelFamily.Q_LIMIT, spins, alphas, params, tol,
+                          policy, quad_tol, seed)
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
@@ -215,7 +229,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     |m|^-5: the sum stops at the first such M whose error after the
     Euler-Maclaurin tail of c m^-5 beyond M, estimated as 5 / M times the
     terms at +-M, is within its target.  The integrals and the sum each
-    aim at ``STRMSG_MARGIN`` times the quadrature target, so that their
+    aim at ``SUM_MARGIN`` times the quadrature target, so that their
     errors stay far below it.  A sum that needs more than
     ``DEFAULT_POLICY.max_sum_terms`` terms (m = 0, 1, ...) raises
     NonConvergenceError.
@@ -224,12 +238,10 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     _check_alphas(alphas, 1.0)
     si, sj, sk = spins
     ai, aj, ak = alphas
-    rhs = (models.weight_gamma(ai, sj, sk)
-           * models.weight_gamma(aj, si, sk)
-           * models.weight_gamma(ak, sj, si))
+    rhs = models.weight_gamma(*_rhs_edges(spins, alphas)).prod()
     qtol = quad_tol if quad_tol is not None else tol / 10
     qtol *= min(1.0, max(abs(rhs), 1e-12))
-    target = qtol * STRMSG_MARGIN
+    target = qtol * SUM_MARGIN
     nodes = 0
 
     def term(m0: int) -> complex:

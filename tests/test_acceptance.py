@@ -245,7 +245,9 @@ def test_criterion_10_gamma_star_triangle(capsys):
         rep = verify.verify_strmsg(case["spins"], case["alphas"], tol=1e-4)
         worst = max(worst, rep.rel_residual)
     # refinement check: tightening the quadrature target must not make
-    # the residual worse (the integrator doubles its own cutoffs/panels)
+    # the residual worse (it tightens both the line integrals, whose
+    # trapezoid nodes double and whose sinh-mapped range widens, and the
+    # m-sum)
     coarse = verify.verify_strmsg(cases[0]["spins"], cases[0]["alphas"],
                                   quad_tol=1e-4)
     fine = verify.verify_strmsg(cases[0]["spins"], cases[0]["alphas"],

@@ -81,6 +81,18 @@ class TestEval:
         assert rc == 3
         assert "non-convergence" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["theta4", "--sigma", "0.48+0.082j", "--z", "3.24+354.3j"],
+        ["q_function", "--sigma", "0.48+0.082j", "--tau=-0.35+3.55e-7j",
+         "--r", "4", "--z", "3.24+354.3j", "--m", "-2"]])
+    def test_product_argument_near_the_largest_double(self, capsys, argv):
+        # the largest product argument lies within a factor 10 of the
+        # largest double, so its term count must not divide eps by it
+        rc, out, err = run(capsys, ["eval", *argv])
+        assert rc == 3
+        assert out == ""
+        assert "product overflows" in err
+
 
 class TestVerify:
     def test_theta_difference_passes(self, capsys):
@@ -132,6 +144,15 @@ class TestVerify:
                                   "--alphas", "0.5", "0.5", "0.6"])
         assert rc == 2
         assert "invalid configuration" in err
+
+    def test_rinfstr_spin_outside_domain_exit_two(self, capsys):
+        rc, out, err = run(capsys, ["verify", "rinfstr",
+                                    "--spins", "5.0:0", "0.3:1", "1.0:-1",
+                                    "--alphas", "0.5", "0.5",
+                                    "0.5707963267948966"])
+        assert rc == 2
+        assert out == ""
+        assert "q-limit spin needs 0 <= x < pi" in err
 
     def test_unknown_identity_exit_two(self, capsys):
         rc, _, err = run(capsys, ["verify", "not_an_identity"])
@@ -350,6 +371,23 @@ class TestSweep:
         assert rc == 3
         assert out == ""
         assert "20 terms" in err
+
+    def test_capped_rinfstr_sum_row(self, capsys, tmp_path, monkeypatch):
+        capped = TruncationPolicy(max_sum_terms=5)
+        rinfstr = verify.verify_rinfstr
+        monkeypatch.setattr(verify, "verify_rinfstr",
+                            lambda *args, **kwargs: rinfstr(
+                                *args, policy=capped, **kwargs))
+        target = tmp_path / "a.jsonl"
+        rc, _, _ = run(capsys, ["sweep", "rinfstr", "--seed", "5",
+                                "--samples", "1", "--out", str(target)])
+        assert rc == 0
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert rows[0]["status"] == "non-converged"
+        rc, out, err = run(capsys, ["verify", "rinfstr", "--seed", "5"])
+        assert rc == 3
+        assert out == ""
+        assert "more than 5" in err
 
     def test_csv_format(self, capsys, tmp_path):
         rc, data = self._sweep(capsys, tmp_path, "a.csv",

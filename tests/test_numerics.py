@@ -244,7 +244,7 @@ class TestLineIntegrate:
         assert abs(res.value - 1.0) <= 1e-6
         assert res.converged
 
-    def test_fitted_tail_exponent(self):
+    def test_fourth_power_decay(self):
         res = numerics.line_integrate(lambda x: 1.0 / (1.0 + x * x) ** 2, 1e-8)
         assert abs(res.value - math.pi / 2) <= 1e-7
 

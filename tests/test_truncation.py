@@ -20,18 +20,22 @@ come with a factor within 2 * POLE_FACTOR_EPS of zero, and a guarded
 function must raise it when a factor is within POLE_FACTOR_EPS / 2.
 """
 
+import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenstri import models, numerics
 from lenstri import special_functions as sf
 from lenstri.params import (
     DEFAULT_POLICY,
+    ContourViolationError,
+    InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
@@ -351,6 +355,70 @@ class TestCaps:
         with pytest.raises(NonConvergenceError):
             models.kappa_elliptic(alpha, pr, self.small)
         models.kappa_elliptic(alpha, pr, DEFAULT_POLICY)
+
+    def test_term_count_of_a_huge_argument(self):
+        # eps / ac underflows to 0 for ac above about 2e307; the count
+        # must come from the difference of the logs
+        assert sf._term_count(1e308, 0.6, 1e-16, 10_000) == math.ceil(
+            (math.log(1e-16) - math.log(1e308)) / math.log(0.6))
+
+
+#: the errors by which a lenstri evaluation refuses an input
+LENSTRI_ERRORS = (InvalidParameterError, NonConvergenceError, PoleHitError,
+                  ContourViolationError)
+
+
+#: the largest nome magnitude drawn, and the least Im sigma that keeps
+#: |p| = e^{-pi Im sigma} at or below it
+NEAR_UNIT = 1 - 1e-6
+NEAR_UNIT_IM = -math.log(NEAR_UNIT) / math.pi
+
+
+def answered(evaluate):
+    """evaluate() returns or raises a lenstri error; any other exception
+    or a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            evaluate()
+        except LENSTRI_ERRORS:
+            pass
+
+
+class TestEveryInputAnswered:
+    """Every public special function returns a value or raises a lenstri
+    error, for nomes up to 1 - 1e-6 in magnitude and |Im z| up to 700;
+    the caps bound the work that takes."""
+
+    z_st = arg_z(700.0)
+    m_st = st.integers(-8, 8)
+
+    @given(z_st, nome(NEAR_UNIT), nome(NEAR_UNIT))
+    @settings(max_examples=40, deadline=None)
+    def test_elliptic_gamma(self, z, p, q):
+        answered(lambda: sf.elliptic_gamma(z, p, q))
+
+    # e^{-2iz} p within a factor 10 of the largest double
+    @example(3.24 + 354.3j, NomeParameters(0.48 + 0.082j, -0.48 + 0.082j).p)
+    @given(z_st, nome(NEAR_UNIT))
+    @settings(max_examples=40, deadline=None)
+    def test_theta4(self, z, p):
+        answered(lambda: sf.theta4(z, p))
+
+    @given(z_st, nome(NEAR_UNIT))
+    @settings(max_examples=40, deadline=None)
+    def test_qpochhammer_inf(self, z, q):
+        answered(lambda: sf.qpochhammer_inf(cmath.exp(1j * z), q))
+
+    @pytest.mark.parametrize("evaluate", [
+        sf.lens_elliptic_gamma, sf.lens_gamma_appendix, sf.lens_theta,
+        models.q_function])
+    @example(z=3.24 + 354.3j, m=-2,
+             params=NomeParameters(0.48 + 0.082j, -0.35 + 3.55e-7j, 4))
+    @given(z=z_st, m=m_st, params=lens_params(NEAR_UNIT_IM))
+    @settings(max_examples=40, deadline=None)
+    def test_lens_functions(self, evaluate, z, m, params):
+        answered(lambda: evaluate(z, m, params))
 
 
 def peel_count_loop(ac, ratio, cap, used=0):

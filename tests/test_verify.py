@@ -20,6 +20,7 @@ from lenstri.params import (
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
+    NonConvergenceError,
     TruncationPolicy,
     physical_parameters,
 )
@@ -157,6 +158,67 @@ class TestRInfStarTriangle:
         rep = verify.verify_rinfstr(spins, (0.3 * eta, 0.45 * eta, 0.25 * eta), pr)
         assert rep.passed, rep.rel_residual
         assert rep.numerics_meta["tail_bound"] <= 0.1 * rep.tolerance
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_fixed_seed_residuals(self, seed):
+        # the six draws of `lenstri sweep rinfstr --samples 6 --seed <seed>`
+        pr = physical_parameters(0.05, 0.5, 1)
+        for index in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            case = cli.sample_rinfstr_case(rng, pr)
+            rep = verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+            assert rep.passed
+            assert rep.rel_residual <= 1e-12, (index, rep.rel_residual)
+
+    def test_one_integral(self, monkeypatch):
+        # every m-term on axis 0 of one integrand batch
+        calls = []
+        integrate = numerics.periodic_integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(numerics, "periodic_integrate", counted)
+        pr = physical_parameters(0.05, 0.5, 1)
+        case = cli.sample_rinfstr_case(np.random.default_rng(5), pr)
+        verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+        assert len(calls) == 1
+
+    def test_capped_sum(self):
+        # max |m_i| = 2 and four terms past it at the default nomes: the
+        # sum needs m = 0..6, seven terms
+        pr = physical_parameters(0.05, 0.5, 1)
+        eta = pr.eta.real
+        spins = (Spin(0.9, 2), Spin(1.4, -1), Spin(2.6, 0))
+        alphas = (0.3 * eta, 0.45 * eta, 0.25 * eta)
+        with pytest.raises(NonConvergenceError, match="m-sum needs 7 terms"):
+            verify.verify_rinfstr(spins, alphas, pr,
+                                  policy=TruncationPolicy(max_sum_terms=5))
+        rep = verify.verify_rinfstr(spins, alphas, pr)
+        assert rep.numerics_meta["m_terms"] == 7
+
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-8, math.nan])
+    def test_quad_tol_not_positive(self, quad_tol):
+        # the m-sum's length is worked out from the tolerance, before any
+        # integral
+        pr = physical_parameters(0.05, 0.5, 1)
+        eta = pr.eta.real
+        for verify_case in (verify.verify_str, verify.verify_rinfstr):
+            with pytest.raises(InvalidParameterError, match="positive"):
+                verify_case((Spin(0.9, 0), Spin(1.4, 0), Spin(2.6, 0)),
+                            (eta / 3, eta / 3, eta / 3), pr,
+                            quad_tol=quad_tol)
+
+    def test_terms_that_do_not_decay(self, monkeypatch):
+        # rows of equal size leave a tail that no geometric bound covers
+        monkeypatch.setattr(models, "star_integrand",
+                            lambda family, s0, *args: np.ones(
+                                np.broadcast(s0.x, s0.m).shape, complex))
+        pr = physical_parameters(0.05, 0.5, 1)
+        eta = pr.eta.real
+        with pytest.raises(NonConvergenceError, match="m-sum tail"):
+            verify.verify_rinfstr((Spin(0.9, 1), Spin(1.4, 0), Spin(2.6, 0)),
+                                  (eta / 3, eta / 3, eta / 3), pr)
 
 
 class TestGammaStarTriangle:
