@@ -138,31 +138,45 @@ def parse_complex(text) -> complex:
         raise InvalidParameterError(f"cannot parse complex number {text!r}")
 
 
+def _config_list(values, name: str):
+    """values, which must be a list (a JSON array)."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidParameterError(f"{name} must be a list, got {values!r}")
+    return values
+
+
 def parse_spin(text: str) -> Spin:
     """Spin given as 'x:m' on the command line or [x, m] in config files."""
     if isinstance(text, (list, tuple)):
         x, m = text[0], text[1]
-    else:
+    elif isinstance(text, str):
         x, _, m = text.partition(":")
         m = m or 0
+    else:
+        raise InvalidParameterError(f"cannot parse spin {text!r}")
     return Spin(config_number(float, x, "spin angle"),
                 config_number(int, m, "spin integer part"))
 
 
 def parse_t(values) -> tuple:
-    """Complex t values given as strings or [re, im] pairs."""
-    return tuple(parse_complex(v) if isinstance(v, str) else complex(*v)
-                 for v in values)
+    """Complex t values given as strings, numbers or [re, im] pairs."""
+    def one(v):
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(config_number(float, v[0], "Re t"),
+                           config_number(float, v[1], "Im t"))
+        return parse_complex(v)
+    return tuple(one(v) for v in _config_list(values, "t"))
 
 
 def parse_u(values) -> tuple:
     """Integer u values."""
-    return tuple(config_number(int, v, "u") for v in values)
+    return tuple(config_number(int, v, "u") for v in _config_list(values, "u"))
 
 
 def build_params(cfg: dict) -> NomeParameters:
     sigma = parse_complex(cfg.get("sigma", "0.05+0.5j"))
-    tau = parse_complex(cfg.get("tau")) if cfg.get("tau") else -sigma.conjugate()
+    tau = (parse_complex(cfg["tau"]) if cfg.get("tau") is not None
+           else -sigma.conjugate())
     return NomeParameters(sigma, tau, config_number(int, cfg.get("r", 1), "r"))
 
 
@@ -240,9 +254,11 @@ def sample_inversion_case(rng, params: NomeParameters):
 
 def parse_spins_case(cfg: dict, params: NomeParameters):
     if "spins" in cfg:
-        return {"spins": tuple(parse_spin(s) for s in cfg["spins"]),
+        spins = _config_list(cfg["spins"], "spins")
+        alphas = _config_list(cfg["alphas"], "alphas")
+        return {"spins": tuple(parse_spin(s) for s in spins),
                 "alphas": tuple(config_number(float, a, "alphas")
-                                 for a in cfg["alphas"])}
+                                for a in alphas)}
 
 
 def parse_master_case(cfg: dict, params: NomeParameters):
@@ -380,7 +396,8 @@ def _eval_registry(cfg, params):
     z = parse_complex(cfg["z"]) if "z" in cfg else 0.0
     m = config_number(int, cfg.get("m", 0), "m")
     alpha = config_number(float, cfg.get("alpha", 0.3), "alpha")
-    spins = [parse_spin(s) for s in cfg.get("spins", [])]
+    spins = [parse_spin(s)
+             for s in _config_list(cfg.get("spins", []), "spins")]
     return {
         "mod_bracket": lambda: sf.mod_bracket(m, params.r),
         "bracket_pm": lambda: sf.bracket_pm(m, params.r),
@@ -411,15 +428,22 @@ def _eval_registry(cfg, params):
 # subcommand drivers
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else None
-
-
-def _emit(text, out):
-    if out is not None:
-        out.write(text)
+def _write(cfg: dict, text: str) -> None:
+    """Write the finished output text to the --out file, or to stdout."""
+    if cfg.get("out"):
+        with open(cfg["out"], "w", newline="") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(rows) -> str:
+    """CSV_COLUMNS rows, with their header, as text."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def run_eval(cfg: dict) -> int:
@@ -437,10 +461,7 @@ def run_eval(cfg: dict) -> int:
         record["tail_bound"] = bound
         record["term_epsilon"] = DEFAULT_POLICY.term_epsilon
     record["value"] = value
-    out = _open_out(cfg.get("out"))
-    _emit(json.dumps(_jsonable(record)) + "\n", out)
-    if out:
-        out.close()
+    _write(cfg, json.dumps(_jsonable(record)) + "\n")
     return EXIT_PASS
 
 
@@ -455,17 +476,10 @@ def run_verify(cfg: dict) -> int:
     seed = _seed(cfg)
     tol = _tolerance(cfg, ident)
     rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
-    out = _open_out(cfg.get("out"))
     if cfg.get("format", "json") == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerow(_csv_row(0, rep, "ok", seed))
-        _emit(buf.getvalue(), out)
+        _write(cfg, _csv_text([_csv_row(0, rep, "ok", seed)]))
     else:
-        _emit(json.dumps(report_to_dict(rep)) + "\n", out)
-    if out:
-        out.close()
+        _write(cfg, json.dumps(report_to_dict(rep)) + "\n")
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
@@ -505,29 +519,24 @@ def run_sweep(cfg: dict) -> int:
     fails = sum(1 for _, rep, st in results if st == "ok" and not rep.passed)
     max_res = max((rep.rel_residual for _, rep, st in results if st == "ok"),
                   default=0.0)
-    out = _open_out(cfg.get("out"))
     if cfg.get("format", "json") == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, CSV_COLUMNS)
-        writer.writeheader()
-        for i, rep, status in results:
-            writer.writerow(_csv_row(i, rep, status, seed))
-        _emit(buf.getvalue(), out)
+        _write(cfg, _csv_text(_csv_row(i, rep, status, seed)
+                              for i, rep, status in results))
     else:
+        lines = []
         for i, rep, status in results:
             row = {"sample_index": i, "status": status}
             if rep is not None:
                 row.update(report_to_dict(rep, include_runtime=False))
-            _emit(json.dumps(row) + "\n", out)
+            lines.append(json.dumps(row) + "\n")
         summary = {"summary": True, "identity": identity, "samples": samples,
                    "seed": seed, "passes": sum(
                        1 for _, rep, st in results if st == "ok" and rep.passed),
                    "failures": fails,
                    "skipped": sum(1 for _, _, st in results if st != "ok"),
                    "max_rel_residual": max_res}
-        _emit(json.dumps(_jsonable(summary)) + "\n", out)
-    if out:
-        out.close()
+        lines.append(json.dumps(_jsonable(summary)) + "\n")
+        _write(cfg, "".join(lines))
     # wall-clock timing goes to stderr only, keeping files byte-reproducible
     print(f"sweep finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_FAIL if fails else EXIT_PASS
@@ -546,10 +555,7 @@ def run_poles(cfg: dict) -> int:
     margin = verify.pole_diagnostics(t[:5], params)
     record = {"t": list(t), "u": list(u), "margin": margin,
               "safe": margin >= verify.CONTOUR_MARGIN_FRACTION * abs(params.eta)}
-    out = _open_out(cfg.get("out"))
-    _emit(json.dumps(_jsonable(record)) + "\n", out)
-    if out:
-        out.close()
+    _write(cfg, json.dumps(_jsonable(record)) + "\n")
     return EXIT_PASS
 
 

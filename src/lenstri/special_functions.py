@@ -93,7 +93,7 @@ def bracket_pm(m: int, r: int) -> int:
 
 
 def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
-    """Number of leading terms of ac * ratio**j that are >= eps."""
+    """Number of leading terms of ac * ratio**j that are above eps."""
     if ac <= eps:
         return 0
     if ratio == 0.0:

@@ -336,6 +336,41 @@ def master_integrand(z: complex, y, mp: MasterParameters,
     return sf.python_scalar(_G(rows, mp.params, policy).prod(axis=0))
 
 
+def constant_form(t: Sequence[complex], u: Sequence[int],
+                  params: NomeParameters) -> MasterParameters:
+    """The master parameters of the constant form at five t and five u:
+    t_6 = 2i eta - sum(t), u_6 = -sum(u)."""
+    return MasterParameters(tuple(t) + (2j * params.eta - sum(t),),
+                            tuple(u) + (-sum(u),), params)
+
+
+def _master_rhs(mp: MasterParameters, policy) -> complex:
+    """prod_{i<j} Gamma(t_i + t_j, u_i + u_j), the master identity's right
+    side."""
+    t, u = mp.t, mp.u
+    return _G([(t[i] + t[j], u[i] + u[j], False)
+               for i in range(6) for j in range(i + 1, 6)],
+              mp.params, policy).prod()
+
+
+def _pochhammer_norm(params: NomeParameters, policy) -> complex:
+    """(q^r;q^r) (p^r;p^r), the normalisation of the master integral."""
+    qr, pr = params.q ** params.r, params.p ** params.r
+    return (sf.qpochhammer_inf(qr, qr, policy)
+            * sf.qpochhammer_inf(pr, pr, policy))
+
+
+def _master_integral(mp: MasterParameters, policy, qtol, scale=1.0):
+    """The integral over one period of scale * sum_y master_integrand,
+    with every sector y on axis 0 of one batch.  The sum over y is even in
+    z, because the integrand is invariant under (z, y) -> (-z, -y) and y
+    runs over Z_r."""
+    y = np.arange(mp.params.r)[:, None]
+    return _converged(numerics.periodic_integrate(
+        lambda z: scale * master_integrand(z, y, mp, policy).sum(axis=0),
+        2 * math.pi, qtol, vectorized=True, even=True))
+
+
 def verify_master(mp: MasterParameters, tol: float = 1e-6,
                   policy: TruncationPolicy = DEFAULT_POLICY,
                   quad_tol: Optional[float] = None,
@@ -351,70 +386,18 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
     """
     t0 = time.perf_counter()
     params = mp.params
-    t, u = mp.t, mp.u
-    margin = _require_safe_contour(t[:5], params)
-    r = params.r
-    p, q = params.p, params.q
-    pref = (sf.qpochhammer_inf(q ** r, q ** r, policy)
-            * sf.qpochhammer_inf(p ** r, p ** r, policy))
+    margin = _require_safe_contour(mp.t[:5], params)
+    pref = _pochhammer_norm(params, policy)
     qtol = quad_tol if quad_tol is not None else tol / 10
-
-    # every sector y on axis 0; the sum over y is even in z, because the
-    # integrand is invariant under (z, y) -> (-z, -y) and y runs over Z_r
-    y = np.arange(r)[:, None]
-    res = _converged(numerics.periodic_integrate(
-        lambda z: master_integrand(z, y, mp, policy).sum(axis=0),
-        2 * math.pi, qtol, vectorized=True, even=True))
+    res = _master_integral(mp, policy, qtol)
     lhs = res.value * (pref / (4 * math.pi))
-
-    rhs = _G([(t[i] + t[j], u[i] + u[j], False)
-              for i in range(6) for j in range(i + 1, 6)], params, policy).prod()
+    rhs = _master_rhs(mp, policy)
     meta = {"nodes": res.nodes_used, "pole_margin": margin, "quad_tol": qtol,
             "quad_error": res.error_estimate,
             "runtime": time.perf_counter() - t0}
-    record = {"t": list(t), "u": list(u),
+    record = {"t": list(mp.t), "u": list(mp.u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("master", record, lhs, rhs, tol, meta, seed)
-
-
-def rho_integrand(z: complex, y, t: Sequence[complex], u: Sequence[int],
-                  params: NomeParameters,
-                  policy: TruncationPolicy = DEFAULT_POLICY,
-                  const: Optional[complex] = None) -> complex:
-    """Constant-form integrand rho(z, y; t_1..t_5, u_1..u_5), at a scalar
-    or at each element of arrays z and y that broadcast against each other.
-
-    const, if given, is the precomputed z-independent factor
-    prod_i Gamma(A - t_i, U - u_i) / prod_{i<j} Gamma(t_i + t_j, u_i + u_j).
-    """
-    A, U = sum(t), sum(u)
-    i2eta = 2j * params.eta
-    if const is None:
-        const = rho_constant(t, u, params, policy)
-    rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True),
-            (i2eta - A - z, -U - y, True), (i2eta - A + z, -U + y, True)]
-    for ti, ui in zip(t, u):
-        rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
-    return sf.python_scalar(const * _G(rows, params, policy).prod(axis=0))
-
-
-def rho_constant(t, u, params, policy=DEFAULT_POLICY) -> complex:
-    A, U = sum(t), sum(u)
-    # prod_i Gamma(A - t_i, U - u_i) over prod_{i<j} Gamma(t_i + t_j, u_i + u_j)
-    v = _G([(A - ti, U - ui, False) for ti, ui in zip(t, u)]
-           + [(t[i] + t[j], u[i] + u[j], False)
-              for i in range(5) for j in range(i + 1, 5)], params, policy)
-    return sf.python_scalar(v[:5].prod() / v[5:].prod())
-
-
-def _master_I(t, u, params, policy, qtol):
-    """I(t, u): the integral over one period of sum_y rho(z, y), which is
-    even in z, with every sector y on axis 0 of one batch."""
-    const = rho_constant(t, u, params, policy)
-    y = np.arange(params.r)[:, None]
-    return _converged(numerics.periodic_integrate(
-        lambda z: rho_integrand(z, y, t, u, params, policy, const).sum(axis=0),
-        2 * math.pi, qtol, vectorized=True, even=True))
 
 
 def verify_I_constant(t: Sequence[complex], u: Sequence[int],
@@ -426,6 +409,9 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
     """Constant form of the master identity:
     I(t_1..t_5, u_1..u_5) = 4 pi / ((q^r;q^r) (p^r;p^r)),
     plus invariance of I under t_1 -> t_1 + pi sigma, u_1 -> u_1 - 1.
+
+    I is the master integral at constant_form(t, u) over its right side:
+    the master identity divided by that side.
     """
     t0 = time.perf_counter()
     if len(t) != 5 or len(u) != 5:
@@ -438,13 +424,15 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
                 "|Im(A)| must stay below |Im(2i eta)|, also after the shift")
     margin = min(_require_safe_contour(t, params),
                  _require_safe_contour(ts, params))
-    r = params.r
-    p, q = params.p, params.q
     qtol = quad_tol if quad_tol is not None else tol / 10
-    res0 = _master_I(tuple(t), tuple(u), params, policy, qtol)
-    rhs = 4 * math.pi / (sf.qpochhammer_inf(q ** r, q ** r, policy)
-                         * sf.qpochhammer_inf(p ** r, p ** r, policy))
-    res1 = _master_I(ts, us, params, policy, min(qtol, shift_tol / 10))
+
+    def integral(t, u, qtol):
+        mp = constant_form(t, u, params)
+        return _master_integral(mp, policy, qtol,
+                                1 / _master_rhs(mp, policy))
+    res0 = integral(t, u, qtol)
+    rhs = 4 * math.pi / _pochhammer_norm(params, policy)
+    res1 = integral(ts, us, min(qtol, shift_tol / 10))
     I0, I1 = res0.value, res1.value
     shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
     meta = {"nodes": res0.nodes_used + res1.nodes_used, "pole_margin": margin,

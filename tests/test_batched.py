@@ -423,9 +423,10 @@ class TestWeights:
         # z = 0 is a genuine zero of the 1/Gamma(+-2z) factors: there both
         # paths give zero up to rounding, which is all that can be compared
         zs = np.linspace(0.0, 2 * math.pi, 11, endpoint=False)
+        mp = verify.constant_form(t, u, pr)
         for y in range(2):
-            scalars = [verify.rho_integrand(float(z), y, t, u, pr) for z in zs]
-            assert_batch_matches(verify.rho_integrand(zs, y, t, u, pr), scalars,
+            scalars = [verify.master_integrand(float(z), y, mp) for z in zs]
+            assert_batch_matches(verify.master_integrand(zs, y, mp), scalars,
                                  atol=REL * max(map(abs, scalars)))
 
 

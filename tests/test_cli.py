@@ -154,6 +154,25 @@ class TestVerify:
         assert out == ""
         assert "q-limit spin needs 0 <= x < pi" in err
 
+    @pytest.mark.parametrize("im,u", [
+        ([0.2] * 4, [0] * 5),                    # four t
+        ([0.7] * 5, [0] * 5),                    # |Im A| >= Im(2i eta)
+        ([0.4] * 5, [1, 0, -1, 0, 0]),           # the same after the shift
+        ([1e-3] + [0.2] * 4, [0] * 5),           # pinched contour
+        ([0.306] * 5, [0] * 5),                  # pinched after the shift
+    ])
+    def test_rejected_iconst_case_exit_two(self, tmp_path, capsys, im, u):
+        cfgfile = tmp_path / "iconst.json"
+        cfgfile.write_text(json.dumps({
+            "r": 2, "t": [[re, b] for re, b in zip((-0.2, 0.1, 0.05, -0.1,
+                                                    0.15), im)],
+            "u": u}))
+        rc, out, err = run(capsys, ["verify", "iconst", "--config",
+                                    str(cfgfile)])
+        assert rc == 2
+        assert out == ""
+        assert "invalid configuration" in err
+
     def test_unknown_identity_exit_two(self, capsys):
         rc, _, err = run(capsys, ["verify", "not_an_identity"])
         assert rc == 2
@@ -282,6 +301,15 @@ class TestConfig:
         (["verify", "thtfunct"], {"tol": "small"}),
         (["sweep", "thtfunct"], {"samples": [4]}),
         (["poles"], {"t": ["0.1+0.2j"] * 5, "u": [0, 0, 0, 0, "u"]}),
+        (["verify", "thtfunct"], {"tau": 0}),
+        (["verify", "thtfunct", "--tau", ""], {}),
+        (["poles"], {"t": 5, "u": [0] * 5}),
+        (["poles"], {"t": [["a", 0.3]] * 5, "u": [0] * 5}),
+        (["poles"], {"t": [[0.1, 0.3, 1]] * 5, "u": [0] * 5}),
+        (["eval", "single_spin_elliptic"], {"spins": 5}),
+        (["eval", "single_spin_elliptic"], {"spins": [5]}),
+        (["verify", "str"], {"spins": [[0.6, 0], [1.7, 0], [2.9, 0]],
+                             "alphas": 0.5}),
     ])
     def test_non_numeric_value_exit_two(self, tmp_path, capsys, argv, cfg):
         cfgfile = tmp_path / "case.json"
@@ -447,6 +475,18 @@ class TestPoles:
         rec = json.loads(out)
         assert rec["margin"] == pytest.approx(h)
         assert rec["safe"] is True
+
+    def test_plain_number_t_matches_pairs(self, tmp_path, capsys):
+        xs = [0.1, -0.2, 0.3, 0.05, -0.1]
+        records = []
+        for t in (xs, [[x, 0] for x in xs]):
+            cfgfile = tmp_path / "poles.json"
+            cfgfile.write_text(json.dumps({"r": 2, "t": t, "u": [0] * 5}))
+            rc, out, _ = run(capsys, ["poles", "--config", str(cfgfile)])
+            assert rc == 0
+            records.append(json.loads(out))
+        assert records[0] == records[1]
+        assert records[0]["margin"] == 0.0
 
     def test_missing_t_rejected(self, capsys):
         rc, _, err = run(capsys, ["poles", "--r", "1"])

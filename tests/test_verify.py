@@ -33,6 +33,15 @@ def sample_t(rng, n, span):
     return [complex(a, b) for a, b in zip(re, im)]
 
 
+def rho(z, y, t: Sequence[complex], u: Sequence[int], params: NomeParameters,
+        policy: TruncationPolicy = DEFAULT_POLICY):
+    """The constant-form integrand rho(z, y; t_1..t_5, u_1..u_5): the
+    master integrand at the constant form over the master right side."""
+    mp = verify.constant_form(t, u, params)
+    return (verify.master_integrand(z, y, mp, policy)
+            / verify._master_rhs(mp, policy))
+
+
 def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
                params: NomeParameters,
                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -40,7 +49,7 @@ def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
     r = params.r
     A, U = sum(t), sum(u)
     th = lambda zz, mm: sf.lens_theta(zz, mm, params, policy)
-    acc = verify.rho_integrand(z, y, t, u, params, policy)
+    acc = rho(z, y, t, u, params, policy)
     acc *= cmath.exp(2j * math.pi * sf.mod_bracket(y - u[0], r) / r)
     acc *= cmath.exp(1j * (t[0] - z) / r)
     num = 1.0 + 0.0j
@@ -296,7 +305,31 @@ class TestMasterIdentity:
             verify.verify_master(mp)
 
 
+#: real parts of the constant-form t of ICONST_REJECTED
+ICONST_RE = (-0.2, 0.1, 0.05, -0.1, 0.15)
+#: (Im t, u, error) of constant-form cases at r = 2, where Im(2i eta) = pi,
+#: the shift t_1 -> t_1 + pi sigma adds pi/2 to Im(A) and the contour
+#: needs a margin of 0.05 eta = 0.0785; each is rejected before any integral
+ICONST_REJECTED = [
+    ((0.2,) * 4, (0,) * 5, InvalidParameterError),          # four t
+    ((0.2,) * 5, (0,) * 6, InvalidParameterError),          # six u
+    ((0.7,) * 5, (0,) * 5, InvalidParameterError),          # Im A = 3.5
+    ((0.4,) * 5, (1, 0, -1, 0, 0), InvalidParameterError),  # shifted 3.57
+    ((1e-3,) + (0.2,) * 4, (0,) * 5, ContourViolationError),
+    ((0.306,) * 5, (0,) * 5, ContourViolationError),        # shifted 0.042
+]
+
+
 class TestConstantForm:
+    @pytest.mark.parametrize("im,u,error", ICONST_REJECTED)
+    def test_rejected_before_integrating(self, monkeypatch, im, u, error):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated a rejected case")
+        monkeypatch.setattr(numerics, "periodic_integrate", refuse)
+        t = tuple(complex(a, b) for a, b in zip(ICONST_RE, im))
+        with pytest.raises(error):
+            verify.verify_I_constant(t, u, physical_parameters(0.05, 0.5, 2))
+
     def test_r1_constant(self):
         pr = physical_parameters(0.05, 0.5, 1)
         t = tuple(sample_t(np.random.default_rng(23), 5,
@@ -409,9 +442,9 @@ class TestThetaDifference:
         u = (1, 0, -1, 1, 0)
         z = 0.83 + 0.02j
         for y in range(pr.r):
-            shifted = verify.rho_integrand(
-                z, y, (t[0] + math.pi * pr.sigma,) + t[1:], (u[0] - 1,) + u[1:], pr)
-            lhs = shifted - verify.rho_integrand(z, y, t, u, pr)
+            shifted = rho(z, y, (t[0] + math.pi * pr.sigma,) + t[1:],
+                          (u[0] - 1,) + u[1:], pr)
+            lhs = shifted - rho(z, y, t, u, pr)
             rhs = (g_function(z - math.pi * pr.sigma, y + 1, t, u, pr)
                    - g_function(z, y, t, u, pr))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
@@ -431,8 +464,7 @@ class TestIntegrandSymmetries:
         y = np.arange(r)[:, None]
         z = rng.uniform(0.0, 2 * math.pi, 6)
         for f in (lambda z: verify.master_integrand(z, y, mp).sum(axis=0),
-                  lambda z: verify.rho_integrand(z, y, ic["t"], ic["u"],
-                                                 pr).sum(axis=0)):
+                  lambda z: rho(z, y, ic["t"], ic["u"], pr).sum(axis=0)):
             for mirror in (-z, 2 * math.pi - z):
                 assert np.all(np.abs(f(mirror) - f(z)) <= 1e-14 * np.abs(f(z)))
 
