@@ -4,8 +4,8 @@ seeded randomized sweeps, and contour pole diagnostics.
 Reports serialize to JSON (one object per line for sweeps) or CSV with
 complex values split into re/im columns.  Floats use Python's shortest
 round-trip representation, so a fixed seed reproduces output byte for
-byte; per-case wall-clock times are kept out of sweep rows for the same
-reason (the summary timing goes to stderr).
+byte; wall-clock times are kept out of the rows of ``verify`` and
+``sweep`` for the same reason (each prints its timing to stderr).
 
 Random sampling uses numpy's default PCG64 generator seeded with the
 --seed value.  Samplers, in draw order:
@@ -71,10 +71,11 @@ def _jsonable(obj):
     return obj
 
 
-def report_to_dict(rep: verify.VerificationReport, include_runtime=True) -> dict:
+def report_to_dict(rep: verify.VerificationReport) -> dict:
+    """The report as a JSON-safe dict, without its wall-clock runtime, so
+    that a fixed seed reproduces the row byte for byte."""
     meta = dict(rep.numerics_meta)
-    if not include_runtime:
-        meta.pop("runtime", None)
+    meta.pop("runtime", None)
     return _jsonable({
         "identity_name": rep.identity_name,
         "parameter_record": rep.parameter_record,
@@ -218,11 +219,11 @@ def _sample_t(rng, n: int, span: float):
 
 
 def sample_master_case(rng, params: NomeParameters):
+    # the sixth t and u are drawn to keep the draw order, then replaced by
+    # the constant form's t_6 = 2i eta - sum t, u_6 = -sum u
     t = _sample_t(rng, 6, (2j * params.eta).imag)
     u = [int(v) for v in rng.integers(-2, 3, 6)]
-    t[5] = 2j * params.eta - sum(t[:5])
-    u[5] = -sum(u[:5])
-    return {"mp": verify.MasterParameters(tuple(t), tuple(u), params)}
+    return {"mp": verify.constant_form(t[:5], u[:5], params)}
 
 
 def sample_iconst_case(rng, params: NomeParameters):
@@ -309,11 +310,14 @@ class Identity:
     """One checkable identity.  ``run(case, params, tol, seed)`` verifies a
     case, ``parse(cfg, params)`` reads an explicit case from the config
     (None: the config holds none) and ``sample(rng, params)`` draws one
-    (None: the identity cannot be swept).  Runners look verifiers up on the
-    ``verify`` module at call time, never at import."""
+    (None: the identity cannot be swept).  ``tol`` is the default
+    tolerance, or None for an identity whose checks set their own bounds
+    and take none.  Runners look verifiers up on the ``verify`` module at
+    call time, never at import."""
     name: str
-    tol: float
-    run: Callable[[dict, NomeParameters, float, int], verify.VerificationReport]
+    tol: Optional[float]
+    run: Callable[[dict, NomeParameters, Optional[float], int],
+                  verify.VerificationReport]
     parse: Optional[Callable[[dict, NomeParameters], Optional[dict]]]
     sample: Optional[Callable[..., dict]]
 
@@ -358,7 +362,7 @@ IDENTITIES = {ident.name: ident for ident in (
              lambda c, pr, tol, seed: verify.verify_cov_consistency(
                  c["spins"], c["alphas"], pr, tol, seed=seed),
              parse_spins_case, sample_str_case),
-    Identity("brackets", 0.5,
+    Identity("brackets", None,
              lambda c, pr, tol, seed: verify.verify_bracket_identities(
                  c["r_max"], seed=seed),
              parse_brackets_case, None),
@@ -366,20 +370,25 @@ IDENTITIES = {ident.name: ident for ident in (
              lambda c, pr, tol, seed: verify.verify_gamma_phi_bridge(
                  c["z"], c["m"], pr, tol, seed=seed),
              parse_bridge_case, None),
-    Identity("limit_r", 1.0,
+    Identity("limit_r", None,
              lambda c, pr, tol, seed: verify.verify_limit_r_to_inf(
                  c["z"], c["m"], pr, seed=seed),
              parse_limit_r_case, None),
-    Identity("limit_hbar", 1.0,
+    Identity("limit_hbar", None,
              lambda c, pr, tol, seed: verify.verify_limit_hbar(
                  c["alpha"], c["x"], c["m"], seed=seed),
              parse_limit_hbar_case, None),
 )}
 
 
-def _tolerance(cfg: dict, ident: Identity) -> float:
+def _tolerance(cfg: dict, ident: Identity) -> Optional[float]:
     """--tol if given, else the identity's default; it must be a positive
-    finite number."""
+    finite number.  An identity without a tolerance takes no --tol."""
+    if ident.tol is None:
+        if cfg.get("tol") is not None:
+            raise InvalidParameterError(
+                f"{ident.name} takes no tolerance; its checks set their own")
+        return None
     tol = (ident.tol if cfg.get("tol") is None
            else config_number(float, cfg["tol"], "tol"))
     if not (math.isfinite(tol) and tol > 0):
@@ -475,11 +484,14 @@ def run_verify(cfg: dict) -> int:
     params = build_params(cfg)
     seed = _seed(cfg)
     tol = _tolerance(cfg, ident)
+    t0 = time.perf_counter()
     rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
+    elapsed = time.perf_counter() - t0
     if cfg.get("format", "json") == "csv":
         _write(cfg, _csv_text([_csv_row(0, rep, "ok", seed)]))
     else:
         _write(cfg, json.dumps(report_to_dict(rep)) + "\n")
+    print(f"verify finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
@@ -527,7 +539,7 @@ def run_sweep(cfg: dict) -> int:
         for i, rep, status in results:
             row = {"sample_index": i, "status": status}
             if rep is not None:
-                row.update(report_to_dict(rep, include_runtime=False))
+                row.update(report_to_dict(rep))
             lines.append(json.dumps(row) + "\n")
         summary = {"summary": True, "identity": identity, "samples": samples,
                    "seed": seed, "passes": sum(

@@ -28,6 +28,7 @@ from .params import (
     TruncationPolicy,
 )
 from .special_functions import (
+    _term_count,
     bracket_pm,
     lens_elliptic_gamma,
     mod_bracket,
@@ -89,19 +90,15 @@ def _kappa_log(alpha: float, w: complex, factor, bound: float,
     rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms past N add
     at most 2 bound rho^{N+1} / (1 - rho); N is the least count that
     brings this within the sum's tolerance, 100 term_epsilon (absolute:
-    kappa is exp of the sum).
+    kappa is exp of the sum), counted by special_functions._term_count.
     """
     rho = abs(w) ** 2 * math.exp(4 * abs(alpha))
     if rho >= 1.0:
         raise NonConvergenceError(
             f"kappa series diverges: term ratio {rho:.3f} >= 1")
-    tol = policy.term_epsilon * 1e2
-    n_terms = max(1, math.ceil(
-        math.log(tol * (1.0 - rho) / (2.0 * bound)) / math.log(rho)) - 1)
-    if n_terms > policy.max_sum_terms:
-        raise NonConvergenceError(
-            f"kappa series needs {n_terms} terms, exceeding the cap of "
-            f"{policy.max_sum_terms}")
+    n_terms = _term_count(2.0 * bound * rho / (1.0 - rho), rho,
+                          policy.term_epsilon * 1e2, policy.max_sum_terms,
+                          what="kappa series")
     k = np.arange(1, n_terms + 1)
     logw = cmath.log(w)
     # exponents combined before exponentiating: e^{4 a n} alone can

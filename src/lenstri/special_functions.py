@@ -3,6 +3,9 @@ elliptic gamma function in both of its product conventions.
 
 All infinite products are truncated by term magnitude (see
 :class:`~lenstri.params.TruncationPolicy`) and carry a geometric tail bound.
+One function, ``_term_count``, counts the terms of every truncation in
+lenstri: the products and log series here, and the kappa series and the
+rinfstr m-sum in ``models`` and ``verify``.
 
 Every function takes its argument z either as a scalar or as an ndarray
 (the lens functions also take an array m, ``lens_gamma_appendix`` an array
@@ -78,6 +81,8 @@ _PEEL = 0.05
 # overflows, below _LOG_MIN it underflows to zero
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_MIN = math.log(np.finfo(float).smallest_subnormal)
+#: the least normal double
+_NORMAL = float(np.finfo(float).tiny)
 
 
 def mod_bracket(m: int, r: int) -> int:
@@ -92,19 +97,40 @@ def bracket_pm(m: int, r: int) -> int:
     return mod_bracket(m, r) * mod_bracket(-m, r)
 
 
-def _term_count(ac: float, ratio: float, eps: float, cap: int) -> int:
-    """Number of leading terms of ac * ratio**j that are above eps."""
-    if ac <= eps:
-        return 0
-    if ratio == 0.0:
-        return 1
-    # eps / ac would underflow to 0 for ac above about 2e307
-    n = int(math.ceil((math.log(eps) - math.log(ac)) / math.log(ratio)))
-    n = max(n, 1)
-    if n > cap:
+def _term_count(first: float, ratio: float, floor: float, cap: int,
+                used: int = 0, what: str = "product") -> int:
+    """Number of leading terms of first * ratio**j that are above floor,
+    for 0 <= ratio < 1; more than the cap less the terms already used
+    raises NonConvergenceError.
+
+    Every truncation counts its terms here: a single product, a
+    staircase row of a double product, its log series, the kappa series
+    and the rinfstr m-sum.  The count comes from logs (floor / first
+    would underflow for first above about 2e307); where a term lands on
+    the floor the logs can be off by one, and the count is corrected with
+    the terms themselves."""
+    def term(j):
+        # ratio**j can underflow before first * ratio**j reaches the floor
+        # (first near the largest double); then it is taken in two halves
+        power = ratio ** j
+        if power >= _NORMAL:
+            return first * power
+        return first * ratio ** (j // 2) * ratio ** (j - j // 2)
+
+    if first <= floor:
+        n = 0
+    elif ratio == 0.0:
+        n = 1
+    else:
+        n = max(1, math.ceil((math.log(floor) - math.log(first))
+                             / math.log(ratio)))
+        while n > 1 and term(n - 1) <= floor:
+            n -= 1
+        while term(n) > floor:
+            n += 1
+    if n > cap - used:
         raise NonConvergenceError(
-            f"product needs {n} terms, exceeding the cap of {cap}"
-        )
+            f"{what} needs {used + n} terms, more than {cap}")
     return n
 
 
@@ -170,45 +196,6 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     return out.reshape(c.shape)
 
 
-def _peel_count(ac: float, ratio: float, cap: int, used: int = 0) -> int:
-    """Number of leading terms of ac * ratio**j that are >= _PEEL; more
-    than the cap less the used terms raises NonConvergenceError.
-
-    The count comes from logs, as in _term_count; where a term lands on
-    _PEEL the logs can be off by one, and the count is corrected with the
-    terms themselves."""
-    if ac < _PEEL:
-        return 0
-    n = 1 if ratio == 0.0 else int(math.log(_PEEL / ac) / math.log(ratio)) + 1
-    if n - 1 <= cap - used:
-        while n > 1 and ac * ratio ** (n - 1) < _PEEL:
-            n -= 1
-        while ac * ratio ** n >= _PEEL:
-            n += 1
-    if n > cap - used:
-        raise NonConvergenceError(
-            f"product needs more than {cap} terms, the cap")
-    return n
-
-
-def _series_length(largest: float, eps: float, cap: int) -> int:
-    """Least N with largest**(N+1) <= eps, for 0 <= largest < 1: the terms
-    of the log series that reach the term epsilon; more than the cap raises
-    NonConvergenceError.  From logs, corrected as in _peel_count."""
-    if largest <= eps:
-        return 0
-    n = max(0, math.ceil(math.log(eps) / math.log(largest)) - 1)
-    if n - 1 <= cap:
-        while n > 0 and largest ** n <= eps:
-            n -= 1
-        while largest ** (n + 1) > eps:
-            n += 1
-    if n > cap:
-        raise NonConvergenceError(
-            f"log series needs more than {cap} terms, the cap")
-    return n
-
-
 @lru_cache(maxsize=256)
 def _staircase(a: complex, b: complex, rows: tuple, n_terms: int):
     """The peeled grid and the log series of the factors left out.
@@ -260,17 +247,22 @@ def _log_product_2d(c, a: complex, b: complex,
     c = np.asarray(c)
     ac = np.abs(c)
     top = _finite_top(ac)
-    nj = _peel_count(top, aa, cap)
+    # a term above the double below _PEEL is one at or above _PEEL
+    peel = math.nextafter(_PEEL, 0.0)
+    nj = _term_count(top, aa, peel, cap)
     # the cap bounds the staircase's total factor count, not each row's
     rows, used = [], 0
     for j in range(nj):
-        rows.append(_peel_count(top * aa ** j, ab, cap, used))
+        rows.append(_term_count(top * aa ** j, ab, peel, cap, used))
         used += rows[-1]
     rows = tuple(rows)
     # largest |c a^j b^k| left to the series: the end of a row or row J
     largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
                         + [aa ** nj])
-    n_terms = _series_length(largest, eps, cap)
+    # N = the terms largest**n, n >= 1, above eps: counted from n = 0 so
+    # that each term is largest**n exactly, and the 1 at n = 0 is dropped
+    # (used = -1 keeps it off the cap)
+    n_terms = _term_count(1.0, largest, eps, cap, -1, "log series") - 1
     grid, coef = _staircase(complex(a), complex(b), rows, n_terms)
     # cut at N, the series of a left-out factor x = c a^j b^k errs by at
     # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, eps) a^j b^k /

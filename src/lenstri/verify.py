@@ -138,11 +138,12 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
     per step (the edge prefactors give e^{-8 eta |m0|}, S gives
     e^{4 eta |m0|}), so M = m* + k, with k >= 1 the least count for which
     rho^{k+1} / (1 - rho) is within ``SUM_MARGIN`` times the relative
-    quadrature target.  The tail past +-M is bounded by pi times the
-    largest |row M| at the evaluated nodes, geometric in the ratio of rows
-    M and M - 1 there; a ratio >= 1, a bound above the sum's target
-    (``SUM_MARGIN`` times the quadrature target) or more than
-    policy.max_sum_terms rows raise NonConvergenceError.
+    quadrature target, counted by ``special_functions._term_count``.  The
+    tail past +-M is bounded by pi times the largest |row M| at the
+    evaluated nodes, geometric in the ratio of rows M and M - 1 there; a
+    ratio >= 1, a bound above the sum's target (``SUM_MARGIN`` times the
+    quadrature target) or more than policy.max_sum_terms rows raise
+    NonConvergenceError.
     """
     t0 = time.perf_counter()
     eta = params.eta.real
@@ -156,12 +157,14 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
     m0 = np.arange(params.r // 2 + 1)   # the sectors of the elliptic model
     if not elliptic:
         rho = math.exp(-4 * eta)
-        k = max(1, math.ceil(math.log(SUM_MARGIN * rel * (1 - rho))
-                             / math.log(rho)) - 1)
-        m0 = np.arange(max(abs(s.m) for s in spins) + k + 1)
-        if m0.size > policy.max_sum_terms:
-            raise NonConvergenceError(f"rinfstr m-sum needs {m0.size} terms, "
-                                      f"more than {policy.max_sum_terms}")
+        m_star = max(abs(s.m) for s in spins)
+        # k >= 1: row m* + 1 gives the tail its ratio, and the count adds
+        # the rows after it while rho^{k+1} / (1 - rho) is above the
+        # target; rows m0 = 0..m* + 1 are used before the count
+        k = 1 + sf._term_count(rho * rho / (1 - rho), rho, SUM_MARGIN * rel,
+                               policy.max_sum_terms, m_star + 2,
+                               "rinfstr m-sum")
+        m0 = np.arange(m_star + k + 1)
     rhs = models.edge_weight(family, *_rhs_edges(spins, alphas), params,
                              policy).prod()
     # the integrator's tolerance is absolute for small values; tie it to
@@ -218,7 +221,9 @@ def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
-                  tol: float = 1e-4, quad_tol: Optional[float] = None,
+                  tol: float = 1e-4,
+                  policy: TruncationPolicy = DEFAULT_POLICY,
+                  quad_tol: Optional[float] = None,
                   seed: int = 0) -> VerificationReport:
     """Star-triangle relation of the Euler-gamma model (eta = 1).
 
@@ -231,8 +236,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     terms at +-M, is within its target.  The integrals and the sum each
     aim at ``SUM_MARGIN`` times the quadrature target, so that their
     errors stay far below it.  A sum that needs more than
-    ``DEFAULT_POLICY.max_sum_terms`` terms (m = 0, 1, ...) raises
-    NonConvergenceError.
+    policy.max_sum_terms terms (m = 0, 1, ...) raises NonConvergenceError.
     """
     t0 = time.perf_counter()
     _check_alphas(alphas, 1.0)
@@ -260,7 +264,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     # term(-m) = term(m): W(s, (x, m)) = W(s, (-x, -m)) for every edge and
     # for S, and the integral runs over all of x
     m_star = max(abs(s.m) for s in spins)
-    cap = DEFAULT_POLICY.max_sum_terms
+    cap = policy.max_sum_terms
     value = term(0)
     for m in range(1, cap):
         t = term(m)

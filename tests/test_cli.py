@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +117,32 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert "tol must be a positive finite number" in err
+
+    @pytest.mark.parametrize("name,tol", [("limit_r", 1e-30),
+                                          ("limit_hbar", 5.0),
+                                          ("brackets", 0.5)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_of_an_identity_without_one_exit_two(
+            self, capsys, tmp_path, name, tol, source):
+        # their checks set their own bounds; a --tol would be reported
+        # back as if it had been applied
+        if source == "flag":
+            argv = ["verify", name, "--tol", repr(tol)]
+        else:
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps({"tol": tol}))
+            argv = ["verify", name, "--config", str(cfgfile)]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert f"{name} takes no tolerance" in err
+
+    def test_runtime_on_stderr_only(self, capsys):
+        rc, out, err = run(capsys, ["verify", "thtfunct", "--r", "2",
+                                    "--seed", "3"])
+        assert rc == 0
+        assert "runtime" not in json.loads(out)["numerics_meta"]
+        assert "verify finished in" in err
 
     def test_unconverged_quadrature_exit_three(self, capsys, monkeypatch):
         monkeypatch.setattr(numerics, "periodic_integrate", unconverged)
@@ -387,8 +412,11 @@ class TestSweep:
         assert rows[-1]["skipped"] == 2 and rows[-1]["passes"] == 0
 
     def test_capped_strmsg_sum_row(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(verify, "DEFAULT_POLICY",
-                            TruncationPolicy(max_sum_terms=20))
+        capped = TruncationPolicy(max_sum_terms=20)
+        strmsg = verify.verify_strmsg
+        monkeypatch.setattr(verify, "verify_strmsg",
+                            lambda *args, **kwargs: strmsg(
+                                *args, policy=capped, **kwargs))
         target = tmp_path / "a.jsonl"
         rc, _, _ = run(capsys, ["sweep", "strmsg", "--seed", "5",
                                 "--samples", "1", "--out", str(target)])
@@ -456,8 +484,8 @@ class TestIdentityTable:
         assert {name: ident.tol for name, ident in cli.IDENTITIES.items()} == {
             "str": 1e-6, "rinfstr": 1e-6, "strmsg": 1e-4, "master": 1e-6,
             "iconst": 1e-6, "thtfunct": 1e-8, "inversion": 1e-10,
-            "cov": 1e-8, "brackets": 0.5, "bridge": 1e-10,
-            "limit_r": 1.0, "limit_hbar": 1.0}
+            "cov": 1e-8, "brackets": None, "bridge": 1e-10,
+            "limit_r": None, "limit_hbar": None}
 
 
 class TestPoles:
@@ -509,11 +537,7 @@ class TestProcess:
         here = capsys.readouterr().out.encode()
         fresh = fresh_python(
             f"import sys; from lenstri import cli; sys.exit(cli.main({argv!r}))")
-
-        # the wall-clock runtime is the one field that differs between runs
-        def timeless(out):
-            return re.sub(rb'"runtime": [^,}]+', b'"runtime": 0', out)
-        assert timeless(here) == timeless(fresh)
+        assert here == fresh
 
     def test_scipy_only_in_gamma_limit(self):
         out = fresh_python(

@@ -22,6 +22,7 @@ function must raise it when a factor is within POLE_FACTOR_EPS / 2.
 
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -449,6 +450,17 @@ def outcome(f, *args):
         return "cap"
 
 
+def peel_count(ac, ratio, cap, used=0):
+    """A staircase row count as _log_product_2d takes it: the terms at or
+    above _PEEL are those above the double below it."""
+    return sf._term_count(ac, ratio, math.nextafter(sf._PEEL, 0.0), cap, used)
+
+
+def series_length(largest, eps, cap):
+    """The log-series length as _log_product_2d takes it."""
+    return sf._term_count(1.0, largest, eps, cap, -1, "log series") - 1
+
+
 class TestStaircaseCounts:
     """The staircase counts come from logs; they must be what counting term
     by term gives, at exact boundaries ac ratio^k = _PEEL too."""
@@ -462,7 +474,7 @@ class TestStaircaseCounts:
            cap=caps, used=st.integers(0, 12_000))
     def test_peel_count(self, ac, ratio, cap, used):
         used = min(used, cap)
-        assert (outcome(sf._peel_count, ac, ratio, cap, used)
+        assert (outcome(peel_count, ac, ratio, cap, used)
                 == outcome(peel_count_loop, ac, ratio, cap, used))
 
     @settings(max_examples=200, deadline=None)
@@ -475,14 +487,14 @@ class TestStaircaseCounts:
         ac = sf._PEEL / ratio ** k
         used = min(used, cap)
         for x in (ac, math.nextafter(ac, 0.0), math.nextafter(ac, math.inf)):
-            assert (outcome(sf._peel_count, x, ratio, cap, used)
+            assert (outcome(peel_count, x, ratio, cap, used)
                     == outcome(peel_count_loop, x, ratio, cap, used))
 
     @settings(max_examples=200, deadline=None)
     @given(largest=st.floats(0.0, sf._PEEL, exclude_max=True),
            eps=st.floats(1e-300, 1e-1), cap=st.integers(1, 300))
     def test_series_length(self, largest, eps, cap):
-        assert (outcome(sf._series_length, largest, eps, cap)
+        assert (outcome(series_length, largest, eps, cap)
                 == outcome(series_length_loop, largest, eps, cap))
 
     @settings(max_examples=200, deadline=None)
@@ -492,5 +504,64 @@ class TestStaircaseCounts:
         eps = largest ** (n + 1)
         for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)):
             if e > 0.0:
-                assert (outcome(sf._series_length, largest, e, 10_000)
+                assert (outcome(series_length, largest, e, 10_000)
                         == outcome(series_length_loop, largest, e, 10_000))
+
+
+def term_count_loop(first, ratio, floor, cap, used=0):
+    """_term_count by counting term by term: first * ratio**n in double
+    precision while ratio**n is a normal double, and at 60 digits past it,
+    where the double product would underflow."""
+    def term(n):
+        power = ratio ** n
+        if power >= sys.float_info.min:
+            return first * power
+        with mp.workdps(60):
+            return mp.mpf(first) * mp.mpf(ratio) ** n
+    n = 0
+    while used + n <= cap and term(n) > floor:
+        n += 1
+    if used + n > cap:
+        raise NonConvergenceError("cap")
+    return n
+
+
+def kappa_count_args(bound, rho, cap):
+    """_kappa_log's count: the tail 2 bound rho^{N+1} / (1 - rho) after N
+    terms within 100 term_epsilon."""
+    return (2.0 * bound * rho / (1.0 - rho), rho, 1e-14, cap, 0)
+
+
+def rinfstr_count_args(eta, rel, m_star, cap):
+    """_star_triangle's count of the m-sum rows after row m* + 1."""
+    rho = math.exp(-4 * eta)
+    return (rho * rho / (1 - rho), rho, 1e-4 * rel, cap, m_star + 2)
+
+
+class TestTermCount:
+    """_term_count is what counting term by term gives, for the arguments
+    of each of its call sites, and for a first term near the largest
+    double, where ratio**n underflows before the terms reach the floor."""
+
+    caps = st.integers(1, 12_000)
+    ratios = st.one_of(st.floats(0.0, 0.999),
+                       st.sampled_from([0.0, 0.5, 0.25, 0.999]))
+    products = st.tuples(st.floats(0.0, 1e3), ratios, st.just(1e-16), caps,
+                         st.just(0))
+    rows = st.tuples(st.floats(0.0, 1e3), ratios,
+                     st.just(math.nextafter(sf._PEEL, 0.0)), caps,
+                     st.integers(0, 12_000))
+    series = st.tuples(st.just(1.0), st.floats(0.0, sf._PEEL, exclude_max=True),
+                       st.floats(1e-300, 1e-1), st.integers(1, 300), st.just(-1))
+    kappas = st.builds(kappa_count_args, st.floats(1.0, 10.0),
+                       st.floats(1e-6, 0.99), caps)
+    rinfstrs = st.builds(rinfstr_count_args, st.floats(0.05, 8.0),
+                         st.floats(1e-12, 1e-2), st.integers(0, 10), caps)
+    huge = st.tuples(st.floats(1e300, 1.7e308), st.floats(0.01, 0.7),
+                     st.floats(1e-20, 1e-1), caps, st.just(0))
+
+    @settings(max_examples=300, deadline=None)
+    @example((1e308, 0.6, 1e-16, 10_000, 0))
+    @given(st.one_of(products, rows, series, kappas, rinfstrs, huge))
+    def test_matches_the_loop(self, args):
+        assert outcome(sf._term_count, *args) == outcome(term_count_loop, *args)
