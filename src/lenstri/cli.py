@@ -39,7 +39,7 @@ from . import models, verify
 from . import special_functions as sf
 from .models import ModelFamily, Spin
 from .params import (
-    DEFAULT_POLICY,
+    TERM_EPSILON,
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
@@ -72,10 +72,7 @@ def _jsonable(obj):
 
 
 def report_to_dict(rep: verify.VerificationReport) -> dict:
-    """The report as a JSON-safe dict, without its wall-clock runtime, so
-    that a fixed seed reproduces the row byte for byte."""
-    meta = dict(rep.numerics_meta)
-    meta.pop("runtime", None)
+    """The report as a JSON-safe dict."""
     return _jsonable({
         "identity_name": rep.identity_name,
         "parameter_record": rep.parameter_record,
@@ -86,7 +83,7 @@ def report_to_dict(rep: verify.VerificationReport) -> dict:
         "tolerance": rep.tolerance,
         "passed": rep.passed,
         "checks": rep.checks,
-        "numerics_meta": meta,
+        "numerics_meta": rep.numerics_meta,
         "seed": rep.seed,
     })
 
@@ -468,7 +465,7 @@ def run_eval(cfg: dict) -> int:
     if isinstance(value, tuple):
         value, bound = value
         record["tail_bound"] = bound
-        record["term_epsilon"] = DEFAULT_POLICY.term_epsilon
+        record["term_epsilon"] = TERM_EPSILON
     record["value"] = value
     _write(cfg, json.dumps(_jsonable(record)) + "\n")
     return EXIT_PASS

@@ -20,12 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from .params import (
-    DEFAULT_POLICY,
+    MAX_SUM_TERMS,
+    TERM_EPSILON,
     InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
-    TruncationPolicy,
 )
 from .special_functions import (
     _term_count,
@@ -81,15 +81,14 @@ def epsilon_factor(m, r: int):
     return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
-def _kappa_log(alpha: float, w: complex, factor, bound: float,
-               policy: TruncationPolicy) -> complex:
+def _kappa_log(alpha: float, w: complex, factor, bound: float) -> complex:
     """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n, with |factor(k)| <=
     bound for every k >= 1.
 
     The +-n terms for n = 1..N are one array.  Each is at most bound
     rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms past N add
     at most 2 bound rho^{N+1} / (1 - rho); N is the least count that
-    brings this within the sum's tolerance, 100 term_epsilon (absolute:
+    brings this within the sum's tolerance, 100 TERM_EPSILON (absolute:
     kappa is exp of the sum), counted by special_functions._term_count.
     """
     rho = abs(w) ** 2 * math.exp(4 * abs(alpha))
@@ -97,7 +96,7 @@ def _kappa_log(alpha: float, w: complex, factor, bound: float,
         raise NonConvergenceError(
             f"kappa series diverges: term ratio {rho:.3f} >= 1")
     n_terms = _term_count(2.0 * bound * rho / (1.0 - rho), rho,
-                          policy.term_epsilon * 1e2, policy.max_sum_terms,
+                          TERM_EPSILON * 1e2, MAX_SUM_TERMS,
                           what="kappa series")
     k = np.arange(1, n_terms + 1)
     logw = cmath.log(w)
@@ -109,8 +108,7 @@ def _kappa_log(alpha: float, w: complex, factor, bound: float,
 
 
 @lru_cache(maxsize=4096)
-def kappa_elliptic(alpha: float, params: NomeParameters,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kappa_elliptic(alpha: float, params: NomeParameters) -> complex:
     """Normalisation of the elliptic edge weight:
 
     exp sum_{n!=0} e^{4 a n} ((pq)^{rn}-(pq)^{-rn})
@@ -134,12 +132,11 @@ def kappa_elliptic(alpha: float, params: NomeParameters,
                 / ((1 - w ** (4 * k)) * (1 - p ** (2 * r * k))
                    * (1 - q ** (2 * r * k))))
 
-    return cmath.exp(_kappa_log(alpha, w, factor, bound, policy))
+    return cmath.exp(_kappa_log(alpha, w, factor, bound))
 
 
 @lru_cache(maxsize=4096)
-def kappa_qlimit(alpha: float, params: NomeParameters,
-                 policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def kappa_qlimit(alpha: float, params: NomeParameters) -> complex:
     """Normalisation of the q-limit edge weight:
     exp{-sum_{n!=0} e^{4 a n} / (n ((pq)^{2|n|} - (pq)^{-2|n|}))},
     the r -> infinity limit of the elliptic one:
@@ -149,14 +146,14 @@ def kappa_qlimit(alpha: float, params: NomeParameters,
         return 1.0 + 0.0j
     w = params.p * params.q
     return cmath.exp(_kappa_log(alpha, w, lambda k: 1 / (1 - w ** (4 * k)),
-                                1 / (1 - abs(w) ** 4), policy))
+                                1 / (1 - abs(w) ** 4)))
 
 
-def _per_alpha(kappa, alpha, params, policy):
+def _per_alpha(kappa, alpha, params):
     """kappa(alpha) of a scalar alpha, or of each element of an array."""
     if np.ndim(alpha) == 0:
-        return kappa(alpha, params, policy)
-    values = [kappa(float(a), params, policy) for a in np.ravel(alpha)]
+        return kappa(alpha, params)
+    values = [kappa(float(a), params) for a in np.ravel(alpha)]
     return np.reshape(values, np.shape(alpha))
 
 
@@ -172,7 +169,7 @@ def _edge_rows(alpha, si: Spin, sj: Spin) -> list:
 
 
 def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
-                 params: NomeParameters, policy: TruncationPolicy):
+                 params: NomeParameters):
     """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family,
     from the values v of its four _edge_rows."""
     dm, sm = si.m - sj.m, si.m + sj.m
@@ -183,25 +180,24 @@ def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
     else:
         pref = np.exp(-2 * alpha * (np.abs(dm) + np.abs(sm)))
         kappa = kappa_qlimit
-    return (pref / _per_alpha(kappa, alpha, params, policy)
+    return (pref / _per_alpha(kappa, alpha, params)
             * (v[0] * v[1]) / (v[2] * v[3]))
 
 
-def weight_elliptic(alpha, si: Spin, sj: Spin, params: NomeParameters,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def weight_elliptic(alpha, si: Spin, sj: Spin,
+                    params: NomeParameters) -> complex:
     """Elliptic edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
     z, m = stack_rows(*_edge_rows(alpha, si, sj))
-    v = lens_elliptic_gamma(z, m, params, policy)
+    v = lens_elliptic_gamma(z, m, params)
     return python_scalar(_edge_weight(ModelFamily.ELLIPTIC, alpha, si, sj, v,
-                                      params, policy))
+                                      params))
 
 
 def single_spin_elliptic(si: Spin, params: NomeParameters,
-                         policy: TruncationPolicy = DEFAULT_POLICY,
                          via_theta4: bool = False) -> complex:
     """Elliptic single-spin weight S(si); the spin's angle and integer part
     may be arrays that broadcast against each other.
@@ -217,19 +213,18 @@ def single_spin_elliptic(si: Spin, params: NomeParameters,
         shift = (r / 2 - mod_bracket(2 * si.m, r))
         return python_scalar(
             pre
-            * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r, policy)
-            * theta4(2 * si.x - shift * math.pi * params.tau, q ** r, policy))
+            * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r)
+            * theta4(2 * si.x - shift * math.pi * params.tau, q ** r))
     z, m = stack_rows((-2 * si.x - 1j * params.eta, -2 * si.m),
                       (2 * si.x - 1j * params.eta, 2 * si.m))
-    v = lens_elliptic_gamma(z, m, params, policy)
+    v = lens_elliptic_gamma(z, m, params)
     return python_scalar(pre
-                         * qpochhammer_inf(p ** (2 * r), p ** (2 * r), policy)
-                         * qpochhammer_inf(q ** (2 * r), q ** (2 * r), policy)
+                         * qpochhammer_inf(p ** (2 * r), p ** (2 * r))
+                         * qpochhammer_inf(q ** (2 * r), q ** (2 * r))
                          * v[0] * v[1])
 
 
-def q_function(z: complex, n: int, params: NomeParameters,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     """r->infinity limit of the lens elliptic gamma function:
 
     Q(z, n) = prod_j (1 - e^{2iz} q^{2n} (pq)^{2j+1}) / (1 - e^{-2iz} p^{2n} (pq)^{2j+1})
@@ -244,23 +239,23 @@ def q_function(z: complex, n: int, params: NomeParameters,
         e2 = np.exp(2j * z)
         c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
                         (np.where(nonneg, pk, qk) * pq / e2,))
-    num, den = qpochhammer_inf(c, pq * pq, policy)
+    num, den = qpochhammer_inf(c, pq * pq)
     if np.any(abs(den) < 1e-13):
         raise PoleHitError("Q(z, n) evaluated at a pole")
     return python_scalar(num / den)
 
 
-def weight_qlimit(alpha, si: Spin, sj: Spin, params: NomeParameters,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def weight_qlimit(alpha, si: Spin, sj: Spin,
+                  params: NomeParameters) -> complex:
     """q-limit edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
     z, n = stack_rows(*_edge_rows(alpha, si, sj))
-    v = q_function(z, n, params, policy)
+    v = q_function(z, n, params)
     return python_scalar(_edge_weight(ModelFamily.Q_LIMIT, alpha, si, sj, v,
-                                      params, policy))
+                                      params))
 
 
 def _single_spin_qlimit_rows(sj: Spin, params: NomeParameters) -> list:
@@ -275,21 +270,19 @@ def _single_spin_qlimit(sj: Spin, v, params: NomeParameters):
             * v[0] * v[1])
 
 
-def single_spin_qlimit(sj: Spin, params: NomeParameters,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
     """q-limit single-spin weight:
     (1/2pi) e^{4 eta |m|} Q(2x - i eta, 2m) Q(-2x - i eta, -2m).
     The spin's angle and integer part may be arrays that broadcast against
     each other.
     """
     z, n = stack_rows(*_single_spin_qlimit_rows(sj, params))
-    v = q_function(z, n, params, policy)
+    v = q_function(z, n, params)
     return python_scalar(_single_spin_qlimit(sj, v, params))
 
 
 def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
-                   params: NomeParameters,
-                   policy: TruncationPolicy = DEFAULT_POLICY):
+                   params: NomeParameters):
     """Integrand S(s0) prod_i W_{alpha_i}(s_i, s0) of the star-triangle
     relation of the elliptic or the q-limit family, at a centre spin s0
     whose angle and integer part may be arrays that broadcast against each
@@ -304,17 +297,17 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     rows = [row for a, s in zip(alphas, spins) for row in _edge_rows(a, s, s0)]
     if family is ModelFamily.ELLIPTIC:
         z, m = stack_rows(*rows)
-        v = lens_elliptic_gamma(z, m, params, policy)
-        value = single_spin_elliptic(s0, params, policy, via_theta4=True)
+        v = lens_elliptic_gamma(z, m, params)
+        value = single_spin_elliptic(s0, params, via_theta4=True)
     elif family is ModelFamily.Q_LIMIT:
         z, n = stack_rows(*_single_spin_qlimit_rows(s0, params), *rows)
-        v = q_function(z, n, params, policy)
+        v = q_function(z, n, params)
         value, v = _single_spin_qlimit(s0, v[:2], params), v[2:]
     else:
         raise InvalidParameterError(f"no stacked integrand for {family}")
     for i, (a, s) in enumerate(zip(alphas, spins)):
         value = value * _edge_weight(family, a, s, s0, v[4 * i:4 * i + 4],
-                                     params, policy)
+                                     params)
     return python_scalar(value)
 
 
@@ -361,12 +354,11 @@ def single_spin_gamma(sj: Spin) -> float:
 
 
 def edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
-                params: NomeParameters | None = None,
-                policy: TruncationPolicy = DEFAULT_POLICY):
+                params: NomeParameters | None = None):
     """Uncrossed weight W_alpha(si, sj) for the given family; alpha and the
     spins may be arrays that broadcast against each other."""
     if family is ModelFamily.ELLIPTIC:
-        return weight_elliptic(alpha, si, sj, params, policy)
+        return weight_elliptic(alpha, si, sj, params)
     if family is ModelFamily.Q_LIMIT:
-        return weight_qlimit(alpha, si, sj, params, policy)
+        return weight_qlimit(alpha, si, sj, params)
     return weight_gamma(alpha, si, sj)

@@ -1,4 +1,5 @@
-"""Global parameter records and error types shared by every evaluator."""
+"""Global parameter records, truncation limits and error types shared by
+every evaluator."""
 
 from __future__ import annotations
 
@@ -88,27 +89,16 @@ def physical_parameters(a: float = 0.05, b: float = 0.5, r: int = 1) -> NomePara
     return NomeParameters(complex(a, b), complex(-a, b), r)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Truncation control for infinite products and bilateral sums.
+# Truncation limits of every infinite product and sum.  A caller does not
+# set them: the same three numbers cut every truncation in lenstri.
 
-    term_epsilon: a multiplicative term is treated as 1 (an additive term
-    as 0) once its magnitude drops below this threshold.  The caps are hard
-    limits; hitting one before the epsilon criterion raises
-    NonConvergenceError instead of silently truncating.  max_product_index
-    bounds the factors one product multiplies out, for a double product
-    the total over its staircase's rows.
-    """
-
-    term_epsilon: float = 1e-16
-    max_product_index: int = 10_000
-    max_sum_terms: int = 10_000
-
-    def __post_init__(self):
-        if self.term_epsilon <= 0:
-            raise InvalidParameterError("term_epsilon must be positive")
-        if self.max_product_index < 1 or self.max_sum_terms < 1:
-            raise InvalidParameterError("truncation caps must be >= 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+#: a multiplicative term is treated as 1 (an additive term as 0) once its
+#: magnitude drops below this threshold
+TERM_EPSILON = 1e-16
+#: the most factors one product multiplies out, for a double product the
+#: total over its staircase's rows; hitting it before the TERM_EPSILON
+#: criterion raises NonConvergenceError instead of silently truncating
+MAX_PRODUCT_INDEX = 10_000
+#: the most terms one sum adds (the kappa series, the rinfstr and strmsg
+#: m-sums), enforced the same way
+MAX_SUM_TERMS = 10_000

@@ -1,9 +1,10 @@
 """Modular brackets, q-Pochhammer symbols, theta functions, and the lens
 elliptic gamma function in both of its product conventions.
 
-All infinite products are truncated by term magnitude (see
-:class:`~lenstri.params.TruncationPolicy`) and carry a geometric tail bound.
-One function, ``_term_count``, counts the terms of every truncation in
+All infinite products are truncated by term magnitude, at the fixed
+limits of :mod:`lenstri.params` (terms below ``TERM_EPSILON``, at most
+``MAX_PRODUCT_INDEX`` factors), and carry a geometric tail bound.  One
+function, ``_term_count``, counts the terms of every truncation in
 lenstri: the products and log series here, and the kappa series and the
 rinfstr m-sum in ``models`` and ``verify``.
 
@@ -45,7 +46,8 @@ overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
 can overflow only at arguments far off the real axis; a product that is
 not finite in double precision raises NonConvergenceError rather than
 passing an inf on, and so does a product argument c that is not finite
-(e^{iz} overflowing still further off the axis).
+(e^{iz} overflowing still further off the axis) and a function value that
+is not (an exponential prefactor overflowing).
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ from functools import lru_cache
 import numpy as np
 
 from .params import (
-    DEFAULT_POLICY,
+    MAX_PRODUCT_INDEX,
+    TERM_EPSILON,
     DivergentParameterError,
     InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
-    TruncationPolicy,
 )
 
 # Any product factor closer to zero than this is treated as a pole (or zero)
@@ -223,8 +225,7 @@ def _staircase(a: complex, b: complex, rows: tuple, n_terms: int):
     return grid, coef
 
 
-def _log_product_2d(c, a: complex, b: complex,
-                    policy: TruncationPolicy, pole_guard=True):
+def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
     """log of prod_{j,k>=0} (1 - c a^j b^k), with a tail bound on the log.
 
     Requires |a|, |b| < 1.  c is a scalar or an array; the staircase and
@@ -242,34 +243,34 @@ def _log_product_2d(c, a: complex, b: complex,
         raise DivergentParameterError(
             f"product ratios must have magnitude < 1 (got {aa}, {ab})"
         )
-    eps = policy.term_epsilon
-    cap = policy.max_product_index
     c = np.asarray(c)
     ac = np.abs(c)
     top = _finite_top(ac)
     # a term above the double below _PEEL is one at or above _PEEL
     peel = math.nextafter(_PEEL, 0.0)
-    nj = _term_count(top, aa, peel, cap)
+    nj = _term_count(top, aa, peel, MAX_PRODUCT_INDEX)
     # the cap bounds the staircase's total factor count, not each row's
     rows, used = [], 0
     for j in range(nj):
-        rows.append(_term_count(top * aa ** j, ab, peel, cap, used))
+        rows.append(_term_count(top * aa ** j, ab, peel, MAX_PRODUCT_INDEX,
+                                used))
         used += rows[-1]
     rows = tuple(rows)
     # largest |c a^j b^k| left to the series: the end of a row or row J
     largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
                         + [aa ** nj])
-    # N = the terms largest**n, n >= 1, above eps: counted from n = 0 so
-    # that each term is largest**n exactly, and the 1 at n = 0 is dropped
-    # (used = -1 keeps it off the cap)
-    n_terms = _term_count(1.0, largest, eps, cap, -1, "log series") - 1
+    # N = the terms largest**n, n >= 1, above TERM_EPSILON: counted from
+    # n = 0 so that each term is largest**n exactly, and the 1 at n = 0 is
+    # dropped (used = -1 keeps it off the cap)
+    n_terms = _term_count(1.0, largest, TERM_EPSILON, MAX_PRODUCT_INDEX, -1,
+                          "log series") - 1
     grid, coef = _staircase(complex(a), complex(b), rows, n_terms)
     # cut at N, the series of a left-out factor x = c a^j b^k errs by at
-    # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, eps) a^j b^k /
-    # g_max with g_max the largest left-out a^j b^k; summed over rows j < J
-    # and rows j >= J this is the bound below.  It grows with J, so each
-    # element gets at least the bound of its own staircase.
-    tail = np.minimum(ac, eps) * (
+    # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, TERM_EPSILON)
+    # a^j b^k / g_max with g_max the largest left-out a^j b^k; summed over
+    # rows j < J and rows j >= J this is the bound below.  It grows with
+    # J, so each element gets at least the bound of its own staircase.
+    tail = np.minimum(ac, TERM_EPSILON) * (
         (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab)))
     log = np.zeros(c.shape, complex)
     for w in coef[::-1]:
@@ -292,7 +293,7 @@ def _log_product_2d(c, a: complex, b: complex,
     return log, tail
 
 
-def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
+def _pochhammer_raw(c, a: complex):
     """prod_{j>=0} (1 - c a^j) as a direct product; zeros are allowed.
 
     c is a scalar or an array; the term count comes from its largest |c|.
@@ -302,12 +303,11 @@ def _pochhammer_raw(c, a: complex, policy: TruncationPolicy):
     aa = abs(a)
     if aa >= 1.0:
         raise DivergentParameterError(f"|ratio| must be < 1, got {aa}")
-    eps = policy.term_epsilon
     c = np.asarray(c)
     ac = np.abs(c)
-    nj = _term_count(_finite_top(ac), aa, eps, policy.max_product_index)
+    nj = _term_count(_finite_top(ac), aa, TERM_EPSILON, MAX_PRODUCT_INDEX)
     value = _product(c, a ** np.arange(nj), pole_guard=False)
-    rel_tail = 2.0 * np.minimum(ac, eps) / (1.0 - aa)
+    rel_tail = 2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa)
     return value, np.abs(value) * np.expm1(rel_tail)
 
 
@@ -340,34 +340,39 @@ def stack_rows(*rows):
 
 
 def _result(value, bound, with_bound):
+    """The value, and its tail bound if with_bound, of a special function.
+
+    Callers form the value from finite products under np.errstate(over=
+    "ignore", invalid="ignore"); a value that is not finite in double
+    precision (an exponential prefactor, or the product of several
+    factors, overflowing far off the real axis) raises NonConvergenceError
+    here rather than passing an inf or nan on."""
+    if not np.isfinite(value).all():
+        raise NonConvergenceError("value is not finite in double precision")
     value, bound = python_scalar(value), python_scalar(bound)
     return (value, bound) if with_bound else value
 
 
-def qpochhammer_inf(x: complex, q: complex,
-                    policy: TruncationPolicy = DEFAULT_POLICY,
-                    with_bound: bool = False):
+def qpochhammer_inf(x: complex, q: complex, with_bound: bool = False):
     """q-Pochhammer symbol (x; q)_inf = prod_{j>=0} (1 - x q^j), |q| < 1."""
-    value, bound = _pochhammer_raw(x, q, policy)
+    value, bound = _pochhammer_raw(x, q)
     return _result(value, bound, with_bound)
 
 
-def theta4(z: complex, p: complex,
-           policy: TruncationPolicy = DEFAULT_POLICY,
-           with_bound: bool = False):
+def theta4(z: complex, p: complex, with_bound: bool = False):
     """Jacobi theta: (p^2;p^2)_inf prod_{n>=1}(1-e^{2iz}p^{2n-1})(1-e^{-2iz}p^{2n-1})."""
     p2 = p * p
     # the constant (p^2; p^2) shares the ratio p^2, so it rides in the batch
     with product_arguments():
         c, = stack_rows((p2,), (np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
-    (c0, cp, cm), (b0, bp, bm) = _pochhammer_raw(c, p2, policy)
-    value = c0 * cp * cm
-    bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
+    (c0, cp, cm), (b0, bp, bm) = _pochhammer_raw(c, p2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = c0 * cp * cm
+        bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
     return _result(value, bound, with_bound)
 
 
 def elliptic_gamma(z: complex, p: complex, q: complex,
-                   policy: TruncationPolicy = DEFAULT_POLICY,
                    with_bound: bool = False):
     """Elliptic gamma function
     Phi(z; p, q) = prod_{j,k>=0} (1 - e^{2iz} p^{2j+1} q^{2k+1})
@@ -378,14 +383,14 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     with product_arguments():
         e2 = np.exp(2j * z)
         c, = stack_rows((e2 * p * q,), (p * q / e2,))
-    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q, policy)
-    value = np.exp(ln - ld)
-    bound = np.abs(value) * np.expm1(tn + td)
+    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(ln - ld)
+        bound = np.abs(value) * np.expm1(tn + td)
     return _result(value, bound, with_bound)
 
 
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
-                        policy: TruncationPolicy = DEFAULT_POLICY,
                         with_bound: bool = False):
     """Lens elliptic gamma function Phi_{r,m}(z), as the pair of ordinary
     elliptic gamma factors with nomes (pq, p^r) and (pq, q^r) at shifted
@@ -395,11 +400,12 @@ def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
     p, q = params.p, params.q
     shift = (r / 2 - mod_bracket(m, r))
     v1, b1 = elliptic_gamma(z + shift * math.pi * params.sigma, p * q, p ** r,
-                            policy, with_bound=True)
+                            with_bound=True)
     v2, b2 = elliptic_gamma(z - shift * math.pi * params.tau, p * q, q ** r,
-                            policy, with_bound=True)
-    value = v1 * v2
-    bound = abs(v2) * b1 + abs(v1) * b2
+                            with_bound=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = v1 * v2
+        bound = abs(v2) * b1 + abs(v1) * b2
     return _result(value, bound, with_bound)
 
 
@@ -414,7 +420,6 @@ def varphi(z: complex, m: int, params: NomeParameters) -> complex:
 
 
 def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
-                        policy: TruncationPolicy = DEFAULT_POLICY,
                         with_bound: bool = False, allow_zero=False):
     """Lens elliptic gamma function in the exponential-prefactor convention:
 
@@ -441,10 +446,11 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
                               (ei * p ** br, True),
                               (pq * q ** br / ei, guard_num),
                               (ei * q ** (r - br), True))
-    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, policy, guard[:2])
-    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, policy, guard[2:])
-    value = np.exp(phi + l1 - l2 + l3 - l4)
-    bound = np.abs(value) * np.expm1(t1 + t2 + t3 + t4)
+    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2])
+    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(phi + l1 - l2 + l3 - l4)
+        bound = np.abs(value) * np.expm1(t1 + t2 + t3 + t4)
     return _result(value, bound, with_bound)
 
 
@@ -457,7 +463,6 @@ def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:
 
 
 def lens_theta(z: complex, m: int, params: NomeParameters,
-               policy: TruncationPolicy = DEFAULT_POLICY,
                with_bound: bool = False):
     """Lens theta function
     theta(z, m | tau) = e^{phi(z,m)} (e^{iz} q^{[[-m]]}; q^r)_inf
@@ -469,8 +474,9 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     with product_arguments():
         c, = stack_rows((np.exp(1j * z) * q ** brm,),
                         (np.exp(-1j * z) * q ** (r - brm),))
-    (c1, c2), (b1, b2) = _pochhammer_raw(c, q ** r, policy)
-    pre = np.exp(lens_theta_exponent(z, m, params))
-    value = pre * c1 * c2
-    bound = np.abs(pre) * (np.abs(c2) * b1 + np.abs(c1) * b2)
+    (c1, c2), (b1, b2) = _pochhammer_raw(c, q ** r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = np.exp(lens_theta_exponent(z, m, params))
+        value = pre * c1 * c2
+        bound = np.abs(pre) * (np.abs(c2) * b1 + np.abs(c1) * b2)
     return _result(value, bound, with_bound)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,12 +17,12 @@ from . import models, numerics
 from . import special_functions as sf
 from .models import ModelFamily, Spin
 from .params import (
-    DEFAULT_POLICY,
+    MAX_SUM_TERMS,
+    TERM_EPSILON,
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
-    TruncationPolicy,
 )
 
 #: minimum pole-to-contour margin, as a fraction of eta, below which
@@ -122,8 +121,8 @@ def _rhs_edges(spins: Sequence[Spin], alphas: Sequence[float]):
     return np.array(alphas, float), stack((sj, si, sj)), stack((sk, sk, si))
 
 
-def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
-                   quad_tol, seed) -> VerificationReport:
+def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
+                   seed) -> VerificationReport:
     """Star-triangle relation of the elliptic or the q-limit family.
 
     LHS: sum over the center spin's integer part m0 and integral of its
@@ -142,10 +141,9 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
     tail past +-M is bounded by pi times the largest |row M| at the
     evaluated nodes, geometric in the ratio of rows M and M - 1 there; a
     ratio >= 1, a bound above the sum's target (``SUM_MARGIN`` times the
-    quadrature target) or more than policy.max_sum_terms rows raise
+    quadrature target) or more than MAX_SUM_TERMS rows raise
     NonConvergenceError.
     """
-    t0 = time.perf_counter()
     eta = params.eta.real
     _check_alphas(alphas, eta)
     for s in spins:
@@ -162,11 +160,11 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
         # the rows after it while rho^{k+1} / (1 - rho) is above the
         # target; rows m0 = 0..m* + 1 are used before the count
         k = 1 + sf._term_count(rho * rho / (1 - rho), rho, SUM_MARGIN * rel,
-                               policy.max_sum_terms, m_star + 2,
+                               MAX_SUM_TERMS, m_star + 2,
                                "rinfstr m-sum")
         m0 = np.arange(m_star + k + 1)
-    rhs = models.edge_weight(family, *_rhs_edges(spins, alphas), params,
-                             policy).prod()
+    rhs = models.edge_weight(family, *_rhs_edges(spins, alphas),
+                             params).prod()
     # the integrator's tolerance is absolute for small values; tie it to
     # the scale of the identity so the relative residual is meaningful
     qtol = rel * min(1.0, max(abs(rhs), 1e-12))
@@ -176,7 +174,7 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
 
     def integrand(x0):
         v = models.star_integrand(family, Spin(x0, m0[:, None]), spins,
-                                  crossed, params, policy)
+                                  crossed, params)
         np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
         return (weight * v).sum(axis=0)
     res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
@@ -191,8 +189,7 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
                                       f"within {SUM_MARGIN * qtol:.2e}")
         meta.update(m_terms=m0.size, tail_bound=tail)
     meta.update(quad_tol=qtol, quad_error=res.error_estimate,
-                term_epsilon=policy.term_epsilon,
-                runtime=time.perf_counter() - t0)
+                term_epsilon=TERM_EPSILON)
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("str" if elliptic else "rinfstr", record, res.value,
@@ -201,28 +198,25 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, policy,
 
 def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                params: NomeParameters, tol: float = 1e-6,
-               policy: TruncationPolicy = DEFAULT_POLICY,
                quad_tol: Optional[float] = None,
                seed: int = 0) -> VerificationReport:
     """Star-triangle relation of the elliptic model (see _star_triangle)."""
     return _star_triangle(ModelFamily.ELLIPTIC, spins, alphas, params, tol,
-                          policy, quad_tol, seed)
+                          quad_tol, seed)
 
 
 def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                    params: NomeParameters, tol: float = 1e-6,
-                   policy: TruncationPolicy = DEFAULT_POLICY,
                    quad_tol: Optional[float] = None,
                    seed: int = 0) -> VerificationReport:
     """Star-triangle relation of the q-product (r->infinity) model, whose
     center integer spin runs over all of Z (see _star_triangle)."""
     return _star_triangle(ModelFamily.Q_LIMIT, spins, alphas, params, tol,
-                          policy, quad_tol, seed)
+                          quad_tol, seed)
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
                   tol: float = 1e-4,
-                  policy: TruncationPolicy = DEFAULT_POLICY,
                   quad_tol: Optional[float] = None,
                   seed: int = 0) -> VerificationReport:
     """Star-triangle relation of the Euler-gamma model (eta = 1).
@@ -235,10 +229,9 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     Euler-Maclaurin tail of c m^-5 beyond M, estimated as 5 / M times the
     terms at +-M, is within its target.  The integrals and the sum each
     aim at ``SUM_MARGIN`` times the quadrature target, so that their
-    errors stay far below it.  A sum that needs more than
-    policy.max_sum_terms terms (m = 0, 1, ...) raises NonConvergenceError.
+    errors stay far below it.  A sum that needs more than MAX_SUM_TERMS
+    terms (m = 0, 1, ...) raises NonConvergenceError.
     """
-    t0 = time.perf_counter()
     _check_alphas(alphas, 1.0)
     si, sj, sk = spins
     ai, aj, ak = alphas
@@ -264,9 +257,8 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     # term(-m) = term(m): W(s, (x, m)) = W(s, (-x, -m)) for every edge and
     # for S, and the integral runs over all of x
     m_star = max(abs(s.m) for s in spins)
-    cap = policy.max_sum_terms
     value = term(0)
-    for m in range(1, cap):
+    for m in range(1, MAX_SUM_TERMS):
         t = term(m)
         value += 2 * t
         bound = 10 * abs(t) / m
@@ -274,11 +266,12 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
             break
     else:
         raise NonConvergenceError(
-            f"strmsg m-sum not within {target:.2e} after {cap} terms")
+            f"strmsg m-sum not within {target:.2e} "
+            f"after {MAX_SUM_TERMS} terms")
     # Euler-Maclaurin: sum_{k>m} t (m/k)^5 = t (m/4 - 1/2 + 5/(12 m)) + ...
     value += 2 * t * (m / 4 - 0.5 + 5 / (12 * m))
     meta = {"nodes": nodes, "m_terms": m + 1, "tail_bound": bound,
-            "quad_tol": qtol, "runtime": time.perf_counter() - t0}
+            "quad_tol": qtol}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas)}
     return make_report("strmsg", record, value, rhs, tol, meta, seed)
 
@@ -287,11 +280,11 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
 # master identity and its constant form
 
 
-def _G(rows, params, policy):
+def _G(rows, params):
     """Gamma(z, m) of every row (z, m, allow_zero), rows on axis 0, in one
     batched lens_gamma_appendix call; z may be an array of nodes."""
     z, m, allow_zero = sf.stack_rows(*rows)
-    return sf.lens_gamma_appendix(z, m, params, policy, allow_zero=allow_zero)
+    return sf.lens_gamma_appendix(z, m, params, allow_zero=allow_zero)
 
 
 def pole_diagnostics(t, params: Optional[NomeParameters] = None) -> float:
@@ -326,8 +319,7 @@ def _require_safe_contour(t, params):
     return margin
 
 
-def master_integrand(z: complex, y, mp: MasterParameters,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def master_integrand(z: complex, y, mp: MasterParameters) -> complex:
     """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
     Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
     that broadcast against each other."""
@@ -337,7 +329,7 @@ def master_integrand(z: complex, y, mp: MasterParameters,
     rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
     for ti, ui in zip(mp.t, mp.u):
         rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
-    return sf.python_scalar(_G(rows, mp.params, policy).prod(axis=0))
+    return sf.python_scalar(_G(rows, mp.params).prod(axis=0))
 
 
 def constant_form(t: Sequence[complex], u: Sequence[int],
@@ -348,35 +340,33 @@ def constant_form(t: Sequence[complex], u: Sequence[int],
                             tuple(u) + (-sum(u),), params)
 
 
-def _master_rhs(mp: MasterParameters, policy) -> complex:
+def _master_rhs(mp: MasterParameters) -> complex:
     """prod_{i<j} Gamma(t_i + t_j, u_i + u_j), the master identity's right
     side."""
     t, u = mp.t, mp.u
     return _G([(t[i] + t[j], u[i] + u[j], False)
                for i in range(6) for j in range(i + 1, 6)],
-              mp.params, policy).prod()
+              mp.params).prod()
 
 
-def _pochhammer_norm(params: NomeParameters, policy) -> complex:
+def _pochhammer_norm(params: NomeParameters) -> complex:
     """(q^r;q^r) (p^r;p^r), the normalisation of the master integral."""
     qr, pr = params.q ** params.r, params.p ** params.r
-    return (sf.qpochhammer_inf(qr, qr, policy)
-            * sf.qpochhammer_inf(pr, pr, policy))
+    return sf.qpochhammer_inf(qr, qr) * sf.qpochhammer_inf(pr, pr)
 
 
-def _master_integral(mp: MasterParameters, policy, qtol, scale=1.0):
+def _master_integral(mp: MasterParameters, qtol, scale=1.0):
     """The integral over one period of scale * sum_y master_integrand,
     with every sector y on axis 0 of one batch.  The sum over y is even in
     z, because the integrand is invariant under (z, y) -> (-z, -y) and y
     runs over Z_r."""
     y = np.arange(mp.params.r)[:, None]
     return _converged(numerics.periodic_integrate(
-        lambda z: scale * master_integrand(z, y, mp, policy).sum(axis=0),
+        lambda z: scale * master_integrand(z, y, mp).sum(axis=0),
         2 * math.pi, qtol, vectorized=True, even=True))
 
 
 def verify_master(mp: MasterParameters, tol: float = 1e-6,
-                  policy: TruncationPolicy = DEFAULT_POLICY,
                   quad_tol: Optional[float] = None,
                   seed: int = 0) -> VerificationReport:
     """Master summation/integration identity:
@@ -388,17 +378,15 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
     1/Gamma factors are evaluated through the inversion relation so the
     integrand stays pole-free on the real contour.
     """
-    t0 = time.perf_counter()
     params = mp.params
     margin = _require_safe_contour(mp.t[:5], params)
-    pref = _pochhammer_norm(params, policy)
+    pref = _pochhammer_norm(params)
     qtol = quad_tol if quad_tol is not None else tol / 10
-    res = _master_integral(mp, policy, qtol)
+    res = _master_integral(mp, qtol)
     lhs = res.value * (pref / (4 * math.pi))
-    rhs = _master_rhs(mp, policy)
+    rhs = _master_rhs(mp)
     meta = {"nodes": res.nodes_used, "pole_margin": margin, "quad_tol": qtol,
-            "quad_error": res.error_estimate,
-            "runtime": time.perf_counter() - t0}
+            "quad_error": res.error_estimate}
     record = {"t": list(mp.t), "u": list(mp.u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("master", record, lhs, rhs, tol, meta, seed)
@@ -407,7 +395,6 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
 def verify_I_constant(t: Sequence[complex], u: Sequence[int],
                       params: NomeParameters, tol: float = 1e-6,
                       shift_tol: float = 1e-7,
-                      policy: TruncationPolicy = DEFAULT_POLICY,
                       quad_tol: Optional[float] = None,
                       seed: int = 0) -> VerificationReport:
     """Constant form of the master identity:
@@ -417,7 +404,6 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
     I is the master integral at constant_form(t, u) over its right side:
     the master identity divided by that side.
     """
-    t0 = time.perf_counter()
     if len(t) != 5 or len(u) != 5:
         raise InvalidParameterError("constant form takes five t and five u")
     ts = (t[0] + math.pi * params.sigma,) + tuple(t[1:])
@@ -432,18 +418,16 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
 
     def integral(t, u, qtol):
         mp = constant_form(t, u, params)
-        return _master_integral(mp, policy, qtol,
-                                1 / _master_rhs(mp, policy))
+        return _master_integral(mp, qtol, 1 / _master_rhs(mp))
     res0 = integral(t, u, qtol)
-    rhs = 4 * math.pi / _pochhammer_norm(params, policy)
+    rhs = 4 * math.pi / _pochhammer_norm(params)
     res1 = integral(ts, us, min(qtol, shift_tol / 10))
     I0, I1 = res0.value, res1.value
     shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
     meta = {"nodes": res0.nodes_used + res1.nodes_used, "pole_margin": margin,
             "shift_residual": shift_res, "shift_tolerance": shift_tol,
             "quad_tol": qtol,
-            "quad_error": max(res0.error_estimate, res1.error_estimate),
-            "runtime": time.perf_counter() - t0}
+            "quad_error": max(res0.error_estimate, res1.error_estimate)}
     record = {"t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("iconst", record, I0, rhs, tol, meta, seed,
@@ -497,8 +481,7 @@ def _theta_sides(v, k, z, y, t0, u0, r, exp, pi):
 
 
 def theta_difference_sides(z, y: int, t: Sequence[complex],
-                           u: Sequence[int], params: NomeParameters,
-                           policy: TruncationPolicy = DEFAULT_POLICY):
+                           u: Sequence[int], params: NomeParameters):
     """Both sides of the theta-function difference identity behind the
     telescoping step of the master-identity proof, and the cancellation of
     the right side's two terms, (|term_p| + |term_m|) / |term_p + term_m|:
@@ -511,7 +494,7 @@ def theta_difference_sides(z, y: int, t: Sequence[complex],
     zs = np.asarray(z, complex)
     x, m = _theta_arguments(zs.reshape(-1), y, np.array(t, complex),
                             np.array(u))
-    v = sf.lens_theta(x, m, params, policy)
+    v = sf.lens_theta(x, m, params)
     sides = [_theta_sides(v, k, zk, y, t[0], u[0], params.r, cmath.exp,
                           math.pi)
              for k, zk in enumerate(zs.reshape(-1))]
@@ -566,7 +549,6 @@ def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
 def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
                             u: Sequence[int], params: NomeParameters,
                             tol: float = 1e-8,
-                            policy: TruncationPolicy = DEFAULT_POLICY,
                             seed: int = 0) -> VerificationReport:
     """Difference identity for the lens theta functions, plus invariance of
     each side under z -> z + pi tau r.
@@ -576,13 +558,12 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
     from RECOMPUTE_DPS-digit lens theta products (lhs, rhs and both of
     those checks); numerics_meta.rhs_precision records the digits the
     verdict was taken at."""
-    t0 = time.perf_counter()
     shift = math.pi * params.tau * params.r
     # at z_star the first term of each side carries an exact theta zero and
     # both sides collapse to -1
     z_star = -t[0] - math.pi * params.tau * sf.mod_bracket(-u[0] - y, params.r)
     (lhs, lhs_s, lhs_p), (rhs, rhs_s, rhs_p), cancel = theta_difference_sides(
-        [z, z + shift, z_star], y, t, u, params, policy)
+        [z, z + shift, z_star], y, t, u, params)
     inv_l = abs(lhs_s - lhs) / max(1.0, abs(lhs))
     inv_r = abs(rhs_s - rhs) / max(1.0, abs(rhs))
     # the larger cancellation of the two right sides that
@@ -596,8 +577,7 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
         meta = {"period_shift_residual_lhs": inv_l,
                 "period_shift_residual_rhs": inv_r,
                 "rhs_cancellation": cancellation, "rhs_precision": digits,
-                "near_pole_lhs": lhs_p, "near_pole_rhs": rhs_p,
-                "runtime": time.perf_counter() - t0}
+                "near_pole_lhs": lhs_p, "near_pole_rhs": rhs_p}
         return make_report("thtfunct", record, lhs, rhs, tol, meta, seed,
                            checks={"period_shift_lhs": inv_l <= tol,
                                    "period_shift_rhs": inv_r <= tol})
@@ -618,22 +598,19 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
 
 def verify_gamma_phi_bridge(z: complex, m: int, params: NomeParameters,
                             tol: float = 1e-10,
-                            policy: TruncationPolicy = DEFAULT_POLICY,
                             seed: int = 0) -> VerificationReport:
     """Diagnostic bridge between the two lens gamma conventions:
     Phi_{r,m}(z) against e^{-varphi(w,m)} Gamma(w,m) at w = -2z + 2i eta
     with doubled modular parameters (squared nomes).  Recorded, never an
     acceptance gate.
     """
-    t0 = time.perf_counter()
     dbl = params.doubled()
     w = -2 * z + 2j * params.eta
-    lhs = sf.lens_elliptic_gamma(z, m, params, policy)
-    rhs = cmath.exp(-sf.varphi(w, m, dbl)) * sf.lens_gamma_appendix(w, m, dbl, policy)
-    meta = {"runtime": time.perf_counter() - t0}
+    lhs = sf.lens_elliptic_gamma(z, m, params)
+    rhs = cmath.exp(-sf.varphi(w, m, dbl)) * sf.lens_gamma_appendix(w, m, dbl)
     record = {"z": z, "m": m, "sigma": params.sigma, "tau": params.tau,
               "r": params.r}
-    return make_report("gamma_phi_bridge", record, lhs, rhs, tol, meta, seed)
+    return make_report("gamma_phi_bridge", record, lhs, rhs, tol, seed=seed)
 
 
 def _bracket_floor(m: int, r: int) -> int:
@@ -644,7 +621,6 @@ def _bracket_floor(m: int, r: int) -> int:
 def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationReport:
     """All six modular-bracket identities, exact integer arithmetic, for
     r in [1, r_max] and m in [-3r, 3r]."""
-    t0 = time.perf_counter()
     failures = []
     checked = 0
     for r in range(1, r_max + 1):
@@ -670,8 +646,7 @@ def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationRep
             for idx, ok in enumerate(checks, 1):
                 if not ok:
                     failures.append((idx, r, m))
-    meta = {"cases_checked": checked, "failures": failures,
-            "runtime": time.perf_counter() - t0}
+    meta = {"cases_checked": checked, "failures": failures}
     # lhs and rhs record the failure count against zero
     return make_report("brackets", {"r_max": r_max}, len(failures), 0.0,
                        0.0, meta, seed, checks={"no_failures": not failures},
@@ -680,20 +655,18 @@ def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationRep
 
 def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
                           r_list: Sequence[int] = (4, 8, 16, 32),
-                          policy: TruncationPolicy = DEFAULT_POLICY,
                           seed: int = 0) -> VerificationReport:
     """|Phi_{r,n}(z) - Q(z,n)| strictly decreasing along r_list (a
     non-increase within 1e-14 absolute counts as a decrease).  The nomes
     of params are kept fixed; its own r is ignored."""
-    t0 = time.perf_counter()
     sigma, tau = params.sigma, params.tau
     errs = []
     for r in r_list:
         pr = NomeParameters(sigma, tau, r)
-        errs.append(abs(sf.lens_elliptic_gamma(z, n, pr, policy)
-                        - models.q_function(z, n, pr, policy)))
+        errs.append(abs(sf.lens_elliptic_gamma(z, n, pr)
+                        - models.q_function(z, n, pr)))
     decreasing = all(b <= a + 1e-14 for a, b in zip(errs, errs[1:]))
-    meta = {"errors": errs, "runtime": time.perf_counter() - t0}
+    meta = {"errors": errs}
     record = {"z": z, "n": n, "sigma": sigma, "tau": tau, "r_list": list(r_list)}
     return make_report("limit_r_to_inf", record, errs[-1], 0.0,
                        max(errs[0], 1e-12), meta, seed,
@@ -704,34 +677,31 @@ def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
 
 def verify_limit_hbar(alpha: float, x: float, m: int,
                       hbar_list: Sequence[float] = (0.2, 0.1, 0.05),
-                      policy: TruncationPolicy = DEFAULT_POLICY,
                       seed: int = 0) -> VerificationReport:
     """Euler-gamma asymptotics of Q, kappa, and the single-spin weight as
     the nomes approach 1 (p = q = e^{-hbar}): all three ratio deviations
     must shrink strictly along hbar_list."""
     from scipy.special import gamma as _gamma
-    t0 = time.perf_counter()
     dev_q, dev_k, dev_s = [], [], []
     for hb in hbar_list:
         pr = NomeParameters(1j * hb / math.pi, 1j * hb / math.pi, 1)
-        qv = models.q_function(hb * x, m, pr, policy)
+        qv = models.q_function(hb * x, m, pr)
         q_asy = ((4 * hb) ** (1j * x)
                  * _gamma((1 + abs(m) + 1j * x) / 2)
                  / _gamma((1 + abs(m) - 1j * x) / 2))
         dev_q.append(abs(qv / q_asy - 1))
-        kv = models.kappa_qlimit(alpha * hb, pr, policy)
+        kv = models.kappa_qlimit(alpha * hb, pr)
         k_asy = ((8 * hb) ** (-alpha)
                  * _gamma((1 - alpha) / 2) / _gamma((1 + alpha) / 2))
         dev_k.append(abs(kv / k_asy - 1))
-        sv = models.single_spin_qlimit(Spin(hb * x, m), pr, policy)
+        sv = models.single_spin_qlimit(Spin(hb * x, m), pr)
         s_asy = (4 * hb) ** 2 * (x * x + m * m) / (2 * math.pi)
         if s_asy != 0:
             dev_s.append(abs(sv / s_asy - 1))
     shrinking = all(
         all(b < a + 1e-14 for a, b in zip(seq, seq[1:]))
         for seq in (dev_q, dev_k, dev_s) if seq)
-    meta = {"dev_q": dev_q, "dev_kappa": dev_k, "dev_single_spin": dev_s,
-            "runtime": time.perf_counter() - t0}
+    meta = {"dev_q": dev_q, "dev_kappa": dev_k, "dev_single_spin": dev_s}
     record = {"alpha": alpha, "x": x, "m": m, "hbar_list": list(hbar_list)}
     return make_report("limit_hbar", record, dev_q[-1], 0.0,
                        max(dev_q[0], 1e-12), meta, seed,
@@ -743,20 +713,18 @@ def verify_inversion_first(family: ModelFamily, alpha: float,
                            spins: Sequence[Spin],
                            params: Optional[NomeParameters] = None,
                            tol: float = 1e-10,
-                           policy: TruncationPolicy = DEFAULT_POLICY,
                            seed: int = 0) -> VerificationReport:
     """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1."""
-    t0 = time.perf_counter()
     si, sj = spins
     # W_alpha and W_{-alpha} in one weight call
     w1, w2 = models.edge_weight(family, np.array([alpha, -alpha]), si, sj,
-                                params, policy)
-    meta = {"runtime": time.perf_counter() - t0}
+                                params)
     record = {"family": family.value, "alpha": alpha,
               "spins": [(s.x, s.m) for s in spins]}
     if params is not None:
         record.update({"sigma": params.sigma, "tau": params.tau, "r": params.r})
-    return make_report("inversion_first", record, w1 * w2, 1.0, tol, meta, seed)
+    return make_report("inversion_first", record, w1 * w2, 1.0, tol,
+                       seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +750,7 @@ def cov_master_parameters(spins: Sequence[Spin], alphas: Sequence[float],
 
 
 def cov_conversion_factor(spins: Sequence[Spin], alphas: Sequence[float],
-                          params: NomeParameters,
-                          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+                          params: NomeParameters) -> complex:
     """Exact factor C with RHS_str = C * RHS_master (and likewise for the
     LHS) under the change of variables of cov_master_parameters.
 
@@ -803,9 +770,9 @@ def cov_conversion_factor(spins: Sequence[Spin], alphas: Sequence[float],
         dm, sm = sa.m - sb.m, sa.m + sb.m
         dx, sx = sa.x - sb.x, sa.x + sb.x
         log_pre += -2 * al * (sf.bracket_pm(dm, r) + sf.bracket_pm(sm, r)) / r
-        c /= models.kappa_elliptic(al, params, policy)
+        c /= models.kappa_elliptic(al, params)
         c /= sf.lens_elliptic_gamma(1j * (params.eta.real - 2 * al), 0,
-                                    params, policy)
+                                    params)
         for xx, mm in ((dx, dm), (sx, sm)):
             log_pre -= sf.varphi(-2 * (xx + 1j * al) + i2eta, mm, dbl)
             log_pre -= sf.varphi(-2 * (-xx + 1j * al) + i2eta, -mm, dbl)
@@ -814,24 +781,21 @@ def cov_conversion_factor(spins: Sequence[Spin], alphas: Sequence[float],
 
 def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],
                            params: NomeParameters, tol: float = 1e-8,
-                           policy: TruncationPolicy = DEFAULT_POLICY,
                            seed: int = 0) -> VerificationReport:
     """The master identity, specialised by the change of variables, must
     reproduce the star-triangle LHS and RHS separately (not only their
     ratio)."""
-    t0 = time.perf_counter()
     mp = cov_master_parameters(spins, alphas, params)
-    factor = cov_conversion_factor(spins, alphas, params, policy)
+    factor = cov_conversion_factor(spins, alphas, params)
     qt = tol / 30
-    rep_str = verify_str(spins, alphas, params, tol, policy, quad_tol=qt)
-    rep_master = verify_master(mp, tol, policy, quad_tol=qt)
+    rep_str = verify_str(spins, alphas, params, tol, quad_tol=qt)
+    rep_master = verify_master(mp, tol, quad_tol=qt)
     lhs_res = (abs(rep_str.lhs - factor * rep_master.lhs)
                / max(abs(rep_str.lhs), abs(factor * rep_master.lhs)))
     rhs_res = (abs(rep_str.rhs - factor * rep_master.rhs)
                / max(abs(rep_str.rhs), abs(factor * rep_master.rhs)))
     meta = {"lhs_residual": lhs_res, "rhs_residual": rhs_res,
-            "conversion_factor": factor,
-            "runtime": time.perf_counter() - t0}
+            "conversion_factor": factor}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("cov", record, rep_str.lhs, factor * rep_master.lhs,

@@ -16,11 +16,11 @@ from lenstri import cli, models, numerics, verify
 from lenstri import special_functions as sf
 from lenstri.models import Spin
 from lenstri.params import (
-    DEFAULT_POLICY,
+    MAX_PRODUCT_INDEX,
+    TERM_EPSILON,
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
-    TruncationPolicy,
     physical_parameters,
 )
 
@@ -156,34 +156,34 @@ class TestSpecialFunctions:
         # bound must still be at least the one it gets alone
         cs = np.array(cs, complex)
         try:
-            singles = [sf._log_product_2d(complex(c), a, b, DEFAULT_POLICY)
+            singles = [sf._log_product_2d(complex(c), a, b)
                        for c in cs]
         except PoleHitError:
             with pytest.raises(PoleHitError):
-                sf._log_product_2d(cs, a, b, DEFAULT_POLICY)
+                sf._log_product_2d(cs, a, b)
             return
-        logs, tails = sf._log_product_2d(cs, a, b, DEFAULT_POLICY)
+        logs, tails = sf._log_product_2d(cs, a, b)
         for lg, tail, (lg1, tail1) in zip(logs, tails, singles):
             assert abs(cmath.exp(lg) - cmath.exp(lg1)) <= REL * abs(cmath.exp(lg1))
             assert tail >= tail1
 
     @pytest.mark.parametrize("c", [0j, np.zeros(3, complex), np.zeros(0)])
     def test_zero_c_gives_an_empty_grid(self, c):
-        logs, tails = sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY)
+        logs, tails = sf._log_product_2d(c, 0.3, 0.2)
         assert np.shape(logs) == np.shape(tails) == np.shape(c)
         assert (logs == 0).all() and (tails == 0).all()
-        values, bounds = sf._pochhammer_raw(c, 0.5, DEFAULT_POLICY)
+        values, bounds = sf._pochhammer_raw(c, 0.5)
         assert (values == 1).all() and (bounds == 0).all()
 
-    def test_blocks_split_a_large_grid(self):
+    def test_blocks_split_a_large_grid(self, monkeypatch):
         # |ratio| = 0.999 needs more than _BLOCK factors per element, so each
         # element's grid is multiplied out over several blocks
-        a, policy = 0.999, TruncationPolicy(max_product_index=50_000)
+        a = 0.999
         c = np.array([0.2 + 0.1j, -0.3j])
-        nj = sf._term_count(0.3, a, policy.term_epsilon,
-                            policy.max_product_index)
+        monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 50_000)
+        nj = sf._term_count(0.3, a, sf.TERM_EPSILON, sf.MAX_PRODUCT_INDEX)
         assert nj > sf._BLOCK
-        values, _ = sf._pochhammer_raw(c, a, policy)
+        values, _ = sf._pochhammer_raw(c, a)
         for value, ci in zip(values, c):
             direct = cmath.exp(np.sum(np.log(1 - ci * a ** np.arange(nj))))
             assert abs(value - direct) <= 1e-12 * abs(direct)
@@ -193,9 +193,8 @@ class TestSpecialFunctions:
         # series coefficients carry 1/((1 - a^n)(1 - b^n)) near 400
         a = b = 0.95
         c = np.array([0.2 + 0.1j, -0.3j])
-        nj = sf._term_count(0.3, 0.95, DEFAULT_POLICY.term_epsilon,
-                            DEFAULT_POLICY.max_product_index)
-        logs, _ = sf._log_product_2d(c, a, b, DEFAULT_POLICY)
+        nj = sf._term_count(0.3, 0.95, TERM_EPSILON, MAX_PRODUCT_INDEX)
+        logs, _ = sf._log_product_2d(c, a, b)
         for lg, ci in zip(logs, c):
             j = np.arange(nj)
             direct = np.sum(np.log(1 - ci * np.outer(a ** j, b ** j)))
@@ -220,7 +219,7 @@ class TestSpecialFunctions:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sf, "_staircase", recorded)
             try:
-                _, tails = sf._log_product_2d(cs, a, b, DEFAULT_POLICY)
+                _, tails = sf._log_product_2d(cs, a, b)
             except PoleHitError:
                 return
         (_, _, rows, _), = seen
@@ -231,7 +230,7 @@ class TestSpecialFunctions:
             k_j = rows[j] if j < len(rows) else 0
             assert k_j == 0 or row_top * ab ** (k_j - 1) >= sf._PEEL
             assert row_top * ab ** k_j < sf._PEEL
-        want = (np.minimum(np.abs(cs), DEFAULT_POLICY.term_epsilon)
+        want = (np.minimum(np.abs(cs), TERM_EPSILON)
                 * ((len(rows) + 1) / ((1 - sf._PEEL) * (1 - aa) * (1 - ab))))
         assert np.array_equal(tails, want)
 
@@ -268,11 +267,11 @@ class TestPoleGuardAndOverflow:
     def test_guard_is_per_element(self):
         # c = 1 makes the j = k = 0 factor exactly zero
         c = np.array([1.0, 0.5])
-        logs, _ = sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY,
+        logs, _ = sf._log_product_2d(c, 0.3, 0.2,
                                      pole_guard=np.array([False, True]))
         assert cmath.exp(logs[0]) == 0 and cmath.exp(logs[1]) != 0
         with pytest.raises(PoleHitError):
-            sf._log_product_2d(c, 0.3, 0.2, DEFAULT_POLICY,
+            sf._log_product_2d(c, 0.3, 0.2,
                                pole_guard=np.array([True, False]))
 
     def test_allow_zero_rows_beside_guarded_rows(self):

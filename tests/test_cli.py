@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from lenstri import cli, numerics, verify
-from lenstri.params import TruncationPolicy
 
 
 def unconverged(f, period, tol, **kwargs):
@@ -91,6 +90,21 @@ class TestEval:
         assert rc == 3
         assert out == ""
         assert "product overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["lens_theta", "--z", "168j", "--m", "0", "--r", "10",
+         "--sigma", "0.05+0.5j", "--tau=-0.05+0.625j"],
+        ["lens_gamma_appendix", "--z", "50j", "--m", "0", "--r", "2",
+         "--sigma", "0.1+0.5j", "--tau=-0.1+2j"],
+        ["lens_elliptic_gamma", "--z=-20j", "--m", "0", "--r", "1"]])
+    def test_value_overflowing_double_precision(self, capsys, argv):
+        # every product is finite, but an exponential prefactor or the
+        # product of two elliptic gamma factors takes the value past the
+        # largest double: no inf may be printed
+        rc, out, err = run(capsys, ["eval", *argv])
+        assert rc == 3
+        assert out == ""
+        assert "not finite" in err
 
 
 class TestVerify:
@@ -412,11 +426,7 @@ class TestSweep:
         assert rows[-1]["skipped"] == 2 and rows[-1]["passes"] == 0
 
     def test_capped_strmsg_sum_row(self, capsys, tmp_path, monkeypatch):
-        capped = TruncationPolicy(max_sum_terms=20)
-        strmsg = verify.verify_strmsg
-        monkeypatch.setattr(verify, "verify_strmsg",
-                            lambda *args, **kwargs: strmsg(
-                                *args, policy=capped, **kwargs))
+        monkeypatch.setattr(verify, "MAX_SUM_TERMS", 20)
         target = tmp_path / "a.jsonl"
         rc, _, _ = run(capsys, ["sweep", "strmsg", "--seed", "5",
                                 "--samples", "1", "--out", str(target)])
@@ -429,11 +439,7 @@ class TestSweep:
         assert "20 terms" in err
 
     def test_capped_rinfstr_sum_row(self, capsys, tmp_path, monkeypatch):
-        capped = TruncationPolicy(max_sum_terms=5)
-        rinfstr = verify.verify_rinfstr
-        monkeypatch.setattr(verify, "verify_rinfstr",
-                            lambda *args, **kwargs: rinfstr(
-                                *args, policy=capped, **kwargs))
+        monkeypatch.setattr(verify, "MAX_SUM_TERMS", 5)
         target = tmp_path / "a.jsonl"
         rc, _, _ = run(capsys, ["sweep", "rinfstr", "--seed", "5",
                                 "--samples", "1", "--out", str(target)])

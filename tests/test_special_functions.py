@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 
 from lenstri import special_functions as sf
 from lenstri.params import (
-    DEFAULT_POLICY,
     DivergentParameterError,
     InvalidParameterError,
     NomeParameters,
     PoleHitError,
-    TruncationPolicy,
     physical_parameters,
 )
 
@@ -263,13 +261,11 @@ class TestLensTheta:
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 
-def theta_std(z: complex, params: NomeParameters,
-              policy: TruncationPolicy = DEFAULT_POLICY,
-              with_bound: bool = False):
+def theta_std(z: complex, params: NomeParameters, with_bound: bool = False):
     """Index-free theta function (e^{iz}; q^r)_inf (e^{-iz} q^r; q^r)_inf."""
     qr = params.q ** params.r
-    c1, b1 = sf._pochhammer_raw(cmath.exp(1j * z), qr, policy)
-    c2, b2 = sf._pochhammer_raw(cmath.exp(-1j * z) * qr, qr, policy)
+    c1, b1 = sf._pochhammer_raw(cmath.exp(1j * z), qr)
+    c2, b2 = sf._pochhammer_raw(cmath.exp(-1j * z) * qr, qr)
     value = c1 * c2
     bound = abs(c2) * b1 + abs(c1) * b2
     return sf._result(value, bound, with_bound)

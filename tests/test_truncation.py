@@ -34,13 +34,11 @@ from hypothesis import strategies as st
 from lenstri import models, numerics
 from lenstri import special_functions as sf
 from lenstri.params import (
-    DEFAULT_POLICY,
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
     PoleHitError,
-    TruncationPolicy,
     physical_parameters,
 )
 
@@ -162,7 +160,7 @@ class TestAgainstOracle:
         with mp.workdps(DPS):
             wants = [Product().double(c, a, b) for c in cs]
             out = pole_checked(
-                lambda: sf._log_product_2d(cs, a, b, DEFAULT_POLICY),
+                lambda: sf._log_product_2d(cs, a, b),
                 min(w.margin for w in wants), guarded=True)
             if out is None:
                 return
@@ -314,48 +312,61 @@ class TestKappaAgainstOracle:
 
 class TestCaps:
     """A truncation cap that is hit raises NonConvergenceError rather than
-    truncating silently."""
+    truncating silently; each test lowers the cap in the module that reads
+    it, then checks the default cap."""
 
-    small = TruncationPolicy(max_product_index=5, max_sum_terms=5)
-
-    def test_peel_count(self):
+    def test_peel_count(self, monkeypatch):
         # 10 * 0.5^j >= 0.05 for j < 8: eight rows to multiply out
+        monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 5)
         with pytest.raises(NonConvergenceError, match="product needs"):
-            sf._log_product_2d(10.0, 0.5, 0.5, self.small)
-        sf._log_product_2d(10.0, 0.5, 0.5, DEFAULT_POLICY)
+            sf._log_product_2d(10.0, 0.5, 0.5)
+        monkeypatch.undo()
+        sf._log_product_2d(10.0, 0.5, 0.5)
 
-    def test_staircase_total(self):
+    def test_staircase_total(self, monkeypatch):
         # 0.9 * 0.8^(j+k) >= 0.05 for j + k < 13: 13 rows of at most 13
         # factors and a 12-term series each fit a cap of 20, their 91
         # factors in all do not
-        policy = TruncationPolicy(max_product_index=20)
+        monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 20)
         with pytest.raises(NonConvergenceError, match="product needs"):
-            sf._log_product_2d(0.9, 0.8, 0.8, policy)
-        sf._log_product_2d(0.9, 0.8, 0.8, DEFAULT_POLICY)
+            sf._log_product_2d(0.9, 0.8, 0.8)
+        monkeypatch.undo()
+        sf._log_product_2d(0.9, 0.8, 0.8)
 
-    def test_series_length(self):
+    def test_series_length(self, monkeypatch):
         # nothing to multiply out, but 0.01^{N+1} <= 1e-16 takes N = 7
+        monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 5)
         with pytest.raises(NonConvergenceError, match="log series needs"):
-            sf._log_product_2d(0.01, 0.5, 0.5, self.small)
-        sf._log_product_2d(0.01, 0.5, 0.5, DEFAULT_POLICY)
+            sf._log_product_2d(0.01, 0.5, 0.5)
+        monkeypatch.undo()
+        sf._log_product_2d(0.01, 0.5, 0.5)
 
-    def test_single_product(self):
+    def test_single_product(self, monkeypatch):
+        monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 5)
         with pytest.raises(NonConvergenceError, match="product needs"):
-            sf.qpochhammer_inf(0.5, 0.9, self.small)
+            sf.qpochhammer_inf(0.5, 0.9)
+        monkeypatch.undo()
+        sf.qpochhammer_inf(0.5, 0.9)
 
     def test_bilateral_sum(self):
         def f(n):
             return 2.0 ** -abs(n)
         with pytest.raises(NonConvergenceError):
-            numerics.bilateral_sum(f, 1e-14, max_terms=self.small.max_sum_terms)
+            numerics.bilateral_sum(f, 1e-14, max_terms=5)
         assert numerics.bilateral_sum(f, 1e-14).value == pytest.approx(3.0)
 
-    def test_kappa_elliptic(self):
+    def test_kappa_elliptic(self, monkeypatch):
         pr = physical_parameters(0.05, 0.5, 2)
         alpha = 0.3 * pr.eta.real
-        with pytest.raises(NonConvergenceError):
-            models.kappa_elliptic(alpha, pr, self.small)
-        models.kappa_elliptic(alpha, pr, DEFAULT_POLICY)
+        # kappa is cached per (alpha, params): a value cached under the
+        # other cap would hide the count
+        models.kappa_elliptic.cache_clear()
+        monkeypatch.setattr(models, "MAX_SUM_TERMS", 5)
+        with pytest.raises(NonConvergenceError, match="kappa series needs"):
+            models.kappa_elliptic(alpha, pr)
+        monkeypatch.undo()
+        models.kappa_elliptic.cache_clear()
+        models.kappa_elliptic(alpha, pr)
 
     def test_term_count_of_a_huge_argument(self):
         # eps / ac underflows to 0 for ac above about 2e307; the count
@@ -416,6 +427,10 @@ class TestEveryInputAnswered:
         models.q_function])
     @example(z=3.24 + 354.3j, m=-2,
              params=NomeParameters(0.48 + 0.082j, -0.35 + 3.55e-7j, 4))
+    # the exponential prefactor overflows double precision: lens_theta's
+    # e^{phi} c1 c2, lens_gamma_appendix's exp of phi and the product logs
+    @example(z=168j, m=0, params=NomeParameters(0.5j, 0.625j, 10))
+    @example(z=50j, m=0, params=NomeParameters(0.1 + 0.5j, -0.1 + 2j, 2))
     @given(z=z_st, m=m_st, params=lens_params(NEAR_UNIT_IM))
     @settings(max_examples=40, deadline=None)
     def test_lens_functions(self, evaluate, z, m, params):

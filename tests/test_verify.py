@@ -16,12 +16,10 @@ from lenstri import cli, models, numerics, verify
 from lenstri import special_functions as sf
 from lenstri.models import ModelFamily, Spin
 from lenstri.params import (
-    DEFAULT_POLICY,
     ContourViolationError,
     InvalidParameterError,
     NomeParameters,
     NonConvergenceError,
-    TruncationPolicy,
     physical_parameters,
 )
 
@@ -33,23 +31,20 @@ def sample_t(rng, n, span):
     return [complex(a, b) for a, b in zip(re, im)]
 
 
-def rho(z, y, t: Sequence[complex], u: Sequence[int], params: NomeParameters,
-        policy: TruncationPolicy = DEFAULT_POLICY):
+def rho(z, y, t: Sequence[complex], u: Sequence[int], params: NomeParameters):
     """The constant-form integrand rho(z, y; t_1..t_5, u_1..u_5): the
     master integrand at the constant form over the master right side."""
     mp = verify.constant_form(t, u, params)
-    return (verify.master_integrand(z, y, mp, policy)
-            / verify._master_rhs(mp, policy))
+    return verify.master_integrand(z, y, mp) / verify._master_rhs(mp)
 
 
 def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
-               params: NomeParameters,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+               params: NomeParameters) -> complex:
     """The telescoping companion G of the difference equation for rho."""
     r = params.r
     A, U = sum(t), sum(u)
-    th = lambda zz, mm: sf.lens_theta(zz, mm, params, policy)
-    acc = rho(z, y, t, u, params, policy)
+    th = lambda zz, mm: sf.lens_theta(zz, mm, params)
+    acc = rho(z, y, t, u, params)
     acc *= cmath.exp(2j * math.pi * sf.mod_bracket(y - u[0], r) / r)
     acc *= cmath.exp(1j * (t[0] - z) / r)
     num = 1.0 + 0.0j
@@ -193,16 +188,17 @@ class TestRInfStarTriangle:
         verify.verify_rinfstr(case["spins"], case["alphas"], pr)
         assert len(calls) == 1
 
-    def test_capped_sum(self):
+    def test_capped_sum(self, monkeypatch):
         # max |m_i| = 2 and four terms past it at the default nomes: the
         # sum needs m = 0..6, seven terms
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         spins = (Spin(0.9, 2), Spin(1.4, -1), Spin(2.6, 0))
         alphas = (0.3 * eta, 0.45 * eta, 0.25 * eta)
+        monkeypatch.setattr(verify, "MAX_SUM_TERMS", 5)
         with pytest.raises(NonConvergenceError, match="m-sum needs 7 terms"):
-            verify.verify_rinfstr(spins, alphas, pr,
-                                  policy=TruncationPolicy(max_sum_terms=5))
+            verify.verify_rinfstr(spins, alphas, pr)
+        monkeypatch.undo()
         rep = verify.verify_rinfstr(spins, alphas, pr)
         assert rep.numerics_meta["m_terms"] == 7
 
