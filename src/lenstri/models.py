@@ -6,7 +6,8 @@ Normalisation factors kappa(alpha) are exponentials of bilateral sums
 whose summands are rewritten with the dominant nome powers factored out,
 so no intermediate overflows for large |n|.  The terms fall geometrically,
 by a ratio known in closed form, so the sum is one array cut by a
-geometric tail bound; kappa values are cached per (alpha, params).
+geometric tail bound; kappa values are cached per (alpha, params), and
+the parts of their terms that depend on the nomes alone per params.
 """
 
 from __future__ import annotations
@@ -81,30 +82,54 @@ def epsilon_factor(m, r: int):
     return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
-def _kappa_log(alpha: float, w: complex, factor, bound: float) -> complex:
-    """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n, with |factor(k)| <=
-    bound for every k >= 1.
+def _kappa_log(alpha: float, params: NomeParameters, family: ModelFamily,
+               bound: float) -> complex:
+    """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n, w = pq, with the
+    factor of the family's kappa series (``_kappa_series``) and
+    |factor(k)| <= bound for every k >= 1.
 
     The +-n terms for n = 1..N are one array.  Each is at most bound
     rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms past N add
     at most 2 bound rho^{N+1} / (1 - rho); N is the least count that
     brings this within the sum's tolerance, 100 TERM_EPSILON (absolute:
     kappa is exp of the sum), counted by special_functions._term_count.
+    The series is cached with the least power of 2 (at least 16) terms
+    that covers N, so that one serves many alpha.
     """
-    rho = abs(w) ** 2 * math.exp(4 * abs(alpha))
+    rho = abs(params.p * params.q) ** 2 * math.exp(4 * abs(alpha))
     if rho >= 1.0:
         raise NonConvergenceError(
             f"kappa series diverges: term ratio {rho:.3f} >= 1")
-    n_terms = _term_count(2.0 * bound * rho / (1.0 - rho), rho,
-                          TERM_EPSILON * 1e2, MAX_SUM_TERMS,
-                          what="kappa series")
-    k = np.arange(1, n_terms + 1)
-    logw = cmath.log(w)
+    n = _term_count(2.0 * bound * rho / (1.0 - rho), rho,
+                    TERM_EPSILON * 1e2, MAX_SUM_TERMS, what="kappa series")
+    size = 1 << max(4, (n - 1).bit_length())
+    k, k_logw, factor = (a[:n] for a in _kappa_series(params, family, size))
     # exponents combined before exponentiating: e^{4 a n} alone can
     # overflow for alpha near eta even though the term is tiny
-    terms = (np.exp(4 * alpha * k + 2 * k * logw)
-             - np.exp(-4 * alpha * k + 2 * k * logw)) * factor(k) / k
+    terms = (np.exp(4 * alpha * k + k_logw)
+             - np.exp(-4 * alpha * k + k_logw)) * factor / k
     return terms.sum().item()
+
+
+@lru_cache(maxsize=32)
+def _kappa_series(params: NomeParameters, family: ModelFamily, size: int):
+    """k, 2 k log w and the factor(k) of the kappa series of the elliptic
+    or the q-limit family for k = 1..size, w = pq, read-only: they depend
+    on the nomes only, so a kappa miss is two exps and a sum."""
+    r = params.r
+    p, q = params.p, params.q
+    w = p * q
+    k = np.arange(1, size + 1)
+    if family is ModelFamily.ELLIPTIC:
+        factor = ((1 - w ** (2 * r * k))
+                  / ((1 - w ** (4 * k)) * (1 - p ** (2 * r * k))
+                     * (1 - q ** (2 * r * k))))
+    else:
+        factor = 1 / (1 - w ** (4 * k))
+    out = k, 2 * k * cmath.log(w), factor
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -126,13 +151,7 @@ def kappa_elliptic(alpha: float, params: NomeParameters) -> complex:
     bound = ((1 + abs(w) ** (2 * r))
              / ((1 - abs(w) ** 4) * (1 - abs(p) ** (2 * r))
                 * (1 - abs(q) ** (2 * r))))
-
-    def factor(k):
-        return ((1 - w ** (2 * r * k))
-                / ((1 - w ** (4 * k)) * (1 - p ** (2 * r * k))
-                   * (1 - q ** (2 * r * k))))
-
-    return cmath.exp(_kappa_log(alpha, w, factor, bound))
+    return cmath.exp(_kappa_log(alpha, params, ModelFamily.ELLIPTIC, bound))
 
 
 @lru_cache(maxsize=4096)
@@ -145,7 +164,7 @@ def kappa_qlimit(alpha: float, params: NomeParameters) -> complex:
     if alpha == 0.0:
         return 1.0 + 0.0j
     w = params.p * params.q
-    return cmath.exp(_kappa_log(alpha, w, lambda k: 1 / (1 - w ** (4 * k)),
+    return cmath.exp(_kappa_log(alpha, params, ModelFamily.Q_LIMIT,
                                 1 / (1 - abs(w) ** 4)))
 
 
@@ -197,6 +216,19 @@ def weight_elliptic(alpha, si: Spin, sj: Spin,
                                       params))
 
 
+def _single_spin_theta(si: Spin, eps, params: NomeParameters):
+    """eps (1/pi) e^{2 eta [[2m]]_pm / r} theta4(2x + (r/2 - [[2m]]) pi sigma,
+    p^r) theta4(2x - (r/2 - [[2m]]) pi tau, q^r), the theta form of the
+    elliptic single-spin weight at multiplicity eps; the brackets are mod
+    r, so any integer m is accepted."""
+    r = params.r
+    pre = eps / math.pi * np.exp(2 * params.eta * bracket_pm(2 * si.m, r) / r)
+    shift = (r / 2 - mod_bracket(2 * si.m, r))
+    return (pre
+            * theta4(2 * si.x + shift * math.pi * params.sigma, params.p ** r)
+            * theta4(2 * si.x - shift * math.pi * params.tau, params.q ** r))
+
+
 def single_spin_elliptic(si: Spin, params: NomeParameters,
                          via_theta4: bool = False) -> complex:
     """Elliptic single-spin weight S(si); the spin's angle and integer part
@@ -208,13 +240,9 @@ def single_spin_elliptic(si: Spin, params: NomeParameters,
     r = params.r
     p, q = params.p, params.q
     eps = epsilon_factor(si.m, r)
-    pre = eps / math.pi * np.exp(2 * params.eta * bracket_pm(2 * si.m, r) / r)
     if via_theta4:
-        shift = (r / 2 - mod_bracket(2 * si.m, r))
-        return python_scalar(
-            pre
-            * theta4(2 * si.x + shift * math.pi * params.sigma, p ** r)
-            * theta4(2 * si.x - shift * math.pi * params.tau, q ** r))
+        return python_scalar(_single_spin_theta(si, eps, params))
+    pre = eps / math.pi * np.exp(2 * params.eta * bracket_pm(2 * si.m, r) / r)
     z, m = stack_rows((-2 * si.x - 1j * params.eta, -2 * si.m),
                       (2 * si.x - 1j * params.eta, 2 * si.m))
     v = lens_elliptic_gamma(z, m, params)
@@ -222,6 +250,34 @@ def single_spin_elliptic(si: Spin, params: NomeParameters,
                          * qpochhammer_inf(p ** (2 * r), p ** (2 * r))
                          * qpochhammer_inf(q ** (2 * r), q ** (2 * r))
                          * v[0] * v[1])
+
+
+def centre_weight(s0: Spin, params: NomeParameters) -> np.ndarray:
+    """S~(s0) = S(s0) / (2 eps(m0)), the elliptic single-spin weight at
+    multiplicity 1/2 in its theta form, at every integer m0 (mod r), the
+    weight of the centre spin of the star-triangle sum over m0 in Z_r.
+
+    S~ is even under (x0, m0) -> (pi - x0, r - m0), as are the edge
+    weights: a sector with 2 m0 = 0 (mod r) is its own mirror, and 1/2 is
+    its multiplicity eps; the other sectors pair up m0 <-> r - m0, each
+    pair worth the one sector m0 <= r/2 at eps = 1.  s0's angle and integer
+    part are arrays that broadcast against each other.  The values do not
+    depend on the instance, so they are cached per (params, angles,
+    integer parts), in a small bounded cache, and read-only.
+    """
+    x, m = np.asarray(s0.x, float), np.asarray(s0.m, int)
+    return _centre_weight(params, x.tobytes(), x.shape, m.tobytes(), m.shape)
+
+
+@lru_cache(maxsize=32)
+def _centre_weight(params: NomeParameters, x: bytes, x_shape: tuple,
+                   m: bytes, m_shape: tuple) -> np.ndarray:
+    """centre_weight at the angles and integer parts held in x and m."""
+    s0 = Spin(np.frombuffer(x).reshape(x_shape),
+              np.frombuffer(m, int).reshape(m_shape))
+    value = _single_spin_theta(s0, 0.5, params)
+    value.flags.writeable = False
+    return value
 
 
 def q_function(z: complex, n: int, params: NomeParameters) -> complex:
@@ -284,21 +340,22 @@ def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
 def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
                    params: NomeParameters):
     """Integrand S(s0) prod_i W_{alpha_i}(s_i, s0) of the star-triangle
-    relation of the elliptic or the q-limit family, at a centre spin s0
-    whose angle and integer part may be arrays that broadcast against each
-    other.
+    relation of the q-limit family, or S~(s0) prod_i W_{alpha_i}(s_i, s0)
+    of the elliptic one, at a centre spin s0 whose angle and integer part
+    may be arrays that broadcast against each other.
 
     The twelve gamma factors of the three edge weights are stacked into one
     lens_elliptic_gamma or q_function call.  The q-limit single-spin weight
-    joins that call; the elliptic one is its theta product form (two theta4
-    calls), which tolerates the genuine zeros of S on the contour where the
-    gamma form's pole guard would reject them.
+    joins that call.  The elliptic one is centre_weight, S~(s0) = S(s0) /
+    (2 eps(m0)), for the sum over m0 in Z_r: its theta product form, which
+    tolerates the genuine zeros of S on the contour where the gamma form's
+    pole guard would reject them, cached per node grid.
     """
     rows = [row for a, s in zip(alphas, spins) for row in _edge_rows(a, s, s0)]
     if family is ModelFamily.ELLIPTIC:
         z, m = stack_rows(*rows)
         v = lens_elliptic_gamma(z, m, params)
-        value = single_spin_elliptic(s0, params, via_theta4=True)
+        value = centre_weight(s0, params)
     elif family is ModelFamily.Q_LIMIT:
         z, n = stack_rows(*_single_spin_qlimit_rows(s0, params), *rows)
         v = q_function(z, n, params)

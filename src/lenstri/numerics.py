@@ -17,7 +17,7 @@ where the mapped integrand is within tol.  ``bilateral_sum`` has no
 caller in lenstri: every sum over an integer spin is a batch axis of an
 integrand or an explicit loop with a closed-form tail.  It is kept only
 because the benchmark harness (``perfbench/spans.py``) wraps it by name;
-it goes with the benchmark change of ROADMAP item 6.  Accumulation order
+it goes with the benchmark change of ROADMAP item 1.  Accumulation order
 is fixed (numpy sums over each set of nodes, center-out for sums), so a
 result depends only on its inputs, never on the run.
 
@@ -25,8 +25,9 @@ The integrators call ``f`` one node at a time by default.  With
 ``vectorized=True`` (the convention of ``scipy.integrate.solve_ivp``),
 ``f`` takes a 1-d float array of nodes and returns the array of its values
 at those nodes.  ``periodic_integrate`` calls it once on the nodes of its
-first level and the two refinements after it, which the stop rule always
-needs, concatenated in level order, then once per later level;
+first levels, concatenated in level order, until they reach 4 min_nodes
+evaluated nodes (the stop rule always needs the first three levels), then
+once per later level;
 ``line_integrate`` calls it once per pair of end points +-sinh T and then
 as ``periodic_integrate`` does.  Both modes visit the same nodes in the
 same order and take the same refinement decisions from the same values.
@@ -98,52 +99,61 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     the previous change, the next change predicted by the squaring of the
     error at each doubling, is below rounding (_ROUNDING).
     The rule cannot stop before the second refinement, so f gets the nodes
-    of the first level and of the two refinements after it (fewer if
-    max_nodes ends the doubling sooner) in one call, in level order, and
-    each later level's nodes in a call of its own; each level is summed
-    over its own slice of the values, as if it had been a call alone.
-    With even=True, f(z) = f(period - z) is taken on trust and f is
-    evaluated at one node of each mirror pair, the other counted twice;
-    nodes_used counts the nodes evaluated.
+    of the first levels in one call, in level order: every level up to
+    the first that brings the nodes evaluated to 4 min_nodes (fewer if
+    max_nodes ends the doubling sooner), which is the first level and
+    two refinements over a full period, and three over a mirror half.
+    Each later level's nodes go to a call of their own, and each level is
+    summed over its own slice of the values, as if it had been a call
+    alone.  With even=True, f(z) = f(period - z) is taken on trust and f
+    is evaluated at one node of each mirror pair, the other counted
+    twice.  nodes_used counts the nodes evaluated, also those of a level
+    that the first call evaluated but the rule did not reach.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    def level_sums(levels):
-        """Sum of f and node count of each level (index, total), over its
-        nodes index * period / total, all levels in one call to f."""
-        nodes, weights = [], []
-        for index, total in levels:
-            w = 1.0
-            if even:
-                index, w = _mirror_half(index, total)
-            nodes.append(index * (period / total))
-            weights.append(w)
+    def level(index, total):
+        """Nodes index * period / total of one level and their weights:
+        all of them, or with even=True one of each mirror pair."""
+        w = 1.0
+        if even:
+            index, w = _mirror_half(index, total)
+        return index * (period / total), w
+
+    def call(levels):
+        """Sum of f over each level (nodes, weights), all in one call."""
+        nodes = [x for x, _ in levels]
         values = _values(f, np.concatenate(nodes), vectorized)
         cuts = np.cumsum([x.size for x in nodes])[:-1]
-        return [((v * w).sum().item(), x.size)
-                for v, w, x in zip(np.split(values, cuts), weights, nodes)]
+        return [(v * w).sum().item()
+                for v, (_, w) in zip(np.split(values, cuts), levels)]
 
-    def levels():
-        """Sum and node count of each level in turn.  The rule cannot stop
-        before the second refinement, so the first level and the two
-        refinements after it go to f as one call."""
-        first, n = [(np.arange(min_nodes), min_nodes)], min_nodes
-        while len(first) < 3 and n < max_nodes:
+    def level_sums():
+        """Sum of each level in turn, with the nodes evaluated so far.  The
+        first call holds the levels up to the first whose evaluated nodes
+        reach 4 min_nodes."""
+        first, n = [level(np.arange(min_nodes), min_nodes)], min_nodes
+        evaluated = first[0][0].size
+        while evaluated < 4 * min_nodes and n < max_nodes:
             n *= 2
-            first.append((np.arange(1, n, 2), n))
-        yield from level_sums(first)
+            first.append(level(np.arange(1, n, 2), n))
+            evaluated += first[-1][0].size
+        for s in call(first):
+            yield s, evaluated
         while n < max_nodes:
             n *= 2
-            yield from level_sums([(np.arange(1, n, 2), n)])
+            x, w = level(np.arange(1, n, 2), n)
+            evaluated += x.size
+            yield call([(x, w)])[0], evaluated
 
-    sums = levels()
+    sums = level_sums()
     n = min_nodes
     total, used = next(sums)
     prev = period * total / n
     cur, err, last = prev, math.inf, None
-    for new, count in sums:
-        total, used = total + new, used + count
+    for new, used in sums:
+        total = total + new
         n *= 2
         cur = period * total / n
         err = _scaled(abs(cur - prev), cur)
@@ -190,7 +200,7 @@ def bilateral_sum(f: Callable[[int], complex], tol: float,
                   min_terms: int = 4, even: bool = False) -> SumResult:
     """Sum f(n) over all integers n, center-out with symmetric truncation.
     No lenstri code calls this; ``perfbench/spans.py`` wraps it by name,
-    so it stays until the benchmark change of ROADMAP item 6.
+    so it stays until the benchmark change of ROADMAP item 1.
 
     The tail bound comes from the geometric ratio of successive term
     magnitudes when they decay geometrically; for power-law decay

@@ -38,7 +38,7 @@ is multiplied out whole.  The kernel lays a block out with the grid on
 axis 0 and the batch elements on axis 1 and reduces over axis 0, one whole
 row of elements per multiplication; a block holds at most ``_BLOCK``
 factors, on both axes, and a longer grid is multiplied out over several
-blocks into a running product.  A log is off from sum(log f) by a
+blocks into a running product.  A one-factor grid skips the blocks.  A log is off from sum(log f) by a
 multiple of 2 pi i, which is harmless because callers only ever use exp
 of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
@@ -165,6 +165,8 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     genuine zero).  A product that is not finite in double precision
     raises NonConvergenceError.
     """
+    if grid.size == 1:
+        return _one_factor(c, grid, pole_guard)
     flat = c.reshape(-1)
     guard = np.full(c.shape, pole_guard, bool).reshape(-1)
     size = max(grid.size, 1)
@@ -193,6 +195,28 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
                             "on (or too close to) the pole/zero lattice")
                 out[lo:lo + cols] *= f.prod(axis=0)
     if not np.isfinite(out).all() or (guard & (out == 0)).any():
+        raise NonConvergenceError(
+            "product overflows or underflows double precision")
+    return out.reshape(c.shape)
+
+
+def _one_factor(c: np.ndarray, grid: np.ndarray, pole_guard):
+    """_product over a one-factor grid [g]: 1 - g c per element of c, with
+    _product's pole guard and errors, but no blocks or buffer."""
+    # grid on axis 0 as in _product's blocks, which numpy multiplies by
+    # another loop than a flat pair, rounding a size-1 batch otherwise
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 1.0 - np.multiply(grid[:, None], c.reshape(-1),
+                                dtype=complex)[0]
+    # |f| >= |Re f|: only a factor with a small real part can be small
+    near = np.abs(out.real) < POLE_FACTOR_EPS
+    if near.any():
+        near &= np.broadcast_to(pole_guard, c.shape).reshape(-1)
+    if near.any() and np.abs(out[near]).min() < POLE_FACTOR_EPS:
+        raise PoleHitError(
+            "a product factor vanished: evaluation point is on (or too "
+            "close to) the pole/zero lattice")
+    if not np.isfinite(out).all():
         raise NonConvergenceError(
             "product overflows or underflows double precision")
     return out.reshape(c.shape)

@@ -130,20 +130,31 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
     W_{eta-ak}(sk,s0), every m0 on axis 0 of one integrand batch.
     RHS: W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si).
 
-    Elliptic: m0 = 0..r//2.  q-limit: m0 runs over Z, and term(-m) =
-    term(m), because W(s, (x, m)) = W(s, (-x, -m)) for every edge and for
-    S and the integrand is pi-periodic in x; so m0 = 0..M, each m0 > 0
-    weighted 2.  Past m* = max |m_i| the terms fall by rho = e^{-4 eta}
-    per step (the edge prefactors give e^{-8 eta |m0|}, S gives
-    e^{4 eta |m0|}), so M = m* + k, with k >= 1 the least count for which
-    rho^{k+1} / (1 - rho) is within ``SUM_MARGIN`` times the relative
-    quadrature target, counted by ``special_functions._term_count``.  The
-    tail past +-M is bounded by pi times the largest |row M| at the
-    evaluated nodes, geometric in the ratio of rows M and M - 1 there; a
-    ratio >= 1, a bound above the sum's target (``SUM_MARGIN`` times the
-    quadrature target) or more than MAX_SUM_TERMS rows raise
-    NonConvergenceError.
+    W(s, (x, m)) = W(s, (-x, -m)) for every edge and for S, and the
+    integrand is pi-periodic in x.  Elliptic: every weight depends on m0
+    only mod r, so the summand is even under (x0, m0) -> (pi - x0,
+    r - m0).  m0 runs over Z_r at multiplicity 1/2 (S~ of
+    ``models.centre_weight`` in place of S): a sector with 2 m0 = 0 (mod
+    r) is its own mirror, 1/2 being its multiplicity eps(m0), and the
+    others pair up m0 <-> r - m0, each pair worth the sector m0 <= r/2 at
+    eps = 1.  So the sum over Z_r is the sum over m0 = 0..r//2 at eps(m0),
+    and it is even in x0: the quadrature evaluates the mirror half of its
+    nodes (``even=True``).  q-limit: m0 runs over Z, and term(-m) =
+    term(m); so m0 = 0..M, each m0 > 0 weighted 2.  Past m* = max |m_i|
+    the terms fall by rho = e^{-4 eta} per step (the edge prefactors give
+    e^{-8 eta |m0|}, S gives e^{4 eta |m0|}), so M = m* + k, with k >= 1
+    the least count for which rho^{k+1} / (1 - rho) is within
+    ``SUM_MARGIN`` times the relative quadrature target, counted by
+    ``special_functions._term_count``.  The tail past +-M is bounded by pi
+    times the largest |row M| at the evaluated nodes, geometric in the
+    ratio of rows M and M - 1 there; a ratio >= 1, a bound above the sum's
+    target (``SUM_MARGIN`` times the quadrature target) or more than
+    MAX_SUM_TERMS rows raise NonConvergenceError.  Both need a real eta.
     """
+    if abs(params.eta.imag) > 1e-12:
+        raise InvalidParameterError(
+            "star-triangle relations need a real eta, Re(sigma + tau) = 0 "
+            f"as at tau = -conj(sigma) (got eta = {params.eta:.6g})")
     eta = params.eta.real
     _check_alphas(alphas, eta)
     for s in spins:
@@ -152,7 +163,7 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
     if not rel > 0:
         raise InvalidParameterError("tol must be positive")
     elliptic = family is ModelFamily.ELLIPTIC
-    m0 = np.arange(params.r // 2 + 1)   # the sectors of the elliptic model
+    m0 = np.arange(params.r)   # Z_r, the sectors of the elliptic sum
     if not elliptic:
         rho = math.exp(-4 * eta)
         m_star = max(abs(s.m) for s in spins)
@@ -178,7 +189,8 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
         np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
         return (weight * v).sum(axis=0)
     res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
-                                                 vectorized=True))
+                                                 vectorized=True,
+                                                 even=elliptic))
     meta = {"nodes": res.nodes_used}
     if not elliptic:
         # 2 pi |row M| r / (1 - r), with r = |row M| / |row M - 1|

@@ -188,6 +188,34 @@ class TestSpecialFunctions:
             direct = cmath.exp(np.sum(np.log(1 - ci * a ** np.arange(nj))))
             assert abs(value - direct) <= 1e-12 * abs(direct)
 
+    @given(st.lists(st.complex_numbers(max_magnitude=1e200,
+                                       allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=9),
+           st.complex_numbers(max_magnitude=1e200, allow_nan=False,
+                              allow_infinity=False),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_factor_grid_matches_the_blocks(self, cs, g, guarded, pole):
+        # a one-factor grid's direct 1 - g c against the blocks over the
+        # grid [g, 0], whose second factor is exactly 1: the same errors,
+        # and values that differ at most by the rounding of g c (numpy
+        # multiplies a pair by other loops than a grid of two)
+        c = np.array(cs, complex)
+        if pole and g != 0:
+            c[0] = 1 / g
+
+        def product(grid):
+            try:
+                return sf._product(c, np.array(grid, complex), guarded)
+            except (PoleHitError, NonConvergenceError) as exc:
+                return type(exc)
+        one, blocks = product([g]), product([g, 0])
+        if isinstance(blocks, type):
+            assert one is blocks
+        else:
+            assert np.all(np.abs(one - blocks)
+                          <= 4e-16 * (1 + np.abs(g * c)))
+
     def test_large_ratios_match_the_direct_product(self):
         # |ratio| = 0.95: hundreds of factors are multiplied out and the
         # series coefficients carry 1/((1 - a^n)(1 - b^n)) near 400

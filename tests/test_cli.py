@@ -184,6 +184,16 @@ class TestVerify:
         assert rc == 2
         assert "invalid configuration" in err
 
+    @pytest.mark.parametrize("identity", ["str", "rinfstr"])
+    def test_complex_eta_exit_two(self, capsys, identity):
+        # sigma = tau: eta = pi (0.5 - 0.05i) is not real
+        rc, out, err = run(capsys, ["verify", identity, "--r", "2",
+                                    "--seed", "1", "--sigma", "0.05+0.5j",
+                                    "--tau", "0.05+0.5j"])
+        assert rc == 2
+        assert out == ""
+        assert "need a real eta" in err
+
     def test_rinfstr_spin_outside_domain_exit_two(self, capsys):
         rc, out, err = run(capsys, ["verify", "rinfstr",
                                     "--spins", "5.0:0", "0.3:1", "1.0:-1",
@@ -413,6 +423,19 @@ class TestSweep:
                                   "--out", str(tmp_path / "a.jsonl")])
         assert rc == 2
         assert "tol must be a positive finite number" in err
+        assert not (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("identity", ["str", "rinfstr"])
+    def test_complex_eta_exit_two(self, capsys, tmp_path, identity):
+        # no rows at all, not failed ones (residuals 0.26 and 1.6 from
+        # the real part of eta alone)
+        rc, out, err = run(capsys, ["sweep", identity, "--r", "2",
+                                    "--seed", "1", "--samples", "3",
+                                    "--sigma", "0.05+0.5j",
+                                    "--tau", "0.05+0.5j",
+                                    "--out", str(tmp_path / "a.jsonl")])
+        assert rc == 2
+        assert "need a real eta" in err
         assert not (tmp_path / "a.jsonl").exists()
 
     def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):

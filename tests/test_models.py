@@ -75,6 +75,19 @@ class TestKappa:
             rhs = models.q_function(1j * (eta - 2 * alpha), 0, pr)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
+    def test_series_cached_per_nomes(self):
+        # 36 misses of both kappas at one set of nomes build each family's
+        # series for three lengths (16, 32 and 64 terms) and reuse them
+        pr = physical_parameters(0.05, 0.5, 2)
+        models._kappa_series.cache_clear()
+        for f in np.linspace(0.05, 0.9, 18):
+            models.kappa_elliptic.__wrapped__(f * pr.eta.real, pr)
+            models.kappa_qlimit.__wrapped__(f * pr.eta.real, pr)
+        info = models._kappa_series.cache_info()
+        assert info.misses == 6 and info.hits == 30
+        for series in models._kappa_series(pr, ModelFamily.ELLIPTIC, 16):
+            assert not series.flags.writeable
+
     def test_large_alpha_no_overflow(self):
         pr = physical_parameters(0.05, 0.5, 1)
         alpha = 0.95 * pr.eta.real
@@ -137,6 +150,41 @@ class TestSingleSpinElliptic:
         v = models.single_spin_elliptic(Spin(1.1, 1), pr)
         assert abs(v.imag) <= 1e-13 * abs(v)
         assert v.real > 0
+
+
+class TestCentreWeight:
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_cached_equals_fresh(self, r):
+        # S~ = S / (2 eps) bit for bit on S's domain 0 <= m <= r/2 (scaling
+        # by a power of 2 is exact), and the mirror of it past r/2
+        pr = physical_parameters(0.05, 0.5, r)
+        x = np.linspace(0.0, math.pi, 33)
+        m = np.arange(r)[:, None]
+        models._centre_weight.cache_clear()
+        cached = models.centre_weight(Spin(x, m), pr)
+        assert models.centre_weight(Spin(x.copy(), m.copy()), pr) is cached
+        assert models._centre_weight.cache_info().hits == 1
+        for k in range(r):
+            if k <= r // 2:
+                single = models.single_spin_elliptic(Spin(x, k), pr,
+                                                     via_theta4=True)
+                fresh = single / (2 * models.epsilon_factor(k, r))
+                assert np.array_equal(cached[k], fresh)
+            else:
+                mirror = models.single_spin_elliptic(
+                    Spin(math.pi - x, r - k), pr, via_theta4=True) / 2
+                assert np.allclose(cached[k], mirror, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        pr = physical_parameters(0.05, 0.5, 2)
+        m = np.arange(2)[:, None]
+        size = models._centre_weight.cache_info().maxsize
+        assert size <= 64
+        for n in range(16, 16 + 2 * size):
+            models.centre_weight(Spin(np.linspace(0.0, 1.0, n), m), pr)
+        assert models._centre_weight.cache_info().currsize == size
 
 
 class TestQFunction:

@@ -35,11 +35,20 @@ def two_in_a_row_nodes(f, period, tol, min_nodes=16, max_nodes=2 ** 15):
 
 def level_by_level(f, period, tol, min_nodes, max_nodes, vectorized, even):
     """The trapezoid rule of periodic_integrate with one call to f per
-    refinement level, summing each level's values the same way."""
+    refinement level, summing each level's values the same way.  Its node
+    count is that of the levels summed, or of the levels that
+    periodic_integrate's first call evaluates if that is more: all levels
+    up to the first that brings the evaluated nodes to 4 min_nodes, or up
+    to max_nodes."""
+    def level_nodes(index, total):
+        if even:
+            index = index[2 * index <= total]
+        return index
+
     def level_sum(index, total):
         weights = 1.0
         if even:
-            index = index[2 * index <= total]
+            index = level_nodes(index, total)
             own = (index == 0) | (2 * index == total)
             weights = np.where(own, 1.0, 2.0)
         x = index * (period / total)
@@ -47,7 +56,12 @@ def level_by_level(f, period, tol, min_nodes, max_nodes, vectorized, even):
                   else np.array([f(t) for t in x.tolist()]))
         return (values * weights).sum().item(), index.size
 
-    n = min_nodes
+    n = first = min_nodes
+    evaluated = level_nodes(np.arange(n), n).size
+    while evaluated < 4 * min_nodes and first < max_nodes:
+        first *= 2
+        evaluated += level_nodes(np.arange(1, first, 2), first).size
+
     total, used = level_sum(np.arange(n), n)
     prev = period * total / n
     cur, err, last = prev, math.inf, None
@@ -59,9 +73,10 @@ def level_by_level(f, period, tol, min_nodes, max_nodes, vectorized, even):
         err = abs(cur - prev) / max(1.0, abs(cur))
         if err <= tol and last is not None and (
                 last <= tol or err * err <= 2.0 ** -52 * last):
-            return numerics.QuadratureResult(cur, err, used, True)
+            return numerics.QuadratureResult(cur, err, max(used, evaluated),
+                                             True)
         prev, last = cur, err
-    return numerics.QuadratureResult(cur, err, used, False)
+    return numerics.QuadratureResult(cur, err, max(used, evaluated), False)
 
 
 # analytic periodic integrands with known integrals over [0, 2 pi]
@@ -140,7 +155,11 @@ class TestStopRule:
         case = [cli.sample_str_case(rng, pr) for _ in range(7)][-1]
         rep = verify.verify_str(case["spins"], case["alphas"], pr, tol=1e-6)
         assert rep.rel_residual <= 2e-14
-        assert rep.numerics_meta["nodes"] == 128
+        # the even integrand's first call evaluates 65 nodes, the mirror
+        # halves of the levels up to 128; the error estimate is the change
+        # at 128 nodes, where a stop at 64 would report 9.8e-9
+        assert rep.numerics_meta["nodes"] == 65
+        assert rep.numerics_meta["quad_error"] <= 2e-12
 
 
 class TestFirstLevelsInOneCall:
@@ -149,18 +168,39 @@ class TestFirstLevelsInOneCall:
     @settings(max_examples=200, deadline=None)
     def test_matches_one_call_per_level(self, data, min_nodes, a, log_tol,
                                         vectorized, even):
-        # max_nodes on either side of the 4 * min_nodes of the first call
+        # max_nodes on either side of the last level of the first call:
+        # 4 * min_nodes, or 8 * min_nodes with even=True
         max_nodes = data.draw(st.one_of(
             st.integers(1, 4 * min_nodes - 1),
-            st.integers(4 * min_nodes, 2 ** 12)))
+            st.integers(4 * min_nodes, 8 * min_nodes - 1),
+            st.integers(8 * min_nodes, 2 ** 12)))
         f = lambda t: (1.0 + 0.5j * np.cos(2 * t)) / (a - np.cos(t))
         args = (f, 2 * math.pi, 10.0 ** log_tol, min_nodes, max_nodes,
                 vectorized, even)
         assert numerics.periodic_integrate(*args) == level_by_level(*args)
 
-    def test_str_calls_two_fewer_than_levels(self, monkeypatch):
+    def test_counts_a_level_evaluated_but_not_reached(self):
+        # a constant stops at the second refinement, 4 * 16 nodes, but the
+        # first call over a mirror half also evaluated the third (9 + 8 +
+        # 16 + 32 nodes)
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.ones_like(x)
+        for even, nodes in ((False, 64), (True, 65)):
+            res = numerics.periodic_integrate(f, 2 * math.pi, 1e-10,
+                                              vectorized=True, even=even)
+            assert res.converged and res.value == 2 * math.pi
+            assert res.nodes_used == nodes and calls[-1] == nodes
+        assert len(calls) == 2
+
+    @staticmethod
+    def str_calls(monkeypatch, seed):
+        """Node counts of the integrand calls of verify_str on draw seed at
+        r = 1, and its report."""
         pr = physical_parameters(0.05, 0.5, 1)
-        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        case = cli.sample_str_case(np.random.default_rng(seed), pr)
         calls = []
         integrand = models.star_integrand
 
@@ -168,13 +208,24 @@ class TestFirstLevelsInOneCall:
             calls.append(np.size(args[1].x))
             return integrand(*args, **kwargs)
         monkeypatch.setattr(models, "star_integrand", counted)
-        rep = verify.verify_str(case["spins"], case["alphas"], pr)
+        return calls, verify.verify_str(case["spins"], case["alphas"], pr)
+
+    def test_str_calls_three_fewer_than_levels(self, monkeypatch):
+        # draw 0 stops at 256 nodes, the fifth level
+        calls, rep = self.str_calls(monkeypatch, 0)
         nodes = rep.numerics_meta["nodes"]
-        levels = round(math.log2(nodes // 16)) + 1
-        assert nodes == 16 * 2 ** (levels - 1) and levels >= 3
-        # the first three levels (16 + 16 + 32 nodes) share one call
-        assert len(calls) == levels - 2
-        assert calls[0] == 64 and sum(calls) == nodes
+        # the integrand is even: a stop at n nodes has evaluated n / 2 + 1
+        levels = round(math.log2(2 * (nodes - 1) // 16)) + 1
+        assert nodes == 8 * 2 ** (levels - 1) + 1 and levels == 5
+        # the first four levels (9 + 8 + 16 + 32 nodes) share one call
+        assert len(calls) == levels - 3
+        assert calls[0] == 65 and sum(calls) == nodes
+
+    def test_str_draw_within_128_nodes_makes_one_call(self, monkeypatch):
+        # draw 4 stops within 128 nodes, all of them in the first call
+        calls, rep = self.str_calls(monkeypatch, 4)
+        assert calls == [65] and rep.numerics_meta["nodes"] == 65
+        assert rep.passed
 
 
 class TestSymmetry:
@@ -196,15 +247,19 @@ class TestSymmetry:
         assert abs(even.value - full.value) <= 1e-15 * abs(full.value)
         if vectorized:
             # the level of n new nodes evaluates at most n/2 + 1 of them;
-            # the first call holds the first level and the two refinements
-            # after it, each later call one level
+            # the first call holds the first level and the three
+            # refinements after it (n up to 8 min_nodes), each later call
+            # one level
             new = [min_nodes, min_nodes] + [min_nodes * 2 ** k
-                                            for k in range(1, len(levels) + 1)]
-            most = ([sum(n // 2 + 1 for n in new[:3])]
-                    + [n // 2 + 1 for n in new[3:]])
+                                            for k in range(1, len(levels) + 3)]
+            most = ([sum(n // 2 + 1 for n in new[:4])]
+                    + [n // 2 + 1 for n in new[4:]])
             assert all(k <= b for k, b in zip(levels, most))
             assert sum(levels) == even.nodes_used
-        assert even.nodes_used <= full.nodes_used // 2 + len(levels)
+        # the first call evaluates the levels up to 8 min_nodes, also where
+        # the full period stops at 4 min_nodes
+        assert even.nodes_used <= (max(full.nodes_used, 8 * min_nodes) // 2
+                                   + len(levels))
 
     def test_even_bilateral_sum(self):
         f = lambda n: (0.4 + 0.1j) ** abs(n) / (1 + n * n)

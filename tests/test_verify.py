@@ -146,6 +146,26 @@ class TestStarTriangle:
         with pytest.raises(InvalidParameterError):
             verify.verify_str(spins, (0.5, 0.5, 0.6), pr)
 
+    def test_complex_eta_rejected(self):
+        # sigma = tau gives eta = pi (0.5 - 0.05i): no verdict on it; its
+        # real part alone would give residuals of 0.26 (str) and 1.6
+        # (rinfstr), false failures
+        pr = NomeParameters(0.05 + 0.5j, 0.05 + 0.5j, 2)
+        spins = (Spin(0.6, 0), Spin(1.7, 1), Spin(2.9, 0))
+        alphas = (0.2 * pr.eta.real, 0.3 * pr.eta.real, 0.5 * pr.eta.real)
+        for verify_case in (verify.verify_str, verify.verify_rinfstr):
+            with pytest.raises(InvalidParameterError, match="real eta"):
+                verify_case(spins, alphas, pr)
+
+    def test_real_eta_off_the_conjugate_pair(self):
+        # Re(sigma + tau) = 0 with Im sigma != Im tau: eta is real and the
+        # relation holds
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.7j, 3)
+        eta = pr.eta.real
+        spins = (Spin(0.6, 0), Spin(1.7, 1), Spin(2.9, 1))
+        rep = verify.verify_str(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta), pr)
+        assert rep.rel_residual <= 1e-13
+
 
 class TestRInfStarTriangle:
     def test_zero_spins(self):
@@ -464,6 +484,40 @@ class TestIntegrandSymmetries:
             for mirror in (-z, 2 * math.pi - z):
                 assert np.all(np.abs(f(mirror) - f(z)) <= 1e-14 * np.abs(f(z)))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_str_centre_sum_is_even(self, r):
+        # the sum over m0 in Z_r at S~ = S / (2 eps) is even in x0 and
+        # integrates to the sum over m0 = 0..r//2 at S, which is not even
+        # once a sector pairs with another (r >= 3)
+        pr = physical_parameters(0.05, 0.5, r)
+        rng = np.random.default_rng(100 + r)
+        case = cli.sample_str_case(rng, pr)
+        crossed = [pr.eta.real - a for a in case["alphas"]]
+
+        def z_r(x):
+            return models.star_integrand(
+                ModelFamily.ELLIPTIC, Spin(x, np.arange(r)[:, None]),
+                case["spins"], crossed, pr).sum(axis=0)
+
+        def half(x):
+            total = 0.0
+            for m0 in range(r // 2 + 1):
+                s0 = Spin(x, m0)
+                v = models.single_spin_elliptic(s0, pr, via_theta4=True)
+                for a, s in zip(crossed, case["spins"]):
+                    v = v * models.weight_elliptic(a, s, s0, pr)
+                total = total + v
+            return total
+        x = rng.uniform(0.0, math.pi, 6)
+        for f, even in ((z_r, True), (half, r < 3)):
+            off = np.abs(f(math.pi - x) - f(x)).max()
+            assert bool(off <= 1e-14 * np.abs(f(x)).max()) == even
+        whole, old = (numerics.periodic_integrate(f, math.pi, 1e-14,
+                                                  vectorized=True)
+                      for f in (z_r, half))
+        assert whole.converged and old.converged
+        assert abs(whole.value - old.value) <= 1e-14 * abs(old.value)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rinfstr_term_is_even_in_m(self, m):
         pr = physical_parameters(0.05, 0.5, 1)
@@ -480,11 +534,20 @@ class TestIntegrandSymmetries:
         assert abs(term(-m) - term(m)) <= 1e-14 * abs(term(m))
 
     @staticmethod
-    def scalar_integrand(family, x, sectors, spins, crossed, pr):
-        """Sum over the sectors of S(s0) times three separate weight calls."""
+    def centre_weight(s, pr):
+        """S~(s) = S(s) / (2 eps(m)) at any m in Z_r, through the mirror
+        (pi - x, r - m) of S's own domain 0 <= m <= r/2."""
+        if s.m > pr.r // 2:
+            s = Spin(math.pi - s.x, pr.r - s.m)
+        return (models.single_spin_elliptic(s, pr, via_theta4=True)
+                / (2 * models.epsilon_factor(s.m, pr.r)))
+
+    @classmethod
+    def scalar_integrand(cls, family, x, sectors, spins, crossed, pr):
+        """Sum over the sectors of S(s0) (S~(s0) in the elliptic family)
+        times three separate weight calls."""
         if family is ModelFamily.ELLIPTIC:
-            single = lambda s: models.single_spin_elliptic(s, pr,
-                                                           via_theta4=True)
+            single = lambda s: cls.centre_weight(s, pr)
             weight = models.weight_elliptic
         else:
             single = lambda s: models.single_spin_qlimit(s, pr)
@@ -504,7 +567,7 @@ class TestIntegrandSymmetries:
         xs = np.linspace(0.0, math.pi, 7, endpoint=False) + 0.05
         for family, case, sectors in (
                 (ModelFamily.ELLIPTIC, cli.sample_str_case(rng, pr),
-                 np.arange(r // 2 + 1)),
+                 np.arange(r)),
                 (ModelFamily.Q_LIMIT, cli.sample_rinfstr_case(rng, pr),
                  np.array([int(rng.integers(-3, 4))]))):
             crossed = [pr.eta.real - a for a in case["alphas"]]
