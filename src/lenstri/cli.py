@@ -84,26 +84,23 @@ def report_to_dict(rep: verify.VerificationReport) -> dict:
         "passed": rep.passed,
         "checks": rep.checks,
         "numerics_meta": rep.numerics_meta,
-        "seed": rep.seed,
     })
 
 
 def _csv_row(index, rep: Optional[verify.VerificationReport], status, seed):
-    if rep is None:
-        return {"sample_index": index, "identity_name": "", "status": status,
-                "lhs_re": "", "lhs_im": "", "rhs_re": "", "rhs_im": "",
-                "abs_residual": "", "rel_residual": "", "tolerance": "",
-                "passed": "", "seed": seed}
-    return {"sample_index": index, "identity_name": rep.identity_name,
-            "status": status,
-            "lhs_re": repr(complex(rep.lhs).real),
-            "lhs_im": repr(complex(rep.lhs).imag),
-            "rhs_re": repr(complex(rep.rhs).real),
-            "rhs_im": repr(complex(rep.rhs).imag),
-            "abs_residual": repr(rep.abs_residual),
-            "rel_residual": repr(rep.rel_residual),
-            "tolerance": repr(rep.tolerance),
-            "passed": rep.passed, "seed": seed}
+    """One CSV_COLUMNS row; the report's columns stay empty without a
+    report.  The csv module writes each value by str, so a float, numpy's
+    too, in the shortest form that reads back, as in the JSON rows."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(sample_index=index, status=status, seed=seed)
+    if rep is not None:
+        lhs, rhs = complex(rep.lhs), complex(rep.rhs)
+        row.update(identity_name=rep.identity_name, lhs_re=lhs.real,
+                   lhs_im=lhs.imag, rhs_re=rhs.real, rhs_im=rhs.imag,
+                   abs_residual=rep.abs_residual,
+                   rel_residual=rep.rel_residual, tolerance=rep.tolerance,
+                   passed=rep.passed)
+    return row
 
 
 def config_number(kind, value, name: str):
@@ -186,26 +183,29 @@ def sample_alphas(rng, eta: float):
     return tuple(eta * (0.10 + 0.70 * rng.dirichlet([1.0, 1.0, 1.0])))
 
 
+def _sample_spins(rng, n: int, x_range, m_range):
+    """n spins, each an angle uniform in x_range and then an integer part
+    uniform in the half-open m_range."""
+    return tuple(Spin(float(rng.uniform(*x_range)),
+                      int(rng.integers(*m_range))) for _ in range(n))
+
+
 def sample_str_case(rng, params: NomeParameters):
     alphas = sample_alphas(rng, params.eta.real)
-    spins = tuple(Spin(float(rng.uniform(0.0, math.pi)),
-                       int(rng.integers(0, params.r // 2 + 1)))
-                  for _ in range(3))
+    spins = _sample_spins(rng, 3, (0.0, math.pi), (0, params.r // 2 + 1))
     return {"spins": spins, "alphas": alphas}
 
 
 def sample_rinfstr_case(rng, params: NomeParameters):
     alphas = sample_alphas(rng, params.eta.real)
-    spins = tuple(Spin(float(rng.uniform(0.0, math.pi)),
-                       int(rng.integers(-3, 4))) for _ in range(3))
-    return {"spins": spins, "alphas": alphas}
+    return {"spins": _sample_spins(rng, 3, (0.0, math.pi), (-3, 4)),
+            "alphas": alphas}
 
 
 def sample_strmsg_case(rng, params=None):
     alphas = sample_alphas(rng, 1.0)
-    spins = tuple(Spin(float(rng.uniform(-2.0, 2.0)),
-                       int(rng.integers(-3, 4))) for _ in range(3))
-    return {"spins": spins, "alphas": alphas}
+    return {"spins": _sample_spins(rng, 3, (-2.0, 2.0), (-3, 4)),
+            "alphas": alphas}
 
 
 def _sample_t(rng, n: int, span: float):
@@ -238,12 +238,10 @@ def sample_thtfunct_case(rng, params: NomeParameters):
 
 
 def sample_inversion_case(rng, params: NomeParameters):
-    eta = params.eta.real
-    spins = tuple(Spin(float(rng.uniform(0.0, math.pi)),
-                       int(rng.integers(0, params.r // 2 + 1)))
-                  for _ in range(2))
+    spins = _sample_spins(rng, 2, (0.0, math.pi), (0, params.r // 2 + 1))
     return {"family": ModelFamily.ELLIPTIC,
-            "alpha": float(rng.uniform(0.1, 0.9) * eta), "spins": spins}
+            "alpha": float(rng.uniform(0.1, 0.9) * params.eta.real),
+            "spins": spins}
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +302,7 @@ def parse_limit_hbar_case(cfg: dict, params: NomeParameters):
 
 @dataclass(frozen=True)
 class Identity:
-    """One checkable identity.  ``run(case, params, tol, seed)`` verifies a
+    """One checkable identity.  ``run(case, params, tol)`` verifies a
     case, ``parse(cfg, params)`` reads an explicit case from the config
     (None: the config holds none) and ``sample(rng, params)`` draws one
     (None: the identity cannot be swept).  ``tol`` is the default
@@ -313,7 +311,7 @@ class Identity:
     call time, never at import."""
     name: str
     tol: Optional[float]
-    run: Callable[[dict, NomeParameters, Optional[float], int],
+    run: Callable[[dict, NomeParameters, Optional[float]],
                   verify.VerificationReport]
     parse: Optional[Callable[[dict, NomeParameters], Optional[dict]]]
     sample: Optional[Callable[..., dict]]
@@ -328,52 +326,50 @@ class Identity:
 
 IDENTITIES = {ident.name: ident for ident in (
     Identity("str", 1e-6,
-             lambda c, pr, tol, seed: verify.verify_str(
-                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_str(
+                 c["spins"], c["alphas"], pr, tol),
              parse_spins_case, sample_str_case),
     Identity("rinfstr", 1e-6,
-             lambda c, pr, tol, seed: verify.verify_rinfstr(
-                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_rinfstr(
+                 c["spins"], c["alphas"], pr, tol),
              parse_spins_case, sample_rinfstr_case),
     Identity("strmsg", 1e-4,
-             lambda c, pr, tol, seed: verify.verify_strmsg(
-                 c["spins"], c["alphas"], tol, seed=seed),
+             lambda c, pr, tol: verify.verify_strmsg(
+                 c["spins"], c["alphas"], tol),
              parse_spins_case, sample_strmsg_case),
     Identity("master", 1e-6,
-             lambda c, pr, tol, seed: verify.verify_master(
-                 c["mp"], tol, seed=seed),
+             lambda c, pr, tol: verify.verify_master(c["mp"], tol),
              parse_master_case, sample_master_case),
     Identity("iconst", 1e-6,
-             lambda c, pr, tol, seed: verify.verify_I_constant(
-                 c["t"], c["u"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_I_constant(
+                 c["t"], c["u"], pr, tol),
              parse_tu_case, sample_iconst_case),
     Identity("thtfunct", 1e-8,
-             lambda c, pr, tol, seed: verify.verify_theta_difference(
-                 c["z"], c["y"], c["t"], c["u"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_theta_difference(
+                 c["z"], c["y"], c["t"], c["u"], pr, tol),
              parse_thtfunct_case, sample_thtfunct_case),
     Identity("inversion", 1e-10,
-             lambda c, pr, tol, seed: verify.verify_inversion_first(
-                 c["family"], c["alpha"], c["spins"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_inversion_first(
+                 c["family"], c["alpha"], c["spins"], pr, tol),
              None, sample_inversion_case),
     Identity("cov", 1e-8,
-             lambda c, pr, tol, seed: verify.verify_cov_consistency(
-                 c["spins"], c["alphas"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_cov_consistency(
+                 c["spins"], c["alphas"], pr, tol),
              parse_spins_case, sample_str_case),
     Identity("brackets", None,
-             lambda c, pr, tol, seed: verify.verify_bracket_identities(
-                 c["r_max"], seed=seed),
+             lambda c, pr, tol: verify.verify_bracket_identities(c["r_max"]),
              parse_brackets_case, None),
     Identity("bridge", 1e-10,
-             lambda c, pr, tol, seed: verify.verify_gamma_phi_bridge(
-                 c["z"], c["m"], pr, tol, seed=seed),
+             lambda c, pr, tol: verify.verify_gamma_phi_bridge(
+                 c["z"], c["m"], pr, tol),
              parse_bridge_case, None),
     Identity("limit_r", None,
-             lambda c, pr, tol, seed: verify.verify_limit_r_to_inf(
-                 c["z"], c["m"], pr, seed=seed),
+             lambda c, pr, tol: verify.verify_limit_r_to_inf(
+                 c["z"], c["m"], pr),
              parse_limit_r_case, None),
     Identity("limit_hbar", None,
-             lambda c, pr, tol, seed: verify.verify_limit_hbar(
-                 c["alpha"], c["x"], c["m"], seed=seed),
+             lambda c, pr, tol: verify.verify_limit_hbar(
+                 c["alpha"], c["x"], c["m"]),
              parse_limit_hbar_case, None),
 )}
 
@@ -482,12 +478,12 @@ def run_verify(cfg: dict) -> int:
     seed = _seed(cfg)
     tol = _tolerance(cfg, ident)
     t0 = time.perf_counter()
-    rep = ident.run(ident.case(cfg, params, seed), params, tol, seed)
+    rep = ident.run(ident.case(cfg, params, seed), params, tol)
     elapsed = time.perf_counter() - t0
     if cfg.get("format", "json") == "csv":
         _write(cfg, _csv_text([_csv_row(0, rep, "ok", seed)]))
     else:
-        _write(cfg, json.dumps(report_to_dict(rep)) + "\n")
+        _write(cfg, json.dumps({**report_to_dict(rep), "seed": seed}) + "\n")
     print(f"verify finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
@@ -498,7 +494,7 @@ def _sweep_one(ident: Identity, params, tol, seed, index):
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     case = ident.sample(rng, params)
     try:
-        return ident.run(case, params, tol, seed), "ok"
+        return ident.run(case, params, tol), "ok"
     except ContourViolationError:
         return None, "contour-violation"
     except (NonConvergenceError, PoleHitError):
@@ -525,9 +521,8 @@ def run_sweep(cfg: dict) -> int:
                for i in range(samples)]
     elapsed = time.perf_counter() - t0
 
-    fails = sum(1 for _, rep, st in results if st == "ok" and not rep.passed)
-    max_res = max((rep.rel_residual for _, rep, st in results if st == "ok"),
-                  default=0.0)
+    reports = [rep for _, rep, _ in results if rep is not None]
+    fails = sum(not rep.passed for rep in reports)
     if cfg.get("format", "json") == "csv":
         _write(cfg, _csv_text(_csv_row(i, rep, status, seed)
                               for i, rep, status in results))
@@ -536,14 +531,13 @@ def run_sweep(cfg: dict) -> int:
         for i, rep, status in results:
             row = {"sample_index": i, "status": status}
             if rep is not None:
-                row.update(report_to_dict(rep))
+                row.update(report_to_dict(rep), seed=seed)
             lines.append(json.dumps(row) + "\n")
         summary = {"summary": True, "identity": identity, "samples": samples,
-                   "seed": seed, "passes": sum(
-                       1 for _, rep, st in results if st == "ok" and rep.passed),
-                   "failures": fails,
-                   "skipped": sum(1 for _, _, st in results if st != "ok"),
-                   "max_rel_residual": max_res}
+                   "seed": seed, "passes": len(reports) - fails,
+                   "failures": fails, "skipped": samples - len(reports),
+                   "max_rel_residual": max(
+                       (rep.rel_residual for rep in reports), default=0.0)}
         lines.append(json.dumps(_jsonable(summary)) + "\n")
         _write(cfg, "".join(lines))
     # wall-clock timing goes to stderr only, keeping files byte-reproducible

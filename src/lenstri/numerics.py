@@ -110,7 +110,7 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     twice.  nodes_used counts the nodes evaluated, also those of a level
     that the first call evaluated but the rule did not reach.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameterError("tol must be positive")
 
     def level(index, total):
@@ -181,7 +181,7 @@ def line_integrate(f: Callable[[float], complex], tol: float,
     _MAX_HALF_WIDTH, NonConvergenceError is raised.  nodes_used counts the
     trapezoid nodes, not the end points.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameterError("tol must be positive")
     g = lambda t: f(np.sinh(t)) * np.cosh(t)
     T = _HALF_WIDTH

@@ -45,7 +45,6 @@ class VerificationReport:
     #: named pass conditions, in the order they were declared
     checks: dict = field(default_factory=dict)
     numerics_meta: dict = field(default_factory=dict)
-    seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -53,7 +52,7 @@ class VerificationReport:
 
 
 def make_report(name: str, record: dict, lhs: complex, rhs: complex,
-                tol: float, meta: Optional[dict] = None, seed: int = 0,
+                tol: float, meta: Optional[dict] = None,
                 checks: Optional[dict] = None,
                 residual: bool = True) -> VerificationReport:
     """Report comparing lhs with rhs.  Its checks are ``residual`` (the
@@ -68,7 +67,7 @@ def make_report(name: str, record: dict, lhs: complex, rhs: complex,
         ok = (abs_res <= tol) if abs(rhs) < 1e-10 else (rel_res <= tol)
         checks = {"residual": ok, **(checks or {})}
     return VerificationReport(name, record, lhs, rhs, abs_res, rel_res,
-                              tol, checks or {}, meta or {}, seed)
+                              tol, checks or {}, meta or {})
 
 
 def _converged(res):
@@ -121,8 +120,8 @@ def _rhs_edges(spins: Sequence[Spin], alphas: Sequence[float]):
     return np.array(alphas, float), stack((sj, si, sj)), stack((sk, sk, si))
 
 
-def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
-                   seed) -> VerificationReport:
+def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
+                   quad_tol) -> VerificationReport:
     """Star-triangle relation of the elliptic or the q-limit family.
 
     LHS: sum over the center spin's integer part m0 and integral of its
@@ -205,32 +204,29 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol, quad_tol,
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("str" if elliptic else "rinfstr", record, res.value,
-                       rhs, tol, meta, seed)
+                       rhs, tol, meta)
 
 
 def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                params: NomeParameters, tol: float = 1e-6,
-               quad_tol: Optional[float] = None,
-               seed: int = 0) -> VerificationReport:
+               quad_tol: Optional[float] = None) -> VerificationReport:
     """Star-triangle relation of the elliptic model (see _star_triangle)."""
     return _star_triangle(ModelFamily.ELLIPTIC, spins, alphas, params, tol,
-                          quad_tol, seed)
+                          quad_tol)
 
 
 def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                    params: NomeParameters, tol: float = 1e-6,
-                   quad_tol: Optional[float] = None,
-                   seed: int = 0) -> VerificationReport:
+                   quad_tol: Optional[float] = None) -> VerificationReport:
     """Star-triangle relation of the q-product (r->infinity) model, whose
     center integer spin runs over all of Z (see _star_triangle)."""
     return _star_triangle(ModelFamily.Q_LIMIT, spins, alphas, params, tol,
-                          quad_tol, seed)
+                          quad_tol)
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
                   tol: float = 1e-4,
-                  quad_tol: Optional[float] = None,
-                  seed: int = 0) -> VerificationReport:
+                  quad_tol: Optional[float] = None) -> VerificationReport:
     """Star-triangle relation of the Euler-gamma model (eta = 1).
 
     The center angle is integrated over the real line by
@@ -285,7 +281,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     meta = {"nodes": nodes, "m_terms": m + 1, "tail_bound": bound,
             "quad_tol": qtol}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas)}
-    return make_report("strmsg", record, value, rhs, tol, meta, seed)
+    return make_report("strmsg", record, value, rhs, tol, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +375,7 @@ def _master_integral(mp: MasterParameters, qtol, scale=1.0):
 
 
 def verify_master(mp: MasterParameters, tol: float = 1e-6,
-                  quad_tol: Optional[float] = None,
-                  seed: int = 0) -> VerificationReport:
+                  quad_tol: Optional[float] = None) -> VerificationReport:
     """Master summation/integration identity:
 
     (q^r;q^r) (p^r;p^r) sum_y int_0^{2pi} dz/(4pi)
@@ -401,14 +396,13 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
             "quad_error": res.error_estimate}
     record = {"t": list(mp.t), "u": list(mp.u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("master", record, lhs, rhs, tol, meta, seed)
+    return make_report("master", record, lhs, rhs, tol, meta)
 
 
 def verify_I_constant(t: Sequence[complex], u: Sequence[int],
                       params: NomeParameters, tol: float = 1e-6,
                       shift_tol: float = 1e-7,
-                      quad_tol: Optional[float] = None,
-                      seed: int = 0) -> VerificationReport:
+                      quad_tol: Optional[float] = None) -> VerificationReport:
     """Constant form of the master identity:
     I(t_1..t_5, u_1..u_5) = 4 pi / ((q^r;q^r) (p^r;p^r)),
     plus invariance of I under t_1 -> t_1 + pi sigma, u_1 -> u_1 - 1.
@@ -442,7 +436,7 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
             "quad_error": max(res0.error_estimate, res1.error_estimate)}
     record = {"t": list(t), "u": list(u),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("iconst", record, I0, rhs, tol, meta, seed,
+    return make_report("iconst", record, I0, rhs, tol, meta,
                        checks={"shift_invariance": shift_res <= shift_tol})
 
 
@@ -560,8 +554,7 @@ def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
 
 def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
                             u: Sequence[int], params: NomeParameters,
-                            tol: float = 1e-8,
-                            seed: int = 0) -> VerificationReport:
+                            tol: float = 1e-8) -> VerificationReport:
     """Difference identity for the lens theta functions, plus invariance of
     each side under z -> z + pi tau r.
 
@@ -590,7 +583,7 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
                 "period_shift_residual_rhs": inv_r,
                 "rhs_cancellation": cancellation, "rhs_precision": digits,
                 "near_pole_lhs": lhs_p, "near_pole_rhs": rhs_p}
-        return make_report("thtfunct", record, lhs, rhs, tol, meta, seed,
+        return make_report("thtfunct", record, lhs, rhs, tol, meta,
                            checks={"period_shift_lhs": inv_l <= tol,
                                    "period_shift_rhs": inv_r <= tol})
 
@@ -609,8 +602,7 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
 
 
 def verify_gamma_phi_bridge(z: complex, m: int, params: NomeParameters,
-                            tol: float = 1e-10,
-                            seed: int = 0) -> VerificationReport:
+                            tol: float = 1e-10) -> VerificationReport:
     """Diagnostic bridge between the two lens gamma conventions:
     Phi_{r,m}(z) against e^{-varphi(w,m)} Gamma(w,m) at w = -2z + 2i eta
     with doubled modular parameters (squared nomes).  Recorded, never an
@@ -622,7 +614,7 @@ def verify_gamma_phi_bridge(z: complex, m: int, params: NomeParameters,
     rhs = cmath.exp(-sf.varphi(w, m, dbl)) * sf.lens_gamma_appendix(w, m, dbl)
     record = {"z": z, "m": m, "sigma": params.sigma, "tau": params.tau,
               "r": params.r}
-    return make_report("gamma_phi_bridge", record, lhs, rhs, tol, seed=seed)
+    return make_report("gamma_phi_bridge", record, lhs, rhs, tol)
 
 
 def _bracket_floor(m: int, r: int) -> int:
@@ -630,7 +622,7 @@ def _bracket_floor(m: int, r: int) -> int:
     return m - r * math.floor(m / r)
 
 
-def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationReport:
+def verify_bracket_identities(r_max: int = 64) -> VerificationReport:
     """All six modular-bracket identities, exact integer arithmetic, for
     r in [1, r_max] and m in [-3r, 3r]."""
     failures = []
@@ -661,13 +653,13 @@ def verify_bracket_identities(r_max: int = 64, seed: int = 0) -> VerificationRep
     meta = {"cases_checked": checked, "failures": failures}
     # lhs and rhs record the failure count against zero
     return make_report("brackets", {"r_max": r_max}, len(failures), 0.0,
-                       0.0, meta, seed, checks={"no_failures": not failures},
+                       0.0, meta, checks={"no_failures": not failures},
                        residual=False)
 
 
 def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
-                          r_list: Sequence[int] = (4, 8, 16, 32),
-                          seed: int = 0) -> VerificationReport:
+                          r_list: Sequence[int] = (4, 8, 16, 32)
+                          ) -> VerificationReport:
     """|Phi_{r,n}(z) - Q(z,n)| strictly decreasing along r_list (a
     non-increase within 1e-14 absolute counts as a decrease).  The nomes
     of params are kept fixed; its own r is ignored."""
@@ -681,15 +673,15 @@ def verify_limit_r_to_inf(z: complex, n: int, params: NomeParameters,
     meta = {"errors": errs}
     record = {"z": z, "n": n, "sigma": sigma, "tau": tau, "r_list": list(r_list)}
     return make_report("limit_r_to_inf", record, errs[-1], 0.0,
-                       max(errs[0], 1e-12), meta, seed,
+                       max(errs[0], 1e-12), meta,
                        checks={"monotone_decrease":
                                decreasing and errs[-1] <= errs[0] + 1e-14},
                        residual=False)
 
 
 def verify_limit_hbar(alpha: float, x: float, m: int,
-                      hbar_list: Sequence[float] = (0.2, 0.1, 0.05),
-                      seed: int = 0) -> VerificationReport:
+                      hbar_list: Sequence[float] = (0.2, 0.1, 0.05)
+                      ) -> VerificationReport:
     """Euler-gamma asymptotics of Q, kappa, and the single-spin weight as
     the nomes approach 1 (p = q = e^{-hbar}): all three ratio deviations
     must shrink strictly along hbar_list."""
@@ -716,7 +708,7 @@ def verify_limit_hbar(alpha: float, x: float, m: int,
     meta = {"dev_q": dev_q, "dev_kappa": dev_k, "dev_single_spin": dev_s}
     record = {"alpha": alpha, "x": x, "m": m, "hbar_list": list(hbar_list)}
     return make_report("limit_hbar", record, dev_q[-1], 0.0,
-                       max(dev_q[0], 1e-12), meta, seed,
+                       max(dev_q[0], 1e-12), meta,
                        checks={"monotone_decrease": shrinking},
                        residual=False)
 
@@ -724,8 +716,7 @@ def verify_limit_hbar(alpha: float, x: float, m: int,
 def verify_inversion_first(family: ModelFamily, alpha: float,
                            spins: Sequence[Spin],
                            params: Optional[NomeParameters] = None,
-                           tol: float = 1e-10,
-                           seed: int = 0) -> VerificationReport:
+                           tol: float = 1e-10) -> VerificationReport:
     """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1."""
     si, sj = spins
     # W_alpha and W_{-alpha} in one weight call
@@ -735,8 +726,7 @@ def verify_inversion_first(family: ModelFamily, alpha: float,
               "spins": [(s.x, s.m) for s in spins]}
     if params is not None:
         record.update({"sigma": params.sigma, "tau": params.tau, "r": params.r})
-    return make_report("inversion_first", record, w1 * w2, 1.0, tol,
-                       seed=seed)
+    return make_report("inversion_first", record, w1 * w2, 1.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +782,8 @@ def cov_conversion_factor(spins: Sequence[Spin], alphas: Sequence[float],
 
 
 def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],
-                           params: NomeParameters, tol: float = 1e-8,
-                           seed: int = 0) -> VerificationReport:
+                           params: NomeParameters,
+                           tol: float = 1e-8) -> VerificationReport:
     """The master identity, specialised by the change of variables, must
     reproduce the star-triangle LHS and RHS separately (not only their
     ratio)."""
@@ -811,7 +801,7 @@ def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
               "sigma": params.sigma, "tau": params.tau, "r": params.r}
     return make_report("cov", record, rep_str.lhs, factor * rep_master.lhs,
-                       tol, meta, seed,
+                       tol, meta,
                        checks={"lhs_residual": lhs_res <= tol,
                                "rhs_residual": rhs_res <= tol},
                        residual=False)

@@ -2,6 +2,8 @@
 exit codes, config handling, and sweep reproducibility."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from lenstri import cli, numerics, verify
+from lenstri.params import NonConvergenceError
 
 
 def unconverged(f, period, tol, **kwargs):
@@ -293,6 +296,20 @@ class TestVerifyOnlyIdentities:
         assert rc == 0
         assert json.loads(out)["parameter_record"]["z"] == [0.5, 0.0]
 
+    @pytest.mark.parametrize("identity",
+                             ["brackets", "bridge", "limit_r", "limit_hbar"])
+    def test_csv_numbers_match_json(self, capsys, identity):
+        # a numpy scalar in a report is written as a plain number
+        _, out, _ = run(capsys, ["verify", identity])
+        _, text, _ = run(capsys, ["verify", identity, "--format", "csv"])
+        rec = json.loads(out)
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert [float(row[k]) for k in (
+            "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_residual",
+            "rel_residual", "tolerance")] == [
+            *rec["lhs"], *rec["rhs"], rec["abs_residual"],
+            rec["rel_residual"], rec["tolerance"]]
+
     @pytest.mark.parametrize("z", ["abc", {"re": 1}, [0.3, 0.1], True])
     def test_unparseable_z_exit_two(self, tmp_path, capsys, z):
         cfgfile = tmp_path / "case.json"
@@ -496,6 +513,51 @@ class TestSweep:
         assert "does not support sweeps" in err
 
 
+class TestRowLayout:
+    ARGV = ["thtfunct", "--r", "2", "--seed", "7"]
+
+    @staticmethod
+    def mixed_verdicts(monkeypatch):
+        """Make successive thtfunct cases pass, fail and not converge."""
+        orig = verify.verify_theta_difference
+        calls = []
+
+        def verdict(*args, **kwargs):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise NonConvergenceError("stand-in")
+            rep = orig(*args, **kwargs)
+            if len(calls) % 3 == 2:
+                rep = dataclasses.replace(
+                    rep, checks={**rep.checks, "stand_in": False})
+            return rep
+        monkeypatch.setattr(verify, "verify_theta_difference", verdict)
+
+    def test_seed_ends_each_report_row(self, capsys, monkeypatch):
+        _, out, _ = run(capsys, ["verify", *self.ARGV])
+        rec = json.loads(out)
+        assert list(rec)[-1] == "seed" and rec["seed"] == 7
+        _, text, _ = run(capsys, ["verify", *self.ARGV, "--format", "csv"])
+        assert next(csv.DictReader(io.StringIO(text)))["seed"] == "7"
+
+        self.mixed_verdicts(monkeypatch)
+        sweep = ["sweep", *self.ARGV, "--samples", "6"]
+        rc, out, _ = run(capsys, sweep)
+        assert rc == 1
+        *rows, summary = [json.loads(line) for line in out.splitlines()]
+        assert [row["status"] for row in rows] == [
+            "ok", "ok", "non-converged"] * 2
+        assert all(list(row)[-1] == "seed" and row["seed"] == 7
+                   for row in rows if row["status"] == "ok")
+        assert (summary["passes"], summary["failures"],
+                summary["skipped"]) == (2, 2, 2)
+        assert (summary["passes"] + summary["failures"] + summary["skipped"]
+                == summary["samples"] == 6)
+        _, text, _ = run(capsys, [*sweep, "--format", "csv"])
+        assert [row["seed"] for row in csv.DictReader(io.StringIO(text))
+                ] == ["7"] * 6
+
+
 class TestIdentityTable:
     def test_names(self):
         assert sorted(cli.IDENTITIES) == sorted([
@@ -515,6 +577,15 @@ class TestIdentityTable:
             "iconst": 1e-6, "thtfunct": 1e-8, "inversion": 1e-10,
             "cov": 1e-8, "brackets": None, "bridge": 1e-10,
             "limit_r": None, "limit_hbar": None}
+
+    def test_default_tolerances_match_verifiers(self):
+        # each default is the tol default of the verifier its runner calls
+        for name, ident in cli.IDENTITIES.items():
+            verifier, = [getattr(verify, attr)
+                         for attr in ident.run.__code__.co_names
+                         if attr.startswith("verify_")]
+            tol = inspect.signature(verifier).parameters.get("tol")
+            assert (None if tol is None else tol.default) == ident.tol, name
 
 
 class TestPoles:

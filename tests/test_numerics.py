@@ -109,9 +109,16 @@ class TestPeriodicIntegrate:
             2 * math.pi, 1e-10)
         assert abs(res.value - complex(math.pi, math.pi)) <= 1e-9
 
-    def test_rejects_bad_tol(self):
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    @pytest.mark.parametrize("integrate", [
+        lambda f, tol: numerics.periodic_integrate(f, 2 * math.pi, tol),
+        lambda f, tol: numerics.line_integrate(f, tol),
+    ], ids=["periodic", "line"])
+    def test_rejects_bad_tol(self, integrate, tol):
+        def f(x):
+            raise AssertionError("integrand called with a bad tol")
         with pytest.raises(InvalidParameterError):
-            numerics.periodic_integrate(math.cos, 2 * math.pi, 0.0)
+            integrate(f, tol)
 
     def test_node_budget_flagged(self):
         # |sin t| has kinks, so the trapezoid rule converges only like n^-2
