@@ -224,7 +224,15 @@ def sample_master_case(rng, params: NomeParameters):
 
 
 def sample_iconst_case(rng, params: NomeParameters):
-    t = _sample_t(rng, 5, 0.4 * (2j * params.eta).imag)
+    # Im A = span.  The shifted t (Im A + pi Im sigma) must stay below
+    # Im(2i eta) by the contour margin; where a span of 0.4 Im(2i eta)
+    # leaves no room for that (Im tau <= 0.74 Im sigma at a real eta),
+    # every draw would be rejected, so the span is 0.9 of the room there
+    width = (2j * params.eta).imag
+    room = (width - math.pi * params.sigma.imag
+            - verify.CONTOUR_MARGIN_FRACTION * abs(params.eta))
+    span = 0.4 * width if 0.4 * width < room else 0.9 * room
+    t = _sample_t(rng, 5, span)
     u = tuple(int(v) for v in rng.integers(-2, 3, 5))
     return {"t": tuple(t), "u": u}
 

@@ -32,10 +32,12 @@ from .special_functions import (
     _term_count,
     bracket_pm,
     lens_elliptic_gamma,
+    lens_elliptic_gamma_factor,
     mod_bracket,
     product_arguments,
     python_scalar,
     qpochhammer_inf,
+    squared_modulus,
     stack_rows,
     theta4,
 )
@@ -176,6 +178,17 @@ def _per_alpha(kappa, alpha, params):
     return np.reshape(values, np.shape(alpha))
 
 
+def _conjugate_nomes(params: NomeParameters) -> bool:
+    """tau = -conj(sigma) exactly, so that q = conj p and pq is real.
+
+    There the elliptic and q-limit weights evaluate half their gamma
+    factors, the rest being conjugates of these (``_elliptic_values``,
+    ``_qlimit_values``); anywhere else, however near, all of them.  The
+    conjugates pair up because the spins' angles and alpha are real, as
+    in every weight's domain."""
+    return params.tau == -params.sigma.conjugate()
+
+
 def _edge_rows(alpha, si: Spin, sj: Spin) -> list:
     """(z, m) of the four gamma factors of the edge weight W_alpha(si, sj):
     G(dx + i alpha, dm) G(sx + i alpha, sm) / (G(dx - i alpha, dm)
@@ -190,7 +203,8 @@ def _edge_rows(alpha, si: Spin, sj: Spin) -> list:
 def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
                  params: NomeParameters):
     """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family,
-    from the values v of its four _edge_rows."""
+    from values v of its four _edge_rows whose gamma ratio is
+    v0 v1 / (v2 v3)."""
     dm, sm = si.m - sj.m, si.m + sj.m
     if family is ModelFamily.ELLIPTIC:
         r = params.r
@@ -203,6 +217,21 @@ def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
             * (v[0] * v[1]) / (v[2] * v[3]))
 
 
+def _elliptic_values(rows, params: NomeParameters) -> np.ndarray:
+    """Values v of elliptic edge rows, four per edge in _edge_rows order,
+    such that each edge's gamma ratio is v0 v1 / (v2 v3), in one batch.
+
+    They are Phi_{r,m} at each row, and at the conjugate nomes |v1|^2 of
+    its (pq, p^r) factor v1 (``lens_elliptic_gamma_factor``): there
+    Phi(d + ia) / Phi(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is
+    one elliptic gamma batch in place of two, and its guarded products at
+    +-ia are, up to conjugation, the ones the (pq, q^r) factor guards."""
+    z, m = stack_rows(*rows)
+    if not _conjugate_nomes(params):
+        return lens_elliptic_gamma(z, m, params)
+    return squared_modulus(lens_elliptic_gamma_factor(z, m, params))
+
+
 def weight_elliptic(alpha, si: Spin, sj: Spin,
                     params: NomeParameters) -> complex:
     """Elliptic edge Boltzmann weight W_alpha(si, sj).  alpha and the
@@ -210,8 +239,7 @@ def weight_elliptic(alpha, si: Spin, sj: Spin,
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    z, m = stack_rows(*_edge_rows(alpha, si, sj))
-    v = lens_elliptic_gamma(z, m, params)
+    v = _elliptic_values(_edge_rows(alpha, si, sj), params)
     return python_scalar(_edge_weight(ModelFamily.ELLIPTIC, alpha, si, sj, v,
                                       params))
 
@@ -280,13 +308,11 @@ def _centre_weight(params: NomeParameters, x: bytes, x_shape: tuple,
     return value
 
 
-def q_function(z: complex, n: int, params: NomeParameters) -> complex:
-    """r->infinity limit of the lens elliptic gamma function:
-
-    Q(z, n) = prod_j (1 - e^{2iz} q^{2n} (pq)^{2j+1}) / (1 - e^{-2iz} p^{2n} (pq)^{2j+1})
-    for n >= 0, and with (p^{-2n}, q^{-2n}) in place of (q^{2n}, p^{2n}) for n < 0.
-    n may be an array that broadcasts against z.
-    """
+def _q_products(z, n, params: NomeParameters, guard_num=False):
+    """Numerator and denominator products of Q(z, n) (``q_function``), in
+    one batch.  A denominator below 1e-13 raises PoleHitError, and so does
+    a numerator where guard_num (a bool, or a bool array that broadcasts
+    against z and n) holds."""
     p, q = params.p, params.q
     pq = p * q
     nonneg = np.greater_equal(n, 0)
@@ -296,9 +322,56 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
         c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
                         (np.where(nonneg, pk, qk) * pq / e2,))
     num, den = qpochhammer_inf(c, pq * pq)
-    if np.any(abs(den) < 1e-13):
+    if np.any(abs(den) < 1e-13) or np.any(guard_num & (abs(num) < 1e-13)):
         raise PoleHitError("Q(z, n) evaluated at a pole")
+    return num, den
+
+
+def q_function(z: complex, n: int, params: NomeParameters) -> complex:
+    """r->infinity limit of the lens elliptic gamma function:
+
+    Q(z, n) = prod_j (1 - e^{2iz} q^{2n} (pq)^{2j+1}) / (1 - e^{-2iz} p^{2n} (pq)^{2j+1})
+    for n >= 0, and with (p^{-2n}, q^{-2n}) in place of (q^{2n}, p^{2n}) for n < 0.
+    n may be an array that broadcasts against z.
+    """
+    num, den = _q_products(z, n, params)
     return python_scalar(num / den)
+
+
+def _qlimit_values(rows, params: NomeParameters, spin_rows: int = 0):
+    """Values v of q-limit rows in one batch: spin_rows (0 or 2)
+    single-spin rows (``_single_spin_qlimit_rows``), whose weight is
+    e^{4 eta |m|} / (2 pi) v0 v1, then edge rows, four per edge in
+    _edge_rows order, such that each edge's Q ratio is v0 v1 / (v2 v3).
+
+    They are Q at each row.  At the conjugate nomes Q(conj z, n) =
+    1 / conj Q(z, n) and Q(-z, -n) = 1 / Q(z, n), so the second
+    single-spin row is conj Q of the first, and an edge ratio
+    Q(d + ia) Q(s + ia) / (Q(d - ia) Q(s - ia)) is
+    |num(d + ia) num(s + ia)|^2 / |den(d + ia) den(s + ia)|^2: only the
+    first single-spin row and the +ia edge rows are evaluated.  Every
+    denominator is guarded, as in q_function, and so is every edge
+    numerator, num(z) being conj den(conj z), which the -ia rows would
+    guard.  The single-spin numerator is not: its zero at x = 0 is the
+    genuine double zero of S."""
+    if not _conjugate_nomes(params):
+        z, n = stack_rows(*rows)
+        return q_function(z, n, params)
+    spin = rows[:1] if spin_rows else []
+    edges = rows[spin_rows:]
+    z, n, guard = stack_rows(*[(z, n, False) for z, n in spin],
+                             *[(z, n, True) for i in range(0, len(edges), 4)
+                               for z, n in edges[i:i + 2]])
+    num, den = _q_products(z, n, params, guard)
+    cut, shape = len(spin), (-1, 2) + z.shape[1:]
+    # per edge: |num d|^2, |num s|^2, |den d|^2, |den s|^2
+    v = squared_modulus(np.stack([num[cut:].reshape(shape),
+                                  den[cut:].reshape(shape)], axis=1))
+    v = v.reshape((-1,) + z.shape[1:])
+    if spin:
+        head = num[0] / den[0]
+        v = np.concatenate([np.stack([head, head.conj()]), v])
+    return v
 
 
 def weight_qlimit(alpha, si: Spin, sj: Spin,
@@ -308,8 +381,7 @@ def weight_qlimit(alpha, si: Spin, sj: Spin,
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    z, n = stack_rows(*_edge_rows(alpha, si, sj))
-    v = q_function(z, n, params)
+    v = _qlimit_values(_edge_rows(alpha, si, sj), params)
     return python_scalar(_edge_weight(ModelFamily.Q_LIMIT, alpha, si, sj, v,
                                       params))
 
@@ -345,20 +417,20 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     may be arrays that broadcast against each other.
 
     The twelve gamma factors of the three edge weights are stacked into one
-    lens_elliptic_gamma or q_function call.  The q-limit single-spin weight
-    joins that call.  The elliptic one is centre_weight, S~(s0) = S(s0) /
-    (2 eps(m0)), for the sum over m0 in Z_r: its theta product form, which
-    tolerates the genuine zeros of S on the contour where the gamma form's
-    pole guard would reject them, cached per node grid.
+    batch (``_elliptic_values`` or ``_qlimit_values``), which at the
+    conjugate nomes evaluates half of them.  The q-limit single-spin
+    weight joins that batch.  The elliptic one is centre_weight, S~(s0) =
+    S(s0) / (2 eps(m0)), for the sum over m0 in Z_r: its theta product
+    form, which tolerates the genuine zeros of S on the contour where the
+    gamma form's pole guard would reject them, cached per node grid.
     """
     rows = [row for a, s in zip(alphas, spins) for row in _edge_rows(a, s, s0)]
     if family is ModelFamily.ELLIPTIC:
-        z, m = stack_rows(*rows)
-        v = lens_elliptic_gamma(z, m, params)
+        v = _elliptic_values(rows, params)
         value = centre_weight(s0, params)
     elif family is ModelFamily.Q_LIMIT:
-        z, n = stack_rows(*_single_spin_qlimit_rows(s0, params), *rows)
-        v = q_function(z, n, params)
+        v = _qlimit_values(_single_spin_qlimit_rows(s0, params) + rows,
+                           params, spin_rows=2)
         value, v = _single_spin_qlimit(s0, v[:2], params), v[2:]
     else:
         raise InvalidParameterError(f"no stacked integrand for {family}")

@@ -209,7 +209,7 @@ def bilateral_sum(f: Callable[[int], complex], tol: float,
     f(-n) = f(n) is taken on trust and f is evaluated at n >= 0 only;
     terms_used counts the terms evaluated.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameterError("tol must be positive")
     value = f(0)
     mags = []

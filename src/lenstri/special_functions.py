@@ -377,6 +377,14 @@ def _result(value, bound, with_bound):
     return (value, bound) if with_bound else value
 
 
+def squared_modulus(v):
+    """|v|^2 of each element of the finite array v; a square that is not
+    finite in double precision (|v| above about 1e154) raises
+    NonConvergenceError, as a function value would."""
+    with np.errstate(over="ignore"):
+        return _result(v.real ** 2 + v.imag ** 2, None, False)
+
+
 def qpochhammer_inf(x: complex, q: complex, with_bound: bool = False):
     """q-Pochhammer symbol (x; q)_inf = prod_{j>=0} (1 - x q^j), |q| < 1."""
     value, bound = _pochhammer_raw(x, q)
@@ -414,6 +422,23 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     return _result(value, bound, with_bound)
 
 
+def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
+                               with_bound: bool = False):
+    """The (pq, p^r) factor v1(z) = Phi(z + (r/2 - [[m]]) pi sigma; pq, p^r)
+    of ``lens_elliptic_gamma``, one elliptic_gamma batch under its pole
+    guard and finiteness errors.
+
+    At tau = -conj(sigma) (q = conj p) the other factor is
+    v2(z) = 1 / conj v1(conj z), so the lens function is
+    v1(z) / conj v1(conj z), and a ratio of it at conjugate points is
+    Phi_{r,m}(d + ia) / Phi_{r,m}(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.
+    """
+    r = params.r
+    shift = (r / 2 - mod_bracket(m, r))
+    return elliptic_gamma(z + shift * math.pi * params.sigma,
+                          params.p * params.q, params.p ** r, with_bound)
+
+
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
                         with_bound: bool = False):
     """Lens elliptic gamma function Phi_{r,m}(z), as the pair of ordinary
@@ -423,8 +448,7 @@ def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
     r = params.r
     p, q = params.p, params.q
     shift = (r / 2 - mod_bracket(m, r))
-    v1, b1 = elliptic_gamma(z + shift * math.pi * params.sigma, p * q, p ** r,
-                            with_bound=True)
+    v1, b1 = lens_elliptic_gamma_factor(z, m, params, with_bound=True)
     v2, b2 = elliptic_gamma(z - shift * math.pi * params.tau, p * q, q ** r,
                             with_bound=True)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -463,21 +463,22 @@ class TestKernelCalls:
 
     @staticmethod
     def calls_per_level(monkeypatch, verify_case, kernel="_log_product_2d"):
-        """Calls of the kernel made by each integrand call (one refinement
-        level) of verify_case()."""
+        """The shapes of the first argument of each kernel call made by each
+        integrand call (one refinement level) of verify_case(), one list
+        per level."""
         integrate = numerics.periodic_integrate
-        count, per_level = [0], []
+        calls, per_level = [], []
         kernel_fn = getattr(sf, kernel)
 
-        def counted_kernel(*args, **kwargs):
-            count[0] += 1
-            return kernel_fn(*args, **kwargs)
+        def counted_kernel(c, *args, **kwargs):
+            calls.append(np.shape(c))
+            return kernel_fn(c, *args, **kwargs)
 
         def counted_integrate(f, *args, **kwargs):
             def level(x):
-                count[0] = 0
+                calls.clear()
                 value = f(x)
-                per_level.append(count[0])
+                per_level.append(list(calls))
                 return value
             return integrate(level, *args, **kwargs)
         monkeypatch.setattr(sf, kernel, counted_kernel)
@@ -486,25 +487,37 @@ class TestKernelCalls:
         assert per_level
         return per_level
 
+    @pytest.mark.parametrize("tau,calls", [(-0.05 + 0.5j, 1),
+                                           (-0.05 + 0.7j, 2)],
+                             ids=["pair", "off_pair"])
     @pytest.mark.parametrize("r", [1, 3])
-    def test_str_two_per_weight(self, monkeypatch, r):
-        pr = physical_parameters(0.05, 0.5, r)
+    def test_str_calls_per_level(self, monkeypatch, r, tau, calls):
+        pr = NomeParameters(0.05 + 0.5j, tau, r)
         case = cli.sample_str_case(np.random.default_rng(4), pr)
         levels = self.calls_per_level(monkeypatch, lambda: verify.verify_str(
             case["spins"], case["alphas"], pr))
-        # all sectors and three edge weights in one lens_elliptic_gamma
-        # call; the single-spin weight is a theta product
-        assert max(levels) <= 2
+        # all sectors and three edge weights in one batch: at tau =
+        # -conj(sigma) one elliptic gamma batch of the (pq, p^r) factors,
+        # elsewhere lens_elliptic_gamma's two; the single-spin weight is a
+        # theta product
+        assert [len(level) for level in levels] == [calls] * len(levels)
 
-    def test_rinfstr_one_product_in_total(self, monkeypatch):
-        pr = physical_parameters(0.05, 0.5, 1)
+    @pytest.mark.parametrize("tau,rows", [(-0.05 + 0.5j, 7),
+                                          (-0.05 + 0.7j, 14)],
+                             ids=["pair", "off_pair"])
+    def test_rinfstr_one_product_per_level(self, monkeypatch, tau, rows):
+        pr = NomeParameters(0.05 + 0.5j, tau, 1)
         case = cli.sample_rinfstr_case(np.random.default_rng(4), pr)
         levels = self.calls_per_level(
             monkeypatch, lambda: verify.verify_rinfstr(case["spins"],
                                                        case["alphas"], pr),
             kernel="_product")
-        # the single-spin weight and three edge weights in one q_function
-        assert max(levels) == 1
+        # the single-spin weight and three edge weights in one Q batch of
+        # numerators and denominators (axis 0): at tau = -conj(sigma) one
+        # single-spin row and the +i alpha rows of the edges, elsewhere
+        # all fourteen rows
+        assert all(len(level) == 1 and level[0][:2] == (2, rows)
+                   for level in levels)
 
     @staticmethod
     def calls(monkeypatch, kernel, run, module=sf):
@@ -529,16 +542,19 @@ class TestKernelCalls:
                               case["z"], case["y"], case["t"], case["u"],
                               pr)) == 1
 
+    @pytest.mark.parametrize("tau,calls", [(-0.05 + 0.5j, 1),
+                                           (-0.05 + 0.7j, 2)],
+                             ids=["pair", "off_pair"])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_inversion_one_weight_call(self, monkeypatch, r):
-        pr = physical_parameters(0.05, 0.5, r)
+    def test_inversion_one_weight_call(self, monkeypatch, r, tau, calls):
+        pr = NomeParameters(0.05 + 0.5j, tau, r)
         case = cli.sample_inversion_case(np.random.default_rng(4), pr)
-        # W_alpha and W_{-alpha} in one lens_elliptic_gamma call, one
-        # kernel call per nome grid
+        # W_alpha and W_{-alpha} in one weight call, one kernel call per
+        # nome grid: at tau = -conj(sigma) only the (pq, p^r) grid
         assert self.calls(monkeypatch, "_log_product_2d",
                           lambda: verify.verify_inversion_first(
                               case["family"], case["alpha"], case["spins"],
-                              pr)) == 2
+                              pr)) == calls
         assert self.calls(monkeypatch, "_pochhammer_raw",
                           lambda: verify.verify_inversion_first(
                               models.ModelFamily.Q_LIMIT, case["alpha"],
@@ -575,7 +591,7 @@ class TestKernelCalls:
         levels = self.calls_per_level(
             monkeypatch, lambda: verify.verify_I_constant(case["t"], case["u"],
                                                           pr))
-        assert max(levels) <= 2
+        assert max(map(len, levels)) <= 2
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_master_integrand_two_in_total(self, monkeypatch, r):
@@ -583,7 +599,7 @@ class TestKernelCalls:
         case = cli.sample_master_case(np.random.default_rng(4), pr)
         levels = self.calls_per_level(
             monkeypatch, lambda: verify.verify_master(case["mp"]))
-        assert max(levels) <= 2
+        assert max(map(len, levels)) <= 2
 
 
 # the integrands of test_numerics.py, written with numpy functions so that

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from lenstri import cli, numerics, verify
-from lenstri.params import NonConvergenceError
+from lenstri.params import NomeParameters, NonConvergenceError
 
 
 def unconverged(f, period, tol, **kwargs):
@@ -454,6 +455,37 @@ class TestSweep:
         assert rc == 2
         assert "need a real eta" in err
         assert not (tmp_path / "a.jsonl").exists()
+
+    def test_iconst_at_small_im_tau(self, capsys, tmp_path):
+        # Im tau <= (2/3) Im sigma: the sampler's usual span would put
+        # every shifted draw past Im(2i eta), and abort the sweep
+        target = tmp_path / "a.jsonl"
+        rc, _, err = run(capsys, ["sweep", "iconst", "--r", "2", "--seed",
+                                  "1", "--samples", "5", "--sigma",
+                                  "0.05+0.9j", "--tau=-0.05+0.3j",
+                                  "--out", str(target)])
+        assert rc == 0, err
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert {row["status"] for row in rows[:-1]} <= {"ok",
+                                                        "contour-violation"}
+        assert rows[-1]["passes"] >= 1 and rows[-1]["failures"] == 0
+
+    @pytest.mark.parametrize("im_sigma,im_tau", [
+        (0.5, 0.5), (0.9, 0.7), (0.6, 0.45), (0.9, 0.6), (0.9, 0.3),
+        (1.5, 0.1)])
+    def test_iconst_span(self, im_sigma, im_tau):
+        # Im A is 0.4 Im(2i eta) wherever the shifted t then keep the
+        # contour margin, and below the shift limit everywhere
+        pr = NomeParameters(complex(0.05, im_sigma), complex(-0.05, im_tau),
+                            2)
+        width = (2j * pr.eta).imag
+        room = width - math.pi * im_sigma
+        for seed in range(4):
+            t = cli.sample_iconst_case(np.random.default_rng(seed), pr)["t"]
+            im_a = sum(t).imag
+            assert im_a < room
+            if 0.4 * width < room - verify.CONTOUR_MARGIN_FRACTION * pr.eta.real:
+                assert im_a == pytest.approx(0.4 * width, rel=1e-14)
 
     def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(numerics, "periodic_integrate", unconverged)

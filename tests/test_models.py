@@ -5,12 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as euler_gamma
 
 from lenstri import models
 from lenstri.models import ModelFamily, Spin
-from lenstri.params import InvalidParameterError, PoleHitError, physical_parameters
-from lenstri.special_functions import lens_elliptic_gamma
+from lenstri.params import (
+    InvalidParameterError,
+    NomeParameters,
+    NonConvergenceError,
+    PoleHitError,
+    physical_parameters,
+)
+from lenstri.special_functions import bracket_pm, lens_elliptic_gamma
 
 
 def brute_q_function(z, n, params, terms=200):
@@ -223,6 +231,128 @@ class TestQLimitWeight:
                                  self.pr)
         assert abs(w.imag) <= 1e-13 * abs(w)
         assert w.real > 0
+
+
+def reference_weight(family, alpha, si, sj, pr):
+    """W_alpha(si, sj) from the lens elliptic gamma function, or Q, at all
+    four of its points; the spins may be arrays."""
+    if family is ModelFamily.ELLIPTIC:
+        def gamma(z, m):
+            return lens_elliptic_gamma(z, m, pr)
+    else:
+        def gamma(z, m):
+            return models.q_function(z, m, pr)
+    dm, sm = si.m - sj.m, si.m + sj.m
+    dx, sx = si.x - sj.x, si.x + sj.x
+    ratio = (gamma(dx + 1j * alpha, dm) * gamma(sx + 1j * alpha, sm)
+             / (gamma(dx - 1j * alpha, dm) * gamma(sx - 1j * alpha, sm)))
+    if family is ModelFamily.ELLIPTIC:
+        r = pr.r
+        return (np.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
+                / models.kappa_elliptic(alpha, pr) * ratio)
+    return (np.exp(-2 * alpha * (np.abs(dm) + np.abs(sm)))
+            / models.kappa_qlimit(alpha, pr) * ratio)
+
+
+def rounding(alpha, pr):
+    """Relative rounding allowed between two product forms of a weight: a
+    few ulps, times the largest 1 / |1 - c| of its factors 1 - c; at real
+    spins every |c| <= e^{-2 (eta - |alpha|)}, and c nears 1 (the pole
+    lattice) as |alpha| nears eta."""
+    return 8 * np.finfo(float).eps / -math.expm1(
+        -2 * (pr.eta.real - abs(alpha)))
+
+
+#: the families whose weights are products of gamma factors
+PRODUCT_FAMILIES = [ModelFamily.ELLIPTIC, ModelFamily.Q_LIMIT]
+conjugate_st = st.builds(
+    lambda re, im, r: NomeParameters(complex(re, im), complex(-re, im), r),
+    st.floats(-0.45, 0.45), st.floats(0.1, 1.5), st.integers(1, 6))
+spin_st = st.builds(Spin, st.floats(0.0, math.pi, exclude_max=True),
+                    st.integers(-6, 6))
+
+
+class TestConjugateNomes:
+    """At tau = -conj(sigma) the elliptic and q-limit weights evaluate half
+    their gamma factors (the rest are conjugates); they must match the full
+    product forms, and keep their pole guard."""
+
+    @given(conjugate_st, st.floats(-0.99, 0.99), spin_st, spin_st,
+           st.sampled_from(PRODUCT_FAMILIES))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_weight_matches_full(self, pr, f, si, sj, family):
+        alpha = f * pr.eta.real
+        w = models.edge_weight(family, alpha, si, sj, pr)
+        want = reference_weight(family, alpha, si, sj, pr)
+        tol = rounding(alpha, pr)
+        assert abs(w - want) <= tol * abs(want)
+        assert abs(w.imag) <= tol * abs(w) and w.real > 0
+
+    @given(conjugate_st, st.lists(st.floats(0.05, 1.0), min_size=3,
+                                  max_size=3),
+           st.tuples(spin_st, spin_st, spin_st),
+           st.sampled_from(PRODUCT_FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_star_integrand_matches_full(self, pr, parts, spins, family):
+        # crossed spectral parameters eta - alpha_i, sum alpha_i = eta
+        eta = pr.eta.real
+        crossed = [eta - eta * a / sum(parts) for a in parts]
+        s0 = Spin(np.linspace(0.0, math.pi, 9), np.arange(pr.r)[:, None])
+        v = models.star_integrand(family, s0, spins, crossed, pr)
+        if family is ModelFamily.ELLIPTIC:
+            want = models.centre_weight(s0, pr)
+        else:
+            want = models.single_spin_qlimit(s0, pr)
+        tol = 0.0
+        for a, s in zip(crossed, spins):
+            want = want * reference_weight(family, a, s, s0, pr)
+            tol += rounding(a, pr)
+        # S(x0 = 0, m0 = 0) is a genuine zero, rounded apart by each form:
+        # there only the scale of the other nodes is a measure
+        assert np.all(np.abs(v - want)
+                      <= tol * (np.abs(want) + np.abs(want).max() * 1e-3))
+
+    @pytest.mark.parametrize("family", PRODUCT_FAMILIES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("reduced", [True, False],
+                             ids=["reduced", "full"])
+    def test_pole_guard_on_both_paths(self, monkeypatch, family, sign,
+                                      reduced):
+        # alpha = +-eta with equal spins puts the edge row at 0 + i eta on
+        # the pole lattice (a +i alpha row, or a -i alpha one); with the
+        # predicate patched the full path runs at the same nomes
+        pr = physical_parameters(0.05, 0.5, 2)
+        if not reduced:
+            monkeypatch.setattr(models, "_conjugate_nomes", lambda pr: False)
+        s = Spin(0.7, 1)
+        with pytest.raises(PoleHitError):
+            models.edge_weight(family, sign * pr.eta.real, s, s, pr)
+        with pytest.raises(PoleHitError):
+            reference_weight(family, sign * pr.eta.real, s, s, pr)
+
+    @pytest.mark.parametrize("family", PRODUCT_FAMILIES)
+    def test_far_off_axis_raises(self, family):
+        # |Q| or |v1| past 1e154 at alpha far beyond eta: the squares
+        # overflow, which must raise rather than pass an inf on
+        pr = physical_parameters(0.05, 0.5, 3)
+        with pytest.raises(NonConvergenceError):
+            models.edge_weight(family, 40.0, Spin(0.3, 1), Spin(1.2, 0), pr)
+
+    @pytest.mark.parametrize("reduced", [True, False],
+                             ids=["reduced", "full"])
+    def test_single_spin_zero_not_guarded(self, monkeypatch, reduced):
+        # S has a genuine double zero at x0 = 0, m0 = 0, a node of the
+        # rinfstr trapezoid: Q's numerator vanishes there
+        pr = physical_parameters(0.05, 0.5, 1)
+        if not reduced:
+            monkeypatch.setattr(models, "_conjugate_nomes", lambda pr: False)
+        eta = pr.eta.real
+        spins = (Spin(0.4, 0), Spin(1.3, 1), Spin(2.2, -1))
+        v = models.star_integrand(
+            ModelFamily.Q_LIMIT, Spin(np.array([0.0, 0.5]),
+                                      np.array([[0], [1]])),
+            spins, [0.6 * eta, 0.7 * eta, 0.7 * eta], pr)
+        assert abs(v[0, 0]) <= 1e-12 * abs(v).max()
 
 
 class TestGammaWeight:

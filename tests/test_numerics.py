@@ -113,7 +113,8 @@ class TestPeriodicIntegrate:
     @pytest.mark.parametrize("integrate", [
         lambda f, tol: numerics.periodic_integrate(f, 2 * math.pi, tol),
         lambda f, tol: numerics.line_integrate(f, tol),
-    ], ids=["periodic", "line"])
+        lambda f, tol: numerics.bilateral_sum(f, tol),
+    ], ids=["periodic", "line", "bilateral"])
     def test_rejects_bad_tol(self, integrate, tol):
         def f(x):
             raise AssertionError("integrand called with a bad tol")

@@ -157,13 +157,15 @@ class TestStarTriangle:
             with pytest.raises(InvalidParameterError, match="real eta"):
                 verify_case(spins, alphas, pr)
 
-    def test_real_eta_off_the_conjugate_pair(self):
+    @pytest.mark.parametrize("verify_case", [verify.verify_str,
+                                             verify.verify_rinfstr])
+    def test_real_eta_off_the_conjugate_pair(self, verify_case):
         # Re(sigma + tau) = 0 with Im sigma != Im tau: eta is real and the
-        # relation holds
+        # relation holds, on the weights' full path (all gamma factors)
         pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.7j, 3)
         eta = pr.eta.real
         spins = (Spin(0.6, 0), Spin(1.7, 1), Spin(2.9, 1))
-        rep = verify.verify_str(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta), pr)
+        rep = verify_case(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta), pr)
         assert rep.rel_residual <= 1e-13
 
 
