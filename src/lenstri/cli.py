@@ -208,8 +208,12 @@ def sample_strmsg_case(rng, params=None):
             "alphas": alphas}
 
 
-def _sample_t(rng, n: int, span: float):
-    im = span * (0.4 / n + 0.6 * rng.dirichlet([2.0] * n))
+def _sample_t(rng, n: int, span: float, floor: float = 0.0):
+    """n points t whose imaginary parts sum to span: each is the floor
+    plus a share of at least 0.4 / n of what the span leaves after n
+    floors."""
+    share = 0.4 / n + 0.6 * rng.dirichlet([2.0] * n)
+    im = floor + (span - n * floor) * share
     re = rng.uniform(-0.8, 0.8, n)
     re -= re.mean()
     return [complex(a, b) for a, b in zip(re, im)]
@@ -229,10 +233,14 @@ def sample_iconst_case(rng, params: NomeParameters):
     # leaves no room for that (Im tau <= 0.74 Im sigma at a real eta),
     # every draw would be rejected, so the span is 0.9 of the room there
     width = (2j * params.eta).imag
-    room = (width - math.pi * params.sigma.imag
-            - verify.CONTOUR_MARGIN_FRACTION * abs(params.eta))
+    margin = verify.CONTOUR_MARGIN_FRACTION * abs(params.eta)
+    room = width - math.pi * params.sigma.imag - margin
     span = 0.4 * width if 0.4 * width < room else 0.9 * room
-    t = _sample_t(rng, 5, span)
+    # each Im t_i is at least 0.08 span; where that is under the contour
+    # margin, a small share would be rejected, so each starts at 1.25
+    # margins (or span / 5, if the span holds fewer than five of those)
+    floor = min(1.25 * margin, span / 5) if 0.08 * span < margin else 0.0
+    t = _sample_t(rng, 5, span, floor)
     u = tuple(int(v) for v in rng.integers(-2, 3, 5))
     return {"t": tuple(t), "u": u}
 

@@ -6,8 +6,15 @@ Normalisation factors kappa(alpha) are exponentials of bilateral sums
 whose summands are rewritten with the dominant nome powers factored out,
 so no intermediate overflows for large |n|.  The terms fall geometrically,
 by a ratio known in closed form, so the sum is one array cut by a
-geometric tail bound; kappa values are cached per (alpha, params), and
-the parts of their terms that depend on the nomes alone per params.
+geometric tail bound.  kappa of every alpha of an array is one evaluation
+of that series; the parts of its terms that depend on the nomes alone are
+cached per params, and the scalar ``kappa_elliptic`` and ``kappa_qlimit``
+per (alpha, params).
+
+A weight, or a star-triangle integrand, is one batch of gamma factors:
+its rows are stacked on axis 0 (``_edge_rows``), three edges are one more
+axis, and rows of different shapes, such as a right side's beside an
+integrand's nodes, share one flat batch (``join_batches``).
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ from .params import (
 from .special_functions import (
     _term_count,
     bracket_pm,
+    join_batches,
     lens_elliptic_gamma,
     lens_elliptic_gamma_factor,
     mod_bracket,
     product_arguments,
     python_scalar,
     qpochhammer_inf,
+    split_batches,
     squared_modulus,
     stack_rows,
     theta4,
@@ -84,21 +93,24 @@ def epsilon_factor(m, r: int):
     return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
-def _kappa_log(alpha: float, params: NomeParameters, family: ModelFamily,
-               bound: float) -> complex:
-    """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n, w = pq, with the
-    factor of the family's kappa series (``_kappa_series``) and
-    |factor(k)| <= bound for every k >= 1.
+def _kappa_log(alpha, params: NomeParameters, family: ModelFamily):
+    """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n at each element a of
+    the array alpha, w = pq, with the factor of the family's kappa series
+    (``_kappa_series``), |factor(k)| <= _kappa_bound for every k >= 1.
 
-    The +-n terms for n = 1..N are one array.  Each is at most bound
-    rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms past N add
-    at most 2 bound rho^{N+1} / (1 - rho); N is the least count that
-    brings this within the sum's tolerance, 100 TERM_EPSILON (absolute:
-    kappa is exp of the sum), counted by special_functions._term_count.
-    The series is cached with the least power of 2 (at least 16) terms
-    that covers N, so that one serves many alpha.
+    The +-n terms for n = 1..N are one array row per element.  Each is at
+    most bound rho^n / n in magnitude, rho = |w|^2 e^{4|a|}, so the terms
+    past N add at most 2 bound rho^{N+1} / (1 - rho); N is the least count
+    that brings this within the sum's tolerance, 100 TERM_EPSILON
+    (absolute: kappa is exp of the sum), at the largest |a|, counted by
+    special_functions._term_count.  The series is cached with the least
+    power of 2 (at least 16) terms that covers N, so that one serves many
+    alpha.
     """
-    rho = abs(params.p * params.q) ** 2 * math.exp(4 * abs(alpha))
+    alpha = np.asarray(alpha, float)
+    bound = _kappa_bound(params, family)
+    top = float(np.abs(alpha).max(initial=0.0))
+    rho = abs(params.p * params.q) ** 2 * math.exp(4 * top)
     if rho >= 1.0:
         raise NonConvergenceError(
             f"kappa series diverges: term ratio {rho:.3f} >= 1")
@@ -106,11 +118,29 @@ def _kappa_log(alpha: float, params: NomeParameters, family: ModelFamily,
                     TERM_EPSILON * 1e2, MAX_SUM_TERMS, what="kappa series")
     size = 1 << max(4, (n - 1).bit_length())
     k, k_logw, factor = (a[:n] for a in _kappa_series(params, family, size))
+    a4 = 4 * alpha[..., None]
     # exponents combined before exponentiating: e^{4 a n} alone can
     # overflow for alpha near eta even though the term is tiny
-    terms = (np.exp(4 * alpha * k + k_logw)
-             - np.exp(-4 * alpha * k + k_logw)) * factor / k
-    return terms.sum().item()
+    terms = (np.exp(a4 * k + k_logw) - np.exp(-a4 * k + k_logw)) * factor / k
+    return terms.sum(axis=-1)
+
+
+def _kappa_bound(params: NomeParameters, family: ModelFamily) -> float:
+    """A bound on |factor(k)|, k >= 1, of the family's kappa series."""
+    w = abs(params.p * params.q)
+    if family is ModelFamily.Q_LIMIT:
+        return 1 / (1 - w ** 4)
+    r = params.r
+    return ((1 + w ** (2 * r))
+            / ((1 - w ** 4) * (1 - abs(params.p) ** (2 * r))
+               * (1 - abs(params.q) ** (2 * r))))
+
+
+def kappa(family: ModelFamily, alpha, params: NomeParameters):
+    """kappa(alpha) of the elliptic or the q-limit edge weight at a scalar
+    alpha or at each element of an array of them, from one evaluation of
+    the series (``_kappa_log``); kappa(0) = 1."""
+    return python_scalar(np.exp(_kappa_log(alpha, params, family)))
 
 
 @lru_cache(maxsize=32)
@@ -136,7 +166,8 @@ def _kappa_series(params: NomeParameters, family: ModelFamily, size: int):
 
 @lru_cache(maxsize=4096)
 def kappa_elliptic(alpha: float, params: NomeParameters) -> complex:
-    """Normalisation of the elliptic edge weight:
+    """Normalisation of the elliptic edge weight, ``kappa`` at a scalar
+    alpha, cached:
 
     exp sum_{n!=0} e^{4 a n} ((pq)^{rn}-(pq)^{-rn})
         / [n ((pq)^{2n}-(pq)^{-2n}) (p^{rn}-p^{-rn}) (q^{rn}-q^{-rn})].
@@ -145,37 +176,18 @@ def kappa_elliptic(alpha: float, params: NomeParameters) -> complex:
     e^{4 a n} w^{2|n|} (1-w^{2r|n|}) /
         [n (1-w^{4|n|}) (1-p^{2r|n|}) (1-q^{2r|n|})],  w = pq.
     """
-    if alpha == 0.0:
-        return 1.0 + 0.0j
-    r = params.r
-    p, q = params.p, params.q
-    w = p * q
-    bound = ((1 + abs(w) ** (2 * r))
-             / ((1 - abs(w) ** 4) * (1 - abs(p) ** (2 * r))
-                * (1 - abs(q) ** (2 * r))))
-    return cmath.exp(_kappa_log(alpha, params, ModelFamily.ELLIPTIC, bound))
+    return kappa(ModelFamily.ELLIPTIC, alpha, params)
 
 
 @lru_cache(maxsize=4096)
 def kappa_qlimit(alpha: float, params: NomeParameters) -> complex:
-    """Normalisation of the q-limit edge weight:
+    """Normalisation of the q-limit edge weight, ``kappa`` at a scalar
+    alpha, cached:
     exp{-sum_{n!=0} e^{4 a n} / (n ((pq)^{2|n|} - (pq)^{-2|n|}))},
     the r -> infinity limit of the elliptic one:
     e^{4 a n} w^{2|n|} / (n (1-w^{4|n|})) summed, w = pq.
     """
-    if alpha == 0.0:
-        return 1.0 + 0.0j
-    w = params.p * params.q
-    return cmath.exp(_kappa_log(alpha, params, ModelFamily.Q_LIMIT,
-                                1 / (1 - abs(w) ** 4)))
-
-
-def _per_alpha(kappa, alpha, params):
-    """kappa(alpha) of a scalar alpha, or of each element of an array."""
-    if np.ndim(alpha) == 0:
-        return kappa(alpha, params)
-    values = [kappa(float(a), params) for a in np.ravel(alpha)]
-    return np.reshape(values, np.shape(alpha))
+    return kappa(ModelFamily.Q_LIMIT, alpha, params)
 
 
 def _conjugate_nomes(params: NomeParameters) -> bool:
@@ -189,47 +201,47 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
     return params.tau == -params.sigma.conjugate()
 
 
-def _edge_rows(alpha, si: Spin, sj: Spin) -> list:
-    """(z, m) of the four gamma factors of the edge weight W_alpha(si, sj):
-    G(dx + i alpha, dm) G(sx + i alpha, sm) / (G(dx - i alpha, dm)
-    G(sx - i alpha, sm)), with G the lens elliptic gamma function or its
-    q-limit Q, dx, dm the differences and sx, sm the sums of the spins."""
+def _edge_rows(alpha, si: Spin, sj: Spin):
+    """(z, m) of the four gamma factors of the edge weight W_alpha(si, sj),
+    on a new axis 0: G(dx + i alpha, dm) G(sx + i alpha, sm) /
+    (G(dx - i alpha, dm) G(sx - i alpha, sm)), with G the lens elliptic
+    gamma function or its q-limit Q, dx, dm the differences and sx, sm
+    the sums of the spins; alpha and the spins broadcast."""
     dm, sm = si.m - sj.m, si.m + sj.m
     dx, sx = si.x - sj.x, si.x + sj.x
-    return [(dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
-            (dx - 1j * alpha, dm), (sx - 1j * alpha, sm)]
+    return stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
+                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
 
 
 def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
-                 params: NomeParameters):
+                 params: NomeParameters, kappas):
     """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family,
     from values v of its four _edge_rows whose gamma ratio is
-    v0 v1 / (v2 v3)."""
+    v0 v1 / (v2 v3), and kappas = kappa(alpha)."""
     dm, sm = si.m - sj.m, si.m + sj.m
     if family is ModelFamily.ELLIPTIC:
         r = params.r
         pref = np.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
-        kappa = kappa_elliptic
     else:
         pref = np.exp(-2 * alpha * (np.abs(dm) + np.abs(sm)))
-        kappa = kappa_qlimit
-    return (pref / _per_alpha(kappa, alpha, params)
-            * (v[0] * v[1]) / (v[2] * v[3]))
+    return pref / kappas * (v[0] * v[1]) / (v[2] * v[3])
 
 
-def _elliptic_values(rows, params: NomeParameters) -> np.ndarray:
-    """Values v of elliptic edge rows, four per edge in _edge_rows order,
-    such that each edge's gamma ratio is v0 v1 / (v2 v3), in one batch.
+def _elliptic_values(batches, params: NomeParameters) -> list:
+    """Values v of the elliptic edge rows of each batch (``_edge_rows``),
+    all in one flat batch, such that each edge's gamma ratio is
+    v0 v1 / (v2 v3).
 
     They are Phi_{r,m} at each row, and at the conjugate nomes |v1|^2 of
     its (pq, p^r) factor v1 (``lens_elliptic_gamma_factor``): there
     Phi(d + ia) / Phi(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is
     one elliptic gamma batch in place of two, and its guarded products at
     +-ia are, up to conjugation, the ones the (pq, q^r) factor guards."""
-    z, m = stack_rows(*rows)
+    (z, m), shapes = join_batches(*batches)
     if not _conjugate_nomes(params):
-        return lens_elliptic_gamma(z, m, params)
-    return squared_modulus(lens_elliptic_gamma_factor(z, m, params))
+        return split_batches(lens_elliptic_gamma(z, m, params), shapes)
+    return split_batches(
+        squared_modulus(lens_elliptic_gamma_factor(z, m, params)), shapes)
 
 
 def weight_elliptic(alpha, si: Spin, sj: Spin,
@@ -239,9 +251,10 @@ def weight_elliptic(alpha, si: Spin, sj: Spin,
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    v = _elliptic_values(_edge_rows(alpha, si, sj), params)
-    return python_scalar(_edge_weight(ModelFamily.ELLIPTIC, alpha, si, sj, v,
-                                      params))
+    v, = _elliptic_values([_edge_rows(alpha, si, sj)], params)
+    return python_scalar(_edge_weight(
+        ModelFamily.ELLIPTIC, alpha, si, sj, v, params,
+        kappa(ModelFamily.ELLIPTIC, alpha, params)))
 
 
 def _single_spin_theta(si: Spin, eps, params: NomeParameters):
@@ -289,12 +302,14 @@ def centre_weight(s0: Spin, params: NomeParameters) -> np.ndarray:
     weights: a sector with 2 m0 = 0 (mod r) is its own mirror, and 1/2 is
     its multiplicity eps; the other sectors pair up m0 <-> r - m0, each
     pair worth the one sector m0 <= r/2 at eps = 1.  s0's angle and integer
-    part are arrays that broadcast against each other.  The values do not
-    depend on the instance, so they are cached per (params, angles,
-    integer parts), in a small bounded cache, and read-only.
+    part are scalars or arrays that broadcast against each other.  The
+    values do not depend on the instance, so they are cached per (params,
+    angles, integer parts), in a small bounded cache, and read-only; a
+    scalar spin gives a Python complex.
     """
     x, m = np.asarray(s0.x, float), np.asarray(s0.m, int)
-    return _centre_weight(params, x.tobytes(), x.shape, m.tobytes(), m.shape)
+    return python_scalar(_centre_weight(params, x.tobytes(), x.shape,
+                                        m.tobytes(), m.shape))
 
 
 @lru_cache(maxsize=32)
@@ -303,7 +318,8 @@ def _centre_weight(params: NomeParameters, x: bytes, x_shape: tuple,
     """centre_weight at the angles and integer parts held in x and m."""
     s0 = Spin(np.frombuffer(x).reshape(x_shape),
               np.frombuffer(m, int).reshape(m_shape))
-    value = _single_spin_theta(s0, 0.5, params)
+    # a 0-d array for a scalar spin, whose value is a numpy scalar
+    value = np.asarray(_single_spin_theta(s0, 0.5, params))
     value.flags.writeable = False
     return value
 
@@ -316,7 +332,10 @@ def _q_products(z, n, params: NomeParameters, guard_num=False):
     p, q = params.p, params.q
     pq = p * q
     nonneg = np.greater_equal(n, 0)
-    pk, qk = p ** (2 * np.abs(n)), q ** (2 * np.abs(n))
+    # n takes a few values over a whole batch: one power of each, gathered
+    k = np.abs(n)
+    powers = 2 * np.arange(np.max(k, initial=0) + 1)
+    pk, qk = (p ** powers)[k], (q ** powers)[k]
     with product_arguments():
         e2 = np.exp(2j * z)
         c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
@@ -338,11 +357,13 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     return python_scalar(num / den)
 
 
-def _qlimit_values(rows, params: NomeParameters, spin_rows: int = 0):
-    """Values v of q-limit rows in one batch: spin_rows (0 or 2)
-    single-spin rows (``_single_spin_qlimit_rows``), whose weight is
-    e^{4 eta |m|} / (2 pi) v0 v1, then edge rows, four per edge in
-    _edge_rows order, such that each edge's Q ratio is v0 v1 / (v2 v3).
+def _qlimit_values(batches, params: NomeParameters, spin: Spin = None):
+    """Values of q-limit rows, all in one flat batch: the two single-spin
+    rows of spin, if given (``_single_spin_qlimit_rows``), whose weight is
+    e^{4 eta |m|} / (2 pi) v0 v1, and the edge rows of each batch
+    (``_edge_rows``), such that each edge's Q ratio is v0 v1 / (v2 v3).
+    Returns the single-spin values (None without spin) and the values of
+    each batch.
 
     They are Q at each row.  At the conjugate nomes Q(conj z, n) =
     1 / conj Q(z, n) and Q(-z, -n) = 1 / Q(z, n), so the second
@@ -354,24 +375,25 @@ def _qlimit_values(rows, params: NomeParameters, spin_rows: int = 0):
     numerator, num(z) being conj den(conj z), which the -ia rows would
     guard.  The single-spin numerator is not: its zero at x = 0 is the
     genuine double zero of S."""
+    spins = [] if spin is None else [
+        stack_rows(*_single_spin_qlimit_rows(spin, params))]
     if not _conjugate_nomes(params):
-        z, n = stack_rows(*rows)
-        return q_function(z, n, params)
-    spin = rows[:1] if spin_rows else []
-    edges = rows[spin_rows:]
-    z, n, guard = stack_rows(*[(z, n, False) for z, n in spin],
-                             *[(z, n, True) for i in range(0, len(edges), 4)
-                               for z, n in edges[i:i + 2]])
-    num, den = _q_products(z, n, params, guard)
-    cut, shape = len(spin), (-1, 2) + z.shape[1:]
+        (z, n), shapes = join_batches(*spins, *batches)
+        v = split_batches(q_function(z, n, params), shapes)
+        return (v[0] if spins else None), v[len(spins):]
+    (z, n, guard), shapes = join_batches(
+        *[(z[:1], n[:1], np.zeros(z[:1].shape, bool)) for z, n in spins],
+        *[(z[:2], n[:2], np.ones(z[:2].shape, bool)) for z, n in batches])
+    # numerators and denominators on axis 0 of each batch's values
+    parts = split_batches(np.stack(_q_products(z, n, params, guard)), shapes)
+    head = None
+    if spins:
+        (num,), (den,) = parts.pop(0)
+        q = num / den
+        head = np.stack([q, q.conj()])
     # per edge: |num d|^2, |num s|^2, |den d|^2, |den s|^2
-    v = squared_modulus(np.stack([num[cut:].reshape(shape),
-                                  den[cut:].reshape(shape)], axis=1))
-    v = v.reshape((-1,) + z.shape[1:])
-    if spin:
-        head = num[0] / den[0]
-        v = np.concatenate([np.stack([head, head.conj()]), v])
-    return v
+    return head, [squared_modulus(v).reshape((4,) + v.shape[2:])
+                  for v in parts]
 
 
 def weight_qlimit(alpha, si: Spin, sj: Spin,
@@ -381,9 +403,10 @@ def weight_qlimit(alpha, si: Spin, sj: Spin,
     each other."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    v = _qlimit_values(_edge_rows(alpha, si, sj), params)
-    return python_scalar(_edge_weight(ModelFamily.Q_LIMIT, alpha, si, sj, v,
-                                      params))
+    _, (v,) = _qlimit_values([_edge_rows(alpha, si, sj)], params)
+    return python_scalar(_edge_weight(
+        ModelFamily.Q_LIMIT, alpha, si, sj, v, params,
+        kappa(ModelFamily.Q_LIMIT, alpha, params)))
 
 
 def _single_spin_qlimit_rows(sj: Spin, params: NomeParameters) -> list:
@@ -409,35 +432,61 @@ def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
     return python_scalar(_single_spin_qlimit(sj, v, params))
 
 
-def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
-                   params: NomeParameters):
-    """Integrand S(s0) prod_i W_{alpha_i}(s_i, s0) of the star-triangle
-    relation of the q-limit family, or S~(s0) prod_i W_{alpha_i}(s_i, s0)
-    of the elliptic one, at a centre spin s0 whose angle and integer part
-    may be arrays that broadcast against each other.
+def _three_edges(spins, alphas, ndim: int):
+    """The spins and spectral parameters of the edges of a star as one
+    Spin and one array, the edges on axis 0, followed by ndim axes of
+    length 1 that broadcast against a centre spin of ndim axes."""
+    shape = (len(spins),) + (1,) * ndim
+    return (Spin(np.reshape([s.x for s in spins], shape),
+                 np.reshape([s.m for s in spins], shape)),
+            np.reshape(np.asarray(alphas, float), shape))
 
-    The twelve gamma factors of the three edge weights are stacked into one
-    batch (``_elliptic_values`` or ``_qlimit_values``), which at the
-    conjugate nomes evaluates half of them.  The q-limit single-spin
-    weight joins that batch.  The elliptic one is centre_weight, S~(s0) =
-    S(s0) / (2 eps(m0)), for the sum over m0 in Z_r: its theta product
-    form, which tolerates the genuine zeros of S on the contour where the
-    gamma form's pole guard would reject them, cached per node grid.
+
+def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
+                   params: NomeParameters, *, kappas=None, right_side=None):
+    """Integrand S(s0) prod_i W_{alpha_i}(s_i, s0) of the star-triangle
+    relation of the q-limit or the Euler-gamma family, or
+    S~(s0) prod_i W_{alpha_i}(s_i, s0) of the elliptic one, at a centre
+    spin s0 whose angle and integer part may be arrays that broadcast
+    against each other.
+
+    The edges are one array axis.  Elliptic and q-limit: the twelve gamma
+    factors of the three edge weights are one batch (``_elliptic_values``
+    or ``_qlimit_values``), which at the conjugate nomes evaluates half of
+    them, and kappas holds kappa(alpha_i), evaluated here when not given.
+    The q-limit single-spin weight joins that batch.  The elliptic one is
+    centre_weight, S~(s0) = S(s0) / (2 eps(m0)), for the sum over m0 in
+    Z_r: its theta product form, which tolerates the genuine zeros of S on
+    the contour where the gamma form's pole guard would reject them,
+    cached per node grid.  Euler-gamma (params None): one weight_gamma
+    call over the three edges.
+
+    right_side, by keyword, is (alpha, si, sj, kappas) of more edge
+    weights of the same family, one element per weight, whose rows ride in
+    the same batch; the return is then the integrand and the product of
+    those weights.
     """
-    rows = [row for a, s in zip(alphas, spins) for row in _edge_rows(a, s, s0)]
+    edges, alpha = _three_edges(spins, alphas,
+                                np.ndim(np.broadcast(s0.x, s0.m)))
+    if family is ModelFamily.GAMMA_LIMIT:
+        return python_scalar(single_spin_gamma(s0)
+                             * weight_gamma(alpha, edges, s0).prod(axis=0))
+    if kappas is None:
+        kappas = kappa(family, alphas, params)
+    batches = [_edge_rows(alpha, edges, s0)]
+    if right_side is not None:
+        batches.append(_edge_rows(*right_side[:3]))
     if family is ModelFamily.ELLIPTIC:
-        v = _elliptic_values(rows, params)
-        value = centre_weight(s0, params)
-    elif family is ModelFamily.Q_LIMIT:
-        v = _qlimit_values(_single_spin_qlimit_rows(s0, params) + rows,
-                           params, spin_rows=2)
-        value, v = _single_spin_qlimit(s0, v[:2], params), v[2:]
+        value, v = centre_weight(s0, params), _elliptic_values(batches, params)
     else:
-        raise InvalidParameterError(f"no stacked integrand for {family}")
-    for i, (a, s) in enumerate(zip(alphas, spins)):
-        value = value * _edge_weight(family, a, s, s0, v[4 * i:4 * i + 4],
-                                     params)
-    return python_scalar(value)
+        single, v = _qlimit_values(batches, params, spin=s0)
+        value = _single_spin_qlimit(s0, single, params)
+    value = value * _edge_weight(family, alpha, edges, s0, v[0], params,
+                                 np.reshape(kappas, alpha.shape)).prod(axis=0)
+    if right_side is None:
+        return python_scalar(value)
+    rhs = _edge_weight(family, *right_side[:3], v[1], params, right_side[3])
+    return python_scalar(value), python_scalar(rhs.prod())
 
 
 def _gamma_pair(loggamma, a: complex, b: complex) -> complex:
@@ -478,7 +527,8 @@ def weight_gamma(alpha, si: Spin, sj: Spin) -> float:
 
 
 def single_spin_gamma(sj: Spin) -> float:
-    """Gamma-limit single-spin weight (x^2 + m^2) / (4 pi)."""
+    """Gamma-limit single-spin weight (x^2 + m^2) / (4 pi); the spin's
+    angle and integer part may be arrays."""
     return (sj.x ** 2 + sj.m ** 2) / (4 * math.pi)
 
 

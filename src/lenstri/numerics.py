@@ -31,12 +31,19 @@ once per later level;
 ``line_integrate`` calls it once per pair of end points +-sinh T and then
 as ``periodic_integrate`` does.  Both modes visit the same nodes in the
 same order and take the same refinement decisions from the same values.
+The node layout (each call's nodes, the cuts between the levels of the
+first call, the mirror weights) is built once per (period, min_nodes,
+max_nodes, even) and is read-only.  ``first_call_nodes`` returns the
+array of the first call itself: a caller that evaluates f's terms there
+in one batch with other rows (a verifier's right side) has f answer the
+call on that array from those values, so each level costs one batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,6 +93,62 @@ def _mirror_half(index: np.ndarray, total: int):
     return half, np.where(own, 1.0, 2.0)
 
 
+def _level(index: np.ndarray, total: int, period: float, even: bool):
+    """Nodes index * period / total of one level and their weights: all of
+    them, or with even=True one of each mirror pair."""
+    w = 1.0
+    if even:
+        index, w = _mirror_half(index, total)
+    return index * (period / total), w
+
+
+def _read_only(*arrays):
+    """Make the arrays among arrays read-only; a weight 1.0 is a float."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _first_call(period: float, min_nodes: int, max_nodes: int, even: bool):
+    """The nodes of periodic_integrate's first call, concatenated in level
+    order, the cuts between its levels, each level's weights, and the node
+    count n of its last level.  It holds every level up to the first that
+    brings the nodes evaluated to 4 min_nodes (fewer if max_nodes ends the
+    doubling sooner).  Read-only: every call at one setting shares it."""
+    levels, n = [_level(np.arange(min_nodes), min_nodes, period, even)], min_nodes
+    evaluated = levels[0][0].size
+    while evaluated < 4 * min_nodes and n < max_nodes:
+        n *= 2
+        levels.append(_level(np.arange(1, n, 2), n, period, even))
+        evaluated += levels[-1][0].size
+    nodes = np.concatenate([x for x, _ in levels])
+    cuts = np.cumsum([x.size for x, _ in levels])[:-1]
+    weights = tuple(w for _, w in levels)
+    _read_only(nodes, cuts, *weights)
+    return nodes, cuts, weights, n
+
+
+@lru_cache(maxsize=64)
+def _refinement(period: float, n: int, even: bool):
+    """Nodes and weights of the level of n nodes after the first call:
+    the odd multiples of period / n.  Read-only."""
+    x, w = _level(np.arange(1, n, 2), n, period, even)
+    _read_only(x, w)
+    return x, w
+
+
+def first_call_nodes(period: float, min_nodes: int = 16,
+                     max_nodes: int = 2 ** 15, even: bool = False) -> np.ndarray:
+    """The node array of ``periodic_integrate``'s first call of f at these
+    settings, the very object that call passes, read-only.
+
+    A caller that must evaluate f's terms there anyway, together with
+    other values in one batch, evaluates them first and has f answer the
+    call on this array (tested with ``is``) from those values."""
+    return _first_call(period, min_nodes, max_nodes, even)[0]
+
+
 def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
                        min_nodes: int = 16, max_nodes: int = 2 ** 15,
                        vectorized: bool = False,
@@ -103,49 +166,31 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     the first that brings the nodes evaluated to 4 min_nodes (fewer if
     max_nodes ends the doubling sooner), which is the first level and
     two refinements over a full period, and three over a mirror half.
-    Each later level's nodes go to a call of their own, and each level is
-    summed over its own slice of the values, as if it had been a call
-    alone.  With even=True, f(z) = f(period - z) is taken on trust and f
-    is evaluated at one node of each mirror pair, the other counted
-    twice.  nodes_used counts the nodes evaluated, also those of a level
-    that the first call evaluated but the rule did not reach.
+    That call passes the array ``first_call_nodes`` returns.  Each later
+    level's nodes go to a call of their own, and each level is summed over
+    its own slice of the values, as if it had been a call alone.  The
+    node layout is built once per (period, min_nodes, max_nodes, even)
+    and is read-only.  With even=True, f(z) = f(period - z) is taken on
+    trust and f is evaluated at one node of each mirror pair, the other
+    counted twice.  nodes_used counts the nodes evaluated, also those of a
+    level that the first call evaluated but the rule did not reach.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
 
-    def level(index, total):
-        """Nodes index * period / total of one level and their weights:
-        all of them, or with even=True one of each mirror pair."""
-        w = 1.0
-        if even:
-            index, w = _mirror_half(index, total)
-        return index * (period / total), w
-
-    def call(levels):
-        """Sum of f over each level (nodes, weights), all in one call."""
-        nodes = [x for x, _ in levels]
-        values = _values(f, np.concatenate(nodes), vectorized)
-        cuts = np.cumsum([x.size for x in nodes])[:-1]
-        return [(v * w).sum().item()
-                for v, (_, w) in zip(np.split(values, cuts), levels)]
-
     def level_sums():
-        """Sum of each level in turn, with the nodes evaluated so far.  The
-        first call holds the levels up to the first whose evaluated nodes
-        reach 4 min_nodes."""
-        first, n = [level(np.arange(min_nodes), min_nodes)], min_nodes
-        evaluated = first[0][0].size
-        while evaluated < 4 * min_nodes and n < max_nodes:
-            n *= 2
-            first.append(level(np.arange(1, n, 2), n))
-            evaluated += first[-1][0].size
-        for s in call(first):
-            yield s, evaluated
+        """Sum of each level in turn, with the nodes evaluated so far."""
+        nodes, cuts, weights, n = _first_call(period, min_nodes, max_nodes,
+                                              even)
+        values = _values(f, nodes, vectorized)
+        evaluated = nodes.size
+        for v, w in zip(np.split(values, cuts), weights):
+            yield (v * w).sum().item(), evaluated
         while n < max_nodes:
             n *= 2
-            x, w = level(np.arange(1, n, 2), n)
+            x, w = _refinement(period, n, even)
             evaluated += x.size
-            yield call([(x, w)])[0], evaluated
+            yield (_values(f, x, vectorized) * w).sum().item(), evaluated
 
     sums = level_sums()
     n = min_nodes

@@ -363,6 +363,32 @@ def stack_rows(*rows):
     return tuple(out)
 
 
+def join_batches(*batches):
+    """Arguments of one flat batched call made of several batches.
+
+    Each batch is a tuple of arrays of one shape (say z, m), as
+    ``stack_rows`` returns them, and batches may differ in shape.  Returns
+    one flat array per argument, holding every batch's elements in turn,
+    and the batches' shapes, by which ``split_batches`` cuts the values of
+    the flat call back into one array per batch."""
+    shapes = [batch[0].shape for batch in batches]
+    columns = tuple(np.concatenate([x.reshape(-1) for x in column])
+                    for column in zip(*batches))
+    return columns, shapes
+
+
+def split_batches(values: np.ndarray, shapes) -> list:
+    """The values of a flat call on ``join_batches`` arguments, cut along
+    their last axis into one array per batch, of the batch's shape after
+    any leading axes of values."""
+    out, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(values[..., lo:lo + size].reshape(values.shape[:-1] + shape))
+        lo += size
+    return out
+
+
 def _result(value, bound, with_bound):
     """The value, and its tail bound if with_bound, of a special function.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,7 +114,8 @@ def _check_alphas(alphas: Sequence[float], eta: float):
 def _rhs_edges(spins: Sequence[Spin], alphas: Sequence[float]):
     """(alpha, si, sj) of the three edge weights of a star-triangle right
     side, W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si), as arrays with one
-    element per weight, so that one weight call gives all three."""
+    element per weight, so that one weight call, or one batch, gives all
+    three."""
     def stack(ss):
         return Spin(np.array([s.x for s in ss]), np.array([s.m for s in ss]))
     si, sj, sk = spins
@@ -149,6 +151,14 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
     ratio of rows M and M - 1 there; a ratio >= 1, a bound above the sum's
     target (``SUM_MARGIN`` times the quadrature target) or more than
     MAX_SUM_TERMS rows raise NonConvergenceError.  Both need a real eta.
+
+    Each trapezoid level is one integrand batch and nothing else.  kappa
+    of the six spectral parameters alpha_i and eta - alpha_i is one
+    evaluation of its series, and the right side's twelve rows (six of
+    num and den in the q-limit at the conjugate nomes) ride in the batch
+    of the integrand's first call, which this function makes itself at
+    ``numerics.first_call_nodes``; the right side sets the quadrature
+    tolerance before the stop rule first runs.
     """
     if abs(params.eta.imag) > 1e-12:
         raise InvalidParameterError(
@@ -173,18 +183,23 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
                                MAX_SUM_TERMS, m_star + 2,
                                "rinfstr m-sum")
         m0 = np.arange(m_star + k + 1)
-    rhs = models.edge_weight(family, *_rhs_edges(spins, alphas),
-                             params).prod()
+    crossed = [eta - a for a in alphas]
+    kappas = models.kappa(family, np.array([*alphas, *crossed]), params)
+    nodes = numerics.first_call_nodes(math.pi, even=elliptic)
+    first, rhs = models.star_integrand(
+        family, Spin(nodes, m0[:, None]), spins, crossed, params,
+        kappas=kappas[3:],
+        right_side=(*_rhs_edges(spins, alphas), kappas[:3]))
     # the integrator's tolerance is absolute for small values; tie it to
     # the scale of the identity so the relative residual is meaningful
     qtol = rel * min(1.0, max(abs(rhs), 1e-12))
     weight = np.where(elliptic | (m0 == 0), 1.0, 2.0)[:, None]
-    crossed = [eta - a for a in alphas]
     last = np.zeros(2)   # the largest |row M - 1| and |row M| so far
 
     def integrand(x0):
-        v = models.star_integrand(family, Spin(x0, m0[:, None]), spins,
-                                  crossed, params)
+        v = first if x0 is nodes else models.star_integrand(
+            family, Spin(x0, m0[:, None]), spins, crossed, params,
+            kappas=kappas[3:])
         np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
         return (weight * v).sum(axis=0)
     res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
@@ -241,8 +256,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     terms (m = 0, 1, ...) raises NonConvergenceError.
     """
     _check_alphas(alphas, 1.0)
-    si, sj, sk = spins
-    ai, aj, ak = alphas
+    crossed = [1 - a for a in alphas]
     rhs = models.weight_gamma(*_rhs_edges(spins, alphas)).prod()
     qtol = quad_tol if quad_tol is not None else tol / 10
     qtol *= min(1.0, max(abs(rhs), 1e-12))
@@ -253,11 +267,8 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
         nonlocal nodes
 
         def f(x0):
-            s0 = Spin(x0, m0)
-            return (models.single_spin_gamma(s0)
-                    * models.weight_gamma(1 - ai, si, s0)
-                    * models.weight_gamma(1 - aj, sj, s0)
-                    * models.weight_gamma(1 - ak, sk, s0))
+            return models.star_integrand(ModelFamily.GAMMA_LIMIT,
+                                         Spin(x0, m0), spins, crossed, None)
         res = _converged(numerics.line_integrate(f, target, vectorized=True))
         nodes += res.nodes_used
         return res.value
@@ -286,13 +297,6 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # master identity and its constant form
-
-
-def _G(rows, params):
-    """Gamma(z, m) of every row (z, m, allow_zero), rows on axis 0, in one
-    batched lens_gamma_appendix call; z may be an array of nodes."""
-    z, m, allow_zero = sf.stack_rows(*rows)
-    return sf.lens_gamma_appendix(z, m, params, allow_zero=allow_zero)
 
 
 def pole_diagnostics(t, params: Optional[NomeParameters] = None) -> float:
@@ -327,17 +331,34 @@ def _require_safe_contour(t, params):
     return margin
 
 
-def master_integrand(z: complex, y, mp: MasterParameters) -> complex:
+def master_integrand(z: complex, y, mp: MasterParameters, *,
+                     right_side: bool = False) -> complex:
     """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
     Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
-    that broadcast against each other."""
+    that broadcast against each other: its Gamma rows on axis 0 of one
+    batched lens_gamma_appendix call.
+
+    With right_side=True the fifteen Gamma of the right side,
+    prod_{i<j} Gamma(t_i + t_j, u_i + u_j), ride in the same call, and
+    the return is the integrand and that product."""
+    t, u = mp.t, mp.u
     i2eta = 2j * mp.params.eta
     # 1/Gamma(+-2z, +-2y) through the inversion relation; the inverted
     # factors vanish where the original ones blow up
     rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
-    for ti, ui in zip(mp.t, mp.u):
+    for ti, ui in zip(t, u):
         rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
-    return sf.python_scalar(_G(rows, mp.params).prod(axis=0))
+    batches = [sf.stack_rows(*rows)]
+    if right_side:
+        batches.append(sf.stack_rows(*[(t[i] + t[j], u[i] + u[j], False)
+                                       for i in range(6)
+                                       for j in range(i + 1, 6)]))
+    (z, m, allow_zero), shapes = sf.join_batches(*batches)
+    v = sf.split_batches(sf.lens_gamma_appendix(z, m, mp.params,
+                                                allow_zero=allow_zero),
+                         shapes)
+    value = sf.python_scalar(v[0].prod(axis=0))
+    return (value, v[1].prod().item()) if right_side else value
 
 
 def constant_form(t: Sequence[complex], u: Sequence[int],
@@ -348,30 +369,32 @@ def constant_form(t: Sequence[complex], u: Sequence[int],
                             tuple(u) + (-sum(u),), params)
 
 
-def _master_rhs(mp: MasterParameters) -> complex:
-    """prod_{i<j} Gamma(t_i + t_j, u_i + u_j), the master identity's right
-    side."""
-    t, u = mp.t, mp.u
-    return _G([(t[i] + t[j], u[i] + u[j], False)
-               for i in range(6) for j in range(i + 1, 6)],
-              mp.params).prod()
-
-
+@lru_cache(maxsize=32)
 def _pochhammer_norm(params: NomeParameters) -> complex:
-    """(q^r;q^r) (p^r;p^r), the normalisation of the master integral."""
+    """(q^r;q^r) (p^r;p^r), the normalisation of the master integral; it
+    depends on the nomes alone, so it is cached per params."""
     qr, pr = params.q ** params.r, params.p ** params.r
     return sf.qpochhammer_inf(qr, qr) * sf.qpochhammer_inf(pr, pr)
 
 
-def _master_integral(mp: MasterParameters, qtol, scale=1.0):
-    """The integral over one period of scale * sum_y master_integrand,
-    with every sector y on axis 0 of one batch.  The sum over y is even in
-    z, because the integrand is invariant under (z, y) -> (-z, -y) and y
-    runs over Z_r."""
+def _master_integral(mp: MasterParameters, qtol, scaled: bool = False):
+    """The integral over one period of sum_y master_integrand, divided by
+    the right side if scaled, and the right side.  Every sector y is on
+    axis 0 of one batch per trapezoid level, and the right side rides in
+    the batch of the first call, which this function makes itself at
+    ``numerics.first_call_nodes``.  The sum over y is even in z, because
+    the integrand is invariant under (z, y) -> (-z, -y) and y runs over
+    Z_r."""
     y = np.arange(mp.params.r)[:, None]
+    nodes = numerics.first_call_nodes(2 * math.pi, even=True)
+    first, rhs = master_integrand(nodes, y, mp, right_side=True)
+    scale = 1 / rhs if scaled else 1.0
+
+    def integrand(z):
+        v = first if z is nodes else master_integrand(z, y, mp)
+        return scale * v.sum(axis=0)
     return _converged(numerics.periodic_integrate(
-        lambda z: scale * master_integrand(z, y, mp).sum(axis=0),
-        2 * math.pi, qtol, vectorized=True, even=True))
+        integrand, 2 * math.pi, qtol, vectorized=True, even=True)), rhs
 
 
 def verify_master(mp: MasterParameters, tol: float = 1e-6,
@@ -389,9 +412,8 @@ def verify_master(mp: MasterParameters, tol: float = 1e-6,
     margin = _require_safe_contour(mp.t[:5], params)
     pref = _pochhammer_norm(params)
     qtol = quad_tol if quad_tol is not None else tol / 10
-    res = _master_integral(mp, qtol)
+    res, rhs = _master_integral(mp, qtol)
     lhs = res.value * (pref / (4 * math.pi))
-    rhs = _master_rhs(mp)
     meta = {"nodes": res.nodes_used, "pole_margin": margin, "quad_tol": qtol,
             "quad_error": res.error_estimate}
     record = {"t": list(mp.t), "u": list(mp.u),
@@ -423,8 +445,8 @@ def verify_I_constant(t: Sequence[complex], u: Sequence[int],
     qtol = quad_tol if quad_tol is not None else tol / 10
 
     def integral(t, u, qtol):
-        mp = constant_form(t, u, params)
-        return _master_integral(mp, qtol, 1 / _master_rhs(mp))
+        return _master_integral(constant_form(t, u, params), qtol,
+                                scaled=True)[0]
     res0 = integral(t, u, qtol)
     rhs = 4 * math.pi / _pochhammer_norm(params)
     res1 = integral(ts, us, min(qtol, shift_tol / 10))

@@ -457,35 +457,127 @@ class TestWeights:
                                  atol=REL * max(map(abs, scalars)))
 
 
+star_nomes_st = st.builds(
+    lambda re, im, im_tau, pair, r: NomeParameters(
+        complex(re, im), complex(-re, im if pair else im_tau), r),
+    st.floats(-0.45, 0.45), st.floats(0.1, 1.5), st.floats(0.1, 1.5),
+    st.booleans(), st.integers(1, 6))
+star_spin_st = st.builds(Spin, st.floats(0.0, math.pi, exclude_max=True),
+                         st.integers(-6, 6))
+#: a right side folded into an integrand batch shares its truncation depth
+#: and its kappa series: a few ulps per gamma row
+ULPS_PER_ROW = 4 * np.finfo(float).eps
+
+
+class TestFoldedRightSide:
+    """A right side whose rows ride in the first integrand batch must give
+    the product of the separately evaluated weights or Gamma."""
+
+    @given(star_nomes_st, st.lists(st.floats(0.01, 1.0), min_size=3,
+                                   max_size=3),
+           st.tuples(star_spin_st, star_spin_st, star_spin_st),
+           st.sampled_from([models.ModelFamily.ELLIPTIC,
+                            models.ModelFamily.Q_LIMIT]))
+    @settings(max_examples=80, deadline=None)
+    def test_star_triangle(self, pr, parts, spins, family):
+        eta = pr.eta.real
+        alphas = [eta * a / sum(parts) for a in parts]
+        crossed = [eta - a for a in alphas]
+        edges = verify._rhs_edges(spins, alphas)
+        kappas = models.kappa(family, np.array(alphas + crossed), pr)
+        s0 = Spin(np.linspace(0.0, math.pi, 9), np.arange(pr.r)[:, None])
+        value, rhs = models.star_integrand(
+            family, s0, spins, crossed, pr, kappas=kappas[3:],
+            right_side=(*edges, kappas[:3]))
+        want = models.edge_weight(family, *edges, pr).prod()
+        assert abs(rhs - want) <= 12 * ULPS_PER_ROW * abs(want)
+        alone = models.star_integrand(family, s0, spins, crossed, pr)
+        # S(x0 = 0, m0 = 0) of the q-limit is a genuine zero, rounded
+        # apart by each batch: there only the scale of the other nodes is
+        # a measure
+        assert np.all(np.abs(value - alone) <= 12 * ULPS_PER_ROW * (
+            np.abs(alone) + np.abs(alone).max() * 1e-3))
+
+    @given(st.integers(1, 4), st.sampled_from([-0.05 + 0.5j, -0.05 + 0.7j]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_master(self, r, tau, seed):
+        pr = NomeParameters(0.05 + 0.5j, tau, r)
+        mp = cli.sample_master_case(np.random.default_rng(seed), pr)["mp"]
+        t, u = mp.t, mp.u
+        z = np.linspace(0.0, 2 * math.pi, 7, endpoint=False) + 0.1
+        y = np.arange(r)[:, None]
+        value, rhs = verify.master_integrand(z, y, mp, right_side=True)
+        want = sf.lens_gamma_appendix(*sf.stack_rows(
+            *[(t[i] + t[j], u[i] + u[j]) for i in range(6)
+              for j in range(i + 1, 6)]), pr).prod()
+        assert abs(rhs - want) <= 15 * ULPS_PER_ROW * abs(want)
+        alone = verify.master_integrand(z, y, mp)
+        assert np.all(np.abs(value - alone)
+                      <= 14 * ULPS_PER_ROW * np.abs(alone))
+
+
 class TestKernelCalls:
     """A weight, or a quadrature integrand, makes one kernel call per nome
     grid: the factors that share a grid are stacked into one batch."""
 
-    @staticmethod
-    def calls_per_level(monkeypatch, verify_case, kernel="_log_product_2d"):
-        """The shapes of the first argument of each kernel call made by each
-        integrand call (one refinement level) of verify_case(), one list
-        per level."""
-        integrate = numerics.periodic_integrate
-        calls, per_level = [], []
-        kernel_fn = getattr(sf, kernel)
+    #: the kernels that the special functions call (``_product`` runs
+    #: inside both), and the weight-level functions of models
+    KERNELS = ("_log_product_2d", "_pochhammer_raw")
+    WEIGHTS = ("weight_elliptic", "weight_qlimit", "weight_gamma",
+               "edge_weight", "q_function", "single_spin_elliptic",
+               "single_spin_qlimit", "kappa_elliptic", "kappa_qlimit")
 
-        def counted_kernel(c, *args, **kwargs):
-            calls.append(np.shape(c))
-            return kernel_fn(c, *args, **kwargs)
+    @classmethod
+    def batches(cls, monkeypatch, run, owner=models,
+                integrand="star_integrand"):
+        """What run() calls, split by the calls of owner.integrand (the
+        integrand batches).  Returns, per batch, the (name, shape of the
+        first argument) of each kernel and weight call made in it and the
+        keyword arguments of the batch; the calls made outside every
+        batch; the node counts of the integrator's integrand calls; and
+        the number of kappa series evaluations."""
+        per_batch, outside, sizes, series = [], [], [], [0]
+        current = [outside]
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                current[0].append((name, np.shape(args[0])))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+        for name in cls.KERNELS:
+            counted(sf, name)
+        for name in cls.WEIGHTS:
+            counted(models, name)
+        batch_fn = getattr(owner, integrand)
+        kappa_log = models._kappa_log
+        integrate = numerics.periodic_integrate
+
+        def batch(*args, **kwargs):
+            per_batch.append(([], kwargs))
+            saved, current[0] = current[0], per_batch[-1][0]
+            try:
+                return batch_fn(*args, **kwargs)
+            finally:
+                current[0] = saved
+
+        def counted_series(*args, **kwargs):
+            series[0] += 1
+            return kappa_log(*args, **kwargs)
 
         def counted_integrate(f, *args, **kwargs):
             def level(x):
-                calls.clear()
-                value = f(x)
-                per_level.append(list(calls))
-                return value
+                sizes.append(np.size(x))
+                return f(x)
             return integrate(level, *args, **kwargs)
-        monkeypatch.setattr(sf, kernel, counted_kernel)
+        monkeypatch.setattr(owner, integrand, batch)
+        monkeypatch.setattr(models, "_kappa_log", counted_series)
         monkeypatch.setattr(numerics, "periodic_integrate", counted_integrate)
-        verify_case()
-        assert per_level
-        return per_level
+        run()
+        assert per_batch
+        return per_batch, outside, sizes, series[0]
 
     @pytest.mark.parametrize("tau,calls", [(-0.05 + 0.5j, 1),
                                            (-0.05 + 0.7j, 2)],
@@ -494,30 +586,39 @@ class TestKernelCalls:
     def test_str_calls_per_level(self, monkeypatch, r, tau, calls):
         pr = NomeParameters(0.05 + 0.5j, tau, r)
         case = cli.sample_str_case(np.random.default_rng(4), pr)
-        levels = self.calls_per_level(monkeypatch, lambda: verify.verify_str(
-            case["spins"], case["alphas"], pr))
-        # all sectors and three edge weights in one batch: at tau =
-        # -conj(sigma) one elliptic gamma batch of the (pq, p^r) factors,
-        # elsewhere lens_elliptic_gamma's two; the single-spin weight is a
-        # theta product
-        assert [len(level) for level in levels] == [calls] * len(levels)
+        run = lambda: verify.verify_str(case["spins"], case["alphas"], pr)
+        run()   # the centre weight is cached per node grid
+        batches, outside, sizes, _ = self.batches(monkeypatch, run)
+        # all sectors and three edge weights in one batch per level: at
+        # tau = -conj(sigma) one elliptic gamma batch of the (pq, p^r)
+        # factors, elsewhere lens_elliptic_gamma's two; the single-spin
+        # weight is a theta product
+        assert outside == [] and len(batches) == len(sizes)
+        assert [[name for name, _ in calls_made]
+                for calls_made, _ in batches] == (
+            [["_log_product_2d"] * calls] * len(batches))
 
-    @pytest.mark.parametrize("tau,rows", [(-0.05 + 0.5j, 7),
-                                          (-0.05 + 0.7j, 14)],
+    @pytest.mark.parametrize("tau,rows,rhs_rows", [(-0.05 + 0.5j, 7, 6),
+                                                   (-0.05 + 0.7j, 14, 12)],
                              ids=["pair", "off_pair"])
-    def test_rinfstr_one_product_per_level(self, monkeypatch, tau, rows):
+    def test_rinfstr_one_product_per_level(self, monkeypatch, tau, rows,
+                                           rhs_rows):
         pr = NomeParameters(0.05 + 0.5j, tau, 1)
         case = cli.sample_rinfstr_case(np.random.default_rng(4), pr)
-        levels = self.calls_per_level(
-            monkeypatch, lambda: verify.verify_rinfstr(case["spins"],
-                                                       case["alphas"], pr),
-            kernel="_product")
+        run = lambda: verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+        sectors = run().numerics_meta["m_terms"]
+        batches, outside, sizes, _ = self.batches(monkeypatch, run)
         # the single-spin weight and three edge weights in one Q batch of
         # numerators and denominators (axis 0): at tau = -conj(sigma) one
         # single-spin row and the +i alpha rows of the edges, elsewhere
-        # all fourteen rows
-        assert all(len(level) == 1 and level[0][:2] == (2, rows)
-                   for level in levels)
+        # all fourteen rows, per sector and node; the first batch adds the
+        # right side's +i alpha rows (6), or all its rows (12)
+        assert outside == [] and len(batches) == len(sizes)
+        want = [rows * sectors * n for n in sizes]
+        want[0] += rhs_rows
+        assert [[c for c in calls_made if c[0] in self.KERNELS]
+                for calls_made, _ in batches] == [
+            [("_pochhammer_raw", (2, k))] for k in want]
 
     @staticmethod
     def calls(monkeypatch, kernel, run, module=sf):
@@ -560,17 +661,66 @@ class TestKernelCalls:
                               models.ModelFamily.Q_LIMIT, case["alpha"],
                               case["spins"], pr)) == 1
 
-    @pytest.mark.parametrize("verify_case,weight", [
-        (verify.verify_str, "weight_elliptic"),
-        (verify.verify_rinfstr, "weight_qlimit")])
-    def test_star_triangle_right_side_one_weight_call(self, monkeypatch,
-                                                      verify_case, weight):
-        pr = physical_parameters(0.05, 0.5, 1)
-        case = cli.sample_str_case(np.random.default_rng(4), pr)
-        assert self.calls(monkeypatch, weight,
-                          lambda: verify_case(case["spins"], case["alphas"],
-                                              pr),
-                          module=models) == 1
+    @staticmethod
+    def integrand_batches(identity, pr):
+        """(run, owner module, integrand name, kernel, calls per batch,
+        rows per sector and node, right-side rows, sectors) of an instance
+        of a quadrature identity at the nomes pr."""
+        rng = np.random.default_rng(4)
+        r = pr.r
+        if identity in ("str", "rinfstr"):
+            sample = (cli.sample_str_case if identity == "str"
+                      else cli.sample_rinfstr_case)
+            case = sample(rng, pr)
+            run = getattr(verify, f"verify_{identity}")
+            if identity == "str":
+                return (lambda: run(case["spins"], case["alphas"], pr),
+                        models, "star_integrand", "_log_product_2d", 1,
+                        12, 12, r)
+            return (lambda: run(case["spins"], case["alphas"], pr),
+                    models, "star_integrand", "_pochhammer_raw", 1, 7, 6,
+                    run(case["spins"], case["alphas"],
+                        pr).numerics_meta["m_terms"])
+        if identity == "master":
+            mp = cli.sample_master_case(rng, pr)["mp"]
+            run = lambda: verify.verify_master(mp)
+        else:
+            case = cli.sample_iconst_case(rng, pr)
+            run = lambda: verify.verify_I_constant(case["t"], case["u"], pr)
+        # the (pq, p^r) and the (pq, q^r) grid of lens_gamma_appendix, each
+        # with a numerator and a denominator row per Gamma
+        return (run, verify, "master_integrand", "_log_product_2d", 2, 14,
+                15, r)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("identity", ["str", "rinfstr", "master",
+                                          "iconst"])
+    def test_no_call_outside_integrand_batches(self, monkeypatch, identity,
+                                               r):
+        # at the conjugate nomes, once the caches that depend on the nomes
+        # or the node grid alone are warm (the centre weight, the master
+        # normalisation): every kernel call is in an integrand batch, one
+        # batch per trapezoid level, today's kernel calls per batch, and
+        # the right side's rows in the first batch of each integral
+        pr = physical_parameters(0.05, 0.5, r)
+        (run, owner, integrand, kernel, calls, rows, rhs_rows,
+         sectors) = self.integrand_batches(identity, pr)
+        run()
+        batches, outside, sizes, series = self.batches(monkeypatch, run,
+                                                       owner, integrand)
+        assert outside == []
+        # kappa of all six spectral parameters in one series evaluation
+        assert series == (1 if identity in ("str", "rinfstr") else 0)
+        assert len(batches) == len(sizes)
+        first = [bool(kw.get("right_side")) for _, kw in batches]
+        integrals = 2 if identity == "iconst" else 1
+        assert first.count(True) == integrals and first[0]
+        # a first batch evaluates the first call's nodes, which the
+        # integrator then takes from it
+        n = iter(sizes)
+        for (calls_made, _), with_rhs in zip(batches, first):
+            k = rows * sectors * next(n) + (rhs_rows if with_rhs else 0)
+            assert calls_made == [(kernel, (2, k))] * calls
 
     def test_theta4_one_call(self, monkeypatch):
         calls = []
@@ -588,18 +738,20 @@ class TestKernelCalls:
     def test_rho_integrand_two_in_total(self, monkeypatch, r):
         pr = physical_parameters(0.05, 0.5, r)
         case = cli.sample_iconst_case(np.random.default_rng(4), pr)
-        levels = self.calls_per_level(
+        batches, _, _, _ = self.batches(
             monkeypatch, lambda: verify.verify_I_constant(case["t"], case["u"],
-                                                          pr))
-        assert max(map(len, levels)) <= 2
+                                                          pr),
+            verify, "master_integrand")
+        assert max(len(calls_made) for calls_made, _ in batches) <= 2
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_master_integrand_two_in_total(self, monkeypatch, r):
         pr = physical_parameters(0.05, 0.5, r)
         case = cli.sample_master_case(np.random.default_rng(4), pr)
-        levels = self.calls_per_level(
-            monkeypatch, lambda: verify.verify_master(case["mp"]))
-        assert max(map(len, levels)) <= 2
+        batches, _, _, _ = self.batches(
+            monkeypatch, lambda: verify.verify_master(case["mp"]), verify,
+            "master_integrand")
+        assert max(len(calls_made) for calls_made, _ in batches) <= 2
 
 
 # the integrands of test_numerics.py, written with numpy functions so that

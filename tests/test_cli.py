@@ -470,6 +470,43 @@ class TestSweep:
                                                         "contour-violation"}
         assert rows[-1]["passes"] >= 1 and rows[-1]["failures"] == 0
 
+    def test_iconst_draws_clear_the_contour_margin(self, capsys, tmp_path):
+        # 0.08 of the span is under the contour margin here: every Im t_i
+        # is lifted above the margin, so no draw is a contour violation
+        target = tmp_path / "a.jsonl"
+        rc, _, err = run(capsys, ["sweep", "iconst", "--r", "2", "--seed",
+                                  "1", "--samples", "5", "--sigma",
+                                  "0.05+0.9j", "--tau=-0.05+0.3j",
+                                  "--out", str(target)])
+        assert rc == 0, err
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert [row["status"] for row in rows[:-1]] == ["ok"] * 5
+        assert rows[-1]["passes"] == 5
+        for im_sigma, im_tau in ((0.9, 0.3), (0.9, 0.4), (0.9, 0.6)):
+            pr = NomeParameters(complex(0.05, im_sigma),
+                                complex(-0.05, im_tau), 2)
+            limit = verify.CONTOUR_MARGIN_FRACTION * abs(pr.eta)
+            for seed in range(20):
+                t = cli.sample_iconst_case(np.random.default_rng(seed),
+                                           pr)["t"]
+                assert min(ti.imag for ti in t) > limit
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_iconst_default_draws_unlifted(self, r):
+        # at the default nomes 0.08 of the span clears the margin, and a
+        # draw is the unlifted one bit for bit
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, r)
+        span = 0.4 * (2j * pr.eta).imag
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            im = span * (0.4 / 5 + 0.6 * rng.dirichlet([2.0] * 5))
+            re = rng.uniform(-0.8, 0.8, 5)
+            re -= re.mean()
+            u = tuple(int(v) for v in rng.integers(-2, 3, 5))
+            case = cli.sample_iconst_case(np.random.default_rng(seed), pr)
+            assert case == {"t": tuple(complex(a, b) for a, b in zip(re, im)),
+                            "u": u}
+
     @pytest.mark.parametrize("im_sigma,im_tau", [
         (0.5, 0.5), (0.9, 0.7), (0.6, 0.45), (0.9, 0.6), (0.9, 0.3),
         (1.5, 0.1)])

@@ -185,6 +185,17 @@ class TestCentreWeight:
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
 
+    @pytest.mark.parametrize("r,s", [(2, Spin(0.3, 0)), (2, Spin(1.1, 1)),
+                                     (3, Spin(2.0, 1))])
+    def test_scalar_spin(self, r, s):
+        # a scalar spin gives S~ as a Python complex, not an error
+        pr = physical_parameters(0.05, 0.5, r)
+        got = models.centre_weight(s, pr)
+        want = (models.single_spin_elliptic(s, pr, via_theta4=True)
+                / (2 * models.epsilon_factor(s.m, r)))
+        assert type(got) is complex
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
     def test_cache_is_bounded(self):
         pr = physical_parameters(0.05, 0.5, 2)
         m = np.arange(2)[:, None]

@@ -236,6 +236,62 @@ class TestFirstLevelsInOneCall:
         assert rep.passed
 
 
+class TestNodeLayout:
+    @staticmethod
+    def written_out(period, min_nodes, max_nodes, even):
+        """The first call's nodes, level by level: min_nodes nodes, then the
+        odd multiples of period / n for n = 2 min_nodes, ... until 4
+        min_nodes are evaluated or max_nodes is reached; with even=True
+        the nodes k period / n with 2 k <= n."""
+        levels, n = [np.arange(min_nodes)], min_nodes
+        keep = (lambda k, n: k[2 * k <= n]) if even else (lambda k, n: k)
+        levels[0] = keep(levels[0], n)
+        count = levels[0].size
+        while count < 4 * min_nodes and n < max_nodes:
+            n *= 2
+            levels.append(keep(np.arange(1, n, 2), n))
+            count += levels[-1].size
+        return np.concatenate([k * (period / (min_nodes * 2 ** i))
+                               for i, k in enumerate(levels)])
+
+    @pytest.mark.parametrize("period,min_nodes,max_nodes,even", [
+        (math.pi, 16, 2 ** 15, True), (2 * math.pi, 16, 2 ** 15, False),
+        (2 * math.pi, 16, 2 ** 15, True), (1.0, 5, 48, True),
+        (3.0, 7, 20, False), (2.0, 4, 4, False)])
+    def test_cached_layout_is_read_only_and_fresh(self, period, min_nodes,
+                                                  max_nodes, even):
+        setting = (period, min_nodes, max_nodes, even)
+        nodes = numerics.first_call_nodes(*setting)
+        assert nodes is numerics.first_call_nodes(*setting)
+        cached, fresh = (numerics._first_call(*setting),
+                         numerics._first_call.__wrapped__(*setting))
+        assert np.array_equal(nodes, self.written_out(*setting))
+        for got, want in zip(cached[:2], fresh[:2]):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+        assert cached[3] == fresh[3]
+        for got, want in zip(cached[2], fresh[2]):
+            assert np.array_equal(got, want)
+            assert not isinstance(got, np.ndarray) or not got.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        # the integrator's first call gets this very array, each later one
+        # a cached, read-only refinement equal to a fresh one
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1 / (1.5 - np.cos(2 * math.pi * x / period))
+        numerics.periodic_integrate(f, period, 1e-14, min_nodes, max_nodes,
+                                    vectorized=True, even=even)
+        assert calls[0] is nodes
+        n = cached[3]
+        for x in calls[1:]:
+            n *= 2
+            want = numerics._refinement.__wrapped__(period, n, even)[0]
+            assert not x.flags.writeable and np.array_equal(x, want)
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("which", range(len(ANALYTIC)))
     @pytest.mark.parametrize("vectorized", [False, True])

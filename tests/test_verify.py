@@ -34,8 +34,9 @@ def sample_t(rng, n, span):
 def rho(z, y, t: Sequence[complex], u: Sequence[int], params: NomeParameters):
     """The constant-form integrand rho(z, y; t_1..t_5, u_1..u_5): the
     master integrand at the constant form over the master right side."""
-    mp = verify.constant_form(t, u, params)
-    return verify.master_integrand(z, y, mp) / verify._master_rhs(mp)
+    v, rhs = verify.master_integrand(z, y, verify.constant_form(t, u, params),
+                                     right_side=True)
+    return v / rhs
 
 
 def g_function(z: complex, y: int, t: Sequence[complex], u: Sequence[int],
@@ -238,9 +239,10 @@ class TestRInfStarTriangle:
 
     def test_terms_that_do_not_decay(self, monkeypatch):
         # rows of equal size leave a tail that no geometric bound covers
-        monkeypatch.setattr(models, "star_integrand",
-                            lambda family, s0, *args: np.ones(
-                                np.broadcast(s0.x, s0.m).shape, complex))
+        def rows_of_ones(family, s0, *args, right_side=None, **kwargs):
+            v = np.ones(np.broadcast(s0.x, s0.m).shape, complex)
+            return v if right_side is None else (v, 1.0)
+        monkeypatch.setattr(models, "star_integrand", rows_of_ones)
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         with pytest.raises(NonConvergenceError, match="m-sum tail"):
