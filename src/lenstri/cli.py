@@ -592,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("eval", "verify", "sweep", "poles"):
         sp = sub.add_parser(name)
         sp.add_argument("identity", nargs="?", help="identity or function name")
-        sp.add_argument("--identity", dest="identity_flag")
         sp.add_argument("--r", type=int)
         sp.add_argument("--sigma")
         sp.add_argument("--tau")
@@ -620,9 +619,8 @@ def merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None and val != []:
             cfg[key] = val
-    identity = args.identity_flag or args.identity
-    if identity is not None:
-        cfg["identity"] = identity
+    if args.identity is not None:
+        cfg["identity"] = args.identity
     return cfg
 
 

@@ -70,10 +70,6 @@ class NomeParameters:
     def zeta(self) -> complex:
         return 1j * math.pi * (1 + self.tau / 2 - self.sigma / 2)
 
-    @property
-    def physical_regime(self) -> bool:
-        return abs(self.tau + self.sigma.conjugate()) < 1e-12
-
     def doubled(self) -> "NomeParameters":
         """Parameters with sigma, tau doubled (squares both nomes).
 

@@ -3,8 +3,13 @@ elliptic gamma function in both of its product conventions.
 
 All infinite products are truncated by term magnitude, at the fixed
 limits of :mod:`lenstri.params` (terms below ``TERM_EPSILON``, at most
-``MAX_PRODUCT_INDEX`` factors), and carry a geometric tail bound.  One
-function, ``_term_count``, counts the terms of every truncation in
+``MAX_PRODUCT_INDEX`` factors), and carry a geometric log tail: a bound
+on |log| of the product of the factors left out.  A function made of
+several products adds their log tails, and ``_result`` alone turns the
+sum into an absolute bound, |value| expm1(tail), only for a caller that
+asks for it (``with_bound=True``); that is the exact product rule
+|v|((1 + e_1)(1 + e_2) - 1) of the factors' bounds e_i = expm1(t_i).
+One function, ``_term_count``, counts the terms of every truncation in
 lenstri: the products and log series here, and the kappa series and the
 rinfstr m-sum in ``models`` and ``verify``.
 
@@ -321,8 +326,8 @@ def _pochhammer_raw(c, a: complex):
     """prod_{j>=0} (1 - c a^j) as a direct product; zeros are allowed.
 
     c is a scalar or an array; the term count comes from its largest |c|.
-    Returns (value, absolute_tail_bound) as arrays of the shape of c (0-d
-    for a scalar).
+    Returns (value, log_tail) as arrays of the shape of c (0-d for a
+    scalar): log_tail bounds |log| of the product of the factors left out.
     """
     aa = abs(a)
     if aa >= 1.0:
@@ -331,8 +336,7 @@ def _pochhammer_raw(c, a: complex):
     ac = np.abs(c)
     nj = _term_count(_finite_top(ac), aa, TERM_EPSILON, MAX_PRODUCT_INDEX)
     value = _product(c, a ** np.arange(nj), pole_guard=False)
-    rel_tail = 2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa)
-    return value, np.abs(value) * np.expm1(rel_tail)
+    return value, 2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa)
 
 
 def python_scalar(x):
@@ -389,18 +393,23 @@ def split_batches(values: np.ndarray, shapes) -> list:
     return out
 
 
-def _result(value, bound, with_bound):
-    """The value, and its tail bound if with_bound, of a special function.
+def _result(value, tail, with_bound):
+    """The value of a special function, and with_bound its tail bound.
 
-    Callers form the value from finite products under np.errstate(over=
-    "ignore", invalid="ignore"); a value that is not finite in double
-    precision (an exponential prefactor, or the product of several
-    factors, overflowing far off the real axis) raises NonConvergenceError
-    here rather than passing an inf or nan on."""
+    tail bounds |log| of the product of every factor the truncation left
+    out, summed over the products of the value: the exact value is
+    value * e^d with |d| <= tail, so |value| expm1(tail) bounds the
+    absolute error.  This is the one place that forms that bound, and only
+    when with_bound is asked for.  Callers form the value from finite
+    products under np.errstate(over="ignore", invalid="ignore"); a value
+    that is not finite in double precision (an exponential prefactor, or
+    the product of several factors, overflowing far off the real axis)
+    raises NonConvergenceError here rather than passing an inf or nan on."""
     if not np.isfinite(value).all():
         raise NonConvergenceError("value is not finite in double precision")
-    value, bound = python_scalar(value), python_scalar(bound)
-    return (value, bound) if with_bound else value
+    if not with_bound:
+        return python_scalar(value)
+    return python_scalar(value), python_scalar(np.abs(value) * np.expm1(tail))
 
 
 def squared_modulus(v):
@@ -413,8 +422,7 @@ def squared_modulus(v):
 
 def qpochhammer_inf(x: complex, q: complex, with_bound: bool = False):
     """q-Pochhammer symbol (x; q)_inf = prod_{j>=0} (1 - x q^j), |q| < 1."""
-    value, bound = _pochhammer_raw(x, q)
-    return _result(value, bound, with_bound)
+    return _result(*_pochhammer_raw(x, q), with_bound)
 
 
 def theta4(z: complex, p: complex, with_bound: bool = False):
@@ -423,11 +431,23 @@ def theta4(z: complex, p: complex, with_bound: bool = False):
     # the constant (p^2; p^2) shares the ratio p^2, so it rides in the batch
     with product_arguments():
         c, = stack_rows((p2,), (np.exp(2j * z) * p,), (np.exp(-2j * z) * p,))
-    (c0, cp, cm), (b0, bp, bm) = _pochhammer_raw(c, p2)
+    (c0, cp, cm), (t0, tp, tm) = _pochhammer_raw(c, p2)
     with np.errstate(over="ignore", invalid="ignore"):
         value = c0 * cp * cm
-        bound = (abs(cp * cm) * b0 + abs(c0 * cm) * bp + abs(c0 * cp) * bm)
-    return _result(value, bound, with_bound)
+    return _result(value, t0 + tp + tm, with_bound)
+
+
+def _elliptic_gamma(z, p: complex, q: complex):
+    """``elliptic_gamma`` as (value, log tail), the value not yet checked
+    for finiteness."""
+    if abs(p) >= 1.0 or abs(q) >= 1.0:
+        raise DivergentParameterError("|p| and |q| must be < 1")
+    with product_arguments():
+        e2 = np.exp(2j * z)
+        c, = stack_rows((e2 * p * q,), (p * q / e2,))
+    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(ln - ld), tn + td
 
 
 def elliptic_gamma(z: complex, p: complex, q: complex,
@@ -436,16 +456,15 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     Phi(z; p, q) = prod_{j,k>=0} (1 - e^{2iz} p^{2j+1} q^{2k+1})
                                 / (1 - e^{-2iz} p^{2j+1} q^{2k+1}).
     """
-    if abs(p) >= 1.0 or abs(q) >= 1.0:
-        raise DivergentParameterError("|p| and |q| must be < 1")
-    with product_arguments():
-        e2 = np.exp(2j * z)
-        c, = stack_rows((e2 * p * q,), (p * q / e2,))
-    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(ln - ld)
-        bound = np.abs(value) * np.expm1(tn + td)
-    return _result(value, bound, with_bound)
+    return _result(*_elliptic_gamma(z, p, q), with_bound)
+
+
+def _lens_factor(z, m: int, params: NomeParameters):
+    """The (pq, p^r) factor v1 of ``lens_elliptic_gamma`` as (value, log
+    tail)."""
+    shift = (params.r / 2 - mod_bracket(m, params.r))
+    return _elliptic_gamma(z + shift * math.pi * params.sigma,
+                           params.p * params.q, params.p ** params.r)
 
 
 def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
@@ -459,10 +478,7 @@ def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
     v1(z) / conj v1(conj z), and a ratio of it at conjugate points is
     Phi_{r,m}(d + ia) / Phi_{r,m}(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.
     """
-    r = params.r
-    shift = (r / 2 - mod_bracket(m, r))
-    return elliptic_gamma(z + shift * math.pi * params.sigma,
-                          params.p * params.q, params.p ** r, with_bound)
+    return _result(*_lens_factor(z, m, params), with_bound)
 
 
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
@@ -472,15 +488,13 @@ def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
     arguments.  Reduces to Phi(z; p, q) for r=1, m=0.
     """
     r = params.r
-    p, q = params.p, params.q
     shift = (r / 2 - mod_bracket(m, r))
-    v1, b1 = lens_elliptic_gamma_factor(z, m, params, with_bound=True)
-    v2, b2 = elliptic_gamma(z - shift * math.pi * params.tau, p * q, q ** r,
-                            with_bound=True)
+    v1, t1 = _lens_factor(z, m, params)
+    v2, t2 = _elliptic_gamma(z - shift * math.pi * params.tau,
+                             params.p * params.q, params.q ** r)
     with np.errstate(over="ignore", invalid="ignore"):
         value = v1 * v2
-        bound = abs(v2) * b1 + abs(v1) * b2
-    return _result(value, bound, with_bound)
+    return _result(value, t1 + t2, with_bound)
 
 
 def varphi(z: complex, m: int, params: NomeParameters) -> complex:
@@ -524,8 +538,7 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
     (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(phi + l1 - l2 + l3 - l4)
-        bound = np.abs(value) * np.expm1(t1 + t2 + t3 + t4)
-    return _result(value, bound, with_bound)
+    return _result(value, t1 + t2 + t3 + t4, with_bound)
 
 
 def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:
@@ -548,9 +561,7 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     with product_arguments():
         c, = stack_rows((np.exp(1j * z) * q ** brm,),
                         (np.exp(-1j * z) * q ** (r - brm),))
-    (c1, c2), (b1, b2) = _pochhammer_raw(c, q ** r)
+    (c1, c2), (t1, t2) = _pochhammer_raw(c, q ** r)
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = np.exp(lens_theta_exponent(z, m, params))
-        value = pre * c1 * c2
-        bound = np.abs(pre) * (np.abs(c2) * b1 + np.abs(c1) * b2)
-    return _result(value, bound, with_bound)
+        value = np.exp(lens_theta_exponent(z, m, params)) * c1 * c2
+    return _result(value, t1 + t2, with_bound)

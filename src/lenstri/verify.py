@@ -299,7 +299,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
 # master identity and its constant form
 
 
-def pole_diagnostics(t, params: Optional[NomeParameters] = None) -> float:
+def pole_diagnostics(t, params: NomeParameters) -> float:
     """Minimum distance of the integrand's pole lattice from the real axis.
 
     The upper and lower pole families of the constant-form integrand (five
@@ -313,11 +313,9 @@ def pole_diagnostics(t, params: Optional[NomeParameters] = None) -> float:
     takes every residue, so the lowest heights are min_i Im t_i and
     Im(2i eta) - Im A, whatever the u_i.  A positive return means the real
     contour safely separates the two families; non-positive means contour
-    violation.  Accepts either a MasterParameters record (the sixth
-    variable is the derived one) or five t values plus params.
+    violation.  t holds the five independent variables; the sixth is the
+    derived A.
     """
-    if isinstance(t, MasterParameters):
-        t, params = t.t[:5], t.params
     im2eta = math.pi * (params.sigma.imag + params.tau.imag)
     return min(min(ti.imag for ti in t), im2eta - sum(t).imag)
 
@@ -783,24 +781,22 @@ def cov_conversion_factor(spins: Sequence[Spin], alphas: Sequence[float],
     and divides out the kappa-ratio gamma factors that the master side
     carries for each spectral parameter.
     """
-    si, sj, sk = spins
     r = params.r
     dbl = params.doubled()
     i2eta = 2j * params.eta
-    c = 1.0 + 0.0j
-    log_pre = 0.0 + 0.0j
-    for al, sa, sb in ((alphas[0], sj, sk), (alphas[1], si, sk),
-                       (alphas[2], sj, si)):
-        dm, sm = sa.m - sb.m, sa.m + sb.m
-        dx, sx = sa.x - sb.x, sa.x + sb.x
-        log_pre += -2 * al * (sf.bracket_pm(dm, r) + sf.bracket_pm(sm, r)) / r
-        c /= models.kappa_elliptic(al, params)
-        c /= sf.lens_elliptic_gamma(1j * (params.eta.real - 2 * al), 0,
-                                    params)
-        for xx, mm in ((dx, dm), (sx, sm)):
-            log_pre -= sf.varphi(-2 * (xx + 1j * al) + i2eta, mm, dbl)
-            log_pre -= sf.varphi(-2 * (-xx + 1j * al) + i2eta, -mm, dbl)
-    return c * cmath.exp(log_pre)
+    # the three edges (alpha, sa, sb) on one axis, and their (dx, dm) and
+    # (sx, sm) rows on a new axis 0
+    alpha, sa, sb = _rhs_edges(spins, alphas)
+    dm, sm = sa.m - sb.m, sa.m + sb.m
+    xx, mm = sf.stack_rows((sa.x - sb.x, dm), (sa.x + sb.x, sm))
+    log_pre = (-2 * alpha * (sf.bracket_pm(dm, r) + sf.bracket_pm(sm, r))
+               / r).sum()
+    log_pre -= (sf.varphi(-2 * (xx + 1j * alpha) + i2eta, mm, dbl)
+                + sf.varphi(-2 * (-xx + 1j * alpha) + i2eta, -mm, dbl)).sum()
+    c = (models.kappa(ModelFamily.ELLIPTIC, alpha, params)
+         * sf.lens_elliptic_gamma(1j * (params.eta.real - 2 * alpha), 0,
+                                  params)).prod()
+    return complex(cmath.exp(log_pre) / c)
 
 
 def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenstri import special_functions as sf
+from lenstri.models import _conjugate_nomes
 from lenstri.params import (
     DivergentParameterError,
     InvalidParameterError,
@@ -261,14 +262,50 @@ class TestLensTheta:
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 
+class TestBoundsOnlyWhenAsked:
+    """Every special function carries log tails and forms the absolute
+    bound |value| expm1(tail) once, in _result, only when asked."""
+
+    PARAMS = NomeParameters(0.05 + 0.5j, -0.1 + 0.6j, 2)
+    Z = np.array([0.3 + 0.1j, -0.7 + 0.05j, 1.1 - 0.2j])
+    CALLS = {
+        "qpochhammer_inf": lambda pr, z, wb: sf.qpochhammer_inf(
+            np.exp(1j * z) / 2, pr.q, with_bound=wb),
+        "theta4": lambda pr, z, wb: sf.theta4(z, pr.p, with_bound=wb),
+        "elliptic_gamma": lambda pr, z, wb: sf.elliptic_gamma(
+            z, pr.p, pr.q, with_bound=wb),
+        "lens_elliptic_gamma_factor": lambda pr, z, wb:
+            sf.lens_elliptic_gamma_factor(z, 1, pr, with_bound=wb),
+        "lens_elliptic_gamma": lambda pr, z, wb: sf.lens_elliptic_gamma(
+            z, 1, pr, with_bound=wb),
+        "lens_gamma_appendix": lambda pr, z, wb: sf.lens_gamma_appendix(
+            z, 1, pr, with_bound=wb),
+        "lens_theta": lambda pr, z, wb: sf.lens_theta(z, 1, pr,
+                                                      with_bound=wb),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_expm1_once_and_only_with_bound(self, monkeypatch, name):
+        calls = []
+        expm1 = np.expm1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return expm1(*args, **kwargs)
+        monkeypatch.setattr(np, "expm1", counted)
+        value = self.CALLS[name](self.PARAMS, self.Z, False)
+        assert calls == [] and value.shape == self.Z.shape
+        same, bound = self.CALLS[name](self.PARAMS, self.Z, True)
+        assert len(calls) == 1 and (same == value).all()
+        assert bound.shape == self.Z.shape and (bound >= 0).all()
+
+
 def theta_std(z: complex, params: NomeParameters, with_bound: bool = False):
     """Index-free theta function (e^{iz}; q^r)_inf (e^{-iz} q^r; q^r)_inf."""
     qr = params.q ** params.r
-    c1, b1 = sf._pochhammer_raw(cmath.exp(1j * z), qr)
-    c2, b2 = sf._pochhammer_raw(cmath.exp(-1j * z) * qr, qr)
-    value = c1 * c2
-    bound = abs(c2) * b1 + abs(c1) * b2
-    return sf._result(value, bound, with_bound)
+    c1, t1 = sf._pochhammer_raw(cmath.exp(1j * z), qr)
+    c2, t2 = sf._pochhammer_raw(cmath.exp(-1j * z) * qr, qr)
+    return sf._result(c1 * c2, t1 + t2, with_bound)
 
 
 class TestThetaStd:
@@ -289,7 +326,7 @@ class TestThetaStd:
 class TestParams:
     def test_physical_regime(self):
         pr = physical_parameters(0.05, 0.5, 2)
-        assert pr.physical_regime
+        assert _conjugate_nomes(pr)
         assert abs(pr.p - pr.q.conjugate()) < 1e-15
         assert abs(pr.eta.imag) < 1e-15 and pr.eta.real > 0
 
