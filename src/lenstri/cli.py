@@ -57,23 +57,26 @@ CSV_COLUMNS = ["sample_index", "identity_name", "status", "lhs_re", "lhs_im",
                "tolerance", "passed", "seed"]
 
 
-def _jsonable(obj):
-    """Recursively convert report contents to JSON-safe values; complex
-    numbers become [re, im] pairs and numpy scalars Python ones."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+def _json_default(obj):
+    """What json.dumps cannot write itself: a complex number (numpy's too)
+    as an [re, im] pair, another numpy scalar as the Python one.  numpy
+    floats are float subclasses, which the encoder writes by
+    float.__repr__, as Python floats."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(obj) -> str:
+    """obj, with report contents in it, as one line of JSON."""
+    return json.dumps(obj, default=_json_default)
 
 
 def report_to_dict(rep: verify.VerificationReport) -> dict:
-    """The report as a JSON-safe dict."""
-    return _jsonable({
+    """The report as a dict for ``to_json``."""
+    return {
         "identity_name": rep.identity_name,
         "parameter_record": rep.parameter_record,
         "lhs": complex(rep.lhs),
@@ -84,7 +87,7 @@ def report_to_dict(rep: verify.VerificationReport) -> dict:
         "passed": rep.passed,
         "checks": rep.checks,
         "numerics_meta": rep.numerics_meta,
-    })
+    }
 
 
 def _csv_row(index, rep: Optional[verify.VerificationReport], status, seed):
@@ -479,7 +482,7 @@ def run_eval(cfg: dict) -> int:
         record["tail_bound"] = bound
         record["term_epsilon"] = TERM_EPSILON
     record["value"] = value
-    _write(cfg, json.dumps(_jsonable(record)) + "\n")
+    _write(cfg, to_json(record) + "\n")
     return EXIT_PASS
 
 
@@ -499,7 +502,7 @@ def run_verify(cfg: dict) -> int:
     if cfg.get("format", "json") == "csv":
         _write(cfg, _csv_text([_csv_row(0, rep, "ok", seed)]))
     else:
-        _write(cfg, json.dumps({**report_to_dict(rep), "seed": seed}) + "\n")
+        _write(cfg, to_json({**report_to_dict(rep), "seed": seed}) + "\n")
     print(f"verify finished in {elapsed:.2f}s", file=sys.stderr)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
@@ -548,13 +551,13 @@ def run_sweep(cfg: dict) -> int:
             row = {"sample_index": i, "status": status}
             if rep is not None:
                 row.update(report_to_dict(rep), seed=seed)
-            lines.append(json.dumps(row) + "\n")
+            lines.append(to_json(row) + "\n")
         summary = {"summary": True, "identity": identity, "samples": samples,
                    "seed": seed, "passes": len(reports) - fails,
                    "failures": fails, "skipped": samples - len(reports),
                    "max_rel_residual": max(
                        (rep.rel_residual for rep in reports), default=0.0)}
-        lines.append(json.dumps(_jsonable(summary)) + "\n")
+        lines.append(to_json(summary) + "\n")
         _write(cfg, "".join(lines))
     # wall-clock timing goes to stderr only, keeping files byte-reproducible
     print(f"sweep finished in {elapsed:.2f}s", file=sys.stderr)
@@ -574,7 +577,7 @@ def run_poles(cfg: dict) -> int:
     margin = verify.pole_diagnostics(t[:5], params)
     record = {"t": list(t), "u": list(u), "margin": margin,
               "safe": margin >= verify.CONTOUR_MARGIN_FRACTION * abs(params.eta)}
-    _write(cfg, json.dumps(_jsonable(record)) + "\n")
+    _write(cfg, to_json(record) + "\n")
     return EXIT_PASS
 
 

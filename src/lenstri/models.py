@@ -14,7 +14,14 @@ per (alpha, params).
 A weight, or a star-triangle integrand, is one batch of gamma factors:
 its rows are stacked on axis 0 (``_edge_rows``), three edges are one more
 axis, and rows of different shapes, such as a right side's beside an
-integrand's nodes, share one flat batch (``join_batches``).
+integrand's nodes, share one flat batch (``join_batches``).  A row enters
+the batch as its phase e^{2iz}, a product of per-spin phases, so a star
+takes one exp per centre angle to build its rows.  Elliptic rows come
+back as logs: a weight is its prefactor over kappa times the exp of its
+rows' log ratio, and the elliptic star integrand sums the log ratios of
+its three edges and exponentiates once per centre spin.  What depends on
+the nomes and the node grid alone, the single-spin weights, is cached per
+grid (``grid_cache``).
 """
 
 from __future__ import annotations
@@ -36,11 +43,14 @@ from .params import (
     PoleHitError,
 )
 from .special_functions import (
+    _exp_result,
+    _lens_factor,
+    _lens_gamma,
+    _phase,
     _term_count,
     bracket_pm,
     join_batches,
     lens_elliptic_gamma,
-    lens_elliptic_gamma_factor,
     mod_bracket,
     product_arguments,
     python_scalar,
@@ -194,7 +204,7 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
     """tau = -conj(sigma) exactly, so that q = conj p and pq is real.
 
     There the elliptic and q-limit weights evaluate half their gamma
-    factors, the rest being conjugates of these (``_elliptic_values``,
+    factors, the rest being conjugates of these (``_elliptic_logs``,
     ``_qlimit_values``); anywhere else, however near, all of them.  The
     conjugates pair up because the spins' angles and alpha are real, as
     in every weight's domain."""
@@ -202,46 +212,85 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
 
 
 def _edge_rows(alpha, si: Spin, sj: Spin):
-    """(z, m) of the four gamma factors of the edge weight W_alpha(si, sj),
-    on a new axis 0: G(dx + i alpha, dm) G(sx + i alpha, sm) /
-    (G(dx - i alpha, dm) G(sx - i alpha, sm)), with G the lens elliptic
-    gamma function or its q-limit Q, dx, dm the differences and sx, sm
-    the sums of the spins; alpha and the spins broadcast."""
+    """(e^{2iz}, m) of the four gamma factors of the edge weight
+    W_alpha(si, sj), on a new axis 0: G(dx + i alpha, dm) G(sx + i alpha,
+    sm) / (G(dx - i alpha, dm) G(sx - i alpha, sm)), with G the lens
+    elliptic gamma function or its q-limit Q, dx, dm the differences and
+    sx, sm the sums of the spins; alpha and the spins broadcast.  The
+    phases are products of e^{2i xi}, e^{-+2i xj} and e^{-+2 alpha}, so a
+    star's rows take one exp per centre angle, and a difference dx = 0
+    gives e^{-+2 alpha} to the rounding of the real factor alone."""
     dm, sm = si.m - sj.m, si.m + sj.m
-    dx, sx = si.x - sj.x, si.x + sj.x
-    return stack_rows((dx + 1j * alpha, dm), (sx + 1j * alpha, sm),
-                      (dx - 1j * alpha, dm), (sx - 1j * alpha, sm))
+    with product_arguments():
+        ei, ej, ea = np.exp(2j * si.x), np.exp(2j * sj.x), np.exp(-2 * alpha)
+        d, s = ei / ej, ei * ej
+        return stack_rows((d * ea, dm), (s * ea, sm), (d / ea, dm),
+                          (s / ea, sm))
 
 
-def _edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin, v,
-                 params: NomeParameters, kappas):
-    """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family,
-    from values v of its four _edge_rows whose gamma ratio is
-    v0 v1 / (v2 v3), and kappas = kappa(alpha)."""
+def _prefactor(family: ModelFamily, alpha, si: Spin, sj: Spin,
+               params: NomeParameters, kappas):
+    """The factor of the edge weight W_alpha(si, sj) of the elliptic or the
+    q-limit family that its rows leave out: the exponential prefactor over
+    kappas = kappa(alpha).  It does not depend on the spins' angles, so a
+    star's is one value per edge and sector, not per node."""
     dm, sm = si.m - sj.m, si.m + sj.m
     if family is ModelFamily.ELLIPTIC:
         r = params.r
         pref = np.exp(-2 * alpha * (bracket_pm(dm, r) + bracket_pm(sm, r)) / r)
     else:
         pref = np.exp(-2 * alpha * (np.abs(dm) + np.abs(sm)))
-    return pref / kappas * (v[0] * v[1]) / (v[2] * v[3])
+    return pref / kappas
 
 
-def _elliptic_values(batches, params: NomeParameters) -> list:
-    """Values v of the elliptic edge rows of each batch (``_edge_rows``),
+def _elliptic_logs(batches, params: NomeParameters) -> list:
+    """Logs l of the elliptic edge rows of each batch (``_edge_rows``),
     all in one flat batch, such that each edge's gamma ratio is
-    v0 v1 / (v2 v3).
+    exp(l0 + l1 - l2 - l3) (``_log_ratio``).
 
-    They are Phi_{r,m} at each row, and at the conjugate nomes |v1|^2 of
-    its (pq, p^r) factor v1 (``lens_elliptic_gamma_factor``): there
-    Phi(d + ia) / Phi(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is
-    one elliptic gamma batch in place of two, and its guarded products at
-    +-ia are, up to conjugation, the ones the (pq, q^r) factor guards."""
-    (z, m), shapes = join_batches(*batches)
+    They are log Phi_{r,m} at each row, and at the conjugate nomes the real
+    2 Re log v1 = log |v1|^2 of its (pq, p^r) factor v1
+    (``lens_elliptic_gamma_factor``): there Phi(d + ia) / Phi(d - ia) =
+    |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is one elliptic gamma batch in
+    place of two, and its guarded products at +-ia are, up to conjugation,
+    the ones the (pq, q^r) factor guards."""
+    (e2, m), shapes = join_batches(*batches)
     if not _conjugate_nomes(params):
-        return split_batches(lens_elliptic_gamma(z, m, params), shapes)
-    return split_batches(
-        squared_modulus(lens_elliptic_gamma_factor(z, m, params)), shapes)
+        (l1, _), (l2, _) = _lens_gamma(e2, m, params)
+        return split_batches(l1 + l2, shapes)
+    return split_batches(2 * _lens_factor(e2, m, params)[0].real, shapes)
+
+
+def _log_ratio(l):
+    """log of an edge's gamma ratio from the logs l of its four rows."""
+    return l[0] + l[1] - l[2] - l[3]
+
+
+def _edge_values(family: ModelFamily, batches, params: NomeParameters):
+    """The values of the edge rows of each batch, all in one flat batch:
+    their logs (``_elliptic_logs``) or their values (``_qlimit_values``)."""
+    if family is ModelFamily.ELLIPTIC:
+        return _elliptic_logs(batches, params)
+    return _qlimit_values(batches, params)
+
+
+def _ratio(family: ModelFamily, v):
+    """An edge's gamma ratio from the values v of its rows (``_edge_values``):
+    exp of the log ratio, or v0 v1 / (v2 v3)."""
+    if family is ModelFamily.ELLIPTIC:
+        return _exp_result(_log_ratio(v), None, False)
+    return v[0] * v[1] / (v[2] * v[3])
+
+
+def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
+            params: NomeParameters):
+    """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family:
+    its gamma ratio times its prefactor over kappa(alpha)."""
+    if np.ndim(alpha) == 0 and alpha == 0.0:
+        return 1.0 + 0.0j
+    v, = _edge_values(family, [_edge_rows(alpha, si, sj)], params)
+    return python_scalar(_ratio(family, v) * _prefactor(
+        family, alpha, si, sj, params, kappa(family, alpha, params)))
 
 
 def weight_elliptic(alpha, si: Spin, sj: Spin,
@@ -249,12 +298,7 @@ def weight_elliptic(alpha, si: Spin, sj: Spin,
     """Elliptic edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
     each other."""
-    if np.ndim(alpha) == 0 and alpha == 0.0:
-        return 1.0 + 0.0j
-    v, = _elliptic_values([_edge_rows(alpha, si, sj)], params)
-    return python_scalar(_edge_weight(
-        ModelFamily.ELLIPTIC, alpha, si, sj, v, params,
-        kappa(ModelFamily.ELLIPTIC, alpha, params)))
+    return _weight(ModelFamily.ELLIPTIC, alpha, si, sj, params)
 
 
 def _single_spin_theta(si: Spin, eps, params: NomeParameters):
@@ -293,6 +337,26 @@ def single_spin_elliptic(si: Spin, params: NomeParameters,
                          * v[0] * v[1])
 
 
+def grid_cache(fn):
+    """fn(params, *arrays), cached per params and the arrays' values (bytes,
+    dtype and shape), in a small bounded cache, read-only: for the rows of
+    an integrand that depend on the nomes and the node grid alone, not on
+    the instance.  The arrays may be scalars, whose value is a 0-d array;
+    the cache's cache_info and cache_clear are the wrapper's."""
+    @lru_cache(maxsize=32)
+    def cached(params, *keys):
+        value = np.asarray(fn(params, *(np.frombuffer(b, d).reshape(s)
+                                        for b, d, s in keys)))
+        value.flags.writeable = False
+        return value
+
+    def call(params, *arrays):
+        return cached(params, *((a.tobytes(), a.dtype, a.shape)
+                                for a in map(np.asarray, arrays)))
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
 def centre_weight(s0: Spin, params: NomeParameters) -> np.ndarray:
     """S~(s0) = S(s0) / (2 eps(m0)), the elliptic single-spin weight at
     multiplicity 1/2 in its theta form, at every integer m0 (mod r), the
@@ -304,46 +368,39 @@ def centre_weight(s0: Spin, params: NomeParameters) -> np.ndarray:
     pair worth the one sector m0 <= r/2 at eps = 1.  s0's angle and integer
     part are scalars or arrays that broadcast against each other.  The
     values do not depend on the instance, so they are cached per (params,
-    angles, integer parts), in a small bounded cache, and read-only; a
-    scalar spin gives a Python complex.
+    angles, integer parts) (``grid_cache``); a scalar spin gives a Python
+    complex.
     """
-    x, m = np.asarray(s0.x, float), np.asarray(s0.m, int)
-    return python_scalar(_centre_weight(params, x.tobytes(), x.shape,
-                                        m.tobytes(), m.shape))
+    return python_scalar(_centre_weight(params, np.asarray(s0.x, float),
+                                        np.asarray(s0.m, int)))
 
 
-@lru_cache(maxsize=32)
-def _centre_weight(params: NomeParameters, x: bytes, x_shape: tuple,
-                   m: bytes, m_shape: tuple) -> np.ndarray:
-    """centre_weight at the angles and integer parts held in x and m."""
-    s0 = Spin(np.frombuffer(x).reshape(x_shape),
-              np.frombuffer(m, int).reshape(m_shape))
-    # a 0-d array for a scalar spin, whose value is a numpy scalar
-    value = np.asarray(_single_spin_theta(s0, 0.5, params))
-    value.flags.writeable = False
-    return value
+@grid_cache
+def _centre_weight(params: NomeParameters, x, m) -> np.ndarray:
+    """centre_weight at the angles x and integer parts m."""
+    return _single_spin_theta(Spin(x, m), 0.5, params)
 
 
-def _q_products(z, n, params: NomeParameters, guard_num=False):
-    """Numerator and denominator products of Q(z, n) (``q_function``), in
-    one batch.  A denominator below 1e-13 raises PoleHitError, and so does
-    a numerator where guard_num (a bool, or a bool array that broadcasts
-    against z and n) holds."""
+def _q_products(e2, n, params: NomeParameters, guard_num=False):
+    """Numerator and denominator products of Q(z, n) (``q_function``) at
+    the phase e2 = e^{2iz}, on axis 0 of one batch.  A denominator below
+    1e-13 raises PoleHitError, and so does a numerator where guard_num (a
+    bool, or a bool array that broadcasts against e2 and n) holds."""
     p, q = params.p, params.q
     pq = p * q
-    nonneg = np.greater_equal(n, 0)
-    # n takes a few values over a whole batch: one power of each, gathered
-    k = np.abs(n)
-    powers = 2 * np.arange(np.max(k, initial=0) + 1)
-    pk, qk = (p ** powers)[k], (q ** powers)[k]
+    # n takes a few values over a whole batch: each factor once, gathered;
+    # pq q^{2n} (pq p^{-2n} for n < 0) and pq p^{2n} (pq q^{-2n}) at n = -k..k
+    k = np.max(np.abs(n), initial=0)
+    j = 2 * np.arange(k + 1)
+    i = np.add(n, k)
+    num = (pq * np.concatenate([p ** j[:0:-1], q ** j]))[i]
+    den = (pq * np.concatenate([q ** j[:0:-1], p ** j]))[i]
     with product_arguments():
-        e2 = np.exp(2j * z)
-        c, = stack_rows((e2 * np.where(nonneg, qk, pk) * pq,),
-                        (np.where(nonneg, pk, qk) * pq / e2,))
-    num, den = qpochhammer_inf(c, pq * pq)
-    if np.any(abs(den) < 1e-13) or np.any(guard_num & (abs(num) < 1e-13)):
+        c, = stack_rows((e2 * num,), (den / e2,))
+    v = qpochhammer_inf(c, pq * pq)
+    if np.any(abs(v[1]) < 1e-13) or np.any(guard_num & (abs(v[0]) < 1e-13)):
         raise PoleHitError("Q(z, n) evaluated at a pole")
-    return num, den
+    return v
 
 
 def q_function(z: complex, n: int, params: NomeParameters) -> complex:
@@ -353,47 +410,30 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     for n >= 0, and with (p^{-2n}, q^{-2n}) in place of (q^{2n}, p^{2n}) for n < 0.
     n may be an array that broadcasts against z.
     """
-    num, den = _q_products(z, n, params)
+    num, den = _q_products(_phase(z, 2), n, params)
     return python_scalar(num / den)
 
 
-def _qlimit_values(batches, params: NomeParameters, spin: Spin = None):
-    """Values of q-limit rows, all in one flat batch: the two single-spin
-    rows of spin, if given (``_single_spin_qlimit_rows``), whose weight is
-    e^{4 eta |m|} / (2 pi) v0 v1, and the edge rows of each batch
-    (``_edge_rows``), such that each edge's Q ratio is v0 v1 / (v2 v3).
-    Returns the single-spin values (None without spin) and the values of
-    each batch.
+def _qlimit_values(batches, params: NomeParameters) -> list:
+    """Values v of the q-limit edge rows of each batch (``_edge_rows``),
+    all in one flat batch, such that each edge's Q ratio is v0 v1 /
+    (v2 v3).
 
     They are Q at each row.  At the conjugate nomes Q(conj z, n) =
-    1 / conj Q(z, n) and Q(-z, -n) = 1 / Q(z, n), so the second
-    single-spin row is conj Q of the first, and an edge ratio
-    Q(d + ia) Q(s + ia) / (Q(d - ia) Q(s - ia)) is
-    |num(d + ia) num(s + ia)|^2 / |den(d + ia) den(s + ia)|^2: only the
-    first single-spin row and the +ia edge rows are evaluated.  Every
-    denominator is guarded, as in q_function, and so is every edge
-    numerator, num(z) being conj den(conj z), which the -ia rows would
-    guard.  The single-spin numerator is not: its zero at x = 0 is the
-    genuine double zero of S."""
-    spins = [] if spin is None else [
-        stack_rows(*_single_spin_qlimit_rows(spin, params))]
+    1 / conj Q(z, n), so an edge ratio Q(d + ia) Q(s + ia) /
+    (Q(d - ia) Q(s - ia)) is |num(d + ia) num(s + ia)|^2 /
+    |den(d + ia) den(s + ia)|^2: only the +ia rows are evaluated.  Every
+    denominator is guarded, as in q_function, and so is every numerator,
+    num(z) being conj den(conj z), which the -ia rows would guard."""
     if not _conjugate_nomes(params):
-        (z, n), shapes = join_batches(*spins, *batches)
-        v = split_batches(q_function(z, n, params), shapes)
-        return (v[0] if spins else None), v[len(spins):]
-    (z, n, guard), shapes = join_batches(
-        *[(z[:1], n[:1], np.zeros(z[:1].shape, bool)) for z, n in spins],
-        *[(z[:2], n[:2], np.ones(z[:2].shape, bool)) for z, n in batches])
-    # numerators and denominators on axis 0 of each batch's values
-    parts = split_batches(np.stack(_q_products(z, n, params, guard)), shapes)
-    head = None
-    if spins:
-        (num,), (den,) = parts.pop(0)
-        q = num / den
-        head = np.stack([q, q.conj()])
-    # per edge: |num d|^2, |num s|^2, |den d|^2, |den s|^2
-    return head, [squared_modulus(v).reshape((4,) + v.shape[2:])
-                  for v in parts]
+        (e2, n), shapes = join_batches(*batches)
+        num, den = _q_products(e2, n, params)
+        return split_batches(num / den, shapes)
+    (e2, n), shapes = join_batches(*[(e2[:2], n[:2]) for e2, n in batches])
+    # numerators and denominators on axis 0 of each batch's values; per
+    # edge |num d|^2, |num s|^2, |den d|^2, |den s|^2
+    return [squared_modulus(v).reshape((4,) + v.shape[2:]) for v in
+            split_batches(_q_products(e2, n, params, True), shapes)]
 
 
 def weight_qlimit(alpha, si: Spin, sj: Spin,
@@ -401,24 +441,7 @@ def weight_qlimit(alpha, si: Spin, sj: Spin,
     """q-limit edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
     each other."""
-    if np.ndim(alpha) == 0 and alpha == 0.0:
-        return 1.0 + 0.0j
-    _, (v,) = _qlimit_values([_edge_rows(alpha, si, sj)], params)
-    return python_scalar(_edge_weight(
-        ModelFamily.Q_LIMIT, alpha, si, sj, v, params,
-        kappa(ModelFamily.Q_LIMIT, alpha, params)))
-
-
-def _single_spin_qlimit_rows(sj: Spin, params: NomeParameters) -> list:
-    """(z, n) of the two Q factors of the q-limit single-spin weight."""
-    eta = params.eta
-    return [(2 * sj.x - 1j * eta, 2 * sj.m), (-2 * sj.x - 1j * eta, -2 * sj.m)]
-
-
-def _single_spin_qlimit(sj: Spin, v, params: NomeParameters):
-    """q-limit single-spin weight from the values v of its two rows."""
-    return (np.exp(4 * params.eta * np.abs(sj.m)) / (2 * math.pi)
-            * v[0] * v[1])
+    return _weight(ModelFamily.Q_LIMIT, alpha, si, sj, params)
 
 
 def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
@@ -427,9 +450,18 @@ def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
     The spin's angle and integer part may be arrays that broadcast against
     each other.
     """
-    z, n = stack_rows(*_single_spin_qlimit_rows(sj, params))
+    eta = params.eta
+    z, n = stack_rows((2 * sj.x - 1j * eta, 2 * sj.m),
+                      (-2 * sj.x - 1j * eta, -2 * sj.m))
     v = q_function(z, n, params)
-    return python_scalar(_single_spin_qlimit(sj, v, params))
+    return python_scalar(np.exp(4 * eta * np.abs(sj.m)) / (2 * math.pi)
+                         * v[0] * v[1])
+
+
+@grid_cache
+def _single_spin_qlimit(params: NomeParameters, x, m) -> np.ndarray:
+    """single_spin_qlimit at the angles x and integer parts m, per grid."""
+    return single_spin_qlimit(Spin(x, m), params)
 
 
 def _three_edges(spins, alphas, ndim: int):
@@ -437,9 +469,9 @@ def _three_edges(spins, alphas, ndim: int):
     Spin and one array, the edges on axis 0, followed by ndim axes of
     length 1 that broadcast against a centre spin of ndim axes."""
     shape = (len(spins),) + (1,) * ndim
-    return (Spin(np.reshape([s.x for s in spins], shape),
-                 np.reshape([s.m for s in spins], shape)),
-            np.reshape(np.asarray(alphas, float), shape))
+    return (Spin(np.array([s.x for s in spins]).reshape(shape),
+                 np.array([s.m for s in spins]).reshape(shape)),
+            np.array(alphas, float).reshape(shape))
 
 
 def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
@@ -451,15 +483,17 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     against each other.
 
     The edges are one array axis.  Elliptic and q-limit: the twelve gamma
-    factors of the three edge weights are one batch (``_elliptic_values``
+    factors of the three edge weights are one batch (``_elliptic_logs``
     or ``_qlimit_values``), which at the conjugate nomes evaluates half of
     them, and kappas holds kappa(alpha_i), evaluated here when not given.
-    The q-limit single-spin weight joins that batch.  The elliptic one is
-    centre_weight, S~(s0) = S(s0) / (2 eps(m0)), for the sum over m0 in
-    Z_r: its theta product form, which tolerates the genuine zeros of S on
-    the contour where the gamma form's pole guard would reject them,
-    cached per node grid.  Euler-gamma (params None): one weight_gamma
-    call over the three edges.
+    The elliptic integrand is S~(s0) exp(sum of the edges' log weights),
+    one exp per centre spin, real at the conjugate nomes.  The single-spin
+    weight depends on the node grid alone and is cached per grid
+    (``grid_cache``): the elliptic one is centre_weight, S~(s0) = S(s0) /
+    (2 eps(m0)), for the sum over m0 in Z_r, in its theta product form,
+    which tolerates the genuine zeros of S on the contour where the gamma
+    form's pole guard would reject them.  Euler-gamma (params None): one
+    weight_gamma call over the three edges.
 
     right_side, by keyword, is (alpha, si, sj, kappas) of more edge
     weights of the same family, one element per weight, whose rows ride in
@@ -476,17 +510,21 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     batches = [_edge_rows(alpha, edges, s0)]
     if right_side is not None:
         batches.append(_edge_rows(*right_side[:3]))
+    v = _edge_values(family, batches, params)
+    pref = _prefactor(family, alpha, edges, s0, params,
+                      np.reshape(kappas, alpha.shape))
     if family is ModelFamily.ELLIPTIC:
-        value, v = centre_weight(s0, params), _elliptic_values(batches, params)
+        # the edges' log ratios summed: one exp per centre spin
+        value = centre_weight(s0, params) * pref.prod(axis=0) * _exp_result(
+            _log_ratio(v[0]).sum(axis=0), None, False)
     else:
-        single, v = _qlimit_values(batches, params, spin=s0)
-        value = _single_spin_qlimit(s0, single, params)
-    value = value * _edge_weight(family, alpha, edges, s0, v[0], params,
-                                 np.reshape(kappas, alpha.shape)).prod(axis=0)
+        value = (_single_spin_qlimit(params, s0.x, s0.m)
+                 * (pref * _ratio(family, v[0])).prod(axis=0))
     if right_side is None:
         return python_scalar(value)
-    rhs = _edge_weight(family, *right_side[:3], v[1], params, right_side[3])
-    return python_scalar(value), python_scalar(rhs.prod())
+    rhs = _prefactor(family, *right_side[:3], params, right_side[3])
+    return python_scalar(value), python_scalar(
+        (rhs * _ratio(family, v[1])).prod())
 
 
 def _gamma_pair(loggamma, a: complex, b: complex) -> complex:

@@ -21,6 +21,18 @@ Python complex (and float bound).  A batch shares its truncation depth,
 taken from its largest |c|, so each element gets at least the terms it
 would get alone.
 
+The gamma kernels take the phase of their argument rather than z:
+``_elliptic_gamma``, ``_lens_factor`` and ``_lens_gamma`` the phase
+e^{2iz}, ``_lens_gamma_appendix`` e^{iz} beside z (which its exponent
+prefactor needs), and they return the log of the value (``_lens_gamma``
+those of its two factors) and its log tail.  A caller whose rows are
+(constant) +- (node) forms each row's phase as a constant times a phase
+per node, so an integrand takes one exp per node to build its arguments,
+and it adds the logs of its rows and leaves log space with one exp per
+value.  A public function computes its phase with one exp and
+exponentiates the kernel's log (``_exp_result``; ``lens_elliptic_gamma``
+each factor's).
+
 A function makes one kernel call per nome grid: the products that share a
 grid (numerator and denominator of ``elliptic_gamma``, the constant and
 the e^{+-2iz} products of ``theta4``, the two products per grid of
@@ -314,9 +326,14 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
             log.real += np.log(np.abs(prod))
         log.imag += np.arctan2(prod.imag, prod.real)
     re = log.real
-    if re.max(initial=0.0) > _LOG_MAX or (
-            re.min(initial=0.0) < _LOG_MIN
-            and (np.broadcast_to(pole_guard, c.shape) & (re < _LOG_MIN)).any()):
+    # log|1 - x| lies in [log(1 - |x|), |x|]: at top < 1 the log is within
+    # top / ((1 - top)(1 - |a|)(1 - |b|)) of 0, and only past _LOG_MAX can
+    # it leave the doubles
+    if (top >= 1.0 or top > _LOG_MAX * (1 - top) * (1 - aa) * (1 - ab)) and (
+            re.max(initial=0.0) > _LOG_MAX or (
+                re.min(initial=0.0) < _LOG_MIN
+                and (np.broadcast_to(pole_guard, c.shape)
+                     & (re < _LOG_MIN)).any())):
         raise NonConvergenceError(
             "product overflows or underflows double precision")
     return log, tail
@@ -412,6 +429,21 @@ def _result(value, tail, with_bound):
     return python_scalar(value), python_scalar(np.abs(value) * np.expm1(tail))
 
 
+def _exp_result(log, tail, with_bound):
+    """``_result`` of exp(log), the one exponential of a value formed as a
+    sum of logs (real or complex).  A log of -inf, a genuine zero, gives 0;
+    a log past the largest double raises NonConvergenceError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(np.exp(log), tail, with_bound)
+
+
+def _phase(z, k: int):
+    """e^{ikz}, the phase of a product argument; far off the real axis it
+    overflows to inf or nan, which the kernels reject."""
+    with product_arguments():
+        return np.exp(k * 1j * z)
+
+
 def squared_modulus(v):
     """|v|^2 of each element of the finite array v; a square that is not
     finite in double precision (|v| above about 1e154) raises
@@ -437,17 +469,17 @@ def theta4(z: complex, p: complex, with_bound: bool = False):
     return _result(value, t0 + tp + tm, with_bound)
 
 
-def _elliptic_gamma(z, p: complex, q: complex):
-    """``elliptic_gamma`` as (value, log tail), the value not yet checked
-    for finiteness."""
+def _elliptic_gamma(e2, p: complex, q: complex):
+    """log ``elliptic_gamma`` at the phase e2 = e^{2iz}, and its log tail."""
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise DivergentParameterError("|p| and |q| must be < 1")
+    pq = p * q
+    c = np.empty((2,) + np.shape(e2), complex)
     with product_arguments():
-        e2 = np.exp(2j * z)
-        c, = stack_rows((e2 * p * q,), (p * q / e2,))
+        np.multiply(e2, pq, out=c[:1])
+        np.divide(pq, e2, out=c[1:])
     (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(ln - ld), tn + td
+    return ln - ld, tn + td
 
 
 def elliptic_gamma(z: complex, p: complex, q: complex,
@@ -456,15 +488,29 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     Phi(z; p, q) = prod_{j,k>=0} (1 - e^{2iz} p^{2j+1} q^{2k+1})
                                 / (1 - e^{-2iz} p^{2j+1} q^{2k+1}).
     """
-    return _result(*_elliptic_gamma(z, p, q), with_bound)
+    return _exp_result(*_elliptic_gamma(_phase(z, 2), p, q), with_bound)
 
 
-def _lens_factor(z, m: int, params: NomeParameters):
-    """The (pq, p^r) factor v1 of ``lens_elliptic_gamma`` as (value, log
-    tail)."""
-    shift = (params.r / 2 - mod_bracket(m, params.r))
-    return _elliptic_gamma(z + shift * math.pi * params.sigma,
-                           params.p * params.q, params.p ** params.r)
+def _lens_factor(e2, m, params: NomeParameters):
+    """log of the (pq, p^r) factor v1 of ``lens_elliptic_gamma`` at the
+    phase e2 = e^{2iz}, and its log tail.  The shift of its argument by
+    (r/2 - [[m]]) pi sigma multiplies the phase by p^{r - 2[[m]]}."""
+    r, p = params.r, params.p
+    # m takes a few values over a whole batch: each power once, gathered
+    with product_arguments():
+        e2 = e2 * (p ** (r - 2 * np.arange(r)))[mod_bracket(m, r)]
+    return _elliptic_gamma(e2, p * params.q, p ** r)
+
+
+def _lens_gamma(e2, m, params: NomeParameters):
+    """The logs of the two factors of ``lens_elliptic_gamma`` at the phase
+    e2 = e^{2iz}, each with its log tail: v1 (``_lens_factor``), and v2
+    over (pq, q^r) at the phase times q^{2[[m]] - r}."""
+    r, q = params.r, params.q
+    with product_arguments():
+        e2q = e2 * (q ** (2 * np.arange(r) - r))[mod_bracket(m, r)]
+    return _lens_factor(e2, m, params), _elliptic_gamma(e2q, params.p * q,
+                                                        q ** r)
 
 
 def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
@@ -478,7 +524,7 @@ def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
     v1(z) / conj v1(conj z), and a ratio of it at conjugate points is
     Phi_{r,m}(d + ia) / Phi_{r,m}(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.
     """
-    return _result(*_lens_factor(z, m, params), with_bound)
+    return _exp_result(*_lens_factor(_phase(z, 2), m, params), with_bound)
 
 
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
@@ -487,14 +533,11 @@ def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
     elliptic gamma factors with nomes (pq, p^r) and (pq, q^r) at shifted
     arguments.  Reduces to Phi(z; p, q) for r=1, m=0.
     """
-    r = params.r
-    shift = (r / 2 - mod_bracket(m, r))
-    v1, t1 = _lens_factor(z, m, params)
-    v2, t2 = _elliptic_gamma(z - shift * math.pi * params.tau,
-                             params.p * params.q, params.q ** r)
+    (l1, t1), (l2, t2) = _lens_gamma(_phase(z, 2), m, params)
+    # the product of the factors' values: each rounds at the size of its
+    # own log
     with np.errstate(over="ignore", invalid="ignore"):
-        value = v1 * v2
-    return _result(value, t1 + t2, with_bound)
+        return _result(np.exp(l1) * np.exp(l2), t1 + t2, with_bound)
 
 
 def varphi(z: complex, m: int, params: NomeParameters) -> complex:
@@ -505,6 +548,28 @@ def varphi(z: complex, m: int, params: NomeParameters) -> complex:
     br, brm = mod_bracket(m, r), mod_bracket(-m, r)
     return (-2 * params.eta - 2j * z
             + 2 * params.zeta * (br - brm) / 3) * (br * brm) / (4 * r)
+
+
+def _lens_gamma_appendix(z, ei, m, params: NomeParameters, allow_zero=False):
+    """log ``lens_gamma_appendix`` at z and its phase ei = e^{iz}, and its
+    log tail; a genuine zero (allow_zero) has the log -inf."""
+    r = params.r
+    p, q = params.p, params.q
+    pq = p * q
+    br = mod_bracket(m, r)
+    # m takes a few values over a whole batch: each power once, gathered
+    pw, qw = p ** np.arange(r + 1), q ** np.arange(r + 1)
+    guard_num = np.logical_not(allow_zero)
+    # one stack, cut into the (pq, p^r) and the (pq, q^r) products
+    with product_arguments():
+        inv = pq / ei
+        c, guard = stack_rows((inv * pw[r - br], guard_num),
+                              (ei * pw[br], True),
+                              (inv * qw[br], guard_num),
+                              (ei * qw[r - br], True))
+    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2])
+    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
+    return varphi(z, m, params) + l1 - l2 + l3 - l4, t1 + t2 + t3 + t4
 
 
 def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
@@ -521,24 +586,8 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
     lifts the pole guard on the numerator products of its elements: their
     vanishing is a genuine zero of the function, not a pole.
     """
-    r = params.r
-    p, q = params.p, params.q
-    pq = p * q
-    br = mod_bracket(m, r)
-    phi = varphi(z, m, params)
-    guard_num = np.logical_not(allow_zero)
-    # one stack, cut into the (pq, p^r) and the (pq, q^r) products
-    with product_arguments():
-        ei = np.exp(1j * z)
-        c, guard = stack_rows((pq * p ** (r - br) / ei, guard_num),
-                              (ei * p ** br, True),
-                              (pq * q ** br / ei, guard_num),
-                              (ei * q ** (r - br), True))
-    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2])
-    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.exp(phi + l1 - l2 + l3 - l4)
-    return _result(value, t1 + t2 + t3 + t4, with_bound)
+    return _exp_result(*_lens_gamma_appendix(z, _phase(z, 1), m, params,
+                                             allow_zero), with_bound)
 
 
 def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:

@@ -333,30 +333,54 @@ def master_integrand(z: complex, y, mp: MasterParameters, *,
                      right_side: bool = False) -> complex:
     """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
     Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
-    that broadcast against each other: its Gamma rows on axis 0 of one
-    batched lens_gamma_appendix call.
+    that broadcast against each other: the exp of the sum of its Gamma
+    rows' logs, one exp per (z, y).  The rows are on axis 0 of one batched
+    log ``lens_gamma_appendix`` call, each row's phase e^{i(t_i +- z)} a
+    constant times e^{+-iz}; the 1/Gamma(+-2z, +-2y) pair depends on the
+    nomes and the grid alone and is cached per grid
+    (``_inverse_measure``).
 
     With right_side=True the fifteen Gamma of the right side,
     prod_{i<j} Gamma(t_i + t_j, u_i + u_j), ride in the same call, and
     the return is the integrand and that product."""
-    t, u = mp.t, mp.u
-    i2eta = 2j * mp.params.eta
-    # 1/Gamma(+-2z, +-2y) through the inversion relation; the inverted
-    # factors vanish where the original ones blow up
-    rows = [(i2eta - 2 * z, -2 * y, True), (i2eta + 2 * z, 2 * y, True)]
-    for ti, ui in zip(t, u):
-        rows += [(ti + z, ui + y, False), (ti - z, ui - y, False)]
-    batches = [sf.stack_rows(*rows)]
+    params = mp.params
+    # rows (t_i +- z, u_i +- y) on axes (i, +-) before the axes of z and
+    # y, each pair adjacent: the mirror (-z, -y) swaps the two rows of a
+    # pair, and the sum over the rows rounds alike at both
+    extra = (1,) * np.ndim(np.broadcast(z, y))
+    t, u = np.reshape(mp.t, (6, 1) + extra), np.reshape(mp.u, (6, 1) + extra)
+    sign = np.reshape([1, -1], (1, 2) + extra)
+    et = np.exp(1j * t)
+    batches = [np.broadcast_arrays(t + sign * z, et * sf._phase(z, 1) ** sign,
+                                   u + sign * y)]
     if right_side:
-        batches.append(sf.stack_rows(*[(t[i] + t[j], u[i] + u[j], False)
-                                       for i in range(6)
-                                       for j in range(i + 1, 6)]))
-    (z, m, allow_zero), shapes = sf.join_batches(*batches)
-    v = sf.split_batches(sf.lens_gamma_appendix(z, m, mp.params,
-                                                allow_zero=allow_zero),
-                         shapes)
-    value = sf.python_scalar(v[0].prod(axis=0))
-    return (value, v[1].prod().item()) if right_side else value
+        i, j = np.triu_indices(6, 1)
+        tt = t.ravel()[i] + t.ravel()[j]
+        batches.append((tt, np.exp(1j * tt), u.ravel()[i] + u.ravel()[j]))
+    (z2, e, m), shapes = sf.join_batches(*batches)
+    log = sf.split_batches(sf._lens_gamma_appendix(z2, e, m, params)[0],
+                           shapes)
+    # the sum starts from the measure, whose real part offsets the rows':
+    # its partial sums stay small, and so does their rounding
+    log[0][0, 0] += _inverse_measure(params, z, y)
+    value = sf._exp_result(log[0].sum(axis=(0, 1)), None, False)
+    if right_side:
+        # fifteen exps: a product of values keeps each factor's rounding
+        # at the size of its own log, not of their sum
+        return value, sf._exp_result(log[1], None, False).prod().item()
+    return value
+
+
+@models.grid_cache
+def _inverse_measure(params: NomeParameters, z, y):
+    """log of 1/Gamma(+-2z, +-2y), the master integrand's measure, through
+    the inversion relation: log Gamma(2i eta - 2z, -2y) + log Gamma(2i eta
+    + 2z, 2y).  The inverted factors vanish where the original ones blow
+    up, a genuine zero whose log is -inf.  Cached per grid."""
+    i2eta = 2j * params.eta
+    w, m = sf.stack_rows((i2eta - 2 * z, -2 * y), (i2eta + 2 * z, 2 * y))
+    return sf._lens_gamma_appendix(w, sf._phase(w, 1), m, params,
+                                   allow_zero=True)[0].sum(axis=0)
 
 
 def constant_form(t: Sequence[complex], u: Sequence[int],

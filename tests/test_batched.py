@@ -6,6 +6,7 @@ integrators must take the same refinement decisions as the scalar ones.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -517,6 +518,125 @@ class TestFoldedRightSide:
                       <= 14 * ULPS_PER_ROW * np.abs(alone))
 
 
+class TestLogSpaceIntegrands:
+    """The integrands sum their rows' logs and leave log space once per
+    value: they must give the products of the public weights and Gamma."""
+
+    @pytest.mark.parametrize("family,tau", [
+        (models.ModelFamily.ELLIPTIC, -0.05 + 0.5j),
+        (models.ModelFamily.ELLIPTIC, -0.05 + 0.7j),
+        (models.ModelFamily.Q_LIMIT, -0.05 + 0.5j)],
+        ids=["elliptic-pair", "elliptic-off_pair", "qlimit-pair"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_star_integrand_is_product_of_weights(self, family, tau, r):
+        pr = NomeParameters(0.05 + 0.5j, tau, r)
+        elliptic = family is models.ModelFamily.ELLIPTIC
+        sample = cli.sample_str_case if elliptic else cli.sample_rinfstr_case
+        case = sample(np.random.default_rng(11), pr)
+        crossed = [pr.eta.real - a for a in case["alphas"]]
+        # off x0 = 0, where S has a genuine zero
+        s0 = Spin(np.linspace(0.05, math.pi - 0.05, 7),
+                  np.arange(r if elliptic else 4)[:, None])
+        got = models.star_integrand(family, s0, case["spins"], crossed, pr)
+        want = (models.centre_weight(s0, pr) if elliptic
+                else models.single_spin_qlimit(s0, pr))
+        for a, s in zip(crossed, case["spins"]):
+            want = want * models.edge_weight(family, a, s, s0, pr)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_master_integrand_is_product_of_gammas(self):
+        pr = physical_parameters(0.05, 0.5, 2)
+        mp = cli.sample_master_case(np.random.default_rng(3), pr)["mp"]
+        # z = 0, y = 0 is a genuine zero of 1/Gamma(+-2z, +-2y); complex z
+        # take the same path as real nodes
+        z = np.array([0.0, 0.4, 1.3 + 0.05j, 2.9 - 0.03j])
+        y = np.arange(2)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify.master_integrand(z, y, mp)
+        i2eta = 2j * pr.eta
+        for k, j in np.ndindex(got.shape):
+            zk, yk = z[j], int(y[k, 0])
+            # 1/Gamma(+-2z, +-2y) through the inversion relation
+            want = (sf.lens_gamma_appendix(i2eta - 2 * zk, -2 * yk, pr,
+                                           allow_zero=True)
+                    * sf.lens_gamma_appendix(i2eta + 2 * zk, 2 * yk, pr,
+                                             allow_zero=True))
+            for t, u in zip(mp.t, mp.u):
+                want *= (sf.lens_gamma_appendix(t + zk, u + yk, pr)
+                         * sf.lens_gamma_appendix(t - zk, u - yk, pr))
+            assert abs(got[k, j] - want) <= 1e-13 * abs(want)
+        assert got[0, 0] == 0
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_one_exp_per_node_and_sector(self, monkeypatch, r):
+        # a str integrand call at the conjugate nomes takes one exp per
+        # (node, sector) to leave log space, one per node for the rows'
+        # phases and a few per edge: not one or two per row and node
+        pr = physical_parameters(0.05, 0.5, r)
+        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        crossed = [pr.eta.real - a for a in case["alphas"]]
+        kappas = models.kappa(models.ModelFamily.ELLIPTIC, crossed, pr)
+        nodes = numerics.first_call_nodes(math.pi, even=True)
+        s0 = Spin(nodes, np.arange(r)[:, None])
+
+        def run():
+            return models.star_integrand(models.ModelFamily.ELLIPTIC, s0,
+                                         case["spins"], crossed, pr,
+                                         kappas=kappas)
+        run()   # the centre weight is cached per node grid
+        counted = [0]
+        exp = np.exp
+
+        def counting(x, *args, **kwargs):
+            counted[0] += np.size(x)
+            return exp(x, *args, **kwargs)
+        monkeypatch.setattr(np, "exp", counting)
+        run()
+        rows = 12
+        assert counted[0] <= nodes.size * (r + 1) + rows * r
+
+
+class TestGridCaches:
+    """The rows of an integrand that depend on the nomes and the node grid
+    alone are evaluated once per grid, kept read-only in a bounded cache."""
+
+    CACHES = [
+        (models._centre_weight, lambda pr: np.arange(pr.r)[:, None]),
+        (models._single_spin_qlimit, lambda pr: np.arange(4)[:, None]),
+        (verify._inverse_measure, lambda pr: np.arange(pr.r)[:, None])]
+
+    @pytest.mark.parametrize("cache,sectors", CACHES,
+                             ids=["centre", "qlimit", "master"])
+    def test_once_per_grid_read_only_bounded(self, cache, sectors):
+        pr = physical_parameters(0.05, 0.5, 2)
+        x = np.linspace(0.1, 3.0, 9)
+        m = sectors(pr)
+        cache.cache_clear()
+        value = cache(pr, x, m)
+        assert cache(pr, x.copy(), m.copy()) is value
+        assert cache.cache_info().misses == 1
+        with pytest.raises(ValueError):
+            value[0, 0] = 0.0
+        size = cache.cache_info().maxsize
+        assert size <= 64
+        for n in range(16, 16 + 2 * size):
+            cache(pr, np.linspace(0.1, 1.0, n), m)
+        assert cache.cache_info().currsize == size
+
+    def test_scalar_and_complex_arguments(self):
+        # scalars and complex nodes take the cached path too, as 0-d and
+        # complex arrays
+        pr = physical_parameters(0.05, 0.5, 2)
+        mp = cli.sample_master_case(np.random.default_rng(5), pr)["mp"]
+        for z in (0.7, 0.7 + 0.02j):
+            for y in (0, 1):
+                one = verify.master_integrand(z, y, mp)
+                assert type(one) is complex
+                many = verify.master_integrand(np.array([z, 1.1]), y, mp)
+                assert abs(many[0] - one) <= REL * abs(one)
+
+
 class TestKernelCalls:
     """A weight, or a quadrature integrand, makes one kernel call per nome
     grid: the factors that share a grid are stacked into one batch."""
@@ -598,8 +718,8 @@ class TestKernelCalls:
                 for calls_made, _ in batches] == (
             [["_log_product_2d"] * calls] * len(batches))
 
-    @pytest.mark.parametrize("tau,rows,rhs_rows", [(-0.05 + 0.5j, 7, 6),
-                                                   (-0.05 + 0.7j, 14, 12)],
+    @pytest.mark.parametrize("tau,rows,rhs_rows", [(-0.05 + 0.5j, 6, 6),
+                                                   (-0.05 + 0.7j, 12, 12)],
                              ids=["pair", "off_pair"])
     def test_rinfstr_one_product_per_level(self, monkeypatch, tau, rows,
                                            rhs_rows):
@@ -608,11 +728,11 @@ class TestKernelCalls:
         run = lambda: verify.verify_rinfstr(case["spins"], case["alphas"], pr)
         sectors = run().numerics_meta["m_terms"]
         batches, outside, sizes, _ = self.batches(monkeypatch, run)
-        # the single-spin weight and three edge weights in one Q batch of
-        # numerators and denominators (axis 0): at tau = -conj(sigma) one
-        # single-spin row and the +i alpha rows of the edges, elsewhere
-        # all fourteen rows, per sector and node; the first batch adds the
-        # right side's +i alpha rows (6), or all its rows (12)
+        # three edge weights in one Q batch of numerators and denominators
+        # (axis 0): at tau = -conj(sigma) the +i alpha rows of the edges,
+        # elsewhere all twelve rows, per sector and node; the first batch
+        # adds the right side's +i alpha rows (6), or all its rows (12).
+        # The single-spin weight is cached per grid, warm after run()
         assert outside == [] and len(batches) == len(sizes)
         want = [rows * sectors * n for n in sizes]
         want[0] += rhs_rows
@@ -678,7 +798,7 @@ class TestKernelCalls:
                         models, "star_integrand", "_log_product_2d", 1,
                         12, 12, r)
             return (lambda: run(case["spins"], case["alphas"], pr),
-                    models, "star_integrand", "_pochhammer_raw", 1, 7, 6,
+                    models, "star_integrand", "_pochhammer_raw", 1, 6, 6,
                     run(case["spins"], case["alphas"],
                         pr).numerics_meta["m_terms"])
         if identity == "master":
@@ -688,8 +808,9 @@ class TestKernelCalls:
             case = cli.sample_iconst_case(rng, pr)
             run = lambda: verify.verify_I_constant(case["t"], case["u"], pr)
         # the (pq, p^r) and the (pq, q^r) grid of lens_gamma_appendix, each
-        # with a numerator and a denominator row per Gamma
-        return (run, verify, "master_integrand", "_log_product_2d", 2, 14,
+        # with a numerator and a denominator row per Gamma; the
+        # 1/Gamma(+-2z, +-2y) pair is cached per grid
+        return (run, verify, "master_integrand", "_log_product_2d", 2, 12,
                 15, r)
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -698,10 +819,11 @@ class TestKernelCalls:
     def test_no_call_outside_integrand_batches(self, monkeypatch, identity,
                                                r):
         # at the conjugate nomes, once the caches that depend on the nomes
-        # or the node grid alone are warm (the centre weight, the master
-        # normalisation): every kernel call is in an integrand batch, one
-        # batch per trapezoid level, today's kernel calls per batch, and
-        # the right side's rows in the first batch of each integral
+        # or the node grid alone are warm (the single-spin weights, the
+        # master measure and normalisation): every kernel call is in an
+        # integrand batch, one batch per trapezoid level, today's kernel
+        # calls per batch, and the right side's rows in the first batch of
+        # each integral
         pr = physical_parameters(0.05, 0.5, r)
         (run, owner, integrand, kernel, calls, rows, rhs_rows,
          sectors) = self.integrand_batches(identity, pr)

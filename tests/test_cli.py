@@ -338,8 +338,8 @@ class TestJson:
         numpy_rep = report(np.bool_(True), np.int64(3), np.float64(0.1),
                            np.complex128(1 + 2j))
         python_rep = report(True, 3, 0.1, 1 + 2j)
-        assert (json.dumps(cli.report_to_dict(numpy_rep))
-                == json.dumps(cli.report_to_dict(python_rep)))
+        assert (cli.to_json(cli.report_to_dict(numpy_rep))
+                == cli.to_json(cli.report_to_dict(python_rep)))
 
 
 class TestConfig:
