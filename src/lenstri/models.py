@@ -16,12 +16,15 @@ its rows are stacked on axis 0 (``_edge_rows``), three edges are one more
 axis, and rows of different shapes, such as a right side's beside an
 integrand's nodes, share one flat batch (``join_batches``).  A row enters
 the batch as its phase e^{2iz}, a product of per-spin phases, so a star
-takes one exp per centre angle to build its rows.  Elliptic rows come
-back as logs: a weight is its prefactor over kappa times the exp of its
-rows' log ratio, and the elliptic star integrand sums the log ratios of
-its three edges and exponentiates once per centre spin.  What depends on
-the nomes and the node grid alone, the single-spin weights, is cached per
-grid (``grid_cache``).
+takes one exp per centre angle to build its rows.  The rows of both
+product families come back as logs (``_edge_logs``): the lens elliptic
+gamma function's from the elliptic gamma kernel, Q's from its numerator
+and denominator q-Pochhammer products in one ``_log_product_2d`` call.  A
+weight is its prefactor over kappa times the exp of its rows' log ratio,
+and a star integrand sums the log ratios of its three edges and
+exponentiates once per centre spin.  What depends on the nomes and the
+node grid alone, the single-spin weights, is cached per grid
+(``grid_cache``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import special_functions as sf
 from .params import (
     MAX_SUM_TERMS,
     TERM_EPSILON,
@@ -44,8 +48,6 @@ from .params import (
 )
 from .special_functions import (
     _exp_result,
-    _lens_factor,
-    _lens_gamma,
     _phase,
     _term_count,
     bracket_pm,
@@ -56,7 +58,6 @@ from .special_functions import (
     python_scalar,
     qpochhammer_inf,
     split_batches,
-    squared_modulus,
     stack_rows,
     theta4,
 )
@@ -205,7 +206,7 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
 
     There the elliptic and q-limit weights evaluate half their gamma
     factors, the rest being conjugates of these (``_elliptic_logs``,
-    ``_qlimit_values``); anywhere else, however near, all of them.  The
+    ``_qlimit_logs``); anywhere else, however near, all of them.  The
     conjugates pair up because the spins' angles and alpha are real, as
     in every weight's domain."""
     return params.tau == -params.sigma.conjugate()
@@ -256,9 +257,9 @@ def _elliptic_logs(batches, params: NomeParameters) -> list:
     the ones the (pq, q^r) factor guards."""
     (e2, m), shapes = join_batches(*batches)
     if not _conjugate_nomes(params):
-        (l1, _), (l2, _) = _lens_gamma(e2, m, params)
+        (l1, _), (l2, _) = sf._lens_gamma(e2, m, params)
         return split_batches(l1 + l2, shapes)
-    return split_batches(2 * _lens_factor(e2, m, params)[0].real, shapes)
+    return split_batches(2 * sf._lens_factor(e2, m, params)[0].real, shapes)
 
 
 def _log_ratio(l):
@@ -266,20 +267,13 @@ def _log_ratio(l):
     return l[0] + l[1] - l[2] - l[3]
 
 
-def _edge_values(family: ModelFamily, batches, params: NomeParameters):
-    """The values of the edge rows of each batch, all in one flat batch:
-    their logs (``_elliptic_logs``) or their values (``_qlimit_values``)."""
+def _edge_logs(family: ModelFamily, batches, params: NomeParameters):
+    """The logs of the edge rows of each batch, all in one flat batch, of
+    the elliptic (``_elliptic_logs``) or the q-limit family
+    (``_qlimit_logs``)."""
     if family is ModelFamily.ELLIPTIC:
         return _elliptic_logs(batches, params)
-    return _qlimit_values(batches, params)
-
-
-def _ratio(family: ModelFamily, v):
-    """An edge's gamma ratio from the values v of its rows (``_edge_values``):
-    exp of the log ratio, or v0 v1 / (v2 v3)."""
-    if family is ModelFamily.ELLIPTIC:
-        return _exp_result(_log_ratio(v), None, False)
-    return v[0] * v[1] / (v[2] * v[3])
+    return _qlimit_logs(batches, params)
 
 
 def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
@@ -288,8 +282,8 @@ def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
     its gamma ratio times its prefactor over kappa(alpha)."""
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    v, = _edge_values(family, [_edge_rows(alpha, si, sj)], params)
-    return python_scalar(_ratio(family, v) * _prefactor(
+    l, = _edge_logs(family, [_edge_rows(alpha, si, sj)], params)
+    return python_scalar(_exp_result(_log_ratio(l), None, False) * _prefactor(
         family, alpha, si, sj, params, kappa(family, alpha, params)))
 
 
@@ -382,10 +376,13 @@ def _centre_weight(params: NomeParameters, x, m) -> np.ndarray:
 
 
 def _q_products(e2, n, params: NomeParameters, guard_num=False):
-    """Numerator and denominator products of Q(z, n) (``q_function``) at
-    the phase e2 = e^{2iz}, on axis 0 of one batch.  A denominator below
-    1e-13 raises PoleHitError, and so does a numerator where guard_num (a
-    bool, or a bool array that broadcasts against e2 and n) holds."""
+    """Logs of the numerator and denominator products of Q(z, n)
+    (``q_function``) at the phase e2 = e^{2iz}, on axis 0 of one batch,
+    from one unguarded ``_log_product_2d`` call of ratio (pq)^2.  A
+    denominator whose log is below log 1e-13 raises PoleHitError, and so
+    does a numerator where guard_num (a bool, or a bool array that
+    broadcasts against e2 and n) holds; elsewhere a numerator may vanish,
+    a log of -inf."""
     p, q = params.p, params.q
     pq = p * q
     # n takes a few values over a whole batch: each factor once, gathered;
@@ -397,10 +394,11 @@ def _q_products(e2, n, params: NomeParameters, guard_num=False):
     den = (pq * np.concatenate([q ** j[:0:-1], p ** j]))[i]
     with product_arguments():
         c, = stack_rows((e2 * num,), (den / e2,))
-    v = qpochhammer_inf(c, pq * pq)
-    if np.any(abs(v[1]) < 1e-13) or np.any(guard_num & (abs(v[0]) < 1e-13)):
+    log, _ = sf._log_product_2d(c, pq * pq, 0.0, False)
+    pole = log.real < math.log(sf.POLE_FACTOR_EPS)
+    if pole[1].any() or np.any(guard_num & pole[0]):
         raise PoleHitError("Q(z, n) evaluated at a pole")
-    return v
+    return log
 
 
 def q_function(z: complex, n: int, params: NomeParameters) -> complex:
@@ -410,29 +408,30 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     for n >= 0, and with (p^{-2n}, q^{-2n}) in place of (q^{2n}, p^{2n}) for n < 0.
     n may be an array that broadcasts against z.
     """
-    num, den = _q_products(_phase(z, 2), n, params)
-    return python_scalar(num / den)
+    ln, ld = _q_products(_phase(z, 2), n, params)
+    return _exp_result(ln - ld, None, False)
 
 
-def _qlimit_values(batches, params: NomeParameters) -> list:
-    """Values v of the q-limit edge rows of each batch (``_edge_rows``),
-    all in one flat batch, such that each edge's Q ratio is v0 v1 /
-    (v2 v3).
+def _qlimit_logs(batches, params: NomeParameters) -> list:
+    """Logs l of the q-limit edge rows of each batch (``_edge_rows``), all
+    in one flat batch, such that each edge's Q ratio is exp(l0 + l1 - l2 -
+    l3) (``_log_ratio``).
 
-    They are Q at each row.  At the conjugate nomes Q(conj z, n) =
-    1 / conj Q(z, n), so an edge ratio Q(d + ia) Q(s + ia) /
+    They are log Q = log num - log den at each row.  At the conjugate nomes
+    Q(conj z, n) = 1 / conj Q(z, n), so an edge ratio Q(d + ia) Q(s + ia) /
     (Q(d - ia) Q(s - ia)) is |num(d + ia) num(s + ia)|^2 /
-    |den(d + ia) den(s + ia)|^2: only the +ia rows are evaluated.  Every
+    |den(d + ia) den(s + ia)|^2: only the +ia rows are evaluated, and the
+    rows are the real 2 Re log num and 2 Re log den of those.  Every
     denominator is guarded, as in q_function, and so is every numerator,
     num(z) being conj den(conj z), which the -ia rows would guard."""
     if not _conjugate_nomes(params):
         (e2, n), shapes = join_batches(*batches)
-        num, den = _q_products(e2, n, params)
-        return split_batches(num / den, shapes)
+        ln, ld = _q_products(e2, n, params)
+        return split_batches(ln - ld, shapes)
     (e2, n), shapes = join_batches(*[(e2[:2], n[:2]) for e2, n in batches])
-    # numerators and denominators on axis 0 of each batch's values; per
-    # edge |num d|^2, |num s|^2, |den d|^2, |den s|^2
-    return [squared_modulus(v).reshape((4,) + v.shape[2:]) for v in
+    # numerators and denominators on axis 0 of each batch's logs; per edge
+    # 2 Re log of num d, num s, den d, den s
+    return [2 * l.real.reshape((4,) + l.shape[2:]) for l in
             split_batches(_q_products(e2, n, params, True), shapes)]
 
 
@@ -483,17 +482,19 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     against each other.
 
     The edges are one array axis.  Elliptic and q-limit: the twelve gamma
-    factors of the three edge weights are one batch (``_elliptic_logs``
-    or ``_qlimit_values``), which at the conjugate nomes evaluates half of
-    them, and kappas holds kappa(alpha_i), evaluated here when not given.
-    The elliptic integrand is S~(s0) exp(sum of the edges' log weights),
-    one exp per centre spin, real at the conjugate nomes.  The single-spin
-    weight depends on the node grid alone and is cached per grid
-    (``grid_cache``): the elliptic one is centre_weight, S~(s0) = S(s0) /
-    (2 eps(m0)), for the sum over m0 in Z_r, in its theta product form,
-    which tolerates the genuine zeros of S on the contour where the gamma
-    form's pole guard would reject them.  Euler-gamma (params None): one
-    weight_gamma call over the three edges.
+    factors of the three edge weights are one batch of logs
+    (``_edge_logs``), which at the conjugate nomes evaluates half of them,
+    and kappas holds kappa(alpha_i), evaluated here when not given.  The
+    integrand is the single-spin weight times exp(sum of the edges' log
+    weights), one exp per centre spin, real at the conjugate nomes.  The
+    single-spin weight depends on the node grid alone and is cached per
+    grid (``grid_cache``): the q-limit one is single_spin_qlimit, whose
+    numerator is unguarded, so its genuine zero at x0 = 0, m0 = 0 is 0;
+    the elliptic one is centre_weight, S~(s0) = S(s0) / (2 eps(m0)), for
+    the sum over m0 in Z_r, in its theta product form, which tolerates the
+    genuine zeros of S on the contour where the gamma form's pole guard
+    would reject them.  Euler-gamma (params None): one weight_gamma call
+    over the three edges.
 
     right_side, by keyword, is (alpha, si, sj, kappas) of more edge
     weights of the same family, one element per weight, whose rows ride in
@@ -510,21 +511,19 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     batches = [_edge_rows(alpha, edges, s0)]
     if right_side is not None:
         batches.append(_edge_rows(*right_side[:3]))
-    v = _edge_values(family, batches, params)
+    l = _edge_logs(family, batches, params)
     pref = _prefactor(family, alpha, edges, s0, params,
                       np.reshape(kappas, alpha.shape))
-    if family is ModelFamily.ELLIPTIC:
-        # the edges' log ratios summed: one exp per centre spin
-        value = centre_weight(s0, params) * pref.prod(axis=0) * _exp_result(
-            _log_ratio(v[0]).sum(axis=0), None, False)
-    else:
-        value = (_single_spin_qlimit(params, s0.x, s0.m)
-                 * (pref * _ratio(family, v[0])).prod(axis=0))
+    single = (centre_weight(s0, params) if family is ModelFamily.ELLIPTIC
+              else _single_spin_qlimit(params, s0.x, s0.m))
+    # the edges' log ratios summed: one exp per centre spin
+    value = single * pref.prod(axis=0) * _exp_result(
+        _log_ratio(l[0]).sum(axis=0), None, False)
     if right_side is None:
         return python_scalar(value)
     rhs = _prefactor(family, *right_side[:3], params, right_side[3])
     return python_scalar(value), python_scalar(
-        (rhs * _ratio(family, v[1])).prod())
+        (rhs * _exp_result(_log_ratio(l[1]), None, False)).prod())
 
 
 def _gamma_pair(loggamma, a: complex, b: complex) -> complex:

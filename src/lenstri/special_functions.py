@@ -50,12 +50,15 @@ factor is off the unit circle by a margin, so the sum of their logs is one
 power series in c, -sum_n v_n c^n, whose coefficients depend only on a, b
 and the staircase (the exponential series of the elliptic gamma function;
 Felder & Varchenko, Adv. Math. 156, 2000); 4-12 terms reach the term
-epsilon, and the coefficients are cached.  A single product (q-Pochhammer)
-is multiplied out whole.  The kernel lays a block out with the grid on
-axis 0 and the batch elements on axis 1 and reduces over axis 0, one whole
-row of elements per multiplication; a block holds at most ``_BLOCK``
-factors, on both axes, and a longer grid is multiplied out over several
-blocks into a running product.  A one-factor grid skips the blocks.  A log is off from sum(log f) by a
+epsilon, and the coefficients are cached.  With b = 0 it is a single
+product in log form, peeled the same way, as the q-limit weights take it
+(``models._q_products``); the public q-Pochhammer functions multiply a
+single product out whole (``_pochhammer_raw``).  The kernel lays a block
+out with the grid on axis 0 and the batch elements on axis 1 and reduces
+over axis 0, one whole row of elements per multiplication; a block holds
+at most ``_BLOCK`` factors, on both axes, and a longer grid is multiplied
+out over several blocks into a running product.  A one-factor grid skips
+the blocks.  A log is off from sum(log f) by a
 multiple of 2 pi i, which is harmless because callers only ever use exp
 of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
@@ -442,14 +445,6 @@ def _phase(z, k: int):
     overflows to inf or nan, which the kernels reject."""
     with product_arguments():
         return np.exp(k * 1j * z)
-
-
-def squared_modulus(v):
-    """|v|^2 of each element of the finite array v; a square that is not
-    finite in double precision (|v| above about 1e154) raises
-    NonConvergenceError, as a function value would."""
-    with np.errstate(over="ignore"):
-        return _result(v.real ** 2 + v.imag ** 2, None, False)
 
 
 def qpochhammer_inf(x: complex, q: complex, with_bound: bool = False):

@@ -568,23 +568,30 @@ class TestLogSpaceIntegrands:
             assert abs(got[k, j] - want) <= 1e-13 * abs(want)
         assert got[0, 0] == 0
 
-    @pytest.mark.parametrize("r", [1, 3])
-    def test_one_exp_per_node_and_sector(self, monkeypatch, r):
-        # a str integrand call at the conjugate nomes takes one exp per
-        # (node, sector) to leave log space, one per node for the rows'
-        # phases and a few per edge: not one or two per row and node
+    @pytest.mark.parametrize("family,r", [
+        (models.ModelFamily.ELLIPTIC, 1), (models.ModelFamily.ELLIPTIC, 3),
+        (models.ModelFamily.Q_LIMIT, 1)],
+        ids=["elliptic-1", "elliptic-3", "qlimit-1"])
+    def test_one_exp_per_node_and_sector(self, monkeypatch, family, r):
+        # a str or rinfstr integrand call at the conjugate nomes takes one
+        # exp per (node, sector) to leave log space, one per node for the
+        # rows' phases and a few per edge: not one or two per row and node.
+        # Its sectors are Z_r, or the rinfstr m-sum's m0 = 0..M-1
         pr = physical_parameters(0.05, 0.5, r)
-        case = cli.sample_str_case(np.random.default_rng(4), pr)
+        elliptic = family is models.ModelFamily.ELLIPTIC
+        sample = cli.sample_str_case if elliptic else cli.sample_rinfstr_case
+        case = sample(np.random.default_rng(4), pr)
+        sectors = r if elliptic else verify.verify_rinfstr(
+            case["spins"], case["alphas"], pr).numerics_meta["m_terms"]
         crossed = [pr.eta.real - a for a in case["alphas"]]
-        kappas = models.kappa(models.ModelFamily.ELLIPTIC, crossed, pr)
-        nodes = numerics.first_call_nodes(math.pi, even=True)
-        s0 = Spin(nodes, np.arange(r)[:, None])
+        kappas = models.kappa(family, crossed, pr)
+        nodes = numerics.first_call_nodes(math.pi, even=elliptic)
+        s0 = Spin(nodes, np.arange(sectors)[:, None])
 
         def run():
-            return models.star_integrand(models.ModelFamily.ELLIPTIC, s0,
-                                         case["spins"], crossed, pr,
-                                         kappas=kappas)
-        run()   # the centre weight is cached per node grid
+            return models.star_integrand(family, s0, case["spins"], crossed,
+                                         pr, kappas=kappas)
+        run()   # the single-spin weight is cached per node grid
         counted = [0]
         exp = np.exp
 
@@ -594,7 +601,7 @@ class TestLogSpaceIntegrands:
         monkeypatch.setattr(np, "exp", counting)
         run()
         rows = 12
-        assert counted[0] <= nodes.size * (r + 1) + rows * r
+        assert counted[0] <= nodes.size * (sectors + 1) + rows * sectors
 
 
 class TestGridCaches:
@@ -729,16 +736,17 @@ class TestKernelCalls:
         sectors = run().numerics_meta["m_terms"]
         batches, outside, sizes, _ = self.batches(monkeypatch, run)
         # three edge weights in one Q batch of numerators and denominators
-        # (axis 0): at tau = -conj(sigma) the +i alpha rows of the edges,
-        # elsewhere all twelve rows, per sector and node; the first batch
-        # adds the right side's +i alpha rows (6), or all its rows (12).
-        # The single-spin weight is cached per grid, warm after run()
+        # (axis 0), one log kernel call: at tau = -conj(sigma) the +i alpha
+        # rows of the edges, elsewhere all twelve rows, per sector and node;
+        # the first batch adds the right side's +i alpha rows (6), or all
+        # its rows (12).  The single-spin weight is cached per grid, warm
+        # after run()
         assert outside == [] and len(batches) == len(sizes)
         want = [rows * sectors * n for n in sizes]
         want[0] += rhs_rows
         assert [[c for c in calls_made if c[0] in self.KERNELS]
                 for calls_made, _ in batches] == [
-            [("_pochhammer_raw", (2, k))] for k in want]
+            [("_log_product_2d", (2, k))] for k in want]
 
     @staticmethod
     def calls(monkeypatch, kernel, run, module=sf):
@@ -771,12 +779,13 @@ class TestKernelCalls:
         pr = NomeParameters(0.05 + 0.5j, tau, r)
         case = cli.sample_inversion_case(np.random.default_rng(4), pr)
         # W_alpha and W_{-alpha} in one weight call, one kernel call per
-        # nome grid: at tau = -conj(sigma) only the (pq, p^r) grid
+        # nome grid: at tau = -conj(sigma) only the (pq, p^r) grid; Q's
+        # numerators and denominators share the grid (pq)^{2j}
         assert self.calls(monkeypatch, "_log_product_2d",
                           lambda: verify.verify_inversion_first(
                               case["family"], case["alpha"], case["spins"],
                               pr)) == calls
-        assert self.calls(monkeypatch, "_pochhammer_raw",
+        assert self.calls(monkeypatch, "_log_product_2d",
                           lambda: verify.verify_inversion_first(
                               models.ModelFamily.Q_LIMIT, case["alpha"],
                               case["spins"], pr)) == 1
@@ -798,7 +807,7 @@ class TestKernelCalls:
                         models, "star_integrand", "_log_product_2d", 1,
                         12, 12, r)
             return (lambda: run(case["spins"], case["alphas"], pr),
-                    models, "star_integrand", "_pochhammer_raw", 1, 6, 6,
+                    models, "star_integrand", "_log_product_2d", 1, 6, 6,
                     run(case["spins"], case["alphas"],
                         pr).numerics_meta["m_terms"])
         if identity == "master":

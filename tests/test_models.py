@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as euler_gamma
 
@@ -216,6 +216,25 @@ class TestQFunction:
             ref = brute_q_function(z, n, pr)
             assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("n", [-2, 0, 3])
+    def test_pole_guard_both_ways(self, n):
+        # the first denominator factor 1 - e^{-2iz} p^{2n} pq (q^{-2n} for
+        # n < 0) on the lattice raises; a numerator factor there is a
+        # genuine zero
+        pr = physical_parameters(0.05, 0.5, 1)
+        pq = pr.p * pr.q
+        cn, cd = (pr.q, pr.p) if n >= 0 else (pr.p, pr.q)
+        cn, cd = cn ** (2 * abs(n)), cd ** (2 * abs(n))
+        with pytest.raises(PoleHitError):
+            models.q_function(cmath.log(cd * pq) / 2j, n, pr)
+        for j in (0, 1):
+            g = pq ** (2 * j + 1)
+            assert abs(models.q_function(-cmath.log(cn * g) / 2j, n,
+                                         pr)) <= 1e-12
+        # the q-limit single-spin weight's double zero at x = 0, m = 0
+        s = models.single_spin_qlimit(Spin(np.array([0.0, 0.5]), 0), pr)
+        assert abs(s[0]) <= 1e-12 * abs(s[1])
+
     def test_inversion(self):
         pr = physical_parameters(0.05, 0.5, 1)
         for n in (-2, 0, 3):
@@ -267,10 +286,15 @@ def reference_weight(family, alpha, si, sj, pr):
 
 def rounding(alpha, pr):
     """Relative rounding allowed between two product forms of a weight: a
-    few ulps, times the largest 1 / |1 - c| of its factors 1 - c; at real
-    spins every |c| <= e^{-2 (eta - |alpha|)}, and c nears 1 (the pole
-    lattice) as |alpha| nears eta."""
-    return 8 * np.finfo(float).eps / -math.expm1(
+    few ulps, times the largest 1 / |1 - c| of its factors 1 - c, times
+    the length of its longest product.  At real spins every |c| <=
+    e^{-2 (eta - |alpha|)}, and c nears 1 (the pole lattice) as |alpha|
+    nears eta.  Each form rounds a product's log to a few ulps of the sum
+    of |log(1 - x)| over its factors, at most |c| / ((1 - |pq|)(1 -
+    |p|^r)) on the elliptic (pq, p^r) grid, more than on Q's (pq)^2; it
+    grows as the nomes near the unit circle."""
+    length = 1 / ((1 - abs(pr.p * pr.q)) * (1 - abs(pr.p) ** pr.r))
+    return 8 * np.finfo(float).eps * length / -math.expm1(
         -2 * (pr.eta.real - abs(alpha)))
 
 
@@ -288,6 +312,13 @@ class TestConjugateNomes:
     their gamma factors (the rest are conjugates); they must match the full
     product forms, and keep their pole guard."""
 
+    # near the unit circle both forms err by 3-6e-15 against 40-digit
+    # products, more than 8 ulps over the pole distance alone
+    @example(pr=NomeParameters(0.1567732406447262j, 0.1567732406447262j, 1),
+             f=0.07903675877507665, si=Spin(0.0, 0),
+             sj=Spin(1.9297636514923717, 0), family=ModelFamily.ELLIPTIC)
+    @example(pr=NomeParameters(0.1j, 0.1j, 1), f=0.0078125, si=Spin(0.0, 0),
+             sj=Spin(0.0, 0), family=ModelFamily.ELLIPTIC)
     @given(conjugate_st, st.floats(-0.99, 0.99), spin_st, spin_st,
            st.sampled_from(PRODUCT_FAMILIES))
     @settings(max_examples=150, deadline=None)

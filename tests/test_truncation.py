@@ -170,6 +170,41 @@ class TestAgainstOracle:
                 diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
                 assert abs(diff) <= tail + SLACK
 
+    @given(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1,
+                    max_size=3), nome(0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_log_product_single(self, cs, a):
+        # b = 0: the single product (c; a)_inf, unguarded, as Q takes it; a
+        # staircase of rows of one factor each, up to about 50 of them
+        cs = np.array(cs, complex)
+        with mp.workdps(DPS):
+            wants = [Product().pochhammer(c, a) for c in cs]
+            out = pole_checked(
+                lambda: sf._log_product_2d(cs, a, 0.0, False),
+                min(w.margin for w in wants), guarded=False)
+            for lg, tail, want in zip(*out, wants):
+                diff = mp.mpc(lg) - mp.log(want.value)
+                diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
+                assert abs(diff) <= tail + SLACK
+
+    # Im(sigma + tau) >= 0.0336 keeps |pq| <= 0.9, the ratio (pq)^2 <= 0.81
+    @given(arg_z(0.3), st.integers(-3, 3),
+           st.builds(NomeParameters, modular(0.0168), modular(0.0168)))
+    @settings(max_examples=30, deadline=None)
+    def test_q_function(self, z, n, params):
+        def oracle():
+            p = mp_exp_i(pi_times(params.sigma))
+            q = mp_exp_i(pi_times(params.tau))
+            pq, e2 = p * q, mp_exp_i(2 * mp.mpc(z))
+            cn, cd = (q, p) if n >= 0 else (p, q)
+            return (Product().pochhammer(e2 * cn ** (2 * abs(n)) * pq, pq * pq)
+                    / Product().pochhammer(cd ** (2 * abs(n)) * pq / e2,
+                                           pq * pq))
+        # q_function returns no bound: its tails, below 1e-13 here, are
+        # within SLACK
+        compare(lambda: (models.q_function(z, n, params), 0.0), oracle,
+                guarded=True)
+
     @given(arg_z(1.0), nome(0.7071), nome(0.7071))
     @settings(max_examples=25, deadline=None)
     def test_elliptic_gamma(self, z, p, q):
