@@ -250,8 +250,10 @@ def _elliptic_logs(batches, params: NomeParameters) -> list:
     exp(l0 + l1 - l2 - l3) (``_log_ratio``).
 
     They are log Phi_{r,m} at each row, and at the conjugate nomes the real
-    2 Re log v1 = log |v1|^2 of its (pq, p^r) factor v1
-    (``lens_elliptic_gamma_factor``): there Phi(d + ia) / Phi(d - ia) =
+    2 Re log v1 = log |v1|^2 of its (pq, p^r) factor
+    v1(z) = Phi(z + (r/2 - [[m]]) pi sigma; pq, p^r)
+    (``special_functions._lens_factor``): there the other factor is
+    v2(z) = 1 / conj v1(conj z), so Phi(d + ia) / Phi(d - ia) =
     |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is one elliptic gamma batch in
     place of two, and its guarded products at +-ia are, up to conjugation,
     the ones the (pq, q^r) factor guards."""
@@ -378,11 +380,10 @@ def _centre_weight(params: NomeParameters, x, m) -> np.ndarray:
 def _q_products(e2, n, params: NomeParameters, guard_num=False):
     """Logs of the numerator and denominator products of Q(z, n)
     (``q_function``) at the phase e2 = e^{2iz}, on axis 0 of one batch,
-    from one unguarded ``_log_product_2d`` call of ratio (pq)^2.  A
-    denominator whose log is below log 1e-13 raises PoleHitError, and so
-    does a numerator where guard_num (a bool, or a bool array that
-    broadcasts against e2 and n) holds; elsewhere a numerator may vanish,
-    a log of -inf."""
+    from one ``_log_product_2d`` call of ratio (pq)^2 under its per-factor
+    pole guard: a denominator factor on the pole lattice raises
+    PoleHitError, and so does a numerator factor where the bool guard_num
+    is set; elsewhere a numerator may vanish, a log of -inf."""
     p, q = params.p, params.q
     pq = p * q
     # n takes a few values over a whole batch: each factor once, gathered;
@@ -394,11 +395,8 @@ def _q_products(e2, n, params: NomeParameters, guard_num=False):
     den = (pq * np.concatenate([q ** j[:0:-1], p ** j]))[i]
     with product_arguments():
         c, = stack_rows((e2 * num,), (den / e2,))
-    log, _ = sf._log_product_2d(c, pq * pq, 0.0, False)
-    pole = log.real < math.log(sf.POLE_FACTOR_EPS)
-    if pole[1].any() or np.any(guard_num & pole[0]):
-        raise PoleHitError("Q(z, n) evaluated at a pole")
-    return log
+    guard = np.array([guard_num, True]).reshape((2,) + (1,) * (c.ndim - 1))
+    return sf._log_product_2d(c, pq * pq, 0.0, guard)[0]
 
 
 def q_function(z: complex, n: int, params: NomeParameters) -> complex:

@@ -40,7 +40,9 @@ the e^{+-2iz} products of ``theta4``, the two products per grid of
 callers stack their own rows the same way (:func:`stack_rows`), so a
 weight or a whole integrand is one batch.  The pole guard is per element:
 a bool, or a bool array that broadcasts against the batch, so guarded
-denominators and unguarded 1/Gamma numerators share one call.
+denominators and unguarded 1/Gamma numerators (or Q's unguarded
+numerators, ``models._q_products``) share one call.  It is checked factor
+by factor, for every gamma-type product, in ``_product`` alone.
 
 A double product prod_{j,k} (1 - c a^j b^k) is split at |c a^j b^k| =
 ``_PEEL`` (0.05).  The factors at or above it, a staircase of rows j < J
@@ -54,11 +56,11 @@ epsilon, and the coefficients are cached.  With b = 0 it is a single
 product in log form, peeled the same way, as the q-limit weights take it
 (``models._q_products``); the public q-Pochhammer functions multiply a
 single product out whole (``_pochhammer_raw``).  The kernel lays a block
-out with the grid on axis 0 and the batch elements on axis 1 and reduces
-over axis 0, one whole row of elements per multiplication; a block holds
-at most ``_BLOCK`` factors, on both axes, and a longer grid is multiplied
-out over several blocks into a running product.  A one-factor grid skips
-the blocks.  A log is off from sum(log f) by a
+out with the whole grid on axis 0 and the batch elements on axis 1 and
+reduces over axis 0, one whole row of elements per multiplication; a
+block holds as many elements as fit in ``_BLOCK`` factors, and at least
+one, since ``MAX_PRODUCT_INDEX`` keeps every grid below ``_BLOCK``.  A
+one-factor grid skips the blocks.  A log is off from sum(log f) by a
 multiple of 2 pi i, which is harmless because callers only ever use exp
 of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
@@ -177,43 +179,41 @@ def product_arguments():
 def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     """prod_g (1 - c g) over the flat grid, per element of the array c.
 
-    Each block holds at most _BLOCK factors: the grid on axis 0, elements
-    of c on axis 1.  pole_guard is a bool or a bool array that broadcasts
-    against c.  Where it holds, a factor closer to zero than
-    POLE_FACTOR_EPS raises PoleHitError, and a product that underflows to
-    zero raises NonConvergenceError; elsewhere a product may vanish (a
-    genuine zero).  A product that is not finite in double precision
-    raises NonConvergenceError.
+    Each block holds the whole grid on axis 0 and, on axis 1, as many
+    elements of c as keep it within _BLOCK factors (one element at least,
+    for a grid longer than _BLOCK, which only a raised MAX_PRODUCT_INDEX
+    gives).  pole_guard is a bool or a bool array that broadcasts against
+    c.  Where it holds, a factor closer to zero than POLE_FACTOR_EPS raises
+    PoleHitError, and a product that underflows to zero raises
+    NonConvergenceError; elsewhere a product may vanish (a genuine zero).
+    A product that is not finite in double precision raises
+    NonConvergenceError.
     """
     if grid.size == 1:
         return _one_factor(c, grid, pole_guard)
     flat = c.reshape(-1)
     guard = np.full(c.shape, pole_guard, bool).reshape(-1)
-    size = max(grid.size, 1)
-    rows, cols = min(size, _BLOCK), max(1, _BLOCK // size)
-    out = np.ones(flat.shape, complex)
+    cols = max(1, _BLOCK // max(grid.size, 1))
+    out = np.empty(flat.shape, complex)
     # one block buffer for the whole call: numpy is several times slower
     # multiplying a broadcast pair into a fresh array than into this one
-    buf = np.empty((rows, min(cols, flat.size)), complex)
+    buf = np.empty((grid.size, min(cols, flat.size)), complex)
     # overflow is checked once below, on the finished products
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, flat.size, cols):
             cb, gb = flat[lo:lo + cols], guard[lo:lo + cols]
-            guarded = gb.any()
-            for g in range(0, grid.size, rows):
-                gg = grid[g:g + rows, None]
-                f = buf[:len(gg), :len(cb)]
-                np.multiply(gg, cb, out=f)
-                np.subtract(1.0, f, out=f)
-                if guarded:
-                    # |f| >= |Re f|: only a column with a small real part
-                    # can hold a small factor
-                    near = gb & (np.abs(f.real).min(axis=0) < POLE_FACTOR_EPS)
-                    if near.any() and np.abs(f[:, near]).min() < POLE_FACTOR_EPS:
-                        raise PoleHitError(
-                            "a product factor vanished: evaluation point is "
-                            "on (or too close to) the pole/zero lattice")
-                out[lo:lo + cols] *= f.prod(axis=0)
+            f = buf[:, :len(cb)]
+            np.multiply(grid[:, None], cb, out=f)
+            np.subtract(1.0, f, out=f)
+            if gb.any():
+                # |f| >= |Re f|: only a column with a small real part
+                # can hold a small factor
+                near = gb & (np.abs(f.real).min(axis=0) < POLE_FACTOR_EPS)
+                if near.any() and np.abs(f[:, near]).min() < POLE_FACTOR_EPS:
+                    raise PoleHitError(
+                        "a product factor vanished: evaluation point is "
+                        "on (or too close to) the pole/zero lattice")
+            f.prod(axis=0, out=out[lo:lo + cols])
     if not np.isfinite(out).all() or (guard & (out == 0)).any():
         raise NonConvergenceError(
             "product overflows or underflows double precision")
@@ -506,20 +506,6 @@ def _lens_gamma(e2, m, params: NomeParameters):
         e2q = e2 * (q ** (2 * np.arange(r) - r))[mod_bracket(m, r)]
     return _lens_factor(e2, m, params), _elliptic_gamma(e2q, params.p * q,
                                                         q ** r)
-
-
-def lens_elliptic_gamma_factor(z: complex, m: int, params: NomeParameters,
-                               with_bound: bool = False):
-    """The (pq, p^r) factor v1(z) = Phi(z + (r/2 - [[m]]) pi sigma; pq, p^r)
-    of ``lens_elliptic_gamma``, one elliptic_gamma batch under its pole
-    guard and finiteness errors.
-
-    At tau = -conj(sigma) (q = conj p) the other factor is
-    v2(z) = 1 / conj v1(conj z), so the lens function is
-    v1(z) / conj v1(conj z), and a ratio of it at conjugate points is
-    Phi_{r,m}(d + ia) / Phi_{r,m}(d - ia) = |v1(d + ia)|^2 / |v1(d - ia)|^2.
-    """
-    return _exp_result(*_lens_factor(_phase(z, 2), m, params), with_bound)
 
 
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,

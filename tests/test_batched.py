@@ -176,9 +176,9 @@ class TestSpecialFunctions:
         values, bounds = sf._pochhammer_raw(c, 0.5)
         assert (values == 1).all() and (bounds == 0).all()
 
-    def test_blocks_split_a_large_grid(self, monkeypatch):
-        # |ratio| = 0.999 needs more than _BLOCK factors per element, so each
-        # element's grid is multiplied out over several blocks
+    def test_a_grid_longer_than_a_block(self, monkeypatch):
+        # |ratio| = 0.999 under a raised cap needs more than _BLOCK factors
+        # per element, so each block holds one element's whole grid
         a = 0.999
         c = np.array([0.2 + 0.1j, -0.3j])
         monkeypatch.setattr(sf, "MAX_PRODUCT_INDEX", 50_000)

@@ -235,6 +235,18 @@ class TestQFunction:
         s = models.single_spin_qlimit(Spin(np.array([0.0, 0.5]), 0), pr)
         assert abs(s[0]) <= 1e-12 * abs(s[1])
 
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("n", [-2, 0, 3])
+    def test_pole_guard_past_the_first_factor(self, n, j):
+        # a denominator factor j > 0 on the lattice raises, however far
+        # from zero the factors before it lift the whole product: at
+        # n = 0, j = 1 the j = 0 factor is about -534
+        pr = physical_parameters(0.05, 0.5, 1)
+        pq = pr.p * pr.q
+        cd = (pr.p if n >= 0 else pr.q) ** (2 * abs(n))
+        with pytest.raises(PoleHitError):
+            models.q_function(cmath.log(cd * pq ** (2 * j + 1)) / 2j, n, pr)
+
     def test_inversion(self):
         pr = physical_parameters(0.05, 0.5, 1)
         for n in (-2, 0, 3):
@@ -371,6 +383,20 @@ class TestConjugateNomes:
             models.edge_weight(family, sign * pr.eta.real, s, s, pr)
         with pytest.raises(PoleHitError):
             reference_weight(family, sign * pr.eta.real, s, s, pr)
+
+    @pytest.mark.parametrize("reduced", [True, False],
+                             ids=["reduced", "full"])
+    def test_qlimit_guard_past_the_first_factor(self, monkeypatch, reduced):
+        # alpha = 3 eta with equal spins puts the +i alpha row's denominator
+        # factor j = 1 on the pole lattice, e^{2iz} = (pq)^3, while its
+        # j = 0 factor is far from zero
+        pr = physical_parameters(0.05, 0.5, 1)
+        if not reduced:
+            monkeypatch.setattr(models, "_conjugate_nomes", lambda pr: False)
+        s = Spin(0.4, 0)
+        rows = models._edge_rows(3 * pr.eta.real, s, s)
+        with pytest.raises(PoleHitError):
+            models._edge_logs(ModelFamily.Q_LIMIT, [rows], pr)
 
     @pytest.mark.parametrize("family", PRODUCT_FAMILIES)
     def test_far_off_axis_raises(self, family):

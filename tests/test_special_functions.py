@@ -274,8 +274,6 @@ class TestBoundsOnlyWhenAsked:
         "theta4": lambda pr, z, wb: sf.theta4(z, pr.p, with_bound=wb),
         "elliptic_gamma": lambda pr, z, wb: sf.elliptic_gamma(
             z, pr.p, pr.q, with_bound=wb),
-        "lens_elliptic_gamma_factor": lambda pr, z, wb:
-            sf.lens_elliptic_gamma_factor(z, 1, pr, with_bound=wb),
         "lens_elliptic_gamma": lambda pr, z, wb: sf.lens_elliptic_gamma(
             z, 1, pr, with_bound=wb),
         "lens_gamma_appendix": lambda pr, z, wb: sf.lens_gamma_appendix(

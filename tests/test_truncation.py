@@ -187,23 +187,46 @@ class TestAgainstOracle:
                 diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
                 assert abs(diff) <= tail + SLACK
 
-    # Im(sigma + tau) >= 0.0336 keeps |pq| <= 0.9, the ratio (pq)^2 <= 0.81
+    # Im(sigma + tau) >= 0.0336 keeps |pq| <= 0.9, the ratio (pq)^2 <= 0.81.
+    # near, when drawn, is (in_den, j, e, t): z is moved so that the factor
+    # j of the denominator (in_den) or of the numerator is 10^e e^{it} from
+    # zero
+    @example(z=0j, n=0, params=physical_parameters(0.05, 0.5, 1),
+             near=(True, 1, -16.0, 0.0))
     @given(arg_z(0.3), st.integers(-3, 3),
-           st.builds(NomeParameters, modular(0.0168), modular(0.0168)))
-    @settings(max_examples=30, deadline=None)
-    def test_q_function(self, z, n, params):
-        def oracle():
+           st.builds(NomeParameters, modular(0.0168), modular(0.0168)),
+           st.none() | st.tuples(st.booleans(), st.integers(0, 2),
+                                 st.floats(-16.0, -2.0),
+                                 st.floats(-math.pi, math.pi)))
+    @settings(max_examples=60, deadline=None)
+    def test_q_function(self, z, n, params, near):
+        cn, cd = ((params.q, params.p) if n >= 0
+                  else (params.p, params.q))
+        cn, cd = cn ** (2 * abs(n)), cd ** (2 * abs(n))
+        if near is not None:
+            in_den, j, e, t = near
+            g = (params.p * params.q) ** (2 * j + 1)
+            # the factor is 1 - x
+            x = 1 - 10 ** e * cmath.exp(1j * t)
+            z = cmath.log(cd * g / x if in_den else x / (cn * g)) / 2j
+        with mp.workdps(DPS):
             p = mp_exp_i(pi_times(params.sigma))
             q = mp_exp_i(pi_times(params.tau))
             pq, e2 = p * q, mp_exp_i(2 * mp.mpc(z))
-            cn, cd = (q, p) if n >= 0 else (p, q)
-            return (Product().pochhammer(e2 * cn ** (2 * abs(n)) * pq, pq * pq)
-                    / Product().pochhammer(cd ** (2 * abs(n)) * pq / e2,
-                                           pq * pq))
-        # q_function returns no bound: its tails, below 1e-13 here, are
-        # within SLACK
-        compare(lambda: (models.q_function(z, n, params), 0.0), oracle,
-                guarded=True)
+            mn, md = (q, p) if n >= 0 else (p, q)
+            num = Product().pochhammer(e2 * mn ** (2 * abs(n)) * pq, pq * pq)
+            den = Product().pochhammer(md ** (2 * abs(n)) * pq / e2, pq * pq)
+            # q_function guards its denominator only: a numerator factor at
+            # zero is a genuine zero of Q
+            value = pole_checked(lambda: models.q_function(z, n, params),
+                                 den.margin, guarded=True)
+            if value is None:
+                return
+            assume(num.margin >= MARGIN)
+            want = (num / den).value
+            # q_function returns no bound: its tails, below 1e-13 here, are
+            # within SLACK
+            assert abs(mp.mpc(value) - want) <= SLACK * abs(want)
 
     @given(arg_z(1.0), nome(0.7071), nome(0.7071))
     @settings(max_examples=25, deadline=None)
