@@ -218,8 +218,8 @@ def _sample_t(rng, n: int, span: float, floor: float = 0.0):
     share = 0.4 / n + 0.6 * rng.dirichlet([2.0] * n)
     im = floor + (span - n * floor) * share
     re = rng.uniform(-0.8, 0.8, n)
-    re -= re.mean()
-    return [complex(a, b) for a, b in zip(re, im)]
+    re -= re.sum() / n   # re.mean(), without its Python-level wrapper
+    return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
 
 
 def sample_master_case(rng, params: NomeParameters):

@@ -12,19 +12,20 @@ cached per params, and the scalar ``kappa_elliptic`` and ``kappa_qlimit``
 per (alpha, params).
 
 A weight, or a star-triangle integrand, is one batch of gamma factors:
-its rows are stacked on axis 0 (``_edge_rows``), three edges are one more
-axis, and rows of different shapes, such as a right side's beside an
-integrand's nodes, share one flat batch (``join_batches``).  A row enters
+one builder, ``_edge_logs``, writes the rows of every edge it is given
+(``_edge_rows``; three edges of a star are one more axis, and a right
+side's edges ride beside an integrand's nodes) into one flat array, rows
+on axis 0, and hands it to one kernel call per nome grid.  A row enters
 the batch as its phase e^{2iz}, a product of per-spin phases, so a star
 takes one exp per centre angle to build its rows.  The rows of both
-product families come back as logs (``_edge_logs``): the lens elliptic
-gamma function's from the elliptic gamma kernel, Q's from its numerator
-and denominator q-Pochhammer products in one ``_log_product_2d`` call.  A
-weight is its prefactor over kappa times the exp of its rows' log ratio,
-and a star integrand sums the log ratios of its three edges and
-exponentiates once per centre spin.  What depends on the nomes and the
-node grid alone, the single-spin weights, is cached per grid
-(``grid_cache``).
+product families come back as logs: the lens elliptic gamma function's
+from the elliptic gamma kernel, Q's from its numerator and denominator
+q-Pochhammer products in one ``_log_product_2d`` call, and each edge's
+log ratio is formed from them in one pass.  A weight is its prefactor
+over kappa times the exp of its log ratio, and a star integrand sums the
+log ratios of its three edges and exponentiates once per centre spin.
+What depends on the nomes and the node grid alone, the single-spin
+weights, is cached per grid (``grid_cache``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,13 +53,11 @@ from .special_functions import (
     _phase,
     _term_count,
     bracket_pm,
-    join_batches,
     lens_elliptic_gamma,
     mod_bracket,
     product_arguments,
     python_scalar,
     qpochhammer_inf,
-    split_batches,
     stack_rows,
     theta4,
 )
@@ -129,13 +129,14 @@ def _kappa_log(alpha, params: NomeParameters, family: ModelFamily):
                     TERM_EPSILON * 1e2, MAX_SUM_TERMS, what="kappa series")
     size = 1 << max(4, (n - 1).bit_length())
     k, k_logw, factor = (a[:n] for a in _kappa_series(params, family, size))
-    a4 = 4 * alpha[..., None]
+    a4k = 4 * alpha[..., None] * k
     # exponents combined before exponentiating: e^{4 a n} alone can
     # overflow for alpha near eta even though the term is tiny
-    terms = (np.exp(a4 * k + k_logw) - np.exp(-a4 * k + k_logw)) * factor / k
+    terms = (np.exp(a4k + k_logw) - np.exp(k_logw - a4k)) * factor / k
     return terms.sum(axis=-1)
 
 
+@lru_cache(maxsize=32)
 def _kappa_bound(params: NomeParameters, family: ModelFamily) -> float:
     """A bound on |factor(k)|, k >= 1, of the family's kappa series."""
     w = abs(params.p * params.q)
@@ -213,20 +214,18 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
 
 
 def _edge_rows(alpha, si: Spin, sj: Spin):
-    """(e^{2iz}, m) of the four gamma factors of the edge weight
-    W_alpha(si, sj), on a new axis 0: G(dx + i alpha, dm) G(sx + i alpha,
-    sm) / (G(dx - i alpha, dm) G(sx - i alpha, sm)), with G the lens
-    elliptic gamma function or its q-limit Q, dx, dm the differences and
-    sx, sm the sums of the spins; alpha and the spins broadcast.  The
-    phases are products of e^{2i xi}, e^{-+2i xj} and e^{-+2 alpha}, so a
-    star's rows take one exp per centre angle, and a difference dx = 0
-    gives e^{-+2 alpha} to the rounding of the real factor alone."""
-    dm, sm = si.m - sj.m, si.m + sj.m
+    """The gamma rows of the edge weight W_alpha(si, sj), G(dx + i alpha,
+    dm) G(sx + i alpha, sm) / (G(dx - i alpha, dm) G(sx - i alpha, sm)),
+    with G the lens elliptic gamma function or its q-limit Q, dx, dm the
+    differences and sx, sm the sums of the spins; alpha and the spins
+    broadcast.  Returns (e^{2i dx}, e^{2i sx}, e^{-2 alpha}, dm, sm), of
+    which ``_edge_logs`` forms the rows' phases e^{2iz} = e^{2i dx}
+    e^{-+2 alpha} and e^{2i sx} e^{-+2 alpha}: a star's rows take one exp
+    per centre angle, and a difference dx = 0 gives e^{-+2 alpha} to the
+    rounding of the real factor alone."""
     with product_arguments():
-        ei, ej, ea = np.exp(2j * si.x), np.exp(2j * sj.x), np.exp(-2 * alpha)
-        d, s = ei / ej, ei * ej
-        return stack_rows((d * ea, dm), (s * ea, sm), (d / ea, dm),
-                          (s / ea, sm))
+        ei, ej = np.exp(2j * si.x), np.exp(2j * sj.x)
+        return ei / ej, ei * ej, np.exp(-2 * alpha), si.m - sj.m, si.m + sj.m
 
 
 def _prefactor(family: ModelFamily, alpha, si: Spin, sj: Spin,
@@ -244,38 +243,55 @@ def _prefactor(family: ModelFamily, alpha, si: Spin, sj: Spin,
     return pref / kappas
 
 
-def _elliptic_logs(batches, params: NomeParameters) -> list:
-    """Logs l of the elliptic edge rows of each batch (``_edge_rows``),
-    all in one flat batch, such that each edge's gamma ratio is
-    exp(l0 + l1 - l2 - l3) (``_log_ratio``).
-
-    They are log Phi_{r,m} at each row, and at the conjugate nomes the real
-    2 Re log v1 = log |v1|^2 of its (pq, p^r) factor
+def _elliptic_logs(e2, m, params: NomeParameters):
+    """Logs of the elliptic rows at the phases e2 and integer parts m, one
+    flat batch: log Phi_{r,m} at each row, and at the conjugate nomes the
+    real 2 Re log v1 = log |v1|^2 of its (pq, p^r) factor
     v1(z) = Phi(z + (r/2 - [[m]]) pi sigma; pq, p^r)
     (``special_functions._lens_factor``): there the other factor is
     v2(z) = 1 / conj v1(conj z), so Phi(d + ia) / Phi(d - ia) =
     |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is one elliptic gamma batch in
     place of two, and its guarded products at +-ia are, up to conjugation,
     the ones the (pq, q^r) factor guards."""
-    (e2, m), shapes = join_batches(*batches)
     if not _conjugate_nomes(params):
         (l1, _), (l2, _) = sf._lens_gamma(e2, m, params)
-        return split_batches(l1 + l2, shapes)
-    return split_batches(2 * sf._lens_factor(e2, m, params)[0].real, shapes)
+        return l1 + l2
+    return 2 * sf._lens_factor(e2, m, params)[0].real
 
 
-def _log_ratio(l):
-    """log of an edge's gamma ratio from the logs l of its four rows."""
-    return l[0] + l[1] - l[2] - l[3]
+def _edge_logs(family: ModelFamily, edges, params: NomeParameters) -> list:
+    """The log of the gamma ratio of each edge of edges (``_edge_rows``),
+    of the elliptic or the q-limit family, in the edge's broadcast shape.
 
-
-def _edge_logs(family: ModelFamily, batches, params: NomeParameters):
-    """The logs of the edge rows of each batch, all in one flat batch, of
-    the elliptic (``_elliptic_logs``) or the q-limit family
+    Every edge's rows are written once into one flat batch, the rows on
+    axis 0 and the edges' elements in turn on axis 1, whose phases and
+    integer parts go to one kernel call per nome grid
+    (``_elliptic_logs``, ``_qlimit_logs``); an edge's log ratio is
+    l0 + l1 - l2 - l3 of its rows' logs, formed for every edge at once.
+    At the conjugate nomes the q-limit rows are the +i alpha rows alone
     (``_qlimit_logs``)."""
-    if family is ModelFamily.ELLIPTIC:
-        return _elliptic_logs(batches, params)
-    return _qlimit_logs(batches, params)
+    qlimit = family is ModelFamily.Q_LIMIT
+    half = qlimit and _conjugate_nomes(params)
+    rows = 2 if half else 4
+    shapes = [np.broadcast(*edge).shape for edge in edges]
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    e2 = np.empty((rows, ends[-1]), complex)
+    m = np.empty((rows, ends[-1]), int)
+    for (d, s, ea, dm, sm), shape, lo, hi in zip(edges, shapes, ends,
+                                                  ends[1:]):
+        e, n = (x[:, lo:hi].reshape((rows,) + shape) for x in (e2, m))
+        with product_arguments():
+            np.multiply(d, ea, out=e[0, ...])
+            np.multiply(s, ea, out=e[1, ...])
+            if not half:
+                np.divide(d, ea, out=e[2, ...])
+                np.divide(s, ea, out=e[3, ...])
+        n[0::2], n[1::2] = dm, sm
+    logs = (_qlimit_logs if qlimit else _elliptic_logs)(
+        e2.reshape(-1), m.reshape(-1), params).reshape(4, -1)
+    ratio = logs[0] + logs[1] - logs[2] - logs[3]
+    return [ratio[lo:hi].reshape(shape)
+            for shape, lo, hi in zip(shapes, ends, ends[1:])]
 
 
 def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
@@ -285,7 +301,7 @@ def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
     if np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
     l, = _edge_logs(family, [_edge_rows(alpha, si, sj)], params)
-    return python_scalar(_exp_result(_log_ratio(l), None, False) * _prefactor(
+    return python_scalar(_exp_result(l, None, False) * _prefactor(
         family, alpha, si, sj, params, kappa(family, alpha, params)))
 
 
@@ -393,8 +409,11 @@ def _q_products(e2, n, params: NomeParameters, guard_num=False):
     i = np.add(n, k)
     num = (pq * np.concatenate([p ** j[:0:-1], q ** j]))[i]
     den = (pq * np.concatenate([q ** j[:0:-1], p ** j]))[i]
+    c = np.empty((2,) + np.broadcast_shapes(np.shape(e2), np.shape(n)),
+                 complex)
     with product_arguments():
-        c, = stack_rows((e2 * num,), (den / e2,))
+        np.multiply(e2, num, out=c[:1])
+        np.divide(den, e2, out=c[1:])
     guard = np.array([guard_num, True]).reshape((2,) + (1,) * (c.ndim - 1))
     return sf._log_product_2d(c, pq * pq, 0.0, guard)[0]
 
@@ -410,27 +429,21 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     return _exp_result(ln - ld, None, False)
 
 
-def _qlimit_logs(batches, params: NomeParameters) -> list:
-    """Logs l of the q-limit edge rows of each batch (``_edge_rows``), all
-    in one flat batch, such that each edge's Q ratio is exp(l0 + l1 - l2 -
-    l3) (``_log_ratio``).
+def _qlimit_logs(e2, n, params: NomeParameters):
+    """Logs of the q-limit edge rows at the phases e2 and integer parts n,
+    one flat batch: log Q = log num - log den at each row.
 
-    They are log Q = log num - log den at each row.  At the conjugate nomes
-    Q(conj z, n) = 1 / conj Q(z, n), so an edge ratio Q(d + ia) Q(s + ia) /
-    (Q(d - ia) Q(s - ia)) is |num(d + ia) num(s + ia)|^2 /
-    |den(d + ia) den(s + ia)|^2: only the +ia rows are evaluated, and the
-    rows are the real 2 Re log num and 2 Re log den of those.  Every
-    denominator is guarded, as in q_function, and so is every numerator,
+    At the conjugate nomes Q(conj z, n) = 1 / conj Q(z, n), so an edge
+    ratio Q(d + ia) Q(s + ia) / (Q(d - ia) Q(s - ia)) is
+    |num(d + ia) num(s + ia)|^2 / |den(d + ia) den(s + ia)|^2: the rows are
+    the +ia rows alone (``_edge_logs``), and the logs are the real
+    2 Re log num of each and then 2 Re log den of each.  Every denominator
+    is guarded, as in q_function, and so is every numerator there,
     num(z) being conj den(conj z), which the -ia rows would guard."""
     if not _conjugate_nomes(params):
-        (e2, n), shapes = join_batches(*batches)
         ln, ld = _q_products(e2, n, params)
-        return split_batches(ln - ld, shapes)
-    (e2, n), shapes = join_batches(*[(e2[:2], n[:2]) for e2, n in batches])
-    # numerators and denominators on axis 0 of each batch's logs; per edge
-    # 2 Re log of num d, num s, den d, den s
-    return [2 * l.real.reshape((4,) + l.shape[2:]) for l in
-            split_batches(_q_products(e2, n, params, True), shapes)]
+        return ln - ld
+    return 2 * _q_products(e2, n, params, True).real
 
 
 def weight_qlimit(alpha, si: Spin, sj: Spin,
@@ -506,22 +519,22 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
                              * weight_gamma(alpha, edges, s0).prod(axis=0))
     if kappas is None:
         kappas = kappa(family, alphas, params)
-    batches = [_edge_rows(alpha, edges, s0)]
+    rows = [_edge_rows(alpha, edges, s0)]
     if right_side is not None:
-        batches.append(_edge_rows(*right_side[:3]))
-    l = _edge_logs(family, batches, params)
+        rows.append(_edge_rows(*right_side[:3]))
+    l = _edge_logs(family, rows, params)
     pref = _prefactor(family, alpha, edges, s0, params,
                       np.reshape(kappas, alpha.shape))
     single = (centre_weight(s0, params) if family is ModelFamily.ELLIPTIC
               else _single_spin_qlimit(params, s0.x, s0.m))
     # the edges' log ratios summed: one exp per centre spin
-    value = single * pref.prod(axis=0) * _exp_result(
-        _log_ratio(l[0]).sum(axis=0), None, False)
+    value = single * pref.prod(axis=0) * _exp_result(l[0].sum(axis=0),
+                                                     None, False)
     if right_side is None:
         return python_scalar(value)
     rhs = _prefactor(family, *right_side[:3], params, right_side[3])
     return python_scalar(value), python_scalar(
-        (rhs * _exp_result(_log_ratio(l[1]), None, False)).prod())
+        (rhs * _exp_result(l[1], None, False)).prod())
 
 
 def _gamma_pair(loggamma, a: complex, b: complex) -> complex:

@@ -37,8 +37,9 @@ A function makes one kernel call per nome grid: the products that share a
 grid (numerator and denominator of ``elliptic_gamma``, the constant and
 the e^{+-2iz} products of ``theta4``, the two products per grid of
 ``lens_gamma_appendix``) are stacked on a new axis 0 of one batch, and
-callers stack their own rows the same way (:func:`stack_rows`), so a
-weight or a whole integrand is one batch.  The pole guard is per element:
+callers lay their own rows out the same way (:func:`stack_rows`, or the
+edge-row builder ``models._edge_logs``), so a weight or a whole integrand
+is one batch.  The pole guard is per element:
 a bool, or a bool array that broadcasts against the batch, so guarded
 denominators and unguarded 1/Gamma numerators (or Q's unguarded
 numerators, ``models._q_products``) share one call.  It is checked factor
@@ -192,7 +193,9 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     if grid.size == 1:
         return _one_factor(c, grid, pole_guard)
     flat = c.reshape(-1)
-    guard = np.full(c.shape, pole_guard, bool).reshape(-1)
+    # a plain False guard (zeros allowed everywhere) needs no guard array
+    guard = (None if pole_guard is False
+             else np.full(c.shape, pole_guard, bool).reshape(-1))
     cols = max(1, _BLOCK // max(grid.size, 1))
     out = np.empty(flat.shape, complex)
     # one block buffer for the whole call: numpy is several times slower
@@ -201,11 +204,12 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     # overflow is checked once below, on the finished products
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, flat.size, cols):
-            cb, gb = flat[lo:lo + cols], guard[lo:lo + cols]
+            cb = flat[lo:lo + cols]
             f = buf[:, :len(cb)]
             np.multiply(grid[:, None], cb, out=f)
             np.subtract(1.0, f, out=f)
-            if gb.any():
+            gb = None if guard is None else guard[lo:lo + cols]
+            if gb is not None and gb.any():
                 # |f| >= |Re f|: only a column with a small real part
                 # can hold a small factor
                 near = gb & (np.abs(f.real).min(axis=0) < POLE_FACTOR_EPS)
@@ -214,7 +218,8 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
                         "a product factor vanished: evaluation point is "
                         "on (or too close to) the pole/zero lattice")
             f.prod(axis=0, out=out[lo:lo + cols])
-    if not np.isfinite(out).all() or (guard & (out == 0)).any():
+    if not np.isfinite(out).all() or (
+            guard is not None and (guard & (out == 0)).any()):
         raise NonConvergenceError(
             "product overflows or underflows double precision")
     return out.reshape(c.shape)
@@ -316,8 +321,11 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
     # J, so each element gets at least the bound of its own staircase.
     tail = np.minimum(ac, TERM_EPSILON) * (
         (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab)))
-    log = np.zeros(c.shape, complex)
-    for w in coef[::-1]:
+    # Horner, from the last coefficient (none: a zero log series); a 0-d
+    # c gives a 0-d array, which the steps below update in place
+    log = (np.asarray(c * coef[-1]) if n_terms
+           else np.zeros(c.shape, complex))
+    for w in coef[-2::-1]:
         log += w
         log *= c
     if grid.size:
@@ -486,14 +494,27 @@ def elliptic_gamma(z: complex, p: complex, q: complex,
     return _exp_result(*_elliptic_gamma(_phase(z, 2), p, q), with_bound)
 
 
+@lru_cache(maxsize=32)
+def _lens_shifts(params: NomeParameters):
+    """The phase factors p^{r - 2[[m]]} and q^{2[[m]] - r} of the two
+    factors of ``lens_elliptic_gamma``, per residue [[m]] = 0..r-1,
+    read-only: m takes a few values over a whole batch, so each factor is
+    formed once per nomes and gathered."""
+    r = params.r
+    j = np.arange(r)
+    out = params.p ** (r - 2 * j), params.q ** (2 * j - r)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _lens_factor(e2, m, params: NomeParameters):
     """log of the (pq, p^r) factor v1 of ``lens_elliptic_gamma`` at the
     phase e2 = e^{2iz}, and its log tail.  The shift of its argument by
     (r/2 - [[m]]) pi sigma multiplies the phase by p^{r - 2[[m]]}."""
     r, p = params.r, params.p
-    # m takes a few values over a whole batch: each power once, gathered
     with product_arguments():
-        e2 = e2 * (p ** (r - 2 * np.arange(r)))[mod_bracket(m, r)]
+        e2 = e2 * _lens_shifts(params)[0][mod_bracket(m, r)]
     return _elliptic_gamma(e2, p * params.q, p ** r)
 
 
@@ -503,7 +524,7 @@ def _lens_gamma(e2, m, params: NomeParameters):
     over (pq, q^r) at the phase times q^{2[[m]] - r}."""
     r, q = params.r, params.q
     with product_arguments():
-        e2q = e2 * (q ** (2 * np.arange(r) - r))[mod_bracket(m, r)]
+        e2q = e2 * _lens_shifts(params)[1][mod_bracket(m, r)]
     return _lens_factor(e2, m, params), _elliptic_gamma(e2q, params.p * q,
                                                         q ** r)
 
@@ -571,12 +592,34 @@ def lens_gamma_appendix(z: complex, m: int, params: NomeParameters,
                                              allow_zero), with_bound)
 
 
-def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:
-    """Closed-form exponent phi(z, m) of the lens theta function."""
+@lru_cache(maxsize=32)
+def _lens_theta_residues(params: NomeParameters):
+    """What the lens theta function takes from m, per residue [[m]] =
+    0..r-1, read-only: the powers q^{[[-m]]} and q^{r-[[-m]]} of its
+    product arguments, and c_m = zeta (r-1)(r+1)/3 - i pi (tau+2) [[m]]_pm
+    and k_m = r - 1 - 2[[-m]] of its exponent (``lens_theta_exponent``).
+    m takes a few values over a whole batch, so each is formed once per
+    nomes and gathered."""
     r = params.r
-    return (params.zeta * (r - 1) * (r + 1) / 3
-            - 1j * math.pi * (params.tau + 2) * bracket_pm(m, r)
-            - 1j * (z + math.pi) * (r - 1 - 2 * mod_bracket(-m, r))) / (2 * r)
+    j = np.arange(r)
+    brm = -j % r
+    qw = params.q ** np.arange(r + 1)
+    out = (qw[brm], qw[r - brm],
+           params.zeta * (r - 1) * (r + 1) / 3
+           - 1j * math.pi * (params.tau + 2) * (j * brm),
+           r - 1 - 2 * brm)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:
+    """Closed-form exponent phi(z, m) of the lens theta function:
+    (zeta (r-1)(r+1)/3 - i pi (tau+2) [[m]]_pm - i (z + pi)(r - 1 - 2[[-m]]))
+    / (2r)."""
+    *_, c, k = _lens_theta_residues(params)
+    j = mod_bracket(m, params.r)
+    return python_scalar((c[j] - 1j * (z + math.pi) * k[j]) / (2 * params.r))
 
 
 def lens_theta(z: complex, m: int, params: NomeParameters,
@@ -586,12 +629,14 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
                                      (e^{-iz} q^{r-[[-m]]}; q^r)_inf.
     """
     r = params.r
-    q = params.q
-    brm = mod_bracket(-m, r)
+    qp, qm, _, _ = _lens_theta_residues(params)
+    j = mod_bracket(m, r)
+    # both products' arguments in one batch, written in place
+    c = np.empty((2,) + np.broadcast(z, j).shape, complex)
     with product_arguments():
-        c, = stack_rows((np.exp(1j * z) * q ** brm,),
-                        (np.exp(-1j * z) * q ** (r - brm),))
-    (c1, c2), (t1, t2) = _pochhammer_raw(c, q ** r)
+        np.multiply(np.exp(1j * z), qp[j], out=c[0, ...])
+        np.multiply(np.exp(-1j * z), qm[j], out=c[1, ...])
+    (c1, c2), (t1, t2) = _pochhammer_raw(c, params.q ** r)
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(lens_theta_exponent(z, m, params)) * c1 * c2
     return _result(value, t1 + t2, with_bound)

@@ -59,16 +59,19 @@ def make_report(name: str, record: dict, lhs: complex, rhs: complex,
     """Report comparing lhs with rhs.  Its checks are ``residual`` (the
     relative residual within tol, or the absolute one when |rhs| < 1e-10),
     left out when ``residual`` is false, followed by the verifier's own
-    ``checks``."""
-    lhs, rhs = complex(lhs), complex(rhs)
+    ``checks``.  The residuals are formed from the sides as given, so
+    sides of more than double precision (mpmath numbers) give their own
+    residual; the report holds the sides as Python complex numbers and
+    the residuals as floats."""
     abs_res = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
-    rel_res = abs_res / denom if denom > 0 else abs_res
+    rel_res = float(abs_res / denom if denom > 0 else abs_res)
+    abs_res = float(abs_res)
     if residual:
         ok = (abs_res <= tol) if abs(rhs) < 1e-10 else (rel_res <= tol)
         checks = {"residual": ok, **(checks or {})}
-    return VerificationReport(name, record, lhs, rhs, abs_res, rel_res,
-                              tol, checks or {}, meta or {})
+    return VerificationReport(name, record, complex(lhs), complex(rhs),
+                              abs_res, rel_res, tol, checks or {}, meta or {})
 
 
 def _converged(res):
@@ -194,13 +197,15 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
     # the scale of the identity so the relative residual is meaningful
     qtol = rel * min(1.0, max(abs(rhs), 1e-12))
     weight = np.where(elliptic | (m0 == 0), 1.0, 2.0)[:, None]
-    last = np.zeros(2)   # the largest |row M - 1| and |row M| so far
+    # q-limit: the largest |row M - 1| and |row M| so far, for the tail
+    last = None if elliptic else np.zeros(2)
 
     def integrand(x0):
         v = first if x0 is nodes else models.star_integrand(
             family, Spin(x0, m0[:, None]), spins, crossed, params,
             kappas=kappas[3:])
-        np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
+        if last is not None:
+            np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
         return (weight * v).sum(axis=0)
     res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
                                                  vectorized=True,
@@ -496,38 +501,46 @@ RECOMPUTE_DPS = 30
 DOUBLE_DPS = 16
 
 
+#: the fourteen lens theta arguments per point z of the difference
+#: identity, t_i + z and t_i - z for i = 0..4, +-2z and A +- z, as
+#: (which of t_0..t_4, then 0 or A) + (coefficient) z
+_POINT_COEFFICIENTS = np.array([1] * 5 + [-1] * 5 + [2, -2, 1, -1])
+
+
 def _theta_arguments(zs, y, t, u):
     """Arguments (x, m) of the lens theta functions of both sides of the
-    difference identity, at every point of zs: first the nine that do not
-    depend on z, theta(t_0 + t_i) and theta(A - t_i) for i = 1..4 and
-    theta(t_0 + A), then fourteen per point, theta(t_i + z),
-    theta(t_i - z) for i = 0..4, theta(+-2z) and theta(A +- z).  t is an
-    array of complex or of mpmath numbers, u one of integers."""
+    difference identity, at every point of the 1-d array zs: first the nine
+    that do not depend on z, theta(t_0 + t_i) and theta(A - t_i) for
+    i = 1..4 and theta(t_0 + A), then fourteen per point, theta(t_i + z),
+    theta(t_i - z) for i = 0..4, theta(+-2z) and theta(A +- z), all points'
+    in one broadcast pass.  t is an array of complex or of mpmath numbers
+    (zs likewise), u one of integers."""
     A, U = sum(t), sum(u)
-    xs = [t[0] + t[1:], A - t[1:], [t[0] + A]]
-    ms = [u[0] + u[1:], U - u[1:], [u[0] + U]]
-    for z in zs:
-        xs += [t + z, t - z, [2 * z, -2 * z, A + z, A - z]]
-        ms += [u + y, u - y, [2 * y, -2 * y, U + y, U - y]]
-    return np.concatenate(xs), np.concatenate(ms)
+    k = _POINT_COEFFICIENTS
+    x = np.concatenate([t[0] + t[1:], A - t[1:], [t[0] + A],
+                        (np.concatenate([t, t, [0, 0, A, A]])
+                         + k * zs[:, None]).reshape(-1)])
+    m = np.concatenate([u[0] + u[1:], U - u[1:], [u[0] + U]]
+                       + [np.concatenate([u, u, [0, 0, U, U]]) + k * y]
+                       * len(zs))
+    return x, m
 
 
-def _theta_sides(v, k, z, y, t0, u0, r, exp, pi):
-    """lhs, rhs and rhs_cancellation at point k, z, of the lens theta values
-    v laid out by _theta_arguments, in the precision of v, exp and pi."""
-    c, w = v[:9], v[9 + 14 * k:23 + 14 * k]
-    lhs = w[0] * w[5] / (w[12] * w[13]) * c[4:8].prod() / c[:4].prod() - 1
-    pref = -exp(1j * t0 / r) * c[8] / c[:4].prod()
-    term_p = (exp(-1j * z / r + 2j * pi * sf.mod_bracket(y - u0, r) / r)
-              * w[:5].prod() / (w[10] * w[12]))
-    term_m = (exp(1j * z / r)
+def _theta_sides(v, zs, y, t0, u0, r, exp, pi):
+    """lhs, rhs and the right side's two terms (term_p, term_m) at every
+    point of zs, from the lens theta values v laid out by _theta_arguments,
+    in the precision of v, exp (elementwise) and pi."""
+    c, w = v[:9], v[9:].reshape(-1, 14).T
+    den = c[:4].prod()
+    lhs = w[0] * w[5] / (w[12] * w[13]) * c[4:8].prod() / den - 1
+    pref = -exp(1j * t0 / r) * c[8] / den
+    term_p = (exp(-1j * zs / r + 2j * pi * sf.mod_bracket(y - u0, r) / r)
+              * w[:5].prod(axis=0) / (w[10] * w[12]))
+    term_m = (exp(1j * zs / r)
               * exp(2j * pi * (sf.mod_bracket(y - u0 + 1, r)
                                + sf.mod_bracket(-2 * y - 1, r)) / r)
-              * w[5:10].prod() / (w[11] * w[13]))
-    total = term_p + term_m
-    cancellation = ((abs(term_p) + abs(term_m)) / abs(total) if total
-                    else math.inf)
-    return lhs, pref * total, cancellation
+              * w[5:10].prod(axis=0) / (w[11] * w[13]))
+    return lhs, pref * (term_p + term_m), (term_p, term_m)
 
 
 def theta_difference_sides(z, y: int, t: Sequence[complex],
@@ -538,18 +551,22 @@ def theta_difference_sides(z, y: int, t: Sequence[complex],
     the factor by which their rounding errors grow in the sum.
 
     z is a point or an array of points.  Every lens theta function of both
-    sides, at every point, is one batched call, and the nine that do not
-    depend on z are evaluated once.  Returns (lhs, rhs, rhs_cancellation),
-    each of the shape of z (Python scalars for a scalar z)."""
+    sides, at every point, is one batched call, the nine that do not
+    depend on z are evaluated once, and the sides of all points are formed
+    in one array pass.  Returns (lhs, rhs, rhs_cancellation), each of the
+    shape of z (Python scalars for a scalar z)."""
     zs = np.asarray(z, complex)
-    x, m = _theta_arguments(zs.reshape(-1), y, np.array(t, complex),
-                            np.array(u))
-    v = sf.lens_theta(x, m, params)
-    sides = [_theta_sides(v, k, zk, y, t[0], u[0], params.r, cmath.exp,
-                          math.pi)
-             for k, zk in enumerate(zs.reshape(-1))]
-    return tuple(sf.python_scalar(np.reshape(side, zs.shape))
-                 for side in zip(*sides))
+    flat = zs.reshape(-1)
+    x, m = _theta_arguments(flat, y, np.array(t, complex), np.array(u))
+    lhs, rhs, (term_p, term_m) = _theta_sides(
+        sf.lens_theta(x, m, params), flat, y, t[0], u[0], params.r, np.exp,
+        math.pi)
+    total = np.abs(term_p + term_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancellation = np.where(total != 0, (np.abs(term_p) + np.abs(term_m))
+                                / total, math.inf)
+    return tuple(sf.python_scalar(side.reshape(zs.shape))
+                 for side in (lhs, rhs, cancellation))
 
 
 def _lens_theta_mp(x, m, params: NomeParameters, mp):
@@ -582,18 +599,20 @@ def _lens_theta_mp(x, m, params: NomeParameters, mp):
 def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
                          u: Sequence[int], params: NomeParameters):
     """lhs, rhs and period_shift_residual_rhs of the difference identity,
-    from RECOMPUTE_DPS-digit lens theta products at z and z + pi tau r."""
+    from RECOMPUTE_DPS-digit lens theta products at z and z + pi tau r;
+    lhs and rhs are mpmath numbers at that precision, so that their
+    residual is formed from them, not from their doubles."""
     import mpmath as mp
     with mp.workdps(RECOMPUTE_DPS):
         tv = np.array([mp.mpc(ti) for ti in t], object)
-        zs = [mp.mpc(z), mp.mpc(z) + mp.pi * mp.mpc(params.tau) * params.r]
+        zs = np.array([mp.mpc(z), mp.mpc(z) + mp.pi * mp.mpc(params.tau)
+                       * params.r], object)
         x, m = _theta_arguments(zs, y, tv, np.array(u))
-        v = _lens_theta_mp(x, m, params, mp)
-        (lhs, rhs, _), (_, rhs_s, _) = (
-            _theta_sides(v, k, zk, y, tv[0], u[0], params.r, mp.exp, mp.pi)
-            for k, zk in enumerate(zs))
-        inv_r = abs(rhs_s - rhs) / max(1, abs(rhs))
-        return complex(lhs), complex(rhs), float(inv_r)
+        lhs, rhs, _ = _theta_sides(_lens_theta_mp(x, m, params, mp), zs, y,
+                                   tv[0], u[0], params.r,
+                                   np.frompyfunc(mp.exp, 1, 1), mp.pi)
+        inv_r = abs(rhs[1] - rhs[0]) / max(1, abs(rhs[0]))
+        return lhs[0], rhs[0], float(inv_r)
 
 
 def verify_theta_difference(z: complex, y: int, t: Sequence[complex],

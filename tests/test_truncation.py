@@ -133,6 +133,21 @@ def lens_params(min_im):
                      st.integers(1, 32))
 
 
+def near_factor(k_max):
+    """(in_den, j, k, e, t): a factor (j, k), j <= 2, k <= k_max, of a
+    denominator (in_den) or a numerator product that a draw places 10^e
+    e^{it} from zero."""
+    return st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, k_max),
+                     st.floats(-16.0, -2.0), st.floats(-math.pi, math.pi))
+
+
+def lattice_phase(g, in_den, e, t):
+    """The phase e2 at which the factor 1 - e2 g of a numerator (or
+    1 - g / e2 of a denominator, in_den) is 10^e e^{it}."""
+    x = 1 - 10 ** e * cmath.exp(1j * t)
+    return g / x if in_den else x / g
+
+
 def elliptic_gamma(z, p, q):
     """prod_{j,k>=0} (1 - e^{2iz} p^{2j+1} q^{2k+1})
                    / (1 - e^{-2iz} p^{2j+1} q^{2k+1})"""
@@ -228,16 +243,43 @@ class TestAgainstOracle:
             # within SLACK
             assert abs(mp.mpc(value) - want) <= SLACK * abs(want)
 
-    @given(arg_z(1.0), nome(0.7071), nome(0.7071))
-    @settings(max_examples=25, deadline=None)
-    def test_elliptic_gamma(self, z, p, q):
+    # near, when drawn, is (in_den, j, k, e, t): z is moved so that the
+    # factor (j, k) of the denominator (in_den) or of the numerator is
+    # 10^e e^{it} from zero; both products are guarded
+    @given(arg_z(1.0), nome(0.7071), nome(0.7071),
+           st.none() | near_factor(2))
+    @settings(max_examples=50, deadline=None)
+    def test_elliptic_gamma(self, z, p, q, near):
+        if near is not None:
+            in_den, j, k, e, t = near
+            e2 = lattice_phase(p ** (2 * j + 1) * q ** (2 * k + 1), in_den,
+                               e, t)
+            z = cmath.log(e2) / 2j
         compare(lambda: sf.elliptic_gamma(z, p, q, with_bound=True),
                 lambda: elliptic_gamma(z, mp.mpc(p), mp.mpc(q)), guarded=True)
 
-    # Im sigma, Im tau >= 0.112 keep the ratios (pq)^2 and p^{2r} below 0.25
-    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.112))
-    @settings(max_examples=20, deadline=None)
-    def test_lens_elliptic_gamma(self, z, m, params):
+    # Im sigma, Im tau >= 0.112 keep the ratios (pq)^2 and p^{2r} below 0.25.
+    # near, when drawn, is (second, in_den, j, k, e, t): z is moved so that
+    # the factor (j, k) of the denominator (in_den) or of the numerator of
+    # the first (pq, p^r) or the second (pq, q^r) elliptic gamma factor is
+    # 10^e e^{it} from zero, at r = 1..4 (a larger r puts the lattice far
+    # off the real axis); all four products are guarded
+    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.112),
+           st.none() | st.tuples(st.booleans(), near_factor(1)))
+    @settings(max_examples=40, deadline=None)
+    def test_lens_elliptic_gamma(self, z, m, params, near):
+        if near is not None:
+            (second, (in_den, j, k, e, t)), r = near, 1 + (params.r - 1) % 4
+            params = NomeParameters(params.sigma, params.tau, r)
+            p, q = params.p, params.q
+            # the factor's argument z -+ (r/2 - [[m]]) pi sigma (or tau)
+            shift = (r / 2 - m % r) * math.pi * (
+                -params.tau if second else params.sigma)
+            e2 = lattice_phase((p * q) ** (2 * j + 1)
+                               * (q if second else p) ** (r * (2 * k + 1)),
+                               in_den, e, t)
+            z = cmath.log(e2) / 2j - shift
+
         def oracle():
             r = params.r
             p, q = mp_exp_i(pi_times(params.sigma)), mp_exp_i(pi_times(params.tau))
@@ -249,10 +291,28 @@ class TestAgainstOracle:
         compare(lambda: sf.lens_elliptic_gamma(z, m, params, with_bound=True),
                 oracle, guarded=True)
 
-    # Im sigma, Im tau >= 0.221 keep the ratios pq and p^r at most 0.5
-    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.221))
-    @settings(max_examples=20, deadline=None)
-    def test_lens_gamma_appendix(self, z, m, params):
+    # Im sigma, Im tau >= 0.221 keep the ratios pq and p^r at most 0.5.
+    # near, when drawn, is (second, in_den, j, k, e, t): z is moved so that
+    # the factor (j, k) of the denominator (in_den) or of the numerator of
+    # the (pq, p^r) or the second (pq, q^r) product pair is 10^e e^{it}
+    # from zero, at r = 1..4; numerators and denominators are all guarded
+    @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.221),
+           st.none() | st.tuples(st.booleans(), near_factor(1)))
+    @settings(max_examples=40, deadline=None)
+    def test_lens_gamma_appendix(self, z, m, params, near):
+        if near is not None:
+            (second, (in_den, j, k, e, t)), r = near, 1 + (params.r - 1) % 4
+            params = NomeParameters(params.sigma, params.tau, r)
+            p, q = params.p, params.q
+            br = m % r
+            # denominator e^{iz} a, numerator (pq / e^{iz}) b, times
+            # (pq)^j (p^r or q^r)^k
+            a, b = ((q ** (r - br), q ** br) if second
+                    else (p ** br, p ** (r - br)))
+            g = (p * q) ** j * (q if second else p) ** (r * k)
+            z = cmath.log(lattice_phase(a * g if in_den else p * q * b * g,
+                                        not in_den, e, t)) / 1j
+
         def oracle():
             r = params.r
             sigma, tau = mp.mpc(params.sigma), mp.mpc(params.tau)

@@ -414,6 +414,18 @@ class TestThetaDifference:
         assert good.numerics_meta["rhs_precision"] == 16
         assert 1.0 <= good.numerics_meta["rhs_cancellation"] < 10.0
 
+    def test_thirty_digit_verdict_reports_its_residual(self):
+        # sample 7 of `sweep thtfunct --r 1 --seed 1572004784` takes its
+        # verdict at 30 digits; its residual is that of the 30-digit sides,
+        # not of their doubles, which agree to the last bit
+        ident = cli.IDENTITIES["thtfunct"]
+        pr = physical_parameters(0.05, 0.5, 1)
+        rep, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 7)
+        assert rep.numerics_meta["rhs_precision"] == 30
+        assert 0 < rep.rel_residual <= 1e-20
+        assert 0 < rep.abs_residual <= 1e-20 * max(abs(rep.lhs), abs(rep.rhs))
+        assert type(rep.lhs) is complex and type(rep.rel_residual) is float
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_points_in_one_batch_match_one_point_calls(self, r):
         pr, t, u, y, z = self._case(r, 50 + r)
