@@ -581,6 +581,16 @@ def run_poles(cfg: dict) -> int:
     return EXIT_PASS
 
 
+#: each subcommand's function, by name; the subcommands share one set of
+#: flags.  The functions are looked up at call time, as the identity
+#: runners are, so that a wrapper patched onto this module (a tracer's)
+#: is what runs
+COMMANDS = {"eval": lambda cfg: run_eval(cfg),
+            "verify": lambda cfg: run_verify(cfg),
+            "sweep": lambda cfg: run_sweep(cfg),
+            "poles": lambda cfg: run_poles(cfg)}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -592,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lenstri",
         description="evaluate and verify lattice-model weight identities")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval", "verify", "sweep", "poles"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("identity", nargs="?", help="identity or function name")
         sp.add_argument("--r", type=int)
@@ -613,31 +623,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args: argparse.Namespace) -> dict:
+    """The config file's settings, overridden by every flag given."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
-    for key in ("r", "sigma", "tau", "tol", "seed", "samples", "format",
-                "out", "z", "m", "alpha", "spins", "alphas"):
-        val = getattr(args, key, None)
-        if val is not None and val != []:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None and val != []:
             cfg[key] = val
-    if args.identity is not None:
-        cfg["identity"] = args.identity
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = merge_config(args)
-        if args.command == "eval":
-            return run_eval(cfg)
-        if args.command == "verify":
-            return run_verify(cfg)
-        if args.command == "sweep":
-            return run_sweep(cfg)
-        return run_poles(cfg)
+        return COMMANDS[args.command](merge_config(args))
     except (InvalidParameterError, ContourViolationError, FileNotFoundError,
             KeyError, IndexError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

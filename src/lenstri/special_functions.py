@@ -37,9 +37,11 @@ A function makes one kernel call per nome grid: the products that share a
 grid (numerator and denominator of ``elliptic_gamma``, the constant and
 the e^{+-2iz} products of ``theta4``, the two products per grid of
 ``lens_gamma_appendix``) are stacked on a new axis 0 of one batch, and
-callers lay their own rows out the same way (:func:`stack_rows`, or the
-edge-row builder ``models._edge_logs``), so a weight or a whole integrand
-is one batch.  The pole guard is per element:
+callers lay their own rows out the same way (:func:`stack_rows`, or, for
+rows of several shapes, one flat argument written through reshaped views,
+as ``models._edge_logs`` writes a star's edge rows and
+``verify.master_integrand`` its Gamma rows), so a weight or a whole
+integrand is one batch.  The pole guard is per element:
 a bool, or a bool array that broadcasts against the batch, so guarded
 denominators and unguarded 1/Gamma numerators (or Q's unguarded
 numerators, ``models._q_products``) share one call.  It is checked factor
@@ -393,32 +395,6 @@ def stack_rows(*rows):
             stacked[i] = x
         out.append(stacked)
     return tuple(out)
-
-
-def join_batches(*batches):
-    """Arguments of one flat batched call made of several batches.
-
-    Each batch is a tuple of arrays of one shape (say z, m), as
-    ``stack_rows`` returns them, and batches may differ in shape.  Returns
-    one flat array per argument, holding every batch's elements in turn,
-    and the batches' shapes, by which ``split_batches`` cuts the values of
-    the flat call back into one array per batch."""
-    shapes = [batch[0].shape for batch in batches]
-    columns = tuple(np.concatenate([x.reshape(-1) for x in column])
-                    for column in zip(*batches))
-    return columns, shapes
-
-
-def split_batches(values: np.ndarray, shapes) -> list:
-    """The values of a flat call on ``join_batches`` arguments, cut along
-    their last axis into one array per batch, of the batch's shape after
-    any leading axes of values."""
-    out, lo = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(values[..., lo:lo + size].reshape(values.shape[:-1] + shape))
-        lo += size
-    return out
 
 
 def _result(value, tail, with_bound):

@@ -339,10 +339,10 @@ def master_integrand(z: complex, y, mp: MasterParameters, *,
     """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
     Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
     that broadcast against each other: the exp of the sum of its Gamma
-    rows' logs, one exp per (z, y).  The rows are on axis 0 of one batched
-    log ``lens_gamma_appendix`` call, each row's phase e^{i(t_i +- z)} a
-    constant times e^{+-iz}; the 1/Gamma(+-2z, +-2y) pair depends on the
-    nomes and the grid alone and is cached per grid
+    rows' logs, one exp per (z, y).  The rows are written into the flat
+    arguments of one log ``lens_gamma_appendix`` call, each row's phase
+    e^{i(t_i +- z)} a constant times e^{+-iz}; the 1/Gamma(+-2z, +-2y)
+    pair depends on the nomes and the grid alone and is cached per grid
     (``_inverse_measure``).
 
     With right_side=True the fifteen Gamma of the right side,
@@ -351,28 +351,33 @@ def master_integrand(z: complex, y, mp: MasterParameters, *,
     params = mp.params
     # rows (t_i +- z, u_i +- y) on axes (i, +-) before the axes of z and
     # y, each pair adjacent: the mirror (-z, -y) swaps the two rows of a
-    # pair, and the sum over the rows rounds alike at both
-    extra = (1,) * np.ndim(np.broadcast(z, y))
+    # pair, and the sum over the rows rounds alike at both; the right
+    # side's rows follow them in the flat batch
+    shape = (6, 2) + np.broadcast(z, y).shape
+    n = math.prod(shape)
+    z2, e = np.empty((2, n + 15 * right_side), complex)
+    m = np.empty(z2.shape, int)
+    extra = (1,) * (len(shape) - 2)
     t, u = np.reshape(mp.t, (6, 1) + extra), np.reshape(mp.u, (6, 1) + extra)
     sign = np.reshape([1, -1], (1, 2) + extra)
-    et = np.exp(1j * t)
-    batches = [np.broadcast_arrays(t + sign * z, et * sf._phase(z, 1) ** sign,
-                                   u + sign * y)]
+    z2[:n].reshape(shape)[...] = t + sign * z
+    e[:n].reshape(shape)[...] = np.exp(1j * t) * sf._phase(z, 1) ** sign
+    m[:n].reshape(shape)[...] = u + sign * y
     if right_side:
         i, j = np.triu_indices(6, 1)
-        tt = t.ravel()[i] + t.ravel()[j]
-        batches.append((tt, np.exp(1j * tt), u.ravel()[i] + u.ravel()[j]))
-    (z2, e, m), shapes = sf.join_batches(*batches)
-    log = sf.split_batches(sf._lens_gamma_appendix(z2, e, m, params)[0],
-                           shapes)
+        z2[n:] = t.ravel()[i] + t.ravel()[j]
+        e[n:] = np.exp(1j * z2[n:])
+        m[n:] = u.ravel()[i] + u.ravel()[j]
+    log = sf._lens_gamma_appendix(z2, e, m, params)[0]
+    rows = log[:n].reshape(shape)
     # the sum starts from the measure, whose real part offsets the rows':
     # its partial sums stay small, and so does their rounding
-    log[0][0, 0] += _inverse_measure(params, z, y)
-    value = sf._exp_result(log[0].sum(axis=(0, 1)), None, False)
+    rows[0, 0] += _inverse_measure(params, z, y)
+    value = sf._exp_result(rows.sum(axis=(0, 1)), None, False)
     if right_side:
         # fifteen exps: a product of values keeps each factor's rounding
         # at the size of its own log, not of their sum
-        return value, sf._exp_result(log[1], None, False).prod().item()
+        return value, sf._exp_result(log[n:], None, False).prod().item()
     return value
 
 
