@@ -31,7 +31,7 @@ per node, so an integrand takes one exp per node to build its arguments,
 and it adds the logs of its rows and leaves log space with one exp per
 value.  A public function computes its phase with one exp and
 exponentiates the kernel's log (``_exp_result``; ``lens_elliptic_gamma``
-each factor's).
+each factor's, and multiplies them).
 
 A function makes one kernel call per nome grid: the products that share a
 grid (numerator and denominator of ``elliptic_gamma``, the constant and
@@ -68,17 +68,21 @@ multiple of 2 pi i, which is harmless because callers only ever use exp
 of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
 overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
-can overflow only at arguments far off the real axis; a product that is
-not finite in double precision raises NonConvergenceError rather than
-passing an inf on, and so does a product argument c that is not finite
-(e^{iz} overflowing still further off the axis) and a function value that
-is not (an exponential prefactor overflowing).
+can overflow only at arguments far off the real axis; a multiplied-out
+product that is not finite in double precision raises NonConvergenceError
+rather than passing an inf into its log, and so does a product argument c
+that is not finite (e^{iz} overflowing still further off the axis).  A
+log is not held to the double range; its value is, where it leaves log
+space (``_exp_result``): a value past the largest double and a finite log
+whose value underflows to 0 both raise NonConvergenceError, and a log of
+-inf, a genuine zero, gives an exact 0.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
@@ -104,10 +108,6 @@ _BLOCK = 2 ** 14
 #: (and pole-guarded); the rest are summed as one log series in c
 _PEEL = 0.05
 
-# the log of a product that exp can still represent: above _LOG_MAX it
-# overflows, below _LOG_MIN it underflows to zero
-_LOG_MAX = math.log(np.finfo(float).max)
-_LOG_MIN = math.log(np.finfo(float).smallest_subnormal)
 #: the least normal double
 _NORMAL = float(np.finfo(float).tiny)
 
@@ -189,8 +189,8 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     c.  Where it holds, a factor closer to zero than POLE_FACTOR_EPS raises
     PoleHitError, and a product that underflows to zero raises
     NonConvergenceError; elsewhere a product may vanish (a genuine zero).
-    A product that is not finite in double precision raises
-    NonConvergenceError.
+    A product that is not finite in double precision, or whose modulus
+    is not, raises NonConvergenceError.
     """
     if grid.size == 1:
         return _one_factor(c, grid, pole_guard)
@@ -220,10 +220,13 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
                         "a product factor vanished: evaluation point is "
                         "on (or too close to) the pole/zero lattice")
             f.prod(axis=0, out=out[lo:lo + cols])
-    if not np.isfinite(out).all() or (
-            guard is not None and (guard & (out == 0)).any()):
-        raise NonConvergenceError(
-            "product overflows or underflows double precision")
+        # |p| too: it can overflow with both parts of p finite, and the log
+        # kernel takes log|p|, whose +inf would turn a quotient into a
+        # false zero
+        if not np.isfinite(np.abs(out)).all() or (
+                guard is not None and (guard & (out == 0)).any()):
+            raise NonConvergenceError(
+                "product overflows or underflows double precision")
     return out.reshape(c.shape)
 
 
@@ -287,7 +290,9 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
     _PEEL and goes into one log series in c, summed by Horner.  Returns
     (log_value, log_tail_bound) as arrays of the shape of c (0-d for a
     scalar).  Only exp(log_value) is meaningful: the log of the peeled
-    product is taken on the principal branch.
+    product is taken on the principal branch.  The log is not checked
+    against the double range; the exp that leaves log space checks its
+    value (``_exp_result``).
     """
     aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
@@ -338,17 +343,6 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
         with np.errstate(divide="ignore", over="ignore"):
             log.real += np.log(np.abs(prod))
         log.imag += np.arctan2(prod.imag, prod.real)
-    re = log.real
-    # log|1 - x| lies in [log(1 - |x|), |x|]: at top < 1 the log is within
-    # top / ((1 - top)(1 - |a|)(1 - |b|)) of 0, and only past _LOG_MAX can
-    # it leave the doubles
-    if (top >= 1.0 or top > _LOG_MAX * (1 - top) * (1 - aa) * (1 - ab)) and (
-            re.max(initial=0.0) > _LOG_MAX or (
-                re.min(initial=0.0) < _LOG_MIN
-                and (np.broadcast_to(pole_guard, c.shape)
-                     & (re < _LOG_MIN)).any())):
-        raise NonConvergenceError(
-            "product overflows or underflows double precision")
     return log, tail
 
 
@@ -405,10 +399,12 @@ def _result(value, tail, with_bound):
     value * e^d with |d| <= tail, so |value| expm1(tail) bounds the
     absolute error.  This is the one place that forms that bound, and only
     when with_bound is asked for.  Callers form the value from finite
-    products under np.errstate(over="ignore", invalid="ignore"); a value
-    that is not finite in double precision (an exponential prefactor, or
-    the product of several factors, overflowing far off the real axis)
-    raises NonConvergenceError here rather than passing an inf or nan on."""
+    products or logs under np.errstate(over="ignore", invalid="ignore"); a
+    value that is not finite in double precision (an exponential prefactor,
+    the product of several factors or the exp of a log overflowing far off
+    the real axis) raises NonConvergenceError here rather than passing an
+    inf or nan on.  A value formed from logs is also checked for underflow,
+    by ``_exp_result``."""
     if not np.isfinite(value).all():
         raise NonConvergenceError("value is not finite in double precision")
     if not with_bound:
@@ -418,10 +414,21 @@ def _result(value, tail, with_bound):
 
 def _exp_result(log, tail, with_bound):
     """``_result`` of exp(log), the one exponential of a value formed as a
-    sum of logs (real or complex).  A log of -inf, a genuine zero, gives 0;
-    a log past the largest double raises NonConvergenceError."""
+    sum of logs (real or complex); log may also be a tuple of such sums,
+    whose exps are multiplied, each factor rounding at the size of its own
+    log.  Here a log-space value meets the double range: past the largest
+    double it is not finite and ``_result`` raises NonConvergenceError,
+    and a finite log whose value underflows to 0 raises it too.  A log of
+    -inf, a genuine zero, gives an exact 0."""
+    logs = log if isinstance(log, tuple) else (log,)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _result(np.exp(log), tail, with_bound)
+        # mul, not np.multiply: numpy rounds a product of two complex
+        # scalars otherwise than its ufunc does
+        value = reduce(mul, map(np.exp, logs))
+    zero = value == 0
+    if zero.any() and (zero & np.isfinite(sum(logs))).any():
+        raise NonConvergenceError("value underflows double precision")
+    return _result(value, tail, with_bound)
 
 
 def _phase(z, k: int):
@@ -514,8 +521,7 @@ def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,
     (l1, t1), (l2, t2) = _lens_gamma(_phase(z, 2), m, params)
     # the product of the factors' values: each rounds at the size of its
     # own log
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _result(np.exp(l1) * np.exp(l2), t1 + t2, with_bound)
+    return _exp_result((l1, l2), t1 + t2, with_bound)
 
 
 def varphi(z: complex, m: int, params: NomeParameters) -> complex:

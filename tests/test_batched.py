@@ -318,6 +318,74 @@ class TestPoleGuardAndOverflow:
             sf.lens_gamma_appendix(zs, ms, pr,
                                    allow_zero=np.array([False, True]))
 
+    # each value is below the least subnormal (its modulus by 30-digit
+    # mpmath in the comment), far off the real axis: its finite log
+    # underflows to 0, which must raise rather than claim an exact 0
+    @pytest.mark.parametrize("evaluate", [
+        # 1.37e-345
+        lambda: sf.lens_elliptic_gamma(
+            -0.39269908169872464 + 19.577097397290995j, 2,
+            NomeParameters(0.25 + 0.112j, 0.5 + 0.7j, 4), with_bound=True),
+        # 1.67e-368
+        lambda: sf.lens_elliptic_gamma(
+            -1.4094992314937438 + 19.05634720448787j, -1,
+            NomeParameters(-0.2803553703218472 + 0.47482098504459j,
+                           -0.4671728938185248 + 0.19243856148514443j, 3),
+            with_bound=True),
+        # 8.86e-331
+        lambda: sf.lens_gamma_appendix(
+            0.3217289637428391 - 34.326690596837246j, 2,
+            NomeParameters(-0.424870207745477 + 0.4629983608159871j,
+                           -0.2091784495806044 + 0.56492009262349j, 4),
+            with_bound=True),
+        # 1.85e-393
+        lambda: sf.lens_gamma_appendix(
+            0.44197357607392673 - 22.818731726662918j, 5,
+            NomeParameters(0.14684358771432193 + 0.5593257392219679j,
+                           0.39628341246049825 + 0.4856980860516549j, 1),
+            with_bound=True),
+        # the last one, beside an ordinary element of its batch
+        lambda: sf.lens_gamma_appendix(
+            np.array([0.3 + 0.2j, 0.44197357607392673 - 22.818731726662918j]),
+            5, NomeParameters(0.14684358771432193 + 0.5593257392219679j,
+                              0.39628341246049825 + 0.4856980860516549j, 1)),
+    ], ids=["lens_elliptic_gamma_1e-345", "lens_elliptic_gamma_2e-368",
+            "lens_gamma_appendix_9e-331", "lens_gamma_appendix_2e-393",
+            "lens_gamma_appendix_batch"])
+    def test_underflowing_value(self, evaluate):
+        with pytest.raises(NonConvergenceError):
+            evaluate()
+
+    @pytest.mark.parametrize("form", [
+        lambda logs: logs,
+        # the product of two exps, as lens_elliptic_gamma takes its
+        # factors: the halves of -800 and of -700 have nonzero exps
+        lambda logs: (logs / 2, logs / 2),
+    ], ids=["one_exp", "product_of_exps"])
+    def test_underflow_is_per_element(self, form):
+        # a finite log below the double range raises, and a log of -inf
+        # is an exact 0 beside ordinary elements
+        def exp(logs):
+            return sf._exp_result(form(np.array(logs)), np.zeros(len(logs)),
+                                  True)
+        with pytest.raises(NonConvergenceError):
+            exp([0.5, -np.inf, -800.0])
+        values, bounds = exp([0.5, -np.inf, -700.0])
+        assert values[1] == 0 and bounds[1] == 0
+        assert values[0] != 0 and values[2] != 0
+
+    def test_product_modulus_past_the_largest_double(self):
+        # a denominator product of the first factor has finite parts but a
+        # modulus past the largest double: log|p| = +inf would make the
+        # factor's log -inf and its value a false exact 0 (the value is
+        # 1.6e-317 by 30-digit mpmath)
+        with pytest.raises(NonConvergenceError):
+            sf.lens_elliptic_gamma(
+                -1.8802004151460832 + 22.267753392741376j, 0,
+                NomeParameters(0.042646562393463316 + 0.1196660429510115j,
+                               -0.036158213305674036 + 1.0841244357435709j,
+                               4))
+
     @pytest.mark.parametrize("x", [1e200, np.array([0.5, 1e200])])
     def test_overflowing_pochhammer(self, x):
         with pytest.raises(NonConvergenceError):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenstri import cli, numerics, verify
 from lenstri.params import NomeParameters, NonConvergenceError
@@ -523,6 +525,22 @@ class TestSweep:
             assert im_a < room
             if 0.4 * width < room - verify.CONTOUR_MARGIN_FRACTION * pr.eta.real:
                 assert im_a == pytest.approx(0.4 * width, rel=1e-14)
+
+    # the nomes as part of the tested domain: at any sigma with Im sigma
+    # >= 0.1 and tau = -conj sigma, a sampled instance ends in a passing
+    # report or a status row (a lenstri error such as an underflowing
+    # value); a failing report or any other exception fails
+    @given(st.sampled_from(["str", "rinfstr", "master", "iconst",
+                            "thtfunct", "inversion", "cov"]),
+           st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.1, 3.2)),
+           st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_nomes_pass_or_raise(self, identity, sigma, r, seed):
+        params = NomeParameters(sigma, -sigma.conjugate(), r)
+        ident = cli.IDENTITIES[identity]
+        rep, status = cli._sweep_one(ident, params, ident.tol, seed, 0)
+        assert rep is None or rep.passed, rep.checks
+        assert (rep is None) == (status != "ok")
 
     def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(numerics, "periodic_integrate", unconverged)

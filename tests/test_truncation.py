@@ -113,16 +113,18 @@ def pole_checked(evaluate, margin, guarded):
 def compare(evaluate, oracle, guarded, near=False):
     """evaluate() -> (value, bound) against the oracle Product.
 
-    A value above the largest double must raise NonConvergenceError, and
-    no other value may.  A draw moved near the pole lattice (near) checks
-    the pole guard and that error alone, not the value."""
+    A value above the largest double must raise NonConvergenceError, a
+    value below the least subnormal may (it underflows), and no other
+    value may.  A draw moved near the pole lattice (near) checks the pole
+    guard and that error alone, not the value."""
     with mp.workdps(DPS):
         want = oracle()
         big = abs(want.value) > sys.float_info.max
+        tiny = abs(want.value) < math.ulp(0.0)
         try:
             out = pole_checked(evaluate, want.margin, guarded)
         except NonConvergenceError:
-            assert big
+            assert big or tiny
             return
         assert out is None or not big
         if out is not None and not near:
@@ -282,8 +284,10 @@ class TestAgainstOracle:
     # the first (pq, p^r) or the second (pq, q^r) elliptic gamma factor is
     # 10^e e^{it} from zero, at r = 1..4 (a larger r puts the lattice far
     # off the real axis); all four products are guarded, and the draw
-    # checks the guard alone (module docstring).  The last two examples
-    # are beyond the largest double
+    # checks the guard alone (module docstring).  The first example is
+    # below the least subnormal, the last two are beyond the largest double
+    @example(z=-0.39269908169872464 + 19.577097397290995j, m=2,
+             params=NomeParameters(0.25 + 0.112j, 0.5 + 0.7j, 4), near=None)
     @example(z=0j, m=0, params=NomeParameters(0.5j, 0.5j, 4),
              near=(False, (False, 2, 1, -2.0, 0.0)))
     @example(z=0j, m=0, params=NomeParameters(0.625j, 0.125j, 4),
@@ -322,7 +326,12 @@ class TestAgainstOracle:
     # the factor (j, k) of the denominator (in_den) or of the numerator of
     # the (pq, p^r) or the second (pq, q^r) product pair is 10^e e^{it}
     # from zero, at r = 1..4; numerators and denominators are all guarded,
-    # and the draw checks the guard alone (module docstring)
+    # and the draw checks the guard alone (module docstring); the example
+    # is below the least subnormal
+    @example(z=0.3217289637428391 - 34.326690596837246j, m=2,
+             params=NomeParameters(-0.424870207745477 + 0.4629983608159871j,
+                                   -0.2091784495806044 + 0.56492009262349j,
+                                   4), near=None)
     @given(arg_z(0.3), st.integers(-64, 64), lens_params(0.221),
            st.none() | st.tuples(st.booleans(), near_factor(1)))
     @settings(max_examples=40, deadline=None)
