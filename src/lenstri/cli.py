@@ -17,7 +17,10 @@ Random sampling uses numpy's default PCG64 generator seeded with the
     uniform in [-2, 2] (zero-sum for the six-variable form);
   * theta difference: t as above with span 1.6*eta, z uniform in the
     period strip.
-Sweeps verify their samples one after another, in sample order.
+Sweeps draw their samples in sample order and verify them in batches of
+up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
+star-triangle batch shares each trapezoid level's integrand call, and
+every report is the one ``verify`` gives for its draw.
 """
 
 from __future__ import annotations
@@ -326,14 +329,19 @@ class Identity:
     (None: the config holds none) and ``sample(rng, params)`` draws one
     (None: the identity cannot be swept).  ``tol`` is the default
     tolerance, or None for an identity whose checks set their own bounds
-    and take none.  Runners look verifiers up on the ``verify`` module at
-    call time, never at import."""
+    and take none.  ``batch(cases, params, tol)``, if given, verifies a
+    list of cases together and returns their reports, in order, each the
+    one ``run`` gives; a lenstri error raised in it is raised for all of
+    them.  Runners look verifiers up on the ``verify`` module at call
+    time, never at import."""
     name: str
     tol: Optional[float]
     run: Callable[[dict, NomeParameters, Optional[float]],
                   verify.VerificationReport]
     parse: Optional[Callable[[dict, NomeParameters], Optional[dict]]]
     sample: Optional[Callable[..., dict]]
+    batch: Optional[Callable[[list, NomeParameters, Optional[float]],
+                             list]] = None
 
     def case(self, cfg: dict, params: NomeParameters, seed: int) -> dict:
         """An explicit case from the config if present, else one seeded draw."""
@@ -343,15 +351,24 @@ class Identity:
         return case
 
 
+def _stars(cases: list) -> list:
+    """(spins, alphas) of each star-triangle case."""
+    return [(c["spins"], c["alphas"]) for c in cases]
+
+
 IDENTITIES = {ident.name: ident for ident in (
     Identity("str", 1e-6,
              lambda c, pr, tol: verify.verify_str(
                  c["spins"], c["alphas"], pr, tol),
-             parse_spins_case, sample_str_case),
+             parse_spins_case, sample_str_case,
+             lambda cs, pr, tol: verify.verify_star_triangles(
+                 ModelFamily.ELLIPTIC, _stars(cs), pr, tol)),
     Identity("rinfstr", 1e-6,
              lambda c, pr, tol: verify.verify_rinfstr(
                  c["spins"], c["alphas"], pr, tol),
-             parse_spins_case, sample_rinfstr_case),
+             parse_spins_case, sample_rinfstr_case,
+             lambda cs, pr, tol: verify.verify_star_triangles(
+                 ModelFamily.Q_LIMIT, _stars(cs), pr, tol)),
     Identity("strmsg", 1e-4,
              lambda c, pr, tol: verify.verify_strmsg(
                  c["spins"], c["alphas"], tol),
@@ -507,17 +524,46 @@ def run_verify(cfg: dict) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _sweep_one(ident: Identity, params, tol, seed, index):
-    """(report, status) of sample ``index``; the report is None unless the
-    status is ok."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    case = ident.sample(rng, params)
+#: the most samples a sweep verifies in one batch: a star-triangle batch
+#: holds every level's rows of all of them at once
+SWEEP_BATCH = 16
+
+
+def _sweep_batch(ident: Identity, params, tol, cases) -> list:
+    """(report, status) of each case; the report is None unless the
+    status is ok.  The cases of an identity with a batch runner are
+    verified together; a lenstri error raised for several of them
+    verifies each alone, so that each gets its own status."""
+    if len(cases) > 1 and ident.batch is not None:
+        try:
+            return [(rep, "ok") for rep in ident.batch(cases, params, tol)]
+        except (ContourViolationError, NonConvergenceError, PoleHitError):
+            pass
+    return [_verify_one(ident, params, tol, case) for case in cases]
+
+
+def _verify_one(ident: Identity, params, tol, case):
+    """(report, status) of one case; the report is None unless the status
+    is ok."""
     try:
         return ident.run(case, params, tol), "ok"
     except ContourViolationError:
         return None, "contour-violation"
     except (NonConvergenceError, PoleHitError):
         return None, "non-converged"
+
+
+def _sample(ident: Identity, params, seed: int, index: int) -> dict:
+    """Sample ``index`` of a sweep: a draw of its own generator."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    return ident.sample(rng, params)
+
+
+def _sweep_one(ident: Identity, params, tol, seed, index):
+    """(report, status) of sample ``index`` alone; the report is None
+    unless the status is ok."""
+    return _verify_one(ident, params, tol, _sample(ident, params, seed,
+                                                   index))
 
 
 def run_sweep(cfg: dict) -> int:
@@ -536,8 +582,12 @@ def run_sweep(cfg: dict) -> int:
         return EXIT_INVALID
     tol = _tolerance(cfg, ident)
     t0 = time.perf_counter()
-    results = [(i, *_sweep_one(ident, params, tol, seed, i))
-               for i in range(samples)]
+    results = []
+    for lo in range(0, samples, SWEEP_BATCH):
+        index = range(lo, min(lo + SWEEP_BATCH, samples))
+        results += zip(index, *zip(*_sweep_batch(
+            ident, params, tol, [_sample(ident, params, seed, i)
+                                 for i in index])))
     elapsed = time.perf_counter() - t0
 
     reports = [rep for _, rep, _ in results if rep is not None]

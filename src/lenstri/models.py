@@ -63,6 +63,18 @@ from .special_functions import (
 )
 
 
+#: the elliptic gamma rows one star-triangle batch of several stars stays
+#: below (``star_integrand``).  numpy evaluates an arithmetic operator
+#: whose second operand is a temporary array of 256 KiB or more in the
+#: place of that temporary, which for a product of complex arrays swaps
+#: the factors and can round the product otherwise (a fused multiply-add
+#: rounds the two cross terms of its imaginary part apart).  The lens
+#: elliptic gamma rows take such a product (their phase shift,
+#: ``special_functions._lens_factor``), and below this many rows it is
+#: never that large, so a star in a batch is evaluated as it is alone.
+STAR_BATCH_ROWS = 16384
+
+
 class ModelFamily(enum.Enum):
     ELLIPTIC = "elliptic"
     Q_LIMIT = "qlimit"
@@ -243,7 +255,7 @@ def _prefactor(family: ModelFamily, alpha, si: Spin, sj: Spin,
     return pref / kappas
 
 
-def _elliptic_logs(e2, m, params: NomeParameters):
+def _elliptic_logs(e2, m, params: NomeParameters, group_axis=None):
     """Logs of the elliptic rows at the phases e2 and integer parts m, one
     flat batch: log Phi_{r,m} at each row, and at the conjugate nomes the
     real 2 Re log v1 = log |v1|^2 of its (pq, p^r) factor
@@ -252,14 +264,17 @@ def _elliptic_logs(e2, m, params: NomeParameters):
     v2(z) = 1 / conj v1(conj z), so Phi(d + ia) / Phi(d - ia) =
     |v1(d + ia)|^2 / |v1(d - ia)|^2.  That is one elliptic gamma batch in
     place of two, and its guarded products at +-ia are, up to conjugation,
-    the ones the (pq, q^r) factor guards."""
+    the ones the (pq, q^r) factor guards.  group_axis: the axis of e2
+    whose slices are truncation groups
+    (``special_functions._log_product_2d``)."""
     if not _conjugate_nomes(params):
-        (l1, _), (l2, _) = sf._lens_gamma(e2, m, params)
+        (l1, _), (l2, _) = sf._lens_gamma(e2, m, params, group_axis)
         return l1 + l2
-    return 2 * sf._lens_factor(e2, m, params)[0].real
+    return 2 * sf._lens_factor(e2, m, params, group_axis)[0].real
 
 
-def _edge_logs(family: ModelFamily, edges, params: NomeParameters) -> list:
+def _edge_logs(family: ModelFamily, edges, params: NomeParameters,
+               stars=None) -> list:
     """The log of the gamma ratio of each edge of edges (``_edge_rows``),
     of the elliptic or the q-limit family, in the edge's broadcast shape.
 
@@ -269,17 +284,23 @@ def _edge_logs(family: ModelFamily, edges, params: NomeParameters) -> list:
     (``_elliptic_logs``, ``_qlimit_logs``); an edge's log ratio is
     l0 + l1 - l2 - l3 of its rows' logs, formed for every edge at once.
     At the conjugate nomes the q-limit rows are the +i alpha rows alone
-    (``_qlimit_logs``)."""
+    (``_qlimit_logs``).  stars: the edges share a leading axis of that
+    many stars, which the batch keeps between its rows and each star's
+    elements, so that each star's rows are laid out as they are alone and
+    are a truncation group of their own
+    (``special_functions._log_product_2d``)."""
     qlimit = family is ModelFamily.Q_LIMIT
     half = qlimit and _conjugate_nomes(params)
     rows = 2 if half else 4
-    shapes = [np.broadcast(*edge).shape for edge in edges]
+    lead = () if stars is None else (stars,)
+    shapes = [np.broadcast(*edge).shape[len(lead):] for edge in edges]
     ends = list(accumulate(map(math.prod, shapes), initial=0))
-    e2 = np.empty((rows, ends[-1]), complex)
-    m = np.empty((rows, ends[-1]), int)
+    e2 = np.empty((rows,) + lead + (ends[-1],), complex)
+    m = np.empty(e2.shape, int)
     for (d, s, ea, dm, sm), shape, lo, hi in zip(edges, shapes, ends,
                                                   ends[1:]):
-        e, n = (x[:, lo:hi].reshape((rows,) + shape) for x in (e2, m))
+        e, n = (x[..., lo:hi].reshape((rows,) + lead + shape)
+                for x in (e2, m))
         with product_arguments():
             np.multiply(d, ea, out=e[0, ...])
             np.multiply(s, ea, out=e[1, ...])
@@ -287,10 +308,13 @@ def _edge_logs(family: ModelFamily, edges, params: NomeParameters) -> list:
                 np.divide(d, ea, out=e[2, ...])
                 np.divide(s, ea, out=e[3, ...])
         n[0::2], n[1::2] = dm, sm
+    if stars is None:
+        e2, m = e2.reshape(-1), m.reshape(-1)
     logs = (_qlimit_logs if qlimit else _elliptic_logs)(
-        e2.reshape(-1), m.reshape(-1), params).reshape(4, -1)
+        e2, m, params, None if stars is None else -2).reshape(
+            (4,) + lead + (-1,))
     ratio = logs[0] + logs[1] - logs[2] - logs[3]
-    return [ratio[lo:hi].reshape(shape)
+    return [ratio[..., lo:hi].reshape(lead + shape)
             for shape, lo, hi in zip(shapes, ends, ends[1:])]
 
 
@@ -393,13 +417,16 @@ def _centre_weight(params: NomeParameters, x, m) -> np.ndarray:
     return _single_spin_theta(Spin(x, m), 0.5, params)
 
 
-def _q_products(e2, n, params: NomeParameters, guard_num=False):
+def _q_products(e2, n, params: NomeParameters, guard_num=False,
+                group_axis=None):
     """Logs of the numerator and denominator products of Q(z, n)
     (``q_function``) at the phase e2 = e^{2iz}, on axis 0 of one batch,
     from one ``_log_product_2d`` call of ratio (pq)^2 under its per-factor
     pole guard: a denominator factor on the pole lattice raises
     PoleHitError, and so does a numerator factor where the bool guard_num
-    is set; elsewhere a numerator may vanish, a log of -inf."""
+    is set; elsewhere a numerator may vanish, a log of -inf.  group_axis
+    (negative): the axis of e2 and n whose slices are truncation groups
+    (``special_functions._log_product_2d``)."""
     p, q = params.p, params.q
     pq = p * q
     # n takes a few values over a whole batch: each factor once, gathered;
@@ -415,7 +442,7 @@ def _q_products(e2, n, params: NomeParameters, guard_num=False):
         np.multiply(e2, num, out=c[:1])
         np.divide(den, e2, out=c[1:])
     guard = np.array([guard_num, True]).reshape((2,) + (1,) * (c.ndim - 1))
-    return sf._log_product_2d(c, pq * pq, 0.0, guard)[0]
+    return sf._log_product_2d(c, pq * pq, 0.0, guard, group_axis)[0]
 
 
 def q_function(z: complex, n: int, params: NomeParameters) -> complex:
@@ -429,7 +456,7 @@ def q_function(z: complex, n: int, params: NomeParameters) -> complex:
     return _exp_result(ln - ld, None, False)
 
 
-def _qlimit_logs(e2, n, params: NomeParameters):
+def _qlimit_logs(e2, n, params: NomeParameters, group_axis=None):
     """Logs of the q-limit edge rows at the phases e2 and integer parts n,
     one flat batch: log Q = log num - log den at each row.
 
@@ -441,9 +468,9 @@ def _qlimit_logs(e2, n, params: NomeParameters):
     is guarded, as in q_function, and so is every numerator there,
     num(z) being conj den(conj z), which the -ia rows would guard."""
     if not _conjugate_nomes(params):
-        ln, ld = _q_products(e2, n, params)
+        ln, ld = _q_products(e2, n, params, group_axis=group_axis)
         return ln - ld
-    return 2 * _q_products(e2, n, params, True).real
+    return 2 * _q_products(e2, n, params, True, group_axis).real
 
 
 def weight_qlimit(alpha, si: Spin, sj: Spin,
@@ -476,12 +503,15 @@ def _single_spin_qlimit(params: NomeParameters, x, m) -> np.ndarray:
 
 def _three_edges(spins, alphas, ndim: int):
     """The spins and spectral parameters of the edges of a star as one
-    Spin and one array, the edges on axis 0, followed by ndim axes of
-    length 1 that broadcast against a centre spin of ndim axes."""
-    shape = (len(spins),) + (1,) * ndim
-    return (Spin(np.array([s.x for s in spins]).reshape(shape),
-                 np.array([s.m for s in spins]).reshape(shape)),
-            np.array(alphas, float).reshape(shape))
+    Spin and one array, the edges on the axis after the stars' (if any)
+    and before ndim axes of length 1 that broadcast against a centre spin
+    of ndim axes.  Several stars: each spin's angle and integer part hold
+    one value per star, and alphas one row per star."""
+    alphas = np.array(alphas, float)
+    shape = alphas.shape + (1,) * ndim
+    return (Spin(np.stack([s.x for s in spins], axis=-1).reshape(shape),
+                 np.stack([s.m for s in spins], axis=-1).reshape(shape)),
+            alphas.reshape(shape))
 
 
 def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
@@ -511,30 +541,43 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
     weights of the same family, one element per weight, whose rows ride in
     the same batch; the return is then the integrand and the product of
     those weights.
+
+    Several stars of the elliptic or the q-limit family at one centre
+    spin: each spin of spins holds one angle and integer part per star,
+    alphas and kappas one row per star, and right_side's parts one row of
+    weights per star.  The stars are then a leading axis of the edge rows,
+    the prefactors, the integrand and the right side, and each star's rows
+    (its right side's included) are a truncation group of their own
+    (``_edge_logs``), so that each star gets the values it gets alone.
     """
-    edges, alpha = _three_edges(spins, alphas,
-                                np.ndim(np.broadcast(s0.x, s0.m)))
+    ndim = np.ndim(np.broadcast(s0.x, s0.m))
+    edges, alpha = _three_edges(spins, alphas, ndim)
+    axis = -1 - ndim     # the edges'
     if family is ModelFamily.GAMMA_LIMIT:
         return python_scalar(single_spin_gamma(s0)
-                             * weight_gamma(alpha, edges, s0).prod(axis=0))
+                             * weight_gamma(alpha, edges, s0).prod(axis=axis))
     if kappas is None:
-        kappas = kappa(family, alphas, params)
+        kappas = np.reshape([kappa(family, a, params)
+                             for a in np.reshape(alphas, (-1, 3))],
+                            np.shape(alphas))
     rows = [_edge_rows(alpha, edges, s0)]
+    # several stars: one truncation group each, its right side included
+    stars = len(alphas) if np.ndim(alphas) == 2 and len(alphas) > 1 else None
     if right_side is not None:
         rows.append(_edge_rows(*right_side[:3]))
-    l = _edge_logs(family, rows, params)
+    l = _edge_logs(family, rows, params, stars)
     pref = _prefactor(family, alpha, edges, s0, params,
                       np.reshape(kappas, alpha.shape))
     single = (centre_weight(s0, params) if family is ModelFamily.ELLIPTIC
               else _single_spin_qlimit(params, s0.x, s0.m))
     # the edges' log ratios summed: one exp per centre spin
-    value = single * pref.prod(axis=0) * _exp_result(l[0].sum(axis=0),
-                                                     None, False)
+    value = single * pref.prod(axis=axis) * _exp_result(l[0].sum(axis=axis),
+                                                        None, False)
     if right_side is None:
         return python_scalar(value)
     rhs = _prefactor(family, *right_side[:3], params, right_side[3])
     return python_scalar(value), python_scalar(
-        (rhs * _exp_result(l[1], None, False)).prod())
+        (rhs * _exp_result(l[1], None, False)).prod(axis=-1))
 
 
 def _gamma_pair(loggamma, a: complex, b: complex) -> complex:

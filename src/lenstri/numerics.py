@@ -21,22 +21,29 @@ it goes with the benchmark change of ROADMAP item 1.  Accumulation order
 is fixed (numpy sums over each set of nodes, center-out for sums), so a
 result depends only on its inputs, never on the run.
 
-The integrators call ``f`` one node at a time by default.  With
+The trapezoid levels are stepped by ``Trapezoid``, for a batch of
+integrals over the same period at once: it hands out each batch's nodes,
+takes the values there of the integrals that have not stopped (one row
+each), and keeps every integral's sums, changes and stop decision apart,
+so an integral stops at its own level and gets the result it gets alone.
+Its first batch holds the first levels, concatenated in level order,
+until they reach 4 min_nodes evaluated nodes (the stop rule always needs
+the first three levels); each later batch holds one level.  A caller
+that drives the stepper itself evaluates whatever else it needs in the
+same batch: the star-triangle verifiers evaluate all their instances,
+and the first batch their right sides, in one integrand call per level.
+The node layout (each batch's nodes, the cuts between the levels of the
+first, the mirror weights) is built once per (period, min_nodes,
+max_nodes, even) and is read-only.
+
+``periodic_integrate`` is the stepper for one integral and a callable
+f, which it calls one node at a time by default.  With
 ``vectorized=True`` (the convention of ``scipy.integrate.solve_ivp``),
-``f`` takes a 1-d float array of nodes and returns the array of its values
-at those nodes.  ``periodic_integrate`` calls it once on the nodes of its
-first levels, concatenated in level order, until they reach 4 min_nodes
-evaluated nodes (the stop rule always needs the first three levels), then
-once per later level;
-``line_integrate`` calls it once per pair of end points +-sinh T and then
-as ``periodic_integrate`` does.  Both modes visit the same nodes in the
-same order and take the same refinement decisions from the same values.
-The node layout (each call's nodes, the cuts between the levels of the
-first call, the mirror weights) is built once per (period, min_nodes,
-max_nodes, even) and is read-only.  ``first_call_nodes`` returns the
-array of the first call itself: a caller that evaluates f's terms there
-in one batch with other rows (a verifier's right side) has f answer the
-call on that array from those values, so each level costs one batch.
+``f`` takes a 1-d float array of nodes and returns the array of its
+values at those nodes, one call per batch; ``line_integrate`` calls it
+once per pair of end points +-sinh T and then as ``periodic_integrate``
+does.  Both modes visit the same nodes in the same order and take the
+same refinement decisions from the same values.
 """
 
 from __future__ import annotations
@@ -111,11 +118,11 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=64)
 def _first_call(period: float, min_nodes: int, max_nodes: int, even: bool):
-    """The nodes of periodic_integrate's first call, concatenated in level
-    order, the cuts between its levels, each level's weights, and the node
-    count n of its last level.  It holds every level up to the first that
-    brings the nodes evaluated to 4 min_nodes (fewer if max_nodes ends the
-    doubling sooner).  Read-only: every call at one setting shares it."""
+    """The nodes of a stepper's first batch, concatenated in level order,
+    the cuts between its levels, each level's weights, and the node count
+    n of its last level.  It holds every level up to the first that brings
+    the nodes evaluated to 4 min_nodes (fewer if max_nodes ends the
+    doubling sooner).  Read-only: every stepper at one setting shares it."""
     levels, n = [_level(np.arange(min_nodes), min_nodes, period, even)], min_nodes
     evaluated = levels[0][0].size
     while evaluated < 4 * min_nodes and n < max_nodes:
@@ -131,22 +138,101 @@ def _first_call(period: float, min_nodes: int, max_nodes: int, even: bool):
 
 @lru_cache(maxsize=64)
 def _refinement(period: float, n: int, even: bool):
-    """Nodes and weights of the level of n nodes after the first call:
+    """Nodes and weights of the level of n nodes after the first batch:
     the odd multiples of period / n.  Read-only."""
     x, w = _level(np.arange(1, n, 2), n, period, even)
     _read_only(x, w)
     return x, w
 
 
-def first_call_nodes(period: float, min_nodes: int = 16,
-                     max_nodes: int = 2 ** 15, even: bool = False) -> np.ndarray:
-    """The node array of ``periodic_integrate``'s first call of f at these
-    settings, the very object that call passes, read-only.
+class Trapezoid:
+    """The nested trapezoid levels of one period, stepped for a batch of
+    integrals that each stop at their own level.
 
-    A caller that must evaluate f's terms there anyway, together with
-    other values in one batch, evaluates them first and has f answer the
-    call on this array (tested with ``is``) from those values."""
-    return _first_call(period, min_nodes, max_nodes, even)[0]
+    ``nodes`` holds the nodes of the next batch, and ``active`` the
+    integrals (numbered 0..count-1) whose values it needs.  ``take``
+    takes those values, one row per active integral in the order of
+    ``active``, and steps every integral through the levels they hold: the
+    first batch every level up to the first that brings the nodes
+    evaluated to 4 min_nodes (fewer if max_nodes ends the doubling sooner),
+    each later batch one level.  Each level is summed over its own slice of
+    a row, and each integral keeps its own sums, changes and stop decision
+    (the rule of ``periodic_integrate``).  An integral that stops, or runs
+    out of levels at max_nodes, leaves ``active`` with its
+    QuadratureResult in ``results``; its nodes_used counts the nodes of
+    every batch it was in.  Every integral of a batch is at the same
+    level, so its result is the one it gets alone.  The nodes are
+    read-only arrays, built once per (period, min_nodes, max_nodes, even).
+    """
+
+    def __init__(self, period: float, count: int, min_nodes: int = 16,
+                 max_nodes: int = 2 ** 15, even: bool = False):
+        self.period, self.max_nodes, self.even = period, max_nodes, even
+        self.nodes, self._cuts, self._weights, _ = _first_call(
+            period, min_nodes, max_nodes, even)
+        self.active = list(range(count))
+        self.results: list = [None] * count
+        #: per active integral: its sum, its value and its last change
+        #: (None before its first refinement)
+        self._state: dict = {}
+        self._n = min_nodes      # node count of the last level summed
+        self._evaluated = 0
+
+    def take(self, values, tol) -> None:
+        """Take the values at ``nodes`` of the integrals in ``active``, an
+        array of shape (len(active), nodes.size); tol is the tolerance of
+        every integral, one number or one per integral."""
+        self._tol = (list(tol) if np.ndim(tol)
+                     else [tol] * len(self.results))
+        batch, period, state = self.active, self.period, self._state
+        first = not self._evaluated
+        self._evaluated += self.nodes.size
+        if first:
+            parts = zip(np.split(values, self._cuts, axis=-1), self._weights)
+        else:
+            parts = ((values, self._weights),)
+        for v, w in parts:
+            sums = (v * w).sum(axis=-1).tolist()
+            if first:
+                first = False
+                for i, s in zip(batch, sums):
+                    state[i] = [s, period * s / self._n, None]
+                continue
+            self._n *= 2
+            for i, s in zip(batch, sums):
+                if i in state:
+                    self._refine(i, s, self._n)
+        self.active = [i for i in batch if i in state]
+        if self._n >= self.max_nodes:
+            # out of nodes: the last refinement and the last change it made
+            for i in self.active:
+                _, cur, last = state.pop(i)
+                self.results[i] = QuadratureResult(
+                    cur, math.inf if last is None else last,
+                    self._evaluated, False)
+            self.active = []
+        else:
+            self.nodes, self._weights = _refinement(period, 2 * self._n,
+                                                    self.even)
+
+    def _refine(self, i: int, new, n: int) -> None:
+        """Integral i's step to the level of n nodes, whose new nodes sum
+        to new."""
+        total, prev, last = self._state[i]
+        total = total + new
+        cur = self.period * total / n
+        err = _scaled(abs(cur - prev), cur)
+        tol = self._tol[i]
+        # one small change alone can be a fluke before the geometric regime
+        # sets in; a second one, or a predicted next change below rounding,
+        # shows that regime
+        if err <= tol and last is not None and (
+                last <= tol or err * err <= _ROUNDING * last):
+            del self._state[i]
+            self.results[i] = QuadratureResult(cur, err, self._evaluated,
+                                               True)
+        else:
+            self._state[i] = [total, cur, err]
 
 
 def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
@@ -166,51 +252,20 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     the first that brings the nodes evaluated to 4 min_nodes (fewer if
     max_nodes ends the doubling sooner), which is the first level and
     two refinements over a full period, and three over a mirror half.
-    That call passes the array ``first_call_nodes`` returns.  Each later
-    level's nodes go to a call of their own, and each level is summed over
-    its own slice of the values, as if it had been a call alone.  The
-    node layout is built once per (period, min_nodes, max_nodes, even)
-    and is read-only.  With even=True, f(z) = f(period - z) is taken on
-    trust and f is evaluated at one node of each mirror pair, the other
-    counted twice.  nodes_used counts the nodes evaluated, also those of a
-    level that the first call evaluated but the rule did not reach.
+    Each later level's nodes go to a call of their own, and each level is
+    summed over its own slice of the values, as if it had been a call
+    alone.  This is a ``Trapezoid`` of one integral, whose nodes f gets.
+    With even=True, f(z) = f(period - z) is taken on trust and f is
+    evaluated at one node of each mirror pair, the other counted twice.
+    nodes_used counts the nodes evaluated, also those of a level that the
+    first call evaluated but the rule did not reach.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-
-    def level_sums():
-        """Sum of each level in turn, with the nodes evaluated so far."""
-        nodes, cuts, weights, n = _first_call(period, min_nodes, max_nodes,
-                                              even)
-        values = _values(f, nodes, vectorized)
-        evaluated = nodes.size
-        for v, w in zip(np.split(values, cuts), weights):
-            yield (v * w).sum().item(), evaluated
-        while n < max_nodes:
-            n *= 2
-            x, w = _refinement(period, n, even)
-            evaluated += x.size
-            yield (_values(f, x, vectorized) * w).sum().item(), evaluated
-
-    sums = level_sums()
-    n = min_nodes
-    total, used = next(sums)
-    prev = period * total / n
-    cur, err, last = prev, math.inf, None
-    for new, used in sums:
-        total = total + new
-        n *= 2
-        cur = period * total / n
-        err = _scaled(abs(cur - prev), cur)
-        # one small change alone can be a fluke before the geometric regime
-        # sets in; a second one, or a predicted next change below
-        # rounding, shows that regime
-        if err <= tol and last is not None and (
-                last <= tol or err * err <= _ROUNDING * last):
-            return QuadratureResult(cur, err, used, True)
-        prev, last = cur, err
-    # out of nodes: the last refinement and the last change it made
-    return QuadratureResult(cur, err, used, False)
+    steps = Trapezoid(period, 1, min_nodes, max_nodes, even)
+    while steps.active:
+        steps.take(_values(f, steps.nodes, vectorized)[None], tol)
+    return steps.results[0]
 
 
 def line_integrate(f: Callable[[float], complex], tol: float,

@@ -179,7 +179,7 @@ def product_arguments():
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
+def _product(c: np.ndarray, grid: np.ndarray, pole_guard, merged=False):
     """prod_g (1 - c g) over the flat grid, per element of the array c.
 
     Each block holds the whole grid on axis 0 and, on axis 1, as many
@@ -190,7 +190,9 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     PoleHitError, and a product that underflows to zero raises
     NonConvergenceError; elsewhere a product may vanish (a genuine zero).
     A product that is not finite in double precision, or whose modulus
-    is not, raises NonConvergenceError.
+    is not, raises NonConvergenceError.  merged: c holds the elements of
+    several calls, none of which leaves one element alone in a block, so
+    a last block of one element takes a zero beside it.
     """
     if grid.size == 1:
         return _one_factor(c, grid, pole_guard)
@@ -199,6 +201,11 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     guard = (None if pole_guard is False
              else np.full(c.shape, pole_guard, bool).reshape(-1))
     cols = max(1, _BLOCK // max(grid.size, 1))
+    if merged and flat.size > cols and flat.size % cols == 1:
+        # numpy multiplies a single element by another loop than a wider
+        # block, rounding otherwise
+        return _product(np.append(flat, 0), grid, pole_guard if guard is None
+                        else np.append(guard, False))[:-1].reshape(c.shape)
     out = np.empty(flat.shape, complex)
     # one block buffer for the whole call: numpy is several times slower
     # multiplying a broadcast pair into a fresh array than into this one
@@ -236,8 +243,8 @@ def _one_factor(c: np.ndarray, grid: np.ndarray, pole_guard):
     # grid on axis 0 as in _product's blocks, which numpy multiplies by
     # another loop than a flat pair, rounding a size-1 batch otherwise
     with np.errstate(over="ignore", invalid="ignore"):
-        out = 1.0 - np.multiply(grid[:, None], c.reshape(-1),
-                                dtype=complex)[0]
+        out = np.multiply(grid[:, None], c.reshape(-1), dtype=complex)[0]
+        np.subtract(1.0, out, out=out)
     # |f| >= |Re f|: only a factor with a small real part can be small
     near = np.abs(out.real) < POLE_FACTOR_EPS
     if near.any():
@@ -279,7 +286,31 @@ def _staircase(a: complex, b: complex, rows: tuple, n_terms: int):
     return grid, coef
 
 
-def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
+def _truncation(top: float, aa: float, ab: float):
+    """The staircase rows (K_0, ..., K_{J-1}) and the log series length N
+    of a double product of ratios of magnitudes aa, ab whose largest |c|
+    is top (see ``_log_product_2d``)."""
+    # a term above the double below _PEEL is one at or above _PEEL
+    peel = math.nextafter(_PEEL, 0.0)
+    nj = _term_count(top, aa, peel, MAX_PRODUCT_INDEX)
+    # the cap bounds the staircase's total factor count, not each row's
+    rows, used = [], 0
+    for j in range(nj):
+        rows.append(_term_count(top * aa ** j, ab, peel, MAX_PRODUCT_INDEX,
+                                used))
+        used += rows[-1]
+    # largest |c a^j b^k| left to the series: the end of a row or row J
+    largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
+                        + [aa ** nj])
+    # N = the terms largest**n, n >= 1, above TERM_EPSILON: counted from
+    # n = 0 so that each term is largest**n exactly, and the 1 at n = 0 is
+    # dropped (used = -1 keeps it off the cap)
+    return tuple(rows), _term_count(1.0, largest, TERM_EPSILON,
+                                    MAX_PRODUCT_INDEX, -1, "log series") - 1
+
+
+def _log_product_2d(c, a: complex, b: complex, pole_guard=True,
+                    group_axis=None):
     """log of prod_{j,k>=0} (1 - c a^j b^k), with a tail bound on the log.
 
     Requires |a|, |b| < 1.  c is a scalar or an array; the staircase and
@@ -293,6 +324,14 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
     product is taken on the principal branch.  The log is not checked
     against the double range; the exp that leaves log space checks its
     value (``_exp_result``).
+
+    With group_axis, each slice of c along that axis is a truncation
+    group: it takes its staircase and series length from its own largest
+    |c|, and gets the values and tails it gets as a call of its own.  The
+    groups of one staircase are evaluated together.  A group that alone
+    would leave one element alone in a block of _product (numpy multiplies
+    a single element by another loop, rounding otherwise) is evaluated
+    alone, and the others never leave one element alone in a block.
     """
     aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
@@ -301,33 +340,52 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
         )
     c = np.asarray(c)
     ac = np.abs(c)
-    top = _finite_top(ac)
-    # a term above the double below _PEEL is one at or above _PEEL
-    peel = math.nextafter(_PEEL, 0.0)
-    nj = _term_count(top, aa, peel, MAX_PRODUCT_INDEX)
-    # the cap bounds the staircase's total factor count, not each row's
-    rows, used = [], 0
-    for j in range(nj):
-        rows.append(_term_count(top * aa ** j, ab, peel, MAX_PRODUCT_INDEX,
-                                used))
-        used += rows[-1]
-    rows = tuple(rows)
-    # largest |c a^j b^k| left to the series: the end of a row or row J
-    largest = top * max([aa ** j * ab ** k for j, k in enumerate(rows)]
-                        + [aa ** nj])
-    # N = the terms largest**n, n >= 1, above TERM_EPSILON: counted from
-    # n = 0 so that each term is largest**n exactly, and the 1 at n = 0 is
-    # dropped (used = -1 keeps it off the cap)
-    n_terms = _term_count(1.0, largest, TERM_EPSILON, MAX_PRODUCT_INDEX, -1,
-                          "log series") - 1
+    if group_axis is None:
+        return _truncated_log(c, ac, a, b, pole_guard,
+                              _truncation(_finite_top(ac), aa, ab))
+    axis = group_axis % c.ndim
+    tops = ac.max(axis=tuple(i for i in range(c.ndim) if i != axis))
+    _finite_top(tops)
+    size = c.size // c.shape[axis]
+    keys = {}
+    for g, top in enumerate(tops.tolist()):
+        key = _truncation(top, aa, ab)
+        grid = sum(key[0])
+        cols = max(1, _BLOCK // max(grid, 1))
+        if grid > 1 and size > cols and size % cols == 1:
+            key += (g,)     # a one-element block: alone, as alone
+        keys.setdefault(key, []).append(g)
+    if len(keys) == 1:
+        (key, groups), = keys.items()
+        return _truncated_log(c, ac, a, b, pole_guard, key[:2],
+                              len(groups) > 1)
+    log, tail = np.empty(c.shape, complex), np.empty(c.shape)
+    if np.ndim(pole_guard):
+        pole_guard = np.broadcast_to(pole_guard, c.shape)
+    for key, groups in keys.items():
+        index = (slice(None),) * axis + (groups,)
+        log[index], tail[index] = _truncated_log(
+            c[index], ac[index], a, b,
+            pole_guard[index] if np.ndim(pole_guard) else pole_guard,
+            key[:2], len(groups) > 1)
+    return log, tail
+
+
+def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
+                   merged: bool = False):
+    """_log_product_2d of the elements c (of magnitudes ac) at the
+    truncation (rows, n_terms); merged: they are several groups."""
+    aa, ab = abs(a), abs(b)
+    rows, n_terms = truncation
+    nj = len(rows)
     grid, coef = _staircase(complex(a), complex(b), rows, n_terms)
     # cut at N, the series of a left-out factor x = c a^j b^k errs by at
     # most |x|^{N+1} / (1 - |x|), and |x|^{N+1} <= min(|c|, TERM_EPSILON)
     # a^j b^k / g_max with g_max the largest left-out a^j b^k; summed over
     # rows j < J and rows j >= J this is the bound below.  It grows with
     # J, so each element gets at least the bound of its own staircase.
-    tail = np.minimum(ac, TERM_EPSILON) * (
-        (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab)))
+    tail = np.minimum(ac, TERM_EPSILON)
+    tail *= (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab))
     # Horner, from the last coefficient (none: a zero log series); a 0-d
     # c gives a 0-d array, which the steps below update in place
     log = (np.asarray(c * coef[-1]) if n_terms
@@ -336,13 +394,15 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True):
         log += w
         log *= c
     if grid.size:
-        prod = _product(c, grid, pole_guard)
+        prod = _product(c, grid, pole_guard, merged)
         # unguarded products have genuine zeros (1/Gamma at its zeros): log
         # 0 = -inf, which the caller's exp turns back into 0.  log|p| +
-        # i arg p is several times faster than numpy's complex log.
+        # i arg p is several times faster than numpy's complex log; one
+        # buffer takes both parts
+        part = np.asarray(np.abs(prod))
         with np.errstate(divide="ignore", over="ignore"):
-            log.real += np.log(np.abs(prod))
-        log.imag += np.arctan2(prod.imag, prod.real)
+            log.real += np.log(part, out=part)
+        log.imag += np.arctan2(prod.imag, prod.real, out=part)
     return log, tail
 
 
@@ -455,8 +515,10 @@ def theta4(z: complex, p: complex, with_bound: bool = False):
     return _result(value, t0 + tp + tm, with_bound)
 
 
-def _elliptic_gamma(e2, p: complex, q: complex):
-    """log ``elliptic_gamma`` at the phase e2 = e^{2iz}, and its log tail."""
+def _elliptic_gamma(e2, p: complex, q: complex, group_axis=None):
+    """log ``elliptic_gamma`` at the phase e2 = e^{2iz}, and its log tail;
+    group_axis (negative): the axis of e2 whose slices are truncation
+    groups (``_log_product_2d``)."""
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise DivergentParameterError("|p| and |q| must be < 1")
     pq = p * q
@@ -464,7 +526,8 @@ def _elliptic_gamma(e2, p: complex, q: complex):
     with product_arguments():
         np.multiply(e2, pq, out=c[:1])
         np.divide(pq, e2, out=c[1:])
-    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q)
+    (ln, ld), (tn, td) = _log_product_2d(c, p * p, q * q,
+                                         group_axis=group_axis)
     return ln - ld, tn + td
 
 
@@ -491,25 +554,25 @@ def _lens_shifts(params: NomeParameters):
     return out
 
 
-def _lens_factor(e2, m, params: NomeParameters):
+def _lens_factor(e2, m, params: NomeParameters, group_axis=None):
     """log of the (pq, p^r) factor v1 of ``lens_elliptic_gamma`` at the
     phase e2 = e^{2iz}, and its log tail.  The shift of its argument by
     (r/2 - [[m]]) pi sigma multiplies the phase by p^{r - 2[[m]]}."""
     r, p = params.r, params.p
     with product_arguments():
         e2 = e2 * _lens_shifts(params)[0][mod_bracket(m, r)]
-    return _elliptic_gamma(e2, p * params.q, p ** r)
+    return _elliptic_gamma(e2, p * params.q, p ** r, group_axis)
 
 
-def _lens_gamma(e2, m, params: NomeParameters):
+def _lens_gamma(e2, m, params: NomeParameters, group_axis=None):
     """The logs of the two factors of ``lens_elliptic_gamma`` at the phase
     e2 = e^{2iz}, each with its log tail: v1 (``_lens_factor``), and v2
     over (pq, q^r) at the phase times q^{2[[m]] - r}."""
     r, q = params.r, params.q
     with product_arguments():
         e2q = e2 * _lens_shifts(params)[1][mod_bracket(m, r)]
-    return _lens_factor(e2, m, params), _elliptic_gamma(e2q, params.p * q,
-                                                        q ** r)
+    return (_lens_factor(e2, m, params, group_axis),
+            _elliptic_gamma(e2q, params.p * q, q ** r, group_axis))
 
 
 def lens_elliptic_gamma(z: complex, m: int, params: NomeParameters,

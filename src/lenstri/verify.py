@@ -114,24 +114,28 @@ def _check_alphas(alphas: Sequence[float], eta: float):
 # star-triangle relations
 
 
-def _rhs_edges(spins: Sequence[Spin], alphas: Sequence[float]):
+def _rhs_edges(spins: Sequence[Spin], alphas):
     """(alpha, si, sj) of the three edge weights of a star-triangle right
     side, W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si), as arrays with one
     element per weight, so that one weight call, or one batch, gives all
-    three."""
+    three; of several stars (each spin holding one angle and integer part
+    per star, alphas one row per star), one row of three per star."""
     def stack(ss):
-        return Spin(np.array([s.x for s in ss]), np.array([s.m for s in ss]))
+        return Spin(np.stack([s.x for s in ss], axis=-1),
+                    np.stack([s.m for s in ss], axis=-1))
     si, sj, sk = spins
     return np.array(alphas, float), stack((sj, si, sj)), stack((sk, sk, si))
 
 
-def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
-                   quad_tol) -> VerificationReport:
-    """Star-triangle relation of the elliptic or the q-limit family.
+def verify_star_triangles(family: ModelFamily, cases, params: NomeParameters,
+                          tol: float = 1e-6,
+                          quad_tol: Optional[float] = None) -> list:
+    """Star-triangle relation of the elliptic or the q-limit family at each
+    (spins, alphas) of cases; the reports, in case order.
 
     LHS: sum over the center spin's integer part m0 and integral of its
     angle over [0, pi) of S(s0) W_{eta-ai}(si,s0) W_{eta-aj}(sj,s0)
-    W_{eta-ak}(sk,s0), every m0 on axis 0 of one integrand batch.
+    W_{eta-ak}(sk,s0), every m0 on an axis of one integrand batch.
     RHS: W_{ai}(sj,sk) W_{aj}(si,sk) W_{ak}(sj,si).
 
     W(s, (x, m)) = W(s, (-x, -m)) for every edge and for S, and the
@@ -155,93 +159,149 @@ def _star_triangle(family: ModelFamily, spins, alphas, params, tol,
     target (``SUM_MARGIN`` times the quadrature target) or more than
     MAX_SUM_TERMS rows raise NonConvergenceError.  Both need a real eta.
 
-    Each trapezoid level is one integrand batch and nothing else.  kappa
-    of the six spectral parameters alpha_i and eta - alpha_i is one
-    evaluation of its series, and the right side's twelve rows (six of
-    num and den in the q-limit at the conjugate nomes) ride in the batch
-    of the integrand's first call, which this function makes itself at
-    ``numerics.first_call_nodes``; the right side sets the quadrature
-    tolerance before the stop rule first runs.
+    The instances are verified together (``_star_batch``): each trapezoid
+    level is one integrand batch over the instances that have not
+    stopped, and each instance stops at its own level.  q-limit instances
+    whose m-sums differ in length are batched apart.  Every instance's
+    rows are a truncation group of their own, so its report is the one it
+    gets alone.  An error raised for one instance is raised for all: a
+    caller that wants each instance's own status verifies them one by one.
     """
     if abs(params.eta.imag) > 1e-12:
         raise InvalidParameterError(
             "star-triangle relations need a real eta, Re(sigma + tau) = 0 "
             f"as at tau = -conj(sigma) (got eta = {params.eta:.6g})")
     eta = params.eta.real
-    _check_alphas(alphas, eta)
-    for s in spins:
-        models.check_spin_domain(s, family, params.r)
     rel = quad_tol if quad_tol is not None else tol / 10
-    if not rel > 0:
-        raise InvalidParameterError("tol must be positive")
     elliptic = family is ModelFamily.ELLIPTIC
-    m0 = np.arange(params.r)   # Z_r, the sectors of the elliptic sum
-    if not elliptic:
-        rho = math.exp(-4 * eta)
-        m_star = max(abs(s.m) for s in spins)
-        # k >= 1: row m* + 1 gives the tail its ratio, and the count adds
-        # the rows after it while rho^{k+1} / (1 - rho) is above the
-        # target; rows m0 = 0..m* + 1 are used before the count
-        k = 1 + sf._term_count(rho * rho / (1 - rho), rho, SUM_MARGIN * rel,
-                               MAX_SUM_TERMS, m_star + 2,
-                               "rinfstr m-sum")
-        m0 = np.arange(m_star + k + 1)
-    crossed = [eta - a for a in alphas]
-    kappas = models.kappa(family, np.array([*alphas, *crossed]), params)
-    nodes = numerics.first_call_nodes(math.pi, even=elliptic)
-    first, rhs = models.star_integrand(
-        family, Spin(nodes, m0[:, None]), spins, crossed, params,
-        kappas=kappas[3:],
-        right_side=(*_rhs_edges(spins, alphas), kappas[:3]))
-    # the integrator's tolerance is absolute for small values; tie it to
-    # the scale of the identity so the relative residual is meaningful
-    qtol = rel * min(1.0, max(abs(rhs), 1e-12))
+    batches = {}   # the instances of each m-sum length
+    for i, (spins, alphas) in enumerate(cases):
+        _check_alphas(alphas, eta)
+        for s in spins:
+            models.check_spin_domain(s, family, params.r)
+        if not rel > 0:
+            raise InvalidParameterError("tol must be positive")
+        sectors = params.r   # Z_r, the sectors of the elliptic sum
+        if not elliptic:
+            rho = math.exp(-4 * eta)
+            m_star = max(abs(s.m) for s in spins)
+            # k >= 1: row m* + 1 gives the tail its ratio, and the count
+            # adds the rows after it while rho^{k+1} / (1 - rho) is above
+            # the target; rows m0 = 0..m* + 1 are used before the count
+            k = 1 + sf._term_count(rho * rho / (1 - rho), rho,
+                                   SUM_MARGIN * rel, MAX_SUM_TERMS,
+                                   m_star + 2, "rinfstr m-sum")
+            sectors = m_star + k + 1
+        batches.setdefault(sectors, []).append(i)
+    reports = [None] * len(cases)
+    for sectors, idx in batches.items():
+        batch = _star_batch(family, [cases[i] for i in idx],
+                            np.arange(sectors), params, tol, rel)
+        for i, rep in zip(idx, batch):
+            reports[i] = rep
+    return reports
+
+
+def _star_batch(family: ModelFamily, cases, m0: np.ndarray,
+                params: NomeParameters, tol: float, rel: float) -> list:
+    """The reports of ``verify_star_triangles`` at cases whose centre sums
+    run over the same m0, in one ``numerics.Trapezoid``: every level is one
+    ``models.star_integrand`` batch of the instances that have not
+    stopped, the instances on its leading axis.  kappa of each instance's
+    six spectral parameters alpha_i and eta - alpha_i is one evaluation of
+    its series, and the right sides' twelve rows (six of num and den in
+    the q-limit at the conjugate nomes) ride in the first batch; each
+    right side sets its instance's quadrature tolerance before the stop
+    rule first runs."""
+    elliptic = family is ModelFamily.ELLIPTIC
+    n = len(cases)
+    spins = [Spin(np.array([c[0][j].x for c in cases], float),
+                  np.array([c[0][j].m for c in cases]))
+             for j in range(3)]
+    alphas = np.array([c[1] for c in cases], float)
+    crossed = params.eta.real - alphas
+    kappas = np.array([models.kappa(family, np.concatenate(a), params)
+                       for a in zip(alphas, crossed)])
     weight = np.where(elliptic | (m0 == 0), 1.0, 2.0)[:, None]
     # q-limit: the largest |row M - 1| and |row M| so far, for the tail
-    last = None if elliptic else np.zeros(2)
+    last = np.zeros((n, 2))
+    steps = numerics.Trapezoid(math.pi, n, even=elliptic)
 
-    def integrand(x0):
-        v = first if x0 is nodes else models.star_integrand(
-            family, Spin(x0, m0[:, None]), spins, crossed, params,
-            kappas=kappas[3:])
-        if last is not None:
-            np.maximum(last, np.abs(v[-2:]).max(axis=1), out=last)
-        return (weight * v).sum(axis=0)
-    res = _converged(numerics.periodic_integrate(integrand, math.pi, qtol,
-                                                 vectorized=True,
-                                                 even=elliptic))
-    meta = {"nodes": res.nodes_used}
-    if not elliptic:
-        # 2 pi |row M| r / (1 - r), with r = |row M| / |row M - 1|
-        prev, top = last.tolist()
-        tail = 2 * math.pi * top**2 / (prev - top) if top < prev else math.inf
-        if tail > SUM_MARGIN * qtol:
-            raise NonConvergenceError(f"rinfstr m-sum tail {tail:.2e} not "
-                                      f"within {SUM_MARGIN * qtol:.2e}")
-        meta.update(m_terms=m0.size, tail_bound=tail)
-    meta.update(quad_tol=qtol, quad_error=res.error_estimate,
-                term_epsilon=TERM_EPSILON)
-    record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas),
-              "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("str" if elliptic else "rinfstr", record, res.value,
-                       rhs, tol, meta)
+    def integrand(act, first):
+        """The integrand of the instances act at the nodes of the level,
+        and with first their right sides: one star_integrand batch of
+        them all, or in the elliptic family of every run of them whose
+        gamma rows, four per edge, sector and node, stay below
+        ``models.STAR_BATCH_ROWS`` (all of them at the default nomes)."""
+        s0 = Spin(steps.nodes, m0[:, None])
+        rows = 4 * (3 * m0.size * steps.nodes.size + 3 * first)
+        step = max(1, (models.STAR_BATCH_ROWS - 1) // rows)
+        values, sides = [], []
+        for lo in range(0, len(act), step):
+            run = act[lo:lo + step]
+            stars = [Spin(s.x[run], s.m[run]) for s in spins]
+            v = models.star_integrand(
+                family, s0, stars, crossed[run], params,
+                kappas=kappas[run, 3:],
+                right_side=(*_rhs_edges(stars, alphas[run]),
+                            kappas[run, :3]) if first else None)
+            if first:
+                v, h = v
+                sides += np.reshape(h, -1).tolist()
+            values.append(np.reshape(v, (len(run), m0.size, -1)))
+        return np.concatenate(values), sides
+
+    v, rhs = integrand(steps.active, True)
+    # the integrator's tolerance is absolute for small values; tie it to
+    # the scale of the identity so the relative residual is meaningful
+    qtol = [rel * min(1.0, max(abs(h), 1e-12)) for h in rhs]
+    while steps.active:
+        act = steps.active
+        if not elliptic:
+            last[act] = np.maximum(last[act], np.abs(v[:, -2:]).max(axis=-1))
+        steps.take((weight * v).sum(axis=1), qtol)
+        if steps.active:
+            v, _ = integrand(steps.active, False)
+    reports = []
+    for (spins_i, alphas_i), res, h, qt, (prev, top) in zip(
+            cases, steps.results, rhs, qtol, last.tolist()):
+        _converged(res)
+        meta = {"nodes": res.nodes_used}
+        if not elliptic:
+            # 2 pi |row M| r / (1 - r), with r = |row M| / |row M - 1|
+            tail = (2 * math.pi * top**2 / (prev - top) if top < prev
+                    else math.inf)
+            if tail > SUM_MARGIN * qt:
+                raise NonConvergenceError(f"rinfstr m-sum tail {tail:.2e} "
+                                          f"not within {SUM_MARGIN * qt:.2e}")
+            meta.update(m_terms=m0.size, tail_bound=tail)
+        meta.update(quad_tol=qt, quad_error=res.error_estimate,
+                    term_epsilon=TERM_EPSILON)
+        record = {"spins": [(s.x, s.m) for s in spins_i],
+                  "alphas": list(alphas_i), "sigma": params.sigma,
+                  "tau": params.tau, "r": params.r}
+        reports.append(make_report("str" if elliptic else "rinfstr",
+                                   record, res.value, h, tol, meta))
+    return reports
 
 
 def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
                params: NomeParameters, tol: float = 1e-6,
                quad_tol: Optional[float] = None) -> VerificationReport:
-    """Star-triangle relation of the elliptic model (see _star_triangle)."""
-    return _star_triangle(ModelFamily.ELLIPTIC, spins, alphas, params, tol,
-                          quad_tol)
+    """Star-triangle relation of the elliptic model (see
+    verify_star_triangles), as a batch of one."""
+    return verify_star_triangles(ModelFamily.ELLIPTIC, [(spins, alphas)],
+                                 params, tol, quad_tol)[0]
 
 
 def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
                    params: NomeParameters, tol: float = 1e-6,
                    quad_tol: Optional[float] = None) -> VerificationReport:
     """Star-triangle relation of the q-product (r->infinity) model, whose
-    center integer spin runs over all of Z (see _star_triangle)."""
-    return _star_triangle(ModelFamily.Q_LIMIT, spins, alphas, params, tol,
-                          quad_tol)
+    center integer spin runs over all of Z (see verify_star_triangles), as
+    a batch of one."""
+    return verify_star_triangles(ModelFamily.Q_LIMIT, [(spins, alphas)],
+                                 params, tol, quad_tol)[0]
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
@@ -412,21 +472,19 @@ def _pochhammer_norm(params: NomeParameters) -> complex:
 def _master_integral(mp: MasterParameters, qtol, scaled: bool = False):
     """The integral over one period of sum_y master_integrand, divided by
     the right side if scaled, and the right side.  Every sector y is on
-    axis 0 of one batch per trapezoid level, and the right side rides in
-    the batch of the first call, which this function makes itself at
-    ``numerics.first_call_nodes``.  The sum over y is even in z, because
-    the integrand is invariant under (z, y) -> (-z, -y) and y runs over
-    Z_r."""
+    axis 0 of one batch per trapezoid level (``numerics.Trapezoid``), and
+    the right side rides in the first batch.  The sum over y is even in
+    z, because the integrand is invariant under (z, y) -> (-z, -y) and y
+    runs over Z_r."""
     y = np.arange(mp.params.r)[:, None]
-    nodes = numerics.first_call_nodes(2 * math.pi, even=True)
-    first, rhs = master_integrand(nodes, y, mp, right_side=True)
+    steps = numerics.Trapezoid(2 * math.pi, 1, even=True)
+    v, rhs = master_integrand(steps.nodes, y, mp, right_side=True)
     scale = 1 / rhs if scaled else 1.0
-
-    def integrand(z):
-        v = first if z is nodes else master_integrand(z, y, mp)
-        return scale * v.sum(axis=0)
-    return _converged(numerics.periodic_integrate(
-        integrand, 2 * math.pi, qtol, vectorized=True, even=True)), rhs
+    while True:
+        steps.take((scale * v.sum(axis=0))[None], qtol)
+        if not steps.active:
+            return _converged(steps.results[0]), rhs
+        v = master_integrand(steps.nodes, y, mp)
 
 
 def verify_master(mp: MasterParameters, tol: float = 1e-6,

@@ -653,7 +653,7 @@ class TestLogSpaceIntegrands:
             case["spins"], case["alphas"], pr).numerics_meta["m_terms"]
         crossed = [pr.eta.real - a for a in case["alphas"]]
         kappas = models.kappa(family, crossed, pr)
-        nodes = numerics.first_call_nodes(math.pi, even=elliptic)
+        nodes = numerics.Trapezoid(math.pi, 1, even=elliptic).nodes
         s0 = Spin(nodes, np.arange(sectors)[:, None])
 
         def run():
@@ -730,7 +730,7 @@ class TestKernelCalls:
         integrand batches).  Returns, per batch, the (name, shape of the
         first argument) of each kernel and weight call made in it and the
         keyword arguments of the batch; the calls made outside every
-        batch; the node counts of the integrator's integrand calls; and
+        batch; the node counts of the batches the stepper takes; and
         the number of kappa series evaluations."""
         per_batch, outside, sizes, series = [], [], [], [0]
         current = [outside]
@@ -748,7 +748,7 @@ class TestKernelCalls:
             counted(models, name)
         batch_fn = getattr(owner, integrand)
         kappa_log = models._kappa_log
-        integrate = numerics.periodic_integrate
+        take = numerics.Trapezoid.take
 
         def batch(*args, **kwargs):
             per_batch.append(([], kwargs))
@@ -762,14 +762,12 @@ class TestKernelCalls:
             series[0] += 1
             return kappa_log(*args, **kwargs)
 
-        def counted_integrate(f, *args, **kwargs):
-            def level(x):
-                sizes.append(np.size(x))
-                return f(x)
-            return integrate(level, *args, **kwargs)
+        def counted_take(steps, values, tol):
+            sizes.append(steps.nodes.size)
+            return take(steps, values, tol)
         monkeypatch.setattr(owner, integrand, batch)
         monkeypatch.setattr(models, "_kappa_log", counted_series)
-        monkeypatch.setattr(numerics, "periodic_integrate", counted_integrate)
+        monkeypatch.setattr(numerics.Trapezoid, "take", counted_take)
         run()
         assert per_batch
         return per_batch, outside, sizes, series[0]

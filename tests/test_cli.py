@@ -21,9 +21,12 @@ from lenstri import cli, numerics, verify
 from lenstri.params import NomeParameters, NonConvergenceError
 
 
-def unconverged(f, period, tol, **kwargs):
-    """Stand-in integrator that never converges."""
-    return numerics.QuadratureResult(0j, 1.0, 16, False)
+def unconverged(self, values, tol):
+    """Stand-in for ``numerics.Trapezoid.take``: every integral runs out
+    of nodes at once, unconverged."""
+    for i in self.active:
+        self.results[i] = numerics.QuadratureResult(0j, 1.0, 16, False)
+    self.active = []
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -165,7 +168,7 @@ class TestVerify:
         assert "verify finished in" in err
 
     def test_unconverged_quadrature_exit_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(numerics, "periodic_integrate", unconverged)
+        monkeypatch.setattr(numerics.Trapezoid, "take", unconverged)
         rc, out, err = run(capsys, ["verify", "str", "--r", "1",
                                     "--seed", "2"])
         assert rc == 3
@@ -542,7 +545,7 @@ class TestSweep:
         assert rep is None or rep.passed, rep.checks
 
     def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(numerics, "periodic_integrate", unconverged)
+        monkeypatch.setattr(numerics.Trapezoid, "take", unconverged)
         target = tmp_path / "a.jsonl"
         rc, _, _ = run(capsys, ["sweep", "str", "--r", "1", "--seed", "2",
                                 "--samples", "2", "--out", str(target)])

@@ -261,8 +261,8 @@ class TestNodeLayout:
     def test_cached_layout_is_read_only_and_fresh(self, period, min_nodes,
                                                   max_nodes, even):
         setting = (period, min_nodes, max_nodes, even)
-        nodes = numerics.first_call_nodes(*setting)
-        assert nodes is numerics.first_call_nodes(*setting)
+        nodes = numerics.Trapezoid(period, 1, *setting[1:]).nodes
+        assert nodes is numerics.Trapezoid(period, 2, *setting[1:]).nodes
         cached, fresh = (numerics._first_call(*setting),
                          numerics._first_call.__wrapped__(*setting))
         assert np.array_equal(nodes, self.written_out(*setting))

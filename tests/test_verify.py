@@ -200,12 +200,12 @@ class TestRInfStarTriangle:
     def test_one_integral(self, monkeypatch):
         # every m-term on axis 0 of one integrand batch
         calls = []
-        integrate = numerics.periodic_integrate
+        integrate = numerics.Trapezoid
 
         def counted(*args, **kwargs):
             calls.append(args)
             return integrate(*args, **kwargs)
-        monkeypatch.setattr(numerics, "periodic_integrate", counted)
+        monkeypatch.setattr(numerics, "Trapezoid", counted)
         pr = physical_parameters(0.05, 0.5, 1)
         case = cli.sample_rinfstr_case(np.random.default_rng(5), pr)
         verify.verify_rinfstr(case["spins"], case["alphas"], pr)
@@ -345,7 +345,7 @@ class TestConstantForm:
     def test_rejected_before_integrating(self, monkeypatch, im, u, error):
         def refuse(*args, **kwargs):
             raise AssertionError("integrated a rejected case")
-        monkeypatch.setattr(numerics, "periodic_integrate", refuse)
+        monkeypatch.setattr(numerics, "Trapezoid", refuse)
         t = tuple(complex(a, b) for a, b in zip(ICONST_RE, im))
         with pytest.raises(error):
             verify.verify_I_constant(t, u, physical_parameters(0.05, 0.5, 2))
