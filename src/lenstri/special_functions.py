@@ -110,6 +110,10 @@ _PEEL = 0.05
 
 #: the least normal double
 _NORMAL = float(np.finfo(float).tiny)
+#: two units of the least subnormal double 2^-1074, one per part of a
+#: complex value: what rounding to the subnormal grid can take from a
+#: value below the least normal double (``_result``)
+_SUBNORMAL_ROUNDING = 2.0 ** -1073
 
 
 def mod_bracket(m: int, r: int) -> int:
@@ -464,12 +468,18 @@ def _result(value, tail, with_bound):
     the product of several factors or the exp of a log overflowing far off
     the real axis) raises NonConvergenceError here rather than passing an
     inf or nan on.  A value formed from logs is also checked for underflow,
-    by ``_exp_result``."""
+    by ``_exp_result``.  A nonzero value below the least normal double
+    carries fewer digits than its relative tail can see: each part is
+    rounded to the subnormal grid, so its bound adds one unit of the least
+    subnormal per part (``_SUBNORMAL_ROUNDING``)."""
     if not np.isfinite(value).all():
         raise NonConvergenceError("value is not finite in double precision")
     if not with_bound:
         return python_scalar(value)
-    return python_scalar(value), python_scalar(np.abs(value) * np.expm1(tail))
+    size = np.abs(value)
+    bound = size * np.expm1(tail) + np.where(
+        (size > 0) & (size < _NORMAL), _SUBNORMAL_ROUNDING, 0.0)
+    return python_scalar(value), python_scalar(bound)
 
 
 def _exp_result(log, tail, with_bound):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lenstri import cli, numerics, verify
@@ -543,6 +543,22 @@ class TestSweep:
         ident = cli.IDENTITIES[identity]
         rep, _ = cli._sweep_one(ident, params, ident.tol, seed, 0)
         assert rep is None or rep.passed, rep.checks
+
+    # off the conjugate pair: tau = -Re sigma + ib with b != Im sigma keeps
+    # eta real, as the star-triangle relations need, and runs the full
+    # edge rows of both lens gamma factors (or of Q's numerators and
+    # denominators); three samples verified together, as a sweep does
+    @given(st.sampled_from(["str", "rinfstr"]),
+           st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.1, 3.2)),
+           st.floats(0.1, 3.2), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_nomes_off_the_pair(self, identity, sigma, b, r, seed):
+        assume(b != sigma.imag)
+        params = NomeParameters(sigma, complex(-sigma.real, b), r)
+        ident = cli.IDENTITIES[identity]
+        cases = [cli._sample(ident, params, seed, i) for i in range(3)]
+        for rep, _ in cli._sweep_batch(ident, params, ident.tol, cases):
+            assert rep is None or rep.passed, rep.checks
 
     def test_unconverged_quadrature_row(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(numerics.Trapezoid, "take", unconverged)

@@ -285,9 +285,15 @@ class TestAgainstOracle:
     # 10^e e^{it} from zero, at r = 1..4 (a larger r puts the lattice far
     # off the real axis); all four products are guarded, and the draw
     # checks the guard alone (module docstring).  The first example is
-    # below the least subnormal, the last two are beyond the largest double
+    # below the least subnormal, the second a subnormal value that the
+    # rounding to the subnormal grid moves by 2e-324, the last two are
+    # beyond the largest double
     @example(z=-0.39269908169872464 + 19.577097397290995j, m=2,
              params=NomeParameters(0.25 + 0.112j, 0.5 + 0.7j, 4), near=None)
+    @example(z=3.016725966225626 + 25.560998813366894j, m=6,
+             params=NomeParameters(-0.169144080582724 + 0.45520794763152134j,
+                                   0.3836102227979262 + 0.28666730090294995j,
+                                   6), near=None)
     @example(z=0j, m=0, params=NomeParameters(0.5j, 0.5j, 4),
              near=(False, (False, 2, 1, -2.0, 0.0)))
     @example(z=0j, m=0, params=NomeParameters(0.625j, 0.125j, 4),
