@@ -7,7 +7,8 @@ whose summands are rewritten with the dominant nome powers factored out,
 so no intermediate overflows for large |n|.  The terms fall geometrically,
 by a ratio known in closed form, so the sum is one array cut by a
 geometric tail bound.  kappa of every alpha of an array is one evaluation
-of that series; the parts of its terms that depend on the nomes alone are
+of that series (of several star-triangle instances, each row cut at its
+own length); the parts of its terms that depend on the nomes alone are
 cached per params, and the scalar ``kappa_elliptic`` and ``kappa_qlimit``
 per (alpha, params).
 
@@ -24,8 +25,10 @@ q-Pochhammer products in one ``_log_product_2d`` call, and each edge's
 log ratio is formed from them in one pass.  A weight is its prefactor
 over kappa times the exp of its log ratio, and a star integrand sums the
 log ratios of its three edges and exponentiates once per centre spin.
-What depends on the nomes and the node grid alone, the single-spin
-weights, is cached per grid (``grid_cache``).
+Several stars at one centre spin are a leading axis of one such batch,
+each star's rows a truncation group of their own.  What depends on the
+nomes and the node grid alone, the single-spin weights, is cached per
+grid (``grid_cache``).
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ def epsilon_factor(m, r: int):
     return python_scalar(np.where(2 * m % r == 0, 0.5, 1.0))
 
 
-def _kappa_log(alpha, params: NomeParameters, family: ModelFamily):
+def _kappa_log(alpha, params: NomeParameters, family: ModelFamily,
+               rows: bool = False):
     """sum_{n!=0} e^{4 a n} w^{2|n|} factor(|n|) / n at each element a of
     the array alpha, w = pq, with the factor of the family's kappa series
     (``_kappa_series``), |factor(k)| <= _kappa_bound for every k >= 1.
@@ -128,24 +132,33 @@ def _kappa_log(alpha, params: NomeParameters, family: ModelFamily):
     (absolute: kappa is exp of the sum), at the largest |a|, counted by
     special_functions._term_count.  The series is cached with the least
     power of 2 (at least 16) terms that covers N, so that one serves many
-    alpha.
+    alpha.  rows: alpha is 2-d, and each row takes N from its own largest
+    |a| and sums its own N terms, as a call of its own, while the terms of
+    all rows are one evaluation.
     """
     alpha = np.asarray(alpha, float)
     bound = _kappa_bound(params, family)
-    top = float(np.abs(alpha).max(initial=0.0))
-    rho = abs(params.p * params.q) ** 2 * math.exp(4 * top)
-    if rho >= 1.0:
-        raise NonConvergenceError(
-            f"kappa series diverges: term ratio {rho:.3f} >= 1")
-    n = _term_count(2.0 * bound * rho / (1.0 - rho), rho,
-                    TERM_EPSILON * 1e2, MAX_SUM_TERMS, what="kappa series")
+    counts = []
+    tops = (np.abs(alpha).max(axis=-1) if rows
+            else np.abs(alpha).max(initial=0.0))
+    for top in np.atleast_1d(tops).tolist():
+        rho = abs(params.p * params.q) ** 2 * math.exp(4 * top)
+        if rho >= 1.0:
+            raise NonConvergenceError(
+                f"kappa series diverges: term ratio {rho:.3f} >= 1")
+        counts.append(_term_count(2.0 * bound * rho / (1.0 - rho), rho,
+                                  TERM_EPSILON * 1e2, MAX_SUM_TERMS,
+                                  what="kappa series"))
+    n = max(counts)
     size = 1 << max(4, (n - 1).bit_length())
     k, k_logw, factor = (a[:n] for a in _kappa_series(params, family, size))
     a4k = 4 * alpha[..., None] * k
     # exponents combined before exponentiating: e^{4 a n} alone can
     # overflow for alpha near eta even though the term is tiny
     terms = (np.exp(a4k + k_logw) - np.exp(k_logw - a4k)) * factor / k
-    return terms.sum(axis=-1)
+    if not rows:
+        return terms.sum(axis=-1)
+    return np.array([t[:, :m].sum(axis=-1) for t, m in zip(terms, counts)])
 
 
 @lru_cache(maxsize=32)
@@ -160,11 +173,14 @@ def _kappa_bound(params: NomeParameters, family: ModelFamily) -> float:
                * (1 - abs(params.q) ** (2 * r))))
 
 
-def kappa(family: ModelFamily, alpha, params: NomeParameters):
+def kappa(family: ModelFamily, alpha, params: NomeParameters,
+          rows: bool = False):
     """kappa(alpha) of the elliptic or the q-limit edge weight at a scalar
     alpha or at each element of an array of them, from one evaluation of
-    the series (``_kappa_log``); kappa(0) = 1."""
-    return python_scalar(np.exp(_kappa_log(alpha, params, family)))
+    the series (``_kappa_log``); kappa(0) = 1.  rows: each row of a 2-d
+    alpha (the spectral parameters of one star-triangle instance) is
+    truncated as a call of its own."""
+    return python_scalar(np.exp(_kappa_log(alpha, params, family, rows)))
 
 
 @lru_cache(maxsize=32)

@@ -30,8 +30,8 @@ Its first batch holds the first levels, concatenated in level order,
 until they reach 4 min_nodes evaluated nodes (the stop rule always needs
 the first three levels); each later batch holds one level.  A caller
 that drives the stepper itself evaluates whatever else it needs in the
-same batch: the star-triangle verifiers evaluate all their instances,
-and the first batch their right sides, in one integrand call per level.
+same batch: the quadrature verifiers evaluate their right sides in the
+first batch, and a sweep's star-triangle samples share every batch.
 The node layout (each batch's nodes, the cuts between the levels of the
 first, the mirror weights) is built once per (period, min_nodes,
 max_nodes, even) and is read-only.

@@ -19,7 +19,9 @@ Every function takes its argument z either as a scalar or as an ndarray
 batch and gives arrays of values and bounds, and a scalar call returns a
 Python complex (and float bound).  A batch shares its truncation depth,
 taken from its largest |c|, so each element gets at least the terms it
-would get alone.
+would get alone; the double-product kernel can also split a batch into
+truncation groups (``_log_product_2d``), each of which gets the values
+it gets alone, as a sweep's star-triangle samples do.
 
 The gamma kernels take the phase of their argument rather than z:
 ``_elliptic_gamma``, ``_lens_factor`` and ``_lens_gamma`` the phase
@@ -388,8 +390,6 @@ def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
     # a^j b^k / g_max with g_max the largest left-out a^j b^k; summed over
     # rows j < J and rows j >= J this is the bound below.  It grows with
     # J, so each element gets at least the bound of its own staircase.
-    tail = np.minimum(ac, TERM_EPSILON)
-    tail *= (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab))
     # Horner, from the last coefficient (none: a zero log series); a 0-d
     # c gives a 0-d array, which the steps below update in place
     log = (np.asarray(c * coef[-1]) if n_terms
@@ -397,16 +397,19 @@ def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
     for w in coef[-2::-1]:
         log += w
         log *= c
+    tail = np.empty(c.shape)
     if grid.size:
         prod = _product(c, grid, pole_guard, merged)
         # unguarded products have genuine zeros (1/Gamma at its zeros): log
         # 0 = -inf, which the caller's exp turns back into 0.  log|p| +
-        # i arg p is several times faster than numpy's complex log; one
-        # buffer takes both parts
-        part = np.asarray(np.abs(prod))
+        # i arg p is several times faster than numpy's complex log; the
+        # tail's buffer takes both parts first
+        np.abs(prod, out=tail)
         with np.errstate(divide="ignore", over="ignore"):
-            log.real += np.log(part, out=part)
-        log.imag += np.arctan2(prod.imag, prod.real, out=part)
+            log.real += np.log(tail, out=tail)
+        log.imag += np.arctan2(prod.imag, prod.real, out=tail)
+    np.minimum(ac, TERM_EPSILON, out=tail)
+    tail *= (nj + 1) / ((1.0 - _PEEL) * (1.0 - aa) * (1.0 - ab))
     return log, tail
 
 

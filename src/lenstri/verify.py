@@ -220,8 +220,8 @@ def _star_batch(family: ModelFamily, cases, m0: np.ndarray,
              for j in range(3)]
     alphas = np.array([c[1] for c in cases], float)
     crossed = params.eta.real - alphas
-    kappas = np.array([models.kappa(family, np.concatenate(a), params)
-                       for a in zip(alphas, crossed)])
+    kappas = models.kappa(family, np.concatenate([alphas, crossed], axis=1),
+                          params, rows=True)
     weight = np.where(elliptic | (m0 == 0), 1.0, 2.0)[:, None]
     # q-limit: the largest |row M - 1| and |row M| so far, for the tail
     last = np.zeros((n, 2))

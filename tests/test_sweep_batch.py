@@ -85,10 +85,10 @@ class TestRows:
         alpha = json.loads(clean[3])["parameter_record"]["alphas"][0]
         kappa = models.kappa
 
-        def failing(family, alphas, params):
+        def failing(family, alphas, params, **kwargs):
             if alpha in np.asarray(alphas):
                 raise error("forced")
-            return kappa(family, alphas, params)
+            return kappa(family, alphas, params, **kwargs)
         monkeypatch.setattr(models, "kappa", failing)
         rows = sweep_rows(capsys, tmp_path, argv)
         assert json.loads(rows[3]) == {"sample_index": 3, "status": status}
