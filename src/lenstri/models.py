@@ -75,7 +75,7 @@ from .special_functions import (
 #: elliptic gamma rows take such a product (their phase shift,
 #: ``special_functions._lens_factor``), and below this many rows it is
 #: never that large, so a star in a batch is evaluated as it is alone.
-STAR_BATCH_ROWS = 16384
+STAR_BATCH_ROWS = 2 ** 14
 
 
 class ModelFamily(enum.Enum):
@@ -573,9 +573,8 @@ def star_integrand(family: ModelFamily, s0: Spin, spins, alphas,
         return python_scalar(single_spin_gamma(s0)
                              * weight_gamma(alpha, edges, s0).prod(axis=axis))
     if kappas is None:
-        kappas = np.reshape([kappa(family, a, params)
-                             for a in np.reshape(alphas, (-1, 3))],
-                            np.shape(alphas))
+        kappas = kappa(family, np.reshape(alphas, (-1, 3)), params,
+                       rows=True)
     rows = [_edge_rows(alpha, edges, s0)]
     # several stars: one truncation group each, its right side included
     stars = len(alphas) if np.ndim(alphas) == 2 and len(alphas) > 1 else None
