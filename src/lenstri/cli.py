@@ -20,7 +20,7 @@ Random sampling uses numpy's default PCG64 generator seeded with the
 Sweeps draw their samples in sample order and verify them in batches of
 up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
 star-triangle batch shares each trapezoid level's integrand call, and
-every report is the one ``verify`` gives for its draw.
+every report is the one its draw gets alone.
 """
 
 from __future__ import annotations
