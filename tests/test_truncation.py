@@ -708,7 +708,7 @@ def kappa_count_args(bound, rho, cap):
 
 
 def rinfstr_count_args(eta, rel, m_star, cap):
-    """_star_triangle's count of the m-sum rows after row m* + 1."""
+    """verify_star_triangles's count of the m-sum rows after row m* + 1."""
     rho = math.exp(-4 * eta)
     return (rho * rho / (1 - rho), rho, 1e-4 * rel, cap, m_star + 2)
 
