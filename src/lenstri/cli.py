@@ -19,8 +19,9 @@ Random sampling uses numpy's default PCG64 generator seeded with the
     period strip.
 Sweeps draw their samples in sample order and verify them in batches of
 up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
-star-triangle batch shares each trapezoid level's integrand call, and
-every report is the one its draw gets alone.
+star-triangle batch shares each trapezoid level's integrand call, an
+inversion batch one weight call and a thtfunct batch one lens theta
+call, and every report is the one its draw gets alone.
 """
 
 from __future__ import annotations
@@ -331,9 +332,10 @@ class Identity:
     tolerance, or None for an identity whose checks set their own bounds
     and take none.  ``batch(cases, params, tol)``, if given, verifies a
     list of cases together and returns their reports, in order, each the
-    one ``run`` gives; a lenstri error raised in it is raised for all of
-    them.  Runners look verifiers up on the ``verify`` module at call
-    time, never at import."""
+    one ``run`` gives, which is its batch of one (``str``, ``rinfstr``,
+    ``thtfunct`` and ``inversion`` have one); a lenstri error raised in it
+    is raised for all of them.  Runners look verifiers up on the
+    ``verify`` module at call time, never at import."""
     name: str
     tol: Optional[float]
     run: Callable[[dict, NomeParameters, Optional[float]],
@@ -383,11 +385,16 @@ IDENTITIES = {ident.name: ident for ident in (
     Identity("thtfunct", 1e-8,
              lambda c, pr, tol: verify.verify_theta_difference(
                  c["z"], c["y"], c["t"], c["u"], pr, tol),
-             parse_thtfunct_case, sample_thtfunct_case),
+             parse_thtfunct_case, sample_thtfunct_case,
+             lambda cs, pr, tol: verify.verify_theta_differences(
+                 [(c["z"], c["y"], c["t"], c["u"]) for c in cs], pr, tol)),
     Identity("inversion", 1e-10,
              lambda c, pr, tol: verify.verify_inversion_first(
                  c["family"], c["alpha"], c["spins"], pr, tol),
-             None, sample_inversion_case),
+             None, sample_inversion_case,
+             lambda cs, pr, tol: verify.verify_inversions(
+                 [(c["family"], c["alpha"], c["spins"]) for c in cs], pr,
+                 tol)),
     Identity("cov", 1e-8,
              lambda c, pr, tol: verify.verify_cov_consistency(
                  c["spins"], c["alphas"], pr, tol),

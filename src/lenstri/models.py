@@ -26,9 +26,11 @@ log ratio is formed from them in one pass.  A weight is its prefactor
 over kappa times the exp of its log ratio, and a star integrand sums the
 log ratios of its three edges and exponentiates once per centre spin.
 Several stars at one centre spin are a leading axis of one such batch,
-each star's rows a truncation group of their own.  What depends on the
-nomes and the node grid alone, the single-spin weights, is cached per
-grid (``grid_cache``).
+each star's rows a truncation group of their own, and so are the edge
+weights of several instances with scalar spins (``_weight``'s
+``stars``), as a sweep's inversion samples take them.  What depends on
+the nomes and the node grid alone, the single-spin weights, is cached
+per grid (``grid_cache``).
 """
 
 from __future__ import annotations
@@ -67,14 +69,12 @@ from .special_functions import (
 
 
 #: the elliptic gamma rows one star-triangle batch of several stars stays
-#: below (``star_integrand``).  numpy evaluates an arithmetic operator
-#: whose second operand is a temporary array of 256 KiB or more in the
-#: place of that temporary, which for a product of complex arrays swaps
-#: the factors and can round the product otherwise (a fused multiply-add
-#: rounds the two cross terms of its imaginary part apart).  The lens
-#: elliptic gamma rows take such a product (their phase shift,
-#: ``special_functions._lens_factor``), and below this many rows it is
-#: never that large, so a star in a batch is evaluated as it is alone.
+#: below (``star_integrand``), which bounds the arrays of a batch.  It was
+#: set to keep the lens gamma phase shift below the size (256 KiB) at
+#: which numpy evaluates a product in place of a temporary second operand,
+#: swapping complex factors; the shift is now formed from a named operand
+#: (``special_functions._lens_factor``), and a star's values do not
+#: depend on this limit (``tests/test_sweep_batch.py`` passes without it).
 STAR_BATCH_ROWS = 2 ** 14
 
 
@@ -241,7 +241,7 @@ def _conjugate_nomes(params: NomeParameters) -> bool:
     return params.tau == -params.sigma.conjugate()
 
 
-def _edge_rows(alpha, si: Spin, sj: Spin):
+def _edge_rows(alpha, si: Spin, sj: Spin, scalar_spins: bool = False):
     """The gamma rows of the edge weight W_alpha(si, sj), G(dx + i alpha,
     dm) G(sx + i alpha, sm) / (G(dx - i alpha, dm) G(sx - i alpha, sm)),
     with G the lens elliptic gamma function or its q-limit Q, dx, dm the
@@ -250,10 +250,16 @@ def _edge_rows(alpha, si: Spin, sj: Spin):
     which ``_edge_logs`` forms the rows' phases e^{2iz} = e^{2i dx}
     e^{-+2 alpha} and e^{2i sx} e^{-+2 alpha}: a star's rows take one exp
     per centre angle, and a difference dx = 0 gives e^{-+2 alpha} to the
-    rounding of the real factor alone."""
+    rounding of the real factor alone.  scalar_spins: si and sj, of one
+    shape, hold the scalar spins of several weights alone, and each sum
+    phase is the product of two complex scalars, as it is alone (numpy's
+    array multiply rounds a complex product otherwise)."""
     with product_arguments():
         ei, ej = np.exp(2j * si.x), np.exp(2j * sj.x)
-        return ei / ej, ei * ej, np.exp(-2 * alpha), si.m - sj.m, si.m + sj.m
+        sx = (np.reshape([a * b for a, b in zip(ei.ravel().tolist(),
+                                                ej.ravel().tolist())],
+                         ei.shape) if scalar_spins else ei * ej)
+        return ei / ej, sx, np.exp(-2 * alpha), si.m - sj.m, si.m + sj.m
 
 
 def _prefactor(family: ModelFamily, alpha, si: Spin, sj: Spin,
@@ -335,22 +341,30 @@ def _edge_logs(family: ModelFamily, edges, params: NomeParameters,
 
 
 def _weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
-            params: NomeParameters):
+            params: NomeParameters, stars=None):
     """Edge weight W_alpha(si, sj) of the elliptic or the q-limit family:
-    its gamma ratio times its prefactor over kappa(alpha)."""
-    if np.ndim(alpha) == 0 and alpha == 0.0:
+    its gamma ratio times its prefactor over kappa(alpha).
+
+    stars: the weights of that many instances, each with scalar spins of
+    its own, in one batch: each spin's angle and integer part hold one
+    value per instance (shape (stars, 1)) and alpha one row per instance.
+    Each instance's rows are a truncation group (``_edge_logs``) and its
+    kappa a row of its own, so that it gets the values it gets alone."""
+    if stars is None and np.ndim(alpha) == 0 and alpha == 0.0:
         return 1.0 + 0.0j
-    l, = _edge_logs(family, [_edge_rows(alpha, si, sj)], params)
+    rows = _edge_rows(alpha, si, sj, scalar_spins=stars is not None)
+    l, = _edge_logs(family, [rows], params, stars)
     return python_scalar(_exp_result(l, None, False) * _prefactor(
-        family, alpha, si, sj, params, kappa(family, alpha, params)))
+        family, alpha, si, sj, params,
+        kappa(family, alpha, params, rows=stars is not None)))
 
 
-def weight_elliptic(alpha, si: Spin, sj: Spin,
-                    params: NomeParameters) -> complex:
+def weight_elliptic(alpha, si: Spin, sj: Spin, params: NomeParameters,
+                    stars=None) -> complex:
     """Elliptic edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
-    each other."""
-    return _weight(ModelFamily.ELLIPTIC, alpha, si, sj, params)
+    each other; stars: several instances (``_weight``)."""
+    return _weight(ModelFamily.ELLIPTIC, alpha, si, sj, params, stars)
 
 
 def _single_spin_theta(si: Spin, eps, params: NomeParameters):
@@ -489,12 +503,12 @@ def _qlimit_logs(e2, n, params: NomeParameters, group_axis=None):
     return 2 * _q_products(e2, n, params, True, group_axis).real
 
 
-def weight_qlimit(alpha, si: Spin, sj: Spin,
-                  params: NomeParameters) -> complex:
+def weight_qlimit(alpha, si: Spin, sj: Spin, params: NomeParameters,
+                  stars=None) -> complex:
     """q-limit edge Boltzmann weight W_alpha(si, sj).  alpha and the
     spins' angles and integer parts may be arrays that broadcast against
-    each other."""
-    return _weight(ModelFamily.Q_LIMIT, alpha, si, sj, params)
+    each other; stars: several instances (``_weight``)."""
+    return _weight(ModelFamily.Q_LIMIT, alpha, si, sj, params, stars)
 
 
 def single_spin_qlimit(sj: Spin, params: NomeParameters) -> complex:
@@ -639,11 +653,13 @@ def single_spin_gamma(sj: Spin) -> float:
 
 
 def edge_weight(family: ModelFamily, alpha, si: Spin, sj: Spin,
-                params: NomeParameters | None = None):
+                params: NomeParameters | None = None, stars=None):
     """Uncrossed weight W_alpha(si, sj) for the given family; alpha and the
-    spins may be arrays that broadcast against each other."""
+    spins may be arrays that broadcast against each other.  stars: the
+    weights of several instances, each evaluated as alone (``_weight``;
+    the Euler-gamma weight is elementwise anyway)."""
     if family is ModelFamily.ELLIPTIC:
-        return weight_elliptic(alpha, si, sj, params)
+        return weight_elliptic(alpha, si, sj, params, stars)
     if family is ModelFamily.Q_LIMIT:
-        return weight_qlimit(alpha, si, sj, params)
+        return weight_qlimit(alpha, si, sj, params, stars)
     return weight_gamma(alpha, si, sj)

@@ -19,9 +19,15 @@ Every function takes its argument z either as a scalar or as an ndarray
 batch and gives arrays of values and bounds, and a scalar call returns a
 Python complex (and float bound).  A batch shares its truncation depth,
 taken from its largest |c|, so each element gets at least the terms it
-would get alone; the double-product kernel can also split a batch into
-truncation groups (``_log_product_2d``), each of which gets the values
-it gets alone, as a sweep's star-triangle samples do.
+would get alone; both product kernels, ``_log_product_2d`` and
+``_pochhammer_raw``, can also split a batch into truncation groups
+(``_by_truncation``), each of which gets the values it gets alone, as a
+sweep's star-triangle and inversion samples do in the double-product
+kernel and its thtfunct samples in ``lens_theta``.  numpy evaluates a
+complex product whose second operand is a temporary array of 256 KiB or
+more in place of that temporary, with its factors swapped, which rounds
+otherwise; the lens gamma phase shift (``_lens_factor``) is formed from
+a named operand, so that its rounding does not depend on the batch size.
 
 The gamma kernels take the phase of their argument rather than z:
 ``_elliptic_gamma``, ``_lens_factor`` and ``_lens_gamma`` the phase
@@ -329,52 +335,69 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True,
     scalar).  Only exp(log_value) is meaningful: the log of the peeled
     product is taken on the principal branch.  The log is not checked
     against the double range; the exp that leaves log space checks its
-    value (``_exp_result``).
-
-    With group_axis, each slice of c along that axis is a truncation
-    group: it takes its staircase and series length from its own largest
-    |c|, and gets the values and tails it gets as a call of its own.  The
-    groups of one staircase are evaluated together.  A group that alone
-    would leave one element alone in a block of _product (numpy multiplies
-    a single element by another loop, rounding otherwise) is evaluated
-    alone, and the others never leave one element alone in a block.
+    value (``_exp_result``).  group_axis: each slice of c along that axis
+    is a truncation group (``_by_truncation``).
     """
     aa, ab = abs(a), abs(b)
     if aa >= 1.0 or ab >= 1.0:
         raise DivergentParameterError(
             f"product ratios must have magnitude < 1 (got {aa}, {ab})"
         )
-    c = np.asarray(c)
+
+    def truncation(top):
+        key = _truncation(top, aa, ab)
+        return key, sum(key[0])
+
+    def evaluate(c, ac, guard, key, merged):
+        return _truncated_log(c, ac, a, b, guard, key, merged)
+    return _by_truncation(np.asarray(c), group_axis, pole_guard, truncation,
+                          evaluate)
+
+
+def _by_truncation(c, group_axis, pole_guard, truncation, evaluate):
+    """A product kernel over c, by truncation.  truncation(top) gives
+    (key, factors): the truncation at the largest |c| top, and the number
+    of factors it multiplies out per element.  evaluate(c, ac, pole_guard,
+    key, merged) gives the (complex, float) arrays of the shape of its c
+    (of magnitudes ac) at that key; merged: its c holds several groups.
+
+    Without group_axis, the whole of c takes the key of its largest |c|.
+    With it, each slice of c along that axis is a truncation group: it
+    takes the key of its own largest |c|, and gets the values it gets as
+    a call of its own.  The groups of one key are evaluated together.  A
+    group that alone would leave one element alone in a block of
+    _product, or that holds one element, is evaluated alone (numpy
+    multiplies a single element by another loop, rounding otherwise), and
+    ``_product`` never leaves one element of merged groups alone in a
+    block."""
     ac = np.abs(c)
     if group_axis is None:
-        return _truncated_log(c, ac, a, b, pole_guard,
-                              _truncation(_finite_top(ac), aa, ab))
+        return evaluate(c, ac, pole_guard, truncation(_finite_top(ac))[0],
+                        False)
     axis = group_axis % c.ndim
     tops = ac.max(axis=tuple(i for i in range(c.ndim) if i != axis))
     _finite_top(tops)
     size = c.size // c.shape[axis]
-    keys = {}
+    runs = {}
     for g, top in enumerate(tops.tolist()):
-        key = _truncation(top, aa, ab)
-        grid = sum(key[0])
-        cols = max(1, _BLOCK // max(grid, 1))
-        if grid > 1 and size > cols and size % cols == 1:
-            key += (g,)     # a one-element block: alone, as alone
-        keys.setdefault(key, []).append(g)
-    if len(keys) == 1:
-        (key, groups), = keys.items()
-        return _truncated_log(c, ac, a, b, pole_guard, key[:2],
-                              len(groups) > 1)
-    log, tail = np.empty(c.shape, complex), np.empty(c.shape)
+        key, factors = truncation(top)
+        cols = max(1, _BLOCK // max(factors, 1))
+        lone = size == 1 or (factors > 1 and size > cols
+                             and size % cols == 1)
+        runs.setdefault((key, g if lone else -1), []).append(g)
+    if len(runs) == 1:
+        ((key, _), groups), = runs.items()
+        return evaluate(c, ac, pole_guard, key, len(groups) > 1)
+    out = np.empty(c.shape, complex), np.empty(c.shape)
     if np.ndim(pole_guard):
         pole_guard = np.broadcast_to(pole_guard, c.shape)
-    for key, groups in keys.items():
+    for (key, _), groups in runs.items():
         index = (slice(None),) * axis + (groups,)
-        log[index], tail[index] = _truncated_log(
-            c[index], ac[index], a, b,
+        out[0][index], out[1][index] = evaluate(
+            c[index], ac[index],
             pole_guard[index] if np.ndim(pole_guard) else pole_guard,
-            key[:2], len(groups) > 1)
-    return log, tail
+            key, len(groups) > 1)
+    return out
 
 
 def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
@@ -413,21 +436,28 @@ def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
     return log, tail
 
 
-def _pochhammer_raw(c, a: complex):
+def _pochhammer_raw(c, a: complex, group_axis=None):
     """prod_{j>=0} (1 - c a^j) as a direct product; zeros are allowed.
 
-    c is a scalar or an array; the term count comes from its largest |c|.
-    Returns (value, log_tail) as arrays of the shape of c (0-d for a
-    scalar): log_tail bounds |log| of the product of the factors left out.
+    c is a scalar or an array; the term count comes from its largest |c|,
+    or with group_axis that of each truncation group, each slice of c
+    along that axis (``_by_truncation``).  Returns (value, log_tail) as
+    arrays of the shape of c (0-d for a scalar): log_tail bounds |log| of
+    the product of the factors left out.
     """
     aa = abs(a)
     if aa >= 1.0:
         raise DivergentParameterError(f"|ratio| must be < 1, got {aa}")
-    c = np.asarray(c)
-    ac = np.abs(c)
-    nj = _term_count(_finite_top(ac), aa, TERM_EPSILON, MAX_PRODUCT_INDEX)
-    value = _product(c, a ** np.arange(nj), pole_guard=False)
-    return value, 2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa)
+
+    def truncation(top):
+        nj = _term_count(top, aa, TERM_EPSILON, MAX_PRODUCT_INDEX)
+        return nj, nj
+
+    def evaluate(c, ac, guard, nj, merged):
+        return (_product(c, a ** np.arange(nj), guard, merged),
+                2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa))
+    return _by_truncation(np.asarray(c), group_axis, False, truncation,
+                          evaluate)
 
 
 def python_scalar(x):
@@ -572,8 +602,14 @@ def _lens_factor(e2, m, params: NomeParameters, group_axis=None):
     phase e2 = e^{2iz}, and its log tail.  The shift of its argument by
     (r/2 - [[m]]) pi sigma multiplies the phase by p^{r - 2[[m]]}."""
     r, p = params.r, params.p
+    # the gathered shift is named: numpy evaluates a product whose second
+    # operand is a temporary of 256 KiB or more in place of that
+    # temporary, with the factors swapped, which rounds a complex product
+    # otherwise (a fused multiply-add); a scalar phase keeps numpy's
+    # scalar product, which np.multiply would not
+    shift = _lens_shifts(params)[0][mod_bracket(m, r)]
     with product_arguments():
-        e2 = e2 * _lens_shifts(params)[0][mod_bracket(m, r)]
+        e2 = e2 * shift
     return _elliptic_gamma(e2, p * params.q, p ** r, group_axis)
 
 
@@ -582,8 +618,10 @@ def _lens_gamma(e2, m, params: NomeParameters, group_axis=None):
     e2 = e^{2iz}, each with its log tail: v1 (``_lens_factor``), and v2
     over (pq, q^r) at the phase times q^{2[[m]] - r}."""
     r, q = params.r, params.q
+    # named, as in _lens_factor
+    shift = _lens_shifts(params)[1][mod_bracket(m, r)]
     with product_arguments():
-        e2q = e2 * _lens_shifts(params)[1][mod_bracket(m, r)]
+        e2q = e2 * shift
     return (_lens_factor(e2, m, params, group_axis),
             _elliptic_gamma(e2q, params.p * q, q ** r, group_axis))
 
@@ -681,10 +719,13 @@ def lens_theta_exponent(z: complex, m: int, params: NomeParameters) -> complex:
 
 
 def lens_theta(z: complex, m: int, params: NomeParameters,
-               with_bound: bool = False):
+               with_bound: bool = False, group_axis=None):
     """Lens theta function
     theta(z, m | tau) = e^{phi(z,m)} (e^{iz} q^{[[-m]]}; q^r)_inf
                                      (e^{-iz} q^{r-[[-m]]}; q^r)_inf.
+
+    group_axis (negative): the axis of z whose slices are truncation
+    groups, each evaluated as a call of its own (``_pochhammer_raw``).
     """
     r = params.r
     qp, qm, _, _ = _lens_theta_residues(params)
@@ -694,7 +735,7 @@ def lens_theta(z: complex, m: int, params: NomeParameters,
     with product_arguments():
         np.multiply(np.exp(1j * z), qp[j], out=c[0, ...])
         np.multiply(np.exp(-1j * z), qm[j], out=c[1, ...])
-    (c1, c2), (t1, t2) = _pochhammer_raw(c, params.q ** r)
+    (c1, c2), (t1, t2) = _pochhammer_raw(c, params.q ** r, group_axis)
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(lens_theta_exponent(z, m, params)) * c1 * c2
     return _result(value, t1 + t2, with_bound)

@@ -613,23 +613,37 @@ def theta_difference_sides(z, y: int, t: Sequence[complex],
     the right side's two terms, (|term_p| + |term_m|) / |term_p + term_m|:
     the factor by which their rounding errors grow in the sum.
 
-    z is a point or an array of points.  Every lens theta function of both
-    sides, at every point, is one batched call, the nine that do not
-    depend on z are evaluated once, and the sides of all points are formed
-    in one array pass.  Returns (lhs, rhs, rhs_cancellation), each of the
-    shape of z (Python scalars for a scalar z)."""
-    zs = np.asarray(z, complex)
-    flat = zs.reshape(-1)
-    x, m = _theta_arguments(flat, y, np.array(t, complex), np.array(u))
-    lhs, rhs, (term_p, term_m) = _theta_sides(
-        sf.lens_theta(x, m, params), flat, y, t[0], u[0], params.r, np.exp,
-        math.pi)
-    total = np.abs(term_p + term_m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cancellation = np.where(total != 0, (np.abs(term_p) + np.abs(term_m))
-                                / total, math.inf)
-    return tuple(sf.python_scalar(side.reshape(zs.shape))
-                 for side in (lhs, rhs, cancellation))
+    z is a point or an array of points (``_difference_sides``).  Returns
+    (lhs, rhs, rhs_cancellation), each of the shape of z (Python scalars
+    for a scalar z)."""
+    (sides,) = _difference_sides([(np.asarray(z, complex), y, t, u)], params)
+    return tuple(sf.python_scalar(side) for side in sides)
+
+
+def _difference_sides(cases, params: NomeParameters) -> list:
+    """(lhs, rhs, rhs_cancellation) of the difference identity at each
+    (zs, y, t, u) of cases, each an array of the shape of zs; the arrays
+    zs have one size.  Every lens theta function of every case, at all of
+    its points, is one batched call, each case a truncation group of its
+    own (``special_functions.lens_theta``), so that it gets the values it
+    gets alone; the nine that do not depend on z are evaluated once per
+    case, and each case's sides are formed in one array pass."""
+    x, m = (np.array(a) for a in zip(*(
+        _theta_arguments(zs.reshape(-1), y, np.array(t, complex),
+                         np.array(u)) for zs, y, t, u in cases)))
+    out = []
+    for v, (zs, y, t, u) in zip(sf.lens_theta(x, m, params, group_axis=-2),
+                                cases):
+        lhs, rhs, (term_p, term_m) = _theta_sides(
+            v, zs.reshape(-1), y, t[0], u[0], params.r, np.exp, math.pi)
+        total = np.abs(term_p + term_m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cancellation = np.where(total != 0, (np.abs(term_p)
+                                                 + np.abs(term_m)) / total,
+                                    math.inf)
+        out.append(tuple(side.reshape(zs.shape)
+                         for side in (lhs, rhs, cancellation)))
+    return out
 
 
 def _lens_theta_mp(x, m, params: NomeParameters, mp):
@@ -678,23 +692,39 @@ def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
         return lhs[0], rhs[0], float(inv_r)
 
 
-def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
-                            u: Sequence[int], params: NomeParameters,
-                            tol: float = 1e-8) -> VerificationReport:
+def verify_theta_differences(cases, params: NomeParameters,
+                             tol: float = 1e-8) -> list:
     """Difference identity for the lens theta functions, plus invariance of
-    each side under z -> z + pi tau r.
+    each side under z -> z + pi tau r, at each (z, y, t, u) of cases; the
+    reports, in case order.
 
+    Every case's lens theta values, at z, z + pi tau r and z_star, are
+    one batched call, each case's a truncation group of its own
+    (``_difference_sides``), so that its report is the one it gets alone.
     A failed residual or period_shift_rhs check whose value lies within
     RECOMPUTE_K units of roundoff times rhs_cancellation is taken again
     from RECOMPUTE_DPS-digit lens theta products (lhs, rhs and both of
     those checks); numerics_meta.rhs_precision records the digits the
-    verdict was taken at."""
+    verdict was taken at.  An error raised for one case is raised for
+    all."""
     shift = math.pi * params.tau * params.r
-    # at z_star the first term of each side carries an exact theta zero and
-    # both sides collapse to -1
-    z_star = -t[0] - math.pi * params.tau * sf.mod_bracket(-u[0] - y, params.r)
-    (lhs, lhs_s, lhs_p), (rhs, rhs_s, rhs_p), cancel = theta_difference_sides(
-        [z, z + shift, z_star], y, t, u, params)
+    points = []
+    for z, y, t, u in cases:
+        # at z_star the first term of each side carries an exact theta
+        # zero and both sides collapse to -1
+        z_star = (-t[0] - math.pi * params.tau
+                  * sf.mod_bracket(-u[0] - y, params.r))
+        points.append((np.asarray([z, z + shift, z_star], complex), y, t, u))
+    return [_theta_report(case, sides, params, tol)
+            for case, sides in zip(cases, _difference_sides(points, params))]
+
+
+def _theta_report(case, sides, params: NomeParameters,
+                  tol: float) -> VerificationReport:
+    """The report of ``verify_theta_differences`` at case = (z, y, t, u),
+    from its sides at z, z + pi tau r and z_star."""
+    z, y, t, u = case
+    (lhs, lhs_s, lhs_p), (rhs, rhs_s, rhs_p), cancel = sides
     inv_l = abs(lhs_s - lhs) / max(1.0, abs(lhs))
     inv_r = abs(rhs_s - rhs) / max(1.0, abs(rhs))
     # the larger cancellation of the two right sides that
@@ -721,6 +751,14 @@ def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
         rep = report(*_theta_difference_mp(z, y, t, u, params),
                      RECOMPUTE_DPS)
     return rep
+
+
+def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
+                            u: Sequence[int], params: NomeParameters,
+                            tol: float = 1e-8) -> VerificationReport:
+    """Difference identity for the lens theta functions (see
+    verify_theta_differences), as a batch of one."""
+    return verify_theta_differences([(z, y, t, u)], params, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -839,20 +877,45 @@ def verify_limit_hbar(alpha: float, x: float, m: int,
                        residual=False)
 
 
+def verify_inversions(cases, params: Optional[NomeParameters] = None,
+                      tol: float = 1e-10) -> list:
+    """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1 at
+    each (family, alpha, spins) of cases; the reports, in case order.
+
+    W_alpha and W_{-alpha} of all the cases of one family are one weight
+    call, each case's rows a truncation group of its own
+    (``models.edge_weight`` with ``stars``), so that its report is the one
+    it gets alone.  An error raised for one case is raised for all."""
+    families = {}
+    for i, (family, _, _) in enumerate(cases):
+        families.setdefault(family, []).append(i)
+    reports = [None] * len(cases)
+    for family, idx in families.items():
+        alpha = np.array([[cases[i][1], -cases[i][1]] for i in idx], float)
+        x = np.array([[s.x for s in cases[i][2]] for i in idx], float)
+        m = np.array([[s.m for s in cases[i][2]] for i in idx])
+        weights = models.edge_weight(family, alpha, Spin(x[:, :1], m[:, :1]),
+                                     Spin(x[:, 1:], m[:, 1:]), params,
+                                     stars=len(idx))
+        for i, (w1, w2) in zip(idx, weights):
+            _, a, spins = cases[i]
+            record = {"family": family.value, "alpha": a,
+                      "spins": [(s.x, s.m) for s in spins]}
+            if params is not None:
+                record.update({"sigma": params.sigma, "tau": params.tau,
+                               "r": params.r})
+            reports[i] = make_report("inversion_first", record, w1 * w2,
+                                     1.0, tol)
+    return reports
+
+
 def verify_inversion_first(family: ModelFamily, alpha: float,
                            spins: Sequence[Spin],
                            params: Optional[NomeParameters] = None,
                            tol: float = 1e-10) -> VerificationReport:
-    """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1."""
-    si, sj = spins
-    # W_alpha and W_{-alpha} in one weight call
-    w1, w2 = models.edge_weight(family, np.array([alpha, -alpha]), si, sj,
-                                params)
-    record = {"family": family.value, "alpha": alpha,
-              "spins": [(s.x, s.m) for s in spins]}
-    if params is not None:
-        record.update({"sigma": params.sigma, "tau": params.tau, "r": params.r})
-    return make_report("inversion_first", record, w1 * w2, 1.0, tol)
+    """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1 (see
+    verify_inversions), as a batch of one."""
+    return verify_inversions([(family, alpha, spins)], params, tol)[0]
 
 
 # ---------------------------------------------------------------------------

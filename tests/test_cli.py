@@ -623,7 +623,11 @@ class TestRowLayout:
 
     @staticmethod
     def mixed_verdicts(monkeypatch):
-        """Make successive thtfunct cases pass, fail and not converge."""
+        """Make successive thtfunct cases pass, fail and not converge; the
+        sweep verifies them one by one, through the stand-in."""
+        ident = cli.IDENTITIES["thtfunct"]
+        monkeypatch.setitem(cli.IDENTITIES, "thtfunct",
+                            dataclasses.replace(ident, batch=None))
         orig = verify.verify_theta_difference
         calls = []
 

@@ -1,7 +1,9 @@
-"""A sweep's star-triangle samples verified together: every trapezoid
-level is one integrand batch over the samples that have not stopped, and
-each sample's rows are a truncation group of their own, so every row is
-bit for bit the report its draw gets alone."""
+"""A sweep's samples verified together: every trapezoid level of the
+star-triangle samples is one integrand batch over the samples that have
+not stopped, the inversion samples are one weight call and the thtfunct
+samples one lens theta call, and each sample's rows are a truncation
+group of their own, so every row is bit for bit the report its draw gets
+alone."""
 
 import json
 import math
@@ -96,6 +98,118 @@ class TestRows:
         assert json.loads(rows[-1])["skipped"] == 1
 
 
+#: (identity, r, tau, sigma) of the closed-form sweeps: 20 samples, two
+#: batches
+CLOSED = [("inversion", 1, None), ("inversion", 3, None),
+          ("inversion", 6, None), ("inversion", 2, "-0.05+0.7j"),
+          ("inversion", 4, None, "0.05+0.12j"), ("thtfunct", 1, None),
+          ("thtfunct", 4, None), ("thtfunct", 6, None),
+          ("thtfunct", 2, "-0.05+0.7j"), ("thtfunct", 3, None, "0.05+0.12j")]
+
+
+class TestClosedFormRows:
+    @pytest.mark.parametrize("sweep", CLOSED,
+                             ids=["-".join(map(str, s)) for s in CLOSED])
+    def test_each_row_is_its_draw_alone(self, capsys, tmp_path, sweep):
+        identity, r, tau, *sigma = sweep
+        argv = [identity, "--r", str(r), "--seed", "5", "--samples", "20"]
+        cfg = {"r": r, "tau": tau}
+        if tau is not None:
+            argv.append(f"--tau={tau}")
+        if sigma:
+            argv.append(f"--sigma={sigma[0]}")
+            cfg["sigma"] = sigma[0]
+        rows = sweep_rows(capsys, tmp_path, argv)
+        ident = cli.IDENTITIES[identity]
+        params = cli.build_params(cfg)
+        assert len(rows) == 21
+        for index, row in enumerate(rows[:-1]):
+            assert json.loads(row)["status"] == "ok"
+            assert row == row_alone(ident, params, 5, index)
+            if identity == "inversion":
+                # the weights of the draw's scalar spins, in one call
+                case = cli._sample(ident, params, 5, index)
+                alpha = case["alpha"]
+                w1, w2 = models.edge_weight(
+                    case["family"], np.array([alpha, -alpha]),
+                    *case["spins"], params)
+                lhs = w1 * w2
+                assert json.loads(row)["lhs"] == [lhs.real, lhs.imag]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+    def test_lens_theta_groups(self, r):
+        # the lens theta arguments of ten thtfunct draws, one group each:
+        # each group's values are those of a call of its own
+        pr = cli.build_params({"r": r})
+        ident = cli.IDENTITIES["thtfunct"]
+        args = []
+        for i in range(10):
+            case = cli._sample(ident, pr, 5, i)
+            zs = np.array([case["z"], case["z"] + 0.5, 1.0 - case["z"]])
+            args.append(verify._theta_arguments(
+                zs, case["y"], np.array(case["t"]), np.array(case["u"])))
+        x, m = (np.array(a) for a in zip(*args))
+        values = sf.lens_theta(x, m, pr, group_axis=-2, with_bound=True)
+        for i in range(10):
+            want = sf.lens_theta(x[i].copy(), m[i].copy(), pr,
+                                 with_bound=True)
+            assert np.array_equal(values[0][i], want[0])
+            assert np.array_equal(values[1][i], want[1])
+
+    @pytest.mark.parametrize("identity,r,n", [("inversion", 2, 14),
+                                              ("thtfunct", 3, 12)])
+    def test_rows_do_not_depend_on_the_sample_count(self, capsys, tmp_path,
+                                                    identity, r, n):
+        rows = [sweep_rows(capsys, tmp_path,
+                           [identity, "--r", str(r), "--seed", "6",
+                            "--samples", str(k)])
+                for k in (n, n + 5)]
+        assert rows[0][:-1] == rows[1][:n]
+
+    @pytest.mark.parametrize("error", [NonConvergenceError, PoleHitError])
+    def test_an_inversion_error_in_a_batch(self, capsys, tmp_path,
+                                           monkeypatch, error):
+        # sample 3's kappa raises: the batch is verified sample by sample
+        argv = ["inversion", "--r", "2", "--seed", "5", "--samples", "6"]
+        clean = sweep_rows(capsys, tmp_path, argv)
+        alpha = json.loads(clean[3])["parameter_record"]["alpha"]
+        kappa = models.kappa
+
+        def failing(family, alphas, params, **kwargs):
+            if alpha in np.asarray(alphas):
+                raise error("forced")
+            return kappa(family, alphas, params, **kwargs)
+        monkeypatch.setattr(models, "kappa", failing)
+        self.assert_sample_3_alone(sweep_rows(capsys, tmp_path, argv), clean)
+
+    @pytest.mark.parametrize("error", [NonConvergenceError, PoleHitError])
+    def test_a_thtfunct_error_in_a_batch(self, capsys, tmp_path, monkeypatch,
+                                         error):
+        # a lens theta call holding sample 3's arguments raises
+        argv = ["thtfunct", "--r", "3", "--seed", "5", "--samples", "6"]
+        clean = sweep_rows(capsys, tmp_path, argv)
+        t = [complex(*v) for v in
+             json.loads(clean[3])["parameter_record"]["t"]]
+        marker = t[0] + t[1]     # its first lens theta argument
+        lens_theta = sf.lens_theta
+
+        def failing(z, *args, **kwargs):
+            if (np.asarray(z) == marker).any():
+                raise error("forced")
+            return lens_theta(z, *args, **kwargs)
+        monkeypatch.setattr(sf, "lens_theta", failing)
+        self.assert_sample_3_alone(sweep_rows(capsys, tmp_path, argv), clean)
+
+    @staticmethod
+    def assert_sample_3_alone(rows, clean):
+        """Sample 3 of six has the status it gets alone, and every other
+        sample its row."""
+        assert json.loads(rows[3]) == {"sample_index": 3,
+                                       "status": "non-converged"}
+        assert rows[:3] + rows[4:-1] == clean[:3] + clean[4:-1]
+        assert json.loads(rows[-1])["skipped"] == 1
+
+
 class TestBatchCalls:
     @pytest.mark.parametrize("r", [1, 2])
     def test_one_integrand_batch_per_level(self, monkeypatch, r):
@@ -122,6 +236,63 @@ class TestBatchCalls:
         assert levels[0][0] == 6
         assert all(len(shapes) == 1 and shapes[0][-2] == n
                    for n, shapes in levels if n > 1)
+
+
+    @staticmethod
+    def calls_per_batch(monkeypatch, identity, pr, samples, module, name,
+                        arg):
+        """The argument arg of each call of module.name, per sample of a
+        ``samples``-sample sweep verified alone, and per batch of the
+        sweep."""
+        calls, fn = [], getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[-1].append(args[arg])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        ident = cli.IDENTITIES[identity]
+        cases = [cli._sample(ident, pr, 7, i) for i in range(samples)]
+        alone = []
+        for case in cases:
+            calls.append([])
+            cli._verify_one(ident, pr, ident.tol, case)
+            alone.append(calls.pop())
+        batches = []
+        for lo in range(0, samples, cli.SWEEP_BATCH):
+            calls.append([])
+            cli._sweep_batch(ident, pr, ident.tol,
+                             cases[lo:lo + cli.SWEEP_BATCH])
+            batches.append(calls.pop())
+        return alone, batches
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_inversion_one_log_call_per_truncation(self, monkeypatch, r):
+        # twenty samples share a few truncation keys: each batch makes
+        # one _truncated_log call per key of its samples, which alone
+        # make one call each
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, r)
+        alone, batches = self.calls_per_batch(
+            monkeypatch, "inversion", pr, 20, sf, "_truncated_log", 5)
+        assert all(len(keys) == 1 for keys in alone)
+        for b, keys in enumerate(batches):
+            mine = alone[b * cli.SWEEP_BATCH:(b + 1) * cli.SWEEP_BATCH]
+            assert sorted(keys) == sorted({k for k, in mine})
+        assert sum(map(len, batches)) < 20
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_thtfunct_one_product_per_term_count(self, monkeypatch, r):
+        # ten samples, one lens theta call: one _pochhammer_raw call, and
+        # one product per term count of its samples
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, r)
+        alone, (grids,) = self.calls_per_batch(
+            monkeypatch, "thtfunct", pr, 10, sf, "_product", 1)
+        assert all(len(g) == 1 for g in alone)
+        assert sorted(g.size for g in grids) == sorted(
+            {g.size for g, in alone})
+        monkeypatch.undo()
+        _, (calls,) = self.calls_per_batch(
+            monkeypatch, "thtfunct", pr, 10, sf, "_pochhammer_raw", 0)
+        assert len(calls) == 1
 
 
 #: a batch of truncation groups: 2..5 groups of one shape, each with its
@@ -156,3 +327,42 @@ class TestTruncationGroups:
                 want, want_tail = sf._log_product_2d(alone, a, b, guarded)
                 assert np.array_equal(log[:, g, :], want)
                 assert np.array_equal(tail[:, g, :], want_tail)
+
+    @given(groups_st, st.sampled_from([0.3 + 0.2j, 0.6j, 0.05, 0.9]),
+           st.booleans(), st.integers(2, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_each_pochhammer_group_as_alone(self, draw, ratio, stacked,
+                                            block):
+        # stacked: two products per element, as lens_theta lays them out;
+        # else one, so that a group of width 1 holds one element.  The
+        # block holds a few of the 10-80 factors of a product, or fewer
+        n, width, scales, _, seed = draw
+        rng = np.random.default_rng(seed)
+        lead = (2,) if stacked else ()
+        c = (rng.normal(size=lead + (n, width))
+             + 1j * rng.normal(size=lead + (n, width)))
+        c *= np.array(scales[:n])[:, None] / np.abs(c).max()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sf, "_BLOCK", block)
+            value, tail = sf._pochhammer_raw(c, ratio, group_axis=-2)
+            for g in range(n):
+                alone = np.ascontiguousarray(c[..., g, :])
+                want, want_tail = sf._pochhammer_raw(alone, ratio)
+                assert np.array_equal(value[..., g, :], want)
+                assert np.array_equal(tail[..., g, :], want_tail)
+
+
+class TestPhaseShift:
+    def test_lens_gamma_phase_does_not_depend_on_the_batch_size(self):
+        # 20,000 phases, past the size at which numpy would evaluate the
+        # shift product in place of its gathered operand: the values of
+        # one call equal those of calls of 1,000 points
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, 3)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.0, math.pi, 20000)
+        m = rng.integers(0, 3, z.size)
+        whole = sf.lens_elliptic_gamma(z, m, pr)
+        parts = np.concatenate([
+            sf.lens_elliptic_gamma(z[i:i + 1000], m[i:i + 1000], pr)
+            for i in range(0, z.size, 1000)])
+        assert np.array_equal(whole, parts)
