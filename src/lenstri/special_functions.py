@@ -606,10 +606,12 @@ def _lens_factor(e2, m, params: NomeParameters, group_axis=None):
     # operand is a temporary of 256 KiB or more in place of that
     # temporary, with the factors swapped, which rounds a complex product
     # otherwise (a fused multiply-add); a scalar phase keeps numpy's
-    # scalar product, which np.multiply would not
+    # scalar product, which np.multiply would not.  It is freed before the
+    # kernel runs, as a temporary would be
     shift = _lens_shifts(params)[0][mod_bracket(m, r)]
     with product_arguments():
         e2 = e2 * shift
+    del shift
     return _elliptic_gamma(e2, p * params.q, p ** r, group_axis)
 
 
@@ -618,10 +620,11 @@ def _lens_gamma(e2, m, params: NomeParameters, group_axis=None):
     e2 = e^{2iz}, each with its log tail: v1 (``_lens_factor``), and v2
     over (pq, q^r) at the phase times q^{2[[m]] - r}."""
     r, q = params.r, params.q
-    # named, as in _lens_factor
+    # named and freed, as in _lens_factor
     shift = _lens_shifts(params)[1][mod_bracket(m, r)]
     with product_arguments():
         e2q = e2 * shift
+    del shift
     return (_lens_factor(e2, m, params, group_axis),
             _elliptic_gamma(e2q, params.p * q, q ** r, group_axis))
 
