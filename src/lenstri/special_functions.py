@@ -361,17 +361,17 @@ def _by_truncation(c, group_axis, pole_guard, truncation, evaluate):
     key, merged) gives the (complex, float) arrays of the shape of its c
     (of magnitudes ac) at that key; merged: its c holds several groups.
 
-    Without group_axis, the whole of c takes the key of its largest |c|.
-    With it, each slice of c along that axis is a truncation group: it
-    takes the key of its own largest |c|, and gets the values it gets as
-    a call of its own.  The groups of one key are evaluated together.  A
-    group that alone would leave one element alone in a block of
-    _product, or that holds one element, is evaluated alone (numpy
-    multiplies a single element by another loop, rounding otherwise), and
-    ``_product`` never leaves one element of merged groups alone in a
-    block."""
+    Without group_axis, or with one group, the whole of c takes the key
+    of its largest |c|.  Otherwise each slice of c along that axis is a
+    truncation group: it takes the key of its own largest |c|, and gets
+    the values it gets as a call of its own.  The groups of one key are
+    evaluated together.  A group that alone would leave one element alone
+    in a block of _product, or that holds one element, is evaluated alone
+    (numpy multiplies a single element by another loop, rounding
+    otherwise), and ``_product`` never leaves one element of merged
+    groups alone in a block."""
     ac = np.abs(c)
-    if group_axis is None:
+    if group_axis is None or c.shape[group_axis] == 1:
         return evaluate(c, ac, pole_guard, truncation(_finite_top(ac))[0],
                         False)
     axis = group_axis % c.ndim
