@@ -65,7 +65,9 @@ class TestRows:
                                                case["alphas"], params)
             assert json.loads(row)["lhs"] == [rep.lhs.real, rep.lhs.imag]
 
-    @pytest.mark.parametrize("identity,r", [("str", 2), ("rinfstr", 1)])
+    @pytest.mark.parametrize("identity,r", [("str", 2), ("rinfstr", 1),
+                                            ("inversion", 2),
+                                            ("thtfunct", 3)])
     def test_rows_do_not_depend_on_the_sample_count(self, capsys, tmp_path,
                                                     identity, r):
         rows = [sweep_rows(capsys, tmp_path,
@@ -155,16 +157,6 @@ class TestClosedFormRows:
                                  with_bound=True)
             assert np.array_equal(values[0][i], want[0])
             assert np.array_equal(values[1][i], want[1])
-
-    @pytest.mark.parametrize("identity,r,n", [("inversion", 2, 14),
-                                              ("thtfunct", 3, 12)])
-    def test_rows_do_not_depend_on_the_sample_count(self, capsys, tmp_path,
-                                                    identity, r, n):
-        rows = [sweep_rows(capsys, tmp_path,
-                           [identity, "--r", str(r), "--seed", "6",
-                            "--samples", str(k)])
-                for k in (n, n + 5)]
-        assert rows[0][:-1] == rows[1][:n]
 
     @pytest.mark.parametrize("error", [NonConvergenceError, PoleHitError])
     def test_an_inversion_error_in_a_batch(self, capsys, tmp_path,
