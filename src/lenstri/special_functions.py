@@ -69,9 +69,12 @@ product in log form, peeled the same way, as the q-limit weights take it
 single product out whole (``_pochhammer_raw``).  The kernel lays a block
 out with the whole grid on axis 0 and the batch elements on axis 1 and
 reduces over axis 0, one whole row of elements per multiplication; a
-block holds as many elements as fit in ``_BLOCK`` factors, and at least
-one, since ``MAX_PRODUCT_INDEX`` keeps every grid below ``_BLOCK``.  A
-one-factor grid skips the blocks.  A log is off from sum(log f) by a
+call's n elements are cut into max(1, n // cols) blocks of even size,
+cols being as many elements as fit in ``_BLOCK`` factors, and at least
+one (``MAX_PRODUCT_INDEX`` keeps every grid below ``_BLOCK``), so that no
+block holds one element beside others and a product's value does not
+depend on where a call's block boundaries fall.
+A one-factor grid skips the blocks.  A log is off from sum(log f) by a
 multiple of 2 pi i, which is harmless because callers only ever use exp
 of a combination of such logs: the logs exist so that exponential
 prefactors and several products combine without an intermediate
@@ -109,7 +112,8 @@ from .params import (
 # pole lattice rather than return a huge value.
 POLE_FACTOR_EPS = 1e-13
 
-#: most product factors held in memory at once by a batched evaluation
+#: product factors per block of a batched evaluation: a block of a call
+#: that fills several holds from this to twice this many (``_product``)
 _BLOCK = 2 ** 14
 
 #: double-product factors with |c a^j b^k| at least this are multiplied out
@@ -191,20 +195,23 @@ def product_arguments():
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-def _product(c: np.ndarray, grid: np.ndarray, pole_guard, merged=False):
+def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     """prod_g (1 - c g) over the flat grid, per element of the array c.
 
-    Each block holds the whole grid on axis 0 and, on axis 1, as many
-    elements of c as keep it within _BLOCK factors (one element at least,
-    for a grid longer than _BLOCK, which only a raised MAX_PRODUCT_INDEX
-    gives).  pole_guard is a bool or a bool array that broadcasts against
-    c.  Where it holds, a factor closer to zero than POLE_FACTOR_EPS raises
+    Each block holds the whole grid on axis 0 and, on axis 1, a run of
+    elements of c: the n elements are cut into max(1, n // cols) blocks of
+    even size (their sizes differ by one at most), cols being the elements
+    that fit in _BLOCK factors (one at least, for a grid longer than
+    _BLOCK, which only a raised MAX_PRODUCT_INDEX gives).  So no block
+    holds one element beside others (numpy multiplies a single element by
+    another loop than a wider block, rounding otherwise), and a product's
+    value does not depend on where a call's block boundaries fall.
+    pole_guard is a bool or a bool array that broadcasts against c.  Where
+    it holds, a factor closer to zero than POLE_FACTOR_EPS raises
     PoleHitError, and a product that underflows to zero raises
     NonConvergenceError; elsewhere a product may vanish (a genuine zero).
     A product that is not finite in double precision, or whose modulus
-    is not, raises NonConvergenceError.  merged: c holds the elements of
-    several calls, none of which leaves one element alone in a block, so
-    a last block of one element takes a zero beside it.
+    is not, raises NonConvergenceError.
     """
     if grid.size == 1:
         return _one_factor(c, grid, pole_guard)
@@ -213,23 +220,19 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard, merged=False):
     guard = (None if pole_guard is False
              else np.full(c.shape, pole_guard, bool).reshape(-1))
     cols = max(1, _BLOCK // max(grid.size, 1))
-    if merged and flat.size > cols and flat.size % cols == 1:
-        # numpy multiplies a single element by another loop than a wider
-        # block, rounding otherwise
-        return _product(np.append(flat, 0), grid, pole_guard if guard is None
-                        else np.append(guard, False))[:-1].reshape(c.shape)
+    blocks = max(1, flat.size // cols)
+    edges = [flat.size * i // blocks for i in range(blocks + 1)]
     out = np.empty(flat.shape, complex)
     # one block buffer for the whole call: numpy is several times slower
     # multiplying a broadcast pair into a fresh array than into this one
-    buf = np.empty((grid.size, min(cols, flat.size)), complex)
+    buf = np.empty((grid.size, -(-flat.size // blocks)), complex)
     # overflow is checked once below, on the finished products
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, flat.size, cols):
-            cb = flat[lo:lo + cols]
-            f = buf[:, :len(cb)]
-            np.multiply(grid[:, None], cb, out=f)
+        for lo, hi in zip(edges, edges[1:]):
+            f = buf[:, :hi - lo]
+            np.multiply(grid[:, None], flat[lo:hi], out=f)
             np.subtract(1.0, f, out=f)
-            gb = None if guard is None else guard[lo:lo + cols]
+            gb = None if guard is None else guard[lo:hi]
             if gb is not None and gb.any():
                 # |f| >= |Re f|: only a column with a small real part
                 # can hold a small factor
@@ -238,7 +241,7 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard, merged=False):
                     raise PoleHitError(
                         "a product factor vanished: evaluation point is "
                         "on (or too close to) the pole/zero lattice")
-            f.prod(axis=0, out=out[lo:lo + cols])
+            f.prod(axis=0, out=out[lo:hi])
         # |p| too: it can overflow with both parts of p finite, and the log
         # kernel takes log|p|, whose +inf would turn a quotient into a
         # false zero
@@ -344,50 +347,38 @@ def _log_product_2d(c, a: complex, b: complex, pole_guard=True,
             f"product ratios must have magnitude < 1 (got {aa}, {ab})"
         )
 
-    def truncation(top):
-        key = _truncation(top, aa, ab)
-        return key, sum(key[0])
-
-    def evaluate(c, ac, guard, key, merged):
-        return _truncated_log(c, ac, a, b, guard, key, merged)
-    return _by_truncation(np.asarray(c), group_axis, pole_guard, truncation,
-                          evaluate)
+    def evaluate(c, ac, guard, key):
+        return _truncated_log(c, ac, a, b, guard, key)
+    return _by_truncation(np.asarray(c), group_axis, pole_guard,
+                          lambda top: _truncation(top, aa, ab), evaluate)
 
 
 def _by_truncation(c, group_axis, pole_guard, truncation, evaluate):
-    """A product kernel over c, by truncation.  truncation(top) gives
-    (key, factors): the truncation at the largest |c| top, and the number
-    of factors it multiplies out per element.  evaluate(c, ac, pole_guard,
-    key, merged) gives the (complex, float) arrays of the shape of its c
-    (of magnitudes ac) at that key; merged: its c holds several groups.
+    """A product kernel over c, by truncation.  truncation(top) gives the
+    key of the truncation at the largest |c| top.  evaluate(c, ac,
+    pole_guard, key) gives the (complex, float) arrays of the shape of its
+    c (of magnitudes ac) at that key.
 
     Without group_axis, or with one group, the whole of c takes the key
     of its largest |c|.  Otherwise each slice of c along that axis is a
     truncation group: it takes the key of its own largest |c|, and gets
     the values it gets as a call of its own.  The groups of one key are
-    evaluated together.  A group that alone would leave one element alone
-    in a block of _product, or that holds one element, is evaluated alone
+    evaluated together, since ``_product`` leaves no element alone in a
+    block of a wider call; only a group of one element is evaluated alone
     (numpy multiplies a single element by another loop, rounding
-    otherwise), and ``_product`` never leaves one element of merged
-    groups alone in a block."""
+    otherwise)."""
     ac = np.abs(c)
     if group_axis is None or c.shape[group_axis] == 1:
-        return evaluate(c, ac, pole_guard, truncation(_finite_top(ac))[0],
-                        False)
+        return evaluate(c, ac, pole_guard, truncation(_finite_top(ac)))
     axis = group_axis % c.ndim
     tops = ac.max(axis=tuple(i for i in range(c.ndim) if i != axis))
     _finite_top(tops)
-    size = c.size // c.shape[axis]
+    lone = c.size == c.shape[axis]
     runs = {}
     for g, top in enumerate(tops.tolist()):
-        key, factors = truncation(top)
-        cols = max(1, _BLOCK // max(factors, 1))
-        lone = size == 1 or (factors > 1 and size > cols
-                             and size % cols == 1)
-        runs.setdefault((key, g if lone else -1), []).append(g)
+        runs.setdefault((truncation(top), g if lone else -1), []).append(g)
     if len(runs) == 1:
-        ((key, _), groups), = runs.items()
-        return evaluate(c, ac, pole_guard, key, len(groups) > 1)
+        return evaluate(c, ac, pole_guard, next(iter(runs))[0])
     out = np.empty(c.shape, complex), np.empty(c.shape)
     if np.ndim(pole_guard):
         pole_guard = np.broadcast_to(pole_guard, c.shape)
@@ -395,15 +386,13 @@ def _by_truncation(c, group_axis, pole_guard, truncation, evaluate):
         index = (slice(None),) * axis + (groups,)
         out[0][index], out[1][index] = evaluate(
             c[index], ac[index],
-            pole_guard[index] if np.ndim(pole_guard) else pole_guard,
-            key, len(groups) > 1)
+            pole_guard[index] if np.ndim(pole_guard) else pole_guard, key)
     return out
 
 
-def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
-                   merged: bool = False):
+def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation):
     """_log_product_2d of the elements c (of magnitudes ac) at the
-    truncation (rows, n_terms); merged: they are several groups."""
+    truncation (rows, n_terms)."""
     aa, ab = abs(a), abs(b)
     rows, n_terms = truncation
     nj = len(rows)
@@ -422,7 +411,7 @@ def _truncated_log(c, ac, a: complex, b: complex, pole_guard, truncation,
         log *= c
     tail = np.empty(c.shape)
     if grid.size:
-        prod = _product(c, grid, pole_guard, merged)
+        prod = _product(c, grid, pole_guard)
         # unguarded products have genuine zeros (1/Gamma at its zeros): log
         # 0 = -inf, which the caller's exp turns back into 0.  log|p| +
         # i arg p is several times faster than numpy's complex log; the
@@ -449,15 +438,13 @@ def _pochhammer_raw(c, a: complex, group_axis=None):
     if aa >= 1.0:
         raise DivergentParameterError(f"|ratio| must be < 1, got {aa}")
 
-    def truncation(top):
-        nj = _term_count(top, aa, TERM_EPSILON, MAX_PRODUCT_INDEX)
-        return nj, nj
-
-    def evaluate(c, ac, guard, nj, merged):
-        return (_product(c, a ** np.arange(nj), guard, merged),
+    def evaluate(c, ac, guard, nj):
+        return (_product(c, a ** np.arange(nj), guard),
                 2.0 * np.minimum(ac, TERM_EPSILON) / (1.0 - aa))
-    return _by_truncation(np.asarray(c), group_axis, False, truncation,
-                          evaluate)
+    return _by_truncation(
+        np.asarray(c), group_axis, False,
+        lambda top: _term_count(top, aa, TERM_EPSILON, MAX_PRODUCT_INDEX),
+        evaluate)
 
 
 def python_scalar(x):

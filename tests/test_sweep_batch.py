@@ -289,8 +289,9 @@ class TestBatchCalls:
 
 #: a batch of truncation groups: 2..5 groups of one shape, each with its
 #: own scale of |c| (so its own staircase, or a staircase it shares with
-#: others), and a block size that splits the groups' products into
-#: several blocks, one of one element too
+#: others), and a block size that cuts the groups' products into several
+#: blocks of even size (``_product``), whose boundaries fall elsewhere in
+#: a group's call of its own
 groups_st = st.tuples(
     st.integers(2, 5), st.integers(1, 40),
     st.lists(st.sampled_from([0.3, 1.5]) | st.floats(0.05, 3.0),
