@@ -73,7 +73,7 @@ from .special_functions import (
 #: set to keep the lens gamma phase shift below the size (256 KiB) at
 #: which numpy evaluates a product in place of a temporary second operand,
 #: swapping complex factors; the shift is now formed from a named operand
-#: (``special_functions._lens_factor``), and a star's values do not
+#: (``special_functions._shifted``), and a star's values do not
 #: depend on this limit (``tests/test_sweep_batch.py`` passes without it).
 STAR_BATCH_ROWS = 2 ** 14
 

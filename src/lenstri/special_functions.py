@@ -26,8 +26,9 @@ sweep's star-triangle and inversion samples do in the double-product
 kernel and its thtfunct samples in ``lens_theta``.  numpy evaluates a
 complex product whose second operand is a temporary array of 256 KiB or
 more in place of that temporary, with its factors swapped, which rounds
-otherwise; the lens gamma phase shift (``_lens_factor``) is formed from
-a named operand, so that its rounding does not depend on the batch size.
+otherwise; the lens gamma functions shift their phases by gathered nome
+powers through one helper (``_shifted``) that names the gathered operand,
+so that their rounding does not depend on the batch size.
 
 The gamma kernels take the phase of their argument rather than z:
 ``_elliptic_gamma``, ``_lens_factor`` and ``_lens_gamma`` the phase
@@ -584,22 +585,28 @@ def _lens_shifts(params: NomeParameters):
     return out
 
 
+def _shifted(x, powers, index):
+    """x times powers[index], a product argument whose phase is shifted by
+    nome powers gathered per residue [[m]].  The gathered operand is
+    named: numpy evaluates a product whose second operand is a temporary
+    of 256 KiB or more in place of that temporary, with the factors
+    swapped, which rounds a complex product otherwise (a fused
+    multiply-add); a scalar x times a scalar power keeps numpy's scalar
+    product, which np.multiply would not.  It is freed on return, before
+    the kernel runs, as a temporary would be."""
+    shift = powers[index]
+    with product_arguments():
+        return x * shift
+
+
 def _lens_factor(e2, m, params: NomeParameters, group_axis=None):
     """log of the (pq, p^r) factor v1 of ``lens_elliptic_gamma`` at the
     phase e2 = e^{2iz}, and its log tail.  The shift of its argument by
     (r/2 - [[m]]) pi sigma multiplies the phase by p^{r - 2[[m]]}."""
     r, p = params.r, params.p
-    # the gathered shift is named: numpy evaluates a product whose second
-    # operand is a temporary of 256 KiB or more in place of that
-    # temporary, with the factors swapped, which rounds a complex product
-    # otherwise (a fused multiply-add); a scalar phase keeps numpy's
-    # scalar product, which np.multiply would not.  It is freed before the
-    # kernel runs, as a temporary would be
-    shift = _lens_shifts(params)[0][mod_bracket(m, r)]
-    with product_arguments():
-        e2 = e2 * shift
-    del shift
-    return _elliptic_gamma(e2, p * params.q, p ** r, group_axis)
+    return _elliptic_gamma(
+        _shifted(e2, _lens_shifts(params)[0], mod_bracket(m, r)),
+        p * params.q, p ** r, group_axis)
 
 
 def _lens_gamma(e2, m, params: NomeParameters, group_axis=None):
@@ -607,11 +614,7 @@ def _lens_gamma(e2, m, params: NomeParameters, group_axis=None):
     e2 = e^{2iz}, each with its log tail: v1 (``_lens_factor``), and v2
     over (pq, q^r) at the phase times q^{2[[m]] - r}."""
     r, q = params.r, params.q
-    # named and freed, as in _lens_factor
-    shift = _lens_shifts(params)[1][mod_bracket(m, r)]
-    with product_arguments():
-        e2q = e2 * shift
-    del shift
+    e2q = _shifted(e2, _lens_shifts(params)[1], mod_bracket(m, r))
     return (_lens_factor(e2, m, params, group_axis),
             _elliptic_gamma(e2q, params.p * q, q ** r, group_axis))
 
@@ -651,10 +654,10 @@ def _lens_gamma_appendix(z, ei, m, params: NomeParameters, allow_zero=False):
     # one stack, cut into the (pq, p^r) and the (pq, q^r) products
     with product_arguments():
         inv = pq / ei
-        c, guard = stack_rows((inv * pw[r - br], guard_num),
-                              (ei * pw[br], True),
-                              (inv * qw[br], guard_num),
-                              (ei * qw[r - br], True))
+    c, guard = stack_rows((_shifted(inv, pw, r - br), guard_num),
+                          (_shifted(ei, pw, br), True),
+                          (_shifted(inv, qw, br), guard_num),
+                          (_shifted(ei, qw, r - br), True))
     (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2])
     (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
     return varphi(z, m, params) + l1 - l2 + l3 - l4, t1 + t2 + t3 + t4
