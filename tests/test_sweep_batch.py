@@ -345,6 +345,26 @@ class TestTruncationGroups:
                 assert np.array_equal(tail[..., g, :], want_tail)
 
 
+class TestProductBlocks:
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 7),
+           st.integers(2, 60), st.sampled_from([0.3 + 0.2j, 0.6j, -0.9]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_values_do_not_depend_on_the_blocks(self, factors, cols, extra,
+                                                n, ratio, guarded, seed):
+        # a grid of at most _BLOCK / 2 factors and n >= 2 elements: the
+        # products of a call cut into blocks equal those of one block.
+        # |c| <= 0.9 keeps every factor 1 - c g away from zero
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c *= 0.9 / np.abs(c).max()
+        grid = ratio ** np.arange(factors)
+        whole = sf._product(c, grid, guarded)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sf, "_BLOCK", factors * cols + extra % factors)
+            assert np.array_equal(sf._product(c, grid, guarded), whole)
+
+
 class TestPhaseShift:
     """20,000 points, past the size at which numpy would evaluate a phase
     shift product in place of its gathered operand: the values of one call
