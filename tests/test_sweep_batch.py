@@ -366,29 +366,20 @@ class TestProductBlocks:
 
 
 class TestPhaseShift:
-    """20,000 points, past the size at which numpy would evaluate a phase
-    shift product in place of its gathered operand: the values of one call
-    equal those of calls of 1,000 points."""
-
-    @staticmethod
-    def assert_whole_equals_parts(fn, z, m, pr):
-        whole = fn(z, m, pr)
-        parts = np.concatenate([fn(z[i:i + 1000], m[i:i + 1000], pr)
-                                for i in range(0, z.size, 1000)])
-        assert np.array_equal(whole, parts)
-
     def test_lens_gamma_phase_does_not_depend_on_the_batch_size(self):
+        # 20,000 points, past the size at which numpy would evaluate a
+        # phase shift product in place of its gathered operand: the values
+        # of one call equal those of calls of 1,000 points.  Real z with m
+        # in 0..2, and z = x + 0.3i with m in -6..6 for the four shifted
+        # product arguments of lens_gamma_appendix
         pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, 3)
         rng = np.random.default_rng(3)
-        z = rng.uniform(0.0, math.pi, 20000)
-        self.assert_whole_equals_parts(sf.lens_elliptic_gamma, z,
-                                       rng.integers(0, 3, z.size), pr)
-
-    def test_appendix_phase_does_not_depend_on_the_batch_size(self):
-        # z = x + 0.3i and m in -6..6: the four shifted product arguments
-        # of lens_gamma_appendix
-        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, 3)
-        rng = np.random.default_rng(3)
-        z = rng.uniform(0.0, math.pi, 20000) + 0.3j
-        self.assert_whole_equals_parts(sf.lens_gamma_appendix, z,
-                                       rng.integers(-6, 7, z.size), pr)
+        x = rng.uniform(0.0, math.pi, 20000)
+        inputs = [(sf.lens_elliptic_gamma, x, rng.integers(0, 3, x.size)),
+                  (sf.lens_gamma_appendix, x + 0.3j,
+                   rng.integers(-6, 7, x.size))]
+        for fn, z, m in inputs:
+            whole = fn(z, m, pr)
+            parts = np.concatenate([fn(z[i:i + 1000], m[i:i + 1000], pr)
+                                    for i in range(0, z.size, 1000)])
+            assert np.array_equal(whole, parts)
