@@ -70,24 +70,24 @@ product in log form, peeled the same way, as the q-limit weights take it
 single product out whole (``_pochhammer_raw``).  The kernel lays a block
 out with the whole grid on axis 0 and the batch elements on axis 1 and
 reduces over axis 0, one whole row of elements per multiplication; a
-call's n elements are cut into max(1, n // cols) blocks of even size,
-cols being as many elements as fit in ``_BLOCK`` factors, and at least
-one (``MAX_PRODUCT_INDEX`` keeps every grid below ``_BLOCK``), so that no
+call's n elements are cut into max(1, n // cols) blocks of even size, cols
+being as many elements as fit in ``_BLOCK`` factors, and at least one
+(``MAX_PRODUCT_INDEX`` keeps every grid below ``_BLOCK``), so that no
 block holds one element beside others and a product's value does not
-depend on where a call's block boundaries fall.
-A one-factor grid skips the blocks.  A log is off from sum(log f) by a
-multiple of 2 pi i, which is harmless because callers only ever use exp
-of a combination of such logs: the logs exist so that exponential
-prefactors and several products combine without an intermediate
-overflow.  A product is at most exp(sum |c a^j b^k|) in magnitude, so it
-can overflow only at arguments far off the real axis; a multiplied-out
-product that is not finite in double precision raises NonConvergenceError
-rather than passing an inf into its log, and so does a product argument c
-that is not finite (e^{iz} overflowing still further off the axis).  A
-log is not held to the double range; its value is, where it leaves log
-space (``_exp_result``): a value past the largest double and a finite log
-whose value underflows to 0 both raise NonConvergenceError, and a log of
--inf, a genuine zero, gives an exact 0.
+depend on where a call's block boundaries fall.  A one-factor grid skips
+the blocks.  A log is off from sum(log f) by a multiple of 2 pi i, which
+is harmless because callers only ever use exp of a combination of such
+logs: the logs exist so that exponential prefactors and several products
+combine without an intermediate overflow.  A product is at most
+exp(sum |c a^j b^k|) in magnitude, so it can overflow only at arguments
+far off the real axis; a multiplied-out product that is not finite in
+double precision raises NonConvergenceError rather than passing an inf
+into its log, and so does a product argument c that is not finite (e^{iz}
+overflowing still further off the axis).  A log is not held to the
+double range; its value is, where it leaves log space (``_exp_result``):
+a value past the largest double and a finite log whose value underflows
+to 0 both raise NonConvergenceError, and a log of -inf, a genuine zero,
+gives an exact 0.
 """
 
 from __future__ import annotations
@@ -225,12 +225,13 @@ def _product(c: np.ndarray, grid: np.ndarray, pole_guard):
     edges = [flat.size * i // blocks for i in range(blocks + 1)]
     out = np.empty(flat.shape, complex)
     # one block buffer for the whole call: numpy is several times slower
-    # multiplying a broadcast pair into a fresh array than into this one
-    buf = np.empty((grid.size, -(-flat.size // blocks)), complex)
+    # multiplying a broadcast pair into a fresh array than into this one.
+    # Each block is a contiguous view of it, whatever its width
+    buf = np.empty(grid.size * -(-flat.size // blocks), complex)
     # overflow is checked once below, on the finished products
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(edges, edges[1:]):
-            f = buf[:, :hi - lo]
+            f = buf[:grid.size * (hi - lo)].reshape(grid.size, hi - lo)
             np.multiply(grid[:, None], flat[lo:hi], out=f)
             np.subtract(1.0, f, out=f)
             gb = None if guard is None else guard[lo:hi]
@@ -379,7 +380,8 @@ def _by_truncation(c, group_axis, pole_guard, truncation, evaluate):
     for g, top in enumerate(tops.tolist()):
         runs.setdefault((truncation(top), g if lone else -1), []).append(g)
     if len(runs) == 1:
-        return evaluate(c, ac, pole_guard, next(iter(runs))[0])
+        (key, _), = runs
+        return evaluate(c, ac, pole_guard, key)
     out = np.empty(c.shape, complex), np.empty(c.shape)
     if np.ndim(pole_guard):
         pole_guard = np.broadcast_to(pole_guard, c.shape)
