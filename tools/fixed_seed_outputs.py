@@ -32,7 +32,7 @@ def commands():
                 out.append((f"sweep-{ident}-r{r}-seed{seed}",
                             ["sweep", ident, "--r", str(r), "--seed",
                              str(seed), "--samples", "6"]))
-    for ident in SWEPT[:6]:
+    for ident in (i for i in SWEPT if i != "cov"):
         for r in range(1, 5):
             out.append((f"sweep-{ident}-r{r}-sigma",
                         ["sweep", ident, "--r", str(r), "--seed", "5",
