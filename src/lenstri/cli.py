@@ -22,12 +22,18 @@ up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
 star-triangle batch shares each trapezoid level's integrand call, an
 inversion batch one weight call and a thtfunct batch one lens theta
 call, and every report is the one its draw gets alone.
+
+``main`` sets glibc's malloc thresholds once per process
+(``_steady_heap``), so that the arrays of a batch are reused from the heap
+instead of being handed back to the system and faulted in again at every
+level.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import math
@@ -691,7 +697,28 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@lru_cache(maxsize=None)
+def _steady_heap() -> None:
+    """Once per process, where glibc's mallopt is there: keep freed memory
+    of up to 64 MiB at the top of the heap (M_TRIM_THRESHOLD, -1) and take
+    blocks below 32 MiB from the heap (M_MMAP_THRESHOLD, -3).  By default
+    glibc trims the heap as a batch's arrays are freed and grows it again
+    for the next level's, faulting their pages in each time.  Setting
+    either value turns off glibc's own threshold adjustment, so both are
+    set: a fixed 128 KiB mmap threshold alone would map every batch array
+    afresh.  A mallopt that is missing or refuses (returns 0) leaves the
+    allocator as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](merge_config(args))

@@ -2,6 +2,7 @@
 exit codes, config handling, and sweep reproducibility."""
 
 import csv
+import ctypes
 import dataclasses
 import inspect
 import io
@@ -747,6 +748,25 @@ class TestProcess:
         fresh = fresh_python(
             f"import sys; from lenstri import cli; sys.exit(cli.main({argv!r}))")
         assert here == fresh
+
+    def test_a_repeated_sweep_keeps_its_heap(self, tmp_path):
+        # the second of two like sweeps in one process finds the pages of
+        # its batch arrays in the heap: few minor page faults, where a
+        # heap that glibc trims after every level takes hundreds
+        pytest.importorskip("resource")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        argv = ["sweep", "str", "--r", "3", "--samples", "6", "--out",
+                str(tmp_path / "rows.jsonl")]
+        out = fresh_python(
+            "import resource\n"
+            "from lenstri import cli\n"
+            f"cli.main({argv!r})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"cli.main({argv!r})\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+        assert int(out) < 50
 
     def test_scipy_only_in_gamma_limit(self):
         out = fresh_python(
