@@ -19,9 +19,10 @@ Random sampling uses numpy's default PCG64 generator seeded with the
     period strip.
 Sweeps draw their samples in sample order and verify them in batches of
 up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
-star-triangle batch shares each trapezoid level's integrand call, an
-inversion batch one weight call and a thtfunct batch one lens theta
-call, and every report is the one its draw gets alone.
+star-triangle, master or constant-form batch shares each trapezoid
+level's integrand call (an iconst sample's two integrals are two of its
+integrals), an inversion batch one weight call and a thtfunct batch one
+lens theta call, and every report is the one its draw gets alone.
 
 ``main`` sets glibc's malloc thresholds once per process
 (``_steady_heap``), so that the arrays of a batch are reused from the heap
@@ -338,9 +339,9 @@ class Identity:
     tolerance, or None for an identity whose checks set their own bounds
     and take none.  ``batch(cases, params, tol)``, if given, verifies a
     list of cases together and returns their reports, in order, each the
-    one ``run`` gives, which is its batch of one (``str``, ``rinfstr``,
-    ``thtfunct`` and ``inversion`` have one); a lenstri error raised in it
-    is raised for all of them.  Runners look verifiers up on the
+    one ``run`` gives, which is its batch of one (every sweepable
+    identity but ``strmsg`` and ``cov`` has one); a lenstri error raised
+    in it is raised for all of them.  Runners look verifiers up on the
     ``verify`` module at call time, never at import."""
     name: str
     tol: Optional[float]
@@ -383,11 +384,15 @@ IDENTITIES = {ident.name: ident for ident in (
              parse_spins_case, sample_strmsg_case),
     Identity("master", 1e-6,
              lambda c, pr, tol: verify.verify_master(c["mp"], tol),
-             parse_master_case, sample_master_case),
+             parse_master_case, sample_master_case,
+             lambda cs, pr, tol: verify.verify_masters(
+                 [c["mp"] for c in cs], tol)),
     Identity("iconst", 1e-6,
              lambda c, pr, tol: verify.verify_I_constant(
                  c["t"], c["u"], pr, tol),
-             parse_tu_case, sample_iconst_case),
+             parse_tu_case, sample_iconst_case,
+             lambda cs, pr, tol: verify.verify_I_constants(
+                 [(c["t"], c["u"]) for c in cs], pr, tol)),
     Identity("thtfunct", 1e-8,
              lambda c, pr, tol: verify.verify_theta_difference(
                  c["z"], c["y"], c["t"], c["u"], pr, tol),
@@ -537,8 +542,9 @@ def run_verify(cfg: dict) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-#: the most samples a sweep verifies in one batch: a star-triangle batch
-#: holds every level's rows of all of them at once
+#: the most samples a sweep verifies in one batch: a quadrature batch
+#: holds every level's rows of all of them at once, in runs below
+#: ``models.STAR_BATCH_ROWS`` Gamma rows
 SWEEP_BATCH = 16
 
 

@@ -643,9 +643,12 @@ def varphi(z: complex, m: int, params: NomeParameters) -> complex:
             + 2 * params.zeta * (br - brm) / 3) * (br * brm) / (4 * r)
 
 
-def _lens_gamma_appendix(z, ei, m, params: NomeParameters, allow_zero=False):
+def _lens_gamma_appendix(z, ei, m, params: NomeParameters, allow_zero=False,
+                         group_axis=None):
     """log ``lens_gamma_appendix`` at z and its phase ei = e^{iz}, and its
-    log tail; a genuine zero (allow_zero) has the log -inf."""
+    log tail; a genuine zero (allow_zero) has the log -inf.  group_axis
+    (negative): the axis of z whose slices are truncation groups
+    (``_log_product_2d``)."""
     r = params.r
     p, q = params.p, params.q
     pq = p * q
@@ -660,8 +663,10 @@ def _lens_gamma_appendix(z, ei, m, params: NomeParameters, allow_zero=False):
                           (_shifted(ei, pw, br), True),
                           (_shifted(inv, qw, br), guard_num),
                           (_shifted(ei, qw, r - br), True))
-    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2])
-    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:])
+    (l1, l2), (t1, t2) = _log_product_2d(c[:2], pq, p ** r, guard[:2],
+                                         group_axis)
+    (l3, l4), (t3, t4) = _log_product_2d(c[2:], pq, q ** r, guard[2:],
+                                         group_axis)
     return varphi(z, m, params) + l1 - l2 + l3 - l4, t1 + t2 + t3 + t4
 
 

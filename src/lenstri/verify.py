@@ -394,8 +394,7 @@ def _require_safe_contour(t, params):
     return margin
 
 
-def master_integrand(z: complex, y, mp: MasterParameters, *,
-                     right_side: bool = False) -> complex:
+def master_integrand(z: complex, y, mp, *, right_side: bool = False):
     """Master-identity integrand prod_i Gamma(t_i +- z, u_i +- y) /
     Gamma(+-2z, +-2y), at a scalar or at each element of arrays z and y
     that broadcast against each other: the exp of the sum of its Gamma
@@ -405,40 +404,52 @@ def master_integrand(z: complex, y, mp: MasterParameters, *,
     pair depends on the nomes and the grid alone and is cached per grid
     (``_inverse_measure``).
 
-    With right_side=True the fifteen Gamma of the right side,
+    mp is one MasterParameters, or a sequence of them at one nomes, whose
+    values then lie on a leading axis: each instance's rows are a
+    truncation group of the one call, so that it gets the values it gets
+    alone.  With right_side=True the fifteen Gamma of the right side,
     prod_{i<j} Gamma(t_i + t_j, u_i + u_j), ride in the same call, and
-    the return is the integrand and that product."""
-    params = mp.params
-    # rows (t_i +- z, u_i +- y) on axes (i, +-) before the axes of z and
-    # y, each pair adjacent: the mirror (-z, -y) swaps the two rows of a
-    # pair, and the sum over the rows rounds alike at both; the right
-    # side's rows follow them in the flat batch
-    shape = (6, 2) + np.broadcast(z, y).shape
-    n = math.prod(shape)
-    z2, e = np.empty((2, n + 15 * right_side), complex)
+    the return is the integrand and that product (a list of them, one
+    per instance, for a sequence)."""
+    single = isinstance(mp, MasterParameters)
+    mps = [mp] if single else list(mp)
+    params = mps[0].params
+    # per instance, rows (t_i +- z, u_i +- y) on axes (i, +-) before the
+    # axes of z and y, each pair adjacent: the mirror (-z, -y) swaps the
+    # two rows of a pair, and the sum over the rows rounds alike at both;
+    # the right side's rows follow them in the instance's flat batch
+    grid = np.broadcast(z, y).shape
+    shape = (len(mps), 6, 2) + grid
+    n = math.prod(shape[1:])
+    z2, e = np.empty((2, len(mps), n + 15 * right_side), complex)
     m = np.empty(z2.shape, int)
-    extra = (1,) * (len(shape) - 2)
-    t, u = np.reshape(mp.t, (6, 1) + extra), np.reshape(mp.u, (6, 1) + extra)
+    extra = (1,) * len(grid)
+    t = np.reshape([p.t for p in mps], (-1, 6, 1) + extra)
+    u = np.reshape([p.u for p in mps], (-1, 6, 1) + extra)
     sign = np.reshape([1, -1], (1, 2) + extra)
-    z2[:n].reshape(shape)[...] = t + sign * z
-    e[:n].reshape(shape)[...] = np.exp(1j * t) * sf._phase(z, 1) ** sign
-    m[:n].reshape(shape)[...] = u + sign * y
+    z2[:, :n].reshape(shape)[...] = t + sign * z
+    e[:, :n].reshape(shape)[...] = np.exp(1j * t) * sf._phase(z, 1) ** sign
+    m[:, :n].reshape(shape)[...] = u + sign * y
     if right_side:
         i, j = np.triu_indices(6, 1)
-        z2[n:] = t.ravel()[i] + t.ravel()[j]
-        e[n:] = np.exp(1j * z2[n:])
-        m[n:] = u.ravel()[i] + u.ravel()[j]
-    log = sf._lens_gamma_appendix(z2, e, m, params)[0]
-    rows = log[:n].reshape(shape)
+        t, u = t.reshape(-1, 6), u.reshape(-1, 6)
+        z2[:, n:] = t[:, i] + t[:, j]
+        e[:, n:] = np.exp(1j * z2[:, n:])
+        m[:, n:] = u[:, i] + u[:, j]
+    log = sf._lens_gamma_appendix(z2, e, m, params, group_axis=-2)[0]
+    rows = log[:, :n].reshape(shape)
     # the sum starts from the measure, whose real part offsets the rows':
     # its partial sums stay small, and so does their rounding
-    rows[0, 0] += _inverse_measure(params, z, y)
-    value = sf._exp_result(rows.sum(axis=(0, 1)), None, False)
+    rows[:, 0, 0] += _inverse_measure(params, z, y)
+    value = sf._exp_result(rows.sum(axis=(1, 2)), None, False)
     if right_side:
-        # fifteen exps: a product of values keeps each factor's rounding
-        # at the size of its own log, not of their sum
-        return value, sf._exp_result(log[n:], None, False).prod().item()
-    return value
+        # fifteen exps per instance: a product of values keeps each
+        # factor's rounding at the size of its own log, not of their sum
+        sides = [v.prod().item()
+                 for v in sf._exp_result(log[:, n:], None, False)]
+        return ((sf.python_scalar(value[0]), sides[0]) if single
+                else (value, sides))
+    return sf.python_scalar(value[0]) if single else value
 
 
 @models.grid_cache
@@ -469,87 +480,151 @@ def _pochhammer_norm(params: NomeParameters) -> complex:
     return sf.qpochhammer_inf(qr, qr) * sf.qpochhammer_inf(pr, pr)
 
 
-def _master_integral(mp: MasterParameters, qtol, scaled: bool = False):
-    """The integral over one period of sum_y master_integrand, divided by
-    the right side if scaled, and the right side.  Every sector y is on
-    axis 0 of one batch per trapezoid level (``numerics.Trapezoid``), and
-    the right side rides in the first batch.  The sum over y is even in
-    z, because the integrand is invariant under (z, y) -> (-z, -y) and y
-    runs over Z_r."""
-    y = np.arange(mp.params.r)[:, None]
-    steps = numerics.Trapezoid(2 * math.pi, 1, even=True)
-    v, rhs = master_integrand(steps.nodes, y, mp, right_side=True)
-    scale = 1 / rhs if scaled else 1.0
-    while True:
-        steps.take((scale * v.sum(axis=0))[None], qtol)
-        if not steps.active:
-            return _converged(steps.results[0]), rhs
-        v = master_integrand(steps.nodes, y, mp)
+def _master_integral(mps, qtol, scaled: bool = False):
+    """The integral over one period of sum_y master_integrand at each
+    MasterParameters of mps (one nomes), divided by its right side if
+    scaled: the QuadratureResults and the right sides, in the order of
+    mps.  qtol holds each integral's tolerance.  One
+    ``numerics.Trapezoid`` steps them all: every level is one
+    master_integrand batch of the integrals that have not stopped, or one
+    per run of them whose Gamma rows stay below
+    ``models.STAR_BATCH_ROWS``, and each integral stops at its own level.
+    Every sector y is on an axis of the batch, and the right sides ride
+    in the first.  The sum over y is even in z, because the integrand is
+    invariant under (z, y) -> (-z, -y) and y runs over Z_r."""
+    y = np.arange(mps[0].params.r)[:, None]
+    steps = numerics.Trapezoid(2 * math.pi, len(mps), even=True)
+
+    def integrand(act, first):
+        """The integrand of the integrals act at the nodes of the level,
+        and with first their right sides."""
+        rows = 12 * y.size * steps.nodes.size + 15 * first
+        step = max(1, (models.STAR_BATCH_ROWS - 1) // rows)
+        values, sides = [], []
+        for lo in range(0, len(act), step):
+            v = master_integrand(steps.nodes, y,
+                                 [mps[i] for i in act[lo:lo + step]],
+                                 right_side=first)
+            if first:
+                v, h = v
+                sides += h
+            values.append(v)
+        return np.concatenate(values), sides
+
+    v, rhs = integrand(steps.active, True)
+    scale = np.array([1 / h if scaled else 1.0 for h in rhs], complex)
+    while steps.active:
+        steps.take(scale[steps.active, None] * v.sum(axis=1), qtol)
+        if steps.active:
+            v, _ = integrand(steps.active, False)
+    return [_converged(res) for res in steps.results], rhs
 
 
-def verify_master(mp: MasterParameters, tol: float = 1e-6,
-                  quad_tol: Optional[float] = None) -> VerificationReport:
-    """Master summation/integration identity:
+def verify_masters(mps: Sequence[MasterParameters], tol: float = 1e-6,
+                   quad_tol: Optional[float] = None) -> list:
+    """Master summation/integration identity at each MasterParameters of
+    mps; the reports, in order:
 
     (q^r;q^r) (p^r;p^r) sum_y int_0^{2pi} dz/(4pi)
         prod_i Gamma(t_i +- z, u_i +- y) / Gamma(+-2z, +-2y)
       = prod_{i<j} Gamma(t_i + t_j, u_i + u_j).
 
     1/Gamma factors are evaluated through the inversion relation so the
-    integrand stays pole-free on the real contour.
+    integrand stays pole-free on the real contour.  The instances of one
+    nomes are verified together (``_master_integral``): each trapezoid
+    level is one integrand batch over the instances that have not
+    stopped, each instance's rows a truncation group of their own, so its
+    report is the one it gets alone.  An error raised for one instance is
+    raised for all.
     """
-    params = mp.params
-    margin = _require_safe_contour(mp.t[:5], params)
-    pref = _pochhammer_norm(params)
+    margins = [_require_safe_contour(mp.t[:5], mp.params) for mp in mps]
     qtol = quad_tol if quad_tol is not None else tol / 10
-    res, rhs = _master_integral(mp, qtol)
-    lhs = res.value * (pref / (4 * math.pi))
-    meta = {"nodes": res.nodes_used, "pole_margin": margin, "quad_tol": qtol,
-            "quad_error": res.error_estimate}
-    record = {"t": list(mp.t), "u": list(mp.u),
-              "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("master", record, lhs, rhs, tol, meta)
+    nomes = {}   # the instances of each nomes
+    for i, mp in enumerate(mps):
+        nomes.setdefault(mp.params, []).append(i)
+    reports = [None] * len(mps)
+    for params, idx in nomes.items():
+        pref = _pochhammer_norm(params)
+        results, rhs = _master_integral([mps[i] for i in idx],
+                                        [qtol] * len(idx))
+        for i, res, h in zip(idx, results, rhs):
+            mp = mps[i]
+            meta = {"nodes": res.nodes_used, "pole_margin": margins[i],
+                    "quad_tol": qtol, "quad_error": res.error_estimate}
+            record = {"t": list(mp.t), "u": list(mp.u),
+                      "sigma": params.sigma, "tau": params.tau,
+                      "r": params.r}
+            reports[i] = make_report("master", record,
+                                     res.value * (pref / (4 * math.pi)), h,
+                                     tol, meta)
+    return reports
+
+
+def verify_master(mp: MasterParameters, tol: float = 1e-6,
+                  quad_tol: Optional[float] = None) -> VerificationReport:
+    """Master summation/integration identity (see verify_masters), as a
+    batch of one."""
+    return verify_masters([mp], tol, quad_tol)[0]
+
+
+def verify_I_constants(cases, params: NomeParameters, tol: float = 1e-6,
+                       shift_tol: float = 1e-7,
+                       quad_tol: Optional[float] = None) -> list:
+    """Constant form of the master identity at each (t, u) of cases, five
+    t and five u each; the reports, in case order:
+    I(t_1..t_5, u_1..u_5) = 4 pi / ((q^r;q^r) (p^r;p^r)),
+    plus invariance of I under t_1 -> t_1 + pi sigma, u_1 -> u_1 - 1.
+
+    I is the master integral at constant_form(t, u) over its right side:
+    the master identity divided by that side.  Each case's two integrals,
+    at t and at the shifted t, are two integrals of one
+    ``_master_integral`` over all the cases, each with its own tolerance
+    (the shifted one's at most shift_tol / 10) and its own right side, so
+    each report is the one its case gets alone.  An error raised for one
+    case is raised for all.
+    """
+    qtol = quad_tol if quad_tol is not None else tol / 10
+    mps, qtols, margins = [], [], []
+    for t, u in cases:
+        if len(t) != 5 or len(u) != 5:
+            raise InvalidParameterError("constant form takes five t and five u")
+        ts = (t[0] + math.pi * params.sigma,) + tuple(t[1:])
+        us = (u[0] - 1,) + tuple(u[1:])
+        for tt in (t, ts):
+            if abs(sum(tt).imag) >= abs((2j * params.eta).imag):
+                raise InvalidParameterError(
+                    "|Im(A)| must stay below |Im(2i eta)|, also after the "
+                    "shift")
+        margins.append(min(_require_safe_contour(t, params),
+                           _require_safe_contour(ts, params)))
+        mps += [constant_form(t, u, params), constant_form(ts, us, params)]
+        qtols += [qtol, min(qtol, shift_tol / 10)]
+    results, _ = _master_integral(mps, qtols, scaled=True)
+    rhs = 4 * math.pi / _pochhammer_norm(params)
+    reports = []
+    for k, ((t, u), margin) in enumerate(zip(cases, margins)):
+        res0, res1 = results[2 * k:2 * k + 2]
+        I0, I1 = res0.value, res1.value
+        shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
+        meta = {"nodes": res0.nodes_used + res1.nodes_used,
+                "pole_margin": margin, "shift_residual": shift_res,
+                "shift_tolerance": shift_tol, "quad_tol": qtol,
+                "quad_error": max(res0.error_estimate, res1.error_estimate)}
+        record = {"t": list(t), "u": list(u),
+                  "sigma": params.sigma, "tau": params.tau, "r": params.r}
+        reports.append(make_report(
+            "iconst", record, I0, rhs, tol, meta,
+            checks={"shift_invariance": shift_res <= shift_tol}))
+    return reports
 
 
 def verify_I_constant(t: Sequence[complex], u: Sequence[int],
                       params: NomeParameters, tol: float = 1e-6,
                       shift_tol: float = 1e-7,
                       quad_tol: Optional[float] = None) -> VerificationReport:
-    """Constant form of the master identity:
-    I(t_1..t_5, u_1..u_5) = 4 pi / ((q^r;q^r) (p^r;p^r)),
-    plus invariance of I under t_1 -> t_1 + pi sigma, u_1 -> u_1 - 1.
-
-    I is the master integral at constant_form(t, u) over its right side:
-    the master identity divided by that side.
-    """
-    if len(t) != 5 or len(u) != 5:
-        raise InvalidParameterError("constant form takes five t and five u")
-    ts = (t[0] + math.pi * params.sigma,) + tuple(t[1:])
-    us = (u[0] - 1,) + tuple(u[1:])
-    for tt in (t, ts):
-        if abs(sum(tt).imag) >= abs((2j * params.eta).imag):
-            raise InvalidParameterError(
-                "|Im(A)| must stay below |Im(2i eta)|, also after the shift")
-    margin = min(_require_safe_contour(t, params),
-                 _require_safe_contour(ts, params))
-    qtol = quad_tol if quad_tol is not None else tol / 10
-
-    def integral(t, u, qtol):
-        return _master_integral(constant_form(t, u, params), qtol,
-                                scaled=True)[0]
-    res0 = integral(t, u, qtol)
-    rhs = 4 * math.pi / _pochhammer_norm(params)
-    res1 = integral(ts, us, min(qtol, shift_tol / 10))
-    I0, I1 = res0.value, res1.value
-    shift_res = abs(I1 - I0) / max(abs(I0), abs(I1))
-    meta = {"nodes": res0.nodes_used + res1.nodes_used, "pole_margin": margin,
-            "shift_residual": shift_res, "shift_tolerance": shift_tol,
-            "quad_tol": qtol,
-            "quad_error": max(res0.error_estimate, res1.error_estimate)}
-    record = {"t": list(t), "u": list(u),
-              "sigma": params.sigma, "tau": params.tau, "r": params.r}
-    return make_report("iconst", record, I0, rhs, tol, meta,
-                       checks={"shift_invariance": shift_res <= shift_tol})
+    """Constant form of the master identity (see verify_I_constants), as a
+    batch of one."""
+    return verify_I_constants([(t, u)], params, tol, shift_tol, quad_tol)[0]
 
 
 # ---------------------------------------------------------------------------

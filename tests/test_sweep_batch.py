@@ -1,9 +1,9 @@
 """A sweep's samples verified together: every trapezoid level of the
-star-triangle samples is one integrand batch over the samples that have
-not stopped, the inversion samples are one weight call and the thtfunct
-samples one lens theta call, and each sample's rows are a truncation
-group of their own, so every row is bit for bit the report its draw gets
-alone."""
+star-triangle, master and iconst samples is one integrand batch over the
+samples (an iconst sample's two integrals) that have not stopped, the
+inversion samples are one weight call and the thtfunct samples one lens
+theta call, and each sample's rows are a truncation group of their own,
+so every row is bit for bit the report its draw gets alone."""
 
 import json
 import math
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenstri import cli, models, verify
+from lenstri import cli, models, numerics, verify
 from lenstri import special_functions as sf
 from lenstri.params import NomeParameters, NonConvergenceError, PoleHitError
 
@@ -36,10 +36,22 @@ def row_alone(ident, params, seed, index):
 
 
 #: (identity, r, tau, sigma): at r = 4 six samples hold more gamma rows
-#: than one batch takes (``models.STAR_BATCH_ROWS``)
+#: than one batch takes (``models.STAR_BATCH_ROWS``), and so do six
+#: master samples near the unit circle
 SWEEPS = [("str", 1, None), ("str", 2, None), ("str", 3, None),
           ("str", 4, None), ("str", 2, "-0.05+0.7j"), ("rinfstr", 1, None),
-          ("rinfstr", 2, "-0.05+0.7j"), ("str", 2, None, "0.05+0.12j")]
+          ("rinfstr", 2, "-0.05+0.7j"), ("str", 2, None, "0.05+0.12j"),
+          ("master", 1, None), ("master", 2, None), ("master", 3, None),
+          ("iconst", 2, None), ("master", 2, None, "0.05+0.12j"),
+          ("master", 2, "-0.05+0.7j")]
+
+#: each sweepable quadrature identity's own verifier, of one draw
+ALONE = {
+    "str": lambda c, pr: verify.verify_str(c["spins"], c["alphas"], pr),
+    "rinfstr": lambda c, pr: verify.verify_rinfstr(c["spins"], c["alphas"],
+                                                   pr),
+    "master": lambda c, pr: verify.verify_master(c["mp"]),
+    "iconst": lambda c, pr: verify.verify_I_constant(c["t"], c["u"], pr)}
 
 
 class TestRows:
@@ -59,15 +71,15 @@ class TestRows:
         params = cli.build_params(cfg)
         for index, row in enumerate(rows[:-1]):
             assert row == row_alone(ident, params, 5, index)
-            case = cli._sample(ident, params, 5, index)
-            rep = (verify.verify_str if identity == "str"
-                   else verify.verify_rinfstr)(case["spins"],
-                                               case["alphas"], params)
+            rep = ALONE[identity](cli._sample(ident, params, 5, index),
+                                  params)
             assert json.loads(row)["lhs"] == [rep.lhs.real, rep.lhs.imag]
+            assert json.loads(row)["rhs"] == [rep.rhs.real, rep.rhs.imag]
 
     @pytest.mark.parametrize("identity,r", [("str", 2), ("rinfstr", 1),
                                             ("inversion", 2),
-                                            ("thtfunct", 3)])
+                                            ("thtfunct", 3), ("master", 3),
+                                            ("iconst", 2)])
     def test_rows_do_not_depend_on_the_sample_count(self, capsys, tmp_path,
                                                     identity, r):
         rows = [sweep_rows(capsys, tmp_path,
@@ -96,6 +108,25 @@ class TestRows:
         monkeypatch.setattr(models, "kappa", failing)
         rows = sweep_rows(capsys, tmp_path, argv)
         assert json.loads(rows[3]) == {"sample_index": 3, "status": status}
+        assert rows[:3] + rows[4:-1] == clean[:3] + clean[4:-1]
+        assert json.loads(rows[-1])["skipped"] == 1
+
+    def test_a_contour_violation_in_a_master_batch(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # sample 3's pole margin reads 0: the batch is verified sample by
+        # sample, sample 3 gets contour-violation and every other sample
+        # its row
+        argv = ["master", "--r", "2", "--seed", "5", "--samples", "6"]
+        clean = sweep_rows(capsys, tmp_path, argv)
+        t0 = complex(*json.loads(clean[3])["parameter_record"]["t"][0])
+        diagnostics = verify.pole_diagnostics
+
+        def failing(t, params):
+            return 0.0 if t[0] == t0 else diagnostics(t, params)
+        monkeypatch.setattr(verify, "pole_diagnostics", failing)
+        rows = sweep_rows(capsys, tmp_path, argv)
+        assert json.loads(rows[3]) == {"sample_index": 3,
+                                       "status": "contour-violation"}
         assert rows[:3] + rows[4:-1] == clean[:3] + clean[4:-1]
         assert json.loads(rows[-1])["skipped"] == 1
 
@@ -228,6 +259,35 @@ class TestBatchCalls:
         assert levels[0][0] == 6
         assert all(len(shapes) == 1 and shapes[0][-2] == n
                    for n, shapes in levels if n > 1)
+
+    @pytest.mark.parametrize("identity,samples,integrals",
+                             [("master", 3, 3), ("iconst", 1, 2)])
+    def test_one_master_integrand_call_per_level(self, monkeypatch,
+                                                 identity, samples,
+                                                 integrals):
+        # three master samples, or the two integrals of one iconst
+        # sample: one master_integrand call per trapezoid level, holding
+        # every integral that has not stopped
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, 2)
+        ident = cli.IDENTITIES[identity]
+        cases = [cli._sample(ident, pr, 7, i) for i in range(samples)]
+        calls, levels = [], []
+        integrand, take = verify.master_integrand, numerics.Trapezoid.take
+
+        def counted_integrand(z, y, mp, **kwargs):
+            calls.append(1 if isinstance(mp, verify.MasterParameters)
+                         else len(mp))
+            return integrand(z, y, mp, **kwargs)
+
+        def counted_take(steps, values, tol):
+            levels.append(len(values))
+            return take(steps, values, tol)
+        monkeypatch.setattr(verify, "master_integrand", counted_integrand)
+        monkeypatch.setattr(numerics.Trapezoid, "take", counted_take)
+        reports = cli._sweep_batch(ident, pr, ident.tol, cases)
+        assert [status for _, status in reports] == ["ok"] * samples
+        assert calls == levels
+        assert calls[0] == integrals
 
 
     @staticmethod
