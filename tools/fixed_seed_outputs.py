@@ -37,7 +37,7 @@ def commands():
             out.append((f"sweep-{ident}-r{r}-sigma",
                         ["sweep", ident, "--r", str(r), "--seed", "5",
                          "--samples", "6", f"--sigma={SIGMA}"]))
-    for ident in ("str", "rinfstr"):
+    for ident in ("str", "rinfstr", "master", "iconst"):
         for r in range(1, 4):
             out.append((f"sweep-{ident}-r{r}-tau",
                         ["sweep", ident, "--r", str(r), "--seed", "5",
@@ -46,6 +46,12 @@ def commands():
         out.append((f"sweep-{ident}-r4-20", ["sweep", ident, "--r", "4",
                                              "--seed", "5", "--samples",
                                              "20"]))
+    # a full batch of 16 samples (32 integrals of iconst), whose levels
+    # take several runs below models.STAR_BATCH_ROWS Gamma rows
+    for ident in ("master", "iconst"):
+        out.append((f"sweep-{ident}-r2-16", ["sweep", ident, "--r", "2",
+                                             "--seed", "5", "--samples",
+                                             "16"]))
     out.append(("sweep-strmsg", ["sweep", "strmsg"]))
     for ident in ("brackets", "bridge", "limit_r", "limit_hbar"):
         out.append((f"verify-{ident}", ["verify", ident]))
