@@ -404,6 +404,27 @@ class TestTruncationGroups:
                 assert np.array_equal(value[..., g, :], want)
                 assert np.array_equal(tail[..., g, :], want_tail)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_each_master_integral_as_alone(self, r):
+        # the integrals at t and at the shifted t of three iconst draws,
+        # on one stepper: each gets the result and the right side it gets
+        # alone, though their largest |c| differ
+        pr = cli.build_params({"r": r})
+        ident = cli.IDENTITIES["iconst"]
+        mps = []
+        for i in range(3):
+            case = cli._sample(ident, pr, 5, i)
+            t, u = case["t"], case["u"]
+            mps += [verify.constant_form(t, u, pr),
+                    verify.constant_form(
+                        (t[0] + math.pi * pr.sigma,) + tuple(t[1:]),
+                        (u[0] - 1,) + tuple(u[1:]), pr)]
+        tols = [1e-7, 1e-8] * 3
+        results, sides = verify._master_integral(mps, tols, scaled=True)
+        for mp, tol, res, side in zip(mps, tols, results, sides):
+            assert verify._master_integral([mp], [tol], scaled=True) == (
+                [res], [side])
+
 
 class TestProductBlocks:
     @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 7),
