@@ -69,12 +69,14 @@ from .special_functions import (
 
 
 #: the elliptic gamma rows one star-triangle batch of several stars stays
-#: below (``star_integrand``), which bounds the arrays of a batch.  It was
-#: set to keep the lens gamma phase shift below the size (256 KiB) at
-#: which numpy evaluates a product in place of a temporary second operand,
-#: swapping complex factors; the shift is now formed from a named operand
-#: (``special_functions._shifted``), and a star's values do not
-#: depend on this limit (``tests/test_sweep_batch.py`` passes without it).
+#: below (``star_integrand``), and the Gamma rows one master integrand
+#: batch stays below (``verify._master_integral``), which bounds the
+#: arrays of a batch.  It was set to keep the lens gamma phase shift
+#: below the size (256 KiB) at which numpy evaluates a product in place
+#: of a temporary second operand, swapping complex factors; the shift is
+#: now formed from a named operand (``special_functions._shifted``), and
+#: a sample's values do not depend on this limit
+#: (``tests/test_sweep_batch.py`` passes without it).
 STAR_BATCH_ROWS = 2 ** 14
 
 

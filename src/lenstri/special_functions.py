@@ -22,8 +22,8 @@ taken from its largest |c|, so each element gets at least the terms it
 would get alone; both product kernels, ``_log_product_2d`` and
 ``_pochhammer_raw``, can also split a batch into truncation groups
 (``_by_truncation``), each of which gets the values it gets alone, as a
-sweep's star-triangle and inversion samples do in the double-product
-kernel and its thtfunct samples in ``lens_theta``.  numpy evaluates a
+sweep's star-triangle, master, iconst and inversion samples do in the
+double-product kernel and its thtfunct samples in ``lens_theta``.  numpy evaluates a
 complex product whose second operand is a temporary array of 256 KiB or
 more in place of that temporary, with its factors swapped, which rounds
 otherwise; the lens gamma functions shift their phases by gathered nome
