@@ -719,6 +719,7 @@ def _steady_heap() -> None:
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     if mallopt(-3, 32 << 20):
         mallopt(-1, 64 << 20)
 

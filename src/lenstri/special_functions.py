@@ -23,12 +23,13 @@ would get alone; both product kernels, ``_log_product_2d`` and
 ``_pochhammer_raw``, can also split a batch into truncation groups
 (``_by_truncation``), each of which gets the values it gets alone, as a
 sweep's star-triangle, master, iconst and inversion samples do in the
-double-product kernel and its thtfunct samples in ``lens_theta``.  numpy evaluates a
-complex product whose second operand is a temporary array of 256 KiB or
-more in place of that temporary, with its factors swapped, which rounds
-otherwise; the lens gamma functions shift their phases by gathered nome
-powers through one helper (``_shifted``) that names the gathered operand,
-so that their rounding does not depend on the batch size.
+double-product kernel and its thtfunct samples in ``lens_theta``.  numpy
+evaluates a complex product whose second operand is a temporary array of
+256 KiB or more in place of that temporary, with its factors swapped,
+which rounds otherwise; the lens gamma functions shift their phases by
+gathered nome powers through one helper (``_shifted``) that names the
+gathered operand, so that their rounding does not depend on the batch
+size.
 
 The gamma kernels take the phase of their argument rather than z:
 ``_elliptic_gamma``, ``_lens_factor`` and ``_lens_gamma`` the phase

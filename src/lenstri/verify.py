@@ -587,7 +587,8 @@ def verify_I_constants(cases, params: NomeParameters, tol: float = 1e-6,
     mps, qtols, margins = [], [], []
     for t, u in cases:
         if len(t) != 5 or len(u) != 5:
-            raise InvalidParameterError("constant form takes five t and five u")
+            raise InvalidParameterError(
+                "constant form takes five t and five u")
         ts = (t[0] + math.pi * params.sigma,) + tuple(t[1:])
         us = (u[0] - 1,) + tuple(u[1:])
         for tt in (t, ts):
