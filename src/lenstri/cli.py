@@ -18,11 +18,13 @@ Random sampling uses numpy's default PCG64 generator seeded with the
   * theta difference: t as above with span 1.6*eta, z uniform in the
     period strip.
 Sweeps draw their samples in sample order and verify them in batches of
-up to ``SWEEP_BATCH`` (``Identity.batch``, else one after another): a
-star-triangle, master or constant-form batch shares each trapezoid
-level's integrand call (an iconst sample's two integrals are two of its
-integrals), an inversion batch one weight call and a thtfunct batch one
-lens theta call, and every report is the one its draw gets alone.
+up to ``SWEEP_BATCH`` = 32 (``Identity.batch``, else one after another),
+so that a sweep of the default 10 samples is one batch: a star-triangle,
+master or constant-form batch shares each trapezoid level's integrand
+call (an iconst sample's two integrals are two of its integrals), an
+inversion batch one weight call and a thtfunct batch one lens theta call
+and one array pass over its sides, and every report is the one its draw
+gets alone.
 
 ``main`` sets glibc's malloc thresholds once per process
 (``_steady_heap``), so that the arrays of a batch are reused from the heap
@@ -542,10 +544,11 @@ def run_verify(cfg: dict) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-#: the most samples a sweep verifies in one batch: a quadrature batch
-#: holds every level's rows of all of them at once, in runs below
-#: ``models.STAR_BATCH_ROWS`` Gamma rows
-SWEEP_BATCH = 16
+#: the most samples a sweep verifies in one batch, so that a closed-form
+#: sweep of up to 32 samples is one weight or lens theta call: a
+#: quadrature batch holds every level's rows of all of them at once, in
+#: runs below ``models.STAR_BATCH_ROWS`` Gamma rows
+SWEEP_BATCH = 32
 
 
 def _sweep_batch(ident: Identity, params, tol, cases) -> list:

@@ -646,39 +646,53 @@ DOUBLE_DPS = 16
 _POINT_COEFFICIENTS = np.array([1] * 5 + [-1] * 5 + [2, -2, 1, -1])
 
 
-def _theta_arguments(zs, y, t, u):
+def _theta_arguments(z, y, t, u):
     """Arguments (x, m) of the lens theta functions of both sides of the
-    difference identity, at every point of the 1-d array zs: first the nine
-    that do not depend on z, theta(t_0 + t_i) and theta(A - t_i) for
-    i = 1..4 and theta(t_0 + A), then fourteen per point, theta(t_i + z),
-    theta(t_i - z) for i = 0..4, theta(+-2z) and theta(A +- z), all points'
-    in one broadcast pass.  t is an array of complex or of mpmath numbers
-    (zs likewise), u one of integers."""
-    A, U = sum(t), sum(u)
-    k = _POINT_COEFFICIENTS
-    x = np.concatenate([t[0] + t[1:], A - t[1:], [t[0] + A],
-                        (np.concatenate([t, t, [0, 0, A, A]])
-                         + k * zs[:, None]).reshape(-1)])
-    m = np.concatenate([u[0] + u[1:], U - u[1:], [u[0] + U]]
-                       + [np.concatenate([u, u, [0, 0, U, U]]) + k * y]
-                       * len(zs))
+    difference identity, one row per case: z (cases, points), y (cases,),
+    t and u (cases, 5); x and m are (cases, 9 + 14 points).  Each row holds
+    first the nine that do not depend on z, theta(t_0 + t_i) and
+    theta(A - t_i) for i = 1..4 and theta(t_0 + A), then fourteen per
+    point, theta(t_i + z), theta(t_i - z) for i = 0..4, theta(+-2z) and
+    theta(A +- z), all cases' in one broadcast pass.  t is an array of
+    complex or of mpmath numbers (z likewise), u and y of integers."""
+    n, k = len(t), _POINT_COEFFICIENTS
+    A, U = sum(t.T)[:, None], sum(u.T)[:, None]
+    x = np.concatenate([t[:, :1] + t[:, 1:], A - t[:, 1:], t[:, :1] + A,
+                        (np.concatenate([t, t, np.zeros((n, 2), t.dtype),
+                                         A, A], axis=1)[:, None]
+                         + k * z[..., None]).reshape(n, -1)], axis=1)
+    m = np.concatenate([u[:, :1] + u[:, 1:], U - u[:, 1:], u[:, :1] + U,
+                        np.tile(np.concatenate([u, u, np.zeros((n, 2), int),
+                                                U, U], axis=1)
+                                + k * y[:, None], z.shape[1])], axis=1)
     return x, m
 
 
-def _theta_sides(v, zs, y, t0, u0, r, exp, pi):
-    """lhs, rhs and the right side's two terms (term_p, term_m) at every
-    point of zs, from the lens theta values v laid out by _theta_arguments,
-    in the precision of v, exp (elementwise) and pi."""
-    c, w = v[:9], v[9:].reshape(-1, 14).T
-    den = c[:4].prod()
-    lhs = w[0] * w[5] / (w[12] * w[13]) * c[4:8].prod() / den - 1
-    pref = -exp(1j * t0 / r) * c[8] / den
-    term_p = (exp(-1j * zs / r + 2j * pi * sf.mod_bracket(y - u0, r) / r)
-              * w[:5].prod(axis=0) / (w[10] * w[12]))
-    term_m = (exp(1j * zs / r)
-              * exp(2j * pi * (sf.mod_bracket(y - u0 + 1, r)
-                               + sf.mod_bracket(-2 * y - 1, r)) / r)
-              * w[5:10].prod(axis=0) / (w[11] * w[13]))
+def _theta_sides(v, z, ys, t0s, u0s, r, exp, pi):
+    """lhs, rhs and the right side's two terms (term_p, term_m), each
+    (cases, points), from the lens theta values v laid out by
+    _theta_arguments, in the precision of v, exp (elementwise) and pi.
+    ys, t0s and u0s are each case's y, t_0 and u_0.  So that each case
+    gets the bits it gets alone, its scalar factors (the prefactor and two
+    phases) are scalar arithmetic, one case at a time, and enter the array
+    passes as a stride-0 column, since numpy rounds a complex product with
+    a broadcast operand otherwise than one with a full array; the products
+    of four or five theta values run along the contiguous axis."""
+    n = len(v)
+    c, w = v[:, :9], v[:, 9:].reshape(n, -1, 14)
+    den = c[:, :4].prod(axis=1)
+    pref, shift_p, phase_m = (np.array(f, v.dtype)[:, None] for f in zip(*(
+        (-exp(1j * t0 / r) * c8 / d,
+         2j * pi * sf.mod_bracket(y - u0, r) / r,
+         exp(2j * pi * (sf.mod_bracket(y - u0 + 1, r)
+                        + sf.mod_bracket(-2 * y - 1, r)) / r))
+        for y, t0, u0, c8, d in zip(ys, t0s, u0s, c[:, 8], den))))
+    lhs = (w[..., 0] * w[..., 5] / (w[..., 12] * w[..., 13])
+           * c[:, 4:8].prod(axis=1)[:, None] / den[:, None] - 1)
+    term_p = (exp(-1j * z / r + shift_p) * w[..., :5].prod(axis=-1)
+              / (w[..., 10] * w[..., 12]))
+    term_m = (exp(1j * z / r) * phase_m * w[..., 5:10].prod(axis=-1)
+              / (w[..., 11] * w[..., 13]))
     return lhs, pref * (term_p + term_m), (term_p, term_m)
 
 
@@ -703,23 +717,23 @@ def _difference_sides(cases, params: NomeParameters) -> list:
     its points, is one batched call, each case a truncation group of its
     own (``special_functions.lens_theta``), so that it gets the values it
     gets alone; the nine that do not depend on z are evaluated once per
-    case, and each case's sides are formed in one array pass."""
-    x, m = (np.array(a) for a in zip(*(
-        _theta_arguments(zs.reshape(-1), y, np.array(t, complex),
-                         np.array(u)) for zs, y, t, u in cases)))
-    out = []
-    for v, (zs, y, t, u) in zip(sf.lens_theta(x, m, params, group_axis=-2),
-                                cases):
-        lhs, rhs, (term_p, term_m) = _theta_sides(
-            v, zs.reshape(-1), y, t[0], u[0], params.r, np.exp, math.pi)
-        total = np.abs(term_p + term_m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cancellation = np.where(total != 0, (np.abs(term_p)
-                                                 + np.abs(term_m)) / total,
-                                    math.inf)
-        out.append(tuple(side.reshape(zs.shape)
-                         for side in (lhs, rhs, cancellation)))
-    return out
+    case, and the sides of all cases are formed in one array pass over a
+    leading case axis."""
+    zs, ys, ts, us = zip(*cases)
+    z = np.array([p.reshape(-1) for p in zs])
+    x, m = _theta_arguments(z, np.array(ys), np.array(ts, complex),
+                            np.array(us))
+    lhs, rhs, (term_p, term_m) = _theta_sides(
+        sf.lens_theta(x, m, params, group_axis=-2), z, ys,
+        [t[0] for t in ts], [u[0] for u in us], params.r, np.exp, math.pi)
+    total = np.abs(term_p + term_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancellation = np.where(total != 0,
+                                (np.abs(term_p) + np.abs(term_m)) / total,
+                                math.inf)
+    return [tuple(side[i].reshape(p.shape)
+                  for side in (lhs, rhs, cancellation))
+            for i, p in enumerate(zs)]
 
 
 def _lens_theta_mp(x, m, params: NomeParameters, mp):
@@ -757,13 +771,13 @@ def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
     residual is formed from them, not from their doubles."""
     import mpmath as mp
     with mp.workdps(RECOMPUTE_DPS):
-        tv = np.array([mp.mpc(ti) for ti in t], object)
-        zs = np.array([mp.mpc(z), mp.mpc(z) + mp.pi * mp.mpc(params.tau)
-                       * params.r], object)
-        x, m = _theta_arguments(zs, y, tv, np.array(u))
-        lhs, rhs, _ = _theta_sides(_lens_theta_mp(x, m, params, mp), zs, y,
-                                   tv[0], u[0], params.r,
-                                   np.frompyfunc(mp.exp, 1, 1), mp.pi)
+        tv = np.array([[mp.mpc(ti) for ti in t]], object)
+        zs = np.array([[mp.mpc(z), mp.mpc(z) + mp.pi * mp.mpc(params.tau)
+                        * params.r]], object)
+        x, m = _theta_arguments(zs, np.array([y]), tv, np.array([u]))
+        (lhs,), (rhs,), _ = _theta_sides(
+            _lens_theta_mp(x[0], m[0], params, mp)[None], zs, [y], tv[:, 0],
+            [u[0]], params.r, np.frompyfunc(mp.exp, 1, 1), mp.pi)
         inv_r = abs(rhs[1] - rhs[0]) / max(1, abs(rhs[0]))
         return lhs[0], rhs[0], float(inv_r)
 
