@@ -549,7 +549,8 @@ class TestSweep:
     # eta real, as the star-triangle relations need, and runs the full
     # edge rows of both lens gamma factors (or of Q's numerators and
     # denominators); three samples verified together, as a sweep does
-    @given(st.sampled_from(["str", "rinfstr"]),
+    @given(st.sampled_from(["str", "rinfstr", "master", "iconst", "thtfunct",
+                            "inversion"]),
            st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.1, 3.2)),
            st.floats(0.1, 3.2), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -45,6 +45,13 @@ SWEEPS = [("str", 1, None), ("str", 2, None), ("str", 3, None),
           ("iconst", 2, None), ("master", 2, None, "0.05+0.12j"),
           ("master", 2, "-0.05+0.7j")]
 
+#: (identity, r, samples) of the sweeps whose first six rows are those of
+#: a sweep of six samples; 33 samples are a batch of SWEEP_BATCH and one
+#: of a single sample
+COUNTS = [("str", 2, 11), ("rinfstr", 1, 11), ("inversion", 2, 11),
+          ("thtfunct", 3, 11), ("master", 3, 11), ("iconst", 2, 11),
+          ("inversion", 2, 33), ("thtfunct", 3, 33)]
+
 #: each sweepable quadrature identity's own verifier, of one draw
 ALONE = {
     "str": lambda c, pr: verify.verify_str(c["spins"], c["alphas"], pr),
@@ -76,16 +83,14 @@ class TestRows:
             assert json.loads(row)["lhs"] == [rep.lhs.real, rep.lhs.imag]
             assert json.loads(row)["rhs"] == [rep.rhs.real, rep.rhs.imag]
 
-    @pytest.mark.parametrize("identity,r", [("str", 2), ("rinfstr", 1),
-                                            ("inversion", 2),
-                                            ("thtfunct", 3), ("master", 3),
-                                            ("iconst", 2)])
+    @pytest.mark.parametrize("identity,r,samples", COUNTS, ids=[
+        f"{i}-{r}" + (f"-{n}" if n != 11 else "") for i, r, n in COUNTS])
     def test_rows_do_not_depend_on_the_sample_count(self, capsys, tmp_path,
-                                                    identity, r):
+                                                    identity, r, samples):
         rows = [sweep_rows(capsys, tmp_path,
                            [identity, "--r", str(r), "--seed", "6",
                             "--samples", str(n)])
-                for n in (6, 11)]
+                for n in (6, samples)]
         assert rows[0][:-1] == rows[1][:6]
 
     @pytest.mark.parametrize("error,status", [
@@ -131,7 +136,7 @@ class TestRows:
         assert json.loads(rows[-1])["skipped"] == 1
 
 
-#: (identity, r, tau, sigma) of the closed-form sweeps: 20 samples, two
+#: (identity, r, tau, sigma) of the closed-form sweeps: 40 samples, two
 #: batches
 CLOSED = [("inversion", 1, None), ("inversion", 3, None),
           ("inversion", 6, None), ("inversion", 2, "-0.05+0.7j"),
@@ -145,7 +150,7 @@ class TestClosedFormRows:
                              ids=["-".join(map(str, s)) for s in CLOSED])
     def test_each_row_is_its_draw_alone(self, capsys, tmp_path, sweep):
         identity, r, tau, *sigma = sweep
-        argv = [identity, "--r", str(r), "--seed", "5", "--samples", "20"]
+        argv = [identity, "--r", str(r), "--seed", "5", "--samples", "40"]
         cfg = {"r": r, "tau": tau}
         if tau is not None:
             argv.append(f"--tau={tau}")
@@ -155,7 +160,7 @@ class TestClosedFormRows:
         rows = sweep_rows(capsys, tmp_path, argv)
         ident = cli.IDENTITIES[identity]
         params = cli.build_params(cfg)
-        assert len(rows) == 21
+        assert len(rows) == 41
         for index, row in enumerate(rows[:-1]):
             assert json.loads(row)["status"] == "ok"
             assert row == row_alone(ident, params, 5, index)
@@ -171,17 +176,18 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
     def test_lens_theta_groups(self, r):
-        # the lens theta arguments of ten thtfunct draws, one group each:
-        # each group's values are those of a call of its own
+        # the lens theta arguments of ten thtfunct draws, in one call,
+        # one group each: each group's values are those of a call of its
+        # own
         pr = cli.build_params({"r": r})
         ident = cli.IDENTITIES["thtfunct"]
-        args = []
-        for i in range(10):
-            case = cli._sample(ident, pr, 5, i)
-            zs = np.array([case["z"], case["z"] + 0.5, 1.0 - case["z"]])
-            args.append(verify._theta_arguments(
-                zs, case["y"], np.array(case["t"]), np.array(case["u"])))
-        x, m = (np.array(a) for a in zip(*args))
+        cases = [cli._sample(ident, pr, 5, i) for i in range(10)]
+        x, m = verify._theta_arguments(
+            np.array([[c["z"], c["z"] + 0.5, 1.0 - c["z"]] for c in cases]),
+            np.array([c["y"] for c in cases]),
+            np.array([c["t"] for c in cases]),
+            np.array([c["u"] for c in cases]))
+        assert x.shape == m.shape == (10, 9 + 14 * 3)
         values = sf.lens_theta(x, m, pr, group_axis=-2, with_bound=True)
         for i in range(10):
             want = sf.lens_theta(x[i].copy(), m[i].copy(), pr,
@@ -345,6 +351,32 @@ class TestBatchCalls:
         _, (calls,) = self.calls_per_batch(
             monkeypatch, "thtfunct", pr, 10, sf, "_pochhammer_raw", 0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_thtfunct_sides_in_one_pass(self, monkeypatch, r):
+        # ten samples, one _theta_sides call over all their points, each
+        # sample a row of its case axis
+        pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.5j, r)
+        alone, (calls,) = self.calls_per_batch(
+            monkeypatch, "thtfunct", pr, 10, verify, "_theta_sides", 1)
+        assert [[np.shape(z) for z in zs] for zs in alone] == [[(1, 3)]] * 10
+        assert [np.shape(z) for z in calls] == [(10, 3)]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_inversion_sweep_one_weight_call(self, capsys, tmp_path,
+                                             monkeypatch, r):
+        # a sweep of 20 samples is one batch, and so one weight call
+        calls, edge_weight = [], models.edge_weight
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return edge_weight(*args, **kwargs)
+        monkeypatch.setattr(models, "edge_weight", counted)
+        rows = sweep_rows(capsys, tmp_path, ["inversion", "--r", str(r),
+                                             "--seed", "7", "--samples",
+                                             "20"])
+        assert json.loads(rows[-1])["passes"] == 20
+        assert [np.shape(alpha) for alpha in calls] == [(20, 2)]
 
 
 #: a batch of truncation groups: 2..5 groups of one shape, each with its

@@ -42,16 +42,18 @@ def commands():
             out.append((f"sweep-{ident}-r{r}-tau",
                         ["sweep", ident, "--r", str(r), "--seed", "5",
                          "--samples", "6", f"--tau={TAU}"]))
+    # one batch of 20 samples, and two batches (32 + 8) of 40
     for ident in ("inversion", "thtfunct"):
-        out.append((f"sweep-{ident}-r4-20", ["sweep", ident, "--r", "4",
-                                             "--seed", "5", "--samples",
-                                             "20"]))
-    # a full batch of 16 samples (32 integrals of iconst), whose levels
+        for n in (20, 40):
+            out.append((f"sweep-{ident}-r4-{n}",
+                        ["sweep", ident, "--r", "4", "--seed", "5",
+                         "--samples", str(n)]))
+    # a full batch of 32 samples (64 integrals of iconst), whose levels
     # take several runs below models.STAR_BATCH_ROWS Gamma rows
     for ident in ("master", "iconst"):
-        out.append((f"sweep-{ident}-r2-16", ["sweep", ident, "--r", "2",
+        out.append((f"sweep-{ident}-r2-32", ["sweep", ident, "--r", "2",
                                              "--seed", "5", "--samples",
-                                             "16"]))
+                                             "32"]))
     out.append(("sweep-strmsg", ["sweep", "strmsg"]))
     for ident in ("brackets", "bridge", "limit_r", "limit_hbar"):
         out.append((f"verify-{ident}", ["verify", ident]))
