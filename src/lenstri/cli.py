@@ -17,14 +17,17 @@ Random sampling uses numpy's default PCG64 generator seeded with the
     uniform in [-2, 2] (zero-sum for the six-variable form);
   * theta difference: t as above with span 1.6*eta, z uniform in the
     period strip.
-Sweeps draw their samples in sample order and verify them in batches of
-up to ``SWEEP_BATCH`` = 32 (``Identity.batch``, else one after another),
-so that a sweep of the default 10 samples is one batch: a star-triangle,
-master or constant-form batch shares each trapezoid level's integrand
-call (an iconst sample's two integrals are two of its integrals), an
-inversion batch one weight call and a thtfunct batch one lens theta call
-and one array pass over its sides, and every report is the one its draw
-gets alone.
+Each identity has one runner (``Identity``): a batch runner over a list
+of cases, or, for ``strmsg``, ``cov`` and the unswept identities, a
+runner of one case.  ``verify`` runs its one case as a batch of one where
+there is a batch runner.  Sweeps draw their samples in sample order and
+verify them in batches of up to ``SWEEP_BATCH`` = 32 (``Identity.batch``,
+else one after another), so that a sweep of the default 10 samples is one
+batch: a star-triangle, master or constant-form batch shares each
+trapezoid level's integrand call (an iconst sample's two integrals are
+two of its integrals), an inversion batch one weight call and a thtfunct
+batch one lens theta call and one array pass over its sides, and every
+report is the one its draw gets alone.
 
 ``main`` sets glibc's malloc thresholds once per process
 (``_steady_heap``), so that the arrays of a batch are reused from the heap
@@ -334,23 +337,23 @@ def parse_limit_hbar_case(cfg: dict, params: NomeParameters):
 
 @dataclass(frozen=True)
 class Identity:
-    """One checkable identity.  ``run(case, params, tol)`` verifies a
-    case, ``parse(cfg, params)`` reads an explicit case from the config
-    (None: the config holds none) and ``sample(rng, params)`` draws one
-    (None: the identity cannot be swept).  ``tol`` is the default
-    tolerance, or None for an identity whose checks set their own bounds
-    and take none.  ``batch(cases, params, tol)``, if given, verifies a
-    list of cases together and returns their reports, in order, each the
-    one ``run`` gives, which is its batch of one (every sweepable
-    identity but ``strmsg`` and ``cov`` has one); a lenstri error raised
-    in it is raised for all of them.  Runners look verifiers up on the
+    """One checkable identity.  ``parse(cfg, params)`` reads an explicit
+    case from the config (None: the config holds none) and ``sample(rng,
+    params)`` draws one (None: the identity cannot be swept).  ``tol`` is
+    the default tolerance, or None for an identity whose checks set their
+    own bounds and take none.  Each identity has one runner: ``batch(cases,
+    params, tol)`` verifies a list of cases together and returns their
+    reports, in order, each the one its case gets alone, and a lenstri
+    error raised in it is raised for all of them (every sweepable identity
+    but ``strmsg`` and ``cov`` has one); ``run(case, params, tol)``
+    verifies one case (the others).  Runners look verifiers up on the
     ``verify`` module at call time, never at import."""
     name: str
     tol: Optional[float]
-    run: Callable[[dict, NomeParameters, Optional[float]],
-                  verify.VerificationReport]
     parse: Optional[Callable[[dict, NomeParameters], Optional[dict]]]
     sample: Optional[Callable[..., dict]]
+    run: Optional[Callable[[dict, NomeParameters, Optional[float]],
+                           verify.VerificationReport]] = None
     batch: Optional[Callable[[list, NomeParameters, Optional[float]],
                              list]] = None
 
@@ -361,6 +364,14 @@ class Identity:
             case = self.sample(np.random.default_rng(seed), params)
         return case
 
+    def verify_one(self, case: dict, params: NomeParameters,
+                   tol: Optional[float]) -> verify.VerificationReport:
+        """The report of one case: its batch of one, where there is a
+        batch runner."""
+        if self.batch is not None:
+            return self.batch([case], params, tol)[0]
+        return self.run(case, params, tol)
+
 
 def _stars(cases: list) -> list:
     """(spins, alphas) of each star-triangle case."""
@@ -368,65 +379,43 @@ def _stars(cases: list) -> list:
 
 
 IDENTITIES = {ident.name: ident for ident in (
-    Identity("str", 1e-6,
-             lambda c, pr, tol: verify.verify_str(
-                 c["spins"], c["alphas"], pr, tol),
-             parse_spins_case, sample_str_case,
-             lambda cs, pr, tol: verify.verify_star_triangles(
+    Identity("str", 1e-6, parse_spins_case, sample_str_case,
+             batch=lambda cs, pr, tol: verify.verify_star_triangles(
                  ModelFamily.ELLIPTIC, _stars(cs), pr, tol)),
-    Identity("rinfstr", 1e-6,
-             lambda c, pr, tol: verify.verify_rinfstr(
-                 c["spins"], c["alphas"], pr, tol),
-             parse_spins_case, sample_rinfstr_case,
-             lambda cs, pr, tol: verify.verify_star_triangles(
+    Identity("rinfstr", 1e-6, parse_spins_case, sample_rinfstr_case,
+             batch=lambda cs, pr, tol: verify.verify_star_triangles(
                  ModelFamily.Q_LIMIT, _stars(cs), pr, tol)),
-    Identity("strmsg", 1e-4,
-             lambda c, pr, tol: verify.verify_strmsg(
-                 c["spins"], c["alphas"], tol),
-             parse_spins_case, sample_strmsg_case),
-    Identity("master", 1e-6,
-             lambda c, pr, tol: verify.verify_master(c["mp"], tol),
-             parse_master_case, sample_master_case,
-             lambda cs, pr, tol: verify.verify_masters(
+    Identity("strmsg", 1e-4, parse_spins_case, sample_strmsg_case,
+             run=lambda c, pr, tol: verify.verify_strmsg(
+                 c["spins"], c["alphas"], tol)),
+    Identity("master", 1e-6, parse_master_case, sample_master_case,
+             batch=lambda cs, pr, tol: verify.verify_masters(
                  [c["mp"] for c in cs], tol)),
-    Identity("iconst", 1e-6,
-             lambda c, pr, tol: verify.verify_I_constant(
-                 c["t"], c["u"], pr, tol),
-             parse_tu_case, sample_iconst_case,
-             lambda cs, pr, tol: verify.verify_I_constants(
+    Identity("iconst", 1e-6, parse_tu_case, sample_iconst_case,
+             batch=lambda cs, pr, tol: verify.verify_I_constants(
                  [(c["t"], c["u"]) for c in cs], pr, tol)),
-    Identity("thtfunct", 1e-8,
-             lambda c, pr, tol: verify.verify_theta_difference(
-                 c["z"], c["y"], c["t"], c["u"], pr, tol),
-             parse_thtfunct_case, sample_thtfunct_case,
-             lambda cs, pr, tol: verify.verify_theta_differences(
+    Identity("thtfunct", 1e-8, parse_thtfunct_case, sample_thtfunct_case,
+             batch=lambda cs, pr, tol: verify.verify_theta_differences(
                  [(c["z"], c["y"], c["t"], c["u"]) for c in cs], pr, tol)),
-    Identity("inversion", 1e-10,
-             lambda c, pr, tol: verify.verify_inversion_first(
-                 c["family"], c["alpha"], c["spins"], pr, tol),
-             None, sample_inversion_case,
-             lambda cs, pr, tol: verify.verify_inversions(
+    Identity("inversion", 1e-10, None, sample_inversion_case,
+             batch=lambda cs, pr, tol: verify.verify_inversions(
                  [(c["family"], c["alpha"], c["spins"]) for c in cs], pr,
                  tol)),
-    Identity("cov", 1e-8,
-             lambda c, pr, tol: verify.verify_cov_consistency(
-                 c["spins"], c["alphas"], pr, tol),
-             parse_spins_case, sample_str_case),
-    Identity("brackets", None,
-             lambda c, pr, tol: verify.verify_bracket_identities(c["r_max"]),
-             parse_brackets_case, None),
-    Identity("bridge", 1e-10,
-             lambda c, pr, tol: verify.verify_gamma_phi_bridge(
-                 c["z"], c["m"], pr, tol),
-             parse_bridge_case, None),
-    Identity("limit_r", None,
-             lambda c, pr, tol: verify.verify_limit_r_to_inf(
-                 c["z"], c["m"], pr),
-             parse_limit_r_case, None),
-    Identity("limit_hbar", None,
-             lambda c, pr, tol: verify.verify_limit_hbar(
-                 c["alpha"], c["x"], c["m"]),
-             parse_limit_hbar_case, None),
+    Identity("cov", 1e-8, parse_spins_case, sample_str_case,
+             run=lambda c, pr, tol: verify.verify_cov_consistency(
+                 c["spins"], c["alphas"], pr, tol)),
+    Identity("brackets", None, parse_brackets_case, None,
+             run=lambda c, pr, tol: verify.verify_bracket_identities(
+                 c["r_max"])),
+    Identity("bridge", 1e-10, parse_bridge_case, None,
+             run=lambda c, pr, tol: verify.verify_gamma_phi_bridge(
+                 c["z"], c["m"], pr, tol)),
+    Identity("limit_r", None, parse_limit_r_case, None,
+             run=lambda c, pr, tol: verify.verify_limit_r_to_inf(
+                 c["z"], c["m"], pr)),
+    Identity("limit_hbar", None, parse_limit_hbar_case, None,
+             run=lambda c, pr, tol: verify.verify_limit_hbar(
+                 c["alpha"], c["x"], c["m"])),
 )}
 
 
@@ -534,7 +523,7 @@ def run_verify(cfg: dict) -> int:
     seed = _seed(cfg)
     tol = _tolerance(cfg, ident)
     t0 = time.perf_counter()
-    rep = ident.run(ident.case(cfg, params, seed), params, tol)
+    rep = ident.verify_one(ident.case(cfg, params, seed), params, tol)
     elapsed = time.perf_counter() - t0
     if cfg.get("format", "json") == "csv":
         _write(cfg, _csv_text([_csv_row(0, rep, "ok", seed)]))
@@ -568,7 +557,7 @@ def _verify_one(ident: Identity, params, tol, case):
     """(report, status) of one case; the report is None unless the status
     is ok."""
     try:
-        return ident.run(case, params, tol), "ok"
+        return ident.verify_one(case, params, tol), "ok"
     except ContourViolationError:
         return None, "contour-violation"
     except (NonConvergenceError, PoleHitError):

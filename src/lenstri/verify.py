@@ -29,8 +29,9 @@ from .params import (
 #: minimum pole-to-contour margin, as a fraction of eta, below which
 #: master-identity integrals are rejected instead of attempted
 CONTOUR_MARGIN_FRACTION = 0.05
-#: the m-sums of ``verify_rinfstr`` and ``verify_strmsg`` (and the
-#: integrals of the latter) aim this far below their quadrature target
+#: the m-sums of rinfstr (``verify_star_triangles``) and ``verify_strmsg``
+#: (and the integrals of the latter) aim this far below their quadrature
+#: target
 SUM_MARGIN = 1e-4
 
 
@@ -283,25 +284,6 @@ def _star_batch(family: ModelFamily, cases, m0: np.ndarray,
         reports.append(make_report("str" if elliptic else "rinfstr",
                                    record, res.value, h, tol, meta))
     return reports
-
-
-def verify_str(spins: Sequence[Spin], alphas: Sequence[float],
-               params: NomeParameters, tol: float = 1e-6,
-               quad_tol: Optional[float] = None) -> VerificationReport:
-    """Star-triangle relation of the elliptic model (see
-    verify_star_triangles), as a batch of one."""
-    return verify_star_triangles(ModelFamily.ELLIPTIC, [(spins, alphas)],
-                                 params, tol, quad_tol)[0]
-
-
-def verify_rinfstr(spins: Sequence[Spin], alphas: Sequence[float],
-                   params: NomeParameters, tol: float = 1e-6,
-                   quad_tol: Optional[float] = None) -> VerificationReport:
-    """Star-triangle relation of the q-product (r->infinity) model, whose
-    center integer spin runs over all of Z (see verify_star_triangles), as
-    a batch of one."""
-    return verify_star_triangles(ModelFamily.Q_LIMIT, [(spins, alphas)],
-                                 params, tol, quad_tol)[0]
 
 
 def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
@@ -560,13 +542,6 @@ def verify_masters(mps: Sequence[MasterParameters], tol: float = 1e-6,
     return reports
 
 
-def verify_master(mp: MasterParameters, tol: float = 1e-6,
-                  quad_tol: Optional[float] = None) -> VerificationReport:
-    """Master summation/integration identity (see verify_masters), as a
-    batch of one."""
-    return verify_masters([mp], tol, quad_tol)[0]
-
-
 def verify_I_constants(cases, params: NomeParameters, tol: float = 1e-6,
                        shift_tol: float = 1e-7,
                        quad_tol: Optional[float] = None) -> list:
@@ -600,6 +575,8 @@ def verify_I_constants(cases, params: NomeParameters, tol: float = 1e-6,
                            _require_safe_contour(ts, params)))
         mps += [constant_form(t, u, params), constant_form(ts, us, params)]
         qtols += [qtol, min(qtol, shift_tol / 10)]
+    if not cases:
+        return []
     results, _ = _master_integral(mps, qtols, scaled=True)
     rhs = 4 * math.pi / _pochhammer_norm(params)
     reports = []
@@ -617,15 +594,6 @@ def verify_I_constants(cases, params: NomeParameters, tol: float = 1e-6,
             "iconst", record, I0, rhs, tol, meta,
             checks={"shift_invariance": shift_res <= shift_tol}))
     return reports
-
-
-def verify_I_constant(t: Sequence[complex], u: Sequence[int],
-                      params: NomeParameters, tol: float = 1e-6,
-                      shift_tol: float = 1e-7,
-                      quad_tol: Optional[float] = None) -> VerificationReport:
-    """Constant form of the master identity (see verify_I_constants), as a
-    batch of one."""
-    return verify_I_constants([(t, u)], params, tol, shift_tol, quad_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -696,29 +664,17 @@ def _theta_sides(v, z, ys, t0s, u0s, r, exp, pi):
     return lhs, pref * (term_p + term_m), (term_p, term_m)
 
 
-def theta_difference_sides(z, y: int, t: Sequence[complex],
-                           u: Sequence[int], params: NomeParameters):
-    """Both sides of the theta-function difference identity behind the
-    telescoping step of the master-identity proof, and the cancellation of
-    the right side's two terms, (|term_p| + |term_m|) / |term_p + term_m|:
-    the factor by which their rounding errors grow in the sum.
-
-    z is a point or an array of points (``_difference_sides``).  Returns
-    (lhs, rhs, rhs_cancellation), each of the shape of z (Python scalars
-    for a scalar z)."""
-    (sides,) = _difference_sides([(np.asarray(z, complex), y, t, u)], params)
-    return tuple(sf.python_scalar(side) for side in sides)
-
-
 def _difference_sides(cases, params: NomeParameters) -> list:
     """(lhs, rhs, rhs_cancellation) of the difference identity at each
     (zs, y, t, u) of cases, each an array of the shape of zs; the arrays
-    zs have one size.  Every lens theta function of every case, at all of
-    its points, is one batched call, each case a truncation group of its
-    own (``special_functions.lens_theta``), so that it gets the values it
-    gets alone; the nine that do not depend on z are evaluated once per
-    case, and the sides of all cases are formed in one array pass over a
-    leading case axis."""
+    zs have one size.  rhs_cancellation is that of the right side's two
+    terms, (|term_p| + |term_m|) / |term_p + term_m|: the factor by which
+    their rounding errors grow in the sum.  Every lens theta function of
+    every case, at all of its points, is one batched call, each case a
+    truncation group of its own (``special_functions.lens_theta``), so
+    that it gets the values it gets alone; the nine that do not depend on
+    z are evaluated once per case, and the sides of all cases are formed
+    in one array pass over a leading case axis."""
     zs, ys, ts, us = zip(*cases)
     z = np.array([p.reshape(-1) for p in zs])
     x, m = _theta_arguments(z, np.array(ys), np.array(ts, complex),
@@ -797,6 +753,8 @@ def verify_theta_differences(cases, params: NomeParameters,
     those checks); numerics_meta.rhs_precision records the digits the
     verdict was taken at.  An error raised for one case is raised for
     all."""
+    if not cases:
+        return []
     shift = math.pi * params.tau * params.r
     points = []
     for z, y, t, u in cases:
@@ -841,14 +799,6 @@ def _theta_report(case, sides, params: NomeParameters,
         rep = report(*_theta_difference_mp(z, y, t, u, params),
                      RECOMPUTE_DPS)
     return rep
-
-
-def verify_theta_difference(z: complex, y: int, t: Sequence[complex],
-                            u: Sequence[int], params: NomeParameters,
-                            tol: float = 1e-8) -> VerificationReport:
-    """Difference identity for the lens theta functions (see
-    verify_theta_differences), as a batch of one."""
-    return verify_theta_differences([(z, y, t, u)], params, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -999,15 +949,6 @@ def verify_inversions(cases, params: Optional[NomeParameters] = None,
     return reports
 
 
-def verify_inversion_first(family: ModelFamily, alpha: float,
-                           spins: Sequence[Spin],
-                           params: Optional[NomeParameters] = None,
-                           tol: float = 1e-10) -> VerificationReport:
-    """First inversion relation W_alpha(si,sj) W_{-alpha}(si,sj) = 1 (see
-    verify_inversions), as a batch of one."""
-    return verify_inversions([(family, alpha, spins)], params, tol)[0]
-
-
 # ---------------------------------------------------------------------------
 # change-of-variables consistency between the star-triangle relation and
 # the master identity
@@ -1067,8 +1008,9 @@ def verify_cov_consistency(spins: Sequence[Spin], alphas: Sequence[float],
     mp = cov_master_parameters(spins, alphas, params)
     factor = cov_conversion_factor(spins, alphas, params)
     qt = tol / 30
-    rep_str = verify_str(spins, alphas, params, tol, quad_tol=qt)
-    rep_master = verify_master(mp, tol, quad_tol=qt)
+    (rep_str,) = verify_star_triangles(ModelFamily.ELLIPTIC, [(spins, alphas)],
+                                       params, tol, quad_tol=qt)
+    (rep_master,) = verify_masters([mp], tol, quad_tol=qt)
     lhs_res = (abs(rep_str.lhs - factor * rep_master.lhs)
                / max(abs(rep_str.lhs), abs(factor * rep_master.lhs)))
     rhs_res = (abs(rep_str.rhs - factor * rep_master.rhs)

@@ -141,7 +141,9 @@ def test_criterion_05_star_triangle(capsys):
         for _ in range(10):
             case = cli.sample_str_case(rng, pr)
             t0 = time.perf_counter()
-            rep = verify.verify_str(case["spins"], case["alphas"], pr, tol=1e-6)
+            rep = verify.verify_star_triangles(
+                ModelFamily.ELLIPTIC, [(case["spins"], case["alphas"])], pr,
+                tol=1e-6)[0]
             slowest = max(slowest, time.perf_counter() - t0)
             worst = max(worst, rep.rel_residual)
     ok = worst <= 1e-6 and slowest < 10.0
@@ -162,14 +164,14 @@ def test_criterion_06_master_and_constant_form(capsys):
                 t = case["mp"].t
                 case = {"mp": verify.MasterParameters(t, (0,) * 6, pr)}
             t0 = time.perf_counter()
-            rep = verify.verify_master(case["mp"], tol=1e-6)
+            rep = verify.verify_masters([case["mp"]], tol=1e-6)[0]
             slowest = max(slowest, time.perf_counter() - t0)
             worst_master = max(worst_master, rep.rel_residual)
         for _ in range(10):
             case = cli.sample_iconst_case(rng, pr)
             t0 = time.perf_counter()
-            rep = verify.verify_I_constant(case["t"], case["u"], pr, tol=1e-6,
-                                           shift_tol=1e-7)
+            rep = verify.verify_I_constants([(case["t"], case["u"])], pr,
+                                            tol=1e-6, shift_tol=1e-7)[0]
             slowest = max(slowest, time.perf_counter() - t0)
             worst_const = max(worst_const, rep.rel_residual)
             worst_shift = max(worst_shift, rep.numerics_meta["shift_residual"])
@@ -205,9 +207,9 @@ def test_criterion_08_theta_difference(capsys):
         pr = physical_parameters(0.05, 0.5, r)
         for _ in range(50):
             case = cli.sample_thtfunct_case(rng, pr)
-            rep = verify.verify_theta_difference(case["z"], case["y"],
-                                                 case["t"], case["u"], pr,
-                                                 tol=1e-8)
+            rep = verify.verify_theta_differences(
+                [(case["z"], case["y"], case["t"], case["u"])], pr,
+                tol=1e-8)[0]
             worst = max(worst, rep.rel_residual)
             worst_shift = max(worst_shift,
                               rep.numerics_meta["period_shift_residual_lhs"],
@@ -228,7 +230,9 @@ def test_criterion_09_rinf_star_triangle(capsys):
     worst, worst_tail = 0.0, 0.0
     for _ in range(10):
         case = cli.sample_rinfstr_case(rng, pr)
-        rep = verify.verify_rinfstr(case["spins"], case["alphas"], pr, tol=1e-6)
+        rep = verify.verify_star_triangles(
+            ModelFamily.Q_LIMIT, [(case["spins"], case["alphas"])], pr,
+            tol=1e-6)[0]
         worst = max(worst, rep.rel_residual)
         worst_tail = max(worst_tail, rep.numerics_meta["tail_bound"])
     ok = worst <= 1e-6 and worst_tail < 0.1 * 1e-6

@@ -649,8 +649,9 @@ class TestLogSpaceIntegrands:
         elliptic = family is models.ModelFamily.ELLIPTIC
         sample = cli.sample_str_case if elliptic else cli.sample_rinfstr_case
         case = sample(np.random.default_rng(4), pr)
-        sectors = r if elliptic else verify.verify_rinfstr(
-            case["spins"], case["alphas"], pr).numerics_meta["m_terms"]
+        sectors = r if elliptic else verify.verify_star_triangles(
+            family, [(case["spins"], case["alphas"])],
+            pr)[0].numerics_meta["m_terms"]
         crossed = [pr.eta.real - a for a in case["alphas"]]
         kappas = models.kappa(family, crossed, pr)
         nodes = numerics.Trapezoid(math.pi, 1, even=elliptic).nodes
@@ -779,7 +780,9 @@ class TestKernelCalls:
     def test_str_calls_per_level(self, monkeypatch, r, tau, calls):
         pr = NomeParameters(0.05 + 0.5j, tau, r)
         case = cli.sample_str_case(np.random.default_rng(4), pr)
-        run = lambda: verify.verify_str(case["spins"], case["alphas"], pr)
+        run = lambda: verify.verify_star_triangles(
+            models.ModelFamily.ELLIPTIC, [(case["spins"], case["alphas"])],
+            pr)[0]
         run()   # the centre weight is cached per node grid
         batches, outside, sizes, _ = self.batches(monkeypatch, run)
         # all sectors and three edge weights in one batch per level: at
@@ -798,7 +801,9 @@ class TestKernelCalls:
                                            rhs_rows):
         pr = NomeParameters(0.05 + 0.5j, tau, 1)
         case = cli.sample_rinfstr_case(np.random.default_rng(4), pr)
-        run = lambda: verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+        run = lambda: verify.verify_star_triangles(
+            models.ModelFamily.Q_LIMIT, [(case["spins"], case["alphas"])],
+            pr)[0]
         sectors = run().numerics_meta["m_terms"]
         batches, outside, sizes, _ = self.batches(monkeypatch, run)
         # three edge weights in one Q batch of numerators and denominators
@@ -833,8 +838,8 @@ class TestKernelCalls:
         case = cli.sample_thtfunct_case(np.random.default_rng(4), pr)
         # three points, both sides, in one lens_theta call
         assert self.calls(monkeypatch, "_pochhammer_raw",
-                          lambda: verify.verify_theta_difference(
-                              case["z"], case["y"], case["t"], case["u"],
+                          lambda: verify.verify_theta_differences(
+                              [(case["z"], case["y"], case["t"], case["u"])],
                               pr)) == 1
 
     @pytest.mark.parametrize("tau,calls", [(-0.05 + 0.5j, 1),
@@ -848,13 +853,13 @@ class TestKernelCalls:
         # nome grid: at tau = -conj(sigma) only the (pq, p^r) grid; Q's
         # numerators and denominators share the grid (pq)^{2j}
         assert self.calls(monkeypatch, "_log_product_2d",
-                          lambda: verify.verify_inversion_first(
-                              case["family"], case["alpha"], case["spins"],
-                              pr)) == calls
+                          lambda: verify.verify_inversions(
+                              [(case["family"], case["alpha"],
+                                case["spins"])], pr)) == calls
         assert self.calls(monkeypatch, "_log_product_2d",
-                          lambda: verify.verify_inversion_first(
-                              models.ModelFamily.Q_LIMIT, case["alpha"],
-                              case["spins"], pr)) == 1
+                          lambda: verify.verify_inversions(
+                              [(models.ModelFamily.Q_LIMIT, case["alpha"],
+                                case["spins"])], pr)) == 1
 
     @staticmethod
     def integrand_batches(identity, pr):
@@ -867,21 +872,22 @@ class TestKernelCalls:
             sample = (cli.sample_str_case if identity == "str"
                       else cli.sample_rinfstr_case)
             case = sample(rng, pr)
-            run = getattr(verify, f"verify_{identity}")
+            family = (models.ModelFamily.ELLIPTIC if identity == "str"
+                      else models.ModelFamily.Q_LIMIT)
+            run = lambda: verify.verify_star_triangles(
+                family, [(case["spins"], case["alphas"])], pr)[0]
             if identity == "str":
-                return (lambda: run(case["spins"], case["alphas"], pr),
-                        models, "star_integrand", "_log_product_2d", 1,
+                return (run, models, "star_integrand", "_log_product_2d", 1,
                         12, 12, r)
-            return (lambda: run(case["spins"], case["alphas"], pr),
-                    models, "star_integrand", "_log_product_2d", 1, 6, 6,
-                    run(case["spins"], case["alphas"],
-                        pr).numerics_meta["m_terms"])
+            return (run, models, "star_integrand", "_log_product_2d", 1, 6, 6,
+                    run().numerics_meta["m_terms"])
         if identity == "master":
             mp = cli.sample_master_case(rng, pr)["mp"]
-            run = lambda: verify.verify_master(mp)
+            run = lambda: verify.verify_masters([mp])[0]
         else:
             case = cli.sample_iconst_case(rng, pr)
-            run = lambda: verify.verify_I_constant(case["t"], case["u"], pr)
+            run = lambda: verify.verify_I_constants([(case["t"], case["u"])],
+                                                    pr)[0]
         # the (pq, p^r) and the (pq, q^r) grid of lens_gamma_appendix, each
         # with a numerator and a denominator row per Gamma; the
         # 1/Gamma(+-2z, +-2y) pair is cached per grid
@@ -943,8 +949,8 @@ class TestKernelCalls:
         pr = physical_parameters(0.05, 0.5, r)
         case = cli.sample_iconst_case(np.random.default_rng(4), pr)
         batches, _, _, _ = self.batches(
-            monkeypatch, lambda: verify.verify_I_constant(case["t"], case["u"],
-                                                          pr),
+            monkeypatch, lambda: verify.verify_I_constants(
+                [(case["t"], case["u"])], pr),
             verify, "master_integrand")
         assert max(len(calls_made) for calls_made, _ in batches) <= 2
 
@@ -953,7 +959,7 @@ class TestKernelCalls:
         pr = physical_parameters(0.05, 0.5, r)
         case = cli.sample_master_case(np.random.default_rng(4), pr)
         batches, _, _, _ = self.batches(
-            monkeypatch, lambda: verify.verify_master(case["mp"]), verify,
+            monkeypatch, lambda: verify.verify_masters([case["mp"]]), verify,
             "master_integrand")
         assert max(len(calls_made) for calls_made, _ in batches) <= 2
 

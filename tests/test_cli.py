@@ -627,22 +627,20 @@ class TestRowLayout:
     def mixed_verdicts(monkeypatch):
         """Make successive thtfunct cases pass, fail and not converge; the
         sweep verifies them one by one, through the stand-in."""
-        ident = cli.IDENTITIES["thtfunct"]
-        monkeypatch.setitem(cli.IDENTITIES, "thtfunct",
-                            dataclasses.replace(ident, batch=None))
-        orig = verify.verify_theta_difference
         calls = []
 
-        def verdict(*args, **kwargs):
+        def verdict(c, pr, tol):
             calls.append(None)
             if len(calls) % 3 == 0:
                 raise NonConvergenceError("stand-in")
-            rep = orig(*args, **kwargs)
+            rep = verify.verify_theta_differences(
+                [(c["z"], c["y"], c["t"], c["u"])], pr, tol)[0]
             if len(calls) % 3 == 2:
                 rep = dataclasses.replace(
                     rep, checks={**rep.checks, "stand_in": False})
             return rep
-        monkeypatch.setattr(verify, "verify_theta_difference", verdict)
+        monkeypatch.setitem(cli.IDENTITIES, "thtfunct", dataclasses.replace(
+            cli.IDENTITIES["thtfunct"], run=verdict, batch=None))
 
     def test_seed_ends_each_report_row(self, capsys, monkeypatch):
         _, out, _ = run(capsys, ["verify", *self.ARGV])
@@ -689,11 +687,21 @@ class TestIdentityTable:
             "cov": 1e-8, "brackets": None, "bridge": 1e-10,
             "limit_r": None, "limit_hbar": None}
 
+    def test_one_runner_each(self):
+        # a list runner for the batched identities, a one-case runner for
+        # the others, and never both
+        for name, ident in cli.IDENTITIES.items():
+            assert (ident.batch is None) != (ident.run is None), name
+        assert sorted(name for name, ident in cli.IDENTITIES.items()
+                      if ident.batch) == sorted([
+            "str", "rinfstr", "master", "iconst", "thtfunct", "inversion"])
+
     def test_default_tolerances_match_verifiers(self):
         # each default is the tol default of the verifier its runner calls
         for name, ident in cli.IDENTITIES.items():
+            runner = ident.batch or ident.run
             verifier, = [getattr(verify, attr)
-                         for attr in ident.run.__code__.co_names
+                         for attr in runner.__code__.co_names
                          if attr.startswith("verify_")]
             tol = inspect.signature(verifier).parameters.get("tol")
             assert (None if tol is None else tol.default) == ident.tol, name

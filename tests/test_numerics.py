@@ -161,7 +161,9 @@ class TestStopRule:
         rng = np.random.default_rng(105)
         pr = physical_parameters(0.05, 0.5, 1)
         case = [cli.sample_str_case(rng, pr) for _ in range(7)][-1]
-        rep = verify.verify_str(case["spins"], case["alphas"], pr, tol=1e-6)
+        rep = verify.verify_star_triangles(
+            models.ModelFamily.ELLIPTIC, [(case["spins"], case["alphas"])],
+            pr, tol=1e-6)[0]
         assert rep.rel_residual <= 2e-14
         # the even integrand's first call evaluates 65 nodes, the mirror
         # halves of the levels up to 128; the error estimate is the change
@@ -205,8 +207,8 @@ class TestFirstLevelsInOneCall:
 
     @staticmethod
     def str_calls(monkeypatch, seed):
-        """Node counts of the integrand calls of verify_str on draw seed at
-        r = 1, and its report."""
+        """Node counts of the integrand calls of a str verification of
+        draw seed at r = 1, and its report."""
         pr = physical_parameters(0.05, 0.5, 1)
         case = cli.sample_str_case(np.random.default_rng(seed), pr)
         calls = []
@@ -216,7 +218,9 @@ class TestFirstLevelsInOneCall:
             calls.append(np.size(args[1].x))
             return integrand(*args, **kwargs)
         monkeypatch.setattr(models, "star_integrand", counted)
-        return calls, verify.verify_str(case["spins"], case["alphas"], pr)
+        return calls, verify.verify_star_triangles(
+            models.ModelFamily.ELLIPTIC, [(case["spins"], case["alphas"])],
+            pr)[0]
 
     def test_str_calls_three_fewer_than_levels(self, monkeypatch):
         # draw 0 stops at 256 nodes, the fifth level

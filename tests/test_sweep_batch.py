@@ -54,11 +54,13 @@ COUNTS = [("str", 2, 11), ("rinfstr", 1, 11), ("inversion", 2, 11),
 
 #: each sweepable quadrature identity's own verifier, of one draw
 ALONE = {
-    "str": lambda c, pr: verify.verify_str(c["spins"], c["alphas"], pr),
-    "rinfstr": lambda c, pr: verify.verify_rinfstr(c["spins"], c["alphas"],
-                                                   pr),
-    "master": lambda c, pr: verify.verify_master(c["mp"]),
-    "iconst": lambda c, pr: verify.verify_I_constant(c["t"], c["u"], pr)}
+    "str": lambda c, pr: verify.verify_star_triangles(
+        models.ModelFamily.ELLIPTIC, [(c["spins"], c["alphas"])], pr)[0],
+    "rinfstr": lambda c, pr: verify.verify_star_triangles(
+        models.ModelFamily.Q_LIMIT, [(c["spins"], c["alphas"])], pr)[0],
+    "master": lambda c, pr: verify.verify_masters([c["mp"]])[0],
+    "iconst": lambda c, pr: verify.verify_I_constants([(c["t"], c["u"])],
+                                                      pr)[0]}
 
 
 class TestRows:

@@ -115,20 +115,36 @@ class TestReportPlumbing:
         with pytest.raises(InvalidParameterError):
             verify.MasterParameters(tuple(t + 0.01 for t in good), (0,) * 6, pr)
 
+    @pytest.mark.parametrize("verifier", [
+        lambda pr: verify.verify_star_triangles(ModelFamily.ELLIPTIC, [], pr),
+        lambda pr: verify.verify_masters([]),
+        lambda pr: verify.verify_I_constants([], pr),
+        lambda pr: verify.verify_theta_differences([], pr),
+        lambda pr: verify.verify_inversions([], pr)],
+        ids=["star_triangles", "masters", "I_constants", "theta_differences",
+             "inversions"])
+    def test_empty_list(self, verifier):
+        # a list verifier of no cases returns no reports
+        assert verifier(physical_parameters(0.05, 0.5, 2)) == []
+
 
 class TestStarTriangle:
     def test_r1_passes(self):
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         spins = (Spin(0.6, 0), Spin(1.7, 0), Spin(2.9, 0))
-        rep = verify.verify_str(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta), pr)
+        rep = verify.verify_star_triangles(
+            ModelFamily.ELLIPTIC, [(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta))],
+            pr)[0]
         assert rep.passed, rep.rel_residual
 
     def test_degenerate_spins_r2(self):
         pr = physical_parameters(0.05, 0.5, 2)
         eta = pr.eta.real
         spins = (Spin(0.0, 0), Spin(0.0, 0), Spin(0.0, 0))
-        rep = verify.verify_str(spins, (eta / 3, eta / 3, eta / 3), pr)
+        rep = verify.verify_star_triangles(
+            ModelFamily.ELLIPTIC, [(spins, (eta / 3, eta / 3, eta / 3))],
+            pr)[0]
         assert rep.passed, rep.rel_residual
 
     def test_refinement_oracle(self):
@@ -137,15 +153,18 @@ class TestStarTriangle:
         eta = pr.eta.real
         spins = (Spin(0.8, 1), Spin(1.9, 0), Spin(2.4, 1))
         alphas = (0.25 * eta, 0.35 * eta, 0.4 * eta)
-        coarse = verify.verify_str(spins, alphas, pr, quad_tol=1e-8)
-        fine = verify.verify_str(spins, alphas, pr, quad_tol=1e-11)
+        coarse = verify.verify_star_triangles(
+            ModelFamily.ELLIPTIC, [(spins, alphas)], pr, quad_tol=1e-8)[0]
+        fine = verify.verify_star_triangles(
+            ModelFamily.ELLIPTIC, [(spins, alphas)], pr, quad_tol=1e-11)[0]
         assert abs(coarse.lhs - fine.lhs) <= 1e-7 * abs(fine.lhs)
 
     def test_alpha_constraint_enforced(self):
         pr = physical_parameters(0.05, 0.5, 1)
         spins = (Spin(0.6, 0), Spin(1.7, 0), Spin(2.9, 0))
         with pytest.raises(InvalidParameterError):
-            verify.verify_str(spins, (0.5, 0.5, 0.6), pr)
+            verify.verify_star_triangles(ModelFamily.ELLIPTIC,
+                                         [(spins, (0.5, 0.5, 0.6))], pr)
 
     def test_complex_eta_rejected(self):
         # sigma = tau gives eta = pi (0.5 - 0.05i): no verdict on it; its
@@ -154,19 +173,21 @@ class TestStarTriangle:
         pr = NomeParameters(0.05 + 0.5j, 0.05 + 0.5j, 2)
         spins = (Spin(0.6, 0), Spin(1.7, 1), Spin(2.9, 0))
         alphas = (0.2 * pr.eta.real, 0.3 * pr.eta.real, 0.5 * pr.eta.real)
-        for verify_case in (verify.verify_str, verify.verify_rinfstr):
+        for family in (ModelFamily.ELLIPTIC, ModelFamily.Q_LIMIT):
             with pytest.raises(InvalidParameterError, match="real eta"):
-                verify_case(spins, alphas, pr)
+                verify.verify_star_triangles(family, [(spins, alphas)], pr)
 
-    @pytest.mark.parametrize("verify_case", [verify.verify_str,
-                                             verify.verify_rinfstr])
-    def test_real_eta_off_the_conjugate_pair(self, verify_case):
+    @pytest.mark.parametrize("family", [ModelFamily.ELLIPTIC,
+                                        ModelFamily.Q_LIMIT],
+                             ids=["str", "rinfstr"])
+    def test_real_eta_off_the_conjugate_pair(self, family):
         # Re(sigma + tau) = 0 with Im sigma != Im tau: eta is real and the
         # relation holds, on the weights' full path (all gamma factors)
         pr = NomeParameters(0.05 + 0.5j, -0.05 + 0.7j, 3)
         eta = pr.eta.real
         spins = (Spin(0.6, 0), Spin(1.7, 1), Spin(2.9, 1))
-        rep = verify_case(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta), pr)
+        rep = verify.verify_star_triangles(
+            family, [(spins, (0.2 * eta, 0.3 * eta, 0.5 * eta))], pr)[0]
         assert rep.rel_residual <= 1e-13
 
 
@@ -175,14 +196,18 @@ class TestRInfStarTriangle:
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         spins = (Spin(0.0, 0), Spin(0.0, 0), Spin(0.0, 0))
-        rep = verify.verify_rinfstr(spins, (eta / 3, eta / 3, eta / 3), pr)
+        rep = verify.verify_star_triangles(
+            ModelFamily.Q_LIMIT, [(spins, (eta / 3, eta / 3, eta / 3))],
+            pr)[0]
         assert rep.passed, rep.rel_residual
 
     def test_nonzero_integer_parts(self):
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         spins = (Spin(0.9, 2), Spin(1.4, -1), Spin(2.6, 0))
-        rep = verify.verify_rinfstr(spins, (0.3 * eta, 0.45 * eta, 0.25 * eta), pr)
+        rep = verify.verify_star_triangles(
+            ModelFamily.Q_LIMIT,
+            [(spins, (0.3 * eta, 0.45 * eta, 0.25 * eta))], pr)[0]
         assert rep.passed, rep.rel_residual
         assert rep.numerics_meta["tail_bound"] <= 0.1 * rep.tolerance
 
@@ -193,7 +218,9 @@ class TestRInfStarTriangle:
         for index in range(6):
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             case = cli.sample_rinfstr_case(rng, pr)
-            rep = verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+            rep = verify.verify_star_triangles(
+                ModelFamily.Q_LIMIT, [(case["spins"], case["alphas"])],
+                pr)[0]
             assert rep.passed
             assert rep.rel_residual <= 1e-12, (index, rep.rel_residual)
 
@@ -208,7 +235,8 @@ class TestRInfStarTriangle:
         monkeypatch.setattr(numerics, "Trapezoid", counted)
         pr = physical_parameters(0.05, 0.5, 1)
         case = cli.sample_rinfstr_case(np.random.default_rng(5), pr)
-        verify.verify_rinfstr(case["spins"], case["alphas"], pr)
+        verify.verify_star_triangles(ModelFamily.Q_LIMIT,
+                                     [(case["spins"], case["alphas"])], pr)
         assert len(calls) == 1
 
     def test_capped_sum(self, monkeypatch):
@@ -220,9 +248,11 @@ class TestRInfStarTriangle:
         alphas = (0.3 * eta, 0.45 * eta, 0.25 * eta)
         monkeypatch.setattr(verify, "MAX_SUM_TERMS", 5)
         with pytest.raises(NonConvergenceError, match="m-sum needs 7 terms"):
-            verify.verify_rinfstr(spins, alphas, pr)
+            verify.verify_star_triangles(ModelFamily.Q_LIMIT,
+                                         [(spins, alphas)], pr)
         monkeypatch.undo()
-        rep = verify.verify_rinfstr(spins, alphas, pr)
+        rep = verify.verify_star_triangles(ModelFamily.Q_LIMIT,
+                                           [(spins, alphas)], pr)[0]
         assert rep.numerics_meta["m_terms"] == 7
 
     @pytest.mark.parametrize("quad_tol", [0.0, -1e-8, math.nan])
@@ -231,11 +261,12 @@ class TestRInfStarTriangle:
         # integral
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
-        for verify_case in (verify.verify_str, verify.verify_rinfstr):
+        for family in (ModelFamily.ELLIPTIC, ModelFamily.Q_LIMIT):
             with pytest.raises(InvalidParameterError, match="positive"):
-                verify_case((Spin(0.9, 0), Spin(1.4, 0), Spin(2.6, 0)),
-                            (eta / 3, eta / 3, eta / 3), pr,
-                            quad_tol=quad_tol)
+                verify.verify_star_triangles(
+                    family, [((Spin(0.9, 0), Spin(1.4, 0), Spin(2.6, 0)),
+                              (eta / 3, eta / 3, eta / 3))], pr,
+                    quad_tol=quad_tol)
 
     def test_terms_that_do_not_decay(self, monkeypatch):
         # rows of equal size leave a tail that no geometric bound covers
@@ -246,8 +277,10 @@ class TestRInfStarTriangle:
         pr = physical_parameters(0.05, 0.5, 1)
         eta = pr.eta.real
         with pytest.raises(NonConvergenceError, match="m-sum tail"):
-            verify.verify_rinfstr((Spin(0.9, 1), Spin(1.4, 0), Spin(2.6, 0)),
-                                  (eta / 3, eta / 3, eta / 3), pr)
+            verify.verify_star_triangles(
+                ModelFamily.Q_LIMIT, [((Spin(0.9, 1), Spin(1.4, 0),
+                                        Spin(2.6, 0)),
+                                       (eta / 3, eta / 3, eta / 3))], pr)
 
 
 class TestGammaStarTriangle:
@@ -303,7 +336,7 @@ class TestMasterIdentity:
         t = sample_t(np.random.default_rng(21), 6, (2j * pr.eta).imag)
         t[5] = 2j * pr.eta - sum(t[:5])
         mp = verify.MasterParameters(tuple(t), (0,) * 6, pr)
-        rep = verify.verify_master(mp)
+        rep = verify.verify_masters([mp])[0]
         assert rep.passed, rep.rel_residual
 
     def test_r2_with_nonzero_u(self):
@@ -311,7 +344,7 @@ class TestMasterIdentity:
         t = sample_t(np.random.default_rng(22), 6, (2j * pr.eta).imag)
         t[5] = 2j * pr.eta - sum(t[:5])
         mp = verify.MasterParameters(tuple(t), (1, -1, 0, 0, 0, 0), pr)
-        rep = verify.verify_master(mp)
+        rep = verify.verify_masters([mp])[0]
         assert rep.passed, rep.rel_residual
 
     def test_unsafe_contour_rejected(self):
@@ -322,7 +355,7 @@ class TestMasterIdentity:
         t.append(2j * pr.eta - sum(t))
         mp = verify.MasterParameters(tuple(t), (0,) * 6, pr)
         with pytest.raises(ContourViolationError):
-            verify.verify_master(mp)
+            verify.verify_masters([mp])
 
 
 #: real parts of the constant-form t of ICONST_REJECTED
@@ -348,13 +381,14 @@ class TestConstantForm:
         monkeypatch.setattr(numerics, "Trapezoid", refuse)
         t = tuple(complex(a, b) for a, b in zip(ICONST_RE, im))
         with pytest.raises(error):
-            verify.verify_I_constant(t, u, physical_parameters(0.05, 0.5, 2))
+            verify.verify_I_constants([(t, u)],
+                                      physical_parameters(0.05, 0.5, 2))
 
     def test_r1_constant(self):
         pr = physical_parameters(0.05, 0.5, 1)
         t = tuple(sample_t(np.random.default_rng(23), 5,
                            0.4 * (2j * pr.eta).imag))
-        rep = verify.verify_I_constant(t, (0,) * 5, pr)
+        rep = verify.verify_I_constants([(t, (0,) * 5)], pr)[0]
         assert rep.passed, (rep.rel_residual, rep.numerics_meta)
         assert rep.numerics_meta["shift_residual"] <= 1e-7
         assert list(rep.checks) == ["residual", "shift_invariance"]
@@ -363,7 +397,7 @@ class TestConstantForm:
         pr = physical_parameters(0.05, 0.5, 2)
         t = tuple(sample_t(np.random.default_rng(24), 5,
                            0.4 * (2j * pr.eta).imag))
-        rep = verify.verify_I_constant(t, (1, -1, 0, 1, -1), pr)
+        rep = verify.verify_I_constants([(t, (1, -1, 0, 1, -1))], pr)[0]
         assert rep.passed, (rep.rel_residual, rep.numerics_meta)
 
     def test_near_degenerate_pair_trend(self):
@@ -375,7 +409,7 @@ class TestConstantForm:
             t = list(base)
             # place t2 nearly opposite t1 in the real direction
             t[1] = complex(-t[0].real + gap, t[1].imag)
-            rep = verify.verify_I_constant(tuple(t), (0,) * 5, pr)
+            rep = verify.verify_I_constants([(tuple(t), (0,) * 5)], pr)[0]
             assert rep.passed, (gap, rep.rel_residual)
 
 
@@ -392,7 +426,7 @@ class TestThetaDifference:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_identity_and_shift(self, r):
         pr, t, u, y, z = self._case(r, 30 + r)
-        rep = verify.verify_theta_difference(z, y, t, u, pr)
+        rep = verify.verify_theta_differences([(z, y, t, u)], pr)[0]
         assert rep.passed, rep.rel_residual
         assert rep.numerics_meta["period_shift_residual_lhs"] <= 1e-8
         assert rep.numerics_meta["period_shift_residual_rhs"] <= 1e-8
@@ -430,9 +464,10 @@ class TestThetaDifference:
     def test_points_in_one_batch_match_one_point_calls(self, r):
         pr, t, u, y, z = self._case(r, 50 + r)
         points = [z, z + math.pi * pr.tau * r, z - 0.3 + 0.02j]
-        batch = verify.theta_difference_sides(np.array(points), y, t, u, pr)
+        (batch,) = verify._difference_sides([(np.array(points), y, t, u)], pr)
         for k, zk in enumerate(points):
-            one = verify.theta_difference_sides(zk, y, t, u, pr)
+            (one,) = verify._difference_sides([(np.array(zk), y, t, u)], pr)
+            one = tuple(side.item() for side in one)
             assert type(one[0]) is complex and type(one[2]) is float
             # the batch shares its truncation depth, so the last bits move
             # by the rounding that the cancellation amplifies
@@ -443,7 +478,7 @@ class TestThetaDifference:
 
     def test_double_precision_verdict_without_cancellation(self):
         pr, t, u, y, z = self._case(2, 32)
-        rep = verify.verify_theta_difference(z, y, t, u, pr)
+        rep = verify.verify_theta_differences([(z, y, t, u)], pr)[0]
         assert rep.passed
         assert rep.numerics_meta["rhs_precision"] == 16
 
@@ -451,7 +486,8 @@ class TestThetaDifference:
         # away from cancellation the 30-digit sides agree with the double
         # ones to rounding
         pr, t, u, y, z = self._case(3, 33)
-        lhs, rhs, cancel = verify.theta_difference_sides(z, y, t, u, pr)
+        lhs, rhs, cancel = (side.item() for side in verify._difference_sides(
+            [(np.array(z), y, t, u)], pr)[0])
         lhs_mp, rhs_mp, shift_rhs = verify._theta_difference_mp(z, y, t, u, pr)
         assert abs(lhs_mp - lhs) <= 1e-13 * cancel * max(1.0, abs(lhs))
         assert abs(rhs_mp - rhs) <= 1e-13 * cancel * abs(rhs)
@@ -461,7 +497,7 @@ class TestThetaDifference:
 
     def test_near_pole_value(self):
         pr, t, u, y, z = self._case(2, 41)
-        rep = verify.verify_theta_difference(z, y, t, u, pr)
+        rep = verify.verify_theta_differences([(z, y, t, u)], pr)[0]
         assert abs(rep.numerics_meta["near_pole_lhs"] + 1) <= 1e-4
         assert abs(rep.numerics_meta["near_pole_rhs"] + 1) <= 1e-4
 
@@ -603,11 +639,13 @@ class TestIntegrandSymmetries:
         ri = cli.sample_rinfstr_case(rng, physical_parameters(0.05, 0.5, 1))
         ic = cli.sample_iconst_case(rng, pr)
         reports = [
-            verify.verify_str(s["spins"], s["alphas"], pr),
-            verify.verify_rinfstr(ri["spins"], ri["alphas"],
-                                  physical_parameters(0.05, 0.5, 1)),
-            verify.verify_master(cli.sample_master_case(rng, pr)["mp"]),
-            verify.verify_I_constant(ic["t"], ic["u"], pr)]
+            verify.verify_star_triangles(
+                ModelFamily.ELLIPTIC, [(s["spins"], s["alphas"])], pr)[0],
+            verify.verify_star_triangles(
+                ModelFamily.Q_LIMIT, [(ri["spins"], ri["alphas"])],
+                physical_parameters(0.05, 0.5, 1))[0],
+            verify.verify_masters([cli.sample_master_case(rng, pr)["mp"]])[0],
+            verify.verify_I_constants([(ic["t"], ic["u"])], pr)[0]]
         for rep in reports:
             meta = rep.numerics_meta
             assert 0.0 <= meta["quad_error"] <= meta["quad_tol"]
@@ -701,7 +739,7 @@ class TestInversionAndBridge:
     def test_first_inversion(self, family):
         pr = physical_parameters(0.05, 0.5, 2)
         spins = (Spin(0.7, 1), Spin(1.9, 0))
-        rep = verify.verify_inversion_first(family, 0.35, spins, pr)
+        rep = verify.verify_inversions([(family, 0.35, spins)], pr)[0]
         assert rep.passed, rep.rel_residual
 
     def test_bridge_residual_recorded(self):

@@ -55,6 +55,11 @@ def commands():
                                              "--seed", "5", "--samples",
                                              "32"]))
     out.append(("sweep-strmsg", ["sweep", "strmsg"]))
+    # one drawn case each, which a batched identity verifies as its batch
+    # of one
+    for ident in SWEPT:
+        out.append((f"verify-{ident}-r2", ["verify", ident, "--r", "2",
+                                           "--seed", "5"]))
     for ident in ("brackets", "bridge", "limit_r", "limit_hbar"):
         out.append((f"verify-{ident}", ["verify", ident]))
     return out
