@@ -570,13 +570,6 @@ def _sample(ident: Identity, params, seed: int, index: int) -> dict:
     return ident.sample(rng, params)
 
 
-def _sweep_one(ident: Identity, params, tol, seed, index):
-    """(report, status) of sample ``index`` alone; the report is None
-    unless the status is ok."""
-    return _verify_one(ident, params, tol, _sample(ident, params, seed,
-                                                   index))
-
-
 def run_sweep(cfg: dict) -> int:
     identity = cfg.get("identity")
     ident = IDENTITIES.get(identity)

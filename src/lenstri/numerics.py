@@ -37,14 +37,23 @@ The node layout (each batch's nodes, the cuts between the levels of the
 first, the mirror weights) is built once per (period, min_nodes,
 max_nodes, even) and is read-only.
 
+``line_integrals`` integrates a batch of functions over the real line
+as the rows of one ``Trapezoid``: one half-width T in t = asinh x for
+every row, then at each batch the values of the rows that have not
+stopped, so that each row stops at its own level.  ``verify_strmsg``
+integrates its m-terms so, a chunk of consecutive m at a time.
+
 ``periodic_integrate`` is the stepper for one integral and a callable
 f, which it calls one node at a time by default.  With
 ``vectorized=True`` (the convention of ``scipy.integrate.solve_ivp``),
 ``f`` takes a 1-d float array of nodes and returns the array of its
-values at those nodes, one call per batch; ``line_integrate`` calls it
-once per pair of end points +-sinh T and then as ``periodic_integrate``
-does.  Both modes visit the same nodes in the same order and take the
-same refinement decisions from the same values.
+values at those nodes, one call per batch; ``line_integrate`` is
+``line_integrals`` of one row of such an f.  Both modes visit the same
+nodes in the same order and take the same refinement decisions from the
+same values.  No verifier calls these two callable integrators: they
+stay for the benchmark harness, which calls them in
+``perfbench/oracles.py`` and wraps them by name in
+``perfbench/spans.py``, and for the tests.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from .params import InvalidParameterError, NonConvergenceError
 
 #: a predicted next change below this is lost in the rounding of the sum
 _ROUNDING = 2.0 ** -52
-#: line_integrate's first half-width T in t = asinh x, and the largest T
+#: line_integrals' first half-width T in t = asinh x, and the largest T
 _HALF_WIDTH = 8.0
 _MAX_HALF_WIDTH = 64.0
 
@@ -269,30 +278,45 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     return steps.results[0]
 
 
-def line_integrate(f: Callable[[float], complex], tol: float,
-                   vectorized: bool = False) -> QuadratureResult:
-    """Integrate f over the real line.
+def line_integrals(f: Callable, count: int, tol: float) -> list:
+    """Integrate count functions over the real line, as the rows of one
+    ``Trapezoid``; their QuadratureResults, in row order.
 
-    Substitutes x = sinh t, which turns a tail |x|^-s into e^{-(s-1)|t|},
-    and integrates g(t) = f(sinh t) cosh t over [-T, T] with
-    ``periodic_integrate`` (period 2T, nodes -T + k 2T/n), whose nested
-    doubling and stop rule set the step.  T starts at _HALF_WIDTH and
-    doubles until |g(+-T)| <= tol; each cut tail is then within tol when f
-    decays at least like |x|^-2.  If |g(+-T)| is still above tol at
-    _MAX_HALF_WIDTH, NonConvergenceError is raised.  nodes_used counts the
-    trapezoid nodes, not the end points.
+    f(x, rows) gives the values of the functions rows (a list of row
+    numbers) at the 1-d array of nodes x, one row each, shape
+    (len(rows), x.size).  Substitutes x = sinh t, which turns a tail
+    |x|^-s into e^{-(s-1)|t|}, and integrates g(t) = f(sinh t) cosh t over
+    [-T, T] (period 2T, nodes -T + k 2T/n), whose nested doubling and stop
+    rule set each row's step.  T is the first of _HALF_WIDTH,
+    2 _HALF_WIDTH, ... at which every row's |g(+-T)| <= tol; each cut tail
+    is then within tol when f decays at least like |x|^-2.  If a row's
+    |g(+-T)| is still above tol at _MAX_HALF_WIDTH, NonConvergenceError is
+    raised.  Every row stops at its own level and gets the result it gets
+    alone at the same T.  nodes_used counts the trapezoid nodes, not the
+    end points.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    g = lambda t: f(np.sinh(t)) * np.cosh(t)
+    g = lambda t, rows: f(np.sinh(t), rows) * np.cosh(t)
     T = _HALF_WIDTH
-    while np.abs(_values(g, np.array([-T, T]), vectorized)).max() > tol:
+    while np.abs(g(np.array([-T, T]), list(range(count)))).max() > tol:
         if T >= _MAX_HALF_WIDTH:
             raise NonConvergenceError(
                 f"integrand not within {tol:.1e} at x = +-sinh({T:g})")
         T *= 2
-    return periodic_integrate(lambda t: g(t - T), 2 * T, tol,
-                              vectorized=vectorized)
+    steps = Trapezoid(2 * T, count)
+    while steps.active:
+        steps.take(g(steps.nodes - T, steps.active), tol)
+    return steps.results
+
+
+def line_integrate(f: Callable[[float], complex], tol: float,
+                   vectorized: bool = False) -> QuadratureResult:
+    """Integrate f over the real line: ``line_integrals`` of one row, f
+    called one node at a time, or with vectorized=True once per batch on
+    the node array."""
+    return line_integrals(lambda x, rows: _values(f, x, vectorized)[None],
+                          1, tol)[0]
 
 
 def bilateral_sum(f: Callable[[int], complex], tol: float,

@@ -30,9 +30,12 @@ from .params import (
 #: master-identity integrals are rejected instead of attempted
 CONTOUR_MARGIN_FRACTION = 0.05
 #: the m-sums of rinfstr (``verify_star_triangles``) and ``verify_strmsg``
-#: (and the integrals of the latter) aim this far below their quadrature
-#: target
+#: (and the latter's integrals, the rows of its ``numerics.line_integrals``
+#: chunks) aim this far below their quadrature target
 SUM_MARGIN = 1e-4
+#: consecutive m-terms of ``verify_strmsg`` integrated as the rows of one
+#: ``numerics.line_integrals``
+STRMSG_CHUNK = 16
 
 
 @dataclass
@@ -291,16 +294,22 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
                   quad_tol: Optional[float] = None) -> VerificationReport:
     """Star-triangle relation of the Euler-gamma model (eta = 1).
 
-    The center angle is integrated over the real line by
-    ``numerics.line_integrate`` (the integrand falls like |x|^-6) and its
-    integer part m is summed over Z.  term(-m) = term(m), so m >= 0 is
-    summed, and past the spins' own integer parts the terms fall like
-    |m|^-5: the sum stops at the first such M whose error after the
-    Euler-Maclaurin tail of c m^-5 beyond M, estimated as 5 / M times the
-    terms at +-M, is within its target.  The integrals and the sum each
-    aim at ``SUM_MARGIN`` times the quadrature target, so that their
-    errors stay far below it.  A sum that needs more than MAX_SUM_TERMS
-    terms (m = 0, 1, ...) raises NonConvergenceError.
+    The center angle is integrated over the real line (the integrand falls
+    like |x|^-6) and its integer part m is summed over Z.  term(-m) =
+    term(m), so m >= 0 is summed, and past the spins' own integer parts
+    the terms fall like |m|^-5: the sum stops at the first such M whose
+    error after the Euler-Maclaurin tail of c m^-5 beyond M, estimated as
+    5 / M times the terms at +-M, is within its target.  The integrals and
+    the sum each aim at ``SUM_MARGIN`` times the quadrature target, so
+    that their errors stay far below it.  A sum that needs more than
+    MAX_SUM_TERMS terms (m = 0, 1, ...) raises NonConvergenceError.
+
+    The integrals of STRMSG_CHUNK consecutive m are the rows of one
+    ``numerics.line_integrals``, each level one star_integrand call over
+    the rows that have not stopped; each row stops at its own level, and
+    gets the term it gets alone wherever its chunk's half-width T is the
+    row's own.  Terms past the stop of the sum are integrated but not
+    used.
     """
     _check_alphas(alphas, 1.0)
     crossed = [1 - a for a in alphas]
@@ -308,27 +317,25 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
     qtol = quad_tol if quad_tol is not None else tol / 10
     qtol *= min(1.0, max(abs(rhs), 1e-12))
     target = qtol * SUM_MARGIN
-    nodes = 0
 
-    def term(m0: int) -> complex:
-        nonlocal nodes
-
-        def f(x0):
-            return models.star_integrand(ModelFamily.GAMMA_LIMIT,
-                                         Spin(x0, m0), spins, crossed, None)
-        res = _converged(numerics.line_integrate(f, target, vectorized=True))
-        nodes += res.nodes_used
-        return res.value
+    def terms():
+        """The m-terms' quadrature results, m = 0, 1, ..., up to
+        MAX_SUM_TERMS of them, STRMSG_CHUNK per ``numerics.line_integrals``."""
+        for lo in range(0, MAX_SUM_TERMS, STRMSG_CHUNK):
+            m = np.arange(lo, min(lo + STRMSG_CHUNK, MAX_SUM_TERMS))
+            yield from map(_converged, numerics.line_integrals(
+                lambda x, rows: models.star_integrand(
+                    ModelFamily.GAMMA_LIMIT, Spin(x, m[rows, None]), spins,
+                    crossed, None), m.size, target))
 
     # term(-m) = term(m): W(s, (x, m)) = W(s, (-x, -m)) for every edge and
     # for S, and the integral runs over all of x
     m_star = max(abs(s.m) for s in spins)
-    value = term(0)
-    for m in range(1, MAX_SUM_TERMS):
-        t = term(m)
-        value += 2 * t
-        bound = 10 * abs(t) / m
-        if m > m_star and bound <= target:
+    value = nodes = 0
+    for m, res in enumerate(terms()):
+        t, nodes = res.value, nodes + res.nodes_used
+        value += 2 * t if m else t
+        if m > m_star and 10 * abs(t) / m <= target:
             break
     else:
         raise NonConvergenceError(
@@ -336,7 +343,7 @@ def verify_strmsg(spins: Sequence[Spin], alphas: Sequence[float],
             f"after {MAX_SUM_TERMS} terms")
     # Euler-Maclaurin: sum_{k>m} t (m/k)^5 = t (m/4 - 1/2 + 5/(12 m)) + ...
     value += 2 * t * (m / 4 - 0.5 + 5 / (12 * m))
-    meta = {"nodes": nodes, "m_terms": m + 1, "tail_bound": bound,
+    meta = {"nodes": nodes, "m_terms": m + 1, "tail_bound": 10 * abs(t) / m,
             "quad_tol": qtol}
     record = {"spins": [(s.x, s.m) for s in spins], "alphas": list(alphas)}
     return make_report("strmsg", record, value, rhs, tol, meta)
@@ -606,6 +613,10 @@ RECOMPUTE_K = 1024
 RECOMPUTE_DPS = 30
 #: decimal digits of a double, the precision of a verdict not taken again
 DOUBLE_DPS = 16
+#: a re-take whose own terms cancel by C leaves RECOMPUTE_DPS - log10 C
+#: digits; below DOUBLE_DPS it is taken once more, at DOUBLE_DPS +
+#: ceil(log10 C) + SPARE_DPS digits
+SPARE_DPS = 2
 
 
 #: the fourteen lens theta arguments per point z of the difference
@@ -720,22 +731,31 @@ def _lens_theta_mp(x, m, params: NomeParameters, mp):
 
 
 def _theta_difference_mp(z: complex, y: int, t: Sequence[complex],
-                         u: Sequence[int], params: NomeParameters):
+                         u: Sequence[int], params: NomeParameters,
+                         dps: int = RECOMPUTE_DPS, *,
+                         cancellation: bool = False):
     """lhs, rhs and period_shift_residual_rhs of the difference identity,
-    from RECOMPUTE_DPS-digit lens theta products at z and z + pi tau r;
-    lhs and rhs are mpmath numbers at that precision, so that their
-    residual is formed from them, not from their doubles."""
+    from dps-digit lens theta products at z and z + pi tau r; lhs and rhs
+    are mpmath numbers at that precision, so that their residual is formed
+    from them, not from their doubles.  With cancellation, also the larger
+    of the right side's cancellations at the two points, formed from the
+    dps-digit terms (at most 10^dps)."""
     import mpmath as mp
-    with mp.workdps(RECOMPUTE_DPS):
+    with mp.workdps(dps):
         tv = np.array([[mp.mpc(ti) for ti in t]], object)
         zs = np.array([[mp.mpc(z), mp.mpc(z) + mp.pi * mp.mpc(params.tau)
                         * params.r]], object)
         x, m = _theta_arguments(zs, np.array([y]), tv, np.array([u]))
-        (lhs,), (rhs,), _ = _theta_sides(
+        (lhs,), (rhs,), terms = _theta_sides(
             _lens_theta_mp(x[0], m[0], params, mp)[None], zs, [y], tv[:, 0],
             [u[0]], params.r, np.frompyfunc(mp.exp, 1, 1), mp.pi)
         inv_r = abs(rhs[1] - rhs[0]) / max(1, abs(rhs[0]))
-        return lhs[0], rhs[0], float(inv_r)
+        sides = lhs[0], rhs[0], float(inv_r)
+        if not cancellation:
+            return sides
+        sizes = [(abs(p) + abs(q), abs(p + q))
+                 for p, q in zip(*(term[0, :2] for term in terms))]
+        return (*sides, max(float(s / max(d, mp.eps * s)) for s, d in sizes))
 
 
 def verify_theta_differences(cases, params: NomeParameters,
@@ -750,7 +770,9 @@ def verify_theta_differences(cases, params: NomeParameters,
     A failed residual or period_shift_rhs check whose value lies within
     RECOMPUTE_K units of roundoff times rhs_cancellation is taken again
     from RECOMPUTE_DPS-digit lens theta products (lhs, rhs and both of
-    those checks); numerics_meta.rhs_precision records the digits the
+    those checks), and once more at more digits (SPARE_DPS) where the
+    re-taken right side's own terms cancel by more than the digits a
+    double keeps; numerics_meta.rhs_precision records the digits the
     verdict was taken at.  An error raised for one case is raised for
     all."""
     if not cases:
@@ -796,8 +818,15 @@ def _theta_report(case, sides, params: NomeParameters,
     residual = rep.abs_residual if abs(rep.rhs) < 1e-10 else rep.rel_residual
     if ((not rep.checks["residual"] and residual <= rounding)
             or (not rep.checks["period_shift_rhs"] and inv_r <= rounding)):
-        rep = report(*_theta_difference_mp(z, y, t, u, params),
-                     RECOMPUTE_DPS)
+        digits = RECOMPUTE_DPS
+        *sides, cancel = _theta_difference_mp(z, y, t, u, params,
+                                              cancellation=True)
+        if digits - math.log10(cancel) < DOUBLE_DPS:
+            # the re-taken terms' own cancellation leaves fewer digits than
+            # a double
+            digits = DOUBLE_DPS + math.ceil(math.log10(cancel)) + SPARE_DPS
+            sides = _theta_difference_mp(z, y, t, u, params, digits)
+        rep = report(*sides, digits)
     return rep
 
 

@@ -542,7 +542,8 @@ class TestSweep:
     def test_random_nomes_pass_or_raise(self, identity, sigma, r, seed):
         params = NomeParameters(sigma, -sigma.conjugate(), r)
         ident = cli.IDENTITIES[identity]
-        rep, _ = cli._sweep_one(ident, params, ident.tol, seed, 0)
+        rep, _ = cli._verify_one(ident, params, ident.tol,
+                                 cli._sample(ident, params, seed, 0))
         assert rep is None or rep.passed, rep.checks
 
     # off the conjugate pair: tau = -Re sigma + ib with b != Im sigma keeps

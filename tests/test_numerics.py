@@ -382,6 +382,53 @@ class TestLineIntegrate:
             numerics.line_integrate(lambda x: 1.0 / (1.0 + abs(x)), 1e-8)
 
 
+class TestLineIntegrals:
+    # a Lorentzian, whose x^-2 tail is the slowest any row may have, beside
+    # fast-decaying rows; at tol 1e-3 each of them alone cuts the line at
+    # T = 8, and so does the batch
+    ROWS = (lambda x: 1.0 / (1.0 + x * x), lambda x: np.exp(-x * x),
+            lambda x: 1.0 / (1.0 + x * x) ** 3,
+            lambda x: np.cos(x) / (1.0 + x * x) ** 2)
+
+    def test_rows_stop_at_their_own_levels(self):
+        calls = []
+
+        def f(x, rows):
+            calls.append(list(rows))
+            return np.array([self.ROWS[i](x) for i in rows])
+        batch = numerics.line_integrals(f, len(self.ROWS), 1e-3)
+        alone = [numerics.line_integrate(g, 1e-3, vectorized=True)
+                 for g in self.ROWS]
+        assert batch == alone
+        # the end points, the first levels, then the rows that have not
+        # stopped: the Lorentzian stops first
+        assert [res.nodes_used for res in batch] == [64, 128, 128, 128]
+        assert calls == [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3]]
+
+    def test_slowest_row_sets_the_half_width(self, monkeypatch):
+        # at tol 1e-8 the Lorentzian alone needs T = 32, where 1/cosh T is
+        # within tol; the batch cuts every row there, and each row still
+        # stops at its own level, within tol
+        periods, trapezoid = [], numerics.Trapezoid
+
+        class Recorded(trapezoid):
+            def __init__(self, period, *args, **kwargs):
+                periods.append(period)
+                super().__init__(period, *args, **kwargs)
+        monkeypatch.setattr(numerics, "Trapezoid", Recorded)
+        batch = numerics.line_integrals(
+            lambda x, rows: np.array([self.ROWS[i](x) for i in rows]),
+            len(self.ROWS), 1e-8)
+        lorentzian = numerics.line_integrate(self.ROWS[0], 1e-8)
+        assert periods == [64.0, 64.0]
+        assert batch[0] == lorentzian
+        assert [res.nodes_used for res in batch] == [512, 1024, 512, 8192]
+        exact = (math.pi, math.sqrt(math.pi), 3 * math.pi / 8,
+                 math.pi / math.e)
+        assert all(res.converged and abs(res.value - v) <= 1e-8 * v
+                   for res, v in zip(batch, exact))
+
+
 class TestBilateralSum:
     def test_geometric(self):
         q = 0.35

@@ -28,7 +28,8 @@ def sweep_rows(capsys, tmp_path, argv):
 
 def row_alone(ident, params, seed, index):
     """The sweep row of sample index, verified alone."""
-    rep, status = cli._sweep_one(ident, params, ident.tol, seed, index)
+    rep, status = cli._verify_one(ident, params, ident.tol,
+                                  cli._sample(ident, params, seed, index))
     row = {"sample_index": index, "status": status}
     if rep is not None:
         row.update(cli.report_to_dict(rep), seed=seed)
@@ -297,6 +298,34 @@ class TestBatchCalls:
         assert calls == levels
         assert calls[0] == integrals
 
+
+    def test_strmsg_one_integrand_call_per_chunk_batch(self, monkeypatch):
+        # a seed-5 strmsg draw: each chunk of verify.STRMSG_CHUNK m-terms
+        # makes one star_integrand call at the end points +-sinh T and one
+        # per stepper batch, holding every m-term of the chunk that has not
+        # stopped
+        ident = cli.IDENTITIES["strmsg"]
+        case = cli._sample(ident, None, 5, 0)
+        calls, batches = [], []
+        integrand, take = models.star_integrand, numerics.Trapezoid.take
+
+        def counted_integrand(family, s0, *args, **kwargs):
+            calls.append(np.broadcast(s0.x, s0.m).shape)
+            return integrand(family, s0, *args, **kwargs)
+
+        def counted_take(steps, values, tol):
+            batches.append(values.shape)
+            return take(steps, values, tol)
+        monkeypatch.setattr(models, "star_integrand", counted_integrand)
+        monkeypatch.setattr(numerics.Trapezoid, "take", counted_take)
+        rep, status = cli._verify_one(ident, None, ident.tol, case)
+        assert status == "ok"
+        chunks = -(-rep.numerics_meta["m_terms"] // verify.STRMSG_CHUNK)
+        ends = [shape for shape in calls if shape[-1] == 2]
+        assert ends == [(verify.STRMSG_CHUNK, 2)] * chunks
+        assert [shape for shape in calls if shape[-1] != 2] == batches
+        assert len(calls) == chunks + len(batches)
+        assert len(calls) < rep.numerics_meta["m_terms"]
 
     @staticmethod
     def calls_per_batch(monkeypatch, identity, pr, samples, module, name,

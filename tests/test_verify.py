@@ -310,6 +310,43 @@ class TestGammaStarTriangle:
             assert rep.passed
             assert rep.rel_residual <= 1e-8, rep.rel_residual
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_chunk_terms_match_terms_alone(self, monkeypatch, seed):
+        # the draws of test_fixed_seed_residuals: every chunk of m-terms
+        # cuts the line at T = 8, as each m-term does alone, and each
+        # m-term of a chunk is line_integrate of that m alone, bit for bit
+        chunks, periods = [], []
+        line_integrals, trapezoid = numerics.line_integrals, numerics.Trapezoid
+
+        def recorded(f, count, tol):
+            chunks.append((tol, line_integrals(f, count, tol)))
+            return chunks[-1][1]
+
+        class Recorded(trapezoid):
+            def __init__(self, period, *args, **kwargs):
+                periods.append(period)
+                super().__init__(period, *args, **kwargs)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            case = cli.sample_strmsg_case(rng)
+            monkeypatch.setattr(numerics, "line_integrals", recorded)
+            monkeypatch.setattr(numerics, "Trapezoid", Recorded)
+            verify.verify_strmsg(case["spins"], case["alphas"])
+            monkeypatch.undo()
+            assert periods and set(periods) == {16.0}
+            crossed = [1 - a for a in case["alphas"]]
+            for k, (tol, results) in enumerate(chunks):
+                for i, res in enumerate(results):
+                    m = k * verify.STRMSG_CHUNK + i
+                    alone = numerics.line_integrate(
+                        lambda x: models.star_integrand(
+                            ModelFamily.GAMMA_LIMIT, Spin(x, m),
+                            case["spins"], crossed, None),
+                        tol, vectorized=True)
+                    assert res == alone, m
+            chunks.clear()
+            periods.clear()
+
     def test_terms_even_in_m(self):
         # the m-sum adds term(m) twice for m >= 1 on the strength of this
         case = cli.sample_strmsg_case(np.random.default_rng(5))
@@ -439,8 +476,10 @@ class TestThetaDifference:
         # 9 does not cancel and keeps its double-precision verdict
         ident = cli.IDENTITIES["thtfunct"]
         pr = physical_parameters(0.05, 0.5, 1)
-        bad, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 7)
-        good, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 9)
+        bad, _ = cli._verify_one(ident, pr, ident.tol,
+                                 cli._sample(ident, pr, 1572004784, 7))
+        good, _ = cli._verify_one(ident, pr, ident.tol,
+                                  cli._sample(ident, pr, 1572004784, 9))
         assert bad.passed
         assert bad.numerics_meta["rhs_precision"] == 30
         assert bad.numerics_meta["rhs_cancellation"] > 1e5
@@ -448,13 +487,31 @@ class TestThetaDifference:
         assert good.numerics_meta["rhs_precision"] == 16
         assert 1.0 <= good.numerics_meta["rhs_cancellation"] < 10.0
 
+    def test_thirty_digits_taken_again_where_they_cancel(self):
+        # sample 2 of `sweep thtfunct --r 1 --seed 38` at sigma =
+        # 2.5449667378316443i, tau = 0.1015625i: the right side's two terms
+        # cancel by about 3e21, so a 30-digit re-take keeps about 8 digits
+        # and fails; the verdict is taken once more, at 16 + 22 + 2 digits
+        sigma = 2.5449667378316443j
+        pr = NomeParameters(sigma, complex(-sigma.real, 0.1015625), 1)
+        ident = cli.IDENTITIES["thtfunct"]
+        cases = [cli._sample(ident, pr, 38, i) for i in range(3)]
+        for rep, status in cli._sweep_batch(ident, pr, ident.tol, cases):
+            assert status == "ok" and rep.passed, rep.checks
+        rep = verify.verify_theta_differences(
+            [tuple(cases[2][k] for k in "zytu")], pr)[0]
+        assert rep.numerics_meta["rhs_precision"] == 40
+        assert rep.rel_residual <= 1e-17
+        assert rep.numerics_meta["period_shift_residual_rhs"] <= 1e-17
+
     def test_thirty_digit_verdict_reports_its_residual(self):
         # sample 7 of `sweep thtfunct --r 1 --seed 1572004784` takes its
         # verdict at 30 digits; its residual is that of the 30-digit sides,
         # not of their doubles, which agree to the last bit
         ident = cli.IDENTITIES["thtfunct"]
         pr = physical_parameters(0.05, 0.5, 1)
-        rep, _ = cli._sweep_one(ident, pr, ident.tol, 1572004784, 7)
+        rep, _ = cli._verify_one(ident, pr, ident.tol,
+                                 cli._sample(ident, pr, 1572004784, 7))
         assert rep.numerics_meta["rhs_precision"] == 30
         assert 0 < rep.rel_residual <= 1e-20
         assert 0 < rep.abs_residual <= 1e-20 * max(abs(rep.lhs), abs(rep.rhs))

@@ -55,6 +55,13 @@ def commands():
                                              "--seed", "5", "--samples",
                                              "32"]))
     out.append(("sweep-strmsg", ["sweep", "strmsg"]))
+    # m-sums of up to about 300 terms, over several chunks of m
+    for seed in (6, 7):
+        out.append((f"sweep-strmsg-seed{seed}",
+                    ["sweep", "strmsg", "--seed", str(seed), "--samples",
+                     "3"]))
+    out.append(("sweep-strmsg-tol", ["sweep", "strmsg", "--seed", "6",
+                                     "--samples", "4", "--tol", "1e-8"]))
     # one drawn case each, which a batched identity verifies as its batch
     # of one
     for ident in SWEPT:
