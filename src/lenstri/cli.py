@@ -536,7 +536,7 @@ def run_verify(cfg: dict) -> int:
 #: the most samples a sweep verifies in one batch, so that a closed-form
 #: sweep of up to 32 samples is one weight or lens theta call: a
 #: quadrature batch holds every level's rows of all of them at once, in
-#: runs below ``models.STAR_BATCH_ROWS`` Gamma rows
+#: runs below ``numerics.BATCH_ROWS`` Gamma rows
 SWEEP_BATCH = 32
 
 

@@ -19,7 +19,8 @@ integrand or an explicit loop with a closed-form tail.  It is kept only
 because the benchmark harness (``perfbench/spans.py``) wraps it by name;
 it goes with the benchmark change of ROADMAP item 1.  Accumulation order
 is fixed (numpy sums over each set of nodes, center-out for sums), so a
-result depends only on its inputs, never on the run.
+result depends only on its inputs, never on the process or on how a
+batch is cut into runs.
 
 The trapezoid levels are stepped by ``Trapezoid``, for a batch of
 integrals over the same period at once: it hands out each batch's nodes,
@@ -28,11 +29,14 @@ each), and keeps every integral's sums, changes and stop decision apart,
 so an integral stops at its own level and gets the result it gets alone.
 Its first batch holds the first levels, concatenated in level order,
 until they reach 4 min_nodes evaluated nodes (the stop rule always needs
-the first three levels); each later batch holds one level.  A caller
-that drives the stepper itself evaluates whatever else it needs in the
-same batch: the quadrature verifiers evaluate their right sides in the
-first batch, and a sweep's star-triangle, master and iconst samples
-share every batch.
+the first three levels); each later batch holds one level.
+``Trapezoid.run`` is the one loop that steps it: it hands each batch's
+nodes and active integrals to one integrand, in runs below
+``BATCH_ROWS`` rows, until every integral has stopped.  The integrand
+also returns the integrals' right sides in the first batch, from which
+a tolerance may be set before the stop rule first runs: the quadrature
+verifiers evaluate their right sides so, and a sweep's star-triangle,
+master and iconst samples share every batch.
 The node layout (each batch's nodes, the cuts between the levels of the
 first, the mirror weights) is built once per (period, min_nodes,
 max_nodes, even) and is read-only.
@@ -72,6 +76,16 @@ _ROUNDING = 2.0 ** -52
 #: line_integrals' first half-width T in t = asinh x, and the largest T
 _HALF_WIDTH = 8.0
 _MAX_HALF_WIDTH = 64.0
+#: the rows one integrand call of ``Trapezoid.run`` stays below: the
+#: elliptic gamma rows of a star-triangle batch (``verify._star_batch``)
+#: or the Gamma rows of a master integrand batch
+#: (``verify._master_integral``), which bounds the arrays of a batch.  It
+#: was set to keep the lens gamma phase shift below the size (256 KiB) at
+#: which numpy evaluates a product in place of a temporary second
+#: operand, swapping complex factors; the shift is now formed from a named
+#: operand (``special_functions._shifted``), and a sample's values do not
+#: depend on this limit (``tests/test_sweep_batch.py`` passes without it).
+BATCH_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -159,15 +173,16 @@ class Trapezoid:
     """The nested trapezoid levels of one period, stepped for a batch of
     integrals that each stop at their own level.
 
-    ``nodes`` holds the nodes of the next batch, and ``active`` the
-    integrals (numbered 0..count-1) whose values it needs.  ``take``
-    takes those values, one row per active integral in the order of
-    ``active``, and steps every integral through the levels they hold: the
-    first batch every level up to the first that brings the nodes
-    evaluated to 4 min_nodes (fewer if max_nodes ends the doubling sooner),
-    each later batch one level.  Each level is summed over its own slice of
-    a row, and each integral keeps its own sums, changes and stop decision
-    (the rule of ``periodic_integrate``).  An integral that stops, or runs
+    ``run`` steps every integral to its stop.  At each batch it hands
+    ``nodes``, the nodes of the batch, and ``active``, the integrals
+    (numbered 0..count-1) that have not stopped, to an integrand, and
+    gives its values to ``take``, one row per active integral in the order
+    of ``active``.  ``take`` steps every integral through the levels they
+    hold: the first batch every level up to the first that brings the
+    nodes evaluated to 4 min_nodes (fewer if max_nodes ends the doubling
+    sooner), each later batch one level.  Each level is summed over its
+    own slice of a row, and each integral keeps its own sums, changes and
+    stop decision (the rule of ``periodic_integrate``).  An integral that stops, or runs
     out of levels at max_nodes, leaves ``active`` with its
     QuadratureResult in ``results``; its nodes_used counts the nodes of
     every batch it was in.  Every integral of a batch is at the same
@@ -187,6 +202,33 @@ class Trapezoid:
         self._state: dict = {}
         self._n = min_nodes      # node count of the last level summed
         self._evaluated = 0
+
+    def run(self, f: Callable, tol, rows: int = 0,
+            first_rows: int = 0) -> list:
+        """Step every integral to its stop; the right sides that f gives
+        in the first batch, in integral order.
+
+        f(x, run, first) returns (values, sides) for the integrals run (a
+        list of integral numbers) at the nodes x: their values, one row
+        each, and with first (the first batch) their right sides, a list,
+        empty after it.  The active integrals go to f in runs of
+        consecutive ones, each below ``BATCH_ROWS`` rows, counting rows
+        per integral and node plus first_rows per integral in the first
+        batch; a run holds one integral at least, and with rows=0 all of
+        them.  tol is what ``take`` takes, or a function of the first
+        batch's right sides that returns it."""
+        sides = []
+        while self.active:
+            act, first = self.active, not self._evaluated
+            size = rows * self.nodes.size + first_rows * first
+            step = max(1, (BATCH_ROWS - 1) // size) if rows else len(act)
+            out = [f(self.nodes, act[lo:lo + step], first)
+                   for lo in range(0, len(act), step)]
+            sides += [h for _, run_sides in out for h in run_sides]
+            if first and callable(tol):
+                tol = tol(sides)
+            self.take(np.concatenate([v for v, _ in out]), tol)
+        return sides
 
     def take(self, values, tol) -> None:
         """Take the values at ``nodes`` of the integrals in ``active``, an
@@ -273,8 +315,7 @@ def periodic_integrate(f: Callable[[float], complex], period: float, tol: float,
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
     steps = Trapezoid(period, 1, min_nodes, max_nodes, even)
-    while steps.active:
-        steps.take(_values(f, steps.nodes, vectorized)[None], tol)
+    steps.run(lambda x, run, first: (_values(f, x, vectorized)[None], []), tol)
     return steps.results[0]
 
 
@@ -305,8 +346,7 @@ def line_integrals(f: Callable, count: int, tol: float) -> list:
                 f"integrand not within {tol:.1e} at x = +-sinh({T:g})")
         T *= 2
     steps = Trapezoid(2 * T, count)
-    while steps.active:
-        steps.take(g(steps.nodes - T, steps.active), tol)
+    steps.run(lambda x, run, first: (g(x - T, run), []), tol)
     return steps.results
 
 

@@ -209,14 +209,16 @@ def verify_star_triangles(family: ModelFamily, cases, params: NomeParameters,
 def _star_batch(family: ModelFamily, cases, m0: np.ndarray,
                 params: NomeParameters, tol: float, rel: float) -> list:
     """The reports of ``verify_star_triangles`` at cases whose centre sums
-    run over the same m0, in one ``numerics.Trapezoid``: every level is one
-    ``models.star_integrand`` batch of the instances that have not
-    stopped, the instances on its leading axis.  kappa of each instance's
-    six spectral parameters alpha_i and eta - alpha_i is one evaluation of
-    its series, and the right sides' twelve rows (six of num and den in
-    the q-limit at the conjugate nomes) ride in the first batch; each
-    right side sets its instance's quadrature tolerance before the stop
-    rule first runs."""
+    run over the same m0, in one ``numerics.Trapezoid`` (``run``): every
+    level is one ``models.star_integrand`` batch of the instances that
+    have not stopped, the instances on its leading axis, or one per run of
+    them whose gamma rows, four per edge, sector and node, stay below
+    ``numerics.BATCH_ROWS`` (all of them at the default nomes).  kappa of
+    each instance's six spectral parameters alpha_i and eta - alpha_i is
+    one evaluation of its series, and the right sides' twelve rows (six of
+    num and den in the q-limit at the conjugate nomes) ride in the first
+    batch; each right side sets its instance's quadrature tolerance before
+    the stop rule first runs."""
     elliptic = family is ModelFamily.ELLIPTIC
     n = len(cases)
     spins = [Spin(np.array([c[0][j].x for c in cases], float),
@@ -231,41 +233,27 @@ def _star_batch(family: ModelFamily, cases, m0: np.ndarray,
     last = np.zeros((n, 2))
     steps = numerics.Trapezoid(math.pi, n, even=elliptic)
 
-    def integrand(act, first):
-        """The integrand of the instances act at the nodes of the level,
-        and with first their right sides: one star_integrand batch of
-        them all, or in the elliptic family of every run of them whose
-        gamma rows, four per edge, sector and node, stay below
-        ``models.STAR_BATCH_ROWS`` (all of them at the default nomes)."""
-        s0 = Spin(steps.nodes, m0[:, None])
-        rows = 4 * (3 * m0.size * steps.nodes.size + 3 * first)
-        step = max(1, (models.STAR_BATCH_ROWS - 1) // rows)
-        values, sides = [], []
-        for lo in range(0, len(act), step):
-            run = act[lo:lo + step]
-            stars = [Spin(s.x[run], s.m[run]) for s in spins]
-            v = models.star_integrand(
-                family, s0, stars, crossed[run], params,
-                kappas=kappas[run, 3:],
-                right_side=(*_rhs_edges(stars, alphas[run]),
-                            kappas[run, :3]) if first else None)
-            if first:
-                v, h = v
-                sides += np.reshape(h, -1).tolist()
-            values.append(np.reshape(v, (len(run), m0.size, -1)))
-        return np.concatenate(values), sides
+    def integrand(x, run, first):
+        """The m0-summed integrand of the instances run at the nodes x,
+        and with first their right sides."""
+        stars = [Spin(s.x[run], s.m[run]) for s in spins]
+        v = models.star_integrand(
+            family, Spin(x, m0[:, None]), stars, crossed[run], params,
+            kappas=kappas[run, 3:],
+            right_side=(*_rhs_edges(stars, alphas[run]),
+                        kappas[run, :3]) if first else None)
+        v, h = v if first else (v, [])
+        v = np.reshape(v, (len(run), m0.size, -1))
+        if not elliptic:
+            last[run] = np.maximum(last[run], np.abs(v[:, -2:]).max(axis=-1))
+        return (weight * v).sum(axis=1), np.reshape(h, -1).tolist()
 
-    v, rhs = integrand(steps.active, True)
     # the integrator's tolerance is absolute for small values; tie it to
     # the scale of the identity so the relative residual is meaningful
-    qtol = [rel * min(1.0, max(abs(h), 1e-12)) for h in rhs]
-    while steps.active:
-        act = steps.active
-        if not elliptic:
-            last[act] = np.maximum(last[act], np.abs(v[:, -2:]).max(axis=-1))
-        steps.take((weight * v).sum(axis=1), qtol)
-        if steps.active:
-            v, _ = integrand(steps.active, False)
+    quad_tols = lambda rhs: [rel * min(1.0, max(abs(h), 1e-12)) for h in rhs]
+
+    rhs = steps.run(integrand, quad_tols, 12 * m0.size, 12)
+    qtol = quad_tols(rhs)
     reports = []
     for (spins_i, alphas_i), res, h, qt, (prev, top) in zip(
             cases, steps.results, rhs, qtol, last.tolist()):
@@ -473,39 +461,32 @@ def _master_integral(mps, qtol, scaled: bool = False):
     """The integral over one period of sum_y master_integrand at each
     MasterParameters of mps (one nomes), divided by its right side if
     scaled: the QuadratureResults and the right sides, in the order of
-    mps.  qtol holds each integral's tolerance.  One
-    ``numerics.Trapezoid`` steps them all: every level is one
+    mps.  qtol holds each integral's tolerance; one that is not positive
+    (or NaN) raises InvalidParameterError before any integrand call.  One
+    ``numerics.Trapezoid`` steps them all (``run``): every level is one
     master_integrand batch of the integrals that have not stopped, or one
-    per run of them whose Gamma rows stay below
-    ``models.STAR_BATCH_ROWS``, and each integral stops at its own level.
-    Every sector y is on an axis of the batch, and the right sides ride
-    in the first.  The sum over y is even in z, because the integrand is
-    invariant under (z, y) -> (-z, -y) and y runs over Z_r."""
+    per run of them whose Gamma rows stay below ``numerics.BATCH_ROWS``,
+    and each integral stops at its own level.  Every sector y is on an
+    axis of the batch, and the right sides ride in the first, which also
+    sets each integral's scale 1/rhs if scaled.  The sum over y is even in
+    z, because the integrand is invariant under (z, y) -> (-z, -y) and y
+    runs over Z_r."""
+    if not all(t > 0 for t in qtol):
+        raise InvalidParameterError("quadrature tolerances must be positive")
     y = np.arange(mps[0].params.r)[:, None]
+    scale = np.ones(len(mps), complex)
     steps = numerics.Trapezoid(2 * math.pi, len(mps), even=True)
 
-    def integrand(act, first):
-        """The integrand of the integrals act at the nodes of the level,
-        and with first their right sides."""
-        rows = 12 * y.size * steps.nodes.size + 15 * first
-        step = max(1, (models.STAR_BATCH_ROWS - 1) // rows)
-        values, sides = [], []
-        for lo in range(0, len(act), step):
-            v = master_integrand(steps.nodes, y,
-                                 [mps[i] for i in act[lo:lo + step]],
-                                 right_side=first)
-            if first:
-                v, h = v
-                sides += h
-            values.append(v)
-        return np.concatenate(values), sides
+    def integrand(x, run, first):
+        """The y-summed integrand of the integrals run at the nodes x, and
+        with first their right sides."""
+        v = master_integrand(x, y, [mps[i] for i in run], right_side=first)
+        v, sides = v if first else (v, [])
+        if first and scaled:
+            scale[run] = [1 / h for h in sides]
+        return scale[run, None] * v.sum(axis=1), sides
 
-    v, rhs = integrand(steps.active, True)
-    scale = np.array([1 / h if scaled else 1.0 for h in rhs], complex)
-    while steps.active:
-        steps.take(scale[steps.active, None] * v.sum(axis=1), qtol)
-        if steps.active:
-            v, _ = integrand(steps.active, False)
+    rhs = steps.run(integrand, qtol, 12 * y.size, 15)
     return [_converged(res) for res in steps.results], rhs
 
 

@@ -429,6 +429,74 @@ class TestLineIntegrals:
                    for res, v in zip(batch, exact))
 
 
+class TestRun:
+    # 1 / (b - cos x) over a period, 2 pi / sqrt(b^2 - 1): at tol 1e-10
+    # the integrals stop at levels of 64 to 512 nodes
+    B = (1.01, 1.02, 1.05, 1.1, 1.3, 2.0, 5.0)
+
+    def integrand(self, calls=None):
+        """f of ``Trapezoid.run`` for the integrals of B, their exact
+        values as right sides; each call's (nodes, run, first) is added to
+        calls."""
+        def f(x, run, first):
+            if calls is not None:
+                calls.append((x.size, list(run), first))
+            sides = [2 * math.pi / math.sqrt(self.B[i] ** 2 - 1) for i in run]
+            return (np.array([1 / (self.B[i] - np.cos(x)) for i in run]),
+                    sides if first else [])
+        return f
+
+    def stepped(self, tol=1e-10, rows=0, first_rows=0, calls=None):
+        steps = numerics.Trapezoid(2 * math.pi, len(self.B))
+        sides = steps.run(self.integrand(calls), tol, rows, first_rows)
+        return steps.results, sides
+
+    def test_runs_give_the_one_run_results(self, monkeypatch):
+        # 1 row per node and 5 per integral in the first batch: runs of 4
+        # integrals at the first two batches, of 2 at 128 nodes, 1 at 256
+        one_run, _ = self.stepped()
+        monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
+        calls = []
+        runs, _ = self.stepped(rows=1, first_rows=5, calls=calls)
+        assert runs == one_run
+        assert all(res.converged for res in runs)
+        assert [run for _, run, _ in calls] == [
+            [0, 1, 2, 3], [4, 5, 6], [0, 1, 2, 3], [4], [0, 1], [2], [0]]
+
+    def test_no_call_reaches_the_row_limit(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
+        calls = []
+        self.stepped(rows=1, first_rows=5, calls=calls)
+        assert all(len(run) * (size + 5 * first) < 300
+                   for size, run, first in calls)
+        # each run as large as the limit lets it be
+        assert max(len(run) * (size + 5 * first)
+                   for size, run, first in calls) >= 4 * 69
+
+    def test_sides_in_integral_order_set_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
+        exact = [2 * math.pi / math.sqrt(b * b - 1) for b in self.B]
+        seen = []
+
+        def tol(sides):
+            seen.append(list(sides))
+            return [1e-10 * abs(h) for h in sides]
+        results, sides = self.stepped(tol, rows=1, first_rows=5)
+        assert sides == exact
+        assert seen == [exact]
+        fixed, _ = self.stepped([1e-10 * h for h in exact], 1, 5)
+        assert results == fixed
+
+    def test_rows_zero_makes_one_call_per_batch(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BATCH_ROWS", 1)
+        calls = []
+        self.stepped(calls=calls)
+        assert [(size, run) for size, run, _ in calls] == [
+            (64, [0, 1, 2, 3, 4, 5, 6]), (64, [0, 1, 2, 3, 4]),
+            (128, [0, 1, 2]), (256, [0])]
+        assert [first for _, _, first in calls] == [True] + [False] * 3
+
+
 class TestBilateralSum:
     def test_geometric(self):
         q = 0.35

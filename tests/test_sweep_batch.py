@@ -37,7 +37,7 @@ def row_alone(ident, params, seed, index):
 
 
 #: (identity, r, tau, sigma): at r = 4 six samples hold more gamma rows
-#: than one batch takes (``models.STAR_BATCH_ROWS``), and so do six
+#: than one batch takes (``numerics.BATCH_ROWS``), and so do six
 #: master samples near the unit circle
 SWEEPS = [("str", 1, None), ("str", 2, None), ("str", 3, None),
           ("str", 4, None), ("str", 2, "-0.05+0.7j"), ("rinfstr", 1, None),

@@ -394,6 +394,19 @@ class TestMasterIdentity:
         with pytest.raises(ContourViolationError):
             verify.verify_masters([mp])
 
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-8, math.nan])
+    def test_quad_tol_not_positive(self, monkeypatch, quad_tol):
+        # rejected before any integrand call, as str and rinfstr do
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated at a tolerance not positive")
+        monkeypatch.setattr(verify, "master_integrand", refuse)
+        pr = physical_parameters(0.05, 0.5, 2)
+        t = sample_t(np.random.default_rng(22), 6, (2j * pr.eta).imag)
+        t[5] = 2j * pr.eta - sum(t[:5])
+        mp = verify.MasterParameters(tuple(t), (1, -1, 0, 0, 0, 0), pr)
+        with pytest.raises(InvalidParameterError, match="positive"):
+            verify.verify_masters([mp], quad_tol=quad_tol)
+
 
 #: real parts of the constant-form t of ICONST_REJECTED
 ICONST_RE = (-0.2, 0.1, 0.05, -0.1, 0.15)
@@ -420,6 +433,20 @@ class TestConstantForm:
         with pytest.raises(error):
             verify.verify_I_constants([(t, u)],
                                       physical_parameters(0.05, 0.5, 2))
+
+    @pytest.mark.parametrize("quad_tol,shift_tol", [
+        (0.0, 1e-7), (-1e-8, 1e-7), (math.nan, 1e-7), (1e-7, 0.0)])
+    def test_quad_tol_not_positive(self, monkeypatch, quad_tol, shift_tol):
+        # the shifted integral's tolerance is at most shift_tol / 10
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated at a tolerance not positive")
+        monkeypatch.setattr(verify, "master_integrand", refuse)
+        pr = physical_parameters(0.05, 0.5, 1)
+        t = tuple(sample_t(np.random.default_rng(23), 5,
+                           0.4 * (2j * pr.eta).imag))
+        with pytest.raises(InvalidParameterError, match="positive"):
+            verify.verify_I_constants([(t, (0,) * 5)], pr,
+                                      shift_tol=shift_tol, quad_tol=quad_tol)
 
     def test_r1_constant(self):
         pr = physical_parameters(0.05, 0.5, 1)

@@ -49,7 +49,7 @@ def commands():
                         ["sweep", ident, "--r", "4", "--seed", "5",
                          "--samples", str(n)]))
     # a full batch of 32 samples (64 integrals of iconst), whose levels
-    # take several runs below models.STAR_BATCH_ROWS Gamma rows
+    # take several runs below numerics.BATCH_ROWS Gamma rows
     for ident in ("master", "iconst"):
         out.append((f"sweep-{ident}-r2-32", ["sweep", ident, "--r", "2",
                                              "--seed", "5", "--samples",
