@@ -470,11 +470,15 @@ def _master_integral(mps, qtol, scaled: bool = False):
     axis of the batch, and the right sides ride in the first, which also
     sets each integral's scale 1/rhs if scaled.  The sum over y is even in
     z, because the integrand is invariant under (z, y) -> (-z, -y) and y
-    runs over Z_r."""
+    runs over Z_r.  An integral whose values cancel so far that their
+    rounding, 2^-52 times the period times the largest |value|, exceeds
+    its tolerance (relative to max(1, |integral|)) raises
+    NonConvergenceError: its stop rule can stop on rounding noise."""
     if not all(t > 0 for t in qtol):
         raise InvalidParameterError("quadrature tolerances must be positive")
     y = np.arange(mps[0].params.r)[:, None]
     scale = np.ones(len(mps), complex)
+    peak = np.zeros(len(mps))   # each integrand's largest |value| so far
     steps = numerics.Trapezoid(2 * math.pi, len(mps), even=True)
 
     def integrand(x, run, first):
@@ -484,10 +488,20 @@ def _master_integral(mps, qtol, scaled: bool = False):
         v, sides = v if first else (v, [])
         if first and scaled:
             scale[run] = [1 / h for h in sides]
-        return scale[run, None] * v.sum(axis=1), sides
+        f = scale[run, None] * v.sum(axis=1)
+        peak[run] = np.maximum(peak[run], np.abs(f).max(axis=-1))
+        return f, sides
 
     rhs = steps.run(integrand, qtol, 12 * y.size, 15)
-    return [_converged(res) for res in steps.results], rhs
+    results = [_converged(res) for res in steps.results]
+    for res, top, qt in zip(results, peak.tolist(), qtol):
+        # the rounding of values up to top, summed over the period, scaled
+        # as the stop rule scales a change: a change below it is noise
+        floor = 2.0 ** -52 * 2 * math.pi * top / max(1.0, abs(res.value))
+        if floor > qt:
+            raise NonConvergenceError(f"master integral's rounding floor "
+                                      f"{floor:.2e} above tolerance {qt:.2e}")
+    return results, rhs
 
 
 def verify_masters(mps: Sequence[MasterParameters], tol: float = 1e-6,

@@ -448,6 +448,15 @@ class TestConstantForm:
             verify.verify_I_constants([(t, (0,) * 5)], pr,
                                       shift_tol=shift_tol, quad_tol=quad_tol)
 
+    def test_rounding_floor_above_tolerance(self):
+        # sigma = 2.5i, tau = 3i, r = 6: the integrand at t reaches 6e9
+        # times its mean, so that rounding moves the integral by 4e-7 while
+        # two level changes fall within quad_tol 1e-7; the stop is noise
+        params = NomeParameters(2.5j, 3j, 6)
+        case = cli._sample(cli.IDENTITIES["iconst"], params, 8324, 2)
+        with pytest.raises(NonConvergenceError, match="rounding floor"):
+            verify.verify_I_constants([(case["t"], case["u"])], params)
+
     def test_r1_constant(self):
         pr = physical_parameters(0.05, 0.5, 1)
         t = tuple(sample_t(np.random.default_rng(23), 5,
