@@ -182,8 +182,8 @@ class Trapezoid:
     nodes evaluated to 4 min_nodes (fewer if max_nodes ends the doubling
     sooner), each later batch one level.  Each level is summed over its
     own slice of a row, and each integral keeps its own sums, changes and
-    stop decision (the rule of ``periodic_integrate``).  An integral that stops, or runs
-    out of levels at max_nodes, leaves ``active`` with its
+    stop decision (the rule of ``periodic_integrate``).  An integral that
+    stops, or runs out of levels at max_nodes, leaves ``active`` with its
     QuadratureResult in ``results``; its nodes_used counts the nodes of
     every batch it was in.  Every integral of a batch is at the same
     level, so its result is the one it gets alone.  The nodes are
