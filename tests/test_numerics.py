@@ -452,26 +452,27 @@ class TestRun:
         return steps.results, sides
 
     def test_runs_give_the_one_run_results(self, monkeypatch):
-        # 1 row per node and 5 per integral in the first batch: runs of 4
-        # integrals at the first two batches, of 2 at 128 nodes, 1 at 256
+        # 1 row per node and 40 per integral in the first batch, below 300
+        # rows: runs of 2 integrals in the first batch (64 nodes), of 4 at
+        # the level of 64 new nodes, of 2 at 128 and of 1 at 256
         one_run, _ = self.stepped()
         monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
         calls = []
-        runs, _ = self.stepped(rows=1, first_rows=5, calls=calls)
+        runs, _ = self.stepped(rows=1, first_rows=40, calls=calls)
         assert runs == one_run
         assert all(res.converged for res in runs)
         assert [run for _, run, _ in calls] == [
-            [0, 1, 2, 3], [4, 5, 6], [0, 1, 2, 3], [4], [0, 1], [2], [0]]
+            [0, 1], [2, 3], [4, 5], [6], [0, 1, 2, 3], [4], [0, 1], [2],
+            [0]]
 
     def test_no_call_reaches_the_row_limit(self, monkeypatch):
         monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
         calls = []
-        self.stepped(rows=1, first_rows=5, calls=calls)
-        assert all(len(run) * (size + 5 * first) < 300
-                   for size, run, first in calls)
-        # each run as large as the limit lets it be
-        assert max(len(run) * (size + 5 * first)
-                   for size, run, first in calls) >= 4 * 69
+        self.stepped(rows=1, first_rows=40, calls=calls)
+        rows = [len(run) * (size + 40 * first) for size, run, first in calls]
+        assert max(rows) < 300
+        # the first batch's runs as large as the limit lets them be
+        assert rows[:3] == [2 * 104] * 3
 
     def test_sides_in_integral_order_set_the_tolerance(self, monkeypatch):
         monkeypatch.setattr(numerics, "BATCH_ROWS", 300)
@@ -481,10 +482,10 @@ class TestRun:
         def tol(sides):
             seen.append(list(sides))
             return [1e-10 * abs(h) for h in sides]
-        results, sides = self.stepped(tol, rows=1, first_rows=5)
+        results, sides = self.stepped(tol, rows=1, first_rows=40)
         assert sides == exact
         assert seen == [exact]
-        fixed, _ = self.stepped([1e-10 * h for h in exact], 1, 5)
+        fixed, _ = self.stepped([1e-10 * h for h in exact], 1, 40)
         assert results == fixed
 
     def test_rows_zero_makes_one_call_per_batch(self, monkeypatch):
